@@ -1,10 +1,12 @@
-// Performance benchmark for this repo's two execution hot paths:
+// Microbenchmarks of this repo's two execution hot paths. The end-to-end
+// numbers that decide a performance change (runs/s, run latency, peak RSS
+// of whole WeHeY grids) come from perfbench (python3 perfbench/run.py);
+// the rows here are secondary:
 //
 //  (1) the simulator event loop — events/sec through the EventHeap +
-//      InplaceAction scheduler, compared at runtime against a baseline
-//      reimplementation of the previous design (std::priority_queue of
-//      std::function events with a const_cast move-out), for both small
-//      captures and Packet-sized captures (the dominant real workload);
+//      InplaceAction scheduler for small captures and for Packet-sized
+//      captures, plus the idle overhead of the observability and runtime
+//      telemetry hooks;
 //  (2) the parallel trial engine — wall-clock speedup of a multi-config
 //      scenario grid under 1/2/N threads via parallel::run_trials.
 //
@@ -16,8 +18,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -39,55 +39,10 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// ------------------------------------------------------------------------
-// Baseline: the pre-optimization simulator, verbatim in design —
-// std::function actions in a std::priority_queue, const_cast move-out.
-class LegacySimulator {
- public:
-  using Action = std::function<void()>;
-
-  Time now() const { return now_; }
-
-  void schedule(Time delay, Action action) {
-    schedule_at(now_ + delay, std::move(action));
-  }
-  void schedule_at(Time at, Action action) {
-    queue_.push(Event{at, next_seq_++, std::move(action)});
-  }
-
-  void run(Time until = -1) {
-    while (!queue_.empty()) {
-      if (until >= 0 && queue_.top().at > until) break;
-      Event ev = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      now_ = ev.at;
-      ev.action();
-    }
-    if (until >= 0 && now_ < until) now_ = until;
-  }
-
- private:
-  struct Event {
-    Time at;
-    std::uint64_t seq;
-    Action action;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-  Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-};
-
 /// Shared per-lane bookkeeping; lives in a vector that outlives the run, so
 /// events only ever carry a pointer to it (plus their payload).
-template <typename Sim>
 struct LaneState {
-  Sim* sim = nullptr;
+  netsim::Simulator* sim = nullptr;
   std::size_t* fired = nullptr;
   std::size_t total = 0;
   std::uint64_t id = 0;
@@ -95,56 +50,38 @@ struct LaneState {
 };
 
 /// An event whose capture is one pointer — matches the [this] timer and ACK
-/// closures in the simulator. Inline for both schedulers (it fits even
-/// std::function's 16-byte buffer), so this isolates queue mechanics.
-template <typename Sim>
+/// closures in the simulator, so this isolates queue mechanics.
 struct SmallEvent {
-  LaneState<Sim>* lane;
+  LaneState* lane;
   void operator()() {
     auto& st = *lane;
     ++*st.fired;
     if (*st.fired >= st.total) return;
     ++st.step;
-    const Time delay = static_cast<Time>(1 + ((st.id + st.step) & 7));
-    // Each engine drives the chain through its native API: the slot-pooled
-    // scheduler re-arms the executing event in place, the std::function
-    // baseline must construct a fresh action per hop.
-    if constexpr (requires(Sim& s, Time d) { s.reschedule_current(d); }) {
-      st.sim->reschedule_current(delay);
-    } else {
-      st.sim->schedule(delay, *this);
-    }
+    st.sim->reschedule_current(static_cast<Time>(1 + ((st.id + st.step) & 7)));
   }
 };
 
 /// An event carrying a full Packet by value — matches the Link transmit and
-/// propagation closures that dominate real simulations. Spills std::function
-/// to the heap; stays inline in an InplaceAction.
-template <typename Sim>
+/// propagation closures that dominate real simulations.
 struct PacketEvent {
-  LaneState<Sim>* lane;
+  LaneState* lane;
   netsim::Packet p;
   void operator()() {
     auto& st = *lane;
     ++*st.fired;
     if (*st.fired >= st.total) return;
     p.seq += 1;
-    const Time delay = 1 + static_cast<Time>(p.id & 7);
-    if constexpr (requires(Sim& s, Time d) { s.reschedule_current(d); }) {
-      st.sim->reschedule_current(delay);
-    } else {
-      st.sim->schedule(delay, *this);
-    }
+    st.sim->reschedule_current(1 + static_cast<Time>(p.id & 7));
   }
 };
 
 /// Self-rescheduling event chains with `lanes` concurrent lanes, `total`
 /// events overall.
-template <typename Sim>
 double events_per_sec(std::size_t lanes, std::size_t total, bool heavy) {
-  Sim sim;
+  netsim::Simulator sim;
   std::size_t fired = 0;
-  std::vector<LaneState<Sim>> states(lanes);
+  std::vector<LaneState> states(lanes);
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     states[lane] = {&sim, &fired, total, lane, 0};
@@ -153,10 +90,10 @@ double events_per_sec(std::size_t lanes, std::size_t total, bool heavy) {
       pkt.id = lane;
       pkt.size = 1500;
       sim.schedule(static_cast<Time>(1 + (lane & 7)),
-                   PacketEvent<Sim>{&states[lane], pkt});
+                   PacketEvent{&states[lane], pkt});
     } else {
       sim.schedule(static_cast<Time>(1 + (lane & 7)),
-                   SmallEvent<Sim>{&states[lane]});
+                   SmallEvent{&states[lane]});
     }
   }
   sim.run();
@@ -182,7 +119,7 @@ struct GridTiming {
 double events_per_sec_bound(std::size_t lanes, std::size_t total,
                             obs::Recorder* rec) {
   obs::ScopedRecorder bind(rec);
-  return events_per_sec<netsim::Simulator>(lanes, total, false);
+  return events_per_sec(lanes, total, false);
 }
 
 }  // namespace
@@ -198,7 +135,7 @@ int main() {
   const std::size_t kLanes = 64;
   const std::size_t kEvents = 400'000;
   const int kReps = 7;
-  double legacy_small = 0, new_small = 0, legacy_heavy = 0, new_heavy = 0;
+  double small = 0, heavy = 0;
   double obs_idle = 0, obs_active = 0;
   std::vector<double> idle_ratios;
   std::vector<double> runtime_ratios;
@@ -208,30 +145,23 @@ int main() {
     // idle/active split below binds recorders explicitly.
     obs::ScopedRecorder quiesce(nullptr);
     for (int rep = 0; rep < kReps; ++rep) {
-      legacy_small = std::max(legacy_small, events_per_sec<LegacySimulator>(
-                                                kLanes, kEvents, false));
       // Observability guard: the hooks-idle loop must track the plain loop
       // (<2% apart). The two runs are paired back-to-back within each rep
       // and the gate uses the median of the per-rep ratios, so shared-host
       // noise that hits both alike cancels out of the overhead number.
-      const double plain =
-          events_per_sec<netsim::Simulator>(kLanes, kEvents, false);
+      const double plain = events_per_sec(kLanes, kEvents, false);
       const double idle = events_per_sec_bound(kLanes, kEvents, nullptr);
-      new_small = std::max(new_small, plain);
+      small = std::max(small, plain);
       obs_idle = std::max(obs_idle, idle);
       idle_ratios.push_back(idle / plain);
       // Runtime-telemetry guard, same pairing scheme: the engine profiler
       // stays off the event dispatch hot path (its only netsim hook is
       // slot-pool growth), so enabling it must not move events/sec either.
       obs::runtime::set_enabled(true);
-      const double rt_on =
-          events_per_sec<netsim::Simulator>(kLanes, kEvents, false);
+      const double rt_on = events_per_sec(kLanes, kEvents, false);
       obs::runtime::set_enabled(runtime_was_enabled);
       runtime_ratios.push_back(rt_on / plain);
-      legacy_heavy = std::max(legacy_heavy, events_per_sec<LegacySimulator>(
-                                                kLanes, kEvents, true));
-      new_heavy = std::max(new_heavy, events_per_sec<netsim::Simulator>(
-                                          kLanes, kEvents, true));
+      heavy = std::max(heavy, events_per_sec(kLanes, kEvents, true));
       // The fully observed loop is reported too, so the active metric cost
       // stays visible across PRs.
       obs::Recorder rec(/*metrics_on=*/true, /*trace_on=*/false);
@@ -251,24 +181,16 @@ int main() {
       1.0 - runtime_ratios[runtime_ratios.size() / 2];
 
   std::printf("event loop (%zu events, %zu lanes):\n", kEvents, kLanes);
-  std::printf("  %-34s | %10.2f M events/s\n", "std::function + priority_queue",
-              legacy_small / 1e6);
-  std::printf("  %-34s | %10.2f M events/s  (%.2fx)\n",
-              "EventHeap + InplaceAction", new_small / 1e6,
-              new_small / legacy_small);
-  std::printf("  %-34s | %10.2f M events/s\n",
-              "legacy, Packet-sized captures", legacy_heavy / 1e6);
-  std::printf("  %-34s | %10.2f M events/s  (%.2fx)\n",
-              "new, Packet-sized captures", new_heavy / 1e6,
-              new_heavy / legacy_heavy);
+  std::printf("  %-34s | %10.2f M events/s\n", "small captures", small / 1e6);
+  std::printf("  %-34s | %10.2f M events/s\n", "Packet-sized captures",
+              heavy / 1e6);
   std::printf("  %-34s | %10.2f M events/s  (median overhead %+.2f%%)\n",
-              "new, obs hooks idle", obs_idle / 1e6,
-              100.0 * obs_idle_overhead);
-  std::printf("  %-34s | %10.2f M events/s  (%+.2f%% vs new)\n",
-              "new, metrics recorder bound", obs_active / 1e6,
-              100.0 * (obs_active / new_small - 1.0));
+              "obs hooks idle", obs_idle / 1e6, 100.0 * obs_idle_overhead);
+  std::printf("  %-34s | %10.2f M events/s  (%+.2f%% vs small)\n",
+              "metrics recorder bound", obs_active / 1e6,
+              100.0 * (obs_active / small - 1.0));
   std::printf("  %-34s | median overhead %+.2f%%\n",
-              "new, runtime telemetry enabled", 100.0 * runtime_idle_overhead);
+              "runtime telemetry enabled", 100.0 * runtime_idle_overhead);
 
   // (2) Grid speedup through run_trials. A small but real scenario grid;
   // every trial is a full simultaneous experiment.
@@ -325,14 +247,8 @@ int main() {
   const std::string path = bench::bench_json_path();
   auto event_loop = bench::jobj();
   bench::jset(event_loop, "events", bench::jnum(kEvents));
-  bench::jset(event_loop, "legacy_small_eps", bench::jnum(legacy_small));
-  bench::jset(event_loop, "new_small_eps", bench::jnum(new_small));
-  bench::jset(event_loop, "small_speedup",
-              bench::jnum(new_small / legacy_small));
-  bench::jset(event_loop, "legacy_packet_eps", bench::jnum(legacy_heavy));
-  bench::jset(event_loop, "new_packet_eps", bench::jnum(new_heavy));
-  bench::jset(event_loop, "packet_speedup",
-              bench::jnum(new_heavy / legacy_heavy));
+  bench::jset(event_loop, "small_eps", bench::jnum(small));
+  bench::jset(event_loop, "packet_eps", bench::jnum(heavy));
   auto observability = bench::jobj();
   bench::jset(observability, "obs_idle_eps", bench::jnum(obs_idle));
   bench::jset(observability, "obs_active_eps", bench::jnum(obs_active));

@@ -4,8 +4,8 @@
 // Three properties std::priority_queue could not give us:
 //
 //  * zero-move event construction — push() is a template that emplaces the
-//    caller's callable directly into its pool slot, so the (often ~330-byte
-//    Packet-carrying) capture is copied exactly once, ever;
+//    caller's callable directly into its pool slot, so the (often
+//    Packet-carrying, 88-byte) capture is copied exactly once, ever;
 //  * in-place dispatch — run_top() invokes the action where it sits and
 //    destroys it afterwards, instead of moving it out of a const top()
 //    through a const_cast as the old design did;
@@ -161,8 +161,9 @@ class EventHeap {
   static constexpr std::uint64_t kSlotLimit = std::uint64_t{1} << kSlotBits;
   static constexpr std::uint64_t kSeqLimit = std::uint64_t{1} << 40;
 
-  /// 64 actions (~25 KiB) per chunk: big enough to amortize allocation,
-  /// small enough that an idle simulator is not holding megabytes.
+  /// 64 128-byte actions (8 KiB) per chunk: big enough to amortize
+  /// allocation, small enough that an idle simulator is not holding
+  /// megabytes.
   static constexpr std::size_t kChunkShift = 6;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
   using Chunk = std::array<Action, kChunkSize>;

@@ -2,12 +2,12 @@
 // simulator's event hot path.
 //
 // Every scheduled event used to be a std::function whose capture — most
-// often a Link transmission closure carrying a full ~300-byte Packet by
-// value — exceeded libstdc++'s 16-byte inline buffer and forced one heap
-// allocation (and one deallocation) per packet event. InplaceAction stores
-// captures up to kInlineCapacity bytes directly inside the object, so the
-// typical packet event never touches the allocator; larger captures fall
-// back to a single heap cell transparently.
+// often a Link transmission closure carrying a Packet by value — exceeded
+// libstdc++'s 16-byte inline buffer and forced one heap allocation (and
+// one deallocation) per packet event. InplaceAction stores captures up to
+// kInlineCapacity bytes directly inside the object, so the typical packet
+// event never touches the allocator; larger captures fall back to a single
+// heap cell transparently.
 //
 // Intentionally minimal: move-only, invoke-once-or-many, no target_type /
 // allocator machinery. The dispatch table is one static per callable type.
@@ -23,9 +23,12 @@ namespace wehey::netsim {
 
 class InplaceAction {
  public:
-  /// Sized so a lambda capturing `this` + a Packet (the Link transmit and
-  /// propagation closures, which dominate event traffic) fits inline.
-  static constexpr std::size_t kInlineCapacity = 384;
+  /// Sized so a lambda capturing `this` + a Packet + a Time (the Link
+  /// transmit closure, 88 bytes; the propagation closure is smaller) fits
+  /// inline, with headroom for one more pointer-sized capture. With the
+  /// vtable pointer and max_align_t alignment an action is 128 bytes — the
+  /// event-heap slot size. Link asserts its closures fit.
+  static constexpr std::size_t kInlineCapacity = 112;
 
   InplaceAction() = default;
 
@@ -78,6 +81,14 @@ class InplaceAction {
     }
   }
 
+  /// True when a callable of type Fn is stored inline (no heap cell).
+  template <typename Fn>
+  static constexpr bool fits_inline() {
+    return sizeof(Fn) <= kInlineCapacity &&
+           alignof(Fn) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
+
  private:
   struct VTable {
     void (*invoke)(void* self);
@@ -87,13 +98,6 @@ class InplaceAction {
     /// the event hot path), so reset() skips the indirect call entirely.
     void (*destroy)(void* self) noexcept;
   };
-
-  template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineCapacity &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
 
   template <typename Fn>
   static constexpr VTable inline_vtable{

@@ -61,9 +61,14 @@ void Link::try_transmit() {
   }
   transmitting_ = true;
   const Time tx = transmission_time(pkt->size, effective_bandwidth());
-  sim_.schedule(tx, [this, p = std::move(*pkt), tx]() mutable {
+  auto transmit = [this, p = std::move(*pkt), tx]() mutable {
     finish_transmit(std::move(p), tx);
-  });
+  };
+  // Packet events dominate the event heap: a Packet field that pushed this
+  // closure past the inline buffer would put every one on the allocator.
+  static_assert(InplaceAction::fits_inline<decltype(transmit)>(),
+                "Link transmit closure must fit InplaceAction inline");
+  sim_.schedule(tx, std::move(transmit));
 }
 
 void Link::account_transmit(Time tx_time, Time now) {
@@ -89,9 +94,12 @@ void Link::finish_transmit(Packet pkt, Time tx_time) {
   if (on_tx_) on_tx_(pkt, sim_.now());
   if (next_ != nullptr) {
     if (delay_ > 0) {
-      sim_.schedule(delay_, [this, p = std::move(pkt)]() mutable {
+      auto propagate = [this, p = std::move(pkt)]() mutable {
         next_->receive(std::move(p));
-      });
+      };
+      static_assert(InplaceAction::fits_inline<decltype(propagate)>(),
+                    "Link propagation closure must fit InplaceAction inline");
+      sim_.schedule(delay_, std::move(propagate));
     } else {
       next_->receive(std::move(pkt));
     }

@@ -19,43 +19,38 @@ inline constexpr std::uint8_t kDscpDifferentiated = 1;
 
 enum class PacketKind : std::uint8_t { Data, Ack };
 
-/// A SACK block: received bytes in [start, end). start == end means unused.
-struct SackBlock {
-  std::uint64_t start = 0;
-  std::uint64_t end = 0;
-  bool empty() const { return start == end; }
-};
+class SackLog;
 
-// A real TCP option carries at most 3-4 SACK blocks and relies on block
-// rotation across ACKs to cover all holes; our receiver reports a fixed
-// snapshot instead, so it needs more blocks to convey the same
-// information. 16 keeps retransmission behaviour close to a
-// rotating-3-block implementation without simulating the rotation.
-inline constexpr int kMaxSackBlocks = 16;
-
+/// Every packet event carries one of these by value, so the layout keeps it
+/// small: 8-byte fields first, then 4-byte, then 1-byte, with no padding
+/// holes (72 bytes). SACK blocks live in the receiver's SackLog, not here.
 struct Packet {
   std::uint64_t id = 0;       ///< globally unique, for tracing
+  // Transport metadata (interpreted by the endpoints only).
+  std::uint64_t seq = 0;      ///< TCP: first payload byte; UDP: packet no.
+  std::uint64_t ack = 0;      ///< TCP cumulative ACK (next expected byte)
+  Time sent_at = 0;           ///< stamped by the sender (for RTT samples)
+  /// Stamped by the queueing disc that accepted the packet; the dequeue
+  /// side observes (now - enqueued_at) as the queue-residency histogram.
+  Time enqueued_at = 0;
+  /// ACKs only: the receiver's log holding this ACK's selective-ACK blocks,
+  /// indices [sack_first, sack_first + sack_count). Null on data packets.
+  SackLog* sack_log = nullptr;
+
   FlowId flow = 0;
   /// The key a *per-flow* rate-limiter classifies on (normally the flow's
   /// 5-tuple, i.e. == flow). WeHeY's §7 countermeasure crafts the two
   /// simultaneous replays so they carry the same key and land in the same
   /// per-flow policer. 0 means "use `flow`".
   FlowId policer_key = 0;
-  PacketKind kind = PacketKind::Data;
   std::uint32_t size = 0;     ///< wire size in bytes (headers included)
-  std::uint8_t dscp = kDscpDefault;
-
-  // Transport metadata (interpreted by the endpoints only).
-  std::uint64_t seq = 0;      ///< TCP: first payload byte; UDP: packet no.
-  std::uint64_t ack = 0;      ///< TCP cumulative ACK (next expected byte)
   std::uint32_t payload = 0;  ///< payload bytes carried
-  bool retransmit = false;    ///< TCP: this is a retransmission
-  SackBlock sack[kMaxSackBlocks];  ///< selective-ACK blocks (ACKs only)
+  std::uint32_t sack_first = 0;
 
-  Time sent_at = 0;           ///< stamped by the sender (for RTT samples)
-  /// Stamped by the queueing disc that accepted the packet; the dequeue
-  /// side observes (now - enqueued_at) as the queue-residency histogram.
-  Time enqueued_at = 0;
+  std::uint8_t sack_count = 0;
+  PacketKind kind = PacketKind::Data;
+  std::uint8_t dscp = kDscpDefault;
+  bool retransmit = false;    ///< TCP: this is a retransmission
 };
 
 /// Anything that can accept a packet: links, rate-limiters, endpoints.
@@ -77,8 +72,8 @@ class PacketIdSource {
 /// FIFO of packets backed by a growable circular buffer with an internal
 /// free region: dequeued slots are reused by later enqueues, so a disc at
 /// steady state never allocates. This replaces std::deque<Packet> in the
-/// queueing disciplines — with ~300-byte packets, deque chunk churn was a
-/// measurable share of the event-loop allocation traffic.
+/// queueing disciplines, where deque chunk churn was a measurable share of
+/// the event-loop allocation traffic.
 ///
 /// Only the operations the discs need: push_back / front / pop_front.
 class PacketRing {

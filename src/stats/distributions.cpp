@@ -10,6 +10,14 @@ namespace {
 
 constexpr double kSqrt2 = 1.41421356237309504880;
 
+// std::lgamma stores the sign of Γ(x) in the global `signgam`, a data race
+// when trials run concurrently. lgamma_r is the same glibc routine with the
+// sign returned through an out-parameter, so values are bit-identical.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 // Continued-fraction part of the incomplete beta function (Numerical
 // Recipes-style modified Lentz algorithm).
 double beta_cf(double a, double b, double x) {
@@ -95,7 +103,7 @@ double incomplete_beta(double a, double b, double x) {
   if (x <= 0.0) return 0.0;
   if (x >= 1.0) return 1.0;
   const double ln_beta =
-      std::lgamma(a + b) - std::lgamma(a) - std::lgamma(b);
+      log_gamma(a + b) - log_gamma(a) - log_gamma(b);
   const double front =
       std::exp(ln_beta + a * std::log(x) + b * std::log(1.0 - x));
   // Use the continued fraction directly when it converges fast, i.e. when

@@ -1,7 +1,8 @@
 // Wire mapping of the netsim::Packet fields for QUIC packets:
 //   Data packets: seq = packet number, ack = stream offset, payload = len.
-//   ACK packets:  ack = largest acked packet number; sack[] = acked
-//                 packet-number ranges [start, end).
+//   ACK packets:  ack = largest acked packet number; the SACK blocks in the
+//                 receiver's SackLog = acked packet-number ranges
+//                 [start, end), highest first.
 #include "transport/quic.hpp"
 
 #include <algorithm>
@@ -107,20 +108,24 @@ void QuicSender::receive(Packet pkt) {
 
   std::int64_t newly_acked_bytes = 0;
   Time largest_sent_at = -1;
-  for (const auto& block : pkt.sack) {
-    if (block.empty()) continue;
-    for (auto it = unacked_.lower_bound(block.start);
-         it != unacked_.end() && it->first < block.end;) {
-      newly_acked_bytes += it->second.len;
-      bytes_in_flight_ -= it->second.len + cfg_.header_bytes;
-      acked_stream_ += it->second.len;
-      if (it->first >= largest_acked_pn_) {
-        largest_acked_pn_ = it->first;
-        any_acked_ = true;
-        largest_sent_at = it->second.sent_at;
-      }
-      it = unacked_.erase(it);
-    }
+  if (pkt.sack_log != nullptr) {
+    pkt.sack_log->consume(
+        pkt.sack_first, pkt.sack_count,
+        [&](const netsim::SackBlock& block) {
+          if (block.empty()) return;
+          for (auto it = unacked_.lower_bound(block.start);
+               it != unacked_.end() && it->first < block.end;) {
+            newly_acked_bytes += it->second.len;
+            bytes_in_flight_ -= it->second.len + cfg_.header_bytes;
+            acked_stream_ += it->second.len;
+            if (it->first >= largest_acked_pn_) {
+              largest_acked_pn_ = it->first;
+              any_acked_ = true;
+              largest_sent_at = it->second.sent_at;
+            }
+            it = unacked_.erase(it);
+          }
+        });
   }
 
   if (largest_sent_at >= 0) {
@@ -301,13 +306,15 @@ void QuicReceiver::send_ack(Time now) {
   ack.sent_at = now;
   // Highest ranges first, as QUIC ACK frames are encoded.
   ack.ack = ranges_.empty() ? 0 : ranges_.back().second;
+  ack.sack_log = &sack_log_;
+  ack.sack_first = sack_log_.next_index();
   int used = 0;
   for (auto it = ranges_.rbegin();
        it != ranges_.rend() && used < netsim::kMaxSackBlocks; ++it) {
-    ack.sack[used].start = it->first;
-    ack.sack[used].end = it->second + 1;  // [start, end)
+    sack_log_.append({it->first, it->second + 1});  // [start, end)
     ++used;
   }
+  ack.sack_count = static_cast<std::uint8_t>(used);
   ack_out_->receive(std::move(ack));
 }
 

@@ -25,6 +25,7 @@
 #include "common/units.hpp"
 #include "netsim/measure.hpp"
 #include "netsim/packet.hpp"
+#include "netsim/sack_log.hpp"
 #include "netsim/simulator.hpp"
 
 namespace wehey::transport {
@@ -153,6 +154,7 @@ class QuicReceiver final : public netsim::PacketSink {
   std::int64_t stream_received_ = 0;
   std::vector<netsim::Delivery> deliveries_;
   std::vector<double> owd_ms_;
+  netsim::SackLog sack_log_;  ///< ACK ranges of this flow's ACKs in flight
 };
 
 }  // namespace wehey::transport

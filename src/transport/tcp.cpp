@@ -172,21 +172,26 @@ void TcpSender::retransmit_front(bool timeout) {
 
 void TcpSender::apply_sack(const Packet& ack_pkt) {
   const std::uint64_t prev_highest = highest_sacked_;
-  for (const auto& block : ack_pkt.sack) {
-    if (block.empty()) continue;
-    for (auto it = outstanding_.lower_bound(block.start);
-         it != outstanding_.end() && it->first + it->second.len <= block.end;
-         ++it) {
-      if (!it->second.sacked) {
-        it->second.sacked = true;
-        sacked_bytes_ += it->second.len;
-        if (it->second.lost) {
-          it->second.lost = false;
-          lost_bytes_ -= it->second.len;
-        }
-      }
-    }
-    if (block.end > highest_sacked_) highest_sacked_ = block.end;
+  if (ack_pkt.sack_log != nullptr) {
+    ack_pkt.sack_log->consume(
+        ack_pkt.sack_first, ack_pkt.sack_count,
+        [this](const netsim::SackBlock& block) {
+          if (block.empty()) return;
+          for (auto it = outstanding_.lower_bound(block.start);
+               it != outstanding_.end() &&
+               it->first + it->second.len <= block.end;
+               ++it) {
+            if (!it->second.sacked) {
+              it->second.sacked = true;
+              sacked_bytes_ += it->second.len;
+              if (it->second.lost) {
+                it->second.lost = false;
+                lost_bytes_ -= it->second.len;
+              }
+            }
+          }
+          if (block.end > highest_sacked_) highest_sacked_ = block.end;
+        });
   }
 
   // RFC 6675 IsLost, simplified: an unsacked segment more than 3 MSS
@@ -628,10 +633,13 @@ void TcpReceiver::send_ack(Time now) {
   ack_out_->receive(std::move(ack));
 }
 
-void TcpReceiver::fill_sack_blocks(Packet& ack) const {
+void TcpReceiver::fill_sack_blocks(Packet& ack) {
   // Merge the out-of-order buffer into contiguous ranges and report up to
   // kMaxSackBlocks of them, highest (most recent) first — like the SACK
-  // option a real receiver builds.
+  // option a real receiver builds. The blocks go to the log; the ACK
+  // carries their index range.
+  ack.sack_log = &sack_log_;
+  ack.sack_first = sack_log_.next_index();
   int used = 0;
   auto it = out_of_order_.rbegin();
   while (it != out_of_order_.rend() && used < netsim::kMaxSackBlocks) {
@@ -644,11 +652,11 @@ void TcpReceiver::fill_sack_blocks(Packet& ack) const {
       start = next->first;
       ++next;
     }
-    ack.sack[used].start = start;
-    ack.sack[used].end = end;
+    sack_log_.append({start, end});
     ++used;
     it = next;
   }
+  ack.sack_count = static_cast<std::uint8_t>(used);
 }
 
 }  // namespace wehey::transport

@@ -30,6 +30,7 @@
 #include "common/units.hpp"
 #include "netsim/measure.hpp"
 #include "netsim/packet.hpp"
+#include "netsim/sack_log.hpp"
 #include "netsim/simulator.hpp"
 #include "obs/hotpath.hpp"
 
@@ -286,7 +287,7 @@ class TcpReceiver final : public netsim::PacketSink {
   netsim::FlowId flow_;
   netsim::PacketSink* ack_out_;
 
-  void fill_sack_blocks(netsim::Packet& ack) const;
+  void fill_sack_blocks(netsim::Packet& ack);
   void send_ack(Time now);
 
   std::uint64_t rcv_next_ = 0;
@@ -299,6 +300,7 @@ class TcpReceiver final : public netsim::PacketSink {
   std::vector<netsim::Delivery> deliveries_;
   std::vector<double> owd_ms_;
   std::int64_t received_bytes_ = 0;
+  netsim::SackLog sack_log_;  ///< SACK blocks of this flow's ACKs in flight
 };
 
 }  // namespace wehey::transport

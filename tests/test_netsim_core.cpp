@@ -9,6 +9,7 @@
 #include "netsim/link.hpp"
 #include "netsim/measure.hpp"
 #include "netsim/queue.hpp"
+#include "netsim/sack_log.hpp"
 #include "netsim/simulator.hpp"
 
 namespace wehey::netsim {
@@ -198,6 +199,40 @@ TEST(InplaceAction, OversizedCaptureFallsBackToHeap) {
   InplaceAction b = std::move(a);
   b();
   EXPECT_EQ(got, 7);
+}
+
+// Every packet event carries a Packet by value; these guards keep a new
+// field from silently inflating every event slot and queue entry. Link's
+// transmit and propagation closures are asserted to fit inline where they
+// are built (link.cpp).
+static_assert(sizeof(Packet) <= 96, "Packet must stay small");
+static_assert(sizeof(InplaceAction) <= 128, "event-heap slot must stay small");
+
+TEST(SackLog, ReleasesThePrefixAndReusesTheRing) {
+  SackLog log;
+  const std::uint32_t first = log.next_index();
+  for (std::uint64_t i = 0; i < 100; ++i) log.append({i, i + 1});
+  EXPECT_EQ(log.live(), 100u);
+  EXPECT_EQ(log.at(first + 42).start, 42u);
+  log.release_before(first + 60);
+  EXPECT_EQ(log.live(), 40u);
+  EXPECT_EQ(log.at(first + 60).start, 60u);
+  for (std::uint64_t i = 100; i < 200; ++i) log.append({i, i + 1});
+  std::vector<std::uint64_t> seen;
+  log.consume(first + 150, 3,
+              [&seen](const SackBlock& b) { seen.push_back(b.start); });
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{150, 151, 152}));
+  EXPECT_EQ(log.live(), 47u);
+  EXPECT_EQ(log.next_index(), first + 200);
+}
+
+TEST(SackLogDeathTest, ReadingAReleasedBlockFailsLoudly) {
+  SackLog log;
+  log.append({0, 1});
+  log.append({1, 2});
+  log.release_before(1);
+  // An ACK overtaken by a later one would point below the base.
+  EXPECT_DEATH(log.at(0), "Precondition failed");
 }
 
 TEST(PacketRing, FifoOrderAcrossGrowthAndWraparound) {

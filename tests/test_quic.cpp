@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "netsim/link.hpp"
 #include "netsim/queue.hpp"
@@ -41,6 +43,39 @@ struct Harness {
     demux.add_route(1, receiver.get());
   }
 };
+
+TEST(SackLog, QuicAckRangesComeOutHighestFirstAsHalfOpen) {
+  struct AckCollector final : netsim::PacketSink {
+    std::uint64_t largest = 0;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+    void receive(netsim::Packet pkt) override {
+      largest = pkt.ack;
+      ranges.clear();
+      ASSERT_NE(pkt.sack_log, nullptr);
+      pkt.sack_log->consume(pkt.sack_first, pkt.sack_count,
+                            [this](const netsim::SackBlock& b) {
+                              ranges.emplace_back(b.start, b.end);
+                            });
+    }
+  };
+  Simulator sim;
+  PacketIdSource ids;
+  AckCollector sender;
+  QuicReceiver rcv(sim, ids, QuicConfig{}, 1, &sender);
+  for (std::uint64_t pn : {0, 1, 2, 5, 6, 9}) {
+    netsim::Packet p;
+    p.flow = 1;
+    p.kind = netsim::PacketKind::Data;
+    p.seq = pn;
+    p.ack = pn * 1000;  // stream offset
+    p.payload = 1000;
+    rcv.receive(p);
+  }
+  EXPECT_EQ(sender.largest, 9u);
+  EXPECT_EQ(sender.ranges,
+            (std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+                {9, 10}, {5, 7}, {0, 3}}));
+}
 
 TEST(Quic, BulkTransferCompletes) {
   Harness h(mbps(10), milliseconds(15),

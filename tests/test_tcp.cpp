@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
@@ -248,6 +250,94 @@ TEST(Tcp, DelayedAckTimerFlushesTail) {
   h.sim.run(seconds(5));
   EXPECT_TRUE(h.sender->complete());
   EXPECT_EQ(h.receiver->acks_sent(), 1u);
+}
+
+// ------------------------------------------------------------ SACK log
+
+/// Stands in for the sender on the ACK path: consumes each ACK's blocks
+/// from the receiver's log, exactly as TcpSender does, and records them
+/// together with how many blocks the log still holds afterwards.
+struct AckCollector final : netsim::PacketSink {
+  std::vector<std::vector<netsim::SackBlock>> acks;
+  std::vector<std::size_t> live_after;
+  void receive(netsim::Packet pkt) override {
+    ASSERT_EQ(pkt.kind, netsim::PacketKind::Ack);
+    ASSERT_NE(pkt.sack_log, nullptr);
+    auto& blocks = acks.emplace_back();
+    pkt.sack_log->consume(
+        pkt.sack_first, pkt.sack_count,
+        [&blocks](const netsim::SackBlock& b) { blocks.push_back(b); });
+    live_after.push_back(pkt.sack_log->live());
+  }
+};
+
+netsim::Packet data_segment(std::uint64_t seq, std::uint32_t len) {
+  netsim::Packet p;
+  p.flow = 1;
+  p.kind = netsim::PacketKind::Data;
+  p.seq = seq;
+  p.payload = len;
+  p.size = len + 52;
+  return p;
+}
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges(
+    const std::vector<netsim::SackBlock>& blocks) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  for (const auto& b : blocks) out.emplace_back(b.start, b.end);
+  return out;
+}
+
+TEST(SackLog, AckDroppedByFullFifoIsReleasedByTheNextConsumedAck) {
+  Simulator sim;
+  PacketIdSource ids;
+  AckCollector sender;
+  // Room for one 52-byte ACK in the queue behind the one on the wire.
+  Link ack_link(sim, mbps(1), milliseconds(1), std::make_unique<FifoDisc>(60),
+                &sender);
+  TcpReceiver rcv(sim, ids, TcpConfig{}, 1, &ack_link);
+  // Three out-of-order segments above a hole at [0, 1000): ACK 1 goes on
+  // the wire, ACK 2 waits in the queue, ACK 3 overflows it.
+  rcv.receive(data_segment(2000, 1000));
+  rcv.receive(data_segment(4000, 1000));
+  rcv.receive(data_segment(6000, 1000));
+  ASSERT_EQ(ack_link.disc().drop_count(), 1u);
+  sim.run();
+  ASSERT_EQ(sender.acks.size(), 2u);
+  // ACK 3's three blocks are still held: nothing after it was consumed.
+  EXPECT_EQ(sender.live_after.back(), 3u);
+
+  rcv.receive(data_segment(8000, 1000));
+  sim.run();
+  ASSERT_EQ(sender.acks.size(), 3u);
+  using R = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  EXPECT_EQ(ranges(sender.acks[0]), (R{{2000, 3000}}));
+  EXPECT_EQ(ranges(sender.acks[1]), (R{{4000, 5000}, {2000, 3000}}));
+  // The ACK after the drop reads its own blocks intact...
+  EXPECT_EQ(ranges(sender.acks[2]),
+            (R{{8000, 9000}, {6000, 7000}, {4000, 5000}, {2000, 3000}}));
+  // ...and releasing through it also freed the dropped ACK's blocks.
+  EXPECT_EQ(sender.live_after.back(), 0u);
+}
+
+TEST(SackLog, MoreHolesThanBlocksReportsTheHighestRanges) {
+  Simulator sim;
+  PacketIdSource ids;
+  AckCollector sender;
+  TcpReceiver rcv(sim, ids, TcpConfig{}, 1, &sender);
+  // 20 isolated out-of-order segments: more holes than SACK blocks.
+  for (std::uint64_t k = 1; k <= 20; ++k) {
+    rcv.receive(data_segment(2000 * k, 1000));
+  }
+  ASSERT_EQ(sender.acks.size(), 20u);
+  const auto& last = sender.acks.back();
+  ASSERT_EQ(last.size(), static_cast<std::size_t>(netsim::kMaxSackBlocks));
+  for (std::size_t i = 0; i < last.size(); ++i) {
+    const std::uint64_t k = 20 - i;  // highest first
+    EXPECT_EQ(last[i].start, 2000 * k) << "block " << i;
+    EXPECT_EQ(last[i].end, 2000 * k + 1000) << "block " << i;
+  }
+  EXPECT_EQ(sender.live_after.back(), 0u);
 }
 
 // Sweep: bulk transfers across bandwidths complete with sane utilization.
