@@ -98,26 +98,13 @@ class EventHeap {
   }
 
   /// Drain events in timestamp order, advancing `now` to each event's time
-  /// before it fires. Stops when the queue is empty or the next event lies
-  /// strictly after `until` (pass until < 0 to run to exhaustion). Lives
-  /// here rather than in Simulator so the whole dispatch loop — peek, pop,
-  /// invoke, recycle — inlines into a single frame.
-  void run_until(Time until, Time& now) {
-    while (!nodes_.empty()) {
-      const Time at = nodes_[0].at;
-      if (until >= 0 && at > until) break;
-      now = at;
-      run_top();
-    }
-  }
-
-  /// run_until with an event-count cap: dispatch at most `max_events`
-  /// events, returning how many actually ran. The supervisor's budget
-  /// hook (src/parallel/supervisor.hpp) drives trial simulators through
-  /// this loop; the uncapped run_until above keeps its own body so the
-  /// default path pays nothing for the cap.
-  std::uint64_t run_until_capped(Time until, Time& now,
-                                 std::uint64_t max_events) {
+  /// before it fires. Stops when the queue is empty, the next event lies
+  /// strictly after `until` (pass until < 0 to run to exhaustion), or
+  /// `max_events` events ran (the supervisor's per-trial budget, see
+  /// src/parallel/supervisor.hpp); returns how many ran. Lives here rather
+  /// than in Simulator so the whole dispatch loop — peek, pop, invoke,
+  /// recycle — inlines into a single frame.
+  std::uint64_t run_until(Time until, Time& now, std::uint64_t max_events) {
     std::uint64_t dispatched = 0;
     while (dispatched < max_events && !nodes_.empty()) {
       const Time at = nodes_[0].at;

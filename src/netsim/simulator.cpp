@@ -7,21 +7,6 @@
 namespace wehey::netsim {
 
 void Simulator::run(Time until) {
-  if (budget_.limited()) {
-    run_budgeted(until);
-    return;
-  }
-  obs::Recorder* rec = obs::Recorder::current();
-  if (rec == nullptr) {
-    queue_.run_until(until, now_);
-  } else {
-    run_observed(until, *rec,
-                 std::numeric_limits<std::uint64_t>::max());
-  }
-  if (until >= 0 && now_ < until) now_ = until;
-}
-
-void Simulator::run_budgeted(Time until) {
   // A tripped budget ends the trial: later run() calls are no-ops so the
   // caller can unwind through its normal phase sequence without
   // dispatching another event.
@@ -36,7 +21,7 @@ void Simulator::run_budgeted(Time until) {
                              : std::numeric_limits<std::uint64_t>::max();
   obs::Recorder* rec = obs::Recorder::current();
   if (rec == nullptr) {
-    dispatched_ += queue_.run_until_capped(horizon, now_, room);
+    dispatched_ += queue_.run_until(horizon, now_, room);
   } else {
     dispatched_ += run_observed(horizon, *rec, room);
   }

@@ -65,11 +65,12 @@ class Simulator {
   }
 
   /// Process events until the queue is empty or `until` is reached; the
-  /// clock ends at `until` if given, else at the last event. When an
-  /// obs::Recorder is bound to the calling thread the loop additionally
-  /// counts dispatched events, tracks the peak heap depth, and (with
-  /// tracing on) samples the pending-event count into the timeline; with
-  /// no recorder bound the original zero-overhead dispatch loop runs.
+  /// clock ends at `until` if given, else at the last event. An installed
+  /// trial budget caps the run and may end the trial (budget_exhausted).
+  /// When an obs::Recorder is bound to the calling thread the loop
+  /// additionally counts dispatched events, tracks the peak heap depth,
+  /// and (with tracing on) samples the pending-event count into the
+  /// timeline; with no recorder bound EventHeap::run_until runs alone.
   void run(Time until = -1);
 
   /// Drop all pending events (used between experiment phases; must not be
@@ -84,8 +85,8 @@ class Simulator {
   std::size_t pending_events() const { return queue_.size(); }
 
   /// Install a per-trial budget. Call once, right after construction:
-  /// the event count is cumulative across run() calls, and runs that
-  /// already happened were not counted.
+  /// the event count is cumulative across run() calls, so events that
+  /// already ran would count against it.
   void set_trial_budget(const TrialBudget& budget) { budget_ = budget; }
   const TrialBudget& trial_budget() const { return budget_; }
 
@@ -105,7 +106,7 @@ class Simulator {
     return "";
   }
 
-  /// Events dispatched so far — counted only while a budget is installed.
+  /// Events dispatched so far, cumulative across run() calls.
   std::uint64_t budget_events_dispatched() const { return dispatched_; }
 
  private:
@@ -117,14 +118,10 @@ class Simulator {
   std::uint64_t run_observed(Time until, obs::Recorder& rec,
                              std::uint64_t max_events);
 
-  /// The dispatch loop under an installed budget (with or without a
-  /// recorder); sets `exhausted_` when a ceiling actually bit.
-  void run_budgeted(Time until);
-
   Time now_ = 0;
   EventHeap queue_;
   TrialBudget budget_;
-  std::uint64_t dispatched_ = 0;  ///< budget-mode cumulative event count
+  std::uint64_t dispatched_ = 0;  ///< cumulative dispatched events
   Exhausted exhausted_ = Exhausted::kNone;
 };
 

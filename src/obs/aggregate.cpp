@@ -179,10 +179,8 @@ bool SweepAggregator::add_run_json(const JsonValue& doc, std::string* error) {
   if (doc.type != JsonValue::Type::Object) {
     return fail("not a JSON object");
   }
-  const JsonValue* schema = doc.find("schema");
-  if (schema == nullptr || schema->type != JsonValue::Type::String ||
-      schema->str.rfind(kRunReportSchemaPrefix, 0) != 0) {
-    return fail("not a wehey.run_report.* document");
+  if (!is_run_report(doc)) {
+    return fail(std::string("not a ") + kRunReportSchema + " document");
   }
   const auto str_or = [&](const char* key) -> std::string {
     const JsonValue* v = doc.find(key);
@@ -214,8 +212,8 @@ bool SweepAggregator::add_run_json(const JsonValue& doc, std::string* error) {
       absorb_value(cell, kDecisionMarginValue, margin->number);
     }
   }
-  // Pre-v5 reports have no "audit" object; absorbing nothing keeps the
-  // aggregate identical to what add_run sees for an audit-free RunReport.
+  // Runs without a ground truth have no "audit" object; absorbing nothing
+  // keeps the aggregate identical to what add_run sees for them.
   if (const JsonValue* audit = doc.find("audit");
       audit != nullptr && audit->type == JsonValue::Type::Object) {
     const auto field = [&](const char* key) -> std::string {
@@ -253,7 +251,7 @@ bool SweepAggregator::add_run_json(const JsonValue& doc, std::string* error) {
   }
   const JsonValue* metrics = doc.find("metrics");
   if (metrics == nullptr || metrics->type != JsonValue::Type::Object) {
-    return true;  // v1 reports may omit the whole block
+    return true;
   }
   if (const JsonValue* counters = metrics->find("counters");
       counters != nullptr && counters->type == JsonValue::Type::Object) {
@@ -328,39 +326,6 @@ void emit_tally(std::ostringstream& out, const std::string& indent,
     first = false;
   }
   out << (first ? "" : "\n" + indent) << "}";
-}
-
-/// histogram_quantile, restated over merged cross-run bins.
-double agg_quantile(double lo, double hi, std::uint64_t count, double min,
-                    double max, const std::vector<std::uint64_t>& bins,
-                    double q) {
-  if (count == 0 || bins.size() < 3) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double target = q * static_cast<double>(count);
-  const double width =
-      (hi - lo) / static_cast<double>(bins.size() - 2);
-  double cum = 0.0;
-  double value = max;
-  for (std::size_t i = 0; i < bins.size(); ++i) {
-    if (bins[i] == 0) continue;
-    const double next = cum + static_cast<double>(bins[i]);
-    if (next >= target) {
-      if (i == 0) {
-        value = min;
-      } else if (i == bins.size() - 1) {
-        value = max;
-      } else {
-        const double frac = (target - cum) / static_cast<double>(bins[i]);
-        value = lo + (static_cast<double>(i - 1) + frac) * width;
-      }
-      break;
-    }
-    cum = next;
-  }
-  if (value < min) value = min;
-  if (value > max) value = max;
-  return value;
 }
 
 }  // namespace
@@ -489,11 +454,10 @@ std::string SweepAggregator::to_json() const {
 
   // Verdict audit: per-cell and grid-level confusion matrices folded
   // from the per-run "audit" sections (RunReport v5). The block is
-  // absent when no absorbed run carried an audit, so pre-v5 inputs
-  // serialize byte-identically to before. Ratios are derived from the
-  // integer tallies at render time; knife-edge cells (same min-|margin|
-  // criterion as the knife_edge block above) are flagged, not dropped,
-  // so CI gates can exempt them explicitly.
+  // absent when no absorbed run carried an audit. Ratios are derived
+  // from the integer tallies at render time; knife-edge cells (same
+  // min-|margin| criterion as the knife_edge block above) are flagged,
+  // not dropped, so CI gates can exempt them explicitly.
   if (audit_.any()) {
     const auto emit_audit = [&](const AuditTally& t, const std::string& ind) {
       const auto ratio = [](std::uint64_t num, std::uint64_t den) {
@@ -568,17 +532,13 @@ std::string SweepAggregator::to_json() const {
   first = true;
   for (const auto& [name, h] : histograms_) {
     if (h.count == 0) continue;
+    const auto pct = [&h](double q) {
+      return json_number(
+          histogram_quantile(h.lo, h.hi, h.count, h.min, h.max, h.bins, q));
+    };
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-        << "\": {\"p50\": "
-        << json_number(
-               agg_quantile(h.lo, h.hi, h.count, h.min, h.max, h.bins, 0.50))
-        << ", \"p90\": "
-        << json_number(
-               agg_quantile(h.lo, h.hi, h.count, h.min, h.max, h.bins, 0.90))
-        << ", \"p99\": "
-        << json_number(
-               agg_quantile(h.lo, h.hi, h.count, h.min, h.max, h.bins, 0.99))
-        << "}";
+        << "\": {\"p50\": " << pct(0.50) << ", \"p90\": " << pct(0.90)
+        << ", \"p99\": " << pct(0.99) << "}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n";
@@ -774,6 +734,19 @@ CompareResult compare_reports(const JsonValue& baseline,
         continue;
       }
       matched = true;
+      // Floors don't apply to oversubscribed rows: a row that ran more
+      // threads than the host has measures the machine, not the engine.
+      const std::size_t dot = key.rfind('.');
+      if (dot != std::string::npos) {
+        const auto sibling = cand.find(key.substr(0, dot) + ".oversubscribed");
+        if (sibling != cand.end() &&
+            sibling->second.type == JsonValue::Type::Bool &&
+            sibling->second.boolean) {
+          result.notes.push_back("floor skipped at " + key +
+                                 " (oversubscribed row)");
+          continue;
+        }
+      }
       if (c.number < floor) {
         result.failures.push_back("below floor at " + key + ": " +
                                   json_number(c.number) + " < " +

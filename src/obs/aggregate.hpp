@@ -26,11 +26,15 @@
 //                         "mismatch_reasons": {...}},
 //               "cells": {"<cell>": {<same counts + ratios>,
 //                          "knife_edge": bool}, ...}},
+//                                  // absent unless some run was audited
 //     "cell_percentiles": {"<value>": {"cells": N, "p50", "p90", "p99"}},
 //     "percentiles": {"<histogram>": {"p50", "p90", "p99"}, ...},
 //     "metrics": {"counters": {...}, "gauges": {name: {"min", "max"}},
 //                 "histograms": {<registry layout>}}
 //   }
+//
+// This sketch is the format's reference; tests/test_sweep.cpp pins the
+// key sets of the top level, a cell and the audit block.
 //
 // Determinism contract (same as the rest of src/obs): the serialized
 // sweep report is a pure function of the *set* of absorbed runs — byte
@@ -84,8 +88,9 @@ class SweepAggregator {
   void add_run(const RunReport& report, const MetricsRegistry* metrics);
 
   /// Absorb one run from a parsed per-run report document (offline
-  /// path, `wehey_cli merge`). Accepts any wehey.run_report.* version;
-  /// returns false and fills `error` on structural problems.
+  /// path, `wehey_cli merge`). Accepts only the kRunReportSchema version
+  /// this build writes; returns false and fills `error` on any other
+  /// document or on structural problems.
   bool add_run_json(const JsonValue& doc, std::string* error = nullptr);
 
   std::size_t runs() const { return runs_; }
@@ -184,8 +189,8 @@ class SweepAggregator {
 bool is_sweep_report(const JsonValue& doc);
 
 // ---------------------------------------------------------------------------
-// Baseline comparison (`wehey_cli compare`, mirrored by
-// tools/bench_compare.py).
+// Baseline comparison (`wehey_cli compare`, the perf-regression gate CI
+// runs against the committed baselines).
 
 struct CompareOptions {
   /// Default relative tolerance for numeric drift (|cand - base| /
@@ -200,7 +205,9 @@ struct CompareOptions {
   std::vector<std::string> ignore;
   /// Floors: the candidate value at every key matching the regex must be
   /// >= the given bound (used for speedup gates, independent of the
-  /// baseline value).
+  /// baseline value). A value whose sibling "oversubscribed" flag is true
+  /// is exempt (noted, still counts as a match): a grid row that ran more
+  /// threads than the host has measures the host, not the engine.
   std::vector<std::pair<std::string, double>> min_keys;
   /// Existence assertions: each regex must match at least one flattened
   /// candidate key (of any type) or the comparison fails. Guards CI gates
@@ -219,9 +226,8 @@ struct CompareResult {
 
 /// All flattened dotted key paths of `doc`, in sorted order — the exact
 /// key space `compare_reports` matches its regexes against. Backs
-/// `wehey_cli compare --list-keys` (and mirrors bench_compare.py's
-/// --list-keys) for triaging require/min-key patterns that match
-/// nothing.
+/// `wehey_cli compare --list-keys`, for triaging require/min-key patterns
+/// that match nothing and for deriving CI exemptions from a baseline.
 std::vector<std::string> flatten_keys(const JsonValue& doc);
 
 /// Diff `candidate` against `baseline`: both documents are flattened to

@@ -75,7 +75,7 @@ bool CheckpointJournal::load(const std::string& path, CheckpointJournal& out,
     const bool ok = json_parse(line, doc, &parse_error) &&
                     (schema = doc.find("schema")) != nullptr &&
                     schema->type == JsonValue::Type::String &&
-                    schema->str.rfind(kSweepCheckpointSchemaPrefix, 0) == 0 &&
+                    schema->str == kSweepCheckpointSchema &&
                     (run = doc.find("run")) != nullptr &&
                     run->type == JsonValue::Type::String &&
                     (report = doc.find("report")) != nullptr &&

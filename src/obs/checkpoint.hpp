@@ -17,7 +17,10 @@
 // byte-identical to an uninterrupted one, at any WEHEY_THREADS.
 //
 // A torn trailing line (the write the kill interrupted) is expected and
-// silently dropped; the run it described simply re-executes.
+// silently dropped; the run it described simply re-executes. The loader
+// (and so `wehey_cli inspect`) accepts only lines tagged with this
+// version; tests/test_supervisor.cpp covers the round trip and the torn
+// line.
 #pragma once
 
 #include <cstdint>

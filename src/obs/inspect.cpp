@@ -7,6 +7,7 @@
 
 #include "obs/aggregate.hpp"
 #include "obs/checkpoint.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/runtime.hpp"
 
@@ -221,10 +222,18 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
+namespace {
+
+bool has_schema(const JsonValue& doc, const char* schema) {
+  const JsonValue* tag = doc.find("schema");
+  return tag != nullptr && tag->type == JsonValue::Type::String &&
+         tag->str == schema;
+}
+
+}  // namespace
+
 bool is_run_report(const JsonValue& doc) {
-  const JsonValue* schema = doc.find("schema");
-  return schema != nullptr && schema->type == JsonValue::Type::String &&
-         schema->str.rfind("wehey.run_report.", 0) == 0;
+  return has_schema(doc, kRunReportSchema);
 }
 
 bool is_chrome_trace(const JsonValue& doc) {
@@ -233,51 +242,30 @@ bool is_chrome_trace(const JsonValue& doc) {
 }
 
 bool is_runtime_report(const JsonValue& doc) {
-  const JsonValue* schema = doc.find("schema");
-  return schema != nullptr && schema->type == JsonValue::Type::String &&
-         schema->str.rfind(kRuntimeReportSchemaPrefix, 0) == 0;
+  return has_schema(doc, kRuntimeReportSchema);
 }
 
 // ---------------------------------------------------------- report render
 
 namespace {
 
-/// histogram_quantile (metrics.cpp) re-implemented on the JSON shape, so
-/// v1 reports — which have bins but no "percentiles" section — inspect
-/// identically to v2.
-double bins_quantile(const JsonValue& h, double q) {
-  const JsonValue* bins = h.find("bins");
-  const double count = h.find("count") ? h.find("count")->num_or(0) : 0;
-  if (bins == nullptr || bins->type != JsonValue::Type::Array || count <= 0) {
-    return 0.0;
+/// histogram_quantile over a serialized histogram object (the registry
+/// layout: {"lo", "hi", "count", "sum", "min", "max", "bins"}).
+double json_quantile(const JsonValue& h, double q) {
+  const auto field = [&h](const char* key, double fallback) {
+    const JsonValue* v = h.find(key);
+    return v != nullptr ? v->num_or(fallback) : fallback;
+  };
+  const auto tally = [](double v) {
+    return static_cast<std::uint64_t>(std::max(v, 0.0));
+  };
+  std::vector<std::uint64_t> bins;
+  if (const JsonValue* b = h.find("bins")) {
+    for (const auto& v : b->array) bins.push_back(tally(v.num_or(0)));
   }
-  const double lo = h.find("lo") ? h.find("lo")->num_or(0) : 0;
-  const double hi = h.find("hi") ? h.find("hi")->num_or(1) : 1;
-  const double hmin = h.find("min") ? h.find("min")->num_or(0) : 0;
-  const double hmax = h.find("max") ? h.find("max")->num_or(0) : 0;
-  const std::size_t n = bins->array.size();
-  if (n < 3) return hmax;
-  const double width = (hi - lo) / static_cast<double>(n - 2);
-  const double target = std::clamp(q, 0.0, 1.0) * count;
-  double cum = 0.0;
-  double value = hmax;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double b = bins->array[i].num_or(0);
-    if (b <= 0) continue;
-    if (cum + b >= target) {
-      if (i == 0) {
-        value = hmin;
-      } else if (i == n - 1) {
-        value = hmax;
-      } else {
-        const double frac = (target - cum) / b;
-        value = lo + (static_cast<double>(i - 1) + frac) * width;
-      }
-      break;
-    }
-    cum += b;
-  }
-  return std::clamp(value, hmin, hmax);
+  return histogram_quantile(field("lo", 0), field("hi", 1),
+                            tally(field("count", 0)), field("min", 0),
+                            field("max", 0), bins, q);
 }
 
 const char* str_or(const JsonValue& doc, const char* key,
@@ -319,8 +307,7 @@ void render_report(const JsonValue& doc, std::FILE* out) {
   const char* reason = str_or(doc, "reason");
   if (reason[0] != 0) std::fprintf(out, "  reason     %s\n", reason);
 
-  // v4 verdict provenance. Only rendered when the section exists, so
-  // v1-v3 reports inspect byte-identically to before.
+  // Verdict provenance. Every section below is skipped when missing.
   const JsonValue* decision = doc.find("decision");
   if (decision != nullptr && decision->type == JsonValue::Type::Object) {
     print_rule(out, "decision (margin < 0 would flip; |margin| ~ 0 = knife-edge)");
@@ -380,8 +367,8 @@ void render_report(const JsonValue& doc, std::FILE* out) {
     }
   }
 
-  // v5 ground truth + audit. Both sections are absent-by-default, so
-  // pre-v5 reports inspect byte-identically to before.
+  // Ground truth + audit: only runners that know their ground truth
+  // emit them.
   const JsonValue* truth = doc.find("ground_truth");
   if (truth != nullptr && truth->type == JsonValue::Type::Object) {
     print_rule(out, "audit (verdict vs configured ground truth)");
@@ -453,21 +440,16 @@ void render_report(const JsonValue& doc, std::FILE* out) {
     for (const auto& [name, h] : histograms->object) {
       const double count = h.find("count") ? h.find("count")->num_or(0) : 0;
       if (count <= 0) continue;
-      double p50, p90, p99;
       const JsonValue* pre =
           percentiles != nullptr ? percentiles->find(name) : nullptr;
-      if (pre != nullptr) {
-        p50 = pre->find("p50") ? pre->find("p50")->num_or(0) : 0;
-        p90 = pre->find("p90") ? pre->find("p90")->num_or(0) : 0;
-        p99 = pre->find("p99") ? pre->find("p99")->num_or(0) : 0;
-      } else {
-        p50 = bins_quantile(h, 0.50);
-        p90 = bins_quantile(h, 0.90);
-        p99 = bins_quantile(h, 0.99);
-      }
+      const auto pct = [pre](const char* key) {
+        const JsonValue* v = pre != nullptr ? pre->find(key) : nullptr;
+        return v != nullptr ? v->num_or(0) : 0.0;
+      };
       const double hmax = h.find("max") ? h.find("max")->num_or(0) : 0;
       std::fprintf(out, "  %-28s %10.0f %10.4g %10.4g %10.4g %10.4g\n",
-                   name.c_str(), count, p50, p90, p99, hmax);
+                   name.c_str(), count, pct("p50"), pct("p90"), pct("p99"),
+                   hmax);
     }
   }
 
@@ -493,8 +475,8 @@ void render_report(const JsonValue& doc, std::FILE* out) {
           std::fprintf(out,
                        "  flow srtt: p50 %.4g ms, p90 %.4g ms, p99 %.4g "
                        "ms (over %.0f flow snapshots)\n",
-                       bins_quantile(*srtt, 0.5), bins_quantile(*srtt, 0.9),
-                       bins_quantile(*srtt, 0.99),
+                       json_quantile(*srtt, 0.5), json_quantile(*srtt, 0.9),
+                       json_quantile(*srtt, 0.99),
                        srtt->find("count")->num_or(0));
         }
       }
@@ -680,7 +662,6 @@ void render_sweep(const JsonValue& doc, std::FILE* out) {
   }
 
   // Knife-edge cells: minimum |decision margin| under the gate threshold.
-  // Absent on pre-v4 sweeps, which therefore render unchanged.
   const JsonValue* knife = doc.find("knife_edge");
   const JsonValue* kcells = knife != nullptr ? knife->find("cells") : nullptr;
   if (kcells != nullptr) {
@@ -704,7 +685,7 @@ void render_sweep(const JsonValue& doc, std::FILE* out) {
   }
 
   // Verdict audit: confusion matrices vs the configured ground truth.
-  // Absent on pre-v5 sweeps, which therefore render unchanged.
+  // Absent when no absorbed run carried an audit.
   const JsonValue* audit = doc.find("audit");
   if (audit != nullptr && audit->type == JsonValue::Type::Object) {
     print_rule(out, "AUDIT (verdict vs ground truth; * = knife-edge cell)");
@@ -952,8 +933,8 @@ void render_runtime(const JsonValue& doc, std::FILE* out) {
       std::fprintf(out,
                    "  submit-to-start      p50=%.1fus p90=%.1fus p99=%.1fus "
                    "(n=%.0f)\n",
-                   bins_quantile(*lat, 0.50), bins_quantile(*lat, 0.90),
-                   bins_quantile(*lat, 0.99), num(lat, "count"));
+                   json_quantile(*lat, 0.50), json_quantile(*lat, 0.90),
+                   json_quantile(*lat, 0.99), num(lat, "count"));
     }
   }
 
@@ -967,8 +948,8 @@ void render_runtime(const JsonValue& doc, std::FILE* out) {
       std::fprintf(out,
                    "  wall         p50=%.1fms p90=%.1fms p99=%.1fms "
                    "max=%.1fms\n",
-                   bins_quantile(*wall, 0.50), bins_quantile(*wall, 0.90),
-                   bins_quantile(*wall, 0.99), num(wall, "max"));
+                   json_quantile(*wall, 0.50), json_quantile(*wall, 0.90),
+                   json_quantile(*wall, 0.99), num(wall, "max"));
     }
   }
 
@@ -1015,15 +996,14 @@ bool inspect_file(const std::string& path, std::FILE* out) {
     return true;
   }
   // A one-line journal parses as a single checkpoint entry.
-  const JsonValue* schema = doc.find("schema");
-  if (schema != nullptr &&
-      schema->str.rfind(kSweepCheckpointSchemaPrefix, 0) == 0 &&
+  if (has_schema(doc, kSweepCheckpointSchema) &&
       render_checkpoint_journal(path, out)) {
     return true;
   }
   std::fprintf(stderr,
-               "inspect: %s: neither a wehey report (run, sweep or "
-               "checkpoint journal) nor a chrome trace\n",
+               "inspect: %s: neither a wehey report of a version this build "
+               "writes (run, sweep, runtime sidecar or checkpoint journal) "
+               "nor a chrome trace\n",
                path.c_str());
   return false;
 }

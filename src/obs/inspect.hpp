@@ -1,14 +1,16 @@
-// Offline analyzer behind `wehey_cli inspect <report|trace|sweep>`.
+// Offline analyzer behind `wehey_cli inspect <report|trace|sweep>`, and
+// the only reader of the artifacts the obs layer emits: RunReports
+// (kRunReportSchema), sweep aggregates (kSweepReportSchema), checkpoint
+// journals (kSweepCheckpointSchema), runtime sidecars
+// (kRuntimeReportSchema) and Chrome-trace timelines. Each reader accepts
+// exactly the version this build writes; anything else is rejected.
 //
-// Reads the JSON artifacts the obs layer emits — wehey.run_report.v1/v2/v3
-// RunReports, wehey.sweep_report.v1 aggregates and Chrome-trace timelines —
-// and renders human-readable summaries: per-stage latency and v3 self-time
-// profiles, p50/p90/p99 percentiles per histogram (taken from the v2+
-// "percentiles" section when present, re-derived from the bins for v1
-// reports), per-flow RTT/loss tables, queue-residency and drop-by-reason
-// breakdowns, and link utilization. Every optional section may be absent
-// (older schema versions, fault-free runs): the renderer skips what is
-// missing instead of failing.
+// Renders human-readable summaries: per-stage latency and self-time
+// profiles, the p50/p90/p99 of each histogram (from the report's
+// "percentiles" section), per-flow RTT/loss tables, queue-residency and
+// drop-by-reason breakdowns, and link utilization. Optional sections
+// (fault-free runs, runs without a ground truth) may be absent: the
+// renderer skips what is missing instead of failing.
 //
 // The JSON model is deliberately tiny (no external dependency): objects
 // preserve key order, numbers are doubles — exactly what the writers in
@@ -45,9 +47,10 @@ struct JsonValue {
 bool json_parse(const std::string& text, JsonValue& out,
                 std::string* error = nullptr);
 
+/// Schema tag is exactly kRunReportSchema.
 bool is_run_report(const JsonValue& doc);
 bool is_chrome_trace(const JsonValue& doc);
-/// Schema tag starts with "wehey.runtime_report." (the engine-telemetry
+/// Schema tag is exactly kRuntimeReportSchema (the engine-telemetry
 /// sidecar — see obs/runtime.hpp).
 bool is_runtime_report(const JsonValue& doc);
 

@@ -63,34 +63,33 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
   }
 }
 
-double histogram_quantile(const Histogram& h, double q) {
-  if (h.count() == 0) return 0.0;
-  if (q < 0.0) q = 0.0;
-  if (q > 1.0) q = 1.0;
-  const double target = q * static_cast<double>(h.count());
-  const auto& bins = h.bins();
-  const double width = (h.hi() - h.lo()) / h.buckets();
+double histogram_quantile(double lo, double hi, std::uint64_t count,
+                          double min, double max,
+                          const std::vector<std::uint64_t>& bins, double q) {
+  if (count == 0 || bins.size() < 3) return 0.0;
+  q = std::clamp(q, 0.0, 1.0);
+  const double target = q * static_cast<double>(count);
+  const double width = (hi - lo) / static_cast<double>(bins.size() - 2);
   double cum = 0.0;
-  double value = h.max();
+  double value = max;
   for (std::size_t i = 0; i < bins.size(); ++i) {
     if (bins[i] == 0) continue;
     const double next = cum + static_cast<double>(bins[i]);
     if (next >= target) {
       if (i == 0) {
-        value = h.min();  // underflow bucket: all we know is the min
+        value = min;  // underflow bucket: all we know is the min
       } else if (i == bins.size() - 1) {
-        value = h.max();  // overflow bucket: all we know is the max
+        value = max;  // overflow bucket: all we know is the max
       } else {
-        const double frac =
-            bins[i] == 0 ? 0.0 : (target - cum) / static_cast<double>(bins[i]);
-        value = h.lo() + (static_cast<double>(i - 1) + frac) * width;
+        const double frac = (target - cum) / static_cast<double>(bins[i]);
+        value = lo + (static_cast<double>(i - 1) + frac) * width;
       }
       break;
     }
     cum = next;
   }
-  if (value < h.min()) value = h.min();
-  if (value > h.max()) value = h.max();
+  if (value < min) value = min;
+  if (value > max) value = max;
   return value;
 }
 

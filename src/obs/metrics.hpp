@@ -128,14 +128,22 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
-/// Quantile estimate (q in [0, 1]) from a histogram's fixed buckets,
-/// linearly interpolated within the bucket that crosses the target rank.
-/// Underflow mass resolves to the recorded min, overflow mass to the
-/// recorded max; the result is clamped to [min, max]. Returns 0 when the
-/// histogram is empty. Deterministic: a pure function of the bins, so
-/// p50/p90/p99 derived in reports match what any offline reader computes
-/// from the same JSON.
-double histogram_quantile(const Histogram& h, double q);
+/// Quantile estimate (q in [0, 1]) from fixed buckets over [lo, hi):
+/// `bins` holds underflow + equal-width buckets + overflow, as in
+/// Histogram. Linearly interpolated within the bucket that crosses the
+/// target rank; underflow mass resolves to `min`, overflow mass to `max`,
+/// and the result is clamped to [min, max]. Returns 0 when `count` is 0
+/// or there is no bucket. A pure function of its inputs, so the run
+/// report, the sweep aggregate (merged bins) and `wehey_cli inspect`
+/// (bins read back from JSON) all derive the same p50/p90/p99.
+double histogram_quantile(double lo, double hi, std::uint64_t count,
+                          double min, double max,
+                          const std::vector<std::uint64_t>& bins, double q);
+
+inline double histogram_quantile(const Histogram& h, double q) {
+  return histogram_quantile(h.lo(), h.hi(), h.count(), h.min(), h.max(),
+                            h.bins(), q);
+}
 
 /// Render a double the way every obs JSON writer does: shortest
 /// round-trippable decimal form, integral values without a trailing ".0"

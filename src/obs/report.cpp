@@ -222,8 +222,7 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
   }
   out << "]\n  },\n";
   // v5: the ground-truth ledger and the verdict audit. Both optional —
-  // emitted only by runners that know what the simulator configured — so
-  // reports without them keep their pre-v5 bytes after the schema tag.
+  // emitted only by runners that know what the simulator configured.
   if (ground_truth.present) {
     out << "  \"ground_truth\": {\"differentiated\": "
         << (ground_truth.differentiated ? "true" : "false")
@@ -301,8 +300,8 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
   if (!first) out << ",\n    \"total\": " << total << "\n  ";
   out << "},\n";
   // v2: quantiles pre-derived from the histogram bins, so downstream
-  // readers (wehey_cli inspect, tools/trace_stats.py, dashboards) get
-  // p50/p90/p99 without re-walking the bins themselves.
+  // readers (wehey_cli inspect, dashboards) get p50/p90/p99 without
+  // re-walking the bins themselves.
   out << "  \"percentiles\": {";
   first = true;
   if (metrics != nullptr) {

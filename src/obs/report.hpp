@@ -60,9 +60,11 @@
 // configured — a pure function of the run's configuration, no RNG) and the
 // derived "audit" section (verdict vs truth -> TP/FP/FN/TN with a
 // machine-readable mismatch reason that cross-references the decision
-// margin). Both are emitted only by runners that know their ground truth;
-// pre-v5 reports, which lack these sections, still validate against
-// tools/run_report_schema.json.
+// margin). Both are emitted only by runners that know their ground truth.
+//
+// This sketch is the format's reference. Readers (wehey_cli inspect and
+// merge, SweepAggregator::add_run_json) accept only kRunReportSchema;
+// tests/test_obs.cpp pins the key sets of a real session's report.
 //
 // Determinism contract: everything except "wall_ms" is a pure function of
 // the run's seeds, so the serialized report is byte-identical across
@@ -80,21 +82,14 @@
 
 namespace wehey::obs {
 
-/// The report schema emitted by RunReport::to_json. The single source of
-/// truth for the version string; tools/run_report_schema.json must list
-/// this value in its "schema" enum (asserted by tests/test_sweep.cpp).
+/// The report schema emitted by RunReport::to_json — the single source of
+/// truth for the version string, and the only version readers accept.
 inline constexpr char kRunReportSchema[] = "wehey.run_report.v5";
-/// Older versions this codebase still reads (wehey_cli inspect,
-/// SweepAggregator::add_run_json).
-inline constexpr char kRunReportSchemaPrefix[] = "wehey.run_report.";
 /// Schema of the aggregated sweep report (src/obs/aggregate.hpp).
 inline constexpr char kSweepReportSchema[] = "wehey.sweep_report.v1";
 /// Schema of one line of a sweep checkpoint journal
-/// (src/obs/checkpoint.hpp); the prefix covers future versions the
-/// loader still reads.
+/// (src/obs/checkpoint.hpp).
 inline constexpr char kSweepCheckpointSchema[] = "wehey.sweep_checkpoint.v1";
-inline constexpr char kSweepCheckpointSchemaPrefix[] =
-    "wehey.sweep_checkpoint.";
 
 /// The verdict string every runner emits when the supervisor's per-trial
 /// budget ended the run (src/parallel/supervisor.hpp). The sweep
@@ -192,7 +187,7 @@ struct DecisionSection {
 };
 
 // Canonical strings of the v5 "ground_truth" section. Emitters must use
-// these constants (the schema enums list exactly these spellings).
+// these constants; they are the section's only legal values.
 inline constexpr char kMechanismPerClientTbf[] = "per-client-tbf";
 inline constexpr char kMechanismCollectiveTbf[] = "collective-tbf";
 inline constexpr char kMechanismDelayedFixedRate[] = "delayed-fixed-rate";
@@ -206,7 +201,7 @@ inline constexpr char kPlacementNone[] = "none";
 /// for this run. A pure function of the run's configuration — no RNG, no
 /// measurement — so it is byte-identical across WEHEY_THREADS and
 /// trivially reproducible from the run's seed. present=false omits the
-/// section entirely (pre-v5 emitters, bench binaries without a scenario).
+/// section entirely (bench binaries without a scenario).
 struct GroundTruthSection {
   bool present = false;
   /// A rate limiter exists somewhere on the client's paths.

@@ -39,10 +39,28 @@
 namespace wehey::obs {
 
 /// Schema tag of the runtime sidecar document (see report.hpp for the
-/// deterministic report schemas). tools/runtime_report_schema.json must
-/// name this value (asserted by tests/test_sweep.cpp).
+/// deterministic report schemas), and the only one `inspect` accepts.
+/// The sidecar, as runtime_report_json writes it:
+///
+///   {"schema": "wehey.runtime_report.v1", "run": "<name>",
+///    "wall_seconds": X,
+///    "threads": {"configured": N, "hardware": N, "contexts": N,
+///                "oversubscribed": bool},
+///    "workers": [{"id": N, "kind": "worker" | "caller", "busy_ms": X,
+///                 "idle_ms": X, "wait_ms": X, "chunks": N, "tasks": N}],
+///    "scheduler": {"jobs": N, "tasks": N, "queue_depth_high_water": N,
+///                  "drain_waits": N, "parallel_efficiency": X,
+///                  "worker_imbalance": X, "wait_fraction": X,
+///                  "idle_fraction": X, "submit_to_start_us": <hist>},
+///    "trials": {"count": N, "supervised": N, "wall_ms": <hist>},
+///    "process": {"rss_peak_kb": N, "event_heap_chunks": N,
+///                "event_heap_bytes": N}}
+///
+/// <hist> is {"lo", "hi", "count", "sum", "min", "max", "bins"}, the
+/// run report's histogram layout. The sidecar never carries a section of
+/// the deterministic reports (decision, ground_truth, audit, cells,
+/// stages); tests/test_runtime.cpp pins both properties.
 inline constexpr char kRuntimeReportSchema[] = "wehey.runtime_report.v1";
-inline constexpr char kRuntimeReportSchemaPrefix[] = "wehey.runtime_report.";
 
 namespace runtime {
 

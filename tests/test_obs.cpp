@@ -15,6 +15,7 @@
 #include "experiments/params.hpp"
 #include "experiments/scenario.hpp"
 #include "faults/plan.hpp"
+#include "obs/inspect.hpp"
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/report.hpp"
@@ -158,14 +159,27 @@ TEST(Timeline, ChromeJsonHasTraceEventsAndPhases) {
   EXPECT_NE(json.find("\"attempt\": 1"), std::string::npos);
   // Durations are rendered in microseconds (Chrome's native unit).
   EXPECT_NE(json.find("\"dur\": 1000000"), std::string::npos);
-  // Balanced object braces — cheap well-formedness check.
-  long depth = 0;
-  for (char ch : json) {
-    if (ch == '{') ++depth;
-    if (ch == '}') --depth;
-    ASSERT_GE(depth, 0);
+  // What chrome://tracing needs of each event: name, phase and pid; a
+  // timestamp on spans, instants and counters; no negative duration.
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(json, doc, &error)) << error;
+  const JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_FALSE(events->array.empty());
+  for (const auto& ev : events->array) {
+    for (const char* key : {"name", "ph", "pid"}) {
+      EXPECT_NE(ev.find(key), nullptr) << key;
+    }
+    const JsonValue* ph = ev.find("ph");
+    if (ph == nullptr) continue;
+    if (ph->str == "X" || ph->str == "i" || ph->str == "C") {
+      EXPECT_NE(ev.find("ts"), nullptr) << ph->str;
+    }
+    if (const JsonValue* dur = ev.find("dur")) {
+      EXPECT_GE(dur->num_or(-1.0), 0.0);
+    }
   }
-  EXPECT_EQ(depth, 0);
 }
 
 // Tentpole part 2: a bounded streaming sink must render byte-identically
@@ -352,10 +366,23 @@ TEST(Obs, TracerStableAcrossReruns) {
   EXPECT_NE(first.find("analysis"), std::string::npos);
 }
 
+std::vector<std::string> keys_of(const JsonValue& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.object) keys.push_back(key);
+  return keys;
+}
+
 TEST(Report, SessionReportIsDeterministicAndComplete) {
   const auto cfg = session_config(2);
   const auto a = run_one_session(2);
-  const auto b = run_one_session(2);
+  // The second run records metrics, so its report also carries the
+  // metric objects whose layout is pinned at the end.
+  Recorder rec(/*metrics_on=*/true, /*trace_on=*/false);
+  replay::SessionResult b;
+  {
+    ScopedRecorder bind(&rec);
+    b = run_one_session(2);
+  }
   const auto ja = replay::make_run_report(cfg, a, "test_session")
                       .to_json(nullptr);
   const auto jb = replay::make_run_report(cfg, b, "test_session")
@@ -389,6 +416,79 @@ TEST(Report, SessionReportIsDeterministicAndComplete) {
   EXPECT_NE(ja.find("\"audit\""), std::string::npos);
   EXPECT_NE(ja.find("\"classification\": \"tp\""), std::string::npos);
   EXPECT_NE(ja.find("\"mismatch_reason\": \"\""), std::string::npos);
+
+  // Key sets: the format sketched in report.hpp, no more and no less.
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(replay::make_run_report(cfg, b, "test_session")
+                             .to_json(&rec.metrics()),
+                         doc, &error))
+      << error;
+  ASSERT_EQ(keys_of(doc),
+            (std::vector<std::string>{
+                "schema", "run", "seed", "fault_plan", "verdict", "reason",
+                "decision", "ground_truth", "audit", "stages", "profile",
+                "values", "injection", "percentiles", "metrics"}));
+  const JsonValue* decision = doc.find("decision");
+  EXPECT_EQ(keys_of(*decision),
+            (std::vector<std::string>{"evaluated", "margin", "detectors",
+                                      "aggregation", "degradations"}));
+  const std::vector<std::string> row = {"name",   "statistic", "threshold",
+                                        "margin", "outcome",   "valid"};
+  std::vector<std::string> loss_row = row;
+  loss_row.push_back("rho");
+  loss_row.push_back("sigma_ms");
+  ASSERT_NE(decision->find("detectors"), nullptr);
+  for (const auto& d : decision->find("detectors")->array) {
+    const bool loss = d.find("rho") != nullptr;
+    EXPECT_EQ(keys_of(d), loss ? loss_row : row);
+  }
+  ASSERT_NE(decision->find("aggregation"), nullptr);
+  EXPECT_EQ(keys_of(*decision->find("aggregation")),
+            (std::vector<std::string>{"sizes_tested", "sizes_correlated",
+                                      "sizes_valid", "threshold", "margin",
+                                      "outcome"}));
+  EXPECT_EQ(keys_of(*doc.find("ground_truth")),
+            (std::vector<std::string>{
+                "differentiated", "mechanism", "placement",
+                "within_target_area", "rate_bps", "activation_bytes",
+                "sanity_check"}));
+  EXPECT_EQ(keys_of(*doc.find("audit")),
+            (std::vector<std::string>{"expected_positive",
+                                      "observed_positive", "classification",
+                                      "mismatch_reason"}));
+  ASSERT_FALSE(doc.find("stages")->array.empty());
+  for (const auto& st : doc.find("stages")->array) {
+    EXPECT_EQ(keys_of(st), (std::vector<std::string>{
+                               "name", "sim_start_us", "sim_end_us",
+                               "sim_ms"}));
+  }
+  ASSERT_FALSE(doc.find("profile")->object.empty());
+  for (const auto& [name, p] : doc.find("profile")->object) {
+    EXPECT_EQ(keys_of(p), (std::vector<std::string>{"count", "sim_ms",
+                                                    "self_sim_ms"}))
+        << name;
+  }
+  ASSERT_FALSE(doc.find("percentiles")->object.empty());
+  for (const auto& [name, p] : doc.find("percentiles")->object) {
+    EXPECT_EQ(keys_of(p), (std::vector<std::string>{"p50", "p90", "p99"}))
+        << name;
+  }
+  const JsonValue* metrics = doc.find("metrics");
+  ASSERT_EQ(keys_of(*metrics), (std::vector<std::string>{
+                                   "counters", "gauges", "histograms"}));
+  ASSERT_FALSE(metrics->find("gauges")->object.empty());
+  for (const auto& [name, g] : metrics->find("gauges")->object) {
+    EXPECT_EQ(keys_of(g), (std::vector<std::string>{"last", "min", "max"}))
+        << name;
+  }
+  ASSERT_FALSE(metrics->find("histograms")->object.empty());
+  for (const auto& [name, h] : metrics->find("histograms")->object) {
+    EXPECT_EQ(keys_of(h), (std::vector<std::string>{"lo", "hi", "count",
+                                                    "sum", "min", "max",
+                                                    "bins"}))
+        << name;
+  }
 }
 
 // v5 classification table: expected (from truth) x observed x budget,

@@ -1,8 +1,8 @@
 // Sweep-scale observability: the SweepAggregator merge algebra (order-
-// and thread-count-insensitive, offline == in-process), the v3 self-time
-// profile, the baseline comparator behind `wehey_cli compare`, and the
-// schema-version constants' agreement with the JSON Schema files under
-// tools/.
+// and thread-count-insensitive, offline == in-process) and the sweep
+// report's key sets, the v3 self-time profile, the baseline comparator
+// behind `wehey_cli compare`, and the readers' handling of the frozen
+// current-version fixtures under tests/data/ and of other versions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +16,6 @@
 #include "obs/inspect.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/runtime.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace wehey::obs {
@@ -316,7 +315,62 @@ TEST(Sweep, RejectsNonReportDocuments) {
   EXPECT_FALSE(error.empty());
   ASSERT_TRUE(json_parse("[1, 2]", doc));
   EXPECT_FALSE(agg.add_run_json(doc, &error));
+  // Only the run-report version this build writes is absorbed.
+  error.clear();
+  ASSERT_TRUE(json_parse(
+      "{\"schema\": \"wehey.run_report.v4\", \"run\": \"old\", "
+      "\"verdict\": \"done\", \"stages\": [], \"values\": {}}",
+      doc));
+  EXPECT_FALSE(agg.add_run_json(doc, &error));
+  EXPECT_FALSE(error.empty());
   EXPECT_EQ(agg.runs(), 0u);
+}
+
+std::vector<std::string> keys_of(const JsonValue& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.object) keys.push_back(key);
+  return keys;
+}
+
+// The sweep format sketched in aggregate.hpp, no more and no less.
+TEST(Sweep, ReportKeySetsMatchTheFormat) {
+  SweepAggregator agg("keys");
+  for (std::size_t i = 0; i < 6; ++i) {
+    const auto [r, m] = synthetic_run(i);
+    agg.add_run(r, &m);
+  }
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(agg.to_json(), doc, &error)) << error;
+  EXPECT_EQ(keys_of(doc),
+            (std::vector<std::string>{
+                "schema", "sweep", "runs", "fault_plans", "verdicts",
+                "reasons", "injection", "values", "stages", "profile",
+                "cells", "quarantine", "knife_edge", "audit",
+                "cell_percentiles", "percentiles", "metrics"}));
+  const JsonValue* cells = doc.find("cells");
+  ASSERT_NE(cells, nullptr);
+  ASSERT_EQ(cells->object.size(), 3u);
+  for (const auto& [name, cell] : cells->object) {
+    EXPECT_EQ(keys_of(cell),
+              (std::vector<std::string>{"runs", "verdicts", "values"}))
+        << name;
+  }
+  const JsonValue* audit = doc.find("audit");
+  ASSERT_NE(audit, nullptr);
+  EXPECT_EQ(keys_of(*audit), (std::vector<std::string>{"grid", "cells"}));
+  std::vector<std::string> matrix = {"tp", "fp", "fn", "tn", "skipped",
+                                     "accuracy", "precision", "recall",
+                                     "mismatch_reasons"};
+  ASSERT_NE(audit->find("grid"), nullptr);
+  EXPECT_EQ(keys_of(*audit->find("grid")), matrix);
+  matrix.push_back("knife_edge");
+  const JsonValue* audit_cells = audit->find("cells");
+  ASSERT_NE(audit_cells, nullptr);
+  ASSERT_EQ(audit_cells->object.size(), 3u);
+  for (const auto& [name, cell] : audit_cells->object) {
+    EXPECT_EQ(keys_of(cell), matrix) << name;
+  }
 }
 
 // The acceptance property: a real grid sweep aggregated from parallel
@@ -439,6 +493,33 @@ TEST(Compare, PerKeyToleranceOverride) {
   ASSERT_EQ(res.failures.size(), 0u) << res.failures[0];
 }
 
+TEST(Compare, FloorsSkipOversubscribedRows) {
+  // A grid row that ran more threads than the host has measures the host:
+  // its floor is skipped with a note, but the pattern still counts as
+  // matched. The same floor still fails an in-capacity row.
+  const JsonValue base = parse("{\"rows\": [{\"speedup\": 1.0}]}");
+  CompareOptions opts;
+  opts.ignore.push_back("rows");
+  opts.min_keys.emplace_back("rows\\[.*\\]\\.speedup", 0.55);
+  const auto skipped = compare_reports(
+      base,
+      parse("{\"rows\": [{\"speedup\": 1.0, \"oversubscribed\": false}, "
+            "{\"speedup\": 0.3, \"oversubscribed\": true}]}"),
+      opts);
+  EXPECT_TRUE(skipped.ok) << (skipped.failures.empty()
+                                  ? ""
+                                  : skipped.failures[0]);
+  ASSERT_EQ(skipped.notes.size(), 1u);
+  EXPECT_NE(skipped.notes[0].find("floor skipped at rows[1].speedup"),
+            std::string::npos)
+      << skipped.notes[0];
+  const auto failed = compare_reports(
+      base, parse("{\"rows\": [{\"speedup\": 0.3, \"oversubscribed\": "
+                  "false}]}"),
+      opts);
+  EXPECT_FALSE(failed.ok);
+}
+
 TEST(Compare, RequireKeyGuardsSectionExistence) {
   const JsonValue base = parse("{\"a\": 1.0}");
   const JsonValue cand = parse(
@@ -465,71 +546,12 @@ TEST(Compare, RequireKeyGuardsSectionExistence) {
       std::string::npos);
 }
 
-// ----------------------------------------------- schema single-sourcing
-
-/// The C++ constants and the JSON Schema files under tools/ must agree —
-/// a version bump that misses one side fails here, not in CI archaeology.
-TEST(Schema, ToolsSchemasNameTheCppConstants) {
-  const std::string root = WEHEY_SOURCE_DIR;
-  std::string text;
-  ASSERT_TRUE(read_file(root + "/tools/run_report_schema.json", text));
-  JsonValue run_schema;
-  std::string error;
-  ASSERT_TRUE(json_parse(text, run_schema, &error)) << error;
-  const JsonValue* run_enum = run_schema.find("properties");
-  ASSERT_NE(run_enum, nullptr);
-  run_enum = run_enum->find("schema");
-  ASSERT_NE(run_enum, nullptr);
-  run_enum = run_enum->find("enum");
-  ASSERT_NE(run_enum, nullptr);
-  bool current_listed = false;
-  for (const auto& v : run_enum->array) {
-    EXPECT_EQ(v.str.rfind(kRunReportSchemaPrefix, 0), 0u) << v.str;
-    current_listed |= v.str == kRunReportSchema;
-  }
-  EXPECT_TRUE(current_listed)
-      << "tools/run_report_schema.json enum lacks " << kRunReportSchema;
-
-  ASSERT_TRUE(read_file(root + "/tools/sweep_report_schema.json", text));
-  JsonValue sweep_schema;
-  ASSERT_TRUE(json_parse(text, sweep_schema, &error)) << error;
-  const JsonValue* sweep_const = sweep_schema.find("properties");
-  ASSERT_NE(sweep_const, nullptr);
-  sweep_const = sweep_const->find("schema");
-  ASSERT_NE(sweep_const, nullptr);
-  sweep_const = sweep_const->find("const");
-  ASSERT_NE(sweep_const, nullptr);
-  EXPECT_EQ(sweep_const->str, kSweepReportSchema);
-
-  ASSERT_TRUE(read_file(root + "/tools/sweep_checkpoint_schema.json", text));
-  JsonValue ckpt_schema;
-  ASSERT_TRUE(json_parse(text, ckpt_schema, &error)) << error;
-  const JsonValue* ckpt_const = ckpt_schema.find("properties");
-  ASSERT_NE(ckpt_const, nullptr);
-  ckpt_const = ckpt_const->find("schema");
-  ASSERT_NE(ckpt_const, nullptr);
-  ckpt_const = ckpt_const->find("const");
-  ASSERT_NE(ckpt_const, nullptr);
-  EXPECT_EQ(ckpt_const->str, kSweepCheckpointSchema);
-
-  ASSERT_TRUE(read_file(root + "/tools/runtime_report_schema.json", text));
-  JsonValue runtime_schema;
-  ASSERT_TRUE(json_parse(text, runtime_schema, &error)) << error;
-  const JsonValue* runtime_const = runtime_schema.find("properties");
-  ASSERT_NE(runtime_const, nullptr);
-  runtime_const = runtime_const->find("schema");
-  ASSERT_NE(runtime_const, nullptr);
-  runtime_const = runtime_const->find("const");
-  ASSERT_NE(runtime_const, nullptr);
-  EXPECT_EQ(runtime_const->str, kRuntimeReportSchema);
-}
-
 // -------------------------------------------------- inspect hardening
 
 TEST(Inspect, MalformedAndUnknownFilesFailWithoutPartialOutput) {
   const std::string dir = ::testing::TempDir();
   const std::string bad = dir + "/bad.json";
-  ASSERT_TRUE(write_report_file(bad, "{\"schema\": \"wehey.run_report.v3\","));
+  ASSERT_TRUE(write_report_file(bad, "{\"schema\": \"wehey.run_report.v5\","));
   std::FILE* sink = std::fopen((dir + "/sink.txt").c_str(), "w");
   ASSERT_NE(sink, nullptr);
   EXPECT_FALSE(inspect_file(bad, sink));
@@ -537,6 +559,16 @@ TEST(Inspect, MalformedAndUnknownFilesFailWithoutPartialOutput) {
   const std::string alien = dir + "/alien.json";
   ASSERT_TRUE(write_report_file(alien, "{\"hello\": 1}"));
   EXPECT_FALSE(inspect_file(alien, sink));
+  // A well-formed report of a version this build does not write.
+  const std::string old = dir + "/old.json";
+  ASSERT_TRUE(write_report_file(
+      old,
+      "{\"schema\": \"wehey.run_report.v4\", \"run\": \"old\", "
+      "\"seed\": 1, \"fault_plan\": \"\", \"verdict\": \"done\", "
+      "\"reason\": \"\", \"stages\": [], \"values\": {}, "
+      "\"injection\": {}, \"metrics\": {\"counters\": {}, \"gauges\": {}, "
+      "\"histograms\": {}}}"));
+  EXPECT_FALSE(inspect_file(old, sink));
   // Nothing was rendered for any of the failures.
   std::fclose(sink);
   std::string rendered;
@@ -583,9 +615,8 @@ TEST(Inspect, ParserRejectsPathologicalDocuments) {
 }
 
 TEST(Compare, FlattenKeysListsTheComparableKeySpace) {
-  // Backs the --list-keys discovery flow in wehey_cli compare and
-  // bench_compare.py: sorted dotted paths, arrays indexed, every leaf
-  // type included.
+  // Backs the --list-keys discovery flow in wehey_cli compare: sorted
+  // dotted paths, arrays indexed, every leaf type included.
   const JsonValue doc = parse(
       "{\"b\": {\"y\": 1.5, \"x\": [2, \"s\"]}, \"a\": true, "
       "\"c\": null, \"d\": {}}");
@@ -595,24 +626,27 @@ TEST(Compare, FlattenKeysListsTheComparableKeySpace) {
 }
 
 TEST(Inspect, DegradesGracefullyOnMissingOptionalSections) {
-  // A v1-era report: no percentiles, no profile, no cell, no metrics.
+  // A sparse current-version report: no decision, ground truth, audit,
+  // percentiles, profile or cell, and a histogram without percentiles.
   const std::string dir = ::testing::TempDir();
-  const std::string v1 = dir + "/v1.json";
+  const std::string sparse = dir + "/sparse.json";
   ASSERT_TRUE(write_report_file(
-      v1,
-      "{\"schema\": \"wehey.run_report.v1\", \"run\": \"old\", "
+      sparse,
+      "{\"schema\": \"wehey.run_report.v5\", \"run\": \"sparse\", "
       "\"seed\": 1, \"fault_plan\": \"\", \"verdict\": \"done\", "
       "\"reason\": \"\", \"stages\": [], \"values\": {}, "
       "\"injection\": {}, \"metrics\": {\"counters\": {}, \"gauges\": {}, "
-      "\"histograms\": {}}}"));
-  std::FILE* sink = std::fopen((dir + "/v1.txt").c_str(), "w");
+      "\"histograms\": {\"lat_ms\": {\"lo\": 0, \"hi\": 1, \"count\": 2, "
+      "\"sum\": 1, \"min\": 0.5, \"max\": 0.5, \"bins\": [0, 2, 0]}}}}"));
+  std::FILE* sink = std::fopen((dir + "/sparse.txt").c_str(), "w");
   ASSERT_NE(sink, nullptr);
-  EXPECT_TRUE(inspect_file(v1, sink));
+  EXPECT_TRUE(inspect_file(sparse, sink));
   std::fclose(sink);
   std::string rendered;
-  ASSERT_TRUE(read_file(dir + "/v1.txt", rendered));
-  EXPECT_NE(rendered.find("wehey.run_report.v1"), std::string::npos);
-  EXPECT_NE(rendered.find("old"), std::string::npos);
+  ASSERT_TRUE(read_file(dir + "/sparse.txt", rendered));
+  EXPECT_NE(rendered.find("wehey.run_report.v5"), std::string::npos);
+  EXPECT_NE(rendered.find("sparse"), std::string::npos);
+  EXPECT_NE(rendered.find("lat_ms"), std::string::npos);
 }
 
 TEST(Inspect, RendersSweepReports) {
@@ -641,18 +675,15 @@ TEST(Inspect, RendersSweepReports) {
 
 // ---------------------------------------------------- frozen fixtures
 
-/// Backward compatibility: real reports from each schema era are frozen
-/// under tests/data/ — today's tooling must keep accepting them. (CI
-/// also runs tools/validate_report.py over the same files.)
+/// One real document of each current version is frozen under tests/data/:
+/// a change to a reader that stops accepting them fails here. A version
+/// bump replaces the fixture along with the constant.
 TEST(Inspect, FrozenFixtureReportsStillRender) {
   const std::string root = WEHEY_SOURCE_DIR;
   const char* fixtures[] = {
-      "/tests/data/run_report_v1.json",
-      "/tests/data/run_report_v2.json",
-      "/tests/data/run_report_v3.json",
-      "/tests/data/run_report_v4.json",
       "/tests/data/run_report_v5.json",
       "/tests/data/sweep_report_v1.json",
+      "/tests/data/runtime_report_v1.json",
   };
   const std::string dir = ::testing::TempDir();
   for (const char* fixture : fixtures) {
@@ -667,50 +698,45 @@ TEST(Inspect, FrozenFixtureReportsStillRender) {
   }
 }
 
+JsonValue frozen_run_report() {
+  std::string text;
+  JsonValue doc;
+  EXPECT_TRUE(read_file(std::string(WEHEY_SOURCE_DIR) +
+                            "/tests/data/run_report_v5.json",
+                        text));
+  std::string error;
+  EXPECT_TRUE(json_parse(text, doc, &error)) << error;
+  return doc;
+}
+
 TEST(Sweep, FrozenRunReportFixturesStillAbsorb) {
-  const std::string root = WEHEY_SOURCE_DIR;
   SweepAggregator agg("fixtures");
-  for (const char* fixture : {"/tests/data/run_report_v1.json",
-                              "/tests/data/run_report_v2.json",
-                              "/tests/data/run_report_v3.json"}) {
-    std::string text;
-    ASSERT_TRUE(read_file(root + fixture, text)) << fixture;
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(json_parse(text, doc, &error)) << error;
-    ASSERT_TRUE(agg.add_run_json(doc, &error)) << fixture << ": " << error;
-  }
-  EXPECT_EQ(agg.runs(), 3u);
-  // Pre-v4 reports carry no decision margin, so the knife_edge block is
-  // present but empty — and with no v5 audit sections absorbed, the audit
-  // block is absent entirely (absent-by-default).
-  const std::string json = agg.to_json();
-  const std::size_t start = json.find("\"knife_edge\"");
-  ASSERT_NE(start, std::string::npos);
-  const std::string block =
-      json.substr(start, json.find("\"cell_percentiles\"") - start);
-  EXPECT_EQ(block.find("min_margin"), std::string::npos);
-  EXPECT_EQ(json.find("\"audit\""), std::string::npos);
+  std::string error;
+  ASSERT_TRUE(agg.add_run_json(frozen_run_report(), &error)) << error;
+  EXPECT_EQ(agg.runs(), 1u);
+  // The decision margin joins the value summaries.
+  EXPECT_NE(agg.to_json().find("\"decision_margin\""), std::string::npos);
 }
 
 TEST(Sweep, FrozenV4AndV5FixturesAbsorbMarginsAndAudit) {
-  const std::string root = WEHEY_SOURCE_DIR;
+  // The v5 fixture's margin and audit are absorbed; the same document
+  // tagged v4 is refused, so the audit block holds exactly the v5
+  // fixture's one true positive.
   SweepAggregator agg("fixtures_v45");
-  for (const char* fixture : {"/tests/data/run_report_v4.json",
-                              "/tests/data/run_report_v5.json"}) {
-    std::string text;
-    ASSERT_TRUE(read_file(root + fixture, text)) << fixture;
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(json_parse(text, doc, &error)) << error;
-    ASSERT_TRUE(agg.add_run_json(doc, &error)) << fixture << ": " << error;
+  JsonValue v4 = frozen_run_report();
+  for (auto& [key, value] : v4.object) {
+    if (key == "schema") value.str = "wehey.run_report.v4";
   }
-  EXPECT_EQ(agg.runs(), 2u);
+  ASSERT_NE(v4.find("schema"), nullptr);
+  ASSERT_EQ(v4.find("schema")->str, "wehey.run_report.v4");
+  std::string error;
+  EXPECT_FALSE(agg.add_run_json(v4, &error));
+  EXPECT_FALSE(error.empty());
+  error.clear();
+  ASSERT_TRUE(agg.add_run_json(frozen_run_report(), &error)) << error;
+  EXPECT_EQ(agg.runs(), 1u);
   const std::string json = agg.to_json();
-  // Both eras contribute decision margins to the value summaries...
   EXPECT_NE(json.find("\"decision_margin\""), std::string::npos);
-  // ...but only the v5 report carries an audit section, so the audit
-  // block holds exactly its one true positive.
   const std::size_t start = json.find("\"audit\"");
   ASSERT_NE(start, std::string::npos);
   const std::string block =
@@ -719,6 +745,26 @@ TEST(Sweep, FrozenV4AndV5FixturesAbsorbMarginsAndAudit) {
   EXPECT_NE(block.find("\"fn\": 0"), std::string::npos);
   EXPECT_NE(block.find("\"skipped\": 0"), std::string::npos);
   EXPECT_NE(block.find("\"accuracy\": 1"), std::string::npos);
+}
+
+TEST(Sweep, NoAuditedRunMeansNoAuditBlock) {
+  // Runs without a ground truth carry no audit section, and a sweep of
+  // only such runs has no audit block at all, on both absorb paths.
+  SweepAggregator in_process("unaudited");
+  SweepAggregator offline("unaudited");
+  for (std::size_t i = 0; i < 4; ++i) {
+    auto [r, m] = synthetic_run(i);
+    r.ground_truth = GroundTruthSection{};
+    r.audit = AuditSection{};
+    in_process.add_run(r, &m);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(json_parse(r.to_json(&m), doc, &error)) << error;
+    ASSERT_TRUE(offline.add_run_json(doc, &error)) << error;
+  }
+  const std::string json = in_process.to_json();
+  EXPECT_EQ(json.find("\"audit\""), std::string::npos);
+  EXPECT_EQ(json, offline.to_json());
 }
 
 // ----------------------------------------------------- report mode env
