@@ -1,9 +1,7 @@
 #include "experiments/history.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/check.hpp"
+#include "experiments/phase.hpp"
 #include "stats/descriptive.hpp"
 
 namespace wehey::experiments {
@@ -19,17 +17,7 @@ std::vector<double> build_t_diff_history(const ScenarioConfig& scenario,
     const auto rep = run_phase(run, Phase::SingleInverted);
     means.push_back(stats::mean(rep.p1.meas.throughput_samples(100)));
   }
-  // All pair combinations, as the paper pairs every two tests of the same
-  // client/app/carrier within the time window.
-  std::vector<double> t_diff;
-  t_diff.reserve(means.size() * (means.size() - 1) / 2);
-  for (std::size_t i = 0; i < means.size(); ++i) {
-    for (std::size_t j = i + 1; j < means.size(); ++j) {
-      const double hi = std::max(means[i], means[j]);
-      t_diff.push_back(hi > 0 ? (means[i] - means[j]) / hi : 0.0);
-    }
-  }
-  return t_diff;
+  return t_diff_pairs(means);
 }
 
 }  // namespace wehey::experiments

@@ -34,6 +34,13 @@ std::unique_ptr<netsim::QueueDisc> make_disc(Placement placement,
   return std::make_unique<RateLimiterDisc>(std::move(fifo), std::move(tbf));
 }
 
+topology::Hop hop(std::string ip, topology::Asn asn) {
+  topology::Hop h;
+  h.reported_ips.push_back(std::move(ip));
+  h.asn = asn;
+  return h;
+}
+
 std::int64_t default_fifo_limit(Rate bw) {
   // ~50 ms of buffering, at least 64 KB — a typical router egress buffer.
   return std::max<std::int64_t>(
@@ -94,7 +101,7 @@ struct FigureOneNetwork::BackgroundFlowRt {
 
 FigureOneNetwork::FigureOneNetwork(netsim::Simulator& sim,
                                    const NetworkParams& params, Rng& rng)
-    : sim_(sim), params_(params), rng_(rng) {
+    : sim_(sim), params_(params) {
   WEHEY_EXPECTS(params.rtt1 > 2 * params.common_delay);
   WEHEY_EXPECTS(params.rtt2 > 2 * params.common_delay);
 
@@ -103,15 +110,10 @@ FigureOneNetwork::FigureOneNetwork(netsim::Simulator& sim,
   const bool limit_common = params.placement == Placement::CommonLink ||
                             params.placement == Placement::PerFlowCommonLink;
   const bool limit_nc = params.placement == Placement::NonCommonLinks;
-  const std::int64_t fifo_c = params.fifo_limit_bytes > 0
-                                  ? params.fifo_limit_bytes
-                                  : default_fifo_limit(params.bw_c);
-  const std::int64_t fifo_nc1 = params.fifo_limit_bytes > 0
-                                    ? params.fifo_limit_bytes
-                                    : default_fifo_limit(params.bw_nc1);
-  const std::int64_t fifo_nc2 = params.fifo_limit_bytes > 0
-                                    ? params.fifo_limit_bytes
-                                    : default_fifo_limit(params.bw_nc2);
+  const auto fifo_limit = [&params](Rate bw) {
+    return params.fifo_limit_bytes > 0 ? params.fifo_limit_bytes
+                                       : default_fifo_limit(bw);
+  };
 
   netsim::PacketSink* last_hop = client_.get();
   if (params.access_rate > 0) {
@@ -122,7 +124,7 @@ FigureOneNetwork::FigureOneNetwork(netsim::Simulator& sim,
     last_hop = access_.get();
     // Time-varying capacity: a lognormal multiplicative draw around the
     // nominal rate every update interval (cellular last-hop behaviour).
-    access_rng_ = rng.split();
+    Rng access_rng = rng.split();
     const Rate nominal = params.access_rate;
     const double sigma = params.access_jitter_sigma;
     const Time step = params.access_update_interval;
@@ -150,14 +152,14 @@ FigureOneNetwork::FigureOneNetwork(netsim::Simulator& sim,
       }
     };
     auto updater = std::make_shared<Updater>(sim_, link, nominal, sigma,
-                                             step, access_rng_.split());
+                                             step, access_rng.split());
     sim_.schedule(step, [updater] { updater->fire(); });
   }
 
   auto common_disc = params.common_disc_factory
                          ? params.common_disc_factory()
                          : make_disc(params.placement, limit_common,
-                                     params.limiter, fifo_c);
+                                     params.limiter, fifo_limit(params.bw_c));
   common_ = std::make_unique<Link>(sim_, params.bw_c, params.common_delay,
                                    std::move(common_disc), last_hop);
 
@@ -167,11 +169,13 @@ FigureOneNetwork::FigureOneNetwork(netsim::Simulator& sim,
   const Time d2 = params.rtt2 / 2 - params.common_delay;
   nc1_ = std::make_unique<Link>(sim_, params.bw_nc1, d1,
                                 make_disc(params.placement, limit_nc,
-                                          params.limiter, fifo_nc1),
+                                          params.limiter,
+                                          fifo_limit(params.bw_nc1)),
                                 common_.get());
   nc2_ = std::make_unique<Link>(sim_, params.bw_nc2, d2,
                                 make_disc(params.placement, limit_nc,
-                                          params.limiter, fifo_nc2),
+                                          params.limiter,
+                                          fifo_limit(params.bw_nc2)),
                                 common_.get());
 
   // Per-link utilization histograms ("link.<name>.utilization").
@@ -368,17 +372,7 @@ PathReport FigureOneNetwork::report(int id, Time start, Time duration) {
     auto& rt = *quic_replays_.at(static_cast<std::size_t>(id - 1'000'001));
     rep.meas = rt.sender->measurement();
     rep.meas.deliveries = rt.receiver->deliveries();
-    rep.meas.start = start;
-    rep.meas.end = start + duration;
-    rep.retx_rate = rep.meas.loss_rate();
-    if (!rep.meas.rtt_ms.empty()) {
-      rep.avg_queuing_delay_ms =
-          stats::mean(rep.meas.rtt_ms) - stats::min(rep.meas.rtt_ms);
-    }
-    rep.avg_throughput_bps = rep.meas.average_throughput();
-    return rep;
-  }
-  if (id > 0) {
+  } else if (id > 0) {
     auto& rt = *tcp_replays_.at(static_cast<std::size_t>(id - 1));
     rep.aborted = rt.aborted;
     rep.aborted_at = rt.aborted_at;
@@ -402,27 +396,21 @@ PathReport FigureOneNetwork::report(int id, Time start, Time duration) {
               [](const netsim::Delivery& a, const netsim::Delivery& b) {
                 return a.at < b.at;
               });
-    rep.meas.start = start;
-    rep.meas.end = start + duration;
-    rep.retx_rate = rep.meas.loss_rate();
-    if (!rep.meas.rtt_ms.empty()) {
-      rep.avg_queuing_delay_ms =
-          stats::mean(rep.meas.rtt_ms) - stats::min(rep.meas.rtt_ms);
-    }
   } else {
     auto& rt = *udp_replays_.at(static_cast<std::size_t>(-id - 1));
     rep.aborted = rt.aborted;
     rep.aborted_at = rt.aborted_at;
     rt.receiver->finalize(rt.sender->packets_scheduled(), start + duration);
     rep.meas = transport::udp_measurement(*rt.sender, *rt.receiver);
-    rep.meas.start = start;
-    rep.meas.end = start + duration;
-    rep.retx_rate = rep.meas.loss_rate();
-    if (!rep.meas.rtt_ms.empty()) {
-      // One-way-delay samples: queueing delay is delay above the minimum.
-      rep.avg_queuing_delay_ms =
-          stats::mean(rep.meas.rtt_ms) - stats::min(rep.meas.rtt_ms);
-    }
+  }
+  rep.meas.start = start;
+  rep.meas.end = start + duration;
+  rep.retx_rate = rep.meas.loss_rate();
+  if (!rep.meas.rtt_ms.empty()) {
+    // RTT samples (TCP, QUIC) or one-way-delay samples (UDP): queueing
+    // delay is the delay above the minimum.
+    rep.avg_queuing_delay_ms =
+        stats::mean(rep.meas.rtt_ms) - stats::min(rep.meas.rtt_ms);
   }
   rep.avg_throughput_bps = rep.meas.average_throughput();
   return rep;
@@ -458,12 +446,6 @@ int FigureOneNetwork::start_quic_replay(int path_index,
 topology::TracerouteRecord FigureOneNetwork::traceroute(
     int path_index) const {
   WEHEY_EXPECTS(path_index == 1 || path_index == 2);
-  auto hop = [](std::string ip, topology::Asn asn) {
-    topology::Hop h;
-    h.reported_ips.push_back(std::move(ip));
-    h.asn = asn;
-    return h;
-  };
   topology::TracerouteRecord rec;
   rec.server = path_index == 1 ? "s1" : "s2";
   rec.dst_ip = "100.0.1.77";  // the client
@@ -493,12 +475,6 @@ topology::TracerouteRecord FigureOneNetwork::traceroute(
 topology::TracerouteRecord FigureOneNetwork::standby_traceroute(
     int index) const {
   WEHEY_EXPECTS(index >= 3);
-  auto hop = [](std::string ip, topology::Asn asn) {
-    topology::Hop h;
-    h.reported_ips.push_back(std::move(ip));
-    h.asn = asn;
-    return h;
-  };
   const std::string n = std::to_string(index);
   topology::TracerouteRecord rec;
   rec.server = "s" + n;

@@ -113,6 +113,8 @@ struct ReplayStorm {
 
 class FigureOneNetwork {
  public:
+  /// `rng` is split once, for the access link's capacity jitter (when
+  /// params.access_rate > 0), and not kept.
   FigureOneNetwork(netsim::Simulator& sim, const NetworkParams& params,
                    Rng& rng);
   ~FigureOneNetwork();
@@ -220,7 +222,6 @@ class FigureOneNetwork {
 
   netsim::Simulator& sim_;
   NetworkParams params_;
-  Rng& rng_;
   netsim::PacketIdSource ids_;
   netsim::FlowId next_flow_ = 1;
 
@@ -229,7 +230,6 @@ class FigureOneNetwork {
   std::unique_ptr<netsim::Link> common_;
   std::unique_ptr<netsim::Link> nc1_;
   std::unique_ptr<netsim::Link> nc2_;
-  Rng access_rng_;
 
   /// Consume the one-shot cut armed for the next replay, if any.
   ReplayCut take_next_cut();

@@ -13,7 +13,9 @@
 // queues, fresh background seed), mirroring how consecutive replays on a
 // real network see fresh-but-statistically-similar conditions.
 //
-// All Table-2 parameters appear here under their paper names.
+// All Table-2 parameters appear here under their paper names. The phase
+// and test procedure is the one shared with the wild runner, in
+// experiments/phase.hpp.
 #pragma once
 
 #include <string>

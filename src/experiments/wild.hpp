@@ -14,6 +14,9 @@
 // link (the source of normal throughput variation T_diff measures), and
 // only light non-differentiated background (the per-client queue carries
 // the client's own traffic).
+//
+// The test procedure (phases, localize, report fill) is the one the §6
+// runner uses too, in experiments/phase.hpp.
 #pragma once
 
 #include <string>
@@ -91,19 +94,17 @@ struct WildTestOutcome {
   std::string budget_reason;  ///< "events" or "sim_time" when exhausted
 };
 
-/// A "basic" Table-1 test: full WeHeY run; success = localized.
+/// A Table-1 test: a full WeHeY run. A "basic" test succeeds when it
+/// localizes. A "sanity check" test (`sanity_check`) adds a third server
+/// replaying a third original trace concurrently; correct behaviour is
+/// then to NOT detect a common bottleneck.
 WildTestOutcome run_wild_test(const WildConfig& cfg,
-                              const std::vector<double>& t_diff);
+                              const std::vector<double>& t_diff,
+                              bool sanity_check = false);
 
-/// A "sanity check" test: a third server replays a third original trace
-/// concurrently; correct behaviour is to NOT detect a common bottleneck.
-WildTestOutcome run_wild_sanity_check(const WildConfig& cfg,
-                                      const std::vector<double>& t_diff);
-
-/// run_wild_test / run_wild_sanity_check with the run packaged as a
-/// versioned RunReport (stages = the four wild phases, profile with
-/// replay-window self times, per-kind injection, scalar values) plus the
-/// phases' merged metrics registries.
+/// run_wild_test with the run packaged as a versioned RunReport (stages =
+/// the four wild phases, profile with replay-window self times, per-kind
+/// injection, scalar values) plus the phases' merged metrics registries.
 struct WildTestResult {
   WildTestOutcome outcome;
   obs::RunReport report;

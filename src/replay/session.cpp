@@ -9,45 +9,32 @@
 #include "common/check.hpp"
 #include "experiments/decision.hpp"
 #include "experiments/ground_truth.hpp"
+#include "experiments/phase.hpp"
 #include "faults/injector.hpp"
 #include "obs/recorder.hpp"
 #include "parallel/supervisor.hpp"
 #include "topology/construction.hpp"
-#include "trace/apps.hpp"
-#include "trace/background.hpp"
 
 namespace wehey::replay {
 
 using experiments::FigureOneNetwork;
-using experiments::Phase;
+using experiments::kDrainGrace;
+using experiments::kSecondReplayOffset;
 
 namespace {
-
-constexpr Time kBackToBackOffset = milliseconds(5);
 
 /// The session's client address (the traceroute destination of the
 /// Figure-1 network).
 const char* kClientIp = "100.0.1.77";
 
-trace::AppTrace session_base_trace(const experiments::ScenarioConfig& cfg) {
-  Rng trace_rng(cfg.seed * 0x9e3779b9ULL + 17);
-  if (cfg.app == "Netflix") {
-    return trace::make_tcp_app_trace(cfg.base_trace_duration, trace_rng);
-  }
-  return trace::make_udp_app_trace(cfg.app, cfg.base_trace_duration,
-                                   trace_rng);
-}
-
-trace::AppTrace prepare_replay(const trace::AppTrace& t,
-                               const experiments::ScenarioConfig& cfg,
-                               bool inverted, Rng& rng) {
-  trace::AppTrace out = inverted ? trace::bit_invert(t) : t;
-  out = trace::extend(out, cfg.replay_duration);
-  if (cfg.modified_traces && out.transport == trace::Transport::Udp) {
-    out = trace::poissonize(out, rng);
-  }
-  return out;
-}
+/// Runs `f` when the enclosing scope ends, on every return path.
+template <typename F>
+struct OnScopeExit {
+  F f;
+  ~OnScopeExit() { f(); }
+};
+template <typename F>
+OnScopeExit(F) -> OnScopeExit<F>;
 
 int env_int(const char* name, int fallback) {
   if (const char* v = std::getenv(name)) {
@@ -124,27 +111,28 @@ SessionResult run_session(const SessionConfig& cfg,
 
   netsim::Simulator sim;
   parallel::install_trial_budget(sim);
-  Rng rng(scenario.seed * 1000003ULL + 77);
+  const std::uint64_t seed = scenario.seed * 1000003ULL + 77;
+  Rng rng(seed);
   const auto derived = experiments::derive(scenario);
   FigureOneNetwork net(sim, derived.net, rng);
 
-  // Fills in the BudgetExhausted terminal state; callers `return result`
-  // right after. Checked after every sim.run so a runaway trial (e.g. the
-  // event-storm livelock) ends with a machine-readable outcome instead of
-  // spinning forever.
-  auto budget_bail = [&] {
+  // Fill in a terminal state; callers `return result` right after.
+  auto finish = [&](SessionOutcome outcome, Time at) {
+    result.outcome = outcome;
+    result.finished_at = at;
+  };
+  // The BudgetExhausted terminal state. Checked after every sim.run so a
+  // runaway trial (e.g. the event-storm livelock) ends with a
+  // machine-readable outcome instead of spinning forever.
+  auto budget_bail = [&](const char* who) {
+    log(sim.now(), std::string(who) + "trial budget exhausted (" +
+                       sim.budget_reason() + "); session ends");
     result.budget_reason = sim.budget_reason();
-    result.outcome = SessionOutcome::BudgetExhausted;
-    result.finished_at = sim.now();
+    finish(SessionOutcome::BudgetExhausted, sim.now());
   };
 
-  faults::FaultInjector injector;
-  if (cfg.fault_plan.enabled()) {
-    faults::FaultPlan derived_plan = cfg.fault_plan;
-    derived_plan.seed = cfg.fault_plan.seed * 0x100000001b3ULL ^
-                        (scenario.seed * 1000003ULL + 77);
-    injector = faults::FaultInjector(derived_plan);
-  }
+  faults::FaultInjector injector =
+      experiments::phase_injector(&cfg.fault_plan, seed);
 
   // Stage boundaries on the simulated clock, recorded as the pipeline
   // advances (-1 = never reached). A scope-exit finalizer folds them into
@@ -163,85 +151,62 @@ SessionResult run_session(const SessionConfig& cfg,
                std::chrono::steady_clock::now() - wall_start)
         .count();
   };
-  struct ObsFinalizer {
-    SessionResult& result;
-    const FigureOneNetwork& net;
-    const faults::FaultInjector& injector;
-    const Time& wehe_done;
-    const Time& lookup_done;
-    const Time& replays_done;
-    const Time& gather_done;
-    const bool wall_on;
-    const std::chrono::steady_clock::time_point wall_start;
-    const double& wehe_wall;
-    const double& lookup_wall;
-    const double& replays_wall;
-    const double& gather_wall;
-    ~ObsFinalizer() {
-      result.injection = injector.stats();
-      const double end_wall =
-          wall_on ? std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - wall_start)
-                        .count()
-                  : -1.0;
-      auto add = [this, end_wall](const char* name, Time s, Time e,
-                                  double ws, double we) {
-        if (s < 0) return;
-        // An unreached boundary means the session died inside this stage
-        // (on both clocks).
-        double wall = -1.0;
-        if (wall_on && ws >= 0.0) {
-          wall = (we >= ws ? we : end_wall) - ws;
-        }
-        result.stages.push_back(
-            {name, s, e >= s ? e : result.finished_at, wall});
-      };
-      add("wehe_test", 0, wehe_done, 0.0, wehe_wall);
-      add("topology_query", wehe_done, lookup_done, wehe_wall, lookup_wall);
-      add("simultaneous_replays", lookup_done, replays_done, lookup_wall,
-          replays_wall);
-      add("gathering", replays_done, gather_done, replays_wall, gather_wall);
-      add("analysis", gather_done, result.finished_at, gather_wall,
-          end_wall);
-      obs::Recorder* rec = obs::Recorder::current();
-      if (rec == nullptr) return;
-      net.snapshot_metrics();
-      if (rec->metrics_on()) {
-        auto& m = rec->metrics();
-        m.counter("session.count").inc();
-        m.counter("session.replay_retries")
-            .inc(static_cast<std::uint64_t>(result.replay_retries));
-        m.counter("session.control_retries")
-            .inc(static_cast<std::uint64_t>(result.control_retries));
-        m.counter("session.pair_fallbacks")
-            .inc(static_cast<std::uint64_t>(result.pair_fallbacks));
-        m.counter(std::string("session.outcome.") +
-                  to_string(result.outcome))
-            .inc();
-        for (const auto& [kind, count] : result.injection.by_kind()) {
-          if (count > 0) {
-            m.counter(std::string("faults.") + kind)
-                .inc(static_cast<std::uint64_t>(count));
-          }
-        }
+  const OnScopeExit finalize{[&] {
+    result.injection = injector.stats();
+    const double end_wall = wall_on ? wall_now() : -1.0;
+    auto add = [&](const char* name, Time s, Time e, double ws, double we) {
+      if (s < 0) return;
+      // An unreached boundary means the session died inside this stage
+      // (on both clocks).
+      double wall = -1.0;
+      if (wall_on && ws >= 0.0) {
+        wall = (we >= ws ? we : end_wall) - ws;
       }
-      if (rec->trace_on()) {
-        auto& tl = rec->timeline();
-        for (const auto& st : result.stages) {
-          tl.span(st.name, "session", st.sim_start, st.sim_end);
-        }
-        for (const auto& st : result.replay_attempts) {
-          tl.span(st.name, "replay", st.sim_start, st.sim_end);
-        }
-        for (const auto& ev : result.events) {
-          tl.instant(ev.what, "session", ev.at);
+      result.stages.push_back(
+          {name, s, e >= s ? e : result.finished_at, wall});
+    };
+    add("wehe_test", 0, wehe_done, 0.0, wehe_wall);
+    add("topology_query", wehe_done, lookup_done, wehe_wall, lookup_wall);
+    add("simultaneous_replays", lookup_done, replays_done, lookup_wall,
+        replays_wall);
+    add("gathering", replays_done, gather_done, replays_wall, gather_wall);
+    add("analysis", gather_done, result.finished_at, gather_wall,
+        end_wall);
+    obs::Recorder* rec = obs::Recorder::current();
+    if (rec == nullptr) return;
+    net.snapshot_metrics();
+    if (rec->metrics_on()) {
+      auto& m = rec->metrics();
+      m.counter("session.count").inc();
+      m.counter("session.replay_retries")
+          .inc(static_cast<std::uint64_t>(result.replay_retries));
+      m.counter("session.control_retries")
+          .inc(static_cast<std::uint64_t>(result.control_retries));
+      m.counter("session.pair_fallbacks")
+          .inc(static_cast<std::uint64_t>(result.pair_fallbacks));
+      m.counter(std::string("session.outcome.") +
+                to_string(result.outcome))
+          .inc();
+      for (const auto& [kind, count] : result.injection.by_kind()) {
+        if (count > 0) {
+          m.counter(std::string("faults.") + kind)
+              .inc(static_cast<std::uint64_t>(count));
         }
       }
     }
-  } obs_finalizer{result,       net,        injector,     wehe_done,
-                  lookup_done,  replays_done, gather_done, wall_on,
-                  wall_start,   wehe_wall,  lookup_wall,  replays_wall,
-                  gather_wall};
+    if (rec->trace_on()) {
+      auto& tl = rec->timeline();
+      for (const auto& st : result.stages) {
+        tl.span(st.name, "session", st.sim_start, st.sim_end);
+      }
+      for (const auto& st : result.replay_attempts) {
+        tl.span(st.name, "replay", st.sim_start, st.sim_end);
+      }
+      for (const auto& ev : result.events) {
+        tl.instant(ev.what, "session", ev.at);
+      }
+    }
+  }};
 
   // Background spans the whole session (all four replays plus gaps).
   // Retried replays stretch the timeline, so a faulted session needs a
@@ -250,45 +215,21 @@ SessionResult run_session(const SessionConfig& cfg,
   if (injector.enabled()) {
     horizon *= max_replay_attempts * cfg.max_pair_attempts + 1;
   }
-  trace::BackgroundConfig bg;
-  bg.target_rate = scenario.bg_rate_per_path;
+  trace::BackgroundConfig bg = experiments::scenario_background(scenario);
   bg.duration = horizon;
-  bg.flows_per_second =
-      std::max(1.5, scenario.bg_rate_per_path / mbps(1.0) * 1.2);
-  for (int path = 1; path <= 2; ++path) {
-    auto flows = trace::generate_background(bg, rng);
-    trace::mark_differentiated(flows, scenario.bg_diff_fraction, rng);
-    net.attach_background(path, flows);
-  }
+  experiments::attach_backgrounds(net, bg, scenario.bg_diff_fraction,
+                                  scenario.bg_mode, rng);
 
-  const auto base = session_base_trace(scenario);
-  transport::TcpConfig tcp;
-  tcp.pacing = scenario.modified_traces;
-  tcp.cc = scenario.tcp_cc;
+  const auto base = experiments::scenario_trace(scenario);
+  const auto tcp = experiments::replay_tcp_config(scenario);
   auto start_replay = [&](int path, bool inverted, Time at) {
-    const auto replay = prepare_replay(base, scenario, inverted, rng);
+    const auto replay = experiments::prepare_replay(
+        inverted ? trace::bit_invert(base) : base, scenario, rng);
     if (replay.transport == trace::Transport::Tcp) {
       return net.start_tcp_replay(path, replay, at, tcp,
                                   scenario.tcp_connections);
     }
     return net.start_udp_replay(path, replay, at);
-  };
-  auto arm_cut = [&](int path) {
-    if (!injector.enabled()) return;
-    const auto fault = injector.on_replay_start(path);
-    if (fault.storm) {
-      experiments::ReplayStorm storm;
-      storm.after = static_cast<Time>(static_cast<double>(duration) *
-                                      fault.storm_at_fraction);
-      storm.interval = fault.storm_interval;
-      net.set_next_replay_storm(storm);
-    }
-    if (!fault.abort) return;
-    experiments::ReplayCut cut;
-    cut.after = static_cast<Time>(static_cast<double>(duration) *
-                                  fault.at_fraction);
-    cut.after_bytes = fault.after_bytes;
-    net.set_next_replay_cut(cut);
   };
   // A control-plane exchange that a fault can drop (the client waits out
   // its timeout and re-sends, with doubling backoff) or delay. Advances
@@ -321,9 +262,9 @@ SessionResult run_session(const SessionConfig& cfg,
   // --- Phase 1: the standard WeHe test against s0 (= path 1). ---
   experiments::PathReport p0_orig, p0_inv;
   Time t_analysis = 0;
+  log(0, "client -> s0: run WeHe test");
   if (!injector.enabled()) {
     const Time t_orig = rpc;
-    log(0, "client -> s0: run WeHe test");
     const int id_p0_orig = start_replay(1, false, t_orig);
     const Time t_inv = t_orig + duration + gap;
     const int id_p0_inv = start_replay(1, true, t_inv);
@@ -334,9 +275,7 @@ SessionResult run_session(const SessionConfig& cfg,
     t_analysis = t_inv + duration + rpc;
     sim.run(t_analysis);
     if (sim.budget_exhausted()) {
-      log(sim.now(), std::string("trial budget exhausted (") +
-                         sim.budget_reason() + "); session ends");
-      budget_bail();
+      budget_bail("");
       return result;
     }
     log(t_orig, "s0: original single replay");
@@ -345,12 +284,11 @@ SessionResult run_session(const SessionConfig& cfg,
     p0_inv = net.report(id_p0_inv, t_inv, duration);
   } else {
     Time t = rpc;
-    log(0, "client -> s0: run WeHe test");
     auto run_single = [&](bool inverted, const char* what)
         -> std::optional<experiments::PathReport> {
       Time backoff = base_backoff;
       for (int attempt = 1; attempt <= max_replay_attempts; ++attempt) {
-        arm_cut(1);
+        experiments::arm_replay_cut(injector, net, 1, duration);
         const int id = start_replay(1, inverted, t);
         result.replay_attempts.push_back(
             {"replay_attempt", t, t + duration, -1.0});
@@ -374,29 +312,15 @@ SessionResult run_session(const SessionConfig& cfg,
       return std::nullopt;
     };
     const auto orig = run_single(false, "original");
-    if (!orig.has_value()) {
-      if (sim.budget_exhausted()) {
-        log(sim.now(), std::string("s0: trial budget exhausted (") +
-                           sim.budget_reason() + "); session ends");
-        budget_bail();
-        return result;
-      }
-      log(sim.now(), "s0: replay retries exhausted; session ends");
-      result.outcome = SessionOutcome::ReplayRetriesExhausted;
-      result.finished_at = sim.now();
-      return result;
-    }
-    const auto inv = run_single(true, "bit-inverted");
+    const auto inv =
+        orig.has_value() ? run_single(true, "bit-inverted") : std::nullopt;
     if (!inv.has_value()) {
       if (sim.budget_exhausted()) {
-        log(sim.now(), std::string("s0: trial budget exhausted (") +
-                           sim.budget_reason() + "); session ends");
-        budget_bail();
+        budget_bail("s0: ");
         return result;
       }
       log(sim.now(), "s0: replay retries exhausted; session ends");
-      result.outcome = SessionOutcome::ReplayRetriesExhausted;
-      result.finished_at = sim.now();
+      finish(SessionOutcome::ReplayRetriesExhausted, sim.now());
       return result;
     }
     t_analysis = t - gap + rpc;
@@ -411,8 +335,7 @@ SessionResult run_session(const SessionConfig& cfg,
       core::detect_differentiation(p0_orig.meas, p0_inv.meas);
   if (!result.initial_wehe.differentiation) {
     log(t_analysis, "WeHe: no differentiation; session ends");
-    result.outcome = SessionOutcome::NoDifferentiationDetected;
-    result.finished_at = t_analysis;
+    finish(SessionOutcome::NoDifferentiationDetected, t_analysis);
     return result;
   }
   log(t_analysis, "WeHe: differentiation detected (KS p=" +
@@ -421,16 +344,14 @@ SessionResult run_session(const SessionConfig& cfg,
   // --- User consent (§3.4: the client asks the user). ---
   if (!cfg.user_consents) {
     log(t_analysis, "user declined the localization test");
-    result.outcome = SessionOutcome::UserDeclined;
-    result.finished_at = t_analysis;
+    finish(SessionOutcome::UserDeclined, t_analysis);
     return result;
   }
 
   // --- Topology query (one control round-trip to the DB). ---
   Time t_lookup = t_analysis + 2 * rpc;
   if (!control_exchange(t_lookup, "topology DB query")) {
-    result.outcome = SessionOutcome::ControlPlaneUnreachable;
-    result.finished_at = t_lookup;
+    finish(SessionOutcome::ControlPlaneUnreachable, t_lookup);
     return result;
   }
   std::optional<topology::ServerPair> pair;
@@ -441,8 +362,7 @@ SessionResult run_session(const SessionConfig& cfg,
         if (attempt >= cfg.max_control_attempts) {
           log(t_lookup,
               "topology DB: server pair still unavailable; giving up");
-          result.outcome = SessionOutcome::NoSuitableTopology;
-          result.finished_at = t_lookup;
+          finish(SessionOutcome::NoSuitableTopology, t_lookup);
           return result;
         }
         ++result.control_retries;
@@ -458,8 +378,7 @@ SessionResult run_session(const SessionConfig& cfg,
   }
   if (!pair.has_value()) {
     log(t_lookup, "topology DB: no suitable server pair for this client");
-    result.outcome = SessionOutcome::NoSuitableTopology;
-    result.finished_at = t_lookup;
+    finish(SessionOutcome::NoSuitableTopology, t_lookup);
     return result;
   }
   result.pair = *pair;
@@ -482,32 +401,30 @@ SessionResult run_session(const SessionConfig& cfg,
     const Time t_sim_orig = t_lookup + rpc;
     const int id_p1_orig = start_replay(1, false, t_sim_orig);
     const int id_p2_orig =
-        start_replay(2, false, t_sim_orig + kBackToBackOffset);
+        start_replay(2, false, t_sim_orig + kSecondReplayOffset);
     const Time t_sim_inv = t_sim_orig + duration + gap;
     const int id_p1_inv = start_replay(1, true, t_sim_inv);
     const int id_p2_inv =
-        start_replay(2, true, t_sim_inv + kBackToBackOffset);
+        start_replay(2, true, t_sim_inv + kSecondReplayOffset);
     result.replay_attempts.push_back(
         {"replay_attempt", t_sim_orig,
-         t_sim_orig + kBackToBackOffset + duration, -1.0});
+         t_sim_orig + kSecondReplayOffset + duration, -1.0});
     result.replay_attempts.push_back(
         {"replay_attempt", t_sim_inv,
-         t_sim_inv + kBackToBackOffset + duration, -1.0});
-    t_end = t_sim_inv + duration + seconds(3);
+         t_sim_inv + kSecondReplayOffset + duration, -1.0});
+    t_end = t_sim_inv + duration + kDrainGrace;
     sim.run(t_end);
     if (sim.budget_exhausted()) {
-      log(sim.now(), std::string("trial budget exhausted (") +
-                         sim.budget_reason() + "); session ends");
-      budget_bail();
+      budget_bail("");
       return result;
     }
     log(t_sim_orig, "s1+s2: original simultaneous replay");
     log(t_sim_inv, "s1+s2: bit-inverted simultaneous replay");
     m_p1o = net.report(id_p1_orig, t_sim_orig, duration).meas;
-    m_p2o = net.report(id_p2_orig, t_sim_orig + kBackToBackOffset, duration)
+    m_p2o = net.report(id_p2_orig, t_sim_orig + kSecondReplayOffset, duration)
                 .meas;
     m_p1i = net.report(id_p1_inv, t_sim_inv, duration).meas;
-    m_p2i = net.report(id_p2_inv, t_sim_inv + kBackToBackOffset, duration)
+    m_p2i = net.report(id_p2_inv, t_sim_inv + kSecondReplayOffset, duration)
                 .meas;
   } else {
     Time t = t_lookup + rpc;
@@ -518,16 +435,16 @@ SessionResult run_session(const SessionConfig& cfg,
                               netsim::ReplayMeasurement& out2) {
       Time backoff = base_backoff;
       for (int attempt = 1; attempt <= max_replay_attempts; ++attempt) {
-        arm_cut(1);
+        experiments::arm_replay_cut(injector, net, 1, duration);
         const int id1 = start_replay(1, inverted, t);
-        arm_cut(2);
-        const int id2 = start_replay(2, inverted, t + kBackToBackOffset);
+        experiments::arm_replay_cut(injector, net, 2, duration);
+        const int id2 = start_replay(2, inverted, t + kSecondReplayOffset);
         result.replay_attempts.push_back(
-            {"replay_attempt", t, t + kBackToBackOffset + duration, -1.0});
-        sim.run(t + kBackToBackOffset + duration);
+            {"replay_attempt", t, t + kSecondReplayOffset + duration, -1.0});
+        sim.run(t + kSecondReplayOffset + duration);
         if (sim.budget_exhausted()) return false;
         const auto r1 = net.report(id1, t, duration);
-        const auto r2 = net.report(id2, t + kBackToBackOffset, duration);
+        const auto r2 = net.report(id2, t + kSecondReplayOffset, duration);
         log(t, std::string("s1+s2: ") + what + " simultaneous replay");
         if (!r1.aborted && !r2.aborted) {
           out1 = r1.meas;
@@ -577,22 +494,17 @@ SessionResult run_session(const SessionConfig& cfg,
     }
     if (!phases_done) {
       if (sim.budget_exhausted()) {
-        log(sim.now(), std::string("trial budget exhausted (") +
-                           sim.budget_reason() + "); session ends");
-        budget_bail();
+        budget_bail("");
         return result;
       }
       log(sim.now(), "simultaneous replay retries exhausted; session ends");
-      result.outcome = SessionOutcome::ReplayRetriesExhausted;
-      result.finished_at = sim.now();
+      finish(SessionOutcome::ReplayRetriesExhausted, sim.now());
       return result;
     }
-    t_end = sim.now() + seconds(3);
+    t_end = sim.now() + kDrainGrace;
     sim.run(t_end);
     if (sim.budget_exhausted()) {
-      log(sim.now(), std::string("trial budget exhausted (") +
-                         sim.budget_reason() + "); session ends");
-      budget_bail();
+      budget_bail("");
       return result;
     }
   }
@@ -602,8 +514,7 @@ SessionResult run_session(const SessionConfig& cfg,
   if (wall_on) replays_wall = wall_now();
   Time t_gather = t_end + 2 * rpc;
   if (!control_exchange(t_gather, "measurement gathering")) {
-    result.outcome = SessionOutcome::ControlPlaneUnreachable;
-    result.finished_at = t_gather;
+    finish(SessionOutcome::ControlPlaneUnreachable, t_gather);
     return result;
   }
   auto tr1 = net.traceroute(1);
@@ -626,8 +537,7 @@ SessionResult run_session(const SessionConfig& cfg,
     log(t_gather,
         "end-of-replay traceroutes unusable (dropped or aliased hops); "
         "measurements discarded");
-    result.outcome = SessionOutcome::TracerouteFailed;
-    result.finished_at = t_gather;
+    finish(SessionOutcome::TracerouteFailed, t_gather);
     return result;
   }
   std::string convergence;
@@ -638,8 +548,7 @@ SessionResult run_session(const SessionConfig& cfg,
         "end-of-replay traceroutes: paths no longer converge only inside "
         "the ISP; measurements discarded, topology DB updated");
     db.invalidate(kClientIp, *pair);
-    result.outcome = SessionOutcome::TopologyNoLongerSuitable;
-    result.finished_at = t_gather;
+    finish(SessionOutcome::TopologyNoLongerSuitable, t_gather);
     return result;
   }
   log(t_gather, "end-of-replay traceroutes: topology still suitable "

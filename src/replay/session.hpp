@@ -17,6 +17,9 @@
 // Control-plane exchanges (requests, measurement gathering) are modelled
 // as fixed-latency hops on the same simulated clock, and every step is
 // recorded in a timestamped session log.
+//
+// Fault injector, replay cuts, background and replay recipe are the test
+// runners' own (experiments/phase.hpp).
 #pragma once
 
 #include <string>

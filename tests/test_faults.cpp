@@ -16,6 +16,7 @@
 #include "experiments/wild.hpp"
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
+#include "obs/recorder.hpp"
 #include "replay/session.hpp"
 #include "trace/apps.hpp"
 #include "trace/trace.hpp"
@@ -295,13 +296,23 @@ TEST_P(ChaosPlan, SessionSurvivesWithDefinedOutcomeUnderFluidBg) {
   cfg.fault_plan = faults::shipped_plan(GetParam(), chaos_seed());
   topology::TopologyDatabase db;
   replay::seed_topology_database(cfg.scenario, db);
-  const auto result = replay::run_session(cfg, db);
+  obs::Recorder rec(/*metrics_on=*/true, /*trace_on=*/false);
+  replay::SessionResult result;
+  {
+    obs::ScopedRecorder bind(&rec);
+    result = replay::run_session(cfg, db);
+  }
   if (saved == nullptr) {
     ::unsetenv("WEHEY_BG_MODE");
   } else {
     ::setenv("WEHEY_BG_MODE", restore.c_str(), 1);
   }
 
+  // The session's own network carries the fluid aggregate: one source per
+  // path, not per-flow packet background.
+  const auto& counters = rec.metrics().counters();
+  ASSERT_TRUE(counters.count("fluid.sources"));
+  EXPECT_EQ(counters.at("fluid.sources").value(), 2u);
   EXPECT_STRNE(replay::to_string(result.outcome), "?");
   EXPECT_GT(result.finished_at, 0);
   ASSERT_FALSE(result.events.empty());

@@ -89,7 +89,7 @@ TEST(Integration, SanityCheckThirdReplayNotLocalizedAsPerClient) {
   cfg.isp = default_isp_models()[0];
   cfg.seed = 119;
   const auto t_diff = build_wild_t_diff(cfg, 8);
-  const auto out = run_wild_sanity_check(cfg, t_diff);
+  const auto out = run_wild_test(cfg, t_diff, /*sanity_check=*/true);
   EXPECT_NE(out.localization.mechanism,
             core::Mechanism::PerClientThrottling);
 }

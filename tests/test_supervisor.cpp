@@ -135,21 +135,37 @@ TEST(Supervisor, EventStormSessionExhaustsDefaultBudget) {
   EXPECT_EQ(report.reason, "budget:events");
 }
 
+/// A budget-stopped test, whichever runner ran it, reports the budget
+/// outcome and never reached localize().
+void expect_budget_stopped_report(const obs::RunReport& report) {
+  EXPECT_EQ(report.verdict, obs::kBudgetExhaustedVerdict);
+  EXPECT_EQ(report.reason, "budget:events");
+  EXPECT_FALSE(report.decision.evaluated);
+  EXPECT_EQ(report.audit.classification, "skipped");
+  EXPECT_EQ(report.audit.mismatch_reason, "budget-exhausted");
+}
+
 TEST(Supervisor, TightEventBudgetEndsWildTestWithoutLocalization) {
   ::setenv("WEHEY_TRIAL_MAX_EVENTS", "10000", 1);
-  experiments::WildConfig cfg;
-  cfg.isp = experiments::default_isp_models()[0];
-  cfg.replay_duration = seconds(8);
-  cfg.seed = 3;
   const std::vector<double> t_diff = {0.05, -0.08, 0.11, -0.03};
+  experiments::WildConfig wild;
+  wild.isp = experiments::default_isp_models()[0];
+  wild.replay_duration = seconds(8);
+  wild.seed = 3;
   const auto res =
-      experiments::run_wild_test_reported(cfg, t_diff, false, "tight");
+      experiments::run_wild_test_reported(wild, t_diff, false, "tight");
+  // The §6 runner goes through the same budget path.
+  auto scenario = experiments::default_scenario("Netflix", 3);
+  scenario.replay_duration = seconds(8);
+  const auto full =
+      experiments::run_full_experiment_reported(scenario, t_diff, "tight");
   ::unsetenv("WEHEY_TRIAL_MAX_EVENTS");
+
   EXPECT_TRUE(res.outcome.budget_exhausted);
   EXPECT_EQ(res.outcome.budget_reason, "events");
   EXPECT_FALSE(res.outcome.localized);  // analyses skipped, inputs stumps
-  EXPECT_EQ(res.report.verdict, obs::kBudgetExhaustedVerdict);
-  EXPECT_EQ(res.report.reason, "budget:events");
+  expect_budget_stopped_report(res.report);
+  expect_budget_stopped_report(full.report);
 }
 
 // --- Quarantine tallies --------------------------------------------------
