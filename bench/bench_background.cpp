@@ -68,7 +68,7 @@ struct OperatingPoint {
 int main() {
   using namespace wehey;
   bench::print_header("background", "packet vs fluid background carrier");
-  bench::ObservedSweep observed("bench_background");
+  obs::ObservedSweep observed("bench_background");
 
   const auto scale = experiments::run_scale();
   const Time duration = scale.replay_duration;

@@ -18,7 +18,7 @@ using namespace wehey::experiments;
 
 int main() {
   bench::print_header("§7 (BBR)", "loss correlation under Cubic vs BBR");
-  bench::ObservedSweep obs_run("bench_bbr");
+  obs::ObservedSweep obs_run("bench_bbr");
   const auto scale = run_scale();
   const std::size_t runs = scale.full ? 10 : 4;
 

@@ -15,7 +15,7 @@ using namespace wehey::experiments;
 
 int main() {
   bench::print_header("Figure 4", "ISP5 throughput over time");
-  bench::ObservedSweep obs_run("bench_fig4_isp5");
+  obs::ObservedSweep obs_run("bench_fig4_isp5");
 
   WildConfig cfg;
   cfg.isp = default_isp_models()[4];  // ISP5

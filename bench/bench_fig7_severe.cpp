@@ -16,7 +16,7 @@ using namespace wehey::experiments;
 
 int main() {
   bench::print_header("Figure 7", "FN under severe throttling (TCP)");
-  bench::ObservedSweep obs_run("bench_fig7_severe");
+  obs::ObservedSweep obs_run("bench_fig7_severe");
   const auto scale = run_scale();
 
   struct Point {

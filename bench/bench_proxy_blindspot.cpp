@@ -88,7 +88,7 @@ RunResult run(bool with_proxy, Rate policer) {
 
 int main() {
   bench::print_header("§7 (proxy)", "transparent proxies hide server-side loss");
-  bench::ObservedSweep obs_run("bench_proxy_blindspot");
+  obs::ObservedSweep obs_run("bench_proxy_blindspot");
   std::printf("  %-28s | %-11s | %-11s | %s\n", "path", "server loss",
               "proxy loss", "client throughput");
   std::printf("  -----------------------------+-------------+-------------+------\n");

@@ -83,7 +83,7 @@ QuicRun run_quic_experiment(std::uint64_t seed) {
 
 int main() {
   bench::print_header("§7 (QUIC)", "WeHeY over a QUIC-carried session");
-  bench::ObservedSweep obs_run("bench_quic");
+  obs::ObservedSweep obs_run("bench_quic");
   const auto scale = run_scale();
   const std::size_t runs = scale.full ? 8 : 4;
 

@@ -63,7 +63,7 @@ struct PlanSummary {
 
 int main() {
   using namespace wehey;
-  bench::ObservedSweep obs_run("bench_robustness");
+  obs::ObservedSweep obs_run("bench_robustness");
 
   int runs = std::getenv("WEHEY_FULL") != nullptr &&
                      std::string(std::getenv("WEHEY_FULL")) != "0"
@@ -100,7 +100,9 @@ int main() {
       sum.mean_control_retries += result.control_retries;
       sum.mean_pair_fallbacks += result.pair_fallbacks;
       sum.injection += result.injection;
-      obs_run.record_injection(result.injection);
+      for (const auto& [kind, count] : result.injection.by_kind()) {
+        obs_run.report().injection[kind] += count;
+      }
     }
     int modal_count = 0;
     for (const auto& [outcome, count] : sum.outcomes) {

@@ -16,7 +16,7 @@ using namespace wehey::experiments;
 
 int main() {
   bench::print_header("§3.2", "policer vs shaper: the packet-loss assumption");
-  bench::ObservedSweep obs_run("bench_shaper_limitation");
+  obs::ObservedSweep obs_run("bench_shaper_limitation");
   const auto scale = run_scale();
   const std::size_t runs = scale.full ? 8 : 3;
 

@@ -16,7 +16,7 @@ using namespace wehey::experiments;
 
 int main() {
   bench::print_header("Table 1", "localization success rate per ISP (wild)");
-  bench::ObservedSweep obs_run("bench_table1_wild");
+  obs::ObservedSweep obs_run("bench_table1_wild");
   const auto scale = run_scale();
   const std::size_t tests_per_isp = scale.full ? 50 : 12;
   const std::size_t sanity_per_isp = scale.full ? 10 : 3;
@@ -29,7 +29,7 @@ int main() {
 
   // WEHEY_FAULT_PLAN runs the whole grid under a shipped chaos plan; the
   // per-kind injection tallies land in the RunReport.
-  const auto plan = bench::fault_plan_from_env();
+  const auto plan = faults::requested_plan();
   if (plan.has_value()) {
     obs_run.report().fault_plan = plan->name;
     std::printf("fault plan: %s (seed %llu)\n", plan->name.c_str(),
@@ -46,9 +46,8 @@ int main() {
     if (plan.has_value()) base.fault_plan = &*plan;
     const std::size_t total = tests_per_isp + sanity_per_isp;
 
-    // Checkpoint resume (WEHEY_CHECKPOINT): runs already journaled by a
-    // killed sweep are skipped below and their reports re-absorbed
-    // byte-for-byte, so only the remainder executes.
+    // Checkpoint resume (WEHEY_CHECKPOINT): runs a killed sweep already
+    // completed do not execute, so only the remainder does.
     std::vector<std::string> run_ids(total);
     std::size_t live = 0;
     for (std::size_t i = 0; i < total; ++i) {
@@ -56,7 +55,7 @@ int main() {
       std::snprintf(run_id, sizeof(run_id), "bench_table1_wild.%s.r%03zu",
                     isp.name.c_str(), i);
       run_ids[i] = run_id;
-      live += obs_run.cached(run_ids[i]) == nullptr;
+      live += !obs_run.completed(run_ids[i]);
     }
     // T_diff feeds only the tests that actually execute.
     const auto t_diff = live > 0
@@ -71,7 +70,7 @@ int main() {
     const auto& services = trace::tcp_app_names();
     const auto wild_results =
         parallel::parallel_map(total, [&](std::size_t i) {
-          if (obs_run.cached(run_ids[i]) != nullptr) return WildTestResult{};
+          if (obs_run.completed(run_ids[i])) return WildTestResult{};
           WildConfig cfg = base;
           if (i < tests_per_isp) {
             cfg.seed = 1000 + i * 17;
@@ -86,35 +85,16 @@ int main() {
     std::size_t localized = 0;
     std::size_t wrong_sanity = 0;
     for (std::size_t i = 0; i < total; ++i) {
+      // Tallies come from the run's report values, live or journaled.
+      const auto& res = wild_results[i];
+      auto values = obs_run.absorb(run_ids[i], res.report, &res.metrics);
       // Wrong sanity-check behaviour: detecting a (per-client) common
       // bottleneck while a third flow shares it.
-      if (const auto* entry = obs_run.cached(run_ids[i])) {
-        const obs::JsonValue doc = obs_run.absorb_cached(*entry);
-        obs_run.record_injection_json(doc);
-        // Tallies come from the journaled report's scalar values.
-        const obs::JsonValue* values = doc.find("values");
-        const obs::JsonValue* pc =
-            values != nullptr ? values->find("per_client") : nullptr;
-        const bool per_client = pc != nullptr && pc->num_or(0.0) != 0.0;
-        if (i < tests_per_isp) {
-          const obs::JsonValue* loc =
-              values != nullptr ? values->find("localized") : nullptr;
-          localized += per_client && loc != nullptr && loc->num_or(0.0) != 0.0;
-        } else {
-          wrong_sanity += per_client;
-        }
-        continue;
-      }
-      const auto& res = wild_results[i];
-      obs_run.record_injection(res.outcome.injection);
-      obs_run.add_run(res.report, &res.metrics);
+      const bool per_client = values["per_client"] != 0.0;
       if (i < tests_per_isp) {
-        localized += res.outcome.localized &&
-                     res.outcome.localization.mechanism ==
-                         core::Mechanism::PerClientThrottling;
+        localized += per_client && values["localized"] != 0.0;
       } else {
-        wrong_sanity += res.outcome.localization.mechanism ==
-                        core::Mechanism::PerClientThrottling;
+        wrong_sanity += per_client;
       }
     }
     obs_run.report().values[isp.name + ".localized"] =

@@ -16,7 +16,7 @@ using namespace wehey::experiments;
 
 int main() {
   bench::print_header("Table 4", "FN under severe congestion on l1/l2");
-  bench::ObservedSweep obs_run("bench_table4_congestion");
+  obs::ObservedSweep obs_run("bench_table4_congestion");
   const auto scale = run_scale();
   const std::vector<double> utils{0.95, 1.05, 1.15};
 

@@ -17,12 +17,12 @@ using namespace wehey::experiments;
 int main() {
   bench::print_header("Table 5",
                       "FP under identical rate-limiters on l1 and l2");
-  bench::ObservedSweep obs_run("bench_table5_fp");
+  obs::ObservedSweep obs_run("bench_table5_fp");
   const auto scale = run_scale();
 
   // WEHEY_FAULT_PLAN injects a shipped chaos plan into every trial of the
   // grid; the plan name and injection tallies land in the RunReport.
-  const auto plan = bench::fault_plan_from_env();
+  const auto plan = faults::requested_plan();
   if (plan.has_value()) {
     obs_run.report().fault_plan = plan->name;
     std::printf("fault plan: %s (seed %llu)\n", plan->name.c_str(),
@@ -50,8 +50,8 @@ int main() {
       }
     }
   }
-  // Checkpoint resume (WEHEY_CHECKPOINT): trials journaled by a killed
-  // sweep are skipped and their reports re-absorbed byte-for-byte below.
+  // Checkpoint resume (WEHEY_CHECKPOINT): trials a killed sweep already
+  // completed do not execute.
   std::vector<std::string> run_ids(configs.size());
   for (std::size_t i = 0; i < configs.size(); ++i) {
     char run_id[64];
@@ -69,7 +69,7 @@ int main() {
   const auto results =
       parallel::parallel_map(configs.size(), [&](std::size_t i) {
         TrialResult res;
-        if (obs_run.cached(run_ids[i]) != nullptr) return res;
+        if (obs_run.completed(run_ids[i])) return res;
         obs::Recorder* outer = obs::Recorder::current();
         obs::Recorder local(/*metrics_on=*/true,
                             outer != nullptr && outer->trace_on());
@@ -114,21 +114,10 @@ int main() {
 
   std::vector<bench::FpStats> stats(apps.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    if (const auto* entry = obs_run.cached(run_ids[i])) {
-      const obs::JsonValue doc = obs_run.absorb_cached(*entry);
-      obs_run.record_injection_json(doc);
-      // FP tallies come from the journaled report's scalar values.
-      const obs::JsonValue* values = doc.find("values");
-      const obs::JsonValue* lt =
-          values != nullptr ? values->find("loss_trend") : nullptr;
-      bench::DetectorOutcome cached_outcome;
-      cached_outcome.loss_trend = lt != nullptr && lt->num_or(0.0) != 0.0;
-      stats[app_of[i]].add(cached_outcome);
-      continue;
-    }
-    stats[app_of[i]].add(results[i].outcome);
-    obs_run.record_injection(results[i].outcome.injection);
-    obs_run.add_run(results[i].report, &results[i].metrics);
+    // FP tallies come from the run's report values, live or journaled.
+    auto values =
+        obs_run.absorb(run_ids[i], results[i].report, &results[i].metrics);
+    stats[app_of[i]].add(values["loss_trend"] != 0.0);
   }
 
   std::printf("%-9s | %-6s | %-8s | %s\n", "app", "runs", "FP rate",

@@ -19,7 +19,7 @@ using namespace wehey::topology;
 
 int main() {
   bench::print_header("§3.3", "topology-construction coverage");
-  bench::ObservedSweep obs_run("bench_topology_construction");
+  obs::ObservedSweep obs_run("bench_topology_construction");
   const auto scale = experiments::run_scale();
 
   Rng rng(2023);

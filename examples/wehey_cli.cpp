@@ -24,14 +24,14 @@
 //                      [--require-key RE]...
 //                      (regression gate: nonzero exit on drift)
 //
-// The wild and session commands honour the observability environment
-// (WEHEY_TRACE=path, WEHEY_METRICS=1, WEHEY_REPORT=path /
-// WEHEY_REPORT_DIR=dir, WEHEY_REPORT_MODE=per-run|sweep|both) and inject
-// a shipped chaos plan with --faults NAME (or WEHEY_FAULT_PLAN=NAME;
-// seed: WEHEY_CHAOS_SEED). Engine runtime telemetry: WEHEY_RUNTIME_REPORT=
-// path writes a wall-clock wehey.runtime_report.v1 sidecar (never part of
-// the deterministic report files), WEHEY_PROGRESS=plain|tty streams live
-// sweep progress to stderr.
+// Every command runs under one obs::ObservedSweep named "wehey_cli_<cmd>":
+// it honours the observability environment (WEHEY_TRACE=path,
+// WEHEY_METRICS=1, WEHEY_RUNTIME_REPORT=path, WEHEY_PROGRESS=plain|tty),
+// and for wild and session also WEHEY_REPORT=path / WEHEY_REPORT_DIR=dir
+// and WEHEY_REPORT_MODE=per-run|sweep|both. wild, session, sweep and full
+// inject a shipped chaos plan with --faults NAME (or WEHEY_FAULT_PLAN=NAME;
+// seed: --chaos-seed N or WEHEY_CHAOS_SEED); an unknown name exits 2.
+// Status lines go to stderr; exit 1 when an artifact fails to write.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -49,11 +49,9 @@
 #include "experiments/scenario.hpp"
 #include "netsim/tracer.hpp"
 #include "obs/aggregate.hpp"
-#include "obs/checkpoint.hpp"
 #include "obs/inspect.hpp"
-#include "obs/recorder.hpp"
 #include "obs/report.hpp"
-#include "obs/runtime.hpp"
+#include "obs/sweep.hpp"
 #include "replay/session.hpp"
 #include "topology/construction.hpp"
 #include "topology/database.hpp"
@@ -98,87 +96,12 @@ class Args {
   std::map<std::string, std::string> values_;
 };
 
-/// Process-level observation shared by the subcommands. Commands fill
-/// `report`; main() binds the recorder and writes the artifacts on exit.
-/// WEHEY_REPORT_MODE picks what finish() writes: the per-run report
-/// (default), a single-run wehey.sweep_report.v1 (sweep), or both.
-struct CliObservation {
-  obs::RunObservation run;
-  obs::RunReport report;
-
-  void finish() {
-    if (!run.enabled()) return;
-    if (!run.trace_path.empty()) {
-      if (run.write_trace()) {
-        std::fprintf(stderr, "trace: %s (+ %s)\n", run.trace_path.c_str(),
-                     obs::RunObservation::csv_path(run.trace_path).c_str());
-      } else {
-        std::fprintf(stderr, "trace: FAILED to write %s\n",
-                     run.trace_path.c_str());
-      }
-    }
-    if (report.run.empty()) return;  // command doesn't emit a report
-    if (report.profile.empty()) {
-      if (run.recorder != nullptr && run.recorder->trace_on()) {
-        report.profile = obs::profile_from_spans(
-            obs::profile_spans_from_timeline(run.recorder->timeline()));
-      } else if (!report.stages.empty()) {
-        std::vector<obs::ProfileSpan> spans;
-        for (std::size_t i = 0; i < report.stages.size(); ++i) {
-          const auto& s = report.stages[i];
-          spans.push_back({static_cast<std::int64_t>(i), s.name,
-                           s.sim_start, s.sim_end, s.wall_ms});
-        }
-        report.profile = obs::profile_from_spans(std::move(spans));
-      }
-    }
-    const obs::MetricsRegistry* metrics = &run.recorder->metrics();
-    const obs::ReportMode mode = obs::report_mode_from_env();
-    if (mode != obs::ReportMode::kSweep) {
-      const std::string path = obs::report_path_from_env(report.run);
-      if (!path.empty()) {
-        if (obs::write_report_file(path, report.to_json(metrics))) {
-          std::fprintf(stderr, "report: %s\n", path.c_str());
-        } else {
-          std::fprintf(stderr, "report: FAILED to write %s\n", path.c_str());
-        }
-      }
-    }
-    if (mode != obs::ReportMode::kPerRun) {
-      const std::string path = obs::sweep_path_from_env(report.run);
-      if (!path.empty()) {
-        obs::SweepAggregator agg(report.run);
-        agg.add_run(report, metrics);
-        if (obs::write_report_file(path, agg.to_json())) {
-          std::fprintf(stderr, "sweep report: %s (%zu runs)\n", path.c_str(),
-                       agg.runs());
-        } else {
-          std::fprintf(stderr, "sweep report: FAILED to write %s\n",
-                       path.c_str());
-        }
-      }
-    }
-  }
-};
-
-CliObservation* g_obs = nullptr;
-
-/// Shipped chaos plan from --faults NAME, falling back to WEHEY_FAULT_PLAN;
-/// the fault seed comes from --chaos-seed / WEHEY_CHAOS_SEED (default 1).
+/// Shipped chaos plan from --faults NAME / --chaos-seed N, falling back
+/// to WEHEY_FAULT_PLAN / WEHEY_CHAOS_SEED.
 std::optional<faults::FaultPlan> fault_plan_from(const Args& args) {
-  std::string name = args.get("faults", "");
-  if (name.empty()) {
-    if (const char* env = std::getenv("WEHEY_FAULT_PLAN")) name = env;
-  }
-  if (name.empty() || name == "0") return std::nullopt;
-  std::uint64_t seed = static_cast<std::uint64_t>(args.num("chaos-seed", 0));
-  if (seed == 0) {
-    if (const char* env = std::getenv("WEHEY_CHAOS_SEED")) {
-      seed = std::strtoull(env, nullptr, 10);
-    }
-  }
-  if (seed == 0) seed = 1;
-  return faults::shipped_plan(name, seed);
+  return faults::requested_plan(
+      args.get("faults", ""),
+      static_cast<std::uint64_t>(args.num("chaos-seed", 0)));
 }
 
 ScenarioConfig scenario_from(const Args& args) {
@@ -233,7 +156,7 @@ int cmd_testbed(const Args& args) {
   return 0;
 }
 
-int cmd_wild(const Args& args) {
+int cmd_wild(const Args& args, obs::ObservedSweep& observed) {
   const int isp_index = static_cast<int>(args.num("isp", 0));
   const auto isps = default_isp_models();
   if (isp_index < 0 || isp_index >= static_cast<int>(isps.size())) {
@@ -270,11 +193,11 @@ int cmd_wild(const Args& args) {
     std::printf(" (%d phase%s hit)\n", out.faulted_phases,
                 out.faulted_phases == 1 ? "" : "s");
   }
-  g_obs->report = res.report;
+  observed.report() = res.report;
   return 0;
 }
 
-int cmd_session(const Args& args) {
+int cmd_session(const Args& args, obs::ObservedSweep& observed) {
   replay::SessionConfig cfg;
   cfg.scenario = default_scenario(
       args.get("app", "Netflix"),
@@ -297,7 +220,8 @@ int cmd_session(const Args& args) {
     std::printf("[%9.3fs] %s\n", to_seconds(ev.at), ev.what.c_str());
   }
   std::printf("outcome: %s\n", replay::to_string(result.outcome));
-  g_obs->report = replay::make_run_report(cfg, result, "wehey_cli_session");
+  observed.report() =
+      replay::make_run_report(cfg, result, "wehey_cli_session");
   return 0;
 }
 
@@ -316,106 +240,54 @@ int cmd_topology(const Args& args) {
   return 0;
 }
 
-/// Checkpointed sweep: `runs` full 4-phase experiments, one flushed
-/// wehey.sweep_checkpoint.v1 journal line per completed run. With
-/// --resume, journaled runs are skipped and their reports re-absorbed in
-/// index order, so the sweep report is byte-identical to an
-/// uninterrupted run's.
-int run_checkpointed_sweep(const Args& args, const std::string& app,
-                           std::size_t runs, bool fp_mode) {
-  const std::string ckpt_path = args.get("checkpoint", "");
-  const std::string out_path = args.get("out", "");
+/// Checkpointed sweep: `runs` full 4-phase experiments into one
+/// sweep_report.v1 (--out, else stdout), one flushed journal line per
+/// completed run. With --resume, journaled runs are re-absorbed instead of
+/// re-run, so the sweep report is byte-identical to an uninterrupted
+/// run's.
+int run_checkpointed_sweep(const Args& args, obs::ObservedSweep& observed,
+                           const std::string& app, std::size_t runs,
+                           bool fp_mode) {
   const auto plan = fault_plan_from(args);
-  obs::SweepAggregator agg("wehey_cli_sweep");
-  obs::CheckpointJournal journal;
-  obs::CheckpointWriter writer;
-  if (!ckpt_path.empty()) {
-    if (args.has("resume")) {
-      std::string error;
-      if (!obs::CheckpointJournal::load(ckpt_path, journal, &error)) {
-        std::fprintf(stderr, "sweep: %s\n", error.c_str());
-        return 1;
-      }
-      if (!journal.empty()) {
-        std::fprintf(stderr, "sweep: resuming from %s (%zu completed)\n",
-                     ckpt_path.c_str(), journal.size());
-      }
-    }
-    if (!writer.open(ckpt_path, "wehey_cli_sweep")) {
-      std::fprintf(stderr, "sweep: cannot open checkpoint %s\n",
-                   ckpt_path.c_str());
-      return 1;
-    }
+  const std::string ckpt = args.get("checkpoint", "");
+  std::string error;
+  if (!ckpt.empty() && !observed.checkpoint(ckpt, args.has("resume"),
+                                            &error)) {
+    std::fprintf(stderr, "sweep: %s\n", error.c_str());
+    return 1;
   }
-  obs::ProgressMeter meter("wehey_cli_sweep");
-  meter.expect(runs);
+  observed.sweep_to(args.get("out", ""));
+  observed.expect_runs(runs);
   HistoryConfig hist;
   hist.replays = 6;
   for (std::size_t i = 0; i < runs; ++i) {
     char run_id[64];
     std::snprintf(run_id, sizeof(run_id), "wehey_cli_sweep.%s.r%03zu",
                   app.c_str(), i);
-    if (const auto* entry = journal.find(run_id)) {
-      obs::JsonValue doc;
-      std::string error;
-      if (!obs::json_parse(entry->report_json, doc, &error) ||
-          !agg.add_run_json(doc, &error)) {
-        std::fprintf(stderr, "sweep: bad journal entry %s: %s\n", run_id,
-                     error.c_str());
-        return 1;
-      }
-      const obs::JsonValue* verdict = doc.find("verdict");
-      std::fprintf(stderr, "%s: cached (%s)\n", run_id,
-                   verdict != nullptr ? verdict->str.c_str() : "?");
-      meter.note_resumed();
-      continue;
+    FullExperimentResult res;
+    if (!observed.completed(run_id)) {
+      auto cfg = default_scenario(app, 7000 + i);
+      if (fp_mode) cfg.placement = Placement::NonCommonLinks;
+      if (plan.has_value()) cfg.fault_plan = &*plan;
+      res = run_full_experiment_reported(
+          cfg, build_t_diff_history(cfg, hist), run_id);
+      res.report.cell = app;
+      std::fprintf(stderr, "%s: %s%s%s\n", run_id,
+                   res.report.verdict.c_str(),
+                   res.report.reason.empty() ? "" : " — ",
+                   res.report.reason.c_str());
     }
-    auto cfg = default_scenario(app, 7000 + i);
-    if (fp_mode) cfg.placement = Placement::NonCommonLinks;
-    if (plan.has_value()) cfg.fault_plan = &*plan;
-    const auto t_diff = build_t_diff_history(cfg, hist);
-    auto res = run_full_experiment_reported(cfg, t_diff, run_id);
-    res.report.cell = app;
-    if (writer.is_open()) {
-      obs::CheckpointEntry entry;
-      entry.run = run_id;
-      entry.cell = res.report.cell;
-      entry.seed = res.report.seed;
-      entry.index = i;
-      entry.report_json = res.report.to_json(&res.metrics);
-      writer.append(entry);
-    }
-    agg.add_run(res.report, &res.metrics);
-    std::fprintf(stderr, "%s: %s%s%s\n", run_id,
-                 res.report.verdict.c_str(),
-                 res.report.reason.empty() ? "" : " — ",
-                 res.report.reason.c_str());
-    meter.note_run(res.report.verdict, res.report.decision.has_margin,
-                   res.report.decision.margin);
+    observed.absorb(run_id, res.report, &res.metrics);
   }
-  // One-line wall-clock summary on stderr — the report JSON may be going
-  // to stdout, so this must never touch it.
-  meter.finish();
-  const std::string json = agg.to_json();
-  if (out_path.empty()) {
-    std::fputs(json.c_str(), stdout);
-    return 0;
-  }
-  if (!obs::write_report_file(out_path, json)) {
-    std::fprintf(stderr, "sweep: FAILED to write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "sweep report: %s (%zu runs)\n", out_path.c_str(),
-               agg.runs());
   return 0;
 }
 
-int cmd_sweep(const Args& args) {
+int cmd_sweep(const Args& args, obs::ObservedSweep& observed) {
   const auto app = args.get("app", "Netflix");
   const auto runs = static_cast<std::size_t>(args.num("runs", 6));
   const bool fp_mode = args.has("fp");
   if (args.has("checkpoint") || args.has("resume") || args.has("out")) {
-    return run_checkpointed_sweep(args, app, runs, fp_mode);
+    return run_checkpointed_sweep(args, observed, app, runs, fp_mode);
   }
   int detected = 0, confirmed = 0;
   for (std::size_t i = 0; i < runs; ++i) {
@@ -739,22 +611,21 @@ int main(int argc, char** argv) {
   if (cmd == "merge") return cmd_merge(argc, argv);
   if (cmd == "compare") return cmd_compare(argc, argv);
   const Args args(argc, argv, 2);
-  CliObservation observation;
-  observation.run = obs::RunObservation::from_env();
-  obs::runtime::enable_from_env();
-  g_obs = &observation;
-  obs::ScopedRecorder bind(observation.run.recorder.get());
+  // The trace, the runtime sidecar and the command's report or sweep. Only
+  // wild and session fill this report; left unnamed, it is not written.
+  obs::ObservedSweep observed("wehey_cli_" + cmd);
+  observed.report().run.clear();
   int rc = 2;
   if (cmd == "testbed") {
     rc = cmd_testbed(args);
   } else if (cmd == "wild") {
-    rc = cmd_wild(args);
+    rc = cmd_wild(args, observed);
   } else if (cmd == "session") {
-    rc = cmd_session(args);
+    rc = cmd_session(args, observed);
   } else if (cmd == "topology") {
     rc = cmd_topology(args);
   } else if (cmd == "sweep") {
-    rc = cmd_sweep(args);
+    rc = cmd_sweep(args, observed);
   } else if (cmd == "trace") {
     rc = cmd_trace(args);
   } else if (cmd == "full") {
@@ -762,9 +633,6 @@ int main(int argc, char** argv) {
   } else {
     std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
   }
-  observation.finish();
-  obs::runtime::write_runtime_report_from_env(
-      observation.report.run.empty() ? "wehey_cli." + cmd
-                                     : observation.report.run);
+  if (!observed.finish() && rc == 0) rc = 1;
   return rc;
 }

@@ -1,5 +1,9 @@
 #include "faults/plan.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+
 #include "common/check.hpp"
 
 namespace wehey::faults {
@@ -158,6 +162,28 @@ FaultPlan shipped_plan(const std::string& name, std::uint64_t seed) {
     WEHEY_EXPECTS(!"unknown shipped fault plan name");
   }
   return plan;
+}
+
+std::optional<FaultPlan> requested_plan(std::string name,
+                                        std::uint64_t seed) {
+  if (name.empty()) {
+    if (const char* env = std::getenv("WEHEY_FAULT_PLAN")) name = env;
+  }
+  if (name.empty() || name == "0") return std::nullopt;
+  const auto names = shipped_plan_names();
+  if (std::find(names.begin(), names.end(), name) == names.end()) {
+    std::fprintf(stderr, "unknown fault plan \"%s\"; shipped plans:",
+                 name.c_str());
+    for (const auto& known : names) std::fprintf(stderr, " %s", known.c_str());
+    std::fputc('\n', stderr);
+    std::exit(2);
+  }
+  if (seed == 0) {
+    if (const char* env = std::getenv("WEHEY_CHAOS_SEED")) {
+      seed = std::strtoull(env, nullptr, 10);
+    }
+  }
+  return shipped_plan(name, seed == 0 ? 1 : seed);
 }
 
 }  // namespace wehey::faults

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -93,5 +94,13 @@ std::vector<std::string> shipped_plan_names();
 /// Build a shipped plan by name (aborts on unknown names: passing one is
 /// a programming error; the set is compiled in).
 FaultPlan shipped_plan(const std::string& name, std::uint64_t seed);
+
+/// The shipped plan a user asked for: `name` (a --faults flag; empty falls
+/// back to WEHEY_FAULT_PLAN), seeded with `seed` (a --chaos-seed flag; 0
+/// falls back to WEHEY_CHAOS_SEED, then to 1). An empty name or "0" means
+/// no plan. An unknown name lists shipped_plan_names() on stderr and exits
+/// the process with status 2.
+std::optional<FaultPlan> requested_plan(std::string name = {},
+                                        std::uint64_t seed = 0);
 
 }  // namespace wehey::faults

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <regex>
 #include <sstream>
 
@@ -39,15 +38,6 @@ double sorted_sum(const std::vector<double>& sorted) {
 }
 
 }  // namespace
-
-double knife_edge_margin_from_env() {
-  if (const char* v = std::getenv("WEHEY_KNIFE_EDGE_MARGIN")) {
-    char* end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    if (end != v && *end == 0 && parsed >= 0.0) return parsed;
-  }
-  return kDefaultKnifeEdgeMargin;
-}
 
 void SweepAggregator::tally_run(const std::string& cell,
                                 const std::string& fault_plan,
@@ -422,15 +412,14 @@ std::string SweepAggregator::to_json() const {
   }
   out << (first ? "" : "\n    ") << "}\n  },\n";
 
-  // Knife-edge cells: minimum |decision margin| below the configured
-  // threshold, i.e. at least one run's verdict sat close enough to a
-  // decision boundary that an equivalent-but-not-identical realization
-  // (packet vs fluid background, a different seed) could flip it. CI
-  // derives its per-cell verdict exemptions from this block instead of
-  // hard-coding cell names.
-  const double knife_margin = knife_edge_margin_from_env();
+  // Knife-edge cells: minimum |decision margin| below kKnifeEdgeMargin,
+  // i.e. at least one run's verdict sat close enough to a decision
+  // boundary that an equivalent-but-not-identical realization (packet vs
+  // fluid background, a different seed) could flip it. CI derives its
+  // per-cell verdict exemptions from this block instead of hard-coding
+  // cell names.
   out << "  \"knife_edge\": {\n    \"margin_threshold\": "
-      << json_number(knife_margin) << ",\n    \"cells\": {";
+      << json_number(kKnifeEdgeMargin) << ",\n    \"cells\": {";
   first = true;
   for (const auto& [cell, c] : cells_) {
     const auto it = c.values.find(kDecisionMarginValue);
@@ -442,9 +431,9 @@ std::string SweepAggregator::to_json() const {
       const double a = std::abs(v);
       if (!seen || a < min_abs) min_abs = a;
       seen = true;
-      if (a < knife_margin) ++below;
+      if (a < kKnifeEdgeMargin) ++below;
     }
-    if (min_abs >= knife_margin) continue;
+    if (min_abs >= kKnifeEdgeMargin) continue;
     out << (first ? "\n" : ",\n") << "      \"" << json_escape(cell)
         << "\": {\"min_margin\": " << json_number(min_abs)
         << ", \"runs_below\": " << below << "}";
@@ -484,7 +473,7 @@ std::string SweepAggregator::to_json() const {
       if (const auto it = c.values.find(kDecisionMarginValue);
           it != c.values.end()) {
         for (double v : it->second.values) {
-          if (std::abs(v) < knife_margin) {
+          if (std::abs(v) < kKnifeEdgeMargin) {
             knife = true;
             break;
           }

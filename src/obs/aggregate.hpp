@@ -46,10 +46,14 @@
 //
 // Runs can be absorbed in-process (add_run, from the live RunReport and
 // its registry) or offline (add_run_json, from a written per-run report
-// file). Because every obs writer serializes doubles via json_number
-// (shortest round-trippable decimal), the two paths absorb bit-equal
-// values and the resulting sweep files are byte-identical — CI diffs the
-// in-process sweep against `wehey_cli merge` over the per-run files.
+// file or a checkpoint journal line). Because every obs writer serializes
+// doubles via json_number (shortest round-trippable decimal), the two
+// paths absorb bit-equal values and the resulting sweep files are
+// byte-identical — CI diffs the in-process sweep against `wehey_cli merge`
+// over the per-run files. Both paths stay: the in-process one spares a
+// live run the serialize-and-parse round trip. obs::ObservedSweep
+// (sweep.hpp) drives both for every bench and wehey_cli sweep, and the
+// knife_edge block's threshold is the constant kKnifeEdgeMargin.
 #pragma once
 
 #include <cstdint>
@@ -69,14 +73,12 @@ namespace wehey::obs {
 /// value — and the "knife_edge" block is derived from them.
 inline constexpr char kDecisionMarginValue[] = "decision_margin";
 
-/// Default |margin| below which a cell counts as knife-edge: its verdict
-/// sits close enough to a decision boundary that background-traffic
-/// realizations (e.g. packet vs fluid) can legitimately flip it.
-inline constexpr double kDefaultKnifeEdgeMargin = 0.05;
-
-/// WEHEY_KNIFE_EDGE_MARGIN, or kDefaultKnifeEdgeMargin when unset or
-/// unparsable. Negative values are rejected (fall back to the default).
-double knife_edge_margin_from_env();
+/// |margin| below which a cell counts as knife-edge: its verdict sits
+/// close enough to a decision boundary that background-traffic
+/// realizations (e.g. packet vs fluid) can legitimately flip it. The sweep
+/// report's knife_edge block, the audit's "sub-margin-miss" grading and
+/// the progress meter share it.
+inline constexpr double kKnifeEdgeMargin = 0.05;
 
 class SweepAggregator {
  public:

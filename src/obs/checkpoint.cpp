@@ -1,6 +1,5 @@
 #include "obs/checkpoint.hpp"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "obs/inspect.hpp"
@@ -122,11 +121,6 @@ const CheckpointEntry* CheckpointJournal::find(
     const std::string& run_id) const {
   const auto it = by_run_.find(run_id);
   return it == by_run_.end() ? nullptr : &entries_[it->second];
-}
-
-std::string checkpoint_path_from_env() {
-  if (const char* v = std::getenv("WEHEY_CHECKPOINT")) return v;
-  return "";
 }
 
 }  // namespace wehey::obs

@@ -2,25 +2,29 @@
 // resume for long grid sweeps.
 //
 // The journal is an append-only JSONL file. After every completed run the
-// sweep driver appends one line
+// sweep driver, obs::ObservedSweep (sweep.hpp), appends one line
 //
 //   {"schema": "wehey.sweep_checkpoint.v1", "sweep": "<sweep name>",
 //    "run": "<unique run id>", "cell": "<grid cell>", "seed": N,
 //    "index": N, "report": "<serialized RunReport, as a JSON string>"}
 //
 // and flushes it, so a kill -9 loses at most the run in flight. On resume
-// the driver loads the journal, skips every journaled run id, and
-// re-absorbs the journaled reports into the SweepAggregator *in run-index
-// order* — the embedded report string preserves the RunReport's exact
-// bytes, and SweepAggregator::add_run_json is bit-equal to the in-process
-// add_run path, so a killed-and-resumed sweep produces a sweep report
-// byte-identical to an uninterrupted one, at any WEHEY_THREADS.
+// the driver loads the journal, skips every journaled run whose report
+// this build can absorb, and re-absorbs those reports into the
+// SweepAggregator *in run-index order* — the embedded report string
+// preserves the RunReport's exact bytes, and SweepAggregator::add_run_json
+// is bit-equal to the in-process add_run path, so a killed-and-resumed
+// sweep produces a sweep report byte-identical to an uninterrupted one, at
+// any WEHEY_THREADS. A journaled report it cannot absorb (one an older
+// build wrote, tagged with an older run-report version) is not a
+// completed run: that run executes again. The journal itself stays
+// agnostic of the embedded bytes.
 //
 // A torn trailing line (the write the kill interrupted) is expected and
 // silently dropped; the run it described simply re-executes. The loader
 // (and so `wehey_cli inspect`) accepts only lines tagged with this
 // version; tests/test_supervisor.cpp covers the round trip and the torn
-// line.
+// line, tests/test_sweep.cpp the stale entry.
 #pragma once
 
 #include <cstdint>
@@ -88,9 +92,5 @@ class CheckpointJournal {
   std::map<std::string, std::size_t> by_run_;
   std::string sweep_;
 };
-
-/// The journal path sweeps should use: $WEHEY_CHECKPOINT, or "" when
-/// checkpointing is off.
-std::string checkpoint_path_from_env();
 
 }  // namespace wehey::obs

@@ -1,17 +1,10 @@
 #include "obs/recorder.hpp"
 
-#include <cstdlib>
-
 namespace wehey::obs {
 
 namespace {
 
 thread_local Recorder* t_current = nullptr;
-
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != 0 && std::string(v) != "0";
-}
 
 }  // namespace
 
@@ -36,57 +29,6 @@ ScopedRecorder::ScopedRecorder(Recorder* r) : prev_(t_current) {
 
 ScopedRecorder::~ScopedRecorder() {
   if constexpr (kObsCompiled) t_current = prev_;
-}
-
-RunObservation RunObservation::from_env() {
-  RunObservation out;
-  if constexpr (!kObsCompiled) return out;
-  const char* trace = std::getenv("WEHEY_TRACE");
-  const bool trace_on = trace != nullptr && trace[0] != 0;
-  const bool metrics_on = env_flag("WEHEY_METRICS") || trace_on ||
-                          env_flag("WEHEY_REPORT") ||
-                          env_flag("WEHEY_REPORT_DIR");
-  if (!metrics_on) return out;
-  out.recorder = std::make_unique<Recorder>(metrics_on, trace_on);
-  if (trace_on) {
-    out.trace_path = trace;
-    // Bound the run-level timeline buffer; completed events spill to
-    // "<trace>.chunkNNN" and re-merge at write_trace(). Unset/0 keeps the
-    // historical everything-in-memory behaviour. Per-trial child
-    // timelines stay in memory either way (they are small and absorb in
-    // index order).
-    if (const char* buf = std::getenv("WEHEY_TRACE_BUFFER_EVENTS")) {
-      const long n = std::strtol(buf, nullptr, 10);
-      if (n > 0) {
-        out.recorder->timeline().configure_spill(
-            static_cast<std::size_t>(n), out.trace_path);
-      }
-    }
-  }
-  return out;
-}
-
-std::string RunObservation::csv_path(const std::string& trace_path) {
-  const std::string suffix = ".json";
-  if (trace_path.size() > suffix.size() &&
-      trace_path.compare(trace_path.size() - suffix.size(), suffix.size(),
-                         suffix) == 0) {
-    return trace_path.substr(0, trace_path.size() - suffix.size()) + ".csv";
-  }
-  return trace_path + ".csv";
-}
-
-bool RunObservation::write_trace() const {
-  if (recorder == nullptr || trace_path.empty()) return true;
-  std::FILE* json = std::fopen(trace_path.c_str(), "w");
-  if (json == nullptr) return false;
-  recorder->timeline().write_chrome_json(json);
-  std::fclose(json);
-  std::FILE* csv = std::fopen(csv_path(trace_path).c_str(), "w");
-  if (csv == nullptr) return false;
-  recorder->timeline().write_csv(csv);
-  std::fclose(csv);
-  return true;
 }
 
 }  // namespace wehey::obs

@@ -17,20 +17,12 @@
 //     -DWEHEY_OBS=OFF compiles the hooks out entirely (Recorder::current()
 //     becomes a constant nullptr and guarded code folds away).
 //
-// Run-level setup is RunObservation::from_env(): it reads
-//   WEHEY_METRICS=1    — collect metrics (implied by the other two),
-//   WEHEY_TRACE=path   — record a timeline; written as Chrome-trace JSON
-//                        at `path` plus a CSV sibling,
-//   WEHEY_TRACE_BUFFER_EVENTS=N — keep at most N completed events in
-//                        memory, spilling full chunks to
-//                        "<path>.chunkNNN" and re-merging them, in order,
-//                        when the trace is written (unset/0 = unbounded
-//                        in-memory buffering, the historical behaviour),
-//   WEHEY_REPORT=path / WEHEY_REPORT_DIR=dir — emit a RunReport (see
-//                        report.hpp; the bench_util writer drives this).
+// A process binds its run-wide recorder through ObservedSweep (sweep.hpp),
+// which reads the observability environment (WEHEY_METRICS, WEHEY_TRACE,
+// WEHEY_TRACE_BUFFER_EVENTS, WEHEY_REPORT, WEHEY_REPORT_DIR) and writes
+// the trace and the reports when the process ends.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -89,25 +81,6 @@ class ScopedRecorder {
 
  private:
   Recorder* prev_;
-};
-
-/// Process-level observation for one run (a bench binary, a test, a CLI
-/// invocation), configured from the environment.
-struct RunObservation {
-  std::unique_ptr<Recorder> recorder;  ///< null when everything is off
-  std::string trace_path;              ///< WEHEY_TRACE (empty = off)
-
-  bool enabled() const { return recorder != nullptr; }
-
-  static RunObservation from_env();
-
-  /// Write the timeline artifacts (Chrome JSON at trace_path, CSV at the
-  /// sibling path). No-op when tracing is off. Returns false on I/O error.
-  bool write_trace() const;
-
-  /// The CSV sibling of a trace path ("x.json" -> "x.csv", else "x.csv"
-  /// appended).
-  static std::string csv_path(const std::string& trace_path);
 };
 
 }  // namespace wehey::obs

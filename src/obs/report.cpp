@@ -48,7 +48,7 @@ AuditSection classify_audit(const GroundTruthSection& truth,
     audit.mismatch_reason = "not-evaluated";
   } else if (!decision.has_margin) {
     audit.mismatch_reason = "no-margin";
-  } else if (std::abs(decision.margin) < knife_edge_margin_from_env()) {
+  } else if (std::abs(decision.margin) < kKnifeEdgeMargin) {
     audit.mismatch_reason = "sub-margin-miss";
   } else {
     audit.mismatch_reason = "clear-miss";

@@ -238,7 +238,7 @@ struct AuditSection {
   /// Machine-readable reason when observed != expected (empty on match):
   /// "budget-exhausted", "mechanism-mismatch" (verdict localized but the
   /// wrong throttling mechanism), "sub-margin-miss" (|decision margin| <
-  /// WEHEY_KNIFE_EDGE_MARGIN — a knife-edge miss, flagged not failed),
+  /// kKnifeEdgeMargin — a knife-edge miss, flagged not failed),
   /// "clear-miss", "no-margin", "not-evaluated".
   std::string mismatch_reason;
 };
@@ -248,9 +248,9 @@ struct AuditSection {
 /// the Table-1 wild tests); `mechanism_mismatch` marks a localized verdict
 /// that named the wrong mechanism; `budget_exhausted` runs classify as
 /// "skipped". The mismatch reason cross-references `decision`: a miss
-/// whose |margin| is under WEHEY_KNIFE_EDGE_MARGIN is "sub-margin-miss"
+/// whose |margin| is under kKnifeEdgeMargin is "sub-margin-miss"
 /// (knife-edge, flagged not failed by the sweep gate). Pure function of
-/// its inputs plus that env knob — deterministic across WEHEY_THREADS.
+/// its inputs — deterministic across WEHEY_THREADS.
 AuditSection classify_audit(const GroundTruthSection& truth,
                             bool observed_positive, bool mechanism_mismatch,
                             bool budget_exhausted,

@@ -484,7 +484,6 @@ ProgressMeter::Mode progress_mode_from_env() {
 ProgressMeter::ProgressMeter(std::string label)
     : label_(std::move(label)),
       mode_(progress_mode_from_env()),
-      knife_edge_threshold_(knife_edge_margin_from_env()),
       start_(std::chrono::steady_clock::now()),
       last_print_(start_ - std::chrono::hours(1)) {}
 
@@ -492,7 +491,7 @@ void ProgressMeter::note_done(const std::string& verdict, bool has_margin,
                               double margin) {
   ++completed_;
   if (verdict == kBudgetExhaustedVerdict) ++quarantined_;
-  if (has_margin && std::abs(margin) < knife_edge_threshold_) ++knife_edge_;
+  if (has_margin && std::abs(margin) < kKnifeEdgeMargin) ++knife_edge_;
   maybe_print(/*force=*/total_ > 0 && completed_ == total_);
 }
 

@@ -276,8 +276,8 @@ class ProgressMeter {
   }
 
   /// One run executed. `has_margin`/`margin` come from the run's decision
-  /// section; the knife-edge tally uses the same threshold as the sweep
-  /// aggregator (WEHEY_KNIFE_EDGE_MARGIN).
+  /// section; the knife-edge tally uses the sweep aggregator's threshold
+  /// (kKnifeEdgeMargin).
   void note_run(const std::string& verdict, bool has_margin, double margin) {
     note_done(verdict, has_margin, margin);
   }
@@ -303,7 +303,6 @@ class ProgressMeter {
   std::size_t resumed_ = 0;
   std::size_t quarantined_ = 0;
   std::size_t knife_edge_ = 0;
-  double knife_edge_threshold_ = 0.0;
   bool finished_ = false;
   bool line_open_ = false;  ///< tty mode: last write was a \r line
   std::chrono::steady_clock::time_point start_;

@@ -1,0 +1,253 @@
+#include "obs/sweep.hpp"
+
+#include <cstdio>
+#include <cstdlib>
+#include <utility>
+#include <vector>
+
+#include "obs/timeline.hpp"
+
+namespace wehey::obs {
+
+namespace {
+
+bool env_flag(const char* name) {
+  const char* v = std::getenv(name);
+  return v != nullptr && v[0] != 0 && std::string(v) != "0";
+}
+
+std::string env_or_empty(const char* name) {
+  const char* v = std::getenv(name);
+  return v != nullptr ? v : "";
+}
+
+std::unique_ptr<Recorder> recorder_from_env(const std::string& trace_path) {
+  if constexpr (!kObsCompiled) return nullptr;
+  const bool trace_on = !trace_path.empty();
+  if (!trace_on && !env_flag("WEHEY_METRICS") && !env_flag("WEHEY_REPORT") &&
+      !env_flag("WEHEY_REPORT_DIR")) {
+    return nullptr;
+  }
+  auto recorder = std::make_unique<Recorder>(/*metrics_on=*/true, trace_on);
+  // Per-trial child timelines stay in memory either way: they are small
+  // and absorb in index order.
+  if (trace_on) {
+    const long n = std::strtol(
+        env_or_empty("WEHEY_TRACE_BUFFER_EVENTS").c_str(), nullptr, 10);
+    if (n > 0) {
+      recorder->timeline().configure_spill(static_cast<std::size_t>(n),
+                                           trace_path);
+    }
+  }
+  return recorder;
+}
+
+/// Write one artifact; only a failure is reported here.
+bool write_artifact(const char* what, const std::string& path,
+                    const std::string& json) {
+  if (write_report_file(path, json)) return true;
+  std::fprintf(stderr, "%s: FAILED to write %s\n", what, path.c_str());
+  return false;
+}
+
+bool write_trace(const Recorder& recorder, const std::string& path) {
+  std::FILE* json = std::fopen(path.c_str(), "w");
+  if (json == nullptr) return false;
+  recorder.timeline().write_chrome_json(json);
+  std::fclose(json);
+  std::FILE* csv = std::fopen(trace_csv_path(path).c_str(), "w");
+  if (csv == nullptr) return false;
+  recorder.timeline().write_csv(csv);
+  std::fclose(csv);
+  return true;
+}
+
+}  // namespace
+
+ObservedSweep::ObservedSweep(std::string name)
+    : name_(std::move(name)),
+      trace_path_(env_or_empty("WEHEY_TRACE")),
+      recorder_(recorder_from_env(trace_path_)),
+      bind_(recorder_.get()),
+      mode_(report_mode_from_env()),
+      run_dir_(env_or_empty("WEHEY_REPORT_DIR")),
+      aggregator_(name_),
+      meter_(name_),
+      wall_start_(std::chrono::steady_clock::now()) {
+  report_.run = name_;
+  runtime::enable_from_env();
+  const std::string journal = env_or_empty("WEHEY_CHECKPOINT");
+  std::string error;
+  if (!journal.empty() && !checkpoint(journal, /*resume=*/true, &error)) {
+    std::fprintf(stderr, "checkpoint: %s (not journaling)\n", error.c_str());
+  }
+}
+
+bool ObservedSweep::checkpoint(const std::string& path, bool resume,
+                               std::string* error) {
+  CheckpointJournal journal;
+  if (resume && !CheckpointJournal::load(path, journal, error)) return false;
+  journaled_.clear();
+  if (!journal_.open(path, name_)) {
+    if (error != nullptr) *error = "cannot open " + path;
+    return false;
+  }
+  for (const CheckpointEntry& entry : journal.entries()) {
+    JournaledRun run{entry.report_json, {}};
+    std::string why;
+    // Absorbing into a scratch aggregator is the exact test absorb() will
+    // face; a run that fails it has to execute again.
+    SweepAggregator probe(name_);
+    if (!json_parse(run.json, run.doc, &why) ||
+        !probe.add_run_json(run.doc, &why)) {
+      std::fprintf(stderr, "checkpoint: %s executes again: %s\n",
+                   entry.run.c_str(), why.c_str());
+      continue;
+    }
+    journaled_.emplace(entry.run, std::move(run));
+  }
+  if (!journaled_.empty()) {
+    std::fprintf(stderr, "checkpoint: resuming from %s (%zu completed runs)\n",
+                 path.c_str(), journaled_.size());
+  }
+  return true;
+}
+
+void ObservedSweep::sweep_to(std::string path) {
+  mode_ = ReportMode::kSweep;
+  sweep_out_ = std::move(path);
+}
+
+std::map<std::string, double> ObservedSweep::absorb(
+    const std::string& run_id, const RunReport& run,
+    const MetricsRegistry* metrics) {
+  const std::uint64_t index = next_index_++;
+  const bool run_file = mode_ != ReportMode::kSweep && !run_dir_.empty();
+  const auto write_run_file = [&](const std::string& json) {
+    write_artifact("report", run_dir_ + "/" + run_id + ".report.json", json);
+  };
+  if (const auto it = journaled_.find(run_id); it != journaled_.end()) {
+    const JsonValue& doc = it->second.doc;
+    aggregator_.add_run_json(doc);
+    meter_.note_resumed();
+    if (const JsonValue* injection = doc.find("injection")) {
+      for (const auto& [kind, count] : injection->object) {
+        if (kind != "total") {
+          report_.injection[kind] += static_cast<int>(count.num_or(0.0));
+        }
+      }
+    }
+    if (run_file) write_run_file(it->second.json);
+    std::map<std::string, double> values;
+    if (const JsonValue* v = doc.find("values")) {
+      for (const auto& [key, value] : v->object) {
+        if (value.type == JsonValue::Type::Number) values[key] = value.number;
+      }
+    }
+    return values;
+  }
+  aggregator_.add_run(run, metrics);
+  meter_.note_run(run.verdict, run.decision.has_margin, run.decision.margin);
+  for (const auto& [kind, count] : run.injection) {
+    report_.injection[kind] += count;
+  }
+  // Serialize only when a journal line or a per-run file needs the bytes.
+  std::string json;
+  if (journal_.is_open()) {
+    json = run.to_json(metrics);
+    journal_.append({.run = run_id,
+                     .cell = run.cell,
+                     .seed = run.seed,
+                     .index = index,
+                     .report_json = json});
+  }
+  if (run_file) {
+    if (json.empty()) json = run.to_json(metrics);
+    write_run_file(json);
+  }
+  return run.values;
+}
+
+bool ObservedSweep::finish() {
+  if (finished_) return true;
+  finished_ = true;
+  bool ok = true;
+  if (recorder_ != nullptr && !trace_path_.empty()) {
+    if (write_trace(*recorder_, trace_path_)) {
+      std::fprintf(stderr, "trace: %s (+ %s)\n", trace_path_.c_str(),
+                   trace_csv_path(trace_path_).c_str());
+    } else {
+      std::fprintf(stderr, "trace: FAILED to write %s\n", trace_path_.c_str());
+      ok = false;
+    }
+  }
+  const MetricsRegistry* metrics =
+      recorder_ != nullptr ? &recorder_->metrics() : nullptr;
+  const bool own_report = !report_.run.empty();
+  if (own_report) {
+    // Profile the own report if nothing filled it: from the finalized
+    // timeline when tracing (every (pid, tid) pair is its own track),
+    // else from the recorded stages, one track each.
+    if (report_.profile.empty()) {
+      if (recorder_ != nullptr && recorder_->trace_on()) {
+        report_.profile = profile_from_spans(
+            profile_spans_from_timeline(recorder_->timeline()));
+      } else if (!report_.stages.empty()) {
+        std::vector<ProfileSpan> spans;
+        for (std::size_t i = 0; i < report_.stages.size(); ++i) {
+          const auto& s = report_.stages[i];
+          spans.push_back({static_cast<std::int64_t>(i), s.name,
+                           s.sim_start, s.sim_end, s.wall_ms});
+        }
+        report_.profile = profile_from_spans(std::move(spans));
+      }
+    }
+    if (report_wall_times()) {
+      report_.values["wall_ms_total"] =
+          std::chrono::duration<double, std::milli>(
+              std::chrono::steady_clock::now() - wall_start_)
+              .count();
+    }
+    const std::string path = report_path_from_env(report_.run);
+    if (mode_ != ReportMode::kSweep && !path.empty()) {
+      if (write_artifact("report", path, report_.to_json(metrics))) {
+        std::fprintf(stderr, "report: %s\n", path.c_str());
+      } else {
+        ok = false;
+      }
+    }
+  }
+  if (mode_ != ReportMode::kPerRun) {
+    if (aggregator_.runs() == 0 && own_report) {
+      aggregator_.add_run(report_, metrics);
+    }
+    // sweep_to() always gets its sweep; WEHEY_REPORT_MODE only a sweep
+    // of something.
+    const std::string path = sweep_out_.value_or(sweep_path_from_env(name_));
+    if (sweep_out_.has_value() || (!path.empty() && aggregator_.runs() > 0)) {
+      const std::string json = aggregator_.to_json();
+      if (path.empty()) {
+        std::fputs(json.c_str(), stdout);
+      } else if (write_artifact("sweep report", path, json)) {
+        std::fprintf(stderr, "sweep report: %s (%zu runs)\n", path.c_str(),
+                     aggregator_.runs());
+      } else {
+        ok = false;
+      }
+    }
+  }
+  meter_.finish();
+  return runtime::write_runtime_report_from_env(name_) && ok;
+}
+
+std::string trace_csv_path(const std::string& trace_path) {
+  const std::string suffix = ".json";
+  if (trace_path.size() > suffix.size() &&
+      trace_path.compare(trace_path.size() - suffix.size(), suffix.size(),
+                         suffix) == 0) {
+    return trace_path.substr(0, trace_path.size() - suffix.size()) + ".csv";
+  }
+  return trace_path + ".csv";
+}
+
+}  // namespace wehey::obs

@@ -1,0 +1,132 @@
+// ObservedSweep: the one owner of a process's run artifacts. Every bench
+// binary and every wehey_cli command opens one first thing; grid sweeps
+// (the Table-1 and Table-5 benches, `wehey_cli sweep`) also feed each of
+// their runs through absorb().
+//
+// The constructor reads the obs environment and binds a run-wide Recorder
+// to the calling thread for the object's lifetime:
+//   WEHEY_METRICS=1    — collect metrics (implied by the next three),
+//   WEHEY_TRACE=path   — record a timeline, written as Chrome-trace JSON at
+//                        `path` plus a CSV sibling (trace_csv_path),
+//   WEHEY_TRACE_BUFFER_EVENTS=N — keep at most N completed trace events in
+//                        memory, spilling full chunks to "<path>.chunkNNN"
+//                        and re-merging them, in order, when the trace is
+//                        written (unset/0 = unbounded),
+//   WEHEY_REPORT=path / WEHEY_REPORT_DIR=dir — where reports go
+//                        (report_path_from_env, sweep_path_from_env),
+//   WEHEY_REPORT_MODE  — which reports go there:
+//     per-run (default): the process's own RunReport, plus one
+//                        "<WEHEY_REPORT_DIR>/<run>.report.json" per
+//                        absorbed run;
+//     sweep:             only the aggregated wehey.sweep_report.v1 (a sweep
+//                        that absorbed no runs aggregates its own report);
+//     both:              everything,
+//   WEHEY_CHECKPOINT=path — journal every absorbed run (checkpoint.hpp); a
+//                        journal already at `path` makes this a resume,
+//   WEHEY_RUNTIME_REPORT / WEHEY_PROGRESS — the wall-clock sidecar and the
+//                        progress meter (runtime.hpp).
+// With none of them set this is a few getenv calls and nothing else.
+// finish(), or the destructor, writes the artifacts. Every status line
+// goes to stderr, so stdout carries only what the caller prints.
+//
+// Resume. A journaled run whose report this build can absorb is
+// completed(): the caller does not execute it but still absorb()s it, in
+// the same order as a live run, and gets the journaled report's values
+// back. A journaled report it cannot absorb (a journal from an older
+// build) is not a completed run; that run executes again. A resumed sweep
+// reproduces the uninterrupted sweep report, per-run reports, and every
+// tally the caller derives from absorb()'s values. The process's own
+// report metrics and the trace cover only the runs executed in this
+// process.
+#pragma once
+
+#include <chrono>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <optional>
+#include <string>
+
+#include "obs/aggregate.hpp"
+#include "obs/checkpoint.hpp"
+#include "obs/inspect.hpp"
+#include "obs/recorder.hpp"
+#include "obs/report.hpp"
+#include "obs/runtime.hpp"
+
+namespace wehey::obs {
+
+class ObservedSweep {
+ public:
+  /// `name` names the sweep report, the journal, the progress meter, the
+  /// runtime sidecar, and the process's own report.
+  explicit ObservedSweep(std::string name);
+  ~ObservedSweep() { finish(); }
+  ObservedSweep(const ObservedSweep&) = delete;
+  ObservedSweep& operator=(const ObservedSweep&) = delete;
+
+  /// The process's own RunReport. Clearing its `run` writes none (a CLI
+  /// command that reports nothing).
+  RunReport& report() { return report_; }
+
+  /// Total runs the sweep will absorb, for the progress meter's ETA.
+  void expect_runs(std::size_t total) { meter_.expect(total); }
+
+  /// Journal to `path` instead of WEHEY_CHECKPOINT. Only with `resume` do
+  /// the runs already journaled there count as completed. Returns false,
+  /// with `error` set, on a corrupt journal or one that cannot be opened.
+  bool checkpoint(const std::string& path, bool resume, std::string* error);
+
+  /// Write the sweep report to `path` ("" = stdout), whatever
+  /// WEHEY_REPORT_MODE says, and no other report.
+  void sweep_to(std::string path);
+
+  /// Whether `run_id` was completed by the sweep this one resumes. Such a
+  /// run must not execute; absorb() takes its journaled report instead.
+  bool completed(const std::string& run_id) const {
+    return journaled_.count(run_id) > 0;
+  }
+
+  /// Absorb one run, live or journaled, into the sweep report, its
+  /// per-run report file, the journal, the progress meter and the own
+  /// report's injection tally. `run_id` is the run's unique name; `run`
+  /// and `metrics` are its live report and registry (ignored when the run
+  /// is completed()). Call in a deterministic order: the journal records
+  /// it as the run index. Returns the run's values.
+  std::map<std::string, double> absorb(const std::string& run_id,
+                                       const RunReport& run,
+                                       const MetricsRegistry* metrics);
+
+  /// Write the trace, the reports and the runtime sidecar. Runs once; the
+  /// destructor calls it. Returns false if an artifact failed to write.
+  bool finish();
+
+ private:
+  /// A completed run of the journal this sweep resumes.
+  struct JournaledRun {
+    std::string json;  ///< the report's exact bytes
+    JsonValue doc;     ///< parsed; SweepAggregator::add_run_json accepts it
+  };
+
+  std::string name_;
+  std::string trace_path_;
+  std::unique_ptr<Recorder> recorder_;  ///< null when everything is off
+  ScopedRecorder bind_;
+  ReportMode mode_;
+  std::optional<std::string> sweep_out_;  ///< sweep_to(); "" = stdout
+  std::string run_dir_;                   ///< WEHEY_REPORT_DIR
+  SweepAggregator aggregator_;
+  ProgressMeter meter_;
+  RunReport report_;
+  std::map<std::string, JournaledRun> journaled_;
+  CheckpointWriter journal_;
+  std::uint64_t next_index_ = 0;
+  bool finished_ = false;
+  std::chrono::steady_clock::time_point wall_start_;
+};
+
+/// The CSV sibling of a trace path ("x.json" -> "x.csv", else "x.csv"
+/// appended).
+std::string trace_csv_path(const std::string& trace_path);
+
+}  // namespace wehey::obs

@@ -3,7 +3,7 @@
 // A TraceSink is the backing store behind Timeline. By default it is a
 // plain in-memory vector — exactly the pre-existing behaviour. When
 // configured with a buffer capacity (env knob WEHEY_TRACE_BUFFER_EVENTS,
-// wired in RunObservation::from_env), completed events spill to disk in
+// wired in ObservedSweep, sweep.hpp), completed events spill to disk in
 // bounded, fixed-size chunks as soon as the buffer fills, so a traced
 // WEHEY_FULL=1 grid no longer has to hold the whole run in memory.
 //

@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "experiments/params.hpp"
 #include "experiments/scenario.hpp"
@@ -84,6 +87,70 @@ TEST(FaultPlan, ShippedPlansAreWellFormed) {
     EXPECT_EQ(plan.name, name);
     EXPECT_EQ(plan.seed, 7u);
   }
+}
+
+/// Sets WEHEY_FAULT_PLAN / WEHEY_CHAOS_SEED for a scope (nullptr
+/// unsets) and restores the caller's values, which the chaos sweep reads.
+class PlanEnv {
+ public:
+  PlanEnv(const char* plan, const char* seed) {
+    save("WEHEY_FAULT_PLAN", plan);
+    save("WEHEY_CHAOS_SEED", seed);
+  }
+  ~PlanEnv() {
+    for (const auto& [name, value] : saved_) {
+      if (value.has_value()) {
+        ::setenv(name, value->c_str(), 1);
+      } else {
+        ::unsetenv(name);
+      }
+    }
+  }
+
+ private:
+  void save(const char* name, const char* value) {
+    const char* old = std::getenv(name);
+    saved_.emplace_back(name, old != nullptr
+                                  ? std::optional<std::string>(old)
+                                  : std::nullopt);
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+};
+
+TEST(RequestedPlan, EmptyOrZeroNameMeansNoPlan) {
+  PlanEnv env(nullptr, nullptr);
+  EXPECT_FALSE(faults::requested_plan().has_value());
+  EXPECT_FALSE(faults::requested_plan("0").has_value());
+  PlanEnv zero("0", "7");
+  EXPECT_FALSE(faults::requested_plan().has_value());
+}
+
+TEST(RequestedPlan, FlagsWinOverTheEnvironment) {
+  PlanEnv env("clock-skew", "7");
+  auto plan = faults::requested_plan();
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->name, "clock-skew");
+  EXPECT_EQ(plan->seed, 7u);
+  plan = faults::requested_plan("replay-abort", 3);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->name, "replay-abort");
+  EXPECT_EQ(plan->seed, 3u);
+  PlanEnv unseeded("clock-skew", "0");
+  EXPECT_EQ(faults::requested_plan()->seed, 1u);
+}
+
+TEST(RequestedPlanDeathTest, UnknownNameListsShippedPlansAndExits2) {
+  PlanEnv env(nullptr, nullptr);
+  EXPECT_EXIT(faults::requested_plan("bogus-plan"),
+              ::testing::ExitedWithCode(2), "bogus-plan.*replay-abort");
+  PlanEnv from_env("bogus-plan", nullptr);
+  EXPECT_EXIT(faults::requested_plan(), ::testing::ExitedWithCode(2),
+              "event-storm");
 }
 
 TEST(FaultInjector, DeterministicAcrossInstances) {

@@ -264,11 +264,6 @@ TEST(Recorder, ScopedBindingNestsAndRestores) {
   EXPECT_EQ(Recorder::current(), nullptr);
 }
 
-TEST(Recorder, CsvPathSibling) {
-  EXPECT_EQ(RunObservation::csv_path("out/trace.json"), "out/trace.csv");
-  EXPECT_EQ(RunObservation::csv_path("trace.bin"), "trace.bin.csv");
-}
-
 // The core determinism contract: the same instrumented parallel loop
 // produces byte-identical merged metrics and timelines no matter how many
 // threads executed it.

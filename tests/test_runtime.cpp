@@ -309,14 +309,14 @@ TEST(ProgressMeterTest, TalliesResumedQuarantinedAndKnifeEdge) {
   meter.finish();  // the summary line prints to stderr even in mode off
 }
 
-TEST(ProgressMeterTest, KnifeEdgeThresholdComesFromEnv) {
-  ::setenv("WEHEY_KNIFE_EDGE_MARGIN", "0.2", 1);
+TEST(ProgressMeterTest, KnifeEdgeThresholdIsTheSweepConstant) {
   obs::ProgressMeter meter("unit_margin");
-  meter.note_run("completed", true, 0.1);   // under the widened threshold
-  meter.note_run("completed", true, 0.3);   // over it
+  const double edge = obs::kKnifeEdgeMargin;
+  meter.note_run("completed", true, 0.5 * edge);   // under the threshold
+  meter.note_run("completed", true, -0.5 * edge);  // by magnitude
+  meter.note_run("completed", true, edge);         // at it: decided
   meter.note_run("completed", false, 0.0);  // no margin: never knife-edge
-  ::unsetenv("WEHEY_KNIFE_EDGE_MARGIN");
-  EXPECT_EQ(meter.knife_edge(), 1u);
+  EXPECT_EQ(meter.knife_edge(), 2u);
 }
 
 }  // namespace

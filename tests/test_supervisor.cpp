@@ -3,14 +3,16 @@
 // byte identity.
 //
 // The headline contract: a sweep killed mid-cell and resumed from its
-// checkpoint journal produces a sweep report byte-identical to an
-// uninterrupted run's, across WEHEY_THREADS — the journal replays
-// completed runs in run-index order through the aggregator's offline
-// path, which absorbs bit-equal to the in-process path.
+// checkpoint journal produces a sweep report and per-run reports
+// byte-identical to an uninterrupted run's, across WEHEY_THREADS —
+// obs::ObservedSweep re-absorbs completed runs in run-index order through
+// the aggregator's offline path, which absorbs bit-equal to the
+// in-process path.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "obs/checkpoint.hpp"
 #include "obs/inspect.hpp"
 #include "obs/report.hpp"
+#include "obs/sweep.hpp"
 #include "parallel/supervisor.hpp"
 #include "parallel/thread_pool.hpp"
 #include "replay/session.hpp"
@@ -393,79 +396,74 @@ experiments::WildTestResult run_one(const SweepFixture& fx, std::size_t i) {
                                              fx.run_ids[i]);
 }
 
-TEST(CheckpointResume, KilledSweepResumesByteIdenticalAcrossThreads) {
-  const SweepFixture fx = sweep_fixture();
-
-  // The uninterrupted sweep: all four runs, absorbed in index order, and
-  // the journal a driver would have written along the way.
-  const std::string path = ::testing::TempDir() + "/resume.jsonl";
-  std::remove(path.c_str());
-  obs::SweepAggregator uninterrupted("ckpt");
-  std::vector<std::string> journaled_reports;
+/// One pass of the fixture's sweep through obs::ObservedSweep, the driver
+/// of every grid bench: journal to `journal` (resuming what it already
+/// holds) and write the sweep and per-run reports into `dir`. Returns how
+/// many runs came from the journal.
+std::size_t observed_sweep(const SweepFixture& fx, const std::string& dir,
+                           const std::string& journal, unsigned threads) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ::setenv("WEHEY_REPORT_MODE", "both", 1);
+  ::setenv("WEHEY_REPORT_DIR", dir.c_str(), 1);
+  std::size_t resumed = 0;
   {
-    obs::CheckpointWriter writer;
-    ASSERT_TRUE(writer.open(path, "ckpt"));
+    obs::ObservedSweep sweep("ckpt");
+    std::string error;
+    EXPECT_TRUE(sweep.checkpoint(journal, /*resume=*/true, &error)) << error;
+    const auto results = parallel::parallel_map(
+        fx.run_ids.size(),
+        [&](std::size_t i) {
+          return sweep.completed(fx.run_ids[i])
+                     ? experiments::WildTestResult{}
+                     : run_one(fx, i);
+        },
+        threads);
     for (std::size_t i = 0; i < fx.run_ids.size(); ++i) {
-      const auto res = run_one(fx, i);
-      const std::string report_json = res.report.to_json(&res.metrics);
-      journaled_reports.push_back(report_json);
-      writer.append(make_entry(fx.run_ids[i], res.report.cell, i,
-                               report_json));
-      uninterrupted.add_run(res.report, &res.metrics);
+      resumed += sweep.completed(fx.run_ids[i]);
+      sweep.absorb(fx.run_ids[i], results[i].report, &results[i].metrics);
     }
   }
-  const std::string baseline = uninterrupted.to_json();
+  ::unsetenv("WEHEY_REPORT_MODE");
+  ::unsetenv("WEHEY_REPORT_DIR");
+  return resumed;
+}
+
+TEST(CheckpointResume, KilledSweepResumesByteIdenticalAcrossThreads) {
+  const SweepFixture fx = sweep_fixture();
+  const std::string root = ::testing::TempDir() + "/resume";
+  const std::string journal = root + ".jsonl";
+  std::remove(journal.c_str());
+  ASSERT_EQ(observed_sweep(fx, root + "_ref", journal, 1), 0u);
 
   // Kill mid-cell: keep the first ISP cell's two runs plus a torn
   // fragment of the second cell's first line.
   std::string text;
-  ASSERT_TRUE(obs::read_file(path, text));
+  ASSERT_TRUE(obs::read_file(journal, text));
   std::size_t cut = 0;
   for (int lines = 0; lines < 2; ++lines) {
     cut = text.find('\n', cut) + 1;
   }
   const std::string truncated =
       text.substr(0, cut) + text.substr(cut, 80);  // torn third line
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(truncated.data(), 1, truncated.size(), f);
-    std::fclose(f);
-  }
 
   // Resume twice, recomputing the lost runs on 1 and on 8 threads. Both
-  // sweeps must reproduce the uninterrupted bytes.
+  // must reproduce the uninterrupted sweep and per-run report bytes.
   for (const unsigned threads : {1u, 8u}) {
-    obs::CheckpointJournal journal;
-    std::string error;
-    ASSERT_TRUE(obs::CheckpointJournal::load(path, journal, &error))
-        << error;
-    ASSERT_EQ(journal.size(), 2u);  // the torn third line was dropped
-    const auto recomputed = parallel::parallel_map(
-        fx.run_ids.size(),
-        [&](std::size_t i) {
-          if (journal.find(fx.run_ids[i]) != nullptr) {
-            return experiments::WildTestResult{};
-          }
-          return run_one(fx, i);
-        },
-        threads);
-    obs::SweepAggregator resumed("ckpt");
-    for (std::size_t i = 0; i < fx.run_ids.size(); ++i) {
-      if (const obs::CheckpointEntry* entry = journal.find(fx.run_ids[i])) {
-        // Journaled bytes survive verbatim and re-absorb bit-equal.
-        EXPECT_EQ(entry->report_json, journaled_reports[i]);
-        obs::JsonValue doc;
-        ASSERT_TRUE(obs::json_parse(entry->report_json, doc, &error))
-            << error;
-        ASSERT_TRUE(resumed.add_run_json(doc, &error)) << error;
-        continue;
-      }
-      resumed.add_run(recomputed[i].report, &recomputed[i].metrics);
+    const std::string killed = root + "_killed.jsonl";
+    ASSERT_TRUE(obs::write_report_file(killed, truncated));
+    const std::string dir = root + "_t" + std::to_string(threads);
+    // The torn third line was dropped.
+    EXPECT_EQ(observed_sweep(fx, dir, killed, threads), 2u);
+    std::vector<std::string> files = {"ckpt.sweep.json"};
+    for (const auto& id : fx.run_ids) files.push_back(id + ".report.json");
+    for (const auto& file : files) {
+      std::string want, got;
+      ASSERT_TRUE(obs::read_file(root + "_ref/" + file, want)) << file;
+      ASSERT_TRUE(obs::read_file(dir + "/" + file, got)) << file;
+      EXPECT_EQ(got, want) << file << " diverged after a resume with threads="
+                           << threads;
     }
-    EXPECT_EQ(resumed.to_json(), baseline)
-        << "resume with threads=" << threads
-        << " diverged from the uninterrupted sweep";
   }
 }
 

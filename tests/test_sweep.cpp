@@ -1,14 +1,20 @@
 // Sweep-scale observability: the SweepAggregator merge algebra (order-
 // and thread-count-insensitive, offline == in-process) and the sweep
-// report's key sets, the v3 self-time profile, the baseline comparator
-// behind `wehey_cli compare`, and the readers' handling of the frozen
-// current-version fixtures under tests/data/ and of other versions.
+// report's key sets, the v3 self-time profile, the files ObservedSweep
+// writes and resumes from, the baseline comparator behind `wehey_cli
+// compare`, and the readers' handling of the frozen current-version
+// fixtures under tests/data/ and of other versions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <initializer_list>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/wild.hpp"
@@ -16,6 +22,7 @@
 #include "obs/inspect.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/sweep.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace wehey::obs {
@@ -125,7 +132,7 @@ std::pair<RunReport, MetricsRegistry> synthetic_run(std::size_t i) {
   r.values["score"] = 0.1 * static_cast<double>(i) + 1e-3 / (i + 1.0);
   r.values["tput_mbps"] = 40.0 / (1.0 + static_cast<double>(i % 7));
   r.injection["replays_aborted"] = static_cast<int>(i % 2);
-  // cell0 sits on the knife edge (|margin| well below the 0.05 default);
+  // cell0 sits on the knife edge (|margin| well below 0.05);
   // cell1 and cell2 are comfortably decided. Alternating signs exercise
   // the |margin| convention in the knife_edge block.
   r.decision.evaluated = true;
@@ -212,8 +219,7 @@ TEST(Sweep, OfflineJsonMergeMatchesInProcessMergeByteForByte) {
 }
 
 TEST(Sweep, KnifeEdgeFlagsOnlyCellsNearTheDecisionBoundary) {
-  ::unsetenv("WEHEY_KNIFE_EDGE_MARGIN");
-  EXPECT_DOUBLE_EQ(knife_edge_margin_from_env(), kDefaultKnifeEdgeMargin);
+  EXPECT_DOUBLE_EQ(kKnifeEdgeMargin, 0.05);
   SweepAggregator agg("knife");
   for (std::size_t i = 0; i < 12; ++i) {
     const auto [r, m] = synthetic_run(i);
@@ -225,8 +231,8 @@ TEST(Sweep, KnifeEdgeFlagsOnlyCellsNearTheDecisionBoundary) {
   // The v5 audit block follows immediately, so slice up to it.
   const std::string block =
       json.substr(start, json.find("\"audit\"") - start);
-  // cell0's minimum |margin| is 0.01 with three runs under the default
-  // 0.05; the other cells never dip below 0.4 (negative margins count by
+  // cell0's minimum |margin| is 0.01 with three runs under the 0.05
+  // threshold; the other cells never dip below 0.4 (negative margins count by
   // magnitude, so cell1's -0.41 does not flag).
   EXPECT_NE(block.find("\"margin_threshold\": 0.05"), std::string::npos);
   EXPECT_NE(block.find("\"cell0\": {\"min_margin\": 0.01, "
@@ -235,28 +241,9 @@ TEST(Sweep, KnifeEdgeFlagsOnlyCellsNearTheDecisionBoundary) {
       << block;
   EXPECT_EQ(block.find("\"cell1\""), std::string::npos);
   EXPECT_EQ(block.find("\"cell2\""), std::string::npos);
-
-  // Tightening the env knob empties the block without touching samples.
-  ::setenv("WEHEY_KNIFE_EDGE_MARGIN", "0.001", 1);
-  EXPECT_DOUBLE_EQ(knife_edge_margin_from_env(), 0.001);
-  const std::string tight = agg.to_json();
-  const std::size_t tstart = tight.find("\"knife_edge\"");
-  ASSERT_NE(tstart, std::string::npos);
-  const std::string tblock =
-      tight.substr(tstart, tight.find("\"audit\"") - tstart);
-  EXPECT_NE(tblock.find("\"margin_threshold\": 0.001"), std::string::npos);
-  EXPECT_EQ(tblock.find("\"cell0\""), std::string::npos);
-
-  // Unparseable or negative values fall back to the default.
-  ::setenv("WEHEY_KNIFE_EDGE_MARGIN", "wat", 1);
-  EXPECT_DOUBLE_EQ(knife_edge_margin_from_env(), kDefaultKnifeEdgeMargin);
-  ::setenv("WEHEY_KNIFE_EDGE_MARGIN", "-0.5", 1);
-  EXPECT_DOUBLE_EQ(knife_edge_margin_from_env(), kDefaultKnifeEdgeMargin);
-  ::unsetenv("WEHEY_KNIFE_EDGE_MARGIN");
 }
 
 TEST(Sweep, AuditFoldsRunClassificationsIntoConfusionMatrices) {
-  ::unsetenv("WEHEY_KNIFE_EDGE_MARGIN");
   SweepAggregator agg("audit");
   for (std::size_t i = 0; i < 12; ++i) {
     const auto [r, m] = synthetic_run(i);
@@ -765,6 +752,206 @@ TEST(Sweep, NoAuditedRunMeansNoAuditBlock) {
   const std::string json = in_process.to_json();
   EXPECT_EQ(json.find("\"audit\""), std::string::npos);
   EXPECT_EQ(json, offline.to_json());
+}
+
+// ------------------------------------------------------ ObservedSweep
+
+/// Sets the obs environment for a scope (nullptr unsets) and restores it.
+class ScopedEnv {
+ public:
+  explicit ScopedEnv(
+      std::initializer_list<std::pair<const char*, const char*>> overrides) {
+    for (const char* name :
+         {"WEHEY_METRICS", "WEHEY_TRACE", "WEHEY_TRACE_BUFFER_EVENTS",
+          "WEHEY_REPORT", "WEHEY_REPORT_DIR", "WEHEY_REPORT_MODE",
+          "WEHEY_REPORT_WALL", "WEHEY_CHECKPOINT", "WEHEY_RUNTIME_REPORT",
+          "WEHEY_PROGRESS"}) {
+      const char* old = std::getenv(name);
+      saved_.emplace_back(name, old != nullptr
+                                    ? std::optional<std::string>(old)
+                                    : std::nullopt);
+      ::unsetenv(name);
+    }
+    for (const auto& [name, value] : overrides) ::setenv(name, value, 1);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+  ~ScopedEnv() {
+    for (const auto& [name, value] : saved_) {
+      if (value.has_value()) {
+        ::setenv(name, value->c_str(), 1);
+      } else {
+        ::unsetenv(name);
+      }
+    }
+  }
+
+ private:
+  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+};
+
+/// A fresh, empty directory under the test temp dir.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::set<std::string> files_in(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.insert(e.path().filename().string());
+  }
+  return names;
+}
+
+std::string slurp(const std::string& path) {
+  std::string text;
+  EXPECT_TRUE(read_file(path, text)) << path;
+  return text;
+}
+
+TEST(ObservedSweep, TraceCsvPathSibling) {
+  EXPECT_EQ(trace_csv_path("out/trace.json"), "out/trace.csv");
+  EXPECT_EQ(trace_csv_path("trace.bin"), "trace.bin.csv");
+}
+
+TEST(ObservedSweep, EachReportModeWritesItsFileSet) {
+  const std::size_t n = 3;
+  SweepAggregator expected("modes");
+  std::set<std::string> run_files;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto [r, m] = synthetic_run(i);
+    expected.add_run(r, &m);
+    run_files.insert(r.run + ".report.json");
+  }
+  for (const char* mode : {"per-run", "sweep", "both"}) {
+    const std::string dir = fresh_dir(std::string("modes_") + mode);
+    {
+      ScopedEnv env({{"WEHEY_METRICS", "1"},
+                     {"WEHEY_REPORT_DIR", dir.c_str()},
+                     {"WEHEY_REPORT_MODE", mode}});
+      ObservedSweep sweep("modes");
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto [r, m] = synthetic_run(i);
+        const auto values = sweep.absorb(r.run, r, &m);
+        EXPECT_EQ(values, r.values);
+      }
+      EXPECT_TRUE(sweep.finish());
+    }
+    const std::string m(mode);
+    std::set<std::string> want;
+    if (m != "sweep") {
+      want = run_files;
+      want.insert("modes.report.json");
+    }
+    if (m != "per-run") want.insert("modes.sweep.json");
+    EXPECT_EQ(files_in(dir), want) << mode;
+    if (m != "per-run") {
+      EXPECT_EQ(slurp(dir + "/modes.sweep.json"), expected.to_json()) << mode;
+    }
+    if (m != "sweep") {
+      const auto [r, metrics] = synthetic_run(1);
+      EXPECT_EQ(slurp(dir + "/" + r.run + ".report.json"),
+                r.to_json(&metrics));
+      // The own report carries the absorbed runs' injection tally.
+      JsonValue own;
+      ASSERT_TRUE(json_parse(slurp(dir + "/modes.report.json"), own));
+      const JsonValue* injection = own.find("injection");
+      ASSERT_NE(injection, nullptr);
+      ASSERT_NE(injection->find("replays_aborted"), nullptr);
+      EXPECT_EQ(injection->find("replays_aborted")->number, 1.0);
+    }
+  }
+}
+
+TEST(ObservedSweep, ZeroRunSweepAggregatesItsOwnReport) {
+  const std::string dir = fresh_dir("zero_run");
+  RunReport own;
+  {
+    ScopedEnv env({{"WEHEY_REPORT_DIR", dir.c_str()},
+                   {"WEHEY_REPORT_MODE", "sweep"}});
+    ObservedSweep sweep("solo");
+    sweep.report().verdict = "completed";
+    sweep.report().values["score"] = 0.25;
+    own = sweep.report();
+  }
+  SweepAggregator expected("solo");
+  const MetricsRegistry nothing_recorded;
+  expected.add_run(own, &nothing_recorded);
+  EXPECT_EQ(files_in(dir), std::set<std::string>{"solo.sweep.json"});
+  EXPECT_EQ(slurp(dir + "/solo.sweep.json"), expected.to_json());
+
+  // An unnamed own report is no report: nothing to aggregate, no file.
+  const std::string quiet = fresh_dir("zero_run_unnamed");
+  {
+    ScopedEnv env({{"WEHEY_REPORT_DIR", quiet.c_str()},
+                   {"WEHEY_REPORT_MODE", "both"}});
+    ObservedSweep sweep("silent");
+    sweep.report().run.clear();
+  }
+  EXPECT_TRUE(files_in(quiet).empty());
+}
+
+// A journal from an older build carries reports this build cannot absorb.
+// Such a run is not completed: it executes again, and the resumed sweep
+// still equals the uninterrupted one.
+TEST(ObservedSweep, StaleJournalEntryExecutesAgain) {
+  const std::size_t n = 4;
+  const std::string ref = fresh_dir("stale_ref");
+  const std::string journal = ref + "/journal.jsonl";
+  {
+    ScopedEnv env({{"WEHEY_REPORT_DIR", ref.c_str()},
+                   {"WEHEY_REPORT_MODE", "both"},
+                   {"WEHEY_CHECKPOINT", journal.c_str()}});
+    ObservedSweep sweep("stale");
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto [r, m] = synthetic_run(i);
+      sweep.absorb(r.run, r, &m);
+    }
+  }
+  // Retag the second run's embedded report with the previous version.
+  std::string text = slurp(journal);
+  const std::string current = std::string("\\\"") + kRunReportSchema;
+  const std::size_t second = text.find('\n') + 1;
+  const std::size_t tag = text.find(current, second);
+  ASSERT_NE(tag, std::string::npos);
+  text.replace(tag, current.size(), "\\\"wehey.run_report.v4");
+  const std::string resumed = fresh_dir("stale_resumed");
+  const std::string stale_journal = resumed + "/journal.jsonl";
+  ASSERT_TRUE(write_report_file(stale_journal, text));
+
+  {
+    ScopedEnv env({{"WEHEY_REPORT_DIR", resumed.c_str()},
+                   {"WEHEY_REPORT_MODE", "both"},
+                   {"WEHEY_CHECKPOINT", stale_journal.c_str()}});
+    ObservedSweep sweep("stale");
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto [r, m] = synthetic_run(i);
+      EXPECT_EQ(sweep.completed(r.run), i != 1) << r.run;
+      const auto values = sweep.absorb(
+          r.run, sweep.completed(r.run) ? RunReport{} : r, &m);
+      EXPECT_EQ(values, r.values) << r.run;
+    }
+  }
+  EXPECT_EQ(slurp(resumed + "/stale.sweep.json"),
+            slurp(ref + "/stale.sweep.json"));
+  EXPECT_EQ(slurp(resumed + "/stale.report.json"),
+            slurp(ref + "/stale.report.json"));
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string file = synthetic_run(i).first.run + ".report.json";
+    EXPECT_EQ(slurp(resumed + "/" + file), slurp(ref + "/" + file)) << file;
+  }
+  // The re-executed run was journaled again, so the next resume finds
+  // every run completed.
+  {
+    ScopedEnv env({{"WEHEY_CHECKPOINT", stale_journal.c_str()}});
+    ObservedSweep sweep("stale");
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(sweep.completed(synthetic_run(i).first.run));
+    }
+  }
 }
 
 // ----------------------------------------------------- report mode env
