@@ -366,21 +366,23 @@ int cmd_trace(const Args& args) {
   return 0;
 }
 
-/// Parse one per-run report file into `doc`; prints its own errors.
-bool load_run_report(const std::string& path, obs::JsonValue& doc) {
+/// Read one per-run report file back; prints its own errors.
+bool load_run_report(const std::string& path, obs::RunReport& report,
+                     obs::MetricsRegistry& metrics) {
   std::string text;
   if (!obs::read_file(path, text)) {
     std::fprintf(stderr, "merge: cannot read %s\n", path.c_str());
     return false;
   }
+  obs::JsonValue doc;
   std::string error;
   if (!obs::json_parse(text, doc, &error)) {
     std::fprintf(stderr, "merge: %s: parse error: %s\n", path.c_str(),
                  error.c_str());
     return false;
   }
-  if (!obs::is_run_report(doc)) {
-    std::fprintf(stderr, "merge: %s: not a wehey run report\n", path.c_str());
+  if (!obs::RunReport::from_json(doc, report, metrics, &error)) {
+    std::fprintf(stderr, "merge: %s: %s\n", path.c_str(), error.c_str());
     return false;
   }
   return true;
@@ -415,22 +417,16 @@ int cmd_merge(int argc, char** argv) {
   }
   std::optional<obs::SweepAggregator> agg;
   for (const auto& path : files) {
-    obs::JsonValue doc;
-    if (!load_run_report(path, doc)) return 1;
+    obs::RunReport report;
+    obs::MetricsRegistry metrics;
+    if (!load_run_report(path, report, metrics)) return 1;
     if (!agg.has_value()) {
       // Default sweep name: the first run name up to its first '.' —
       // per-run names follow "<sweep>.<cell>.r<index>".
-      if (name.empty()) {
-        const obs::JsonValue* run = doc.find("run");
-        if (run != nullptr) name = run->str.substr(0, run->str.find('.'));
-      }
+      if (name.empty()) name = report.run.substr(0, report.run.find('.'));
       agg.emplace(name);
     }
-    std::string error;
-    if (!agg->add_run_json(doc, &error)) {
-      std::fprintf(stderr, "merge: %s: %s\n", path.c_str(), error.c_str());
-      return 1;
-    }
+    agg->add_run(report, &metrics);
   }
   const std::string json = agg->to_json();
   if (out_path.empty()) {
@@ -549,20 +545,18 @@ int cmd_compare(int argc, char** argv) {
   // blocks, recorded under bench/baselines/) so a drift verdict comes
   // with the wall-clock context of both sides.
   for (int i = 0; i < 2; ++i) {
-    const obs::JsonValue* grid = docs[i].find("grid");
-    const obs::JsonValue* runs = grid != nullptr ? grid->find("runs") : nullptr;
-    if (runs == nullptr || runs->type != obs::JsonValue::Type::Array) continue;
+    const obs::JsonValue& runs = docs[i].at("grid").at("runs");
+    if (runs.type != obs::JsonValue::Type::Array) continue;
     std::string line = i == 0 ? "grid timings (baseline):" :
                                 "grid timings (candidate):";
-    for (const auto& run : runs->array) {
-      const obs::JsonValue* threads = run.find("threads");
-      const obs::JsonValue* secs = run.find("seconds");
-      const obs::JsonValue* speedup = run.find("speedup");
-      if (threads == nullptr || secs == nullptr) continue;
+    for (const auto& run : runs.array) {
+      if (run.find("threads") == nullptr || run.find("seconds") == nullptr) {
+        continue;
+      }
       char buf[96];
       std::snprintf(buf, sizeof(buf), " %dT=%.3fs(%.2fx)",
-                    static_cast<int>(threads->number), secs->number,
-                    speedup != nullptr ? speedup->number : 0.0);
+                    static_cast<int>(run.at("threads").number),
+                    run.at("seconds").number, run.at("speedup").number);
       line += buf;
     }
     std::fprintf(stderr, "note: %s\n", line.c_str());

@@ -39,109 +39,63 @@ double sorted_sum(const std::vector<double>& sorted) {
 
 }  // namespace
 
-void SweepAggregator::tally_run(const std::string& cell,
-                                const std::string& fault_plan,
-                                const std::string& verdict,
-                                const std::string& reason) {
-  ++runs_;
-  ++fault_plans_[label_or_none(fault_plan)];
-  ++verdicts_[label_or_none(verdict)];
-  if (!reason.empty()) ++reasons_[reason];
-  if (!cell.empty()) {
-    CellAgg& c = cells_[cell];
-    ++c.runs;
-    ++c.verdicts[label_or_none(verdict)];
-    if (verdict == kBudgetExhaustedVerdict) {
-      ++c.poisoned;
-      ++c.poison_reasons[label_or_none(reason)];
-    }
-  }
-}
-
-void SweepAggregator::absorb_audit(const std::string& cell,
-                                   const std::string& classification,
-                                   const std::string& mismatch_reason) {
-  const auto apply = [&](AuditTally& t) {
-    if (classification == "tp") {
-      ++t.tp;
-    } else if (classification == "fp") {
-      ++t.fp;
-    } else if (classification == "fn") {
-      ++t.fn;
-    } else if (classification == "tn") {
-      ++t.tn;
-    } else {
-      ++t.skipped;
-    }
-    if (!mismatch_reason.empty()) ++t.mismatch_reasons[mismatch_reason];
-  };
-  apply(audit_);
-  if (!cell.empty()) apply(cells_[cell].audit);
-}
-
-void SweepAggregator::absorb_value(const std::string& cell,
-                                   const std::string& name, double v) {
-  values_[name].values.push_back(v);
-  if (!cell.empty()) cells_[cell].values[name].values.push_back(v);
-}
-
-void SweepAggregator::absorb_stage(const std::string& name, double sim_ms) {
-  stages_[name].values.push_back(sim_ms);
-}
-
-void SweepAggregator::absorb_profile(const std::string& name,
-                                     std::uint64_t count, double sim_ms,
-                                     double self_sim_ms) {
-  ProfileAgg& p = profile_[name];
-  p.spans += count;
-  p.sim_ms.values.push_back(sim_ms);
-  p.self_sim_ms.values.push_back(self_sim_ms);
-}
-
-void SweepAggregator::absorb_histogram(const std::string& name, double lo,
-                                       double hi, std::uint64_t count,
-                                       double sum, double min, double max,
-                                       const std::vector<std::uint64_t>& bins) {
-  auto [it, inserted] = histograms_.try_emplace(name);
-  HistAgg& mine = it->second;
-  if (inserted) {
-    mine.lo = lo;
-    mine.hi = hi;
-    mine.bins.assign(bins.size(), 0);
-  }
-  if (count == 0) return;
-  if (mine.count == 0 || min < mine.min) mine.min = min;
-  if (mine.count == 0 || max > mine.max) mine.max = max;
-  mine.count += count;
-  mine.run_sums.values.push_back(sum);
-  const std::size_t n = std::min(mine.bins.size(), bins.size());
-  for (std::size_t i = 0; i < n; ++i) mine.bins[i] += bins[i];
-}
-
 void SweepAggregator::add_run(const RunReport& report,
                               const MetricsRegistry* metrics) {
-  tally_run(report.cell, report.fault_plan, report.verdict, report.reason);
-  for (const auto& [kind, n] : report.injection) injection_[kind] += n;
-  for (const auto& [name, v] : report.values) {
-    absorb_value(report.cell, name, v);
+  CellAgg* cell = report.cell.empty() ? nullptr : &cells_[report.cell];
+  ++runs_;
+  ++fault_plans_[label_or_none(report.fault_plan)];
+  ++verdicts_[label_or_none(report.verdict)];
+  if (!report.reason.empty()) ++reasons_[report.reason];
+  if (cell != nullptr) {
+    ++cell->runs;
+    ++cell->verdicts[label_or_none(report.verdict)];
+    if (report.verdict == kBudgetExhaustedVerdict) {
+      ++cell->poisoned;
+      ++cell->poison_reasons[label_or_none(report.reason)];
+    }
   }
+  for (const auto& [kind, n] : report.injection) injection_[kind] += n;
+  const auto absorb_value = [&](const std::string& name, double v) {
+    values_[name].values.push_back(v);
+    if (cell != nullptr) cell->values[name].values.push_back(v);
+  };
+  for (const auto& [name, v] : report.values) absorb_value(name, v);
   // The verdict margin joins the cell's value blocks; the knife_edge
   // block is derived from these samples at render time.
   if (report.decision.has_margin) {
-    absorb_value(report.cell, kDecisionMarginValue, report.decision.margin);
+    absorb_value(kDecisionMarginValue, report.decision.margin);
   }
   if (report.audit.present) {
-    absorb_audit(report.cell, report.audit.classification,
-                 report.audit.mismatch_reason);
+    const std::string& classification = report.audit.classification;
+    const auto apply = [&](AuditTally& t) {
+      if (classification == "tp") {
+        ++t.tp;
+      } else if (classification == "fp") {
+        ++t.fp;
+      } else if (classification == "fn") {
+        ++t.fn;
+      } else if (classification == "tn") {
+        ++t.tn;
+      } else {
+        ++t.skipped;
+      }
+      if (!report.audit.mismatch_reason.empty()) {
+        ++t.mismatch_reasons[report.audit.mismatch_reason];
+      }
+    };
+    apply(audit_);
+    if (cell != nullptr) apply(cell->audit);
   }
   for (const auto& s : report.stages) {
-    // The identical expression RunReport::to_json serializes, so the
-    // in-process and offline absorb paths see bit-equal doubles.
-    absorb_stage(s.name,
-                 to_milliseconds(s.sim_end) - to_milliseconds(s.sim_start));
+    // The identical expression RunReport::to_json serializes.
+    stages_[s.name].values.push_back(to_milliseconds(s.sim_end) -
+                                     to_milliseconds(s.sim_start));
   }
   for (const auto& p : report.profile) {
-    absorb_profile(p.name, p.count, p.sim_ms, p.self_sim_ms);
+    ProfileAgg& agg = profile_[p.name];
+    agg.spans += p.count;
+    agg.sim_ms.values.push_back(p.sim_ms);
+    agg.self_sim_ms.values.push_back(p.self_sim_ms);
   }
   if (metrics == nullptr) return;
   for (const auto& [name, c] : metrics->counters()) {
@@ -155,134 +109,21 @@ void SweepAggregator::add_run(const RunReport& report,
     mine.seen = true;
   }
   for (const auto& [name, h] : metrics->histograms()) {
-    absorb_histogram(name, h.lo(), h.hi(), h.count(), h.sum(),
-                     h.count() ? h.min() : 0.0, h.count() ? h.max() : 0.0,
-                     h.bins());
-  }
-}
-
-bool SweepAggregator::add_run_json(const JsonValue& doc, std::string* error) {
-  const auto fail = [&](const std::string& msg) {
-    if (error != nullptr) *error = msg;
-    return false;
-  };
-  if (doc.type != JsonValue::Type::Object) {
-    return fail("not a JSON object");
-  }
-  if (!is_run_report(doc)) {
-    return fail(std::string("not a ") + kRunReportSchema + " document");
-  }
-  const auto str_or = [&](const char* key) -> std::string {
-    const JsonValue* v = doc.find(key);
-    return (v != nullptr && v->type == JsonValue::Type::String) ? v->str
-                                                                : std::string();
-  };
-  const std::string cell = str_or("cell");
-  tally_run(cell, str_or("fault_plan"), str_or("verdict"), str_or("reason"));
-
-  if (const JsonValue* inj = doc.find("injection");
-      inj != nullptr && inj->type == JsonValue::Type::Object) {
-    for (const auto& [kind, v] : inj->object) {
-      if (kind == "total") continue;  // derived on output, never absorbed
-      injection_[kind] += static_cast<std::int64_t>(v.num_or(0.0));
+    auto [it, inserted] = histograms_.try_emplace(name);
+    HistAgg& mine = it->second;
+    if (inserted) {
+      mine.lo = h.lo();
+      mine.hi = h.hi();
+      mine.bins.assign(h.bins().size(), 0);
     }
+    if (h.count() == 0) continue;
+    if (mine.count == 0 || h.min() < mine.min) mine.min = h.min();
+    if (mine.count == 0 || h.max() > mine.max) mine.max = h.max();
+    mine.count += h.count();
+    mine.run_sums.values.push_back(h.sum());
+    const std::size_t n = std::min(mine.bins.size(), h.bins().size());
+    for (std::size_t i = 0; i < n; ++i) mine.bins[i] += h.bins()[i];
   }
-  if (const JsonValue* values = doc.find("values");
-      values != nullptr && values->type == JsonValue::Type::Object) {
-    for (const auto& [name, v] : values->object) {
-      if (v.type == JsonValue::Type::Number) absorb_value(cell, name, v.number);
-    }
-  }
-  // json_number round-trips doubles exactly, so this absorbs a value
-  // bit-equal to what add_run sees from the live report.
-  if (const JsonValue* decision = doc.find("decision");
-      decision != nullptr && decision->type == JsonValue::Type::Object) {
-    if (const JsonValue* margin = decision->find("margin");
-        margin != nullptr && margin->type == JsonValue::Type::Number) {
-      absorb_value(cell, kDecisionMarginValue, margin->number);
-    }
-  }
-  // Runs without a ground truth have no "audit" object; absorbing nothing
-  // keeps the aggregate identical to what add_run sees for them.
-  if (const JsonValue* audit = doc.find("audit");
-      audit != nullptr && audit->type == JsonValue::Type::Object) {
-    const auto field = [&](const char* key) -> std::string {
-      const JsonValue* v = audit->find(key);
-      return (v != nullptr && v->type == JsonValue::Type::String)
-                 ? v->str
-                 : std::string();
-    };
-    absorb_audit(cell, field("classification"), field("mismatch_reason"));
-  }
-  if (const JsonValue* stages = doc.find("stages");
-      stages != nullptr && stages->type == JsonValue::Type::Array) {
-    for (const auto& s : stages->array) {
-      const JsonValue* name = s.find("name");
-      const JsonValue* sim_ms = s.find("sim_ms");
-      if (name == nullptr || name->type != JsonValue::Type::String ||
-          sim_ms == nullptr || sim_ms->type != JsonValue::Type::Number) {
-        return fail("malformed stages entry");
-      }
-      absorb_stage(name->str, sim_ms->number);
-    }
-  }
-  if (const JsonValue* profile = doc.find("profile");
-      profile != nullptr && profile->type == JsonValue::Type::Object) {
-    for (const auto& [name, p] : profile->object) {
-      const JsonValue* count = p.find("count");
-      const JsonValue* sim_ms = p.find("sim_ms");
-      const JsonValue* self_ms = p.find("self_sim_ms");
-      if (count == nullptr || sim_ms == nullptr || self_ms == nullptr) {
-        return fail("malformed profile entry '" + name + "'");
-      }
-      absorb_profile(name, static_cast<std::uint64_t>(count->num_or(0.0)),
-                     sim_ms->num_or(0.0), self_ms->num_or(0.0));
-    }
-  }
-  const JsonValue* metrics = doc.find("metrics");
-  if (metrics == nullptr || metrics->type != JsonValue::Type::Object) {
-    return true;
-  }
-  if (const JsonValue* counters = metrics->find("counters");
-      counters != nullptr && counters->type == JsonValue::Type::Object) {
-    for (const auto& [name, v] : counters->object) {
-      counters_[name] += static_cast<std::uint64_t>(v.num_or(0.0));
-    }
-  }
-  if (const JsonValue* gauges = metrics->find("gauges");
-      gauges != nullptr && gauges->type == JsonValue::Type::Object) {
-    for (const auto& [name, g] : gauges->object) {
-      const JsonValue* min = g.find("min");
-      const JsonValue* max = g.find("max");
-      if (min == nullptr || max == nullptr) continue;
-      GaugeAgg& mine = gauges_[name];
-      if (!mine.seen || min->number < mine.min) mine.min = min->number;
-      if (!mine.seen || max->number > mine.max) mine.max = max->number;
-      mine.seen = true;
-    }
-  }
-  if (const JsonValue* hists = metrics->find("histograms");
-      hists != nullptr && hists->type == JsonValue::Type::Object) {
-    for (const auto& [name, h] : hists->object) {
-      const JsonValue* bins = h.find("bins");
-      if (bins == nullptr || bins->type != JsonValue::Type::Array) {
-        return fail("histogram '" + name + "' has no bins array");
-      }
-      std::vector<std::uint64_t> b;
-      b.reserve(bins->array.size());
-      for (const auto& v : bins->array) {
-        b.push_back(static_cast<std::uint64_t>(v.num_or(0.0)));
-      }
-      const auto field = [&](const char* key) {
-        const JsonValue* v = h.find(key);
-        return v != nullptr ? v->num_or(0.0) : 0.0;
-      };
-      absorb_histogram(name, field("lo"), field("hi"),
-                       static_cast<std::uint64_t>(field("count")),
-                       field("sum"), field("min"), field("max"), b);
-    }
-  }
-  return true;
 }
 
 namespace {
@@ -576,13 +417,6 @@ std::string SweepAggregator::to_json() const {
   out << "  }\n";
   out << "}\n";
   return out.str();
-}
-
-bool is_sweep_report(const JsonValue& doc) {
-  if (doc.type != JsonValue::Type::Object) return false;
-  const JsonValue* schema = doc.find("schema");
-  return schema != nullptr && schema->type == JsonValue::Type::String &&
-         schema->str == kSweepReportSchema;
 }
 
 // ---------------------------------------------------------------------------

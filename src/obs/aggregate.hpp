@@ -44,16 +44,15 @@
 // non-associativity cannot leak into the output. Gauge "last" values
 // (inherently order-dependent) are dropped; only min/max survive.
 //
-// Runs can be absorbed in-process (add_run, from the live RunReport and
-// its registry) or offline (add_run_json, from a written per-run report
-// file or a checkpoint journal line). Because every obs writer serializes
-// doubles via json_number (shortest round-trippable decimal), the two
-// paths absorb bit-equal values and the resulting sweep files are
-// byte-identical — CI diffs the in-process sweep against `wehey_cli merge`
-// over the per-run files. Both paths stay: the in-process one spares a
-// live run the serialize-and-parse round trip. obs::ObservedSweep
-// (sweep.hpp) drives both for every bench and wehey_cli sweep, and the
-// knife_edge block's threshold is the constant kKnifeEdgeMargin.
+// Every run enters through add_run, from a RunReport and its registry:
+// a live run's own, or one RunReport::from_json read back from a per-run
+// report file (`wehey_cli merge`) or a checkpoint journal line.
+// from_json is the exact inverse of to_json, so a merged or resumed sweep
+// absorbs the same values as a live one and the sweep files are
+// byte-identical — CI diffs the in-process sweep against `wehey_cli
+// merge` over the per-run files. obs::ObservedSweep (sweep.hpp) drives
+// add_run for every bench and wehey_cli sweep, and the knife_edge block's
+// threshold is the constant kKnifeEdgeMargin.
 #pragma once
 
 #include <cstdint>
@@ -85,15 +84,9 @@ class SweepAggregator {
   explicit SweepAggregator(std::string sweep_name)
       : sweep_(std::move(sweep_name)) {}
 
-  /// Absorb one run (in-process path). `metrics` is the run's registry
-  /// (may be null). The cell tally uses `report.cell`.
+  /// Absorb one run. `metrics` is the run's registry (may be null). The
+  /// cell tally uses `report.cell`.
   void add_run(const RunReport& report, const MetricsRegistry* metrics);
-
-  /// Absorb one run from a parsed per-run report document (offline
-  /// path, `wehey_cli merge`). Accepts only the kRunReportSchema version
-  /// this build writes; returns false and fills `error` on any other
-  /// document or on structural problems.
-  bool add_run_json(const JsonValue& doc, std::string* error = nullptr);
 
   std::size_t runs() const { return runs_; }
   const std::string& sweep_name() const { return sweep_; }
@@ -158,19 +151,6 @@ class SweepAggregator {
     std::map<std::string, std::uint64_t> poison_reasons;
   };
 
-  void tally_run(const std::string& cell, const std::string& fault_plan,
-                 const std::string& verdict, const std::string& reason);
-  void absorb_audit(const std::string& cell, const std::string& classification,
-                    const std::string& mismatch_reason);
-  void absorb_value(const std::string& cell, const std::string& name,
-                    double v);
-  void absorb_stage(const std::string& name, double sim_ms);
-  void absorb_profile(const std::string& name, std::uint64_t count,
-                      double sim_ms, double self_sim_ms);
-  void absorb_histogram(const std::string& name, double lo, double hi,
-                        std::uint64_t count, double sum, double min,
-                        double max, const std::vector<std::uint64_t>& bins);
-
   std::string sweep_;
   std::size_t runs_ = 0;
   std::map<std::string, std::uint64_t> fault_plans_;
@@ -186,9 +166,6 @@ class SweepAggregator {
   std::map<std::string, GaugeAgg> gauges_;
   std::map<std::string, HistAgg> histograms_;
 };
-
-/// True when `doc` looks like a wehey.sweep_report.v1 document.
-bool is_sweep_report(const JsonValue& doc);
 
 // ---------------------------------------------------------------------------
 // Baseline comparison (`wehey_cli compare`, the perf-regression gate CI

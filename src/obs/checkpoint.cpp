@@ -68,17 +68,13 @@ bool CheckpointJournal::load(const std::string& path, CheckpointJournal& out,
     if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
     JsonValue doc;
     std::string parse_error;
-    const JsonValue* schema = nullptr;
-    const JsonValue* run = nullptr;
-    const JsonValue* report = nullptr;
+    CheckpointEntry entry;
     const bool ok = json_parse(line, doc, &parse_error) &&
-                    (schema = doc.find("schema")) != nullptr &&
-                    schema->type == JsonValue::Type::String &&
-                    schema->str == kSweepCheckpointSchema &&
-                    (run = doc.find("run")) != nullptr &&
-                    run->type == JsonValue::Type::String &&
-                    (report = doc.find("report")) != nullptr &&
-                    report->type == JsonValue::Type::String;
+                    doc.at("schema").str == kSweepCheckpointSchema &&
+                    doc.at("run").type == JsonValue::Type::String &&
+                    doc.at("report").type == JsonValue::Type::String &&
+                    doc.at("seed").integer(entry.seed) &&
+                    doc.at("index").integer(entry.index);
     if (!ok) {
       // The interrupted append leaves a torn final line; anything after a
       // flushed bad line is unreachable by construction, so stop either
@@ -89,23 +85,14 @@ bool CheckpointJournal::load(const std::string& path, CheckpointJournal& out,
       if (error != nullptr) {
         *error = path + ":" + std::to_string(line_no) +
                  ": malformed checkpoint line (" +
-                 (parse_error.empty() ? "missing fields" : parse_error) + ")";
+                 (parse_error.empty() ? "missing or malformed fields" : parse_error) + ")";
       }
       return false;
     }
-    CheckpointEntry entry;
-    entry.run = run->str;
-    if (const JsonValue* cell = doc.find("cell")) entry.cell = cell->str;
-    if (const JsonValue* seed = doc.find("seed")) {
-      entry.seed = static_cast<std::uint64_t>(seed->num_or(0.0));
-    }
-    if (const JsonValue* index = doc.find("index")) {
-      entry.index = static_cast<std::uint64_t>(index->num_or(0.0));
-    }
-    entry.report_json = report->str;
-    if (const JsonValue* sweep = doc.find("sweep")) {
-      if (out.sweep_.empty()) out.sweep_ = sweep->str;
-    }
+    entry.run = doc.at("run").str;
+    entry.cell = doc.at("cell").str;
+    entry.report_json = doc.at("report").str;
+    if (out.sweep_.empty()) out.sweep_ = doc.at("sweep").str;
     auto [it, inserted] =
         out.by_run_.try_emplace(entry.run, out.entries_.size());
     if (inserted) {

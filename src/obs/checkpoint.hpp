@@ -9,13 +9,13 @@
 //    "index": N, "report": "<serialized RunReport, as a JSON string>"}
 //
 // and flushes it, so a kill -9 loses at most the run in flight. On resume
-// the driver loads the journal, skips every journaled run whose report
-// this build can absorb, and re-absorbs those reports into the
-// SweepAggregator *in run-index order* — the embedded report string
-// preserves the RunReport's exact bytes, and SweepAggregator::add_run_json
-// is bit-equal to the in-process add_run path, so a killed-and-resumed
+// ObservedSweep loads the journal, reads every embedded report back once
+// with RunReport::from_json, skips the runs it could read, and absorbs
+// their reports *in run-index order* through the same path as a live
+// run. The embedded string preserves the RunReport's exact bytes and
+// from_json is the exact inverse of to_json, so a killed-and-resumed
 // sweep produces a sweep report byte-identical to an uninterrupted one, at
-// any WEHEY_THREADS. A journaled report it cannot absorb (one an older
+// any WEHEY_THREADS. A journaled report it cannot read (one an older
 // build wrote, tagged with an older run-report version) is not a
 // completed run: that run executes again. The journal itself stays
 // agnostic of the embedded bytes.

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <map>
 
-#include "obs/aggregate.hpp"
 #include "obs/checkpoint.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -194,6 +193,12 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
+const JsonValue& JsonValue::at(const std::string& key) const {
+  static const JsonValue null;
+  const JsonValue* v = find(key);
+  return v != nullptr ? *v : null;
+}
+
 bool json_parse(const std::string& text, JsonValue& out,
                 std::string* error) {
   Parser parser{text.data(), text.data() + text.size(), {}};
@@ -236,44 +241,11 @@ bool is_run_report(const JsonValue& doc) {
   return has_schema(doc, kRunReportSchema);
 }
 
-bool is_chrome_trace(const JsonValue& doc) {
-  const JsonValue* events = doc.find("traceEvents");
-  return events != nullptr && events->type == JsonValue::Type::Array;
-}
-
 bool is_runtime_report(const JsonValue& doc) {
   return has_schema(doc, kRuntimeReportSchema);
 }
 
-// ---------------------------------------------------------- report render
-
 namespace {
-
-/// histogram_quantile over a serialized histogram object (the registry
-/// layout: {"lo", "hi", "count", "sum", "min", "max", "bins"}).
-double json_quantile(const JsonValue& h, double q) {
-  const auto field = [&h](const char* key, double fallback) {
-    const JsonValue* v = h.find(key);
-    return v != nullptr ? v->num_or(fallback) : fallback;
-  };
-  const auto tally = [](double v) {
-    return static_cast<std::uint64_t>(std::max(v, 0.0));
-  };
-  std::vector<std::uint64_t> bins;
-  if (const JsonValue* b = h.find("bins")) {
-    for (const auto& v : b->array) bins.push_back(tally(v.num_or(0)));
-  }
-  return histogram_quantile(field("lo", 0), field("hi", 1),
-                            tally(field("count", 0)), field("min", 0),
-                            field("max", 0), bins, q);
-}
-
-const char* str_or(const JsonValue& doc, const char* key,
-                   const char* fallback = "") {
-  const JsonValue* v = doc.find(key);
-  return v != nullptr && v->type == JsonValue::Type::String ? v->str.c_str()
-                                                            : fallback;
-}
 
 void print_rule(std::FILE* out, const char* title) {
   std::fprintf(out, "\n%s\n", title);
@@ -281,277 +253,188 @@ void print_rule(std::FILE* out, const char* title) {
   std::fputc('\n', out);
 }
 
-/// Counters whose names start with `prefix`, in registry (sorted) order.
-std::vector<std::pair<std::string, double>> counters_with_prefix(
-    const JsonValue& counters, const std::string& prefix) {
-  std::vector<std::pair<std::string, double>> out;
-  if (counters.type != JsonValue::Type::Object) return out;
-  for (const auto& [name, v] : counters.object) {
-    if (name.rfind(prefix, 0) == 0) out.emplace_back(name, v.num_or(0));
+// ---------------------------------------------------------- report render
+
+/// The counters named `prefix`*, under `title`; only those whose name
+/// contains `row_filter` get a row. Returns whether any counter matched
+/// (and so the section printed).
+bool print_counters(std::FILE* out, const MetricsRegistry& metrics,
+                    const std::string& prefix, const char* title,
+                    const char* row_filter = "") {
+  bool any = false;
+  for (const auto& [name, c] : metrics.counters()) {
+    if (name.rfind(prefix, 0) != 0) continue;
+    if (!any) print_rule(out, title);
+    any = true;
+    if (name.find(row_filter) == std::string::npos) continue;
+    std::fprintf(out, "  %-28s %10.0f\n", name.c_str(),
+                 static_cast<double>(c.value()));
   }
-  return out;
+  return any;
 }
 
-}  // namespace
-
-void render_report(const JsonValue& doc, std::FILE* out) {
-  std::fprintf(out, "run report  %s\n", str_or(doc, "schema"));
-  std::fprintf(out, "  run        %s\n", str_or(doc, "run"));
-  const JsonValue* seed = doc.find("seed");
-  if (seed != nullptr) {
-    std::fprintf(out, "  seed       %.0f\n", seed->num_or(0));
+void render_report(const RunReport& r, const MetricsRegistry& metrics,
+                   std::FILE* out) {
+  std::fprintf(out, "run report  %s\n", kRunReportSchema);
+  std::fprintf(out, "  run        %s\n", r.run.c_str());
+  std::fprintf(out, "  seed       %.0f\n", static_cast<double>(r.seed));
+  std::fprintf(out, "  fault plan %s\n",
+               r.fault_plan.empty() ? "(none)" : r.fault_plan.c_str());
+  std::fprintf(out, "  verdict    %s\n", r.verdict.c_str());
+  if (!r.reason.empty()) {
+    std::fprintf(out, "  reason     %s\n", r.reason.c_str());
   }
-  const char* plan = str_or(doc, "fault_plan");
-  std::fprintf(out, "  fault plan %s\n", plan[0] != 0 ? plan : "(none)");
-  std::fprintf(out, "  verdict    %s\n", str_or(doc, "verdict"));
-  const char* reason = str_or(doc, "reason");
-  if (reason[0] != 0) std::fprintf(out, "  reason     %s\n", reason);
 
-  // Verdict provenance. Every section below is skipped when missing.
-  const JsonValue* decision = doc.find("decision");
-  if (decision != nullptr && decision->type == JsonValue::Type::Object) {
-    print_rule(out, "decision (margin < 0 would flip; |margin| ~ 0 = knife-edge)");
-    const JsonValue* evaluated = decision->find("evaluated");
-    std::fprintf(out, "  evaluated      %s\n",
-                 evaluated != nullptr && evaluated->boolean ? "yes"
-                                                           : "no (pre-analysis)");
-    if (const JsonValue* margin = decision->find("margin")) {
-      std::fprintf(out, "  verdict margin %.4g\n", margin->num_or(0));
+  // Verdict provenance.
+  const DecisionSection& d = r.decision;
+  print_rule(out, "decision (margin < 0 would flip; |margin| ~ 0 = knife-edge)");
+  std::fprintf(out, "  evaluated      %s\n",
+               d.evaluated ? "yes" : "no (pre-analysis)");
+  if (d.has_margin) std::fprintf(out, "  verdict margin %.4g\n", d.margin);
+  if (!d.detectors.empty()) {
+    std::fprintf(out, "  %-18s %11s %11s %11s %8s %6s\n", "detector",
+                 "statistic", "threshold", "margin", "outcome", "valid");
+  }
+  for (const DecisionRow& row : d.detectors) {
+    std::fprintf(out, "  %-18s %11.4g %11.4g %11.4g %8s %6s", row.name.c_str(),
+                 row.statistic, row.threshold, row.margin,
+                 row.outcome ? "fired" : "no", row.valid ? "yes" : "NO");
+    if (row.has_rho) {
+      std::fprintf(out, "  rho=%.4g sigma=%.4g ms", row.rho, row.sigma_ms);
     }
-    const JsonValue* detectors = decision->find("detectors");
-    if (detectors != nullptr && !detectors->array.empty()) {
-      std::fprintf(out, "  %-18s %11s %11s %11s %8s %6s\n", "detector",
-                   "statistic", "threshold", "margin", "outcome", "valid");
-      for (const auto& d : detectors->array) {
-        const auto field = [&d](const char* key) {
-          const JsonValue* v = d.find(key);
-          return v != nullptr ? v->num_or(0) : 0.0;
-        };
-        const JsonValue* outcome = d.find("outcome");
-        const JsonValue* valid = d.find("valid");
-        std::fprintf(out, "  %-18s %11.4g %11.4g %11.4g %8s %6s",
-                     str_or(d, "name"), field("statistic"), field("threshold"),
-                     field("margin"),
-                     outcome != nullptr && outcome->boolean ? "fired" : "no",
-                     valid != nullptr && valid->boolean ? "yes" : "NO");
-        if (d.find("rho") != nullptr) {
-          std::fprintf(out, "  rho=%.4g sigma=%.4g ms", field("rho"),
-                       field("sigma_ms"));
-        }
-        std::fputc('\n', out);
-      }
+    std::fputc('\n', out);
+  }
+  if (d.has_aggregation) {
+    std::fprintf(out,
+                 "  aggregation    %.0f/%.0f sizes correlated (%.0f valid) "
+                 "vs threshold %.4g -> %s (margin %.4g)\n",
+                 static_cast<double>(d.sizes_correlated),
+                 static_cast<double>(d.sizes_tested),
+                 static_cast<double>(d.sizes_valid), d.aggregation_threshold,
+                 d.aggregation_outcome ? "common bottleneck" : "no",
+                 d.aggregation_margin);
+  }
+  if (!d.degradations.empty()) {
+    std::fprintf(out, "  degradations  ");
+    for (const auto& deg : d.degradations) {
+      std::fprintf(out, " %s", deg.c_str());
     }
-    const JsonValue* agg = decision->find("aggregation");
-    if (agg != nullptr && agg->type == JsonValue::Type::Object) {
-      const auto field = [&agg](const char* key) {
-        const JsonValue* v = agg->find(key);
-        return v != nullptr ? v->num_or(0) : 0.0;
-      };
-      const JsonValue* outcome = agg->find("outcome");
-      std::fprintf(out,
-                   "  aggregation    %.0f/%.0f sizes correlated (%.0f valid) "
-                   "vs threshold %.4g -> %s (margin %.4g)\n",
-                   field("sizes_correlated"), field("sizes_tested"),
-                   field("sizes_valid"), field("threshold"),
-                   outcome != nullptr && outcome->boolean ? "common bottleneck"
-                                                          : "no",
-                   field("margin"));
-    }
-    const JsonValue* degradations = decision->find("degradations");
-    if (degradations != nullptr && !degradations->array.empty()) {
-      std::fprintf(out, "  degradations  ");
-      for (const auto& deg : degradations->array) {
-        std::fprintf(out, " %s", deg.str.c_str());
-      }
-      std::fputc('\n', out);
-    }
+    std::fputc('\n', out);
   }
 
   // Ground truth + audit: only runners that know their ground truth
   // emit them.
-  const JsonValue* truth = doc.find("ground_truth");
-  if (truth != nullptr && truth->type == JsonValue::Type::Object) {
+  const GroundTruthSection& truth = r.ground_truth;
+  if (truth.present) {
     print_rule(out, "audit (verdict vs configured ground truth)");
-    const auto flag = [&truth](const char* key) {
-      const JsonValue* v = truth->find(key);
-      return v != nullptr && v->boolean;
-    };
     std::fprintf(out, "  truth          %s",
-                 flag("differentiated") ? str_or(*truth, "mechanism")
-                                        : "no differentiation");
-    if (flag("differentiated")) {
-      std::fprintf(out, " @ %s (%s target area)",
-                   str_or(*truth, "placement"),
-                   flag("within_target_area") ? "within" : "outside");
-      if (const JsonValue* rate = truth->find("rate_bps");
-          rate != nullptr && rate->num_or(0) > 0) {
-        std::fprintf(out, ", rate %.4g bps", rate->num_or(0));
+                 truth.differentiated ? truth.mechanism.c_str()
+                                      : "no differentiation");
+    if (truth.differentiated) {
+      std::fprintf(out, " @ %s (%s target area)", truth.placement.c_str(),
+                   truth.within_target_area ? "within" : "outside");
+      if (truth.rate_bps > 0) {
+        std::fprintf(out, ", rate %.4g bps", truth.rate_bps);
       }
-      if (const JsonValue* act = truth->find("activation_bytes");
-          act != nullptr && act->num_or(0) > 0) {
-        std::fprintf(out, ", activates after %.0f bytes", act->num_or(0));
+      if (truth.activation_bytes > 0) {
+        std::fprintf(out, ", activates after %.0f bytes",
+                     static_cast<double>(truth.activation_bytes));
       }
     }
-    if (flag("sanity_check")) std::fprintf(out, "  [sanity check]");
+    if (truth.sanity_check) std::fprintf(out, "  [sanity check]");
     std::fputc('\n', out);
-    const JsonValue* audit = doc.find("audit");
-    if (audit != nullptr && audit->type == JsonValue::Type::Object) {
-      const auto aflag = [&audit](const char* key) {
-        const JsonValue* v = audit->find(key);
-        return v != nullptr && v->boolean;
-      };
+    if (r.audit.present) {
       std::fprintf(out, "  expected       %s\n",
-                   aflag("expected_positive") ? "positive" : "negative");
+                   r.audit.expected_positive ? "positive" : "negative");
       std::fprintf(out, "  observed       %s\n",
-                   aflag("observed_positive") ? "positive" : "negative");
-      const char* reason = str_or(*audit, "mismatch_reason");
-      std::fprintf(out, "  classification %s", str_or(*audit, "classification"));
-      if (reason[0] != 0) std::fprintf(out, "  (%s)", reason);
-      std::fputc('\n', out);
-    }
-  }
-
-  const JsonValue* stages = doc.find("stages");
-  if (stages != nullptr && !stages->array.empty()) {
-    print_rule(out, "stages (sim time)");
-    for (const auto& st : stages->array) {
-      const JsonValue* ms = st.find("sim_ms");
-      const JsonValue* wall = st.find("wall_ms");
-      std::fprintf(out, "  %-24s %12.3f ms", str_or(st, "name"),
-                   ms != nullptr ? ms->num_or(0) : 0.0);
-      if (wall != nullptr) {
-        std::fprintf(out, "  (wall %.3f ms)", wall->num_or(0));
+                   r.audit.observed_positive ? "positive" : "negative");
+      std::fprintf(out, "  classification %s",
+                   r.audit.classification.c_str());
+      if (!r.audit.mismatch_reason.empty()) {
+        std::fprintf(out, "  (%s)", r.audit.mismatch_reason.c_str());
       }
       std::fputc('\n', out);
     }
   }
 
-  const JsonValue* metrics = doc.find("metrics");
-  const JsonValue* histograms =
-      metrics != nullptr ? metrics->find("histograms") : nullptr;
-  const JsonValue* counters =
-      metrics != nullptr ? metrics->find("counters") : nullptr;
-  const JsonValue* percentiles = doc.find("percentiles");
+  if (!r.stages.empty()) print_rule(out, "stages (sim time)");
+  for (const StageTiming& st : r.stages) {
+    std::fprintf(out, "  %-24s %12.3f ms", st.name.c_str(),
+                 to_milliseconds(st.sim_end) - to_milliseconds(st.sim_start));
+    if (st.wall_ms >= 0.0) std::fprintf(out, "  (wall %.3f ms)", st.wall_ms);
+    std::fputc('\n', out);
+  }
 
-  if (histograms != nullptr && !histograms->object.empty()) {
+  if (!metrics.histograms().empty()) {
     print_rule(out, "latency percentiles (from histogram bins)");
     std::fprintf(out, "  %-28s %10s %10s %10s %10s %10s\n", "histogram",
                  "count", "p50", "p90", "p99", "max");
-    for (const auto& [name, h] : histograms->object) {
-      const double count = h.find("count") ? h.find("count")->num_or(0) : 0;
-      if (count <= 0) continue;
-      const JsonValue* pre =
-          percentiles != nullptr ? percentiles->find(name) : nullptr;
-      const auto pct = [pre](const char* key) {
-        const JsonValue* v = pre != nullptr ? pre->find(key) : nullptr;
-        return v != nullptr ? v->num_or(0) : 0.0;
-      };
-      const double hmax = h.find("max") ? h.find("max")->num_or(0) : 0;
-      std::fprintf(out, "  %-28s %10.0f %10.4g %10.4g %10.4g %10.4g\n",
-                   name.c_str(), count, pct("p50"), pct("p90"), pct("p99"),
-                   hmax);
-    }
+  }
+  for (const auto& [name, h] : metrics.histograms()) {
+    if (h.count() == 0) continue;
+    std::fprintf(out, "  %-28s %10.0f %10.4g %10.4g %10.4g %10.4g\n",
+                 name.c_str(), static_cast<double>(h.count()),
+                 histogram_quantile(h, 0.50), histogram_quantile(h, 0.90),
+                 histogram_quantile(h, 0.99), h.max());
   }
 
-  if (counters != nullptr) {
-    const auto queue_drops = counters_with_prefix(*counters, "queue.");
-    if (!queue_drops.empty()) {
-      print_rule(out, "queue drops by reason");
-      for (const auto& [name, v] : queue_drops) {
-        if (name.find(".drop.") == std::string::npos) continue;
-        std::fprintf(out, "  %-28s %10.0f\n", name.c_str(), v);
-      }
-    }
-    const auto flows = counters_with_prefix(*counters, "tcp.");
-    if (!flows.empty()) {
-      print_rule(out, "per-flow RTT / loss");
-      for (const auto& [name, v] : flows) {
-        std::fprintf(out, "  %-28s %10.0f\n", name.c_str(), v);
-      }
-      if (histograms != nullptr) {
-        const JsonValue* srtt = histograms->find("tcp.flow_srtt_ms");
-        if (srtt != nullptr && srtt->find("count") != nullptr &&
-            srtt->find("count")->num_or(0) > 0) {
-          std::fprintf(out,
-                       "  flow srtt: p50 %.4g ms, p90 %.4g ms, p99 %.4g "
-                       "ms (over %.0f flow snapshots)\n",
-                       json_quantile(*srtt, 0.5), json_quantile(*srtt, 0.9),
-                       json_quantile(*srtt, 0.99),
-                       srtt->find("count")->num_or(0));
-        }
-      }
-    }
-    const auto links = counters_with_prefix(*counters, "net.");
-    if (!links.empty()) {
-      print_rule(out, "links");
-      for (const auto& [name, v] : links) {
-        std::fprintf(out, "  %-28s %10.0f\n", name.c_str(), v);
-      }
-    }
-    // Hybrid fluid/packet background (WEHEY_BG_MODE=fluid). The section
-    // only exists when the run produced fluid counters, so pre-fluid
-    // reports render byte-identically.
-    const auto fluid = counters_with_prefix(*counters, "fluid.");
-    if (!fluid.empty()) {
-      print_rule(out, "fluid background");
-      for (const auto& [name, v] : fluid) {
-        std::fprintf(out, "  %-28s %10.0f\n", name.c_str(), v);
-      }
+  print_counters(out, metrics, "queue.", "queue drops by reason", ".drop.");
+  if (print_counters(out, metrics, "tcp.", "per-flow RTT / loss")) {
+    const auto srtt = metrics.histograms().find("tcp.flow_srtt_ms");
+    if (srtt != metrics.histograms().end() && srtt->second.count() > 0) {
+      const Histogram& h = srtt->second;
+      std::fprintf(out,
+                   "  flow srtt: p50 %.4g ms, p90 %.4g ms, p99 %.4g "
+                   "ms (over %.0f flow snapshots)\n",
+                   histogram_quantile(h, 0.5), histogram_quantile(h, 0.9),
+                   histogram_quantile(h, 0.99), static_cast<double>(h.count()));
     }
   }
+  print_counters(out, metrics, "net.", "links");
+  // Hybrid fluid/packet background (WEHEY_BG_MODE=fluid): only runs that
+  // produced fluid counters have the section.
+  print_counters(out, metrics, "fluid.", "fluid background");
 
-  const JsonValue* profile = doc.find("profile");
-  if (profile != nullptr && !profile->object.empty()) {
+  if (!r.profile.empty()) {
     print_rule(out, "stage profile (sim time, self = minus children)");
     std::fprintf(out, "  %-24s %6s %12s %12s %12s %12s\n", "stage", "count",
                  "sim ms", "self ms", "wall ms", "self wall");
-    for (const auto& [name, e] : profile->object) {
-      const JsonValue* wall = e.find("wall_ms");
-      const JsonValue* self_wall = e.find("self_wall_ms");
-      std::fprintf(out, "  %-24s %6.0f %12.3f %12.3f",
-                   name.c_str(),
-                   e.find("count") ? e.find("count")->num_or(0) : 0.0,
-                   e.find("sim_ms") ? e.find("sim_ms")->num_or(0) : 0.0,
-                   e.find("self_sim_ms") ? e.find("self_sim_ms")->num_or(0)
-                                         : 0.0);
-      if (wall != nullptr) {
-        std::fprintf(out, " %12.3f", wall->num_or(0));
+  }
+  for (const ProfileEntry& e : r.profile) {
+    std::fprintf(out, "  %-24s %6.0f %12.3f %12.3f", e.name.c_str(),
+                 static_cast<double>(e.count), e.sim_ms, e.self_sim_ms);
+    for (const double wall : {e.wall_ms, e.self_wall_ms}) {
+      if (wall >= 0.0) {
+        std::fprintf(out, " %12.3f", wall);
       } else {
         std::fprintf(out, " %12s", "-");
       }
-      if (self_wall != nullptr) {
-        std::fprintf(out, " %12.3f", self_wall->num_or(0));
-      } else {
-        std::fprintf(out, " %12s", "-");
-      }
-      std::fputc('\n', out);
     }
+    std::fputc('\n', out);
   }
 
-  const JsonValue* injection = doc.find("injection");
-  if (injection != nullptr && !injection->object.empty()) {
+  if (!r.injection.empty()) {
     print_rule(out, "fault injection");
-    for (const auto& [kind, n] : injection->object) {
-      std::fprintf(out, "  %-28s %10.0f\n", kind.c_str(), n.num_or(0));
+    int total = 0;
+    for (const auto& [kind, n] : r.injection) {
+      std::fprintf(out, "  %-28s %10d\n", kind.c_str(), n);
+      total += n;
     }
+    std::fprintf(out, "  %-28s %10d\n", "total", total);
   }
 }
 
 // ----------------------------------------------------------- sweep render
 
-namespace {
-
 /// One row of a {"count","min","max","mean","sum","p50","p90","p99"}
 /// summary object (sweep-report "values"/"stages" sections).
 void print_summary_row(std::FILE* out, const std::string& name,
                        const JsonValue& s, int name_width) {
-  const auto field = [&s](const char* key) {
-    const JsonValue* v = s.find(key);
-    return v != nullptr ? v->num_or(0) : 0.0;
-  };
   std::fprintf(out, "  %-*s %6.0f %11.4g %11.4g %11.4g %11.4g %11.4g\n",
-               name_width, name.c_str(), field("count"), field("min"),
-               field("mean"), field("p50"), field("p90"), field("max"));
+               name_width, name.c_str(), s.at("count").num_or(0),
+               s.at("min").num_or(0), s.at("mean").num_or(0),
+               s.at("p50").num_or(0), s.at("p90").num_or(0),
+               s.at("max").num_or(0));
 }
 
 void print_summary_header(std::FILE* out, const char* what, int name_width) {
@@ -561,206 +444,164 @@ void print_summary_header(std::FILE* out, const char* what, int name_width) {
 
 void print_tally(std::FILE* out, const JsonValue& doc, const char* key,
                  const char* title) {
-  const JsonValue* tally = doc.find(key);
-  if (tally == nullptr || tally->object.empty()) return;
+  const JsonValue& tally = doc.at(key);
+  if (tally.object.empty()) return;
   print_rule(out, title);
-  for (const auto& [name, n] : tally->object) {
+  for (const auto& [name, n] : tally.object) {
     std::fprintf(out, "  %-28s %10.0f\n", name.c_str(), n.num_or(0));
   }
 }
 
-}  // namespace
+/// "  key=N" for each member of a tally object.
+void print_inline_tally(std::FILE* out, const JsonValue& tally) {
+  for (const auto& [key, n] : tally.object) {
+    std::fprintf(out, "  %s=%.0f", key.c_str(), n.num_or(0));
+  }
+}
 
 void render_sweep(const JsonValue& doc, std::FILE* out) {
-  std::fprintf(out, "sweep report  %s\n", str_or(doc, "schema"));
-  std::fprintf(out, "  sweep      %s\n", str_or(doc, "sweep"));
-  const JsonValue* runs = doc.find("runs");
-  std::fprintf(out, "  runs       %.0f\n",
-               runs != nullptr ? runs->num_or(0) : 0.0);
+  std::fprintf(out, "sweep report  %s\n", doc.at("schema").str.c_str());
+  std::fprintf(out, "  sweep      %s\n", doc.at("sweep").str.c_str());
+  std::fprintf(out, "  runs       %.0f\n", doc.at("runs").num_or(0));
 
   print_tally(out, doc, "verdicts", "verdicts");
   print_tally(out, doc, "fault_plans", "fault plans");
   print_tally(out, doc, "reasons", "reasons");
   print_tally(out, doc, "injection", "fault injection (all runs)");
 
-  const JsonValue* stages = doc.find("stages");
-  if (stages != nullptr && !stages->object.empty()) {
+  const JsonValue& stages = doc.at("stages");
+  if (!stages.object.empty()) {
     print_rule(out, "stages (per-run sim ms)");
     print_summary_header(out, "stage", 24);
-    for (const auto& [name, s] : stages->object) {
+    for (const auto& [name, s] : stages.object) {
       print_summary_row(out, name, s, 24);
     }
   }
 
-  const JsonValue* profile = doc.find("profile");
-  if (profile != nullptr && !profile->object.empty()) {
+  const JsonValue& profile = doc.at("profile");
+  if (!profile.object.empty()) {
     print_rule(out, "stage profile (self sim ms across runs)");
     std::fprintf(out, "  %-24s %6s %11s %11s %11s %11s\n", "stage", "spans",
                  "self mean", "self p50", "self p90", "self max");
-    for (const auto& [name, e] : profile->object) {
-      const JsonValue* self = e.find("self_sim_ms");
-      const auto field = [&self](const char* key) {
-        const JsonValue* v = self != nullptr ? self->find(key) : nullptr;
-        return v != nullptr ? v->num_or(0) : 0.0;
-      };
+    for (const auto& [name, e] : profile.object) {
+      const JsonValue& self = e.at("self_sim_ms");
       std::fprintf(out, "  %-24s %6.0f %11.4g %11.4g %11.4g %11.4g\n",
-                   name.c_str(),
-                   e.find("spans") ? e.find("spans")->num_or(0) : 0.0,
-                   field("mean"), field("p50"), field("p90"), field("max"));
+                   name.c_str(), e.at("spans").num_or(0),
+                   self.at("mean").num_or(0), self.at("p50").num_or(0),
+                   self.at("p90").num_or(0), self.at("max").num_or(0));
     }
   }
 
-  const JsonValue* values = doc.find("values");
-  if (values != nullptr && !values->object.empty()) {
+  const JsonValue& values = doc.at("values");
+  if (!values.object.empty()) {
     print_rule(out, "values (across runs)");
     print_summary_header(out, "value", 28);
-    for (const auto& [name, s] : values->object) {
+    for (const auto& [name, s] : values.object) {
       print_summary_row(out, name, s, 28);
     }
   }
 
-  const JsonValue* cells = doc.find("cells");
-  if (cells != nullptr && !cells->object.empty()) {
+  const JsonValue& cells = doc.at("cells");
+  if (!cells.object.empty()) {
     print_rule(out, "grid cells");
-    for (const auto& [name, cell] : cells->object) {
-      const JsonValue* cell_runs = cell.find("runs");
+    for (const auto& [name, cell] : cells.object) {
       std::fprintf(out, "  %-24s %6.0f runs", name.c_str(),
-                   cell_runs != nullptr ? cell_runs->num_or(0) : 0.0);
-      const JsonValue* verdicts = cell.find("verdicts");
-      if (verdicts != nullptr) {
-        for (const auto& [verdict, n] : verdicts->object) {
-          std::fprintf(out, "  %s=%.0f", verdict.c_str(), n.num_or(0));
-        }
-      }
+                   cell.at("runs").num_or(0));
+      print_inline_tally(out, cell.at("verdicts"));
       std::fputc('\n', out);
     }
   }
 
   // Quarantined cells: repeated budget-exhausted (crash-equivalent) runs.
-  const JsonValue* quarantine = doc.find("quarantine");
-  const JsonValue* qcells =
-      quarantine != nullptr ? quarantine->find("cells") : nullptr;
-  if (qcells != nullptr && !qcells->object.empty()) {
-    const JsonValue* threshold = quarantine->find("threshold");
+  const JsonValue& quarantine = doc.at("quarantine");
+  if (!quarantine.at("cells").object.empty()) {
     char title[80];
     std::snprintf(title, sizeof(title),
                   "QUARANTINED cells (>= %.0f budget-exhausted runs)",
-                  threshold != nullptr ? threshold->num_or(0) : 0.0);
+                  quarantine.at("threshold").num_or(0));
     print_rule(out, title);
-    for (const auto& [name, q] : qcells->object) {
-      const JsonValue* poisoned = q.find("poisoned_runs");
+    for (const auto& [name, q] : quarantine.at("cells").object) {
       std::fprintf(out, "  %-24s %6.0f poisoned", name.c_str(),
-                   poisoned != nullptr ? poisoned->num_or(0) : 0.0);
-      const JsonValue* reasons = q.find("reasons");
-      if (reasons != nullptr) {
-        for (const auto& [reason, n] : reasons->object) {
-          std::fprintf(out, "  %s=%.0f", reason.c_str(), n.num_or(0));
-        }
-      }
+                   q.at("poisoned_runs").num_or(0));
+      print_inline_tally(out, q.at("reasons"));
       std::fputc('\n', out);
     }
   }
 
   // Knife-edge cells: minimum |decision margin| under the gate threshold.
-  const JsonValue* knife = doc.find("knife_edge");
-  const JsonValue* kcells = knife != nullptr ? knife->find("cells") : nullptr;
-  if (kcells != nullptr) {
-    const JsonValue* threshold = knife->find("margin_threshold");
+  const JsonValue& knife = doc.at("knife_edge");
+  if (const JsonValue* kcells = knife.find("cells")) {
     char title[80];
     std::snprintf(title, sizeof(title),
                   "KNIFE-EDGE cells (min |margin| < %.4g)",
-                  threshold != nullptr ? threshold->num_or(0) : 0.0);
+                  knife.at("margin_threshold").num_or(0));
     print_rule(out, title);
     if (kcells->object.empty()) {
       std::fprintf(out, "  (none — every cell's verdicts are stable)\n");
     }
     for (const auto& [name, k] : kcells->object) {
-      const JsonValue* min_margin = k.find("min_margin");
-      const JsonValue* below = k.find("runs_below");
       std::fprintf(out, "  %-24s min margin %10.4g  (%.0f runs below)\n",
-                   name.c_str(),
-                   min_margin != nullptr ? min_margin->num_or(0) : 0.0,
-                   below != nullptr ? below->num_or(0) : 0.0);
+                   name.c_str(), k.at("min_margin").num_or(0),
+                   k.at("runs_below").num_or(0));
     }
   }
 
   // Verdict audit: confusion matrices vs the configured ground truth.
   // Absent when no absorbed run carried an audit.
-  const JsonValue* audit = doc.find("audit");
-  if (audit != nullptr && audit->type == JsonValue::Type::Object) {
+  const JsonValue& audit = doc.at("audit");
+  if (audit.type == JsonValue::Type::Object) {
     print_rule(out, "AUDIT (verdict vs ground truth; * = knife-edge cell)");
     std::fprintf(out, "  %-24s %5s %5s %5s %5s %5s %9s %9s %9s\n", "cell",
                  "tp", "fp", "fn", "tn", "skip", "accuracy", "precision",
                  "recall");
     const auto print_matrix = [out](const std::string& label,
-                                    const JsonValue& m, bool knife) {
-      const auto field = [&m](const char* key) {
-        const JsonValue* v = m.find(key);
-        return v != nullptr ? v->num_or(0) : 0.0;
-      };
-      std::fprintf(out, "  %-24s %5.0f %5.0f %5.0f %5.0f %5.0f %9.4g %9.4g %9.4g\n",
-                   (label + (knife ? " *" : "")).c_str(), field("tp"),
-                   field("fp"), field("fn"), field("tn"), field("skipped"),
-                   field("accuracy"), field("precision"), field("recall"));
+                                    const JsonValue& m, bool knife_edge) {
+      std::fprintf(
+          out, "  %-24s %5.0f %5.0f %5.0f %5.0f %5.0f %9.4g %9.4g %9.4g\n",
+          (label + (knife_edge ? " *" : "")).c_str(), m.at("tp").num_or(0),
+          m.at("fp").num_or(0), m.at("fn").num_or(0), m.at("tn").num_or(0),
+          m.at("skipped").num_or(0), m.at("accuracy").num_or(0),
+          m.at("precision").num_or(0), m.at("recall").num_or(0));
     };
-    if (const JsonValue* acells = audit->find("cells");
-        acells != nullptr && acells->type == JsonValue::Type::Object) {
-      for (const auto& [name, m] : acells->object) {
-        const JsonValue* k = m.find("knife_edge");
-        print_matrix(name, m, k != nullptr && k->boolean);
-      }
+    for (const auto& [name, m] : audit.at("cells").object) {
+      print_matrix(name, m, m.at("knife_edge").boolean);
     }
-    if (const JsonValue* grid = audit->find("grid");
-        grid != nullptr && grid->type == JsonValue::Type::Object) {
+    if (const JsonValue* grid = audit.find("grid")) {
       print_matrix("(grid)", *grid, false);
-      if (const JsonValue* reasons = grid->find("mismatch_reasons");
-          reasons != nullptr && !reasons->object.empty()) {
+      if (!grid->at("mismatch_reasons").object.empty()) {
         std::fprintf(out, "  mismatches:");
-        for (const auto& [reason, n] : reasons->object) {
-          std::fprintf(out, "  %s=%.0f", reason.c_str(), n.num_or(0));
-        }
+        print_inline_tally(out, grid->at("mismatch_reasons"));
         std::fputc('\n', out);
       }
     }
   }
 
-  const JsonValue* percentiles = doc.find("percentiles");
-  if (percentiles != nullptr && !percentiles->object.empty()) {
+  const JsonValue& percentiles = doc.at("percentiles");
+  if (!percentiles.object.empty()) {
     print_rule(out, "histogram percentiles (merged bins)");
     std::fprintf(out, "  %-28s %11s %11s %11s\n", "histogram", "p50", "p90",
                  "p99");
-    for (const auto& [name, p] : percentiles->object) {
-      const auto field = [&p](const char* key) {
-        const JsonValue* v = p.find(key);
-        return v != nullptr ? v->num_or(0) : 0.0;
-      };
+    for (const auto& [name, p] : percentiles.object) {
       std::fprintf(out, "  %-28s %11.4g %11.4g %11.4g\n", name.c_str(),
-                   field("p50"), field("p90"), field("p99"));
+                   p.at("p50").num_or(0), p.at("p90").num_or(0),
+                   p.at("p99").num_or(0));
     }
   }
 
   // Fluid-background totals across the sweep (WEHEY_BG_MODE=fluid).
-  // Absent on packet-mode sweeps, so pre-fluid reports are unchanged.
-  const JsonValue* metrics = doc.find("metrics");
-  const JsonValue* counters =
-      metrics != nullptr ? metrics->find("counters") : nullptr;
-  if (counters != nullptr) {
-    const auto fluid = counters_with_prefix(*counters, "fluid.");
-    if (!fluid.empty()) {
-      print_rule(out, "fluid background (all runs)");
-      for (const auto& [name, v] : fluid) {
-        std::fprintf(out, "  %-28s %10.0f\n", name.c_str(), v);
-      }
-    }
+  // Absent on packet-mode sweeps.
+  bool fluid = false;
+  for (const auto& [name, v] : doc.at("metrics").at("counters").object) {
+    if (name.rfind("fluid.", 0) != 0) continue;
+    if (!fluid) print_rule(out, "fluid background (all runs)");
+    fluid = true;
+    std::fprintf(out, "  %-28s %10.0f\n", name.c_str(), v.num_or(0));
   }
 }
 
 // ----------------------------------------------------------- trace render
 
 void render_trace(const JsonValue& doc, std::FILE* out) {
-  const JsonValue* events = doc.find("traceEvents");
-  if (events == nullptr) return;
-
   struct SpanStats {
     std::vector<double> durs_us;
     double total_us = 0;
@@ -774,21 +615,18 @@ void render_trace(const JsonValue& doc, std::FILE* out) {
   std::map<std::string, CounterStats> counters;
   std::size_t total = 0;
 
-  for (const auto& ev : events->array) {
-    const char* ph = str_or(ev, "ph");
-    const char* name = str_or(ev, "name");
-    if (std::strcmp(ph, "M") == 0) continue;  // metadata
+  for (const auto& ev : doc.at("traceEvents").array) {
+    const std::string& ph = ev.at("ph").str;
+    const std::string& name = ev.at("name").str;
+    if (ph == "M") continue;  // metadata
     ++total;
-    if (std::strcmp(ph, "X") == 0) {
-      const double dur = ev.find("dur") ? ev.find("dur")->num_or(0) : 0;
+    if (ph == "X") {
+      const double dur = ev.at("dur").num_or(0);
       auto& s = spans[name];
       s.durs_us.push_back(dur);
       s.total_us += dur;
-    } else if (std::strcmp(ph, "C") == 0) {
-      const JsonValue* args = ev.find("args");
-      const double v = args != nullptr && args->find("value") != nullptr
-                           ? args->find("value")->num_or(0)
-                           : 0;
+    } else if (ph == "C") {
+      const double v = ev.at("args").at("value").num_or(0);
       auto& c = counters[name];
       if (c.samples == 0 || v < c.min) c.min = v;
       if (c.samples == 0 || v > c.max) c.max = v;
@@ -837,11 +675,11 @@ void render_trace(const JsonValue& doc, std::FILE* out) {
   }
 }
 
-namespace {
+// --------------------------------------------------------- journal render
 
 /// Render a wehey.sweep_checkpoint.v1 JSONL journal: completed-run count
-/// plus per-cell verdict tallies pulled from the embedded reports. False
-/// when `path` does not load as a non-empty journal.
+/// plus per-cell verdict tallies of the embedded reports. False when
+/// `path` does not load as a non-empty journal.
 bool render_checkpoint_journal(const std::string& path, std::FILE* out) {
   CheckpointJournal journal;
   if (!CheckpointJournal::load(path, journal) || journal.empty()) {
@@ -859,9 +697,11 @@ bool render_checkpoint_journal(const std::string& path, std::FILE* out) {
     auto& cell = cells[entry.cell.empty() ? "(none)" : entry.cell];
     ++cell.runs;
     JsonValue doc;
-    if (json_parse(entry.report_json, doc)) {
-      const JsonValue* verdict = doc.find("verdict");
-      if (verdict != nullptr) ++cell.verdicts[verdict->str];
+    RunReport report;
+    MetricsRegistry metrics;
+    if (json_parse(entry.report_json, doc) &&
+        RunReport::from_json(doc, report, metrics)) {
+      ++cell.verdicts[report.verdict];
     }
   }
   print_rule(out, "cells (completed runs)");
@@ -875,94 +715,108 @@ bool render_checkpoint_journal(const std::string& path, std::FILE* out) {
   return true;
 }
 
-}  // namespace
+// --------------------------------------------------------- runtime render
 
-void render_runtime(const JsonValue& doc, std::FILE* out) {
-  const auto num = [](const JsonValue* obj, const char* key) -> double {
-    if (obj == nullptr) return 0.0;
-    const JsonValue* v = obj->find(key);
-    return v != nullptr ? v->num_or(0.0) : 0.0;
+/// histogram_quantile over a serialized histogram object ({"lo", "hi",
+/// "count", "min", "max", "bins"}).
+double json_quantile(const JsonValue& h, double q) {
+  const auto tally = [](double v) {
+    return static_cast<std::uint64_t>(std::max(v, 0.0));
   };
-  std::fprintf(out, "runtime report  %s\n", str_or(doc, "schema"));
-  std::fprintf(out, "  run          %s\n", str_or(doc, "run"));
-  std::fprintf(out, "  wall         %.3f s\n", num(&doc, "wall_seconds"));
-  const JsonValue* threads = doc.find("threads");
-  if (threads != nullptr) {
-    const JsonValue* over = threads->find("oversubscribed");
+  std::vector<std::uint64_t> bins;
+  for (const auto& v : h.at("bins").array) bins.push_back(tally(v.num_or(0)));
+  return histogram_quantile(h.at("lo").num_or(0), h.at("hi").num_or(1),
+                            tally(h.at("count").num_or(0)),
+                            h.at("min").num_or(0), h.at("max").num_or(0),
+                            bins, q);
+}
+
+/// Worker table, scheduler-efficiency metrics and latency percentiles of
+/// a runtime sidecar.
+void render_runtime(const JsonValue& doc, std::FILE* out) {
+  std::fprintf(out, "runtime report  %s\n", doc.at("schema").str.c_str());
+  std::fprintf(out, "  run          %s\n", doc.at("run").str.c_str());
+  std::fprintf(out, "  wall         %.3f s\n",
+               doc.at("wall_seconds").num_or(0));
+  if (const JsonValue* threads = doc.find("threads")) {
     std::fprintf(out,
                  "  threads      configured=%.0f hardware=%.0f "
                  "contexts=%.0f%s\n",
-                 num(threads, "configured"), num(threads, "hardware"),
-                 num(threads, "contexts"),
-                 over != nullptr && over->boolean ? " OVERSUBSCRIBED" : "");
+                 threads->at("configured").num_or(0),
+                 threads->at("hardware").num_or(0),
+                 threads->at("contexts").num_or(0),
+                 threads->at("oversubscribed").boolean ? " OVERSUBSCRIBED"
+                                                       : "");
   }
 
-  const JsonValue* workers = doc.find("workers");
-  if (workers != nullptr && workers->type == JsonValue::Type::Array &&
-      !workers->array.empty()) {
+  const std::vector<JsonValue>& workers = doc.at("workers").array;
+  if (!workers.empty()) {
     print_rule(out, "workers (wall-clock; busy = running chunks)");
     std::fprintf(out, "  %3s  %-6s  %10s  %10s  %10s  %8s  %8s\n", "id",
                  "kind", "busy_ms", "idle_ms", "wait_ms", "chunks", "tasks");
-    for (const JsonValue& w : workers->array) {
+    for (const JsonValue& w : workers) {
       std::fprintf(out, "  %3.0f  %-6s  %10.1f  %10.1f  %10.1f  %8.0f  %8.0f\n",
-                   num(&w, "id"), str_or(w, "kind"), num(&w, "busy_ms"),
-                   num(&w, "idle_ms"), num(&w, "wait_ms"), num(&w, "chunks"),
-                   num(&w, "tasks"));
+                   w.at("id").num_or(0), w.at("kind").str.c_str(),
+                   w.at("busy_ms").num_or(0), w.at("idle_ms").num_or(0),
+                   w.at("wait_ms").num_or(0), w.at("chunks").num_or(0),
+                   w.at("tasks").num_or(0));
     }
   }
 
-  const JsonValue* sched = doc.find("scheduler");
-  if (sched != nullptr) {
+  if (const JsonValue* sched = doc.find("scheduler")) {
     print_rule(out, "scheduler");
-    std::fprintf(out, "  jobs                 %.0f\n", num(sched, "jobs"));
-    std::fprintf(out, "  tasks                %.0f\n", num(sched, "tasks"));
+    std::fprintf(out, "  jobs                 %.0f\n",
+                 sched->at("jobs").num_or(0));
+    std::fprintf(out, "  tasks                %.0f\n",
+                 sched->at("tasks").num_or(0));
     std::fprintf(out, "  queue high-water     %.0f\n",
-                 num(sched, "queue_depth_high_water"));
+                 sched->at("queue_depth_high_water").num_or(0));
     std::fprintf(out, "  drain waits          %.0f\n",
-                 num(sched, "drain_waits"));
+                 sched->at("drain_waits").num_or(0));
     std::fprintf(out, "  parallel efficiency  %.3f\n",
-                 num(sched, "parallel_efficiency"));
+                 sched->at("parallel_efficiency").num_or(0));
     std::fprintf(out, "  worker imbalance     %.3f\n",
-                 num(sched, "worker_imbalance"));
+                 sched->at("worker_imbalance").num_or(0));
     std::fprintf(out, "  wait fraction        %.3f\n",
-                 num(sched, "wait_fraction"));
+                 sched->at("wait_fraction").num_or(0));
     std::fprintf(out, "  idle fraction        %.3f\n",
-                 num(sched, "idle_fraction"));
-    const JsonValue* lat = sched->find("submit_to_start_us");
-    if (lat != nullptr && num(lat, "count") > 0) {
+                 sched->at("idle_fraction").num_or(0));
+    const JsonValue& lat = sched->at("submit_to_start_us");
+    if (lat.at("count").num_or(0) > 0) {
       std::fprintf(out,
                    "  submit-to-start      p50=%.1fus p90=%.1fus p99=%.1fus "
                    "(n=%.0f)\n",
-                   json_quantile(*lat, 0.50), json_quantile(*lat, 0.90),
-                   json_quantile(*lat, 0.99), num(lat, "count"));
+                   json_quantile(lat, 0.50), json_quantile(lat, 0.90),
+                   json_quantile(lat, 0.99), lat.at("count").num_or(0));
     }
   }
 
-  const JsonValue* trials = doc.find("trials");
-  if (trials != nullptr) {
+  if (const JsonValue* trials = doc.find("trials")) {
     print_rule(out, "trials");
     std::fprintf(out, "  count        %.0f (supervised %.0f)\n",
-                 num(trials, "count"), num(trials, "supervised"));
-    const JsonValue* wall = trials->find("wall_ms");
-    if (wall != nullptr && num(wall, "count") > 0) {
+                 trials->at("count").num_or(0),
+                 trials->at("supervised").num_or(0));
+    const JsonValue& wall = trials->at("wall_ms");
+    if (wall.at("count").num_or(0) > 0) {
       std::fprintf(out,
                    "  wall         p50=%.1fms p90=%.1fms p99=%.1fms "
                    "max=%.1fms\n",
-                   json_quantile(*wall, 0.50), json_quantile(*wall, 0.90),
-                   json_quantile(*wall, 0.99), num(wall, "max"));
+                   json_quantile(wall, 0.50), json_quantile(wall, 0.90),
+                   json_quantile(wall, 0.99), wall.at("max").num_or(0));
     }
   }
 
-  const JsonValue* process = doc.find("process");
-  if (process != nullptr) {
+  if (const JsonValue* process = doc.find("process")) {
     print_rule(out, "process");
     std::fprintf(out, "  rss peak     %.0f KiB\n",
-                 num(process, "rss_peak_kb"));
+                 process->at("rss_peak_kb").num_or(0));
     std::fprintf(out, "  event heap   %.0f chunks, %.0f bytes\n",
-                 num(process, "event_heap_chunks"),
-                 num(process, "event_heap_bytes"));
+                 process->at("event_heap_chunks").num_or(0),
+                 process->at("event_heap_bytes").num_or(0));
   }
 }
+
+}  // namespace
 
 bool inspect_file(const std::string& path, std::FILE* out) {
   std::string text;
@@ -980,14 +834,20 @@ bool inspect_file(const std::string& path, std::FILE* out) {
     return false;
   }
   if (is_run_report(doc)) {
-    render_report(doc, out);
+    RunReport report;
+    MetricsRegistry metrics;
+    if (!RunReport::from_json(doc, report, metrics, &error)) {
+      std::fprintf(stderr, "inspect: %s: %s\n", path.c_str(), error.c_str());
+      return false;
+    }
+    render_report(report, metrics, out);
     return true;
   }
-  if (is_sweep_report(doc)) {
+  if (has_schema(doc, kSweepReportSchema)) {
     render_sweep(doc, out);
     return true;
   }
-  if (is_chrome_trace(doc)) {
+  if (doc.at("traceEvents").type == JsonValue::Type::Array) {
     render_trace(doc, out);
     return true;
   }

@@ -1,23 +1,24 @@
-// Offline analyzer behind `wehey_cli inspect <report|trace|sweep>`, and
-// the only reader of the artifacts the obs layer emits: RunReports
-// (kRunReportSchema), sweep aggregates (kSweepReportSchema), checkpoint
-// journals (kSweepCheckpointSchema), runtime sidecars
-// (kRuntimeReportSchema) and Chrome-trace timelines. Each reader accepts
-// exactly the version this build writes; anything else is rejected.
+// Offline analyzer behind `wehey_cli inspect <report|trace|sweep>`: it
+// renders RunReports (read back through RunReport::from_json), sweep
+// aggregates (kSweepReportSchema), checkpoint journals
+// (kSweepCheckpointSchema), runtime sidecars (kRuntimeReportSchema) and
+// Chrome-trace timelines. Each reader accepts exactly the version this
+// build writes; anything else is rejected.
 //
 // Renders human-readable summaries: per-stage latency and self-time
-// profiles, the p50/p90/p99 of each histogram (from the report's
-// "percentiles" section), per-flow RTT/loss tables, queue-residency and
-// drop-by-reason breakdowns, and link utilization. Optional sections
-// (fault-free runs, runs without a ground truth) may be absent: the
-// renderer skips what is missing instead of failing.
+// profiles, the p50/p90/p99 of each histogram, per-flow RTT/loss tables,
+// queue-residency and drop-by-reason breakdowns, and link utilization.
+// Optional sections (fault-free runs, runs without a ground truth) may be
+// absent: the renderer skips what is missing instead of failing.
 //
 // The JSON model is deliberately tiny (no external dependency): objects
 // preserve key order, numbers are doubles — exactly what the writers in
 // this directory produce.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,8 +37,30 @@ struct JsonValue {
 
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(const std::string& key) const;
+  /// Object member, or a shared null value when absent or not an object:
+  /// `.num_or()`, `.str`, `.boolean`, `.array` and `.object` then read as
+  /// empty.
+  const JsonValue& at(const std::string& key) const;
   double num_or(double fallback) const {
     return type == Type::Number ? number : fallback;
+  }
+  /// This value as an integer of type T; null (a missing member) reads as
+  /// 0. False when it is anything but a whole number in T's range, so no
+  /// reader casts an out-of-range double.
+  template <typename T>
+  bool integer(T& out) const {
+    using Limits = std::numeric_limits<T>;
+    if (type == Type::Null) {
+      out = 0;
+      return true;
+    }
+    if (type != Type::Number || number != std::trunc(number) ||
+        !(number >= static_cast<double>(Limits::min())) ||
+        !(number < std::ldexp(1.0, Limits::digits))) {
+      return false;
+    }
+    out = static_cast<T>(number);
+    return true;
   }
 };
 
@@ -49,17 +72,9 @@ bool json_parse(const std::string& text, JsonValue& out,
 
 /// Schema tag is exactly kRunReportSchema.
 bool is_run_report(const JsonValue& doc);
-bool is_chrome_trace(const JsonValue& doc);
 /// Schema tag is exactly kRuntimeReportSchema (the engine-telemetry
 /// sidecar — see obs/runtime.hpp).
 bool is_runtime_report(const JsonValue& doc);
-
-void render_report(const JsonValue& doc, std::FILE* out);
-void render_sweep(const JsonValue& doc, std::FILE* out);
-void render_trace(const JsonValue& doc, std::FILE* out);
-/// Worker table, scheduler-efficiency metrics and latency percentiles of
-/// a runtime sidecar.
-void render_runtime(const JsonValue& doc, std::FILE* out);
 
 /// Slurp a file; false on I/O error.
 bool read_file(const std::string& path, std::string& out);

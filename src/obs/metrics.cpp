@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <utility>
 
 namespace wehey::obs {
 
@@ -35,6 +36,19 @@ Histogram& MetricsRegistry::histogram(const std::string& name, double lo,
                                       double hi, int buckets) {
   auto [it, inserted] = histograms_.try_emplace(name, lo, hi, buckets);
   return it->second;
+}
+
+Histogram& MetricsRegistry::restore_histogram(
+    const std::string& name, double lo, double hi, std::uint64_t count,
+    double sum, double min, double max, std::vector<std::uint64_t> bins) {
+  Histogram& h = histograms_[name] =
+      Histogram(lo, hi, static_cast<int>(bins.size()) - 2);
+  h.count_ = count;
+  h.sum_ = sum;
+  h.min_ = min;
+  h.max_ = max;
+  h.bins_ = std::move(bins);
+  return h;
 }
 
 void MetricsRegistry::merge(const MetricsRegistry& other) {

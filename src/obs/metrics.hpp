@@ -93,6 +93,11 @@ class MetricsRegistry {
   /// with a different spec keep the original layout.
   Histogram& histogram(const std::string& name, double lo, double hi,
                        int buckets);
+  /// Rebuild `name` exactly as to_json wrote it (RunReport::from_json).
+  /// `bins` holds underflow, the buckets and overflow: at least 3 entries.
+  Histogram& restore_histogram(const std::string& name, double lo, double hi,
+                               std::uint64_t count, double sum, double min,
+                               double max, std::vector<std::uint64_t> bins);
 
   /// Convenience for call sites that fire once (no handle worth caching).
   void add(const std::string& name, std::uint64_t n = 1) {

@@ -1,13 +1,14 @@
 #include "obs/report.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
-
-#include <cmath>
+#include <utility>
 
 #include "obs/aggregate.hpp"
+#include "obs/inspect.hpp"
 #include "obs/timeline.hpp"
 
 namespace wehey::obs {
@@ -299,9 +300,9 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
   }
   if (!first) out << ",\n    \"total\": " << total << "\n  ";
   out << "},\n";
-  // v2: quantiles pre-derived from the histogram bins, so downstream
-  // readers (wehey_cli inspect, dashboards) get p50/p90/p99 without
-  // re-walking the bins themselves.
+  // Quantiles pre-derived from the histogram bins, kept for the format's
+  // external readers; this repo's readers (from_json, wehey_cli inspect)
+  // recompute them from the bins and skip this section.
   out << "  \"percentiles\": {";
   first = true;
   if (metrics != nullptr) {
@@ -324,6 +325,164 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
   }
   out << "\n}\n";
   return out.str();
+}
+
+namespace {
+
+bool reject(std::string* error, std::string message) {
+  if (error != nullptr) *error = std::move(message);
+  return false;
+}
+
+bool is_number(const JsonValue& v) { return v.type == JsonValue::Type::Number; }
+
+/// Reads a document's integer fields through JsonValue::integer and keeps
+/// the first one that is not a whole number in range, so that from_json
+/// rejects the document instead of casting it.
+class IntegerFields {
+ public:
+  template <typename T>
+  void read(const JsonValue& v, T& out, const char* what,
+            const std::string& name = "") {
+    if (v.integer(out) || !error_.empty()) return;
+    error_ = std::string("malformed ") + what;
+    if (!name.empty()) error_ += " '" + name + "'";
+  }
+  const std::string& error() const { return error_; }
+
+ private:
+  std::string error_;
+};
+
+/// A stage bound back on the nanosecond clock: to_json writes ns / 1000
+/// in round-trippable form, so this recovers the exact Time.
+Time from_us(const JsonValue& us) {
+  return static_cast<Time>(std::llround(us.num_or(0) * 1000.0));
+}
+
+}  // namespace
+
+bool RunReport::from_json(const JsonValue& doc, RunReport& report,
+                          MetricsRegistry& metrics, std::string* error) {
+  if (doc.type != JsonValue::Type::Object) {
+    return reject(error, "not a JSON object");
+  }
+  if (!is_run_report(doc)) {
+    return reject(error,
+                  std::string("not a ") + kRunReportSchema + " document");
+  }
+  RunReport r;
+  MetricsRegistry m;
+  IntegerFields ints;
+  r.run = doc.at("run").str;
+  r.cell = doc.at("cell").str;
+  ints.read(doc.at("seed"), r.seed, "seed");
+  r.fault_plan = doc.at("fault_plan").str;
+  r.verdict = doc.at("verdict").str;
+  r.reason = doc.at("reason").str;
+
+  const JsonValue& decision = doc.at("decision");
+  DecisionSection& d = r.decision;
+  d.evaluated = decision.at("evaluated").boolean;
+  d.has_margin = decision.find("margin") != nullptr;
+  d.margin = decision.at("margin").num_or(0);
+  for (const JsonValue& row : decision.at("detectors").array) {
+    d.detectors.push_back(
+        {row.at("name").str, row.at("statistic").num_or(0),
+         row.at("threshold").num_or(0), row.at("margin").num_or(0),
+         row.at("outcome").boolean, row.at("valid").boolean,
+         row.find("rho") != nullptr, row.at("rho").num_or(0),
+         row.at("sigma_ms").num_or(0)});
+  }
+  if (const JsonValue* agg = decision.find("aggregation")) {
+    d.has_aggregation = true;
+    ints.read(agg->at("sizes_tested"), d.sizes_tested, "aggregation");
+    ints.read(agg->at("sizes_correlated"), d.sizes_correlated, "aggregation");
+    ints.read(agg->at("sizes_valid"), d.sizes_valid, "aggregation");
+    d.aggregation_threshold = agg->at("threshold").num_or(0);
+    d.aggregation_margin = agg->at("margin").num_or(0);
+    d.aggregation_outcome = agg->at("outcome").boolean;
+  }
+  for (const JsonValue& deg : decision.at("degradations").array) {
+    d.degradations.push_back(deg.str);
+  }
+  if (const JsonValue* truth = doc.find("ground_truth")) {
+    r.ground_truth = {true,
+                      truth->at("differentiated").boolean,
+                      truth->at("mechanism").str,
+                      truth->at("placement").str,
+                      truth->at("within_target_area").boolean,
+                      truth->at("rate_bps").num_or(0),
+                      0,
+                      truth->at("sanity_check").boolean};
+    ints.read(truth->at("activation_bytes"),
+              r.ground_truth.activation_bytes, "ground_truth");
+  }
+  if (const JsonValue* audit = doc.find("audit")) {
+    r.audit = {true, audit->at("expected_positive").boolean,
+               audit->at("observed_positive").boolean,
+               audit->at("classification").str,
+               audit->at("mismatch_reason").str};
+  }
+  for (const JsonValue& s : doc.at("stages").array) {
+    if (s.at("name").type != JsonValue::Type::String ||
+        !is_number(s.at("sim_start_us")) || !is_number(s.at("sim_end_us"))) {
+      return reject(error, "malformed stages entry");
+    }
+    // "sim_ms" is derived from the bounds, on output as on input.
+    r.add_stage(s.at("name").str, from_us(s.at("sim_start_us")),
+                from_us(s.at("sim_end_us")), s.at("wall_ms").num_or(-1.0));
+  }
+  for (const auto& [name, p] : doc.at("profile").object) {
+    if (!is_number(p.at("count")) || !is_number(p.at("sim_ms")) ||
+        !is_number(p.at("self_sim_ms"))) {
+      return reject(error, "malformed profile entry '" + name + "'");
+    }
+    r.profile.push_back({name, 0, p.at("sim_ms").number,
+                         p.at("self_sim_ms").number,
+                         p.at("wall_ms").num_or(-1.0),
+                         p.at("self_wall_ms").num_or(-1.0)});
+    ints.read(p.at("count"), r.profile.back().count, "profile entry", name);
+  }
+  for (const auto& [name, v] : doc.at("values").object) {
+    r.values[name] = v.num_or(0);
+  }
+  for (const auto& [kind, n] : doc.at("injection").object) {
+    if (kind != "total") ints.read(n, r.injection[kind], "injection", kind);
+  }
+
+  const JsonValue& registry = doc.at("metrics");
+  for (const auto& [name, c] : registry.at("counters").object) {
+    std::uint64_t n = 0;
+    ints.read(c, n, "counter", name);
+    m.counter(name).inc(n);
+  }
+  for (const auto& [name, g] : registry.at("gauges").object) {
+    // min <= last <= max, so the watermarks survive the last set().
+    Gauge& gauge = m.gauge(name);
+    gauge.set(g.at("min").num_or(0));
+    gauge.set(g.at("max").num_or(0));
+    gauge.set(g.at("last").num_or(0));
+  }
+  for (const auto& [name, h] : registry.at("histograms").object) {
+    const std::vector<JsonValue>& bins = h.at("bins").array;
+    if (bins.size() < 3) {
+      return reject(error, "histogram '" + name + "' has fewer than 3 bins");
+    }
+    std::uint64_t count = 0;
+    std::vector<std::uint64_t> tallies(bins.size(), 0);
+    ints.read(h.at("count"), count, "histogram", name);
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+      ints.read(bins[i], tallies[i], "histogram", name);
+    }
+    m.restore_histogram(name, h.at("lo").num_or(0), h.at("hi").num_or(0),
+                        count, h.at("sum").num_or(0), h.at("min").num_or(0),
+                        h.at("max").num_or(0), std::move(tallies));
+  }
+  if (!ints.error().empty()) return reject(error, ints.error());
+  report = std::move(r);
+  metrics = std::move(m);
+  return true;
 }
 
 ReportMode report_mode_from_env() {

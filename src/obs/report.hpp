@@ -62,9 +62,11 @@
 // machine-readable mismatch reason that cross-references the decision
 // margin). Both are emitted only by runners that know their ground truth.
 //
-// This sketch is the format's reference. Readers (wehey_cli inspect and
-// merge, SweepAggregator::add_run_json) accept only kRunReportSchema;
-// tests/test_obs.cpp pins the key sets of a real session's report.
+// This sketch is the format's reference. RunReport::from_json, its exact
+// inverse, is the format's one reader: `wehey_cli inspect` and `merge` and
+// a resuming ObservedSweep's journal all go through it, and it accepts
+// only kRunReportSchema. tests/test_obs.cpp pins the key sets of a real
+// session's report, tests/test_sweep.cpp the round trip.
 //
 // Determinism contract: everything except "wall_ms" is a pure function of
 // the run's seeds, so the serialized report is byte-identical across
@@ -81,6 +83,8 @@
 #include "obs/metrics.hpp"
 
 namespace wehey::obs {
+
+struct JsonValue;
 
 /// The report schema emitted by RunReport::to_json — the single source of
 /// truth for the version string, and the only version readers accept.
@@ -290,6 +294,16 @@ struct RunReport {
   /// Serialize; `metrics` (usually the run recorder's registry, may be
   /// null) is embedded as the "metrics" object.
   std::string to_json(const MetricsRegistry* metrics) const;
+
+  /// The exact inverse of to_json: rebuild the report and its registry
+  /// from a parsed document, so that to_json(&metrics) reproduces the
+  /// document's bytes (a report written without a registry reads back
+  /// with an empty one). A missing section reads as empty. Returns false,
+  /// with `error` set, on a document of any other schema and on a stage,
+  /// profile or histogram entry to_json cannot have written.
+  static bool from_json(const JsonValue& doc, RunReport& report,
+                        MetricsRegistry& metrics,
+                        std::string* error = nullptr);
 };
 
 /// How reports are written at the end of a sweep (WEHEY_REPORT_MODE):

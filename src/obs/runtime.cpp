@@ -487,9 +487,10 @@ ProgressMeter::ProgressMeter(std::string label)
       start_(std::chrono::steady_clock::now()),
       last_print_(start_ - std::chrono::hours(1)) {}
 
-void ProgressMeter::note_done(const std::string& verdict, bool has_margin,
-                              double margin) {
+void ProgressMeter::note_run(const std::string& verdict, bool has_margin,
+                             double margin, bool resumed) {
   ++completed_;
+  if (resumed) ++resumed_;
   if (verdict == kBudgetExhaustedVerdict) ++quarantined_;
   if (has_margin && std::abs(margin) < kKnifeEdgeMargin) ++knife_edge_;
   maybe_print(/*force=*/total_ > 0 && completed_ == total_);

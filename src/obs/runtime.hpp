@@ -269,18 +269,12 @@ class ProgressMeter {
   /// Total runs the sweep will absorb (0 = unknown; no ETA then).
   void expect(std::size_t total) { total_ = total; }
 
-  /// One run re-absorbed from a checkpoint journal (did not execute).
-  void note_resumed() {
-    ++resumed_;
-    note_done("", false, 0.0);
-  }
-
-  /// One run executed. `has_margin`/`margin` come from the run's decision
+  /// One run completed: executed, or `resumed` from a checkpoint journal
+  /// (did not execute). `has_margin`/`margin` come from the run's decision
   /// section; the knife-edge tally uses the sweep aggregator's threshold
   /// (kKnifeEdgeMargin).
-  void note_run(const std::string& verdict, bool has_margin, double margin) {
-    note_done(verdict, has_margin, margin);
-  }
+  void note_run(const std::string& verdict, bool has_margin, double margin,
+                bool resumed = false);
 
   /// Print the final summary line (total runs, wall seconds, runs/sec,
   /// resumed count) — always, even in mode off, when any run was seen.
@@ -293,7 +287,6 @@ class ProgressMeter {
   std::size_t knife_edge() const { return knife_edge_; }
 
  private:
-  void note_done(const std::string& verdict, bool has_margin, double margin);
   void maybe_print(bool force);
 
   std::string label_;

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/inspect.hpp"
 #include "obs/timeline.hpp"
 
 namespace wehey::obs {
@@ -93,13 +94,11 @@ bool ObservedSweep::checkpoint(const std::string& path, bool resume,
     return false;
   }
   for (const CheckpointEntry& entry : journal.entries()) {
-    JournaledRun run{entry.report_json, {}};
+    JournaledRun run{entry.report_json, {}, {}};
+    JsonValue doc;
     std::string why;
-    // Absorbing into a scratch aggregator is the exact test absorb() will
-    // face; a run that fails it has to execute again.
-    SweepAggregator probe(name_);
-    if (!json_parse(run.json, run.doc, &why) ||
-        !probe.add_run_json(run.doc, &why)) {
+    if (!json_parse(run.json, doc, &why) ||
+        !RunReport::from_json(doc, run.report, run.metrics, &why)) {
       std::fprintf(stderr, "checkpoint: %s executes again: %s\n",
                    entry.run.c_str(), why.c_str());
       continue;
@@ -119,41 +118,24 @@ void ObservedSweep::sweep_to(std::string path) {
 }
 
 std::map<std::string, double> ObservedSweep::absorb(
-    const std::string& run_id, const RunReport& run,
-    const MetricsRegistry* metrics) {
+    const std::string& run_id, const RunReport& live,
+    const MetricsRegistry* live_metrics) {
   const std::uint64_t index = next_index_++;
-  const bool run_file = mode_ != ReportMode::kSweep && !run_dir_.empty();
-  const auto write_run_file = [&](const std::string& json) {
-    write_artifact("report", run_dir_ + "/" + run_id + ".report.json", json);
-  };
-  if (const auto it = journaled_.find(run_id); it != journaled_.end()) {
-    const JsonValue& doc = it->second.doc;
-    aggregator_.add_run_json(doc);
-    meter_.note_resumed();
-    if (const JsonValue* injection = doc.find("injection")) {
-      for (const auto& [kind, count] : injection->object) {
-        if (kind != "total") {
-          report_.injection[kind] += static_cast<int>(count.num_or(0.0));
-        }
-      }
-    }
-    if (run_file) write_run_file(it->second.json);
-    std::map<std::string, double> values;
-    if (const JsonValue* v = doc.find("values")) {
-      for (const auto& [key, value] : v->object) {
-        if (value.type == JsonValue::Type::Number) values[key] = value.number;
-      }
-    }
-    return values;
-  }
+  const auto journaled = journaled_.find(run_id);
+  const bool resumed = journaled != journaled_.end();
+  const RunReport& run = resumed ? journaled->second.report : live;
+  const MetricsRegistry* metrics =
+      resumed ? &journaled->second.metrics : live_metrics;
   aggregator_.add_run(run, metrics);
-  meter_.note_run(run.verdict, run.decision.has_margin, run.decision.margin);
+  meter_.note_run(run.verdict, run.decision.has_margin, run.decision.margin,
+                  resumed);
   for (const auto& [kind, count] : run.injection) {
     report_.injection[kind] += count;
   }
-  // Serialize only when a journal line or a per-run file needs the bytes.
-  std::string json;
-  if (journal_.is_open()) {
+  // A journaled run keeps its journaled bytes. A live one is serialized
+  // only when a journal line or a per-run file needs the bytes.
+  std::string json = resumed ? journaled->second.json : std::string();
+  if (!resumed && journal_.is_open()) {
     json = run.to_json(metrics);
     journal_.append({.run = run_id,
                      .cell = run.cell,
@@ -161,9 +143,9 @@ std::map<std::string, double> ObservedSweep::absorb(
                      .index = index,
                      .report_json = json});
   }
-  if (run_file) {
+  if (mode_ != ReportMode::kSweep && !run_dir_.empty()) {
     if (json.empty()) json = run.to_json(metrics);
-    write_run_file(json);
+    write_artifact("report", run_dir_ + "/" + run_id + ".report.json", json);
   }
   return run.values;
 }

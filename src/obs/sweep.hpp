@@ -29,15 +29,15 @@
 // finish(), or the destructor, writes the artifacts. Every status line
 // goes to stderr, so stdout carries only what the caller prints.
 //
-// Resume. A journaled run whose report this build can absorb is
+// Resume. A journaled run whose report RunReport::from_json reads back is
 // completed(): the caller does not execute it but still absorb()s it, in
-// the same order as a live run, and gets the journaled report's values
-// back. A journaled report it cannot absorb (a journal from an older
-// build) is not a completed run; that run executes again. A resumed sweep
-// reproduces the uninterrupted sweep report, per-run reports, and every
-// tally the caller derives from absorb()'s values. The process's own
-// report metrics and the trace cover only the runs executed in this
-// process.
+// the same order as a live run, and absorb() treats the read-back report
+// exactly as a live one. A journaled report it cannot read (a journal
+// from an older build) is not a completed run; that run executes again. A
+// resumed sweep reproduces the uninterrupted sweep report, per-run
+// reports, progress tallies, and every tally the caller derives from
+// absorb()'s values. The process's own report metrics and the trace cover
+// only the runs executed in this process.
 #pragma once
 
 #include <chrono>
@@ -49,7 +49,7 @@
 
 #include "obs/aggregate.hpp"
 #include "obs/checkpoint.hpp"
-#include "obs/inspect.hpp"
+#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/report.hpp"
 #include "obs/runtime.hpp"
@@ -89,23 +89,26 @@ class ObservedSweep {
 
   /// Absorb one run, live or journaled, into the sweep report, its
   /// per-run report file, the journal, the progress meter and the own
-  /// report's injection tally. `run_id` is the run's unique name; `run`
-  /// and `metrics` are its live report and registry (ignored when the run
-  /// is completed()). Call in a deterministic order: the journal records
-  /// it as the run index. Returns the run's values.
+  /// report's injection tally. `run_id` is the run's unique name; `live`
+  /// and `live_metrics` are its report and registry (ignored when the run
+  /// is completed(): its journaled report stands in). Call in a
+  /// deterministic order: the journal records it as the run index.
+  /// Returns the run's values.
   std::map<std::string, double> absorb(const std::string& run_id,
-                                       const RunReport& run,
-                                       const MetricsRegistry* metrics);
+                                       const RunReport& live,
+                                       const MetricsRegistry* live_metrics);
 
   /// Write the trace, the reports and the runtime sidecar. Runs once; the
   /// destructor calls it. Returns false if an artifact failed to write.
   bool finish();
 
  private:
-  /// A completed run of the journal this sweep resumes.
+  /// A completed run of the journal this sweep resumes, read back once
+  /// at load.
   struct JournaledRun {
-    std::string json;  ///< the report's exact bytes
-    JsonValue doc;     ///< parsed; SweepAggregator::add_run_json accepts it
+    std::string json;  ///< the report's exact bytes, for its per-run file
+    RunReport report;
+    MetricsRegistry metrics;
   };
 
   std::string name_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <optional>
 #include <string>
 
@@ -35,22 +34,6 @@ struct OnScopeExit {
 };
 template <typename F>
 OnScopeExit(F) -> OnScopeExit<F>;
-
-int env_int(const char* name, int fallback) {
-  if (const char* v = std::getenv(name)) {
-    const int parsed = std::atoi(v);
-    if (parsed > 0) return parsed;
-  }
-  return fallback;
-}
-
-Time env_ms(const char* name, Time fallback) {
-  if (const char* v = std::getenv(name)) {
-    const int parsed = std::atoi(v);
-    if (parsed > 0) return milliseconds(parsed);
-  }
-  return fallback;
-}
 
 }  // namespace
 
@@ -97,12 +80,6 @@ SessionResult run_session(const SessionConfig& cfg,
   const Time duration = scenario.replay_duration;
   const Time gap = cfg.inter_replay_gap;
   const Time rpc = cfg.control_latency;
-
-  const int max_replay_attempts =
-      env_int("WEHEY_SESSION_RETRIES", cfg.max_replay_attempts);
-  const Time control_timeout =
-      env_ms("WEHEY_CONTROL_TIMEOUT_MS", cfg.control_timeout);
-  const Time base_backoff = env_ms("WEHEY_RETRY_BACKOFF_MS", cfg.retry_backoff);
 
   SessionResult result;
   auto log = [&](Time at, std::string what) {
@@ -213,7 +190,7 @@ SessionResult run_session(const SessionConfig& cfg,
   // proportionally longer background.
   Time horizon = 4 * (duration + gap) + 12 * rpc + seconds(10);
   if (injector.enabled()) {
-    horizon *= max_replay_attempts * cfg.max_pair_attempts + 1;
+    horizon *= cfg.max_replay_attempts * cfg.max_pair_attempts + 1;
   }
   trace::BackgroundConfig bg = experiments::scenario_background(scenario);
   bg.duration = horizon;
@@ -236,7 +213,7 @@ SessionResult run_session(const SessionConfig& cfg,
   // `now` accordingly; false = every attempt was dropped.
   auto control_exchange = [&](Time& now, const std::string& what) {
     if (!injector.enabled()) return true;
-    Time backoff = base_backoff;
+    Time backoff = cfg.retry_backoff;
     for (int attempt = 1; attempt <= cfg.max_control_attempts; ++attempt) {
       const auto fault = injector.on_control_exchange();
       if (!fault.dropped) {
@@ -246,7 +223,7 @@ SessionResult run_session(const SessionConfig& cfg,
         }
         return true;
       }
-      now += control_timeout;
+      now += cfg.control_timeout;
       if (attempt < cfg.max_control_attempts) {
         ++result.control_retries;
         log(now, what + ": timed out; re-sending");
@@ -286,8 +263,8 @@ SessionResult run_session(const SessionConfig& cfg,
     Time t = rpc;
     auto run_single = [&](bool inverted, const char* what)
         -> std::optional<experiments::PathReport> {
-      Time backoff = base_backoff;
-      for (int attempt = 1; attempt <= max_replay_attempts; ++attempt) {
+      Time backoff = cfg.retry_backoff;
+      for (int attempt = 1; attempt <= cfg.max_replay_attempts; ++attempt) {
         experiments::arm_replay_cut(injector, net, 1, duration);
         const int id = start_replay(1, inverted, t);
         result.replay_attempts.push_back(
@@ -302,7 +279,7 @@ SessionResult run_session(const SessionConfig& cfg,
         }
         log(rep.aborted_at,
             std::string("s0: ") + what + " replay aborted mid-stream");
-        if (attempt < max_replay_attempts) {
+        if (attempt < cfg.max_replay_attempts) {
           ++result.replay_retries;
           log(rep.aborted_at, "s0: retrying after backoff");
         }
@@ -356,7 +333,7 @@ SessionResult run_session(const SessionConfig& cfg,
   }
   std::optional<topology::ServerPair> pair;
   {
-    Time backoff = base_backoff;
+    Time backoff = cfg.retry_backoff;
     for (int attempt = 1;; ++attempt) {
       if (injector.enabled() && injector.on_topology_lookup()) {
         if (attempt >= cfg.max_control_attempts) {
@@ -433,8 +410,8 @@ SessionResult run_session(const SessionConfig& cfg,
     auto run_pair_phase = [&](bool inverted, const char* what,
                               netsim::ReplayMeasurement& out1,
                               netsim::ReplayMeasurement& out2) {
-      Time backoff = base_backoff;
-      for (int attempt = 1; attempt <= max_replay_attempts; ++attempt) {
+      Time backoff = cfg.retry_backoff;
+      for (int attempt = 1; attempt <= cfg.max_replay_attempts; ++attempt) {
         experiments::arm_replay_cut(injector, net, 1, duration);
         const int id1 = start_replay(1, inverted, t);
         experiments::arm_replay_cut(injector, net, 2, duration);
@@ -455,7 +432,7 @@ SessionResult run_session(const SessionConfig& cfg,
         log(r1.aborted ? r1.aborted_at : r2.aborted_at,
             std::string(r1.aborted ? "s1" : "s2") + ": " + what +
                 " replay aborted mid-stream");
-        if (attempt < max_replay_attempts) {
+        if (attempt < cfg.max_replay_attempts) {
           ++result.replay_retries;
           log(sim.now(), "s1+s2: retrying after backoff");
         }

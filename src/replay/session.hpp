@@ -53,14 +53,14 @@ struct SessionConfig {
   /// every injection hook is skipped and the run is bit-identical to a
   /// build without the faults subsystem.
   faults::FaultPlan fault_plan;
-  /// Bounded retry for aborted replay phases (env: WEHEY_SESSION_RETRIES).
+  /// Bounded retry for aborted replay phases.
   int max_replay_attempts = 3;
   /// Bounded retry for dropped control-plane exchanges.
   int max_control_attempts = 4;
   /// How long the client waits on a control-plane answer before declaring
-  /// the exchange lost (env: WEHEY_CONTROL_TIMEOUT_MS).
+  /// the exchange lost.
   Time control_timeout = milliseconds(250);
-  /// First retry backoff; doubles per attempt (env: WEHEY_RETRY_BACKOFF_MS).
+  /// First retry backoff; doubles per attempt.
   Time retry_backoff = milliseconds(200);
   /// When a simultaneous phase keeps aborting, how many server pairs to
   /// try in total (fresh pairs come from the topology database).

@@ -297,7 +297,7 @@ TEST(ProgressMeterTest, TalliesResumedQuarantinedAndKnifeEdge) {
   ::unsetenv("WEHEY_PROGRESS");  // mode off: nothing printed until finish()
   obs::ProgressMeter meter("unit_sweep");
   meter.expect(4);
-  meter.note_resumed();
+  meter.note_run("completed", /*has_margin=*/false, 0.0, /*resumed=*/true);
   meter.note_run("completed", /*has_margin=*/true, /*margin=*/0.5);
   meter.note_run(obs::kBudgetExhaustedVerdict, false, 0.0);
   // |margin| below the default knife-edge threshold (0.05).

@@ -5,9 +5,9 @@
 // The headline contract: a sweep killed mid-cell and resumed from its
 // checkpoint journal produces a sweep report and per-run reports
 // byte-identical to an uninterrupted run's, across WEHEY_THREADS —
-// obs::ObservedSweep re-absorbs completed runs in run-index order through
-// the aggregator's offline path, which absorbs bit-equal to the
-// in-process path.
+// obs::ObservedSweep reads completed runs back with RunReport::from_json,
+// the exact inverse of to_json, and absorbs them in run-index order
+// through the same path as a live run.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -213,8 +213,8 @@ TEST(Quarantine, RepeatedBudgetExhaustionQuarantinesTheCell) {
   // The sweep itself keeps going: all five runs are tallied.
   EXPECT_EQ(agg.runs(), 5u);
 
-  // The offline absorb path (checkpoint resume, wehey_cli merge) must
-  // reconstruct the identical quarantine state.
+  // Runs read back from their serialized form (checkpoint resume,
+  // wehey_cli merge) must reconstruct the identical quarantine state.
   obs::SweepAggregator offline("q");
   std::vector<obs::RunReport> reports = {
       small_report("q.bad.r0", "bad", obs::kBudgetExhaustedVerdict,
@@ -230,7 +230,11 @@ TEST(Quarantine, RepeatedBudgetExhaustionQuarantinesTheCell) {
     obs::JsonValue doc;
     std::string error;
     ASSERT_TRUE(obs::json_parse(r.to_json(nullptr), doc, &error)) << error;
-    ASSERT_TRUE(offline.add_run_json(doc, &error)) << error;
+    obs::RunReport read;
+    obs::MetricsRegistry metrics;
+    ASSERT_TRUE(obs::RunReport::from_json(doc, read, metrics, &error))
+        << error;
+    offline.add_run(read, &metrics);
   }
   EXPECT_EQ(offline.to_json(), json);
 }
@@ -318,23 +322,30 @@ TEST(Checkpoint, TornTrailingLineIsDroppedAndTrimmedOnReopen) {
 
 TEST(Checkpoint, MidFileCorruptionFailsLoudly) {
   const std::string path = ::testing::TempDir() + "/corrupt.jsonl";
-  std::remove(path.c_str());
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not json at all\n", f);
-    std::fclose(f);
+  // An unparseable line, and a parseable one whose seed is out of range.
+  const std::string bad_seed =
+      std::string("{\"schema\": \"") + obs::kSweepCheckpointSchema +
+      "\", \"run\": \"r0\", \"seed\": -1, \"report\": \"{}\"}\n";
+  for (const std::string& bad : {std::string("not json at all\n"), bad_seed}) {
+    std::remove(path.c_str());
+    {
+      std::FILE* f = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(f, nullptr);
+      std::fputs(bad.c_str(), f);
+      std::fclose(f);
+    }
+    {
+      obs::CheckpointWriter writer;
+      // open() only trims a missing trailing newline; the bad line stays.
+      ASSERT_TRUE(writer.open(path, "c"));
+      writer.append(make_entry("r1", "c", 1, "{\"a\": 1}"));
+    }
+    obs::CheckpointJournal journal;
+    std::string error;
+    EXPECT_FALSE(obs::CheckpointJournal::load(path, journal, &error)) << bad;
+    EXPECT_NE(error.find(":1: malformed checkpoint line"), std::string::npos)
+        << error;
   }
-  {
-    obs::CheckpointWriter writer;
-    // open() only trims a missing trailing newline; the bad line stays.
-    ASSERT_TRUE(writer.open(path, "c"));
-    writer.append(make_entry("r0", "c", 0, "{\"a\": 1}"));
-  }
-  obs::CheckpointJournal journal;
-  std::string error;
-  EXPECT_FALSE(obs::CheckpointJournal::load(path, journal, &error));
-  EXPECT_NE(error.find("malformed"), std::string::npos) << error;
 }
 
 TEST(Checkpoint, DuplicateRunIdsKeepTheLastEntry) {
@@ -463,6 +474,17 @@ TEST(CheckpointResume, KilledSweepResumesByteIdenticalAcrossThreads) {
       ASSERT_TRUE(obs::read_file(dir + "/" + file, got)) << file;
       EXPECT_EQ(got, want) << file << " diverged after a resume with threads="
                            << threads;
+    }
+    // The two journaled runs' files hold the journaled bytes.
+    obs::CheckpointJournal resumed;
+    ASSERT_TRUE(obs::CheckpointJournal::load(killed, resumed));
+    for (std::size_t i = 0; i < 2; ++i) {
+      const obs::CheckpointEntry* entry = resumed.find(fx.run_ids[i]);
+      ASSERT_NE(entry, nullptr) << fx.run_ids[i];
+      std::string got;
+      ASSERT_TRUE(
+          obs::read_file(dir + "/" + fx.run_ids[i] + ".report.json", got));
+      EXPECT_EQ(got, entry->report_json) << fx.run_ids[i];
     }
   }
 }

@@ -1,5 +1,6 @@
 // Sweep-scale observability: the SweepAggregator merge algebra (order-
-// and thread-count-insensitive, offline == in-process) and the sweep
+// and thread-count-insensitive, read-back == in-process), the run-report
+// reader RunReport::from_json (the exact inverse of to_json) and the sweep
 // report's key sets, the v3 self-time profile, the files ObservedSweep
 // writes and resumes from, the baseline comparator behind `wehey_cli
 // compare`, and the readers' handling of the frozen current-version
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -17,13 +19,18 @@
 #include <utility>
 #include <vector>
 
+#include "experiments/params.hpp"
 #include "experiments/wild.hpp"
 #include "obs/aggregate.hpp"
+#include "obs/checkpoint.hpp"
 #include "obs/inspect.hpp"
 #include "obs/metrics.hpp"
+#include "obs/recorder.hpp"
 #include "obs/report.hpp"
 #include "obs/sweep.hpp"
 #include "parallel/thread_pool.hpp"
+#include "replay/session.hpp"
+#include "topology/database.hpp"
 
 namespace wehey::obs {
 namespace {
@@ -173,6 +180,17 @@ std::pair<RunReport, MetricsRegistry> synthetic_run(std::size_t i) {
   return {std::move(r), std::move(m)};
 }
 
+/// The report and registry RunReport::from_json reads back from `json`.
+std::pair<RunReport, MetricsRegistry> read_back(const std::string& json) {
+  std::pair<RunReport, MetricsRegistry> run;
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(json_parse(json, doc, &error)) << error;
+  EXPECT_TRUE(RunReport::from_json(doc, run.first, run.second, &error))
+      << error;
+  return run;
+}
+
 TEST(Sweep, AggregateIsAbsorbOrderInsensitive) {
   const std::size_t n = 12;
   std::vector<std::pair<RunReport, MetricsRegistry>> runs;
@@ -210,10 +228,8 @@ TEST(Sweep, OfflineJsonMergeMatchesInProcessMergeByteForByte) {
   for (std::size_t i = 0; i < n; ++i) {
     const auto [r, m] = synthetic_run(i);
     in_process.add_run(r, &m);
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(json_parse(r.to_json(&m), doc, &error)) << error;
-    ASSERT_TRUE(offline.add_run_json(doc, &error)) << error;
+    const auto [read, read_metrics] = read_back(r.to_json(&m));
+    offline.add_run(read, &read_metrics);
   }
   EXPECT_EQ(in_process.to_json(), offline.to_json());
 }
@@ -280,37 +296,70 @@ TEST(Sweep, AuditFoldsRunClassificationsIntoConfusionMatrices) {
   EXPECT_EQ(count("\"knife_edge\": false"), 2u);
 
   // The audit fold obeys the same merge algebra as everything else:
-  // offline absorption of the serialized per-run reports reproduces the
-  // in-process aggregate byte for byte (audit block included).
+  // absorbing the per-run reports read back from their serialized form
+  // reproduces the in-process aggregate byte for byte (audit block
+  // included).
   SweepAggregator offline("audit");
   for (std::size_t i = 0; i < 12; ++i) {
     const auto [r, m] = synthetic_run(i);
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(json_parse(r.to_json(&m), doc, &error)) << error;
-    ASSERT_TRUE(offline.add_run_json(doc, &error)) << error;
+    const auto [read, read_metrics] = read_back(r.to_json(&m));
+    offline.add_run(read, &read_metrics);
   }
   EXPECT_EQ(json, offline.to_json());
 }
 
+// The sweep reads runs back only through RunReport::from_json, which
+// refuses every document to_json cannot have written and says why.
 TEST(Sweep, RejectsNonReportDocuments) {
-  SweepAggregator agg("sweep_test");
-  JsonValue doc;
-  std::string error;
-  ASSERT_TRUE(json_parse("{\"schema\": \"wehey.sweep_report.v1\"}", doc));
-  EXPECT_FALSE(agg.add_run_json(doc, &error));
-  EXPECT_FALSE(error.empty());
-  ASSERT_TRUE(json_parse("[1, 2]", doc));
-  EXPECT_FALSE(agg.add_run_json(doc, &error));
-  // Only the run-report version this build writes is absorbed.
-  error.clear();
-  ASSERT_TRUE(json_parse(
-      "{\"schema\": \"wehey.run_report.v4\", \"run\": \"old\", "
-      "\"verdict\": \"done\", \"stages\": [], \"values\": {}}",
-      doc));
-  EXPECT_FALSE(agg.add_run_json(doc, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_EQ(agg.runs(), 0u);
+  // from_json's message for `text`, or "accepted" when it reads it.
+  const auto read_error = [](const std::string& text) {
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(json_parse(text, doc, &error)) << text;
+    RunReport report;
+    MetricsRegistry metrics;
+    if (RunReport::from_json(doc, report, metrics, &error)) {
+      return std::string("accepted");
+    }
+    return error;
+  };
+  const std::string wrong_schema =
+      std::string("not a ") + kRunReportSchema + " document";
+  EXPECT_EQ(read_error("[1, 2]"), "not a JSON object");
+  EXPECT_EQ(read_error("{\"schema\": \"wehey.sweep_report.v1\"}"),
+            wrong_schema);
+  // Only the run-report version this build writes is read.
+  EXPECT_EQ(read_error("{\"schema\": \"wehey.run_report.v4\", "
+                       "\"run\": \"old\", \"verdict\": \"done\", "
+                       "\"stages\": [], \"values\": {}}"),
+            wrong_schema);
+  const std::string v5 = std::string("{\"schema\": \"") + kRunReportSchema +
+                         "\", \"run\": \"bad\", ";
+  EXPECT_EQ(read_error(v5 + "\"stages\": [{\"sim_start_us\": 0, "
+                            "\"sim_end_us\": 1, \"sim_ms\": 0.001}]}"),
+            "malformed stages entry");
+  EXPECT_EQ(read_error(v5 + "\"profile\": {\"p\": {\"sim_ms\": 1, "
+                            "\"self_sim_ms\": 1}}}"),
+            "malformed profile entry 'p'");
+  EXPECT_EQ(read_error(v5 + "\"metrics\": {\"histograms\": {\"h\": "
+                            "{\"lo\": 0, \"hi\": 1, \"count\": 0}}}}"),
+            "histogram 'h' has fewer than 3 bins");
+  EXPECT_EQ(read_error(v5 + "\"metrics\": {\"histograms\": {\"h\": "
+                            "{\"lo\": 0, \"hi\": 1, \"count\": 0, "
+                            "\"bins\": [0, 0]}}}}"),
+            "histogram 'h' has fewer than 3 bins");
+  // Integer fields must hold a whole number in range for their type.
+  EXPECT_EQ(read_error(v5 + "\"seed\": -1}"), "malformed seed");
+  EXPECT_EQ(read_error(v5 + "\"injection\": {\"drop\": 1e30}}"),
+            "malformed injection 'drop'");
+  EXPECT_EQ(read_error(v5 + "\"metrics\": {\"counters\": {\"c\": 1.5}}}"),
+            "malformed counter 'c'");
+  EXPECT_EQ(read_error(v5 + "\"metrics\": {\"histograms\": {\"h\": "
+                            "{\"lo\": 0, \"hi\": 1, \"count\": 0, "
+                            "\"bins\": [0, 2e19, 0]}}}}"),
+            "malformed histogram 'h'");
+  // Missing sections read as empty.
+  EXPECT_EQ(read_error(v5 + "\"verdict\": \"done\"}"), "accepted");
 }
 
 std::vector<std::string> keys_of(const JsonValue& object) {
@@ -556,6 +605,13 @@ TEST(Inspect, MalformedAndUnknownFilesFailWithoutPartialOutput) {
       "\"injection\": {}, \"metrics\": {\"counters\": {}, \"gauges\": {}, "
       "\"histograms\": {}}}"));
   EXPECT_FALSE(inspect_file(old, sink));
+  // A current-version report RunReport::from_json refuses.
+  const std::string malformed = dir + "/malformed.json";
+  ASSERT_TRUE(write_report_file(
+      malformed,
+      "{\"schema\": \"wehey.run_report.v5\", \"run\": \"bad\", "
+      "\"stages\": [{\"sim_ms\": 1}]}"));
+  EXPECT_FALSE(inspect_file(malformed, sink));
   // Nothing was rendered for any of the failures.
   std::fclose(sink);
   std::string rendered;
@@ -685,21 +741,18 @@ TEST(Inspect, FrozenFixtureReportsStillRender) {
   }
 }
 
-JsonValue frozen_run_report() {
+std::string frozen_run_report() {
   std::string text;
-  JsonValue doc;
   EXPECT_TRUE(read_file(std::string(WEHEY_SOURCE_DIR) +
                             "/tests/data/run_report_v5.json",
                         text));
-  std::string error;
-  EXPECT_TRUE(json_parse(text, doc, &error)) << error;
-  return doc;
+  return text;
 }
 
 TEST(Sweep, FrozenRunReportFixturesStillAbsorb) {
   SweepAggregator agg("fixtures");
-  std::string error;
-  ASSERT_TRUE(agg.add_run_json(frozen_run_report(), &error)) << error;
+  const auto [report, metrics] = read_back(frozen_run_report());
+  agg.add_run(report, &metrics);
   EXPECT_EQ(agg.runs(), 1u);
   // The decision margin joins the value summaries.
   EXPECT_NE(agg.to_json().find("\"decision_margin\""), std::string::npos);
@@ -709,18 +762,21 @@ TEST(Sweep, FrozenV4AndV5FixturesAbsorbMarginsAndAudit) {
   // The v5 fixture's margin and audit are absorbed; the same document
   // tagged v4 is refused, so the audit block holds exactly the v5
   // fixture's one true positive.
-  SweepAggregator agg("fixtures_v45");
-  JsonValue v4 = frozen_run_report();
-  for (auto& [key, value] : v4.object) {
-    if (key == "schema") value.str = "wehey.run_report.v4";
-  }
-  ASSERT_NE(v4.find("schema"), nullptr);
-  ASSERT_EQ(v4.find("schema")->str, "wehey.run_report.v4");
+  std::string v4 = frozen_run_report();
+  const std::size_t tag = v4.find(kRunReportSchema);
+  ASSERT_NE(tag, std::string::npos);
+  v4.replace(tag, std::string(kRunReportSchema).size(),
+             "wehey.run_report.v4");
+  JsonValue doc;
+  ASSERT_TRUE(json_parse(v4, doc));
+  RunReport refused;
+  MetricsRegistry refused_metrics;
   std::string error;
-  EXPECT_FALSE(agg.add_run_json(v4, &error));
+  EXPECT_FALSE(RunReport::from_json(doc, refused, refused_metrics, &error));
   EXPECT_FALSE(error.empty());
-  error.clear();
-  ASSERT_TRUE(agg.add_run_json(frozen_run_report(), &error)) << error;
+  SweepAggregator agg("fixtures_v45");
+  const auto [report, metrics] = read_back(frozen_run_report());
+  agg.add_run(report, &metrics);
   EXPECT_EQ(agg.runs(), 1u);
   const std::string json = agg.to_json();
   EXPECT_NE(json.find("\"decision_margin\""), std::string::npos);
@@ -736,7 +792,7 @@ TEST(Sweep, FrozenV4AndV5FixturesAbsorbMarginsAndAudit) {
 
 TEST(Sweep, NoAuditedRunMeansNoAuditBlock) {
   // Runs without a ground truth carry no audit section, and a sweep of
-  // only such runs has no audit block at all, on both absorb paths.
+  // only such runs has no audit block at all, live or read back.
   SweepAggregator in_process("unaudited");
   SweepAggregator offline("unaudited");
   for (std::size_t i = 0; i < 4; ++i) {
@@ -744,14 +800,100 @@ TEST(Sweep, NoAuditedRunMeansNoAuditBlock) {
     r.ground_truth = GroundTruthSection{};
     r.audit = AuditSection{};
     in_process.add_run(r, &m);
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(json_parse(r.to_json(&m), doc, &error)) << error;
-    ASSERT_TRUE(offline.add_run_json(doc, &error)) << error;
+    const auto [read, read_metrics] = read_back(r.to_json(&m));
+    EXPECT_FALSE(read.audit.present);
+    offline.add_run(read, &read_metrics);
   }
   const std::string json = in_process.to_json();
   EXPECT_EQ(json.find("\"audit\""), std::string::npos);
   EXPECT_EQ(json, offline.to_json());
+}
+
+// ------------------------------------------------------ report reader
+
+/// synthetic_run(i) with every optional field of the format set:
+/// detector rho/sigma_ms, the aggregation block, degradations, stage and
+/// profile wall times, an activation threshold and an empty histogram; odd
+/// runs have an empty cell.
+std::pair<RunReport, MetricsRegistry> every_field_run(std::size_t i) {
+  auto [r, m] = synthetic_run(i);
+  if (i % 2 == 1) r.cell.clear();
+  const double x = static_cast<double>(i);
+  r.decision.detectors = {
+      {"throughput", 0.31 + x, 0.05, 0.26, true, true},
+      {"loss_trend.size_10ms", 0.47, 0.5, -0.03 * x, false, true,
+       /*has_rho=*/true, 0.47 - x / 7.0, 10.0 / 3.0}};
+  r.decision.has_aggregation = true;
+  r.decision.sizes_tested = 5;
+  r.decision.sizes_correlated = 3 + i % 2;
+  r.decision.sizes_valid = 4;
+  r.decision.aggregation_threshold = 3.8;
+  r.decision.aggregation_margin = -0.2 + 0.1 * x;
+  r.decision.aggregation_outcome = i % 2 == 1;
+  r.decision.degradations = {"scrub", "pair-fallback"};
+  r.ground_truth.activation_bytes = 2000000 + static_cast<std::int64_t>(i);
+  r.ground_truth.sanity_check = i % 3 == 0;
+  r.stages[0].wall_ms = 12.25 + x / 3.0;
+  r.profile = profile_from_spans({
+      {0, "wehe_test", 0, (1 + Time(i)) * kSecond, 40.5 + x},
+      {0, "replay_window", 0, kSecond / 3, 7.125},
+  });
+  m.histogram("empty_ms", 0.0, 1.0, 4);
+  return {std::move(r), std::move(m)};
+}
+
+TEST(RunReport, FromJsonInvertsToJson) {
+  const auto round_trip = [](const std::string& json) {
+    const auto [report, metrics] = read_back(json);
+    return report.to_json(&metrics);
+  };
+  const std::string fixture = frozen_run_report();
+  EXPECT_EQ(round_trip(fixture), fixture);
+
+  for (std::size_t i = 0; i < 6; ++i) {
+    const auto [r, m] = every_field_run(i);
+    const std::string json = r.to_json(&m);
+    EXPECT_EQ(round_trip(json), json) << r.run;
+  }
+  // The optional fields did reach the bytes under test.
+  const auto [r, m] = every_field_run(1);
+  const std::string json = r.to_json(&m);
+  for (const char* key :
+       {"\"rho\"", "\"sigma_ms\"", "\"aggregation\"", "\"degradations\": "
+        "[\"scrub\"", "\"wall_ms\"", "\"self_wall_ms\"", "\"empty_ms\"",
+        "\"activation_bytes\": 2000001", "\"ground_truth\"", "\"audit\""}) {
+    EXPECT_NE(json.find(key), std::string::npos) << key;
+  }
+  EXPECT_EQ(json.find("\"cell\""), std::string::npos);
+
+  // A real wild test and a real session, with their recorded metrics.
+  experiments::WildConfig wild;
+  wild.isp = experiments::default_isp_models()[0];
+  wild.replay_duration = seconds(8);
+  wild.seed = 1;
+  const auto res = experiments::run_wild_test_reported(
+      wild, experiments::build_wild_t_diff(wild, 3), /*sanity_check=*/false,
+      "roundtrip.wild");
+  const std::string wild_json = res.report.to_json(&res.metrics);
+  EXPECT_EQ(round_trip(wild_json), wild_json);
+
+  replay::SessionConfig session;
+  session.scenario = experiments::default_scenario("Netflix", 2);
+  session.scenario.replay_duration = seconds(8);
+  session.t_diff_history = {0.06, -0.09, 0.12, -0.04, 0.08, -0.11};
+  topology::TopologyDatabase db;
+  replay::seed_topology_database(session.scenario, db);
+  Recorder rec(/*metrics_on=*/true, /*trace_on=*/false);
+  replay::SessionResult result;
+  {
+    ScopedRecorder bind(&rec);
+    result = replay::run_session(session, db);
+  }
+  const std::string session_json =
+      replay::make_run_report(session, result, "roundtrip.session")
+          .to_json(&rec.metrics());
+  EXPECT_FALSE(rec.metrics().gauges().empty());
+  EXPECT_EQ(round_trip(session_json), session_json);
 }
 
 // ------------------------------------------------------ ObservedSweep
@@ -939,9 +1081,17 @@ TEST(ObservedSweep, StaleJournalEntryExecutesAgain) {
             slurp(ref + "/stale.sweep.json"));
   EXPECT_EQ(slurp(resumed + "/stale.report.json"),
             slurp(ref + "/stale.report.json"));
+  CheckpointJournal cut;
+  ASSERT_TRUE(CheckpointJournal::load(stale_journal, cut));
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string file = synthetic_run(i).first.run + ".report.json";
+    const std::string run = synthetic_run(i).first.run;
+    const std::string file = run + ".report.json";
     EXPECT_EQ(slurp(resumed + "/" + file), slurp(ref + "/" + file)) << file;
+    // A journaled run's file holds the journaled bytes.
+    if (i != 1) {
+      ASSERT_NE(cut.find(run), nullptr) << run;
+      EXPECT_EQ(slurp(resumed + "/" + file), cut.find(run)->report_json);
+    }
   }
   // The re-executed run was journaled again, so the next resume finds
   // every run completed.
@@ -952,6 +1102,43 @@ TEST(ObservedSweep, StaleJournalEntryExecutesAgain) {
       EXPECT_TRUE(sweep.completed(synthetic_run(i).first.run));
     }
   }
+}
+
+// A journaled run reaches the progress meter with its verdict and margin,
+// exactly as the live run did: a resumed sweep keeps its quarantine and
+// knife-edge tallies.
+TEST(ObservedSweep, ResumedRunsKeepTheirProgressTallies) {
+  const std::string dir = fresh_dir("meter");
+  const std::string journal = dir + "/journal.jsonl";
+  auto knife = synthetic_run(0);
+  ASSERT_LT(std::abs(knife.first.decision.margin), kKnifeEdgeMargin);
+  auto poisoned = synthetic_run(1);
+  poisoned.first.verdict = kBudgetExhaustedVerdict;
+  ASSERT_GE(std::abs(poisoned.first.decision.margin), kKnifeEdgeMargin);
+  {
+    ScopedEnv env({{"WEHEY_CHECKPOINT", journal.c_str()}});
+    ObservedSweep sweep("meter");
+    for (const auto& [r, m] : {knife, poisoned}) sweep.absorb(r.run, r, &m);
+  }
+  std::string err;
+  {
+    ScopedEnv env({{"WEHEY_CHECKPOINT", journal.c_str()},
+                   {"WEHEY_PROGRESS", "plain"}});
+    ::testing::internal::CaptureStderr();
+    {
+      ObservedSweep sweep("meter");
+      sweep.expect_runs(2);
+      for (const auto& [r, m] : {knife, poisoned}) {
+        EXPECT_TRUE(sweep.completed(r.run));
+        sweep.absorb(r.run, RunReport{}, nullptr);
+      }
+    }
+    err = ::testing::internal::GetCapturedStderr();
+  }
+  EXPECT_NE(err.find("meter: 2/2 runs"), std::string::npos) << err;
+  EXPECT_NE(err.find("(resumed 2, quarantined 1, knife-edge 1)"),
+            std::string::npos)
+      << err;
 }
 
 // ----------------------------------------------------- report mode env
