@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "obs/recorder.hpp"
@@ -201,6 +203,10 @@ void FigureOneNetwork::attach_background(
     int path_index, const std::vector<trace::BackgroundFlow>& flows,
     const transport::TcpConfig& tcp) {
   netsim::PacketSink* entry = path_entry(path_index);
+  // Each flow's bytes become available at its start: one series over the
+  // flows (start-ordered, as generate_background emits them).
+  std::vector<Time> starts;
+  std::vector<std::pair<transport::TcpSender*, std::int64_t>> supplies;
   for (const auto& f : flows) {
     auto rt = std::make_unique<BackgroundFlowRt>();
     const netsim::FlowId flow = next_flow_++;
@@ -215,11 +221,14 @@ void FigureOneNetwork::attach_background(
     rt->ack_pipe->set_next(rt->sender.get());
     client_->add_route(flow, rt->receiver.get());
 
-    auto* sender = rt->sender.get();
-    const std::int64_t bytes = f.bytes;
-    sim_.schedule_at(f.start, [sender, bytes] { sender->supply(bytes); });
+    starts.push_back(f.start);
+    supplies.emplace_back(rt->sender.get(), f.bytes);
     background_.push_back(std::move(rt));
   }
+  sim_.schedule_series(std::move(starts),
+                       [supplies = std::move(supplies)](std::size_t i) {
+                         supplies[i].first->supply(supplies[i].second);
+                       });
 }
 
 void FigureOneNetwork::attach_fluid_background(
@@ -300,7 +309,8 @@ int FigureOneNetwork::start_tcp_replay(int path_index,
   // session's connections, like a streaming client's parallel range
   // requests. An armed ReplayCut stops the supply mid-stream: the server
   // process died, nothing after the cut is ever offered to the network.
-  std::size_t next_conn = 0;
+  std::vector<Time> times;
+  std::vector<std::uint32_t> sizes;
   std::int64_t supplied = 0;
   for (const auto& tp : t.packets) {
     if (cut.active()) {
@@ -313,13 +323,16 @@ int FigureOneNetwork::start_tcp_replay(int path_index,
         break;
       }
     }
-    auto* sender = rt->senders[next_conn].get();
-    next_conn = (next_conn + 1) % rt->senders.size();
-    const std::int64_t bytes = tp.size;
-    supplied += bytes;
-    sim_.schedule_at(start + tp.offset,
-                     [sender, bytes] { sender->supply(bytes); });
+    supplied += tp.size;
+    times.push_back(start + tp.offset);
+    sizes.push_back(tp.size);
   }
+  sim_.schedule_series(std::move(times),
+                       [replay = rt.get(),
+                        sizes = std::move(sizes)](std::size_t i) {
+                         const auto& senders = replay->senders;
+                         senders[i % senders.size()]->supply(sizes[i]);
+                       });
   tcp_replays_.push_back(std::move(rt));
   // TCP ids are positive, UDP ids negative, so one report() entry point
   // can dispatch.
@@ -432,12 +445,17 @@ int FigureOneNetwork::start_quic_replay(int path_index,
       sim_, ids_, quic, flow, rt->ack_pipe.get());
   rt->ack_pipe->set_next(rt->sender.get());
   client_->add_route(flow, rt->receiver.get());
-  auto* sender = rt->sender.get();
+  std::vector<Time> times;
+  std::vector<std::uint32_t> sizes;
   for (const auto& tp : t.packets) {
-    const std::int64_t bytes = tp.size;
-    sim_.schedule_at(start + tp.offset,
-                     [sender, bytes] { sender->supply(bytes); });
+    times.push_back(start + tp.offset);
+    sizes.push_back(tp.size);
   }
+  sim_.schedule_series(std::move(times),
+                       [sender = rt->sender.get(),
+                        sizes = std::move(sizes)](std::size_t i) {
+                         sender->supply(sizes[i]);
+                       });
   quic_replays_.push_back(std::move(rt));
   // QUIC ids live above 1'000'000 (TCP positive, UDP negative).
   return 1'000'000 + static_cast<int>(quic_replays_.size());

@@ -18,7 +18,9 @@ constexpr PhaseNames kWildPhaseNames = {
     "wild_sim_original", "wild_sim_inverted", "wild_single_original",
     "wild_single_inverted"};
 
-trace::AppTrace wild_trace(const WildConfig& cfg, bool inverted) {
+}  // namespace
+
+trace::AppTrace wild_replay_trace(const WildConfig& cfg, bool inverted) {
   // All five wild apps are TCP streaming services, each with its own
   // chunking profile; the seed makes each session a deterministic
   // "recording".
@@ -35,8 +37,6 @@ trace::AppTrace wild_trace(const WildConfig& cfg, bool inverted) {
   if (inverted) t = trace::bit_invert(t);
   return trace::extend(t, cfg.replay_duration);
 }
-
-}  // namespace
 
 NetworkParams wild_network_params(const WildConfig& cfg, Rate trace_rate) {
   NetworkParams net;
@@ -97,7 +97,7 @@ std::vector<IspModel> default_isp_models() {
 
 PhaseReport run_wild_phase(const WildConfig& cfg, Phase phase,
                            bool third_replay) {
-  const Rate trace_rate = wild_trace(cfg, false).average_rate();
+  const Rate trace_rate = wild_replay_trace(cfg, false).average_rate();
   const NetworkParams net = wild_network_params(cfg, trace_rate);
   const PhaseSpec spec{.phase = phase,
                        .names = kWildPhaseNames,
@@ -112,7 +112,7 @@ PhaseReport run_wild_phase(const WildConfig& cfg, Phase phase,
                        .replay_duration = cfg.replay_duration,
                        .fault_plan = cfg.fault_plan};
   return run_test_phase(spec, [&](PhaseRun& run) {
-    const trace::AppTrace replay = wild_trace(cfg, !is_original(phase));
+    const trace::AppTrace replay = wild_replay_trace(cfg, !is_original(phase));
     transport::TcpConfig tcp;  // pacing on: WeHeY's modified replay
     const int kConnections = 3;  // streaming sessions use several flows
     run.start(1, replay, tcp, kConnections);
@@ -124,7 +124,7 @@ PhaseReport run_wild_phase(const WildConfig& cfg, Phase phase,
         WildConfig third = cfg;
         third.seed = cfg.seed + 9999;
         third.app = "Twitch";
-        run.net.start_tcp_replay(1, wild_trace(third, false),
+        run.net.start_tcp_replay(1, wild_replay_trace(third, false),
                                  2 * kSecondReplayOffset, tcp, kConnections);
       }
     }
@@ -199,7 +199,8 @@ WildTestResult run_wild_test_reported(const WildConfig& cfg,
   // the run exactly the way the Table-1 bench tallies it — basic success
   // = localized with the per-client mechanism, sanity wrongness =
   // asserting the per-client mechanism at all.
-  const Rate trace_rate = wild_trace(cfg, /*inverted=*/false).average_rate();
+  const Rate trace_rate =
+      wild_replay_trace(cfg, /*inverted=*/false).average_rate();
   r.ground_truth = ground_truth_section(cfg, trace_rate, sanity_check);
   const bool per_client = out.outcome.localization.mechanism ==
                           core::Mechanism::PerClientThrottling;

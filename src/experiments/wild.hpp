@@ -71,6 +71,11 @@ struct WildConfig {
 /// stand-alone (e.g. bench_background's operating points).
 NetworkParams wild_network_params(const WildConfig& cfg, Rate trace_rate);
 
+/// The trace a wild test replays: the config's app, recorded under its
+/// seed, bit-inverted for the inverted phases and extended to
+/// `replay_duration`.
+trace::AppTrace wild_replay_trace(const WildConfig& cfg, bool inverted);
+
 /// One phase of a wild test. `third_replay` adds a concurrent third
 /// original replay (the §5 sanity check) during simultaneous phases.
 PhaseReport run_wild_phase(const WildConfig& cfg, Phase phase,

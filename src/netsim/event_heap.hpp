@@ -21,6 +21,15 @@
 // Ordering: earliest `at` first; ties broken by ascending insertion
 // sequence number, so same-time events fire in the order they were
 // scheduled (the determinism contract the whole simulator relies on).
+// An event's key is the pair (at, seq). push() and rearm_current() draw
+// seq from one counter; reserve_seq(n) draws n numbers from it without
+// pushing anything, exactly as n push() calls would, and push_keyed() /
+// rearm_current_keyed() later place one action at a reserved key. With
+// them a component keeps a single pending event instead of one per item:
+// the event visits each item's key in turn, so every firing gets the key
+// its own push() would have had, every other event keeps its key, and
+// dispatch order is unchanged. Each reserved seq is used at most once,
+// and a keyed event must lie after the executing one.
 #pragma once
 
 #include <array>
@@ -52,11 +61,27 @@ class EventHeap {
   /// Schedule `f` at time `at`, constructing it directly in its pool slot.
   template <typename F>
   void push(Time at, F&& f) {
-    const std::uint32_t slot = acquire_slot();
-    slot_ref(slot).emplace(std::forward<F>(f));
     WEHEY_EXPECTS(next_seq_ < kSeqLimit);
-    nodes_.push_back(Node{at, (next_seq_++ << kSlotBits) | slot});
-    sift_up(nodes_.size() - 1);
+    push_node(at, next_seq_++, std::forward<F>(f));
+  }
+
+  /// Use up `n` sequence numbers, exactly as `n` push() calls would, and
+  /// return the first; push_keyed() and rearm_current_keyed() take them.
+  std::uint64_t reserve_seq(std::uint64_t n) {
+    WEHEY_EXPECTS(n <= kSeqLimit - next_seq_);
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedule `f` at the key (at, seq), where `seq` came from
+  /// reserve_seq() and was not used before. From within an executing
+  /// action the key must lie after the executing event's.
+  template <typename F>
+  void push_keyed(Time at, std::uint64_t seq, F&& f) {
+    WEHEY_EXPECTS(seq < next_seq_);
+    WEHEY_EXPECTS(executing_ == kNoSlot || after_top(at, seq));
+    push_node(at, seq, std::forward<F>(f));
   }
 
   /// Run the earliest event's action in place, then retire (or re-arm) its
@@ -82,8 +107,12 @@ class EventHeap {
       nodes_.pop_back();
       if (!nodes_.empty()) sift_down_root(back);
     } else {
-      WEHEY_EXPECTS(next_seq_ < kSeqLimit);
-      replace_top(Node{rearm_at_, (next_seq_++ << kSlotBits) | slot});
+      std::uint64_t seq = rearm_seq_;
+      if (seq == kFreshSeq) {
+        WEHEY_EXPECTS(next_seq_ < kSeqLimit);
+        seq = next_seq_++;
+      }
+      replace_top(Node{rearm_at_, (seq << kSlotBits) | slot});
     }
   }
 
@@ -95,6 +124,18 @@ class EventHeap {
   void rearm_current(Time at) {
     WEHEY_EXPECTS(executing_ != kNoSlot && at >= 0);
     rearm_at_ = at;
+    rearm_seq_ = kFreshSeq;
+  }
+
+  /// rearm_current() at the key (at, seq), where `seq` came from
+  /// reserve_seq() and was not used before; takes no new sequence number.
+  /// The key must lie after the executing event's: an action can move
+  /// itself later, never back in time.
+  void rearm_current_keyed(Time at, std::uint64_t seq) {
+    WEHEY_EXPECTS(executing_ != kNoSlot && seq < next_seq_);
+    WEHEY_EXPECTS(after_top(at, seq));
+    rearm_at_ = at;
+    rearm_seq_ = seq;
   }
 
   /// Drain events in timestamp order, advancing `now` to each event's time
@@ -157,10 +198,26 @@ class EventHeap {
 
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
   static constexpr Time kNotRearmed = -1;
+  static constexpr std::uint64_t kFreshSeq = UINT64_MAX;
 
   static bool before(const Node& a, const Node& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq_slot < b.seq_slot;
+  }
+
+  /// The key (at, seq) orders after the root's (while an action executes,
+  /// the root is that action's node).
+  bool after_top(Time at, std::uint64_t seq) const {
+    const Node& top = nodes_[0];
+    return at != top.at ? at > top.at : seq > (top.seq_slot >> kSlotBits);
+  }
+
+  template <typename F>
+  void push_node(Time at, std::uint64_t seq, F&& f) {
+    const std::uint32_t slot = acquire_slot();
+    slot_ref(slot).emplace(std::forward<F>(f));
+    nodes_.push_back(Node{at, (seq << kSlotBits) | slot});
+    sift_up(nodes_.size() - 1);
   }
 
   Action& slot_ref(std::uint32_t slot) {
@@ -243,6 +300,7 @@ class EventHeap {
   std::uint64_t next_seq_ = 0;
   std::uint32_t executing_ = kNoSlot;  ///< slot whose action is on the stack
   Time rearm_at_ = kNotRearmed;        ///< pending rearm_current() request
+  std::uint64_t rearm_seq_ = kFreshSeq;  ///< its reserved seq, if keyed
   std::size_t slot_count_ = 0;         ///< slots handed out so far
   std::vector<Node> nodes_;            ///< binary heap of (at, seq, slot)
   std::vector<std::unique_ptr<Chunk>> chunks_;  ///< stable action storage

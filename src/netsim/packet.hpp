@@ -64,6 +64,12 @@ class PacketSink {
 class PacketIdSource {
  public:
   std::uint64_t next() { return next_++; }
+  /// Draw `n` ids at once, as `n` next() calls would; returns the first.
+  std::uint64_t reserve(std::uint64_t n) {
+    const std::uint64_t first = next_;
+    next_ += n;
+    return first;
+  }
 
  private:
   std::uint64_t next_ = 1;

@@ -71,6 +71,9 @@ std::uint64_t Simulator::run_observed(Time until, obs::Recorder& rec,
   return dispatched;
 }
 
-void Simulator::clear() { queue_.clear(); }
+void Simulator::clear() {
+  queue_.clear();
+  ++clears_;
+}
 
 }  // namespace wehey::netsim

@@ -2,8 +2,11 @@
 //
 // A Simulator owns a time-ordered queue of closures. Components schedule
 // work with schedule()/schedule_at(); ties are broken by insertion order so
-// runs are fully deterministic. This plays the role ns-3's scheduler and
-// the wall clock of the wide-area testbed play in the paper.
+// runs are fully deterministic. A precomputed schedule (schedule_series())
+// and a re-armable timeout (netsim::Timer, timer.hpp) keep one pending
+// event each, firing at the keys their per-item events would have had.
+// This plays the role ns-3's scheduler and the wall clock of the
+// wide-area testbed play in the paper.
 //
 // The event queue is an EventHeap (owned binary heap + slot-pooled
 // InplaceAction payloads). schedule()/schedule_at() forward the callable
@@ -12,7 +15,9 @@
 // captures — no heap allocation at all.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/time.hpp"
@@ -52,6 +57,32 @@ class Simulator {
   void schedule_at(Time at, F&& action) {
     WEHEY_EXPECTS(at >= now_);
     queue_.push(at, std::forward<F>(action));
+  }
+
+  /// Run `action(i)` at `times[i]` for every i, each with the key (time,
+  /// seq) that back-to-back schedule_at(times[i], ...) calls made here
+  /// would have given it: item i gets seq first + i, so dispatch order —
+  /// against every other event, same-time ones included — is exactly
+  /// theirs. Instead of one heap event per item the series keeps a single
+  /// pending event that re-arms itself at the next item's key. `times`
+  /// must not decrease and must not lie in the past.
+  template <typename F>
+  void schedule_series(std::vector<Time> times, F&& action) {
+    if (times.empty()) return;
+    WEHEY_EXPECTS(times.front() >= now_);
+    WEHEY_EXPECTS(std::is_sorted(times.begin(), times.end()));
+    const std::uint64_t first = queue_.reserve_seq(times.size());
+    const Time at = times.front();
+    queue_.push_keyed(at, first,
+                      [this, first, next = std::size_t{0},
+                       times = std::move(times),
+                       action = std::forward<F>(action)]() mutable {
+                        action(next++);
+                        if (next < times.size()) {
+                          queue_.rearm_current_keyed(times[next],
+                                                     first + next);
+                        }
+                      });
   }
 
   /// From within a running event only: schedule the currently executing
@@ -110,6 +141,8 @@ class Simulator {
   std::uint64_t budget_events_dispatched() const { return dispatched_; }
 
  private:
+  friend class Timer;  // keeps its one event at reserved keys
+
   enum class Exhausted { kNone, kEvents, kSimTime };
 
   /// The dispatch loop with observability hooks (out of line so the
@@ -120,6 +153,8 @@ class Simulator {
 
   Time now_ = 0;
   EventHeap queue_;
+  std::uint64_t clears_ = 0;  ///< clear() calls: a Timer's event outlives
+                              ///< none of them
   TrialBudget budget_;
   std::uint64_t dispatched_ = 0;  ///< cumulative dispatched events
   Exhausted exhausted_ = Exhausted::kNone;

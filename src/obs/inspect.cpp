@@ -717,23 +717,52 @@ bool render_checkpoint_journal(const std::string& path, std::FILE* out) {
 
 // --------------------------------------------------------- runtime render
 
-/// histogram_quantile over a serialized histogram object ({"lo", "hi",
-/// "count", "min", "max", "bins"}).
-double json_quantile(const JsonValue& h, double q) {
-  const auto tally = [](double v) {
-    return static_cast<std::uint64_t>(std::max(v, 0.0));
-  };
+/// A serialized histogram object ({"lo", "hi", "count", "min", "max",
+/// "bins"}) of a runtime sidecar, read for its quantiles.
+struct SidecarHistogram {
+  double lo = 0;
+  double hi = 1;
+  double min = 0;
+  double max = 0;
+  std::uint64_t count = 0;
   std::vector<std::uint64_t> bins;
-  for (const auto& v : h.at("bins").array) bins.push_back(tally(v.num_or(0)));
-  return histogram_quantile(h.at("lo").num_or(0), h.at("hi").num_or(1),
-                            tally(h.at("count").num_or(0)),
-                            h.at("min").num_or(0), h.at("max").num_or(0),
-                            bins, q);
-}
+
+  /// False unless the count and every bin are whole numbers in range
+  /// (JsonValue::integer), so no out-of-range double is ever cast.
+  bool read(const JsonValue& h) {
+    lo = h.at("lo").num_or(0);
+    hi = h.at("hi").num_or(1);
+    min = h.at("min").num_or(0);
+    max = h.at("max").num_or(0);
+    if (!h.at("count").integer(count)) return false;
+    for (const auto& v : h.at("bins").array) {
+      if (!v.integer(bins.emplace_back())) return false;
+    }
+    return true;
+  }
+
+  double quantile(double q) const {
+    return histogram_quantile(lo, hi, count, min, max, bins, q);
+  }
+};
 
 /// Worker table, scheduler-efficiency metrics and latency percentiles of
-/// a runtime sidecar.
-void render_runtime(const JsonValue& doc, std::FILE* out) {
+/// a runtime sidecar. Both latency histograms are read before anything is
+/// printed: a malformed one fails the document with no partial output.
+bool render_runtime(const JsonValue& doc, std::FILE* out,
+                    std::string& error) {
+  const JsonValue* sched = doc.find("scheduler");
+  const JsonValue* trials = doc.find("trials");
+  SidecarHistogram lat;
+  SidecarHistogram wall;
+  if (sched != nullptr && !lat.read(sched->at("submit_to_start_us"))) {
+    error = "malformed histogram 'scheduler.submit_to_start_us'";
+    return false;
+  }
+  if (trials != nullptr && !wall.read(trials->at("wall_ms"))) {
+    error = "malformed histogram 'trials.wall_ms'";
+    return false;
+  }
   std::fprintf(out, "runtime report  %s\n", doc.at("schema").str.c_str());
   std::fprintf(out, "  run          %s\n", doc.at("run").str.c_str());
   std::fprintf(out, "  wall         %.3f s\n",
@@ -763,7 +792,7 @@ void render_runtime(const JsonValue& doc, std::FILE* out) {
     }
   }
 
-  if (const JsonValue* sched = doc.find("scheduler")) {
+  if (sched != nullptr) {
     print_rule(out, "scheduler");
     std::fprintf(out, "  jobs                 %.0f\n",
                  sched->at("jobs").num_or(0));
@@ -781,28 +810,26 @@ void render_runtime(const JsonValue& doc, std::FILE* out) {
                  sched->at("wait_fraction").num_or(0));
     std::fprintf(out, "  idle fraction        %.3f\n",
                  sched->at("idle_fraction").num_or(0));
-    const JsonValue& lat = sched->at("submit_to_start_us");
-    if (lat.at("count").num_or(0) > 0) {
+    if (lat.count > 0) {
       std::fprintf(out,
                    "  submit-to-start      p50=%.1fus p90=%.1fus p99=%.1fus "
                    "(n=%.0f)\n",
-                   json_quantile(lat, 0.50), json_quantile(lat, 0.90),
-                   json_quantile(lat, 0.99), lat.at("count").num_or(0));
+                   lat.quantile(0.50), lat.quantile(0.90), lat.quantile(0.99),
+                   static_cast<double>(lat.count));
     }
   }
 
-  if (const JsonValue* trials = doc.find("trials")) {
+  if (trials != nullptr) {
     print_rule(out, "trials");
     std::fprintf(out, "  count        %.0f (supervised %.0f)\n",
                  trials->at("count").num_or(0),
                  trials->at("supervised").num_or(0));
-    const JsonValue& wall = trials->at("wall_ms");
-    if (wall.at("count").num_or(0) > 0) {
+    if (wall.count > 0) {
       std::fprintf(out,
                    "  wall         p50=%.1fms p90=%.1fms p99=%.1fms "
                    "max=%.1fms\n",
-                   json_quantile(wall, 0.50), json_quantile(wall, 0.90),
-                   json_quantile(wall, 0.99), wall.at("max").num_or(0));
+                   wall.quantile(0.50), wall.quantile(0.90),
+                   wall.quantile(0.99), wall.max);
     }
   }
 
@@ -814,6 +841,7 @@ void render_runtime(const JsonValue& doc, std::FILE* out) {
                  process->at("event_heap_chunks").num_or(0),
                  process->at("event_heap_bytes").num_or(0));
   }
+  return true;
 }
 
 }  // namespace
@@ -852,7 +880,10 @@ bool inspect_file(const std::string& path, std::FILE* out) {
     return true;
   }
   if (is_runtime_report(doc)) {
-    render_runtime(doc, out);
+    if (!render_runtime(doc, out, error)) {
+      std::fprintf(stderr, "inspect: %s: %s\n", path.c_str(), error.c_str());
+      return false;
+    }
     return true;
   }
   // A one-line journal parses as a single checkpoint entry.

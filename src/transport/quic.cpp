@@ -52,13 +52,7 @@ void QuicSender::maybe_send() {
     if (!have_retx && fresh <= 0) return;
 
     if (cfg_.pacing && sim_.now() < pace_next_) {
-      if (!pace_timer_pending_) {
-        pace_timer_pending_ = true;
-        sim_.schedule_at(pace_next_, [this] {
-          pace_timer_pending_ = false;
-          maybe_send();
-        });
-      }
+      if (!pace_timer_.armed()) pace_timer_.arm(pace_next_);
       return;
     }
     if (have_retx) {
@@ -99,7 +93,7 @@ void QuicSender::send_packet(std::uint64_t offset, std::uint32_t len) {
     pace_next_ = std::max(pace_next_, sim_.now()) + std::max<Time>(gap, 1);
   }
   out_->receive(std::move(pkt));
-  if (!pto_armed_) arm_pto();
+  if (!pto_timer_.armed()) arm_pto();
 }
 
 void QuicSender::receive(Packet pkt) {
@@ -151,8 +145,7 @@ void QuicSender::receive(Packet pkt) {
     }
     cwnd_ = std::min(cwnd_, static_cast<double>(cfg_.max_cwnd_bytes));
     if (unacked_.empty() && retransmit_queue_.empty()) {
-      pto_armed_ = false;
-      ++pto_generation_;
+      pto_timer_.cancel();
     } else {
       arm_pto();
     }
@@ -208,22 +201,14 @@ void QuicSender::declare_lost(std::uint64_t pn, const Sent& info,
 }
 
 void QuicSender::arm_pto() {
-  ++pto_generation_;
-  pto_armed_ = true;
   const Time rtt = srtt_ > 0 ? srtt_ : cfg_.initial_rtt_guess;
   const Time pto = std::max(cfg_.min_pto, rtt + 4 * rttvar_)
                    << std::min(pto_backoff_, 6);
-  const auto gen = pto_generation_;
-  sim_.schedule(pto, [this, gen] {
-    if (pto_armed_ && gen == pto_generation_) on_pto();
-  });
+  pto_timer_.arm(sim_.now() + pto);
 }
 
 void QuicSender::on_pto() {
-  if (unacked_.empty() && retransmit_queue_.empty()) {
-    pto_armed_ = false;
-    return;
-  }
+  if (unacked_.empty() && retransmit_queue_.empty()) return;
   ++pto_count_;
   ++pto_backoff_;
   // Probe: re-send the oldest unacked data under a fresh packet number.

@@ -27,6 +27,7 @@
 #include "netsim/packet.hpp"
 #include "netsim/sack_log.hpp"
 #include "netsim/simulator.hpp"
+#include "netsim/timer.hpp"
 
 namespace wehey::transport {
 
@@ -112,9 +113,8 @@ class QuicSender final : public netsim::PacketSink {
 
   // Pacing / PTO.
   Time pace_next_ = 0;
-  bool pace_timer_pending_ = false;
-  bool pto_armed_ = false;
-  std::uint64_t pto_generation_ = 0;
+  netsim::Timer pace_timer_{sim_, [this] { maybe_send(); }};
+  netsim::Timer pto_timer_{sim_, [this] { on_pto(); }};
   int pto_backoff_ = 0;
 
   netsim::ReplayMeasurement meas_;

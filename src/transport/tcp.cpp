@@ -82,13 +82,7 @@ void TcpSender::maybe_send() {
     if (hole == outstanding_.end() && available_ == 0) return;
 
     if (cfg_.pacing && sim_.now() < pace_next_) {
-      if (!pace_timer_pending_) {
-        pace_timer_pending_ = true;
-        sim_.schedule_at(pace_next_, [this] {
-          pace_timer_pending_ = false;
-          maybe_send();
-        });
-      }
+      if (!pace_timer_.armed()) pace_timer_.arm(pace_next_);
       return;
     }
     if (hole != outstanding_.end()) {
@@ -120,7 +114,7 @@ void TcpSender::send_new_segment() {
   available_ -= len;
   // Arm (not restart) the retransmission timer: restarting on every send
   // would let a steady stream of new data postpone the timeout forever.
-  if (!rto_armed_) arm_rto();
+  if (!rto_timer_.armed()) arm_rto();
 }
 
 void TcpSender::transmit(std::uint64_t seq, const Segment& seg,
@@ -409,20 +403,8 @@ void TcpSender::update_rtt(Time sample) {
   rto_ = std::clamp(srtt_ + 4 * rttvar_, cfg_.min_rto, cfg_.max_rto);
 }
 
-void TcpSender::arm_rto() {
-  ++rto_generation_;
-  rto_armed_ = true;
-  const auto gen = rto_generation_;
-  sim_.schedule(rto_, [this, gen] {
-    if (rto_armed_ && gen == rto_generation_) on_rto();
-  });
-}
-
 void TcpSender::on_rto() {
-  if (inflight() == 0) {
-    rto_armed_ = false;
-    return;
-  }
+  if (inflight() == 0) return;
   ++timeout_count_;
   rto_obs_.inc();
   enter_loss_recovery(/*timeout=*/true);
@@ -606,21 +588,14 @@ void TcpReceiver::receive(Packet pkt) {
     send_ack(now);
     return;
   }
-  if (!delack_timer_pending_) {
-    delack_timer_pending_ = true;
-    const auto gen = ++delack_generation_;
-    sim_.schedule(cfg_.delayed_ack_timeout, [this, gen] {
-      if (delack_timer_pending_ && gen == delack_generation_) {
-        send_ack(sim_.now());
-      }
-    });
+  if (!delack_timer_.armed()) {
+    delack_timer_.arm(now + cfg_.delayed_ack_timeout);
   }
 }
 
 void TcpReceiver::send_ack(Time now) {
   unacked_segments_ = 0;
-  delack_timer_pending_ = false;
-  ++delack_generation_;
+  delack_timer_.cancel();
   Packet ack;
   ack.id = ids_.next();
   ack.flow = flow_;

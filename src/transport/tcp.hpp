@@ -32,6 +32,7 @@
 #include "netsim/packet.hpp"
 #include "netsim/sack_log.hpp"
 #include "netsim/simulator.hpp"
+#include "netsim/timer.hpp"
 #include "obs/hotpath.hpp"
 
 namespace wehey::transport {
@@ -142,8 +143,8 @@ class TcpSender final : public netsim::PacketSink {
   }
   void on_new_ack(std::uint64_t ack, Time now);
   void update_rtt(Time sample);
-  void arm_rto();
-  void cancel_rto() { ++rto_generation_; rto_armed_ = false; }
+  void arm_rto() { rto_timer_.arm(sim_.now() + rto_); }
+  void cancel_rto() { rto_timer_.cancel(); }
   void on_rto();
   void slow_start_or_avoid(std::int64_t acked_bytes, Time now);
   void cubic_on_ack(Time now);
@@ -224,12 +225,11 @@ class TcpSender final : public netsim::PacketSink {
   Time srtt_ = 0;
   Time rttvar_ = 0;
   Time rto_ = seconds(1);
-  bool rto_armed_ = false;
-  std::uint64_t rto_generation_ = 0;
+  netsim::Timer rto_timer_{sim_, [this] { on_rto(); }};
 
   // Pacing.
   Time pace_next_ = 0;
-  bool pace_timer_pending_ = false;
+  netsim::Timer pace_timer_{sim_, [this] { maybe_send(); }};
   Time last_send_ = 0;
   Time last_loss_event_ = -1;  ///< RTT-sampling guard (see update path)
 
@@ -294,8 +294,7 @@ class TcpReceiver final : public netsim::PacketSink {
   std::uint64_t acks_sent_ = 0;
   std::function<void(std::int64_t)> on_deliver_;
   int unacked_segments_ = 0;       // delayed-ACK counter
-  bool delack_timer_pending_ = false;
-  std::uint64_t delack_generation_ = 0;
+  netsim::Timer delack_timer_{sim_, [this] { send_ack(sim_.now()); }};
   std::map<std::uint64_t, std::uint32_t> out_of_order_;  // seq -> len
   std::vector<netsim::Delivery> deliveries_;
   std::vector<double> owd_ms_;

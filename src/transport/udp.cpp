@@ -13,30 +13,40 @@ UdpReplaySender::UdpReplaySender(netsim::Simulator& sim,
                                  netsim::PacketSink* out,
                                  const trace::AppTrace& t, Time start,
                                  netsim::FlowId policer_key)
-    : start_(start) {
+    : sim_(sim),
+      out_(out),
+      flow_(flow),
+      policer_key_(policer_key),
+      header_bytes_(cfg.header_bytes),
+      dscp_(dscp),
+      start_(start),
+      end_(start) {
   WEHEY_EXPECTS(out != nullptr);
   tx_times_.reserve(t.packets.size());
-  std::uint64_t seq = 0;
-  end_ = start;
+  payloads_.reserve(t.packets.size());
   for (const auto& tp : t.packets) {
-    const Time at = start + tp.offset;
-    Packet pkt;
-    pkt.id = ids.next();
-    pkt.flow = flow;
-    pkt.policer_key = policer_key;
-    pkt.kind = PacketKind::Data;
-    pkt.size = tp.size + cfg.header_bytes;
-    pkt.dscp = dscp;
-    pkt.seq = seq++;
-    pkt.payload = tp.size;
-    sim.schedule_at(at, [&sim, out, pkt]() mutable {
-      pkt.sent_at = sim.now();
-      out->receive(std::move(pkt));
-    });
-    tx_times_.push_back(at);
-    end_ = at;
+    tx_times_.push_back(start + tp.offset);
+    payloads_.push_back(tp.size);
   }
-  scheduled_ = seq;
+  if (!tx_times_.empty()) end_ = tx_times_.back();
+  // Packet ids are drawn now, when the schedule is laid out: packet i
+  // carries first_id_ + i.
+  first_id_ = ids.reserve(tx_times_.size());
+  sim.schedule_series(tx_times_, [this](std::size_t i) { send(i); });
+}
+
+void UdpReplaySender::send(std::size_t i) {
+  Packet pkt;
+  pkt.id = first_id_ + i;
+  pkt.flow = flow_;
+  pkt.policer_key = policer_key_;
+  pkt.kind = PacketKind::Data;
+  pkt.size = payloads_[i] + header_bytes_;
+  pkt.dscp = dscp_;
+  pkt.seq = i;
+  pkt.payload = payloads_[i];
+  pkt.sent_at = sim_.now();
+  out_->receive(std::move(pkt));
 }
 
 void UdpReplayReceiver::receive(Packet pkt) {

@@ -34,14 +34,28 @@ class UdpReplaySender {
                   netsim::PacketSink* out, const trace::AppTrace& t,
                   Time start, netsim::FlowId policer_key = 0);
 
-  std::uint64_t packets_scheduled() const { return scheduled_; }
+  // The pending send event points back at this sender.
+  UdpReplaySender(const UdpReplaySender&) = delete;
+  UdpReplaySender& operator=(const UdpReplaySender&) = delete;
+
+  std::uint64_t packets_scheduled() const { return tx_times_.size(); }
   const std::vector<Time>& tx_times() const { return tx_times_; }
   Time start() const { return start_; }
   Time end() const { return end_; }
 
  private:
+  /// Transmit trace packet `i` now.
+  void send(std::size_t i);
+
+  netsim::Simulator& sim_;
+  netsim::PacketSink* out_;
+  netsim::FlowId flow_;
+  netsim::FlowId policer_key_;
+  std::uint32_t header_bytes_;
+  std::uint8_t dscp_;
+  std::uint64_t first_id_ = 0;
   std::vector<Time> tx_times_;
-  std::uint64_t scheduled_ = 0;
+  std::vector<std::uint32_t> payloads_;
   Time start_ = 0;
   Time end_ = 0;
 };

@@ -6,6 +6,7 @@
 #include "experiments/params.hpp"
 #include "experiments/scenario.hpp"
 #include "experiments/wild.hpp"
+#include "obs/recorder.hpp"
 #include "stats/descriptive.hpp"
 
 namespace wehey::experiments {
@@ -205,6 +206,28 @@ TEST(Wild, DelayedThrottlerEvadesThroughputComparisonMostly) {
         out.localization.mechanism == core::Mechanism::PerClientThrottling;
   }
   EXPECT_LE(per_client, 1);
+}
+
+TEST(Wild, SanityPhaseKeepsTheEventHeapShallow) {
+  // A Table-1 sanity phase: three 45-s replays plus packet background.
+  // Each replay's supply schedule, the background flow starts and every
+  // sender's RTO keep one pending event each, so the heap stays shallow
+  // however many trace packets the replays supply. One event per trace
+  // packet and per RTO arm put this phase's peak in the tens of thousands.
+  WildConfig cfg;
+  cfg.isp = default_isp_models()[0];
+  cfg.bg_mode = trace::BackgroundMode::kPacket;
+  // The two measured replays alone; the third one supplies more.
+  const std::size_t supplied = 2 * wild_replay_trace(cfg, false).packets.size();
+  ASSERT_GT(supplied, 10000u);
+  obs::Recorder rec(/*metrics_on=*/true, /*trace_on=*/false);
+  {
+    obs::ScopedRecorder bind(&rec);
+    (void)run_wild_phase(cfg, Phase::SimOriginal, /*third_replay=*/true);
+  }
+  const obs::Gauge& depth = rec.metrics().gauge("sim.heap_depth_peak");
+  ASSERT_TRUE(depth.seen());
+  EXPECT_LT(depth.max(), 1000.0);
 }
 
 }  // namespace

@@ -1,16 +1,23 @@
 // Simulator event queue, queue disciplines, links, demux.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <functional>
+#include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "netsim/event_heap.hpp"
 #include "netsim/link.hpp"
 #include "netsim/measure.hpp"
 #include "netsim/queue.hpp"
 #include "netsim/sack_log.hpp"
 #include "netsim/simulator.hpp"
+#include "netsim/timer.hpp"
 
 namespace wehey::netsim {
 namespace {
@@ -161,6 +168,204 @@ TEST(Simulator, RescheduleCurrentOrdersAfterEventsTheActionScheduled) {
   });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// ------------------------------------------------------ reserved keys
+
+/// Dispatch log of two series of items, run either through
+/// schedule_series or as one schedule_at per item, with plain events at
+/// the items' times scheduled before, between and after the series and
+/// from inside the items' actions.
+std::vector<std::string> series_log(bool as_series) {
+  Simulator sim;
+  std::vector<std::string> log;
+  const auto plain = [&log](std::string name) {
+    return [&log, name = std::move(name)] { log.push_back(name); };
+  };
+  const auto schedule = [&](const std::string& name,
+                            const std::vector<Time>& times) {
+    const auto item = [&sim, &log, plain, name](std::size_t i) {
+      const std::string tag = name + std::to_string(i);
+      log.push_back(tag);
+      sim.schedule(0, plain(tag + ".now"));
+      if (i % 2 == 0) sim.schedule(milliseconds(1), plain(tag + ".later"));
+    };
+    if (as_series) {
+      sim.schedule_series(times, item);
+    } else {
+      for (std::size_t i = 0; i < times.size(); ++i) {
+        sim.schedule_at(times[i], [item, i] { item(i); });
+      }
+    }
+  };
+  sim.schedule_at(milliseconds(1), plain("before@1"));
+  sim.schedule_at(milliseconds(2), plain("before@2"));
+  schedule("a", {milliseconds(1), milliseconds(1), milliseconds(2),
+                 milliseconds(2), milliseconds(3), milliseconds(5)});
+  sim.schedule_at(milliseconds(2), plain("between@2"));
+  schedule("b", {milliseconds(1), milliseconds(2), milliseconds(2),
+                 milliseconds(3), milliseconds(3)});
+  sim.schedule_at(milliseconds(1), plain("after@1"));
+  sim.schedule_at(milliseconds(3), plain("after@3"));
+  if (as_series) {
+    EXPECT_EQ(sim.pending_events(), 7u);  // 5 plain events + 2 series
+  }
+  sim.run();
+  return log;
+}
+
+TEST(Simulator, SeriesDispatchesLikeOneEventPerItem) {
+  const std::vector<std::string> one_by_one = series_log(false);
+  // 5 plain events; 11 items, each with its ".now" event; 6 ".later"s.
+  EXPECT_EQ(one_by_one.size(), 5u + 2u * 11u + 6u);
+  EXPECT_EQ(series_log(true), one_by_one);
+}
+
+TEST(SimulatorDeathTest, SeriesWithDecreasingTimesFailsLoudly) {
+  Simulator sim;
+  EXPECT_DEATH(sim.schedule_series({milliseconds(2), milliseconds(1)},
+                                   [](std::size_t) {}),
+               "Precondition failed");
+}
+
+TEST(EventHeapDeathTest, KeyedRearmToAnEarlierKeyFailsLoudly) {
+  EventHeap heap;
+  Time now = 0;
+  const std::uint64_t first = heap.reserve_seq(2);
+  heap.push_keyed(milliseconds(2), first + 1, [&heap, first] {
+    heap.rearm_current_keyed(milliseconds(2), first);
+  });
+  EXPECT_DEATH(heap.run_until(-1, now, 10), "Precondition failed");
+}
+
+/// The timer pattern Timer replaced: one event per arm(), and a
+/// generation counter so that superseded events do nothing when they fire.
+class GenerationTimer {
+ public:
+  GenerationTimer(Simulator& sim, std::function<void()> on_fire)
+      : sim_(sim), on_fire_(std::move(on_fire)) {}
+  void arm(Time at) {
+    const std::uint64_t gen = ++generation_;
+    armed_ = true;
+    sim_.schedule_at(at, [this, gen] {
+      if (armed_ && gen == generation_) {
+        armed_ = false;
+        on_fire_();
+      }
+    });
+  }
+  void cancel() {
+    ++generation_;
+    armed_ = false;
+  }
+  bool armed() const { return armed_; }
+
+ private:
+  Simulator& sim_;
+  std::function<void()> on_fire_;
+  bool armed_ = false;
+  std::uint64_t generation_ = 0;
+};
+
+struct TimerRun {
+  std::vector<std::string> log;  ///< plain events and firings, in order
+  std::uint64_t dispatched = 0;
+};
+
+/// A seeded random mix of arm, cancel, later and earlier re-arms and
+/// re-arms from inside the callback, on a coarse time grid so firings
+/// often share their timestamp with plain events — ones scheduled up
+/// front and ones scheduled between the arms.
+template <typename T>
+TimerRun drive_timer(std::uint64_t seed) {
+  constexpr Time kStep = milliseconds(1);
+  Simulator sim;
+  Rng rng(seed);
+  TimerRun run;
+  Time deadline = 0;
+  std::unique_ptr<T> timer;
+  const auto arm = [&](Time at) {
+    deadline = at;
+    timer->arm(at);
+  };
+  timer = std::make_unique<T>(sim, [&] {
+    run.log.push_back("fire@" + std::to_string(sim.now()));
+    if (rng.bernoulli(0.3)) arm(sim.now() + rng.uniform_int(0, 3) * kStep);
+  });
+  for (int k = 0; k < 300; ++k) {
+    const Time at = rng.uniform_int(0, 150) * kStep;
+    sim.schedule_at(at, [&, k] {
+      const Time now = sim.now();
+      run.log.push_back("op" + std::to_string(k) + "@" +
+                        std::to_string(now));
+      const Time mark = now + rng.uniform_int(0, 6) * kStep;
+      sim.schedule_at(mark, [&run, &sim, k] {
+        run.log.push_back("mark" + std::to_string(k) + "@" +
+                          std::to_string(sim.now()));
+      });
+      const Time pending = std::max(deadline, now);
+      switch (rng.uniform_int(0, 4)) {
+        case 0:
+          arm(now + rng.uniform_int(0, 6) * kStep);
+          break;
+        case 1:
+          timer->cancel();
+          break;
+        case 2:  // re-arm later
+          arm(pending + rng.uniform_int(0, 4) * kStep);
+          break;
+        case 3:  // re-arm earlier
+          arm(now + (pending - now) / 2);
+          break;
+        default:
+          if (!timer->armed()) arm(now + rng.uniform_int(1, 8) * kStep);
+      }
+    });
+  }
+  sim.run();
+  run.dispatched = sim.budget_events_dispatched();
+  return run;
+}
+
+TEST(Timer, FiresAtTheKeysOfOneEventPerArm) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const TimerRun reference = drive_timer<GenerationTimer>(seed);
+    const TimerRun timer = drive_timer<Timer>(seed);
+    std::size_t fires = 0;
+    for (const auto& line : reference.log) {
+      fires += line.rfind("fire", 0) == 0;
+    }
+    ASSERT_GT(fires, 10u) << "seed " << seed;
+    EXPECT_EQ(timer.log, reference.log) << "seed " << seed;
+    EXPECT_LT(timer.dispatched, reference.dispatched) << "seed " << seed;
+  }
+}
+
+TEST(Timer, KeepsOneEventAcrossLaterRearmsAndIgnoresSupersededOnes) {
+  Simulator sim;
+  std::vector<Time> fired;
+  Timer timer(sim, [&] { fired.push_back(sim.now()); });
+  timer.arm(milliseconds(5));
+  timer.arm(milliseconds(8));  // later: the pending event follows
+  EXPECT_EQ(sim.pending_events(), 1u);
+  timer.arm(milliseconds(3));  // earlier: a new event; the old one idles
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<Time>{milliseconds(3)}));
+  EXPECT_FALSE(timer.armed());
+  EXPECT_EQ(sim.now(), milliseconds(5));  // the superseded event idled
+}
+
+TEST(Timer, ArmsAgainAfterClearDroppedItsEvent) {
+  Simulator sim;
+  int fired = 0;
+  Timer timer(sim, [&] { ++fired; });
+  timer.arm(milliseconds(5));
+  sim.clear();
+  timer.arm(milliseconds(6));
+  sim.run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), milliseconds(6));
 }
 
 TEST(InplaceAction, InlineCaptureAvoidsHeapAndRunsDestructor) {

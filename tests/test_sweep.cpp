@@ -655,6 +655,46 @@ TEST(Inspect, ParserRejectsPathologicalDocuments) {
   std::string rendered;
   ASSERT_TRUE(read_file(sink_path, rendered));
   EXPECT_TRUE(rendered.empty());
+
+  // A runtime sidecar whose latency histogram holds a count or a bin that
+  // no integer can represent is refused like any other malformed input,
+  // with no partial output, instead of casting the double (undefined
+  // behaviour for NaN, 1e30 or a negative value).
+  const auto sidecar = [](const std::string& section,
+                          const std::string& count, const std::string& bin) {
+    const std::string hist = "{\"lo\": 0, \"hi\": 100, \"min\": 1, "
+                             "\"max\": 2, \"count\": " + count +
+                             ", \"bins\": [" + bin + ", 0]}";
+    const std::string key =
+        section == "scheduler" ? "submit_to_start_us" : "wall_ms";
+    return "{\"schema\": \"wehey.runtime_report.v1\", \"run\": \"r\", "
+           "\"wall_seconds\": 1, \"" + section + "\": {\"" + key +
+           "\": " + hist + "}}";
+  };
+  const std::string side = dir + "/runtime.json";
+  const auto inspect_sidecar = [&](const std::string& text,
+                                   std::string& output) {
+    EXPECT_TRUE(write_report_file(side, text));
+    std::FILE* f = std::fopen(sink_path.c_str(), "w");
+    EXPECT_NE(f, nullptr);
+    const bool ok = inspect_file(side, f);
+    std::fclose(f);
+    EXPECT_TRUE(read_file(sink_path, output));
+    return ok;
+  };
+  for (const std::string section : {"scheduler", "trials"}) {
+    std::string output;
+    EXPECT_TRUE(inspect_sidecar(sidecar(section, "2", "2"), output));
+    EXPECT_FALSE(output.empty());
+    for (const auto& [count, bin] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"1e30", "2"}, {"NaN", "2"}, {"2.5", "2"}, {"-1", "2"},
+             {"2", "1e30"}, {"2", "NaN"}, {"2", "-1"}, {"2", "Infinity"}}) {
+      EXPECT_FALSE(inspect_sidecar(sidecar(section, count, bin), output))
+          << section << " count " << count << " bin " << bin;
+      EXPECT_TRUE(output.empty()) << section << " count " << count;
+    }
+  }
 }
 
 TEST(Compare, FlattenKeysListsTheComparableKeySpace) {
