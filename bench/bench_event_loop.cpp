@@ -293,11 +293,6 @@ int main() {
   obs_run.report().verdict = "completed";
   obs_run.report().values["event_loop.events"] = static_cast<double>(kEvents);
   obs_run.report().values["grid.trials"] = static_cast<double>(configs.size());
-  if (obs::report_wall_times()) {
-    // Timing-derived numbers are wall-clock, so they only enter the
-    // (otherwise deterministic) report when wall times are opted in.
-    obs_run.report().values["obs_active_eps"] = obs_active;
-  }
   if (runtime_idle_overhead > kMaxRuntimeIdleOverhead) {
     std::printf("FAIL: runtime telemetry idle overhead %+.2f%% exceeds "
                 "%.0f%%\n",

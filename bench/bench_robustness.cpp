@@ -65,10 +65,7 @@ int main() {
   using namespace wehey;
   obs::ObservedSweep obs_run("bench_robustness");
 
-  int runs = std::getenv("WEHEY_FULL") != nullptr &&
-                     std::string(std::getenv("WEHEY_FULL")) != "0"
-                 ? 20
-                 : 5;
+  int runs = experiments::run_scale().full ? 20 : 5;
   if (const char* env = std::getenv("WEHEY_RUNS_PER_CONFIG")) {
     const int parsed = std::atoi(env);
     if (parsed > 0) runs = parsed;

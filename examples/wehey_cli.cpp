@@ -26,11 +26,12 @@
 //
 // Every command runs under one obs::ObservedSweep named "wehey_cli_<cmd>":
 // it honours the observability environment (WEHEY_TRACE=path,
-// WEHEY_METRICS=1, WEHEY_RUNTIME_REPORT=path, WEHEY_PROGRESS=plain|tty),
-// and for wild and session also WEHEY_REPORT=path / WEHEY_REPORT_DIR=dir
-// and WEHEY_REPORT_MODE=per-run|sweep|both. wild, session, sweep and full
-// inject a shipped chaos plan with --faults NAME (or WEHEY_FAULT_PLAN=NAME;
-// seed: --chaos-seed N or WEHEY_CHAOS_SEED); an unknown name exits 2.
+// WEHEY_RUNTIME_REPORT=path, WEHEY_PROGRESS=plain|tty). WEHEY_REPORT=path
+// names the report of wild, session and full; WEHEY_REPORT_DIR=dir also
+// takes the per-run reports of a checkpointed sweep. wild, session, sweep
+// and full inject a shipped chaos plan with --faults NAME (or
+// WEHEY_FAULT_PLAN=NAME; seed: --chaos-seed N or WEHEY_CHAOS_SEED); an
+// unknown name exits 2.
 // Status lines go to stderr; exit 1 when an artifact fails to write.
 #include <cstdio>
 #include <cstdlib>
@@ -390,8 +391,8 @@ bool load_run_report(const std::string& path, obs::RunReport& report,
 
 /// Offline sweep aggregation: per-run report files in, one
 /// wehey.sweep_report.v1 out. Byte-identical to the in-process sweep the
-/// emitting binary writes under WEHEY_REPORT_MODE=sweep over the same
-/// runs — CI diffs the two.
+/// emitting binary writes under WEHEY_REPORT_DIR over the same runs — CI
+/// diffs the two.
 int cmd_merge(int argc, char** argv) {
   std::vector<std::string> files;
   std::string out_path;

@@ -7,26 +7,19 @@
 
 #include "common/time.hpp"
 #include "obs/timeline.hpp"
+#include "stats/descriptive.hpp"
 
 namespace wehey::obs {
 
 namespace {
+
+using stats::sorted_quantile;
 
 constexpr char kNoneLabel[] = "(none)";
 
 const std::string& label_or_none(const std::string& s) {
   static const std::string none = kNoneLabel;
   return s.empty() ? none : s;
-}
-
-/// Linear-interpolated quantile of an ascending-sorted sample vector.
-double samples_quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const std::size_t i = static_cast<std::size_t>(pos);
-  if (i + 1 >= sorted.size()) return sorted.back();
-  const double frac = pos - static_cast<double>(i);
-  return sorted[i] + (sorted[i + 1] - sorted[i]) * frac;
 }
 
 /// Sum in ascending order — with pre-sorted input this is a pure
@@ -140,9 +133,9 @@ void emit_summary(std::ostringstream& out, std::vector<double> samples) {
         << ", \"max\": " << json_number(samples.back())
         << ", \"mean\": " << json_number(sum / static_cast<double>(n))
         << ", \"sum\": " << json_number(sum)
-        << ", \"p50\": " << json_number(samples_quantile(samples, 0.50))
-        << ", \"p90\": " << json_number(samples_quantile(samples, 0.90))
-        << ", \"p99\": " << json_number(samples_quantile(samples, 0.99));
+        << ", \"p50\": " << json_number(sorted_quantile(samples, 0.50))
+        << ", \"p90\": " << json_number(sorted_quantile(samples, 0.90))
+        << ", \"p99\": " << json_number(sorted_quantile(samples, 0.99));
   }
   out << "}";
 }
@@ -349,9 +342,9 @@ std::string SweepAggregator::to_json() const {
       std::sort(means.begin(), means.end());
       out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
           << "\": {\"cells\": " << means.size()
-          << ", \"p50\": " << json_number(samples_quantile(means, 0.50))
-          << ", \"p90\": " << json_number(samples_quantile(means, 0.90))
-          << ", \"p99\": " << json_number(samples_quantile(means, 0.99))
+          << ", \"p50\": " << json_number(sorted_quantile(means, 0.50))
+          << ", \"p90\": " << json_number(sorted_quantile(means, 0.90))
+          << ", \"p99\": " << json_number(sorted_quantile(means, 0.99))
           << "}";
       first = false;
     }

@@ -217,14 +217,15 @@ bool json_parse(const std::string& text, JsonValue& out,
 bool read_file(const std::string& path, std::string& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
-  std::fseek(f, 0, SEEK_END);
-  const long len = std::ftell(f);
-  std::rewind(f);
-  out.resize(len > 0 ? static_cast<std::size_t>(len) : 0);
-  const std::size_t got = std::fread(out.data(), 1, out.size(), f);
+  // Read to EOF rather than trusting ftell, which is meaningless for a
+  // directory (fopen succeeds, fread fails with EISDIR) or a pipe.
+  out.clear();
+  char buf[1 << 16];
+  std::size_t got = 0;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, got);
+  const bool ok = std::ferror(f) == 0;
   std::fclose(f);
-  out.resize(got);
-  return true;
+  return ok;
 }
 
 namespace {
@@ -359,10 +360,8 @@ void render_report(const RunReport& r, const MetricsRegistry& metrics,
 
   if (!r.stages.empty()) print_rule(out, "stages (sim time)");
   for (const StageTiming& st : r.stages) {
-    std::fprintf(out, "  %-24s %12.3f ms", st.name.c_str(),
+    std::fprintf(out, "  %-24s %12.3f ms\n", st.name.c_str(),
                  to_milliseconds(st.sim_end) - to_milliseconds(st.sim_start));
-    if (st.wall_ms >= 0.0) std::fprintf(out, "  (wall %.3f ms)", st.wall_ms);
-    std::fputc('\n', out);
   }
 
   if (!metrics.histograms().empty()) {
@@ -397,20 +396,12 @@ void render_report(const RunReport& r, const MetricsRegistry& metrics,
 
   if (!r.profile.empty()) {
     print_rule(out, "stage profile (sim time, self = minus children)");
-    std::fprintf(out, "  %-24s %6s %12s %12s %12s %12s\n", "stage", "count",
-                 "sim ms", "self ms", "wall ms", "self wall");
+    std::fprintf(out, "  %-24s %6s %12s %12s\n", "stage", "count",
+                 "sim ms", "self ms");
   }
   for (const ProfileEntry& e : r.profile) {
-    std::fprintf(out, "  %-24s %6.0f %12.3f %12.3f", e.name.c_str(),
+    std::fprintf(out, "  %-24s %6.0f %12.3f %12.3f\n", e.name.c_str(),
                  static_cast<double>(e.count), e.sim_ms, e.self_sim_ms);
-    for (const double wall : {e.wall_ms, e.self_wall_ms}) {
-      if (wall >= 0.0) {
-        std::fprintf(out, " %12.3f", wall);
-      } else {
-        std::fprintf(out, " %12s", "-");
-      }
-    }
-    std::fputc('\n', out);
   }
 
   if (!r.injection.empty()) {

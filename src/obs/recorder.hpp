@@ -18,9 +18,9 @@
 //     becomes a constant nullptr and guarded code folds away).
 //
 // A process binds its run-wide recorder through ObservedSweep (sweep.hpp),
-// which reads the observability environment (WEHEY_METRICS, WEHEY_TRACE,
-// WEHEY_TRACE_BUFFER_EVENTS, WEHEY_REPORT, WEHEY_REPORT_DIR) and writes
-// the trace and the reports when the process ends.
+// which reads the observability environment (WEHEY_TRACE, WEHEY_REPORT,
+// WEHEY_REPORT_DIR) and writes the trace and the reports when the process
+// ends.
 #pragma once
 
 #include <string>

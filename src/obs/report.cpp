@@ -68,12 +68,8 @@ std::vector<ProfileEntry> profile_from_spans(std::vector<ProfileSpan> spans) {
               return a.name < b.name;
             });
 
-  struct Node {
-    double child_sim_ms = 0.0;
-    double child_wall_ms = 0.0;
-    bool child_wall_ok = true;  ///< all direct children carried wall times
-  };
-  std::vector<Node> nodes(spans.size());
+  // Sim time of each span's directly enclosed children.
+  std::vector<double> child_sim_ms(spans.size(), 0.0);
 
   // Per-track containment stack: the top is the innermost span still
   // enclosing the current one. Assumes well-nested spans per track
@@ -95,59 +91,26 @@ std::vector<ProfileEntry> profile_from_spans(std::vector<ProfileSpan> spans) {
       stack.pop_back();
     }
     if (!stack.empty()) {
-      Node& parent = nodes[stack.back()];
-      parent.child_sim_ms +=
+      child_sim_ms[stack.back()] +=
           to_milliseconds(s.end) - to_milliseconds(s.start);
-      if (s.wall_ms >= 0.0) {
-        parent.child_wall_ms += s.wall_ms;
-      } else {
-        parent.child_wall_ok = false;
-      }
     }
     stack.push_back(i);
   }
 
-  struct Acc {
-    std::uint64_t count = 0;
-    double sim_ms = 0.0;
-    double self_sim_ms = 0.0;
-    double wall_ms = 0.0;
-    double self_wall_ms = 0.0;
-    bool wall_ok = true;       ///< every span of this name had wall time
-    bool self_wall_ok = true;  ///< ... and so did all their children
-  };
-  std::map<std::string, Acc> by_name;
+  std::map<std::string, ProfileEntry> by_name;
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const ProfileSpan& s = spans[i];
-    const Node& n = nodes[i];
     const double dur = to_milliseconds(s.end) - to_milliseconds(s.start);
-    Acc& a = by_name[s.name];
-    ++a.count;
-    a.sim_ms += dur;
-    a.self_sim_ms += std::max(0.0, dur - n.child_sim_ms);
-    if (s.wall_ms >= 0.0) {
-      a.wall_ms += s.wall_ms;
-      if (n.child_wall_ok) {
-        a.self_wall_ms += std::max(0.0, s.wall_ms - n.child_wall_ms);
-      } else {
-        a.self_wall_ok = false;
-      }
-    } else {
-      a.wall_ok = false;
-      a.self_wall_ok = false;
-    }
+    ProfileEntry& e = by_name[s.name];
+    ++e.count;
+    e.sim_ms += dur;
+    e.self_sim_ms += std::max(0.0, dur - child_sim_ms[i]);
   }
 
   std::vector<ProfileEntry> out;
   out.reserve(by_name.size());
-  for (const auto& [name, a] : by_name) {
-    ProfileEntry e;
+  for (auto& [name, e] : by_name) {
     e.name = name;
-    e.count = a.count;
-    e.sim_ms = a.sim_ms;
-    e.self_sim_ms = a.self_sim_ms;
-    e.wall_ms = a.wall_ok ? a.wall_ms : -1.0;
-    e.self_wall_ms = (a.wall_ok && a.self_wall_ok) ? a.self_wall_ms : -1.0;
     out.push_back(std::move(e));
   }
   return out;
@@ -155,16 +118,13 @@ std::vector<ProfileEntry> profile_from_spans(std::vector<ProfileSpan> spans) {
 
 std::vector<ProfileSpan> profile_spans_from_timeline(const Timeline& tl) {
   std::vector<ProfileSpan> spans;
-  tl.for_each_event([&](const TimelineEvent& ev) {
-    if (ev.kind != TimelineEvent::Kind::Span) return;
-    ProfileSpan s;
-    s.track = (static_cast<std::int64_t>(ev.pid) << 32) |
-              static_cast<std::int64_t>(static_cast<std::uint32_t>(ev.tid));
-    s.name = ev.name;
-    s.start = ev.at;
-    s.end = ev.at + ev.duration;
-    spans.push_back(std::move(s));
-  });
+  for (const TimelineEvent& ev : tl.events()) {
+    if (ev.kind != TimelineEvent::Kind::Span) continue;
+    const std::int64_t track =
+        (static_cast<std::int64_t>(ev.pid) << 32) |
+        static_cast<std::int64_t>(static_cast<std::uint32_t>(ev.tid));
+    spans.push_back({track, ev.name, ev.at, ev.at + ev.duration});
+  }
   return spans;
 }
 
@@ -255,11 +215,8 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
         << ", \"sim_end_us\": "
         << json_number(static_cast<double>(s.sim_end) / 1000.0)
         << ", \"sim_ms\": " << json_number(to_milliseconds(s.sim_end) -
-                                           to_milliseconds(s.sim_start));
-    if (s.wall_ms >= 0.0) {
-      out << ", \"wall_ms\": " << json_number(s.wall_ms);
-    }
-    out << "}";
+                                           to_milliseconds(s.sim_start))
+        << "}";
   }
   out << (stages.empty() ? "" : "\n  ") << "],\n";
   // v3: per-stage self time (span duration minus directly enclosed child
@@ -270,14 +227,7 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(p.name)
         << "\": {\"count\": " << p.count
         << ", \"sim_ms\": " << json_number(p.sim_ms)
-        << ", \"self_sim_ms\": " << json_number(p.self_sim_ms);
-    if (p.wall_ms >= 0.0) {
-      out << ", \"wall_ms\": " << json_number(p.wall_ms);
-    }
-    if (p.self_wall_ms >= 0.0) {
-      out << ", \"self_wall_ms\": " << json_number(p.self_wall_ms);
-    }
-    out << "}";
+        << ", \"self_sim_ms\": " << json_number(p.self_sim_ms) << "}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n";
@@ -431,17 +381,15 @@ bool RunReport::from_json(const JsonValue& doc, RunReport& report,
     }
     // "sim_ms" is derived from the bounds, on output as on input.
     r.add_stage(s.at("name").str, from_us(s.at("sim_start_us")),
-                from_us(s.at("sim_end_us")), s.at("wall_ms").num_or(-1.0));
+                from_us(s.at("sim_end_us")));
   }
   for (const auto& [name, p] : doc.at("profile").object) {
     if (!is_number(p.at("count")) || !is_number(p.at("sim_ms")) ||
         !is_number(p.at("self_sim_ms"))) {
       return reject(error, "malformed profile entry '" + name + "'");
     }
-    r.profile.push_back({name, 0, p.at("sim_ms").number,
-                         p.at("self_sim_ms").number,
-                         p.at("wall_ms").num_or(-1.0),
-                         p.at("self_wall_ms").num_or(-1.0)});
+    r.profile.push_back(
+        {name, 0, p.at("sim_ms").number, p.at("self_sim_ms").number});
     ints.read(p.at("count"), r.profile.back().count, "profile entry", name);
   }
   for (const auto& [name, v] : doc.at("values").object) {
@@ -485,15 +433,6 @@ bool RunReport::from_json(const JsonValue& doc, RunReport& report,
   return true;
 }
 
-ReportMode report_mode_from_env() {
-  const char* v = std::getenv("WEHEY_REPORT_MODE");
-  if (v == nullptr) return ReportMode::kPerRun;
-  const std::string mode(v);
-  if (mode == "sweep") return ReportMode::kSweep;
-  if (mode == "both") return ReportMode::kBoth;
-  return ReportMode::kPerRun;
-}
-
 std::string report_path_from_env(const std::string& run_name) {
   if (const char* path = std::getenv("WEHEY_REPORT")) {
     if (path[0] != 0 && std::string(path) != "0") return path;
@@ -505,32 +444,20 @@ std::string report_path_from_env(const std::string& run_name) {
 }
 
 std::string sweep_path_from_env(const std::string& run_name) {
-  if (const char* path = std::getenv("WEHEY_REPORT")) {
-    if (path[0] != 0 && std::string(path) != "0") {
-      // In pure sweep mode WEHEY_REPORT names the sweep file itself; in
-      // "both" mode it names the per-run file, and the aggregate lands
-      // next to it.
-      if (report_mode_from_env() == ReportMode::kSweep) return path;
-      return std::string(path) + ".sweep.json";
-    }
-  }
   if (const char* dir = std::getenv("WEHEY_REPORT_DIR")) {
     if (dir[0] != 0) return std::string(dir) + "/" + run_name + ".sweep.json";
   }
   return {};
 }
 
-bool report_wall_times() {
-  const char* v = std::getenv("WEHEY_REPORT_WALL");
-  return v != nullptr && v[0] != 0 && std::string(v) != "0";
-}
-
 bool write_report_file(const std::string& path, const std::string& json) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
-  const std::size_t wrote = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return wrote == json.size();
+  const bool wrote = std::fwrite(json.data(), 1, json.size(), f) ==
+                     json.size();
+  // A short file can fit in the stdio buffer: its write error (ENOSPC)
+  // only shows at fclose.
+  return std::fclose(f) == 0 && wrote;
 }
 
 }  // namespace wehey::obs

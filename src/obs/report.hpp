@@ -38,9 +38,9 @@
 //                                  "clear-miss" | "no-margin" |
 //                                  "not-evaluated"},
 //     "stages": [{"name": ..., "sim_start_us": ..., "sim_end_us": ...,
-//                 "sim_ms": ..., "wall_ms": ...?}, ...],
-//     "profile": {"<stage>": {"count": N, "sim_ms": X, "self_sim_ms": X,
-//                             "wall_ms": X?, "self_wall_ms": X?}, ...},
+//                 "sim_ms": ...}, ...],
+//     "profile": {"<stage>": {"count": N, "sim_ms": X, "self_sim_ms": X},
+//                 ...},
 //     "values": {"<scalar name>": <number>, ...},
 //     "injection": {"total": N, "<fault kind>": N, ...},
 //     "percentiles": {"<histogram>": {"p50": X, "p90": X, "p99": X}, ...},
@@ -68,10 +68,11 @@
 // only kRunReportSchema. tests/test_obs.cpp pins the key sets of a real
 // session's report, tests/test_sweep.cpp the round trip.
 //
-// Determinism contract: everything except "wall_ms" is a pure function of
-// the run's seeds, so the serialized report is byte-identical across
-// WEHEY_THREADS. Wall-clock stage times are therefore only included when
-// WEHEY_REPORT_WALL=1 (stage.wall_ms < 0 suppresses the field).
+// Determinism contract: every field is a pure function of the run's
+// seeds, so the serialized report is byte-identical across WEHEY_THREADS.
+// Wall-clock data goes to the runtime sidecar (runtime.hpp) instead;
+// from_json ignores the optional stage and profile wall times that older
+// v5 reports may carry.
 #pragma once
 
 #include <cstdint>
@@ -108,7 +109,6 @@ struct StageTiming {
   std::string name;
   Time sim_start = 0;
   Time sim_end = 0;
-  double wall_ms = -1.0;  ///< < 0: omitted from the JSON
 };
 
 /// One interval on a profiling track. Spans on the same track nest by
@@ -121,19 +121,15 @@ struct ProfileSpan {
   std::string name;
   Time start = 0;
   Time end = 0;
-  double wall_ms = -1.0;  ///< < 0: wall time unknown
 };
 
 /// Aggregated per-stage-name profile: total time and *self* time (total
-/// minus directly enclosed child spans), on the sim clock and — when
-/// every contributing span carries one — the wall clock.
+/// minus directly enclosed child spans), on the sim clock.
 struct ProfileEntry {
   std::string name;
   std::uint64_t count = 0;
   double sim_ms = 0.0;
   double self_sim_ms = 0.0;
-  double wall_ms = -1.0;       ///< < 0: omitted from the JSON
-  double self_wall_ms = -1.0;  ///< < 0: omitted from the JSON
 };
 
 /// Compute per-name self-time profiles from a set of spans. Deterministic:
@@ -286,9 +282,8 @@ struct RunReport {
   /// faults::InjectionStats::by_kind()); "total" is added on output.
   std::map<std::string, int> injection;
 
-  void add_stage(std::string name, Time sim_start, Time sim_end,
-                 double wall_ms = -1.0) {
-    stages.push_back({std::move(name), sim_start, sim_end, wall_ms});
+  void add_stage(std::string name, Time sim_start, Time sim_end) {
+    stages.push_back({std::move(name), sim_start, sim_end});
   }
 
   /// Serialize; `metrics` (usually the run recorder's registry, may be
@@ -306,33 +301,18 @@ struct RunReport {
                         std::string* error = nullptr);
 };
 
-/// How reports are written at the end of a sweep (WEHEY_REPORT_MODE):
-///   per-run (default) — one RunReport file per run, as before;
-///   sweep             — only the aggregated wehey.sweep_report.v1 file;
-///   both              — per-run files plus the aggregate.
-enum class ReportMode { kPerRun, kSweep, kBoth };
-
-/// Parse WEHEY_REPORT_MODE ("per-run" | "sweep" | "both"; default
-/// per-run; unknown values fall back to per-run).
-ReportMode report_mode_from_env();
-
 /// Resolve the report output path from the environment: WEHEY_REPORT
 /// (exact path) wins over WEHEY_REPORT_DIR (directory; the file is named
 /// "<run>.report.json"). Empty = reporting off.
 std::string report_path_from_env(const std::string& run_name);
 
-/// Resolve the sweep-report output path. In mode "sweep", WEHEY_REPORT
-/// names the sweep file directly; in mode "both" it names the per-run
-/// file and the sweep lands next to it at "<WEHEY_REPORT>.sweep.json".
-/// Under WEHEY_REPORT_DIR the sweep file is "<run>.sweep.json". Empty =
-/// reporting off.
+/// Resolve the sweep-report output path from WEHEY_REPORT_DIR: the file
+/// is "<dir>/<run>.sweep.json". WEHEY_REPORT never names a sweep. Empty =
+/// no sweep file.
 std::string sweep_path_from_env(const std::string& run_name);
 
-/// Whether per-stage wall-clock times should be recorded
-/// (WEHEY_REPORT_WALL=1; off by default to keep reports deterministic).
-bool report_wall_times();
-
-/// Write `json` to `path`. Returns false on I/O error.
+/// Write `json` to `path`. Returns false on any I/O error, including one
+/// that only shows when the file is closed.
 bool write_report_file(const std::string& path, const std::string& json);
 
 }  // namespace wehey::obs

@@ -25,22 +25,11 @@ std::string env_or_empty(const char* name) {
 std::unique_ptr<Recorder> recorder_from_env(const std::string& trace_path) {
   if constexpr (!kObsCompiled) return nullptr;
   const bool trace_on = !trace_path.empty();
-  if (!trace_on && !env_flag("WEHEY_METRICS") && !env_flag("WEHEY_REPORT") &&
+  if (!trace_on && !env_flag("WEHEY_REPORT") &&
       !env_flag("WEHEY_REPORT_DIR")) {
     return nullptr;
   }
-  auto recorder = std::make_unique<Recorder>(/*metrics_on=*/true, trace_on);
-  // Per-trial child timelines stay in memory either way: they are small
-  // and absorb in index order.
-  if (trace_on) {
-    const long n = std::strtol(
-        env_or_empty("WEHEY_TRACE_BUFFER_EVENTS").c_str(), nullptr, 10);
-    if (n > 0) {
-      recorder->timeline().configure_spill(static_cast<std::size_t>(n),
-                                           trace_path);
-    }
-  }
-  return recorder;
+  return std::make_unique<Recorder>(/*metrics_on=*/true, trace_on);
 }
 
 /// Write one artifact; only a failure is reported here.
@@ -51,16 +40,11 @@ bool write_artifact(const char* what, const std::string& path,
   return false;
 }
 
-bool write_trace(const Recorder& recorder, const std::string& path) {
-  std::FILE* json = std::fopen(path.c_str(), "w");
-  if (json == nullptr) return false;
-  recorder.timeline().write_chrome_json(json);
-  std::fclose(json);
-  std::FILE* csv = std::fopen(trace_csv_path(path).c_str(), "w");
-  if (csv == nullptr) return false;
-  recorder.timeline().write_csv(csv);
-  std::fclose(csv);
-  return true;
+/// The Chrome JSON first, so a trace that failed to write leaves no CSV.
+/// Two statements, so the JSON text is freed before the CSV is rendered.
+bool write_trace(const Timeline& timeline, const std::string& path) {
+  if (!write_report_file(path, timeline.chrome_json())) return false;
+  return write_report_file(trace_csv_path(path), timeline.csv());
 }
 
 }  // namespace
@@ -70,11 +54,9 @@ ObservedSweep::ObservedSweep(std::string name)
       trace_path_(env_or_empty("WEHEY_TRACE")),
       recorder_(recorder_from_env(trace_path_)),
       bind_(recorder_.get()),
-      mode_(report_mode_from_env()),
       run_dir_(env_or_empty("WEHEY_REPORT_DIR")),
       aggregator_(name_),
-      meter_(name_),
-      wall_start_(std::chrono::steady_clock::now()) {
+      meter_(name_) {
   report_.run = name_;
   runtime::enable_from_env();
   const std::string journal = env_or_empty("WEHEY_CHECKPOINT");
@@ -112,11 +94,6 @@ bool ObservedSweep::checkpoint(const std::string& path, bool resume,
   return true;
 }
 
-void ObservedSweep::sweep_to(std::string path) {
-  mode_ = ReportMode::kSweep;
-  sweep_out_ = std::move(path);
-}
-
 std::map<std::string, double> ObservedSweep::absorb(
     const std::string& run_id, const RunReport& live,
     const MetricsRegistry* live_metrics) {
@@ -143,7 +120,7 @@ std::map<std::string, double> ObservedSweep::absorb(
                      .index = index,
                      .report_json = json});
   }
-  if (mode_ != ReportMode::kSweep && !run_dir_.empty()) {
+  if (!run_dir_.empty()) {
     if (json.empty()) json = run.to_json(metrics);
     write_artifact("report", run_dir_ + "/" + run_id + ".report.json", json);
   }
@@ -155,7 +132,7 @@ bool ObservedSweep::finish() {
   finished_ = true;
   bool ok = true;
   if (recorder_ != nullptr && !trace_path_.empty()) {
-    if (write_trace(*recorder_, trace_path_)) {
+    if (write_trace(recorder_->timeline(), trace_path_)) {
       std::fprintf(stderr, "trace: %s (+ %s)\n", trace_path_.c_str(),
                    trace_csv_path(trace_path_).c_str());
     } else {
@@ -165,8 +142,7 @@ bool ObservedSweep::finish() {
   }
   const MetricsRegistry* metrics =
       recorder_ != nullptr ? &recorder_->metrics() : nullptr;
-  const bool own_report = !report_.run.empty();
-  if (own_report) {
+  if (!report_.run.empty()) {
     // Profile the own report if nothing filled it: from the finalized
     // timeline when tracing (every (pid, tid) pair is its own track),
     // else from the recorded stages, one track each.
@@ -178,20 +154,14 @@ bool ObservedSweep::finish() {
         std::vector<ProfileSpan> spans;
         for (std::size_t i = 0; i < report_.stages.size(); ++i) {
           const auto& s = report_.stages[i];
-          spans.push_back({static_cast<std::int64_t>(i), s.name,
-                           s.sim_start, s.sim_end, s.wall_ms});
+          spans.push_back(
+              {static_cast<std::int64_t>(i), s.name, s.sim_start, s.sim_end});
         }
         report_.profile = profile_from_spans(std::move(spans));
       }
     }
-    if (report_wall_times()) {
-      report_.values["wall_ms_total"] =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - wall_start_)
-              .count();
-    }
     const std::string path = report_path_from_env(report_.run);
-    if (mode_ != ReportMode::kSweep && !path.empty()) {
+    if (!path.empty()) {
       if (write_artifact("report", path, report_.to_json(metrics))) {
         std::fprintf(stderr, "report: %s\n", path.c_str());
       } else {
@@ -199,23 +169,18 @@ bool ObservedSweep::finish() {
       }
     }
   }
-  if (mode_ != ReportMode::kPerRun) {
-    if (aggregator_.runs() == 0 && own_report) {
-      aggregator_.add_run(report_, metrics);
-    }
-    // sweep_to() always gets its sweep; WEHEY_REPORT_MODE only a sweep
-    // of something.
-    const std::string path = sweep_out_.value_or(sweep_path_from_env(name_));
-    if (sweep_out_.has_value() || (!path.empty() && aggregator_.runs() > 0)) {
-      const std::string json = aggregator_.to_json();
-      if (path.empty()) {
-        std::fputs(json.c_str(), stdout);
-      } else if (write_artifact("sweep report", path, json)) {
-        std::fprintf(stderr, "sweep report: %s (%zu runs)\n", path.c_str(),
-                     aggregator_.runs());
-      } else {
-        ok = false;
-      }
+  // sweep_to() always gets its sweep; WEHEY_REPORT_DIR only a sweep of
+  // something.
+  const std::string path = sweep_out_.value_or(sweep_path_from_env(name_));
+  if (sweep_out_.has_value() || (!path.empty() && aggregator_.runs() > 0)) {
+    const std::string json = aggregator_.to_json();
+    if (path.empty()) {
+      std::fputs(json.c_str(), stdout);
+    } else if (write_artifact("sweep report", path, json)) {
+      std::fprintf(stderr, "sweep report: %s (%zu runs)\n", path.c_str(),
+                   aggregator_.runs());
+    } else {
+      ok = false;
     }
   }
   meter_.finish();

@@ -3,24 +3,19 @@
 // (the Table-1 and Table-5 benches, `wehey_cli sweep`) also feed each of
 // their runs through absorb().
 //
-// The constructor reads the obs environment and binds a run-wide Recorder
-// to the calling thread for the object's lifetime:
-//   WEHEY_METRICS=1    — collect metrics (implied by the next three),
-//   WEHEY_TRACE=path   — record a timeline, written as Chrome-trace JSON at
+// The constructor reads the obs environment, one variable per artifact,
+// and binds a run-wide Recorder (metrics, plus a timeline when tracing) to
+// the calling thread for the object's lifetime whenever a trace or a
+// report is asked for:
+//   WEHEY_TRACE=path   — the timeline, written as Chrome-trace JSON at
 //                        `path` plus a CSV sibling (trace_csv_path),
-//   WEHEY_TRACE_BUFFER_EVENTS=N — keep at most N completed trace events in
-//                        memory, spilling full chunks to "<path>.chunkNNN"
-//                        and re-merging them, in order, when the trace is
-//                        written (unset/0 = unbounded),
-//   WEHEY_REPORT=path / WEHEY_REPORT_DIR=dir — where reports go
-//                        (report_path_from_env, sweep_path_from_env),
-//   WEHEY_REPORT_MODE  — which reports go there:
-//     per-run (default): the process's own RunReport, plus one
-//                        "<WEHEY_REPORT_DIR>/<run>.report.json" per
-//                        absorbed run;
-//     sweep:             only the aggregated wehey.sweep_report.v1 (a sweep
-//                        that absorbed no runs aggregates its own report);
-//     both:              everything,
+//   WEHEY_REPORT_DIR=dir — every report the process has: its own
+//                        "<dir>/<name>.report.json", one
+//                        "<dir>/<run>.report.json" per absorbed run, and the
+//                        aggregated wehey.sweep_report.v1
+//                        "<dir>/<name>.sweep.json" once a run was absorbed,
+//   WEHEY_REPORT=path  — the process's own RunReport only, at `path` (wins
+//                        over WEHEY_REPORT_DIR for that one file),
 //   WEHEY_CHECKPOINT=path — journal every absorbed run (checkpoint.hpp); a
 //                        journal already at `path` makes this a resume,
 //   WEHEY_RUNTIME_REPORT / WEHEY_PROGRESS — the wall-clock sidecar and the
@@ -40,12 +35,12 @@
 // only the runs executed in this process.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "obs/aggregate.hpp"
 #include "obs/checkpoint.hpp"
@@ -77,9 +72,9 @@ class ObservedSweep {
   /// with `error` set, on a corrupt journal or one that cannot be opened.
   bool checkpoint(const std::string& path, bool resume, std::string* error);
 
-  /// Write the sweep report to `path` ("" = stdout), whatever
-  /// WEHEY_REPORT_MODE says, and no other report.
-  void sweep_to(std::string path);
+  /// Write the sweep report to `path` ("" = stdout) instead of
+  /// WEHEY_REPORT_DIR, even when no run was absorbed.
+  void sweep_to(std::string path) { sweep_out_ = std::move(path); }
 
   /// Whether `run_id` was completed by the sweep this one resumes. Such a
   /// run must not execute; absorb() takes its journaled report instead.
@@ -115,7 +110,6 @@ class ObservedSweep {
   std::string trace_path_;
   std::unique_ptr<Recorder> recorder_;  ///< null when everything is off
   ScopedRecorder bind_;
-  ReportMode mode_;
   std::optional<std::string> sweep_out_;  ///< sweep_to(); "" = stdout
   std::string run_dir_;                   ///< WEHEY_REPORT_DIR
   SweepAggregator aggregator_;
@@ -125,7 +119,6 @@ class ObservedSweep {
   CheckpointWriter journal_;
   std::uint64_t next_index_ = 0;
   bool finished_ = false;
-  std::chrono::steady_clock::time_point wall_start_;
 };
 
 /// The CSV sibling of a trace path ("x.json" -> "x.csv", else "x.csv"

@@ -1,6 +1,6 @@
 #include "obs/timeline.hpp"
 
-#include <sstream>
+#include <cstdio>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -17,7 +17,7 @@ void Timeline::span(std::string name, std::string category, Time start,
   ev.name = std::move(name);
   ev.category = std::move(category);
   ev.args = std::move(args);
-  sink_.append(std::move(ev));
+  events_.push_back(std::move(ev));
 }
 
 void Timeline::instant(std::string name, std::string category, Time at,
@@ -29,7 +29,7 @@ void Timeline::instant(std::string name, std::string category, Time at,
   ev.name = std::move(name);
   ev.category = std::move(category);
   ev.args = std::move(args);
-  sink_.append(std::move(ev));
+  events_.push_back(std::move(ev));
 }
 
 void Timeline::counter(std::string name, Time at, double value,
@@ -40,44 +40,24 @@ void Timeline::counter(std::string name, Time at, double value,
   ev.tid = tid;
   ev.name = std::move(name);
   ev.args = "\"value\": " + json_number(value);
-  sink_.append(std::move(ev));
+  events_.push_back(std::move(ev));
 }
 
 void Timeline::name_track(std::int32_t pid, std::string name) {
   track_names_.emplace_back(pid, std::move(name));
 }
 
-void Timeline::configure_spill(std::size_t max_buffered_events,
-                               std::string spill_base) {
-  sink_.configure(max_buffered_events, std::move(spill_base));
-}
-
-bool Timeline::for_each_event(
-    const std::function<void(const TimelineEvent&)>& fn) const {
-  return sink_.for_each(fn);
-}
-
 void Timeline::absorb(Timeline&& child) {
   const std::int32_t base = pid_count_;
-  if (child.sink_.spilling()) {
-    // Rare (children normally buffer in memory): replay the child's full
-    // event stream, chunks included, in its append order.
-    child.sink_.for_each([&](const TimelineEvent& ev) {
-      TimelineEvent copy = ev;
-      copy.pid += base;
-      sink_.append(std::move(copy));
-    });
-  } else {
-    for (auto& ev : child.sink_.mutable_buffer()) {
-      ev.pid += base;
-      sink_.append(std::move(ev));
-    }
+  for (auto& ev : child.events_) {
+    ev.pid += base;
+    events_.push_back(std::move(ev));
   }
   for (auto& [pid, name] : child.track_names_) {
     track_names_.emplace_back(pid + base, std::move(name));
   }
   pid_count_ += child.pid_count_;
-  child.sink_.clear();
+  child.events_.clear();
   child.track_names_.clear();
   child.pid_count_ = 1;
 }
@@ -91,49 +71,47 @@ std::string ts_us(Time t) {
   return json_number(static_cast<double>(t) / 1000.0);
 }
 
-void write_event(std::FILE* out, const TimelineEvent& ev, bool& first) {
-  std::fprintf(out, "%s  {", first ? "\n" : ",\n");
+void append_event(std::string& out, const TimelineEvent& ev, bool& first) {
+  out += first ? "\n  {" : ",\n  {";
   first = false;
   const char* ph = ev.kind == TimelineEvent::Kind::Span      ? "X"
                    : ev.kind == TimelineEvent::Kind::Counter ? "C"
                                                              : "i";
-  std::fprintf(out, "\"name\": \"%s\", \"ph\": \"%s\", \"ts\": %s",
-               json_escape(ev.name).c_str(), ph, ts_us(ev.at).c_str());
+  out += "\"name\": \"" + json_escape(ev.name) + "\", \"ph\": \"" + ph +
+         "\", \"ts\": " + ts_us(ev.at);
   if (ev.kind == TimelineEvent::Kind::Span) {
-    std::fprintf(out, ", \"dur\": %s", ts_us(ev.duration).c_str());
+    out += ", \"dur\": " + ts_us(ev.duration);
   }
-  if (ev.kind == TimelineEvent::Kind::Instant) {
-    std::fprintf(out, ", \"s\": \"t\"");
-  }
+  if (ev.kind == TimelineEvent::Kind::Instant) out += ", \"s\": \"t\"";
   if (!ev.category.empty()) {
-    std::fprintf(out, ", \"cat\": \"%s\"", json_escape(ev.category).c_str());
+    out += ", \"cat\": \"" + json_escape(ev.category) + "\"";
   }
-  std::fprintf(out, ", \"pid\": %d, \"tid\": %d", ev.pid, ev.tid);
-  if (!ev.args.empty()) {
-    std::fprintf(out, ", \"args\": {%s}", ev.args.c_str());
-  }
-  std::fprintf(out, "}");
+  out += ", \"pid\": " + std::to_string(ev.pid) +
+         ", \"tid\": " + std::to_string(ev.tid);
+  if (!ev.args.empty()) out += ", \"args\": {" + ev.args + "}";
+  out += "}";
 }
 
 }  // namespace
 
-void Timeline::write_chrome_json(std::FILE* out) const {
-  std::fprintf(out, "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [");
+std::string Timeline::chrome_json() const {
+  std::string out = "{\"displayTimeUnit\": \"ms\",\n\"traceEvents\": [";
   bool first = true;
   for (const auto& [pid, name] : track_names_) {
-    std::fprintf(out,
-                 "%s  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": "
-                 "%d, \"tid\": 0, \"args\": {\"name\": \"%s\"}}",
-                 first ? "\n" : ",\n", pid, json_escape(name).c_str());
+    out += first ? "\n  {" : ",\n  {";
     first = false;
+    out += "\"name\": \"process_name\", \"ph\": \"M\", \"pid\": " +
+           std::to_string(pid) + ", \"tid\": 0, \"args\": {\"name\": \"" +
+           json_escape(name) + "\"}}";
   }
-  sink_.for_each([&](const TimelineEvent& ev) { write_event(out, ev, first); });
-  std::fprintf(out, "\n]}\n");
+  for (const TimelineEvent& ev : events_) append_event(out, ev, first);
+  out += "\n]}\n";
+  return out;
 }
 
-void Timeline::write_csv(std::FILE* out) const {
-  std::fprintf(out, "kind,pid,tid,sim_us,dur_us,category,name,detail\n");
-  sink_.for_each([&](const TimelineEvent& ev) {
+std::string Timeline::csv() const {
+  std::string out = "kind,pid,tid,sim_us,dur_us,category,name,detail\n";
+  for (const TimelineEvent& ev : events_) {
     const char* kind = ev.kind == TimelineEvent::Kind::Span      ? "span"
                        : ev.kind == TimelineEvent::Kind::Counter ? "counter"
                                                                  : "instant";
@@ -141,30 +119,12 @@ void Timeline::write_csv(std::FILE* out) const {
     for (auto& ch : detail) {
       if (ch == ',' || ch == '\n') ch = ';';
     }
-    std::fprintf(out, "%s,%d,%d,%s,%s,%s,%s,%s\n", kind, ev.pid, ev.tid,
-                 ts_us(ev.at).c_str(),
-                 ev.kind == TimelineEvent::Kind::Span
-                     ? ts_us(ev.duration).c_str()
-                     : "0",
-                 ev.category.c_str(), ev.name.c_str(), detail.c_str());
-  });
-}
-
-std::string Timeline::chrome_json() const {
-  // Render through a temp buffer so the string path shares the FILE* code.
-  std::string result;
-  std::FILE* tmp = std::tmpfile();
-  if (tmp == nullptr) return result;
-  write_chrome_json(tmp);
-  const long len = std::ftell(tmp);
-  if (len > 0) {
-    result.resize(static_cast<std::size_t>(len));
-    std::rewind(tmp);
-    const std::size_t got = std::fread(result.data(), 1, result.size(), tmp);
-    result.resize(got);
+    out += std::string(kind) + "," + std::to_string(ev.pid) + "," +
+           std::to_string(ev.tid) + "," + ts_us(ev.at) + "," +
+           (ev.kind == TimelineEvent::Kind::Span ? ts_us(ev.duration) : "0") +
+           "," + ev.category + "," + ev.name + "," + detail + "\n";
   }
-  std::fclose(tmp);
-  return result;
+  return out;
 }
 
 std::string json_escape(const std::string& s) {

@@ -17,23 +17,35 @@
 // trace file shows every trial/phase as its own process track and the
 // bytes are identical regardless of WEHEY_THREADS.
 //
-// Storage is a TraceSink: unbounded in-memory by default, or — once
-// configure_spill() is called (WEHEY_TRACE_BUFFER_EVENTS) — a bounded
-// buffer that spills full chunks to disk and re-merges them in order at
-// write time, so the rendered trace is byte-identical either way.
+// Events stay in memory until the trace is rendered: a traced run records
+// one heap-depth sample per 8,192 dispatches plus a few spans per phase,
+// so even a traced WEHEY_FULL=1 Table-1 grid holds only ~36k events.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/time.hpp"
-#include "obs/timeline_event.hpp"
-#include "obs/trace_sink.hpp"
 
 namespace wehey::obs {
+
+struct TimelineEvent {
+  enum class Kind : std::uint8_t { Span, Instant, Counter };
+
+  Kind kind = Kind::Instant;
+  Time at = 0;        ///< sim time (span: start)
+  Time duration = 0;  ///< span only
+  std::int32_t pid = 0;
+  std::int32_t tid = 0;
+  std::string name;
+  std::string category;
+  /// Pre-rendered JSON object body for "args" (no braces), e.g.
+  /// "\"attempt\": 2"; empty = no args. Counter samples store the value
+  /// here as "\"value\": <v>".
+  std::string args;
+};
 
 class Timeline {
  public:
@@ -53,36 +65,20 @@ class Timeline {
   /// next_pid + p. Deterministic given a deterministic absorb order.
   void absorb(Timeline&& child);
 
-  /// Bound the in-memory buffer at `max_buffered_events`, spilling full
-  /// buffers to "<spill_base>.chunkNNN" (0 = keep everything in memory).
-  /// Call once, before recording; typically only the run-level timeline
-  /// spills — per-trial children stay in memory and absorb as usual.
-  void configure_spill(std::size_t max_buffered_events,
-                       std::string spill_base);
-
-  /// The in-memory tail; all events when spilling is off.
-  const std::vector<TimelineEvent>& events() const { return sink_.buffer(); }
-  std::size_t size() const { return sink_.size(); }
-  bool empty() const { return sink_.empty(); }
-  /// Events already flushed to chunk files (0 unless spilling kicked in).
-  std::size_t spilled_events() const { return sink_.spilled(); }
-  std::size_t spill_chunks() const { return sink_.chunk_count(); }
+  /// Every recorded event, in recording order.
+  const std::vector<TimelineEvent>& events() const { return events_; }
+  std::size_t size() const { return events_.size(); }
+  bool empty() const { return events_.empty(); }
   /// Number of pid tracks this timeline spans (>= 1 once non-empty).
   std::int32_t pid_count() const { return pid_count_; }
 
-  /// Visit every recorded event in order — the in-memory tail plus any
-  /// spilled chunks. Returns false if a chunk file went missing.
-  bool for_each_event(
-      const std::function<void(const TimelineEvent&)>& fn) const;
-
   /// Chrome trace format: {"traceEvents": [...]} with stable field order.
-  void write_chrome_json(std::FILE* out) const;
-  /// Flat CSV timeline: kind,pid,tid,sim_us,dur_us,category,name,detail.
-  void write_csv(std::FILE* out) const;
   std::string chrome_json() const;
+  /// Flat CSV timeline: kind,pid,tid,sim_us,dur_us,category,name,detail.
+  std::string csv() const;
 
  private:
-  TraceSink sink_;
+  std::vector<TimelineEvent> events_;
   std::vector<std::pair<std::int32_t, std::string>> track_names_;
   std::int32_t pid_count_ = 1;
 };

@@ -1,7 +1,6 @@
 #include "replay/session.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 #include <string>
 
@@ -116,39 +115,18 @@ SessionResult run_session(const SessionConfig& cfg,
   // result.stages — and publishes counters and timeline spans to the
   // obs::Recorder bound to this thread, if any — on every return path.
   Time wehe_done = -1, lookup_done = -1, replays_done = -1, gather_done = -1;
-  // Wall-clock stamps of the same boundaries, only under
-  // WEHEY_REPORT_WALL=1 (wall times are nondeterministic by nature and
-  // would break the byte-identity contract otherwise).
-  const bool wall_on = obs::report_wall_times();
-  const auto wall_start = std::chrono::steady_clock::now();
-  double wehe_wall = -1.0, lookup_wall = -1.0, replays_wall = -1.0,
-         gather_wall = -1.0;
-  const auto wall_now = [wall_start] {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - wall_start)
-        .count();
-  };
   const OnScopeExit finalize{[&] {
     result.injection = injector.stats();
-    const double end_wall = wall_on ? wall_now() : -1.0;
-    auto add = [&](const char* name, Time s, Time e, double ws, double we) {
+    auto add = [&](const char* name, Time s, Time e) {
       if (s < 0) return;
-      // An unreached boundary means the session died inside this stage
-      // (on both clocks).
-      double wall = -1.0;
-      if (wall_on && ws >= 0.0) {
-        wall = (we >= ws ? we : end_wall) - ws;
-      }
-      result.stages.push_back(
-          {name, s, e >= s ? e : result.finished_at, wall});
+      // An unreached boundary means the session died inside this stage.
+      result.stages.push_back({name, s, e >= s ? e : result.finished_at});
     };
-    add("wehe_test", 0, wehe_done, 0.0, wehe_wall);
-    add("topology_query", wehe_done, lookup_done, wehe_wall, lookup_wall);
-    add("simultaneous_replays", lookup_done, replays_done, lookup_wall,
-        replays_wall);
-    add("gathering", replays_done, gather_done, replays_wall, gather_wall);
-    add("analysis", gather_done, result.finished_at, gather_wall,
-        end_wall);
+    add("wehe_test", 0, wehe_done);
+    add("topology_query", wehe_done, lookup_done);
+    add("simultaneous_replays", lookup_done, replays_done);
+    add("gathering", replays_done, gather_done);
+    add("analysis", gather_done, result.finished_at);
     obs::Recorder* rec = obs::Recorder::current();
     if (rec == nullptr) return;
     net.snapshot_metrics();
@@ -246,9 +224,9 @@ SessionResult run_session(const SessionConfig& cfg,
     const Time t_inv = t_orig + duration + gap;
     const int id_p0_inv = start_replay(1, true, t_inv);
     result.replay_attempts.push_back(
-        {"replay_attempt", t_orig, t_orig + duration, -1.0});
+        {"replay_attempt", t_orig, t_orig + duration});
     result.replay_attempts.push_back(
-        {"replay_attempt", t_inv, t_inv + duration, -1.0});
+        {"replay_attempt", t_inv, t_inv + duration});
     t_analysis = t_inv + duration + rpc;
     sim.run(t_analysis);
     if (sim.budget_exhausted()) {
@@ -268,7 +246,7 @@ SessionResult run_session(const SessionConfig& cfg,
         experiments::arm_replay_cut(injector, net, 1, duration);
         const int id = start_replay(1, inverted, t);
         result.replay_attempts.push_back(
-            {"replay_attempt", t, t + duration, -1.0});
+            {"replay_attempt", t, t + duration});
         sim.run(t + duration);
         if (sim.budget_exhausted()) return std::nullopt;
         auto rep = net.report(id, t, duration);
@@ -307,7 +285,6 @@ SessionResult run_session(const SessionConfig& cfg,
   }
 
   wehe_done = t_analysis;
-  if (wall_on) wehe_wall = wall_now();
   result.initial_wehe =
       core::detect_differentiation(p0_orig.meas, p0_inv.meas);
   if (!result.initial_wehe.differentiation) {
@@ -363,7 +340,6 @@ SessionResult run_session(const SessionConfig& cfg,
                     pair->server2 + " (converge at " +
                     pair->convergence_ip + ")");
   lookup_done = t_lookup;
-  if (wall_on) lookup_wall = wall_now();
 
   if (cfg.route_churn) {
     net.set_route_churn(true);
@@ -385,10 +361,10 @@ SessionResult run_session(const SessionConfig& cfg,
         start_replay(2, true, t_sim_inv + kSecondReplayOffset);
     result.replay_attempts.push_back(
         {"replay_attempt", t_sim_orig,
-         t_sim_orig + kSecondReplayOffset + duration, -1.0});
+         t_sim_orig + kSecondReplayOffset + duration});
     result.replay_attempts.push_back(
         {"replay_attempt", t_sim_inv,
-         t_sim_inv + kSecondReplayOffset + duration, -1.0});
+         t_sim_inv + kSecondReplayOffset + duration});
     t_end = t_sim_inv + duration + kDrainGrace;
     sim.run(t_end);
     if (sim.budget_exhausted()) {
@@ -417,7 +393,7 @@ SessionResult run_session(const SessionConfig& cfg,
         experiments::arm_replay_cut(injector, net, 2, duration);
         const int id2 = start_replay(2, inverted, t + kSecondReplayOffset);
         result.replay_attempts.push_back(
-            {"replay_attempt", t, t + kSecondReplayOffset + duration, -1.0});
+            {"replay_attempt", t, t + kSecondReplayOffset + duration});
         sim.run(t + kSecondReplayOffset + duration);
         if (sim.budget_exhausted()) return false;
         const auto r1 = net.report(id1, t, duration);
@@ -488,7 +464,6 @@ SessionResult run_session(const SessionConfig& cfg,
 
   // --- End-of-replay traceroutes, gathered at s1 (§3.4 steps 3-4). ---
   replays_done = t_end;
-  if (wall_on) replays_wall = wall_now();
   Time t_gather = t_end + 2 * rpc;
   if (!control_exchange(t_gather, "measurement gathering")) {
     finish(SessionOutcome::ControlPlaneUnreachable, t_gather);
@@ -531,7 +506,6 @@ SessionResult run_session(const SessionConfig& cfg,
   log(t_gather, "end-of-replay traceroutes: topology still suitable "
                 "(converging at " + convergence + ")");
   gather_done = t_gather;
-  if (wall_on) gather_wall = wall_now();
 
   // --- Analyses (§3.1 operations 3 and 4), run at the gathering server. ---
   core::LocalizationInput input;
@@ -611,10 +585,10 @@ obs::RunReport make_run_report(const SessionConfig& cfg,
   // self time is what it spent outside actual replay traffic.
   std::vector<obs::ProfileSpan> spans;
   for (const auto& st : result.stages) {
-    spans.push_back({0, st.name, st.sim_start, st.sim_end, st.wall_ms});
+    spans.push_back({0, st.name, st.sim_start, st.sim_end});
   }
   for (const auto& st : result.replay_attempts) {
-    spans.push_back({0, st.name, st.sim_start, st.sim_end, st.wall_ms});
+    spans.push_back({0, st.name, st.sim_start, st.sim_end});
   }
   report.profile = obs::profile_from_spans(std::move(spans));
   report.values["replay_retries"] = result.replay_retries;

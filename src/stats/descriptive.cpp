@@ -35,10 +35,14 @@ double max(std::span<const double> xs) {
 }
 
 double quantile(std::span<const double> xs, double q) {
-  WEHEY_EXPECTS(!xs.empty());
-  WEHEY_EXPECTS(q >= 0.0 && q <= 1.0);
   std::vector<double> sorted(xs.begin(), xs.end());
   std::sort(sorted.begin(), sorted.end());
+  return sorted_quantile(sorted, q);
+}
+
+double sorted_quantile(std::span<const double> sorted, double q) {
+  WEHEY_EXPECTS(!sorted.empty());
+  WEHEY_EXPECTS(q >= 0.0 && q <= 1.0);
   if (sorted.size() == 1) return sorted.front();
   const double pos = q * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);

@@ -1,6 +1,7 @@
 // Descriptive statistics over samples held in std::vector<double> /
-// std::span<const double>. All functions treat the input as an unordered
-// sample; functions that need sorted data sort a copy.
+// std::span<const double>. All functions but sorted_quantile treat the
+// input as an unordered sample; functions that need sorted data sort a
+// copy.
 #pragma once
 
 #include <cstddef>
@@ -20,6 +21,10 @@ double median(std::span<const double> xs);
 /// Linear-interpolation quantile, q in [0,1] (same convention as
 /// numpy.quantile's default).
 double quantile(std::span<const double> xs, double q);
+
+/// quantile() of input that is already sorted ascending: the one
+/// implementation every quantile of a sample set goes through.
+double sorted_quantile(std::span<const double> sorted, double q);
 
 /// Five-number summary plus mean — handy for the Figure-5 style boxplots.
 struct Summary {

@@ -22,14 +22,7 @@ double EmpiricalDistribution::cdf(double x) const {
 }
 
 double EmpiricalDistribution::quantile(double q) const {
-  WEHEY_EXPECTS(!sorted_.empty());
-  WEHEY_EXPECTS(q >= 0.0 && q <= 1.0);
-  if (sorted_.size() == 1) return sorted_.front();
-  const double pos = q * static_cast<double>(sorted_.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, sorted_.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] + frac * (sorted_[hi] - sorted_[lo]);
+  return sorted_quantile(sorted_, q);
 }
 
 double EmpiricalDistribution::stddev() const { return stats::stddev(sorted_); }

@@ -415,7 +415,6 @@ std::size_t observed_sweep(const SweepFixture& fx, const std::string& dir,
                            const std::string& journal, unsigned threads) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
-  ::setenv("WEHEY_REPORT_MODE", "both", 1);
   ::setenv("WEHEY_REPORT_DIR", dir.c_str(), 1);
   std::size_t resumed = 0;
   {
@@ -435,7 +434,6 @@ std::size_t observed_sweep(const SweepFixture& fx, const std::string& dir,
       sweep.absorb(fx.run_ids[i], results[i].report, &results[i].metrics);
     }
   }
-  ::unsetenv("WEHEY_REPORT_MODE");
   ::unsetenv("WEHEY_REPORT_DIR");
   return resumed;
 }

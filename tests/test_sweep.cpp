@@ -67,9 +67,6 @@ TEST(Profile, SelfTimeSubtractsDirectChildrenOnly) {
   EXPECT_DOUBLE_EQ(child->sim_ms, 3000.0);
   EXPECT_DOUBLE_EQ(child->self_sim_ms, 2000.0);
   EXPECT_DOUBLE_EQ(grandchild->self_sim_ms, 1000.0);
-  // No wall times were provided, so none are reported.
-  EXPECT_LT(parent->wall_ms, 0.0);
-  EXPECT_LT(parent->self_wall_ms, 0.0);
 
   // Input order must not matter.
   std::vector<ProfileSpan> reversed(spans.rbegin(), spans.rend());
@@ -95,29 +92,6 @@ TEST(Profile, TracksPreventFalseNestingOfParallelPhases) {
   });
   EXPECT_DOUBLE_EQ(entry(two_tracks, "long")->self_sim_ms, 10000.0);
   EXPECT_DOUBLE_EQ(entry(two_tracks, "short")->self_sim_ms, 4000.0);
-}
-
-TEST(Profile, WallTimesOnlyWhenEverySpanCarriesThem) {
-  const auto with_wall = profile_from_spans({
-      {0, "stage", 0, 2 * kSecond, 50.0},
-      {0, "inner", 0, kSecond, 30.0},
-  });
-  const ProfileEntry* stage = entry(with_wall, "stage");
-  ASSERT_NE(stage, nullptr);
-  EXPECT_DOUBLE_EQ(stage->wall_ms, 50.0);
-  EXPECT_DOUBLE_EQ(stage->self_wall_ms, 20.0);
-
-  // One span without a wall stamp poisons that name's wall columns (a
-  // partial sum would be a lie) but not its sim columns.
-  const auto partial = profile_from_spans({
-      {0, "stage", 0, 2 * kSecond, 50.0},
-      {1, "stage", 0, 2 * kSecond, -1.0},
-  });
-  const ProfileEntry* p = entry(partial, "stage");
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->count, 2u);
-  EXPECT_DOUBLE_EQ(p->sim_ms, 4000.0);
-  EXPECT_LT(p->wall_ms, 0.0);
 }
 
 // ------------------------------------------------------- merge algebra
@@ -619,6 +593,20 @@ TEST(Inspect, MalformedAndUnknownFilesFailWithoutPartialOutput) {
   EXPECT_TRUE(rendered.empty());
 }
 
+// fopen succeeds on a directory, and ftell there reports a size no read
+// can deliver; reading one fails instead.
+TEST(Inspect, DirectoryIsNotAFile) {
+  const std::string dir = ::testing::TempDir();
+  std::string text;
+  EXPECT_FALSE(read_file(dir, text));
+  std::FILE* sink = std::fopen((dir + "/dir_sink.txt").c_str(), "w");
+  ASSERT_NE(sink, nullptr);
+  EXPECT_FALSE(inspect_file(dir, sink));
+  std::fclose(sink);
+  ASSERT_TRUE(read_file(dir + "/dir_sink.txt", text));
+  EXPECT_TRUE(text.empty());
+}
+
 TEST(Inspect, ParserRejectsPathologicalDocuments) {
   JsonValue doc;
   std::string error;
@@ -852,9 +840,9 @@ TEST(Sweep, NoAuditedRunMeansNoAuditBlock) {
 // ------------------------------------------------------ report reader
 
 /// synthetic_run(i) with every optional field of the format set:
-/// detector rho/sigma_ms, the aggregation block, degradations, stage and
-/// profile wall times, an activation threshold and an empty histogram; odd
-/// runs have an empty cell.
+/// detector rho/sigma_ms, the aggregation block, degradations, an
+/// activation threshold and an empty histogram; odd runs have an empty
+/// cell.
 std::pair<RunReport, MetricsRegistry> every_field_run(std::size_t i) {
   auto [r, m] = synthetic_run(i);
   if (i % 2 == 1) r.cell.clear();
@@ -873,10 +861,9 @@ std::pair<RunReport, MetricsRegistry> every_field_run(std::size_t i) {
   r.decision.degradations = {"scrub", "pair-fallback"};
   r.ground_truth.activation_bytes = 2000000 + static_cast<std::int64_t>(i);
   r.ground_truth.sanity_check = i % 3 == 0;
-  r.stages[0].wall_ms = 12.25 + x / 3.0;
   r.profile = profile_from_spans({
-      {0, "wehe_test", 0, (1 + Time(i)) * kSecond, 40.5 + x},
-      {0, "replay_window", 0, kSecond / 3, 7.125},
+      {0, "wehe_test", 0, (1 + Time(i)) * kSecond},
+      {0, "replay_window", 0, kSecond / 3},
   });
   m.histogram("empty_ms", 0.0, 1.0, 4);
   return {std::move(r), std::move(m)};
@@ -900,8 +887,8 @@ TEST(RunReport, FromJsonInvertsToJson) {
   const std::string json = r.to_json(&m);
   for (const char* key :
        {"\"rho\"", "\"sigma_ms\"", "\"aggregation\"", "\"degradations\": "
-        "[\"scrub\"", "\"wall_ms\"", "\"self_wall_ms\"", "\"empty_ms\"",
-        "\"activation_bytes\": 2000001", "\"ground_truth\"", "\"audit\""}) {
+        "[\"scrub\"", "\"empty_ms\"", "\"activation_bytes\": 2000001",
+        "\"ground_truth\"", "\"audit\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
   EXPECT_EQ(json.find("\"cell\""), std::string::npos);
@@ -944,17 +931,17 @@ class ScopedEnv {
   explicit ScopedEnv(
       std::initializer_list<std::pair<const char*, const char*>> overrides) {
     for (const char* name :
-         {"WEHEY_METRICS", "WEHEY_TRACE", "WEHEY_TRACE_BUFFER_EVENTS",
-          "WEHEY_REPORT", "WEHEY_REPORT_DIR", "WEHEY_REPORT_MODE",
-          "WEHEY_REPORT_WALL", "WEHEY_CHECKPOINT", "WEHEY_RUNTIME_REPORT",
-          "WEHEY_PROGRESS"}) {
+         {"WEHEY_TRACE", "WEHEY_REPORT", "WEHEY_REPORT_DIR",
+          "WEHEY_CHECKPOINT", "WEHEY_RUNTIME_REPORT", "WEHEY_PROGRESS"}) {
       const char* old = std::getenv(name);
       saved_.emplace_back(name, old != nullptr
                                     ? std::optional<std::string>(old)
                                     : std::nullopt);
       ::unsetenv(name);
     }
-    for (const auto& [name, value] : overrides) ::setenv(name, value, 1);
+    for (const auto& [name, value] : overrides) {
+      if (value != nullptr) ::setenv(name, value, 1);
+    }
   }
   ScopedEnv(const ScopedEnv&) = delete;
   ScopedEnv& operator=(const ScopedEnv&) = delete;
@@ -999,77 +986,90 @@ TEST(ObservedSweep, TraceCsvPathSibling) {
   EXPECT_EQ(trace_csv_path("trace.bin"), "trace.bin.csv");
 }
 
-TEST(ObservedSweep, EachReportModeWritesItsFileSet) {
+// WEHEY_REPORT_DIR writes every report the process has; WEHEY_REPORT
+// names the process's own report and nothing else.
+TEST(ObservedSweep, ReportDirWritesEveryReport) {
   const std::size_t n = 3;
-  SweepAggregator expected("modes");
-  std::set<std::string> run_files;
+  SweepAggregator expected("every");
+  std::set<std::string> want = {"every.report.json", "every.sweep.json"};
   for (std::size_t i = 0; i < n; ++i) {
     const auto [r, m] = synthetic_run(i);
     expected.add_run(r, &m);
-    run_files.insert(r.run + ".report.json");
+    want.insert(r.run + ".report.json");
   }
-  for (const char* mode : {"per-run", "sweep", "both"}) {
-    const std::string dir = fresh_dir(std::string("modes_") + mode);
-    {
-      ScopedEnv env({{"WEHEY_METRICS", "1"},
-                     {"WEHEY_REPORT_DIR", dir.c_str()},
-                     {"WEHEY_REPORT_MODE", mode}});
-      ObservedSweep sweep("modes");
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto [r, m] = synthetic_run(i);
-        const auto values = sweep.absorb(r.run, r, &m);
-        EXPECT_EQ(values, r.values);
-      }
-      EXPECT_TRUE(sweep.finish());
+  const auto run_sweep = [&] {
+    ObservedSweep sweep("every");
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto [r, m] = synthetic_run(i);
+      const auto values = sweep.absorb(r.run, r, &m);
+      EXPECT_EQ(values, r.values);
     }
-    const std::string m(mode);
-    std::set<std::string> want;
-    if (m != "sweep") {
-      want = run_files;
-      want.insert("modes.report.json");
-    }
-    if (m != "per-run") want.insert("modes.sweep.json");
-    EXPECT_EQ(files_in(dir), want) << mode;
-    if (m != "per-run") {
-      EXPECT_EQ(slurp(dir + "/modes.sweep.json"), expected.to_json()) << mode;
-    }
-    if (m != "sweep") {
-      const auto [r, metrics] = synthetic_run(1);
-      EXPECT_EQ(slurp(dir + "/" + r.run + ".report.json"),
-                r.to_json(&metrics));
-      // The own report carries the absorbed runs' injection tally.
-      JsonValue own;
-      ASSERT_TRUE(json_parse(slurp(dir + "/modes.report.json"), own));
-      const JsonValue* injection = own.find("injection");
-      ASSERT_NE(injection, nullptr);
-      ASSERT_NE(injection->find("replays_aborted"), nullptr);
-      EXPECT_EQ(injection->find("replays_aborted")->number, 1.0);
-    }
+    EXPECT_TRUE(sweep.finish());
+  };
+
+  const std::string dir = fresh_dir("report_dir");
+  {
+    ScopedEnv env({{"WEHEY_REPORT_DIR", dir.c_str()}});
+    run_sweep();
   }
+  EXPECT_EQ(files_in(dir), want);
+  EXPECT_EQ(slurp(dir + "/every.sweep.json"), expected.to_json());
+  const auto [r, metrics] = synthetic_run(1);
+  EXPECT_EQ(slurp(dir + "/" + r.run + ".report.json"), r.to_json(&metrics));
+  // The own report carries the absorbed runs' injection tally.
+  JsonValue own;
+  ASSERT_TRUE(json_parse(slurp(dir + "/every.report.json"), own));
+  const JsonValue* injection = own.find("injection");
+  ASSERT_NE(injection, nullptr);
+  ASSERT_NE(injection->find("replays_aborted"), nullptr);
+  EXPECT_EQ(injection->find("replays_aborted")->number, 1.0);
+
+  const std::string single = fresh_dir("report_path");
+  const std::string path = single + "/own.json";
+  {
+    ScopedEnv env({{"WEHEY_REPORT", path.c_str()}});
+    run_sweep();
+  }
+  EXPECT_EQ(files_in(single), std::set<std::string>{"own.json"});
+  EXPECT_EQ(slurp(path), slurp(dir + "/every.report.json"));
 }
 
+// A sweep aggregates the runs it absorbed. With none, WEHEY_REPORT_DIR
+// writes only the own report, whose offline merge is that report's sweep;
+// sweep_to() still writes its (empty) sweep.
 TEST(ObservedSweep, ZeroRunSweepAggregatesItsOwnReport) {
   const std::string dir = fresh_dir("zero_run");
   RunReport own;
   {
-    ScopedEnv env({{"WEHEY_REPORT_DIR", dir.c_str()},
-                   {"WEHEY_REPORT_MODE", "sweep"}});
+    ScopedEnv env({{"WEHEY_REPORT_DIR", dir.c_str()}});
     ObservedSweep sweep("solo");
     sweep.report().verdict = "completed";
     sweep.report().values["score"] = 0.25;
     own = sweep.report();
   }
+  EXPECT_EQ(files_in(dir), std::set<std::string>{"solo.report.json"});
   SweepAggregator expected("solo");
   const MetricsRegistry nothing_recorded;
   expected.add_run(own, &nothing_recorded);
-  EXPECT_EQ(files_in(dir), std::set<std::string>{"solo.sweep.json"});
-  EXPECT_EQ(slurp(dir + "/solo.sweep.json"), expected.to_json());
+  const auto [read, read_metrics] =
+      read_back(slurp(dir + "/solo.report.json"));
+  SweepAggregator merged("solo");
+  merged.add_run(read, &read_metrics);
+  EXPECT_EQ(merged.to_json(), expected.to_json());
+
+  const std::string out = fresh_dir("zero_run_out") + "/solo.sweep.json";
+  {
+    ScopedEnv env({{"WEHEY_REPORT_DIR", nullptr}});
+    ObservedSweep sweep("solo");
+    sweep.sweep_to(out);
+  }
+  EXPECT_EQ(slurp(out), SweepAggregator("solo").to_json());
+  EXPECT_NE(slurp(out).find("\"runs\": 0,"), std::string::npos);
 
   // An unnamed own report is no report: nothing to aggregate, no file.
   const std::string quiet = fresh_dir("zero_run_unnamed");
   {
-    ScopedEnv env({{"WEHEY_REPORT_DIR", quiet.c_str()},
-                   {"WEHEY_REPORT_MODE", "both"}});
+    ScopedEnv env({{"WEHEY_REPORT_DIR", quiet.c_str()}});
     ObservedSweep sweep("silent");
     sweep.report().run.clear();
   }
@@ -1085,7 +1085,6 @@ TEST(ObservedSweep, StaleJournalEntryExecutesAgain) {
   const std::string journal = ref + "/journal.jsonl";
   {
     ScopedEnv env({{"WEHEY_REPORT_DIR", ref.c_str()},
-                   {"WEHEY_REPORT_MODE", "both"},
                    {"WEHEY_CHECKPOINT", journal.c_str()}});
     ObservedSweep sweep("stale");
     for (std::size_t i = 0; i < n; ++i) {
@@ -1106,7 +1105,6 @@ TEST(ObservedSweep, StaleJournalEntryExecutesAgain) {
 
   {
     ScopedEnv env({{"WEHEY_REPORT_DIR", resumed.c_str()},
-                   {"WEHEY_REPORT_MODE", "both"},
                    {"WEHEY_CHECKPOINT", stale_journal.c_str()}});
     ObservedSweep sweep("stale");
     for (std::size_t i = 0; i < n; ++i) {
@@ -1184,27 +1182,17 @@ TEST(ObservedSweep, ResumedRunsKeepTheirProgressTallies) {
 // ----------------------------------------------------- report mode env
 
 TEST(ReportMode, ParsesEnvironmentKnob) {
-  ::unsetenv("WEHEY_REPORT_MODE");
-  EXPECT_EQ(report_mode_from_env(), ReportMode::kPerRun);
-  ::setenv("WEHEY_REPORT_MODE", "sweep", 1);
-  EXPECT_EQ(report_mode_from_env(), ReportMode::kSweep);
-  ::setenv("WEHEY_REPORT_MODE", "both", 1);
-  EXPECT_EQ(report_mode_from_env(), ReportMode::kBoth);
-  ::setenv("WEHEY_REPORT_MODE", "wat", 1);
-  EXPECT_EQ(report_mode_from_env(), ReportMode::kPerRun);
-  ::unsetenv("WEHEY_REPORT_MODE");
-
-  // Sweep-path resolution per mode.
-  ::setenv("WEHEY_REPORT", "/tmp/x.json", 1);
-  ::setenv("WEHEY_REPORT_MODE", "sweep", 1);
-  EXPECT_EQ(sweep_path_from_env("r"), "/tmp/x.json");
-  ::setenv("WEHEY_REPORT_MODE", "both", 1);
-  EXPECT_EQ(sweep_path_from_env("r"), "/tmp/x.json.sweep.json");
-  ::unsetenv("WEHEY_REPORT");
+  // WEHEY_REPORT names the own report, never a sweep.
+  ScopedEnv env({{"WEHEY_REPORT", "/tmp/x.json"}});
+  EXPECT_EQ(report_path_from_env("r"), "/tmp/x.json");
+  EXPECT_EQ(sweep_path_from_env("r"), "");
   ::setenv("WEHEY_REPORT_DIR", "/tmp", 1);
+  EXPECT_EQ(report_path_from_env("r"), "/tmp/x.json");
   EXPECT_EQ(sweep_path_from_env("r"), "/tmp/r.sweep.json");
+  ::unsetenv("WEHEY_REPORT");
+  EXPECT_EQ(report_path_from_env("r"), "/tmp/r.report.json");
   ::unsetenv("WEHEY_REPORT_DIR");
-  ::unsetenv("WEHEY_REPORT_MODE");
+  EXPECT_EQ(report_path_from_env("r"), "");
   EXPECT_EQ(sweep_path_from_env("r"), "");
 }
 
