@@ -152,5 +152,5 @@ int main() {
               "miss desynchronized losses, coarse bands starve the test of "
               "intervals, few sizes weaken FP control\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

@@ -7,9 +7,11 @@
 // per carrier. The fluid carrier's cost is bounded by its rate-step
 // events, independent of the background rate.
 //
-// Results append a "background" block to BENCH_parallel.json (or
-// WEHEY_BENCH_JSON) next to bench_event_loop's blocks; CI gates
-// background.table1.event_reduction.
+// The event counts and reductions are deterministic and go into the
+// bench's RunReport values, "<point>_<name>"; CI compares them against
+// bench/baselines/bench_background.report.json and floors both
+// "<point>_event_reduction" at 10x. The wall times and events/sec are
+// printed only.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -68,7 +70,7 @@ struct OperatingPoint {
 int main() {
   using namespace wehey;
   bench::print_header("background", "packet vs fluid background carrier");
-  obs::ObservedSweep observed("bench_background");
+  obs::ObservedSweep obs_run("bench_background");
 
   const auto scale = experiments::run_scale();
   const Time duration = scale.replay_duration;
@@ -80,10 +82,9 @@ int main() {
       {"heavy", mbps(4.0)},
   };
 
-  auto background = bench::jobj();
-  bench::jset(background, "replay_seconds", bench::jnum(to_seconds(duration)));
-  std::printf("%-8s %14s %14s %12s %12s %10s\n", "point", "packet_events",
-              "fluid_events", "packet_s", "fluid_s", "bg_reduc");
+  std::printf("%-8s %14s %14s %12s %12s %13s %13s %10s\n", "point",
+              "packet_events", "fluid_events", "packet_s", "fluid_s",
+              "packet_Mev/s", "fluid_Mev/s", "bg_reduc");
   for (const auto& point : points) {
     const PhaseCost packet =
         run_phase(trace::BackgroundMode::kPacket, point.bg_rate, duration);
@@ -105,38 +106,20 @@ int main() {
         step_floor);
     const double reduction = packet_bg > 0.0 ? packet_bg / fluid_bg : 0.0;
 
-    std::printf("%-8s %14llu %14llu %12.3f %12.3f %9.1fx\n", point.name,
-                static_cast<unsigned long long>(packet.events),
+    std::printf("%-8s %14llu %14llu %12.3f %12.3f %13.2f %13.2f %9.1fx\n",
+                point.name, static_cast<unsigned long long>(packet.events),
                 static_cast<unsigned long long>(fluid.events), packet.seconds,
-                fluid.seconds, reduction);
+                fluid.seconds, packet.events_per_sec() / 1e6,
+                fluid.events_per_sec() / 1e6, reduction);
 
-    auto block = bench::jobj();
-    bench::jset(block, "bg_rate_mbps", bench::jnum(point.bg_rate / 1e6));
-    bench::jset(block, "packet_events",
-                bench::jnum(static_cast<double>(packet.events)));
-    bench::jset(block, "fluid_events",
-                bench::jnum(static_cast<double>(fluid.events)));
-    bench::jset(block, "packet_seconds", bench::jnum(packet.seconds));
-    bench::jset(block, "fluid_seconds", bench::jnum(fluid.seconds));
-    bench::jset(block, "packet_events_per_sec",
-                bench::jnum(packet.events_per_sec()));
-    bench::jset(block, "fluid_events_per_sec",
-                bench::jnum(fluid.events_per_sec()));
-    bench::jset(block, "packet_bg_events", bench::jnum(packet_bg));
-    bench::jset(block, "fluid_bg_events", bench::jnum(fluid_bg));
-    bench::jset(block, "event_reduction", bench::jnum(reduction));
-    bench::jset(background, point.name, std::move(block));
-
-    observed.report().values[std::string(point.name) + "_event_reduction"] =
-        reduction;
+    auto& values = obs_run.report().values;
+    const std::string key = std::string(point.name) + "_";
+    values[key + "bg_rate_mbps"] = point.bg_rate / 1e6;
+    values[key + "packet_events"] = static_cast<double>(packet.events);
+    values[key + "fluid_events"] = static_cast<double>(fluid.events);
+    values[key + "packet_bg_events"] = packet_bg;
+    values[key + "fluid_bg_events"] = fluid_bg;
+    values[key + "event_reduction"] = reduction;
   }
-
-  const std::string path = bench::bench_json_path();
-  if (bench::update_bench_block(path, "background", std::move(background))) {
-    std::printf("\nwrote %s (background block)\n", path.c_str());
-  } else {
-    std::printf("\ncould not write %s\n", path.c_str());
-    return 1;
-  }
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

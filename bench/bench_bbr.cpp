@@ -56,5 +56,5 @@ int main() {
               "loss-trend localization degrades under BBR in this "
               "substrate.\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

@@ -87,5 +87,5 @@ int main() {
   std::printf("paper: (a) overlapping CDFs/PDF peaks, p = 7.54e-18; "
               "(b) disjoint, p = 0.99\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

@@ -58,5 +58,5 @@ int main() {
   std::printf("\npaper: the dark (x_c) and light (x_1) curves converge and "
               "cross as tau approaches the true loss rate (~0.04 there)\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

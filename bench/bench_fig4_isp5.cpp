@@ -57,5 +57,5 @@ int main() {
   std::printf("paper: simultaneous ~5 s vs single ~22 s (both drop to the "
               "same fixed rate)\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

@@ -89,5 +89,5 @@ int main() {
   std::printf("\npaper: the experiments' IQR covers the full wild "
               "retransmission range and a significant part of the delays\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

@@ -91,5 +91,5 @@ int main() {
               "classic tomography +66-82%% (TCP), unmodified traces add "
               "3-11%% more\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

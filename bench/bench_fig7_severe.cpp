@@ -82,5 +82,5 @@ int main() {
   std::printf("\npaper: overall FN 19.2%%; false negatives are almost all "
               "experiments with retransmission rate above 20%%\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

@@ -79,5 +79,5 @@ int main() {
               "coupled-bottleneck test fires; separate buckets -> neither\n"
               "detector fires (FP control)\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

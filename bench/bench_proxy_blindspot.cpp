@@ -104,5 +104,5 @@ int main() {
               "client-side throughput (WeHe's detection signal) shows the "
               "throttling either way.\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

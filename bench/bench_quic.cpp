@@ -106,5 +106,5 @@ int main() {
               "tests/test_quic.cpp asserts the declared/actual drop ratio "
               "is within 0.9-1.2.)\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

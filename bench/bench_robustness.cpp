@@ -4,21 +4,22 @@
 // For each plan the same scenario is run under `runs` different fault
 // seeds (the *network* seed is fixed, so a clean run always yields the
 // same outcome — the spread below is purely fault-induced). Reported per
-// plan:
-//   * the outcome histogram across seeds,
-//   * stability   — fraction of seeds agreeing with the modal outcome,
+// plan, as RunReport values "<plan>.<name>":
+//   * runs, and outcome.<outcome> — the outcome histogram across seeds,
+//   * stability   — fraction of seeds agreeing with the modal outcome (the
+//                   first largest outcome count),
 //   * match_clean — fraction of seeds reproducing the fault-free outcome,
-//   * mean retry / fallback counters.
-//
-// Results land in BENCH_robustness.json (override: WEHEY_BENCH_JSON).
+//   * mean_replay_retries / mean_control_retries / mean_pair_fallbacks,
+//   * injected.<kind> and injected.total — the summed injector tallies.
+// Plus runs_per_plan and clean_outcome.<outcome> = 1. Outcome names live
+// in the keys, so an exact compare against
+// bench/baselines/bench_robustness.report.json also pins them.
 // Quick mode runs 5 seeds per plan; WEHEY_FULL=1 runs 20
 // (WEHEY_RUNS_PER_CONFIG overrides either).
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "bench_util.hpp"
 #include "experiments/params.hpp"
@@ -45,19 +46,6 @@ replay::SessionResult run_once(const faults::FaultPlan& plan) {
   return replay::run_session(cfg, db);
 }
 
-struct PlanSummary {
-  std::string name;
-  int runs = 0;
-  std::map<std::string, int> outcomes;  ///< outcome name -> count
-  std::string modal;
-  double stability = 0.0;
-  double match_clean = 0.0;
-  double mean_replay_retries = 0.0;
-  double mean_control_retries = 0.0;
-  double mean_pair_fallbacks = 0.0;
-  faults::InjectionStats injection;  ///< summed over the plan's seeds
-};
-
 }  // namespace
 }  // namespace wehey
 
@@ -80,96 +68,71 @@ int main() {
   std::printf("%-18s %-26s %9s %11s %8s %8s %8s\n", "plan", "modal outcome",
               "stability", "match-clean", "retries", "ctrl-rtx", "pair-fb");
 
-  std::vector<PlanSummary> summaries;
+  auto& values = obs_run.report().values;
+  values["runs_per_plan"] = runs;
+  values["clean_outcome." + clean_outcome] = 1;
   for (const auto& name : faults::shipped_plan_names()) {
-    PlanSummary sum;
-    sum.name = name;
-    sum.runs = runs;
+    std::map<std::string, int> outcomes;  ///< outcome name -> count
     int matched = 0;
+    double mean_replay_retries = 0.0;
+    double mean_control_retries = 0.0;
+    double mean_pair_fallbacks = 0.0;
+    faults::InjectionStats injection;  ///< summed over the plan's seeds
     for (int i = 0; i < runs; ++i) {
       const auto plan =
           faults::shipped_plan(name, static_cast<std::uint64_t>(i) + 1);
       const auto result = run_once(plan);
       const std::string outcome = replay::to_string(result.outcome);
-      ++sum.outcomes[outcome];
+      ++outcomes[outcome];
       if (outcome == clean_outcome) ++matched;
-      sum.mean_replay_retries += result.replay_retries;
-      sum.mean_control_retries += result.control_retries;
-      sum.mean_pair_fallbacks += result.pair_fallbacks;
-      sum.injection += result.injection;
+      mean_replay_retries += result.replay_retries;
+      mean_control_retries += result.control_retries;
+      mean_pair_fallbacks += result.pair_fallbacks;
+      injection += result.injection;
       for (const auto& [kind, count] : result.injection.by_kind()) {
         obs_run.report().injection[kind] += count;
       }
     }
+    std::string modal;
     int modal_count = 0;
-    for (const auto& [outcome, count] : sum.outcomes) {
+    for (const auto& [outcome, count] : outcomes) {
+      values[name + ".outcome." + outcome] = count;
       if (count > modal_count) {
         modal_count = count;
-        sum.modal = outcome;
+        modal = outcome;
       }
     }
-    sum.stability = static_cast<double>(modal_count) / runs;
-    sum.match_clean = static_cast<double>(matched) / runs;
-    sum.mean_replay_retries /= runs;
-    sum.mean_control_retries /= runs;
-    sum.mean_pair_fallbacks /= runs;
-    summaries.push_back(sum);
+    const double stability = static_cast<double>(modal_count) / runs;
+    const double match_clean = static_cast<double>(matched) / runs;
+    mean_replay_retries /= runs;
+    mean_control_retries /= runs;
+    mean_pair_fallbacks /= runs;
+    values[name + ".runs"] = runs;
+    values[name + ".stability"] = stability;
+    values[name + ".match_clean"] = match_clean;
+    values[name + ".mean_replay_retries"] = mean_replay_retries;
+    values[name + ".mean_control_retries"] = mean_control_retries;
+    values[name + ".mean_pair_fallbacks"] = mean_pair_fallbacks;
+    values[name + ".injected.total"] = injection.total();
+    for (const auto& [kind, count] : injection.by_kind()) {
+      values[name + ".injected." + kind] = count;
+    }
     std::printf("%-18s %-26s %8.0f%% %10.0f%% %8.2f %8.2f %8.2f\n",
-                sum.name.c_str(), sum.modal.c_str(), 100.0 * sum.stability,
-                100.0 * sum.match_clean, sum.mean_replay_retries,
-                sum.mean_control_retries, sum.mean_pair_fallbacks);
+                name.c_str(), modal.c_str(), 100.0 * stability,
+                100.0 * match_clean, mean_replay_retries, mean_control_retries,
+                mean_pair_fallbacks);
     // Per-fault-kind tallies, so a plan's headline numbers can be traced
     // back to what the injector actually did.
     std::printf("  %-16s injected:", "");
-    if (sum.injection.total() == 0) {
+    if (injection.total() == 0) {
       std::printf(" none");
     } else {
-      for (const auto& [kind, count] : sum.injection.by_kind()) {
+      for (const auto& [kind, count] : injection.by_kind()) {
         if (count > 0) std::printf(" %s=%d", kind, count);
       }
     }
     std::printf("\n");
-    obs_run.report().values[sum.name + ".stability"] = sum.stability;
-    obs_run.report().values[sum.name + ".match_clean"] = sum.match_clean;
   }
   obs_run.report().verdict = "completed";
-
-  const char* path_env = std::getenv("WEHEY_BENCH_JSON");
-  const std::string path =
-      path_env != nullptr && path_env[0] != 0 ? path_env
-                                              : "BENCH_robustness.json";
-  std::ofstream json(path);
-  if (json) {
-    json << "{\n";
-    json << "  \"runs_per_plan\": " << runs << ",\n";
-    json << "  \"clean_outcome\": \"" << clean_outcome << "\",\n";
-    json << "  \"plans\": [\n";
-    for (std::size_t i = 0; i < summaries.size(); ++i) {
-      const auto& s = summaries[i];
-      json << "    {\"name\": \"" << s.name << "\", \"runs\": " << s.runs
-           << ", \"modal_outcome\": \"" << s.modal << "\""
-           << ", \"stability\": " << s.stability
-           << ", \"match_clean\": " << s.match_clean
-           << ", \"mean_replay_retries\": " << s.mean_replay_retries
-           << ", \"mean_control_retries\": " << s.mean_control_retries
-           << ", \"mean_pair_fallbacks\": " << s.mean_pair_fallbacks
-           << ", \"outcomes\": {";
-      bool first = true;
-      for (const auto& [outcome, count] : s.outcomes) {
-        if (!first) json << ", ";
-        first = false;
-        json << "\"" << outcome << "\": " << count;
-      }
-      json << "}, \"injection\": {\"total\": " << s.injection.total();
-      for (const auto& [kind, count] : s.injection.by_kind()) {
-        json << ", \"" << kind << "\": " << count;
-      }
-      json << "}}" << (i + 1 < summaries.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
-    std::printf("\nwrote %s\n", path.c_str());
-  } else {
-    std::printf("\ncould not write %s\n", path.c_str());
-  }
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

@@ -52,5 +52,5 @@ int main() {
               "policers and shallow shapers and fades as the deep shaper "
               "replaces loss with delay — the §3.2 limitation.\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

@@ -64,5 +64,5 @@ int main() {
               "UDP 0/0/0/0/21.33%% at 15/25/35/60/120 ms (severe-throttling "
               "background mix)\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

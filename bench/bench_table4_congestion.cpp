@@ -61,5 +61,5 @@ int main() {
   }
   std::printf("\npaper: UDP 0/0.38/2.38%%, TCP 19.3/28/34.88%%\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

@@ -132,5 +132,5 @@ int main() {
   obs_run.report().verdict = "completed";
   std::printf("\npaper: TCP 1.13%%, Skype 2.5%%, WhatsApp 1.67%%, "
               "MSTeams 3.75%%, Zoom 3.27%%, Webex 2.5%% (target 5%%)\n");
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

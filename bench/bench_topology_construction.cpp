@@ -78,5 +78,5 @@ int main() {
               "suitable topology for 74%% of those (alias resolution left "
               "as an improvement)\n");
   obs_run.report().verdict = "completed";
-  return 0;
+  return obs_run.finish() ? 0 : 1;
 }

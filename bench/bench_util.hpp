@@ -3,16 +3,16 @@
 // Every bench binary is runnable with no arguments and prints the same
 // rows/series the paper reports. Two environment variables control scale
 // (see experiments/params.hpp): WEHEY_FULL=1 for the paper-scale grid,
-// WEHEY_RUNS_PER_CONFIG=N to override repetitions.
+// WEHEY_RUNS_PER_CONFIG=N to override repetitions. A bench's deterministic
+// numbers go into the values of its own RunReport (obs::ObservedSweep;
+// WEHEY_REPORT / WEHEY_REPORT_DIR write it), and its main returns
+// `obs_run.finish() ? 0 : 1` so that a failed artifact write fails it.
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
-#include <ostream>
 #include <string>
-#include <utility>
 
 #include "common/csv.hpp"
 #include "core/loss_correlation.hpp"
@@ -21,7 +21,6 @@
 #include "experiments/scenario.hpp"
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
-#include "obs/inspect.hpp"
 #include "obs/sweep.hpp"
 
 namespace wehey::bench {
@@ -113,163 +112,6 @@ struct FpStats {
     return experiments > 0 ? 100.0 * fp_loss_trend / experiments : 0.0;
   }
 };
-
-// ------------------------------------------------------- BENCH_*.json I/O
-//
-// Several bench binaries persist their trajectory into one JSON file
-// (default BENCH_parallel.json, override with WEHEY_BENCH_JSON), each
-// owning a named top-level block. update_bench_block() re-reads the file
-// and replaces only the caller's block, so bench_event_loop and
-// bench_background can run in any order without clobbering each other.
-
-/// Terse JsonValue constructors for assembling bench blocks.
-inline obs::JsonValue jnum(double v) {
-  obs::JsonValue j;
-  j.type = obs::JsonValue::Type::Number;
-  j.number = v;
-  return j;
-}
-
-inline obs::JsonValue jobj() {
-  obs::JsonValue j;
-  j.type = obs::JsonValue::Type::Object;
-  return j;
-}
-
-inline obs::JsonValue jarr() {
-  obs::JsonValue j;
-  j.type = obs::JsonValue::Type::Array;
-  return j;
-}
-
-/// Set `key` in object `o` (replacing an existing entry of that name).
-inline void jset(obs::JsonValue& o, const std::string& key,
-                 obs::JsonValue v) {
-  for (auto& [k, existing] : o.object) {
-    if (k == key) {
-      existing = std::move(v);
-      return;
-    }
-  }
-  o.object.emplace_back(key, std::move(v));
-}
-
-/// Serialize a JsonValue with 2-space indentation. Numbers go through
-/// obs::json_number, so round-trips are value-stable.
-inline void json_write(const obs::JsonValue& v, std::ostream& out,
-                       int indent = 0) {
-  const std::string pad(static_cast<std::size_t>(indent) * 2, ' ');
-  const std::string pad1(static_cast<std::size_t>(indent + 1) * 2, ' ');
-  switch (v.type) {
-    case obs::JsonValue::Type::Null: out << "null"; return;
-    case obs::JsonValue::Type::Bool:
-      out << (v.boolean ? "true" : "false");
-      return;
-    case obs::JsonValue::Type::Number:
-      out << obs::json_number(v.number);
-      return;
-    case obs::JsonValue::Type::String: {
-      out << '"';
-      for (const char c : v.str) {
-        if (c == '"' || c == '\\') {
-          out << '\\' << c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out << buf;
-        } else {
-          out << c;
-        }
-      }
-      out << '"';
-      return;
-    }
-    case obs::JsonValue::Type::Array: {
-      if (v.array.empty()) {
-        out << "[]";
-        return;
-      }
-      out << "[";
-      for (std::size_t i = 0; i < v.array.size(); ++i) {
-        if (i > 0) out << ", ";
-        json_write(v.array[i], out, indent + 1);
-      }
-      out << "]";
-      return;
-    }
-    case obs::JsonValue::Type::Object: {
-      if (v.object.empty()) {
-        out << "{}";
-        return;
-      }
-      out << "{\n";
-      for (std::size_t i = 0; i < v.object.size(); ++i) {
-        out << pad1 << '"' << v.object[i].first << "\": ";
-        json_write(v.object[i].second, out, indent + 1);
-        if (i + 1 < v.object.size()) out << ',';
-        out << '\n';
-      }
-      out << pad << '}';
-      return;
-    }
-  }
-}
-
-/// The trajectory file this process writes: WEHEY_BENCH_JSON or the
-/// default BENCH_parallel.json.
-inline std::string bench_json_path() {
-  const char* env = std::getenv("WEHEY_BENCH_JSON");
-  return env != nullptr && env[0] != 0 ? env : "BENCH_parallel.json";
-}
-
-/// Re-read the JSON object in `path` (an unreadable or malformed file
-/// restarts from an empty object), let `edit` change it, and write it
-/// back.
-template <typename Edit>
-bool edit_bench_json(const std::string& path, Edit&& edit) {
-  obs::JsonValue doc = jobj();
-  std::string text;
-  obs::JsonValue parsed;
-  if (obs::read_file(path, text) && obs::json_parse(text, parsed) &&
-      parsed.type == obs::JsonValue::Type::Object) {
-    doc = std::move(parsed);
-  }
-  edit(doc);
-  std::ofstream out(path);
-  if (!out) return false;
-  json_write(doc, out);
-  out << '\n';
-  return out.good();
-}
-
-/// Replace (or append) the top-level block `name`, preserving every other
-/// block.
-inline bool update_bench_block(const std::string& path,
-                               const std::string& name,
-                               obs::JsonValue block) {
-  return edit_bench_json(
-      path, [&](obs::JsonValue& doc) { jset(doc, name, std::move(block)); });
-}
-
-/// Replace (or append) `sub` inside the top-level object block `name`,
-/// preserving the block's other sub-entries. Lets several binaries share
-/// one top-level block (e.g. "runtime"."grid" from bench_event_loop and
-/// "runtime"."table1_wild" from bench_table1_wild) without clobbering
-/// each other.
-inline bool update_bench_subblock(const std::string& path,
-                                  const std::string& name,
-                                  const std::string& sub,
-                                  obs::JsonValue block) {
-  return edit_bench_json(path, [&](obs::JsonValue& doc) {
-    const obs::JsonValue* existing = doc.find(name);
-    obs::JsonValue outer =
-        existing != nullptr && existing->type == obs::JsonValue::Type::Object
-            ? *existing
-            : jobj();
-    jset(outer, sub, std::move(block));
-    jset(doc, name, std::move(outer));
-  });
-}
 
 /// Open "<WEHEY_CSV_DIR>/<name>.csv" for plot-ready artifact output, or
 /// null when the environment variable is unset.

@@ -542,26 +542,6 @@ int cmd_compare(int argc, char** argv) {
       return 2;
     }
   }
-  // Surface trial-grid multi-thread timings (BENCH_parallel.json "grid"
-  // blocks, recorded under bench/baselines/) so a drift verdict comes
-  // with the wall-clock context of both sides.
-  for (int i = 0; i < 2; ++i) {
-    const obs::JsonValue& runs = docs[i].at("grid").at("runs");
-    if (runs.type != obs::JsonValue::Type::Array) continue;
-    std::string line = i == 0 ? "grid timings (baseline):" :
-                                "grid timings (candidate):";
-    for (const auto& run : runs.array) {
-      if (run.find("threads") == nullptr || run.find("seconds") == nullptr) {
-        continue;
-      }
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), " %dT=%.3fs(%.2fx)",
-                    static_cast<int>(run.at("threads").number),
-                    run.at("seconds").number, run.at("speedup").number);
-      line += buf;
-    }
-    std::fprintf(stderr, "note: %s\n", line.c_str());
-  }
   const auto result = obs::compare_reports(docs[0], docs[1], opts);
   for (const auto& note : result.notes) {
     std::fprintf(stderr, "note: %s\n", note.c_str());

@@ -550,19 +550,6 @@ CompareResult compare_reports(const JsonValue& baseline,
         continue;
       }
       matched = true;
-      // Floors don't apply to oversubscribed rows: a row that ran more
-      // threads than the host has measures the machine, not the engine.
-      const std::size_t dot = key.rfind('.');
-      if (dot != std::string::npos) {
-        const auto sibling = cand.find(key.substr(0, dot) + ".oversubscribed");
-        if (sibling != cand.end() &&
-            sibling->second.type == JsonValue::Type::Bool &&
-            sibling->second.boolean) {
-          result.notes.push_back("floor skipped at " + key +
-                                 " (oversubscribed row)");
-          continue;
-        }
-      }
       if (c.number < floor) {
         result.failures.push_back("below floor at " + key + ": " +
                                   json_number(c.number) + " < " +

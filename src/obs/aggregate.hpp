@@ -183,10 +183,8 @@ struct CompareOptions {
   /// seconds, host-dependent throughput numbers, ...
   std::vector<std::string> ignore;
   /// Floors: the candidate value at every key matching the regex must be
-  /// >= the given bound (used for speedup gates, independent of the
-  /// baseline value). A value whose sibling "oversubscribed" flag is true
-  /// is exempt (noted, still counts as a match): a grid row that ran more
-  /// threads than the host has measures the host, not the engine.
+  /// >= the given bound, independent of the baseline value (a stability
+  /// or event-reduction floor); a regex that matches no number fails.
   std::vector<std::pair<std::string, double>> min_keys;
   /// Existence assertions: each regex must match at least one flattened
   /// candidate key (of any type) or the comparison fails. Guards CI gates

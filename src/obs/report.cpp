@@ -433,21 +433,22 @@ bool RunReport::from_json(const JsonValue& doc, RunReport& report,
   return true;
 }
 
+std::string env_path(const char* name) {
+  const char* value = std::getenv(name);
+  if (value == nullptr || std::string(value) == "0") return {};
+  return value;
+}
+
 std::string report_path_from_env(const std::string& run_name) {
-  if (const char* path = std::getenv("WEHEY_REPORT")) {
-    if (path[0] != 0 && std::string(path) != "0") return path;
-  }
-  if (const char* dir = std::getenv("WEHEY_REPORT_DIR")) {
-    if (dir[0] != 0) return std::string(dir) + "/" + run_name + ".report.json";
-  }
-  return {};
+  const std::string path = env_path("WEHEY_REPORT");
+  if (!path.empty()) return path;
+  const std::string dir = env_path("WEHEY_REPORT_DIR");
+  return dir.empty() ? dir : dir + "/" + run_name + ".report.json";
 }
 
 std::string sweep_path_from_env(const std::string& run_name) {
-  if (const char* dir = std::getenv("WEHEY_REPORT_DIR")) {
-    if (dir[0] != 0) return std::string(dir) + "/" + run_name + ".sweep.json";
-  }
-  return {};
+  const std::string dir = env_path("WEHEY_REPORT_DIR");
+  return dir.empty() ? dir : dir + "/" + run_name + ".sweep.json";
 }
 
 bool write_report_file(const std::string& path, const std::string& json) {

@@ -301,6 +301,11 @@ struct RunReport {
                         std::string* error = nullptr);
 };
 
+/// The path an artifact variable (WEHEY_TRACE, WEHEY_REPORT,
+/// WEHEY_REPORT_DIR, WEHEY_CHECKPOINT, WEHEY_RUNTIME_REPORT) names, or ""
+/// when that artifact is off: the variable is unset, empty or "0".
+std::string env_path(const char* name);
+
 /// Resolve the report output path from the environment: WEHEY_REPORT
 /// (exact path) wins over WEHEY_REPORT_DIR (directory; the file is named
 /// "<run>.report.json"). Empty = reporting off.

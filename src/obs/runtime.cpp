@@ -212,7 +212,7 @@ void set_enabled(bool on) {
 }
 
 bool enable_from_env() {
-  if (!runtime_report_path_from_env().empty()) set_enabled(true);
+  if (!env_path("WEHEY_RUNTIME_REPORT").empty()) set_enabled(true);
   return enabled();
 }
 
@@ -439,16 +439,9 @@ std::string runtime_report_json(const RuntimeSnapshot& snap,
   return out.str();
 }
 
-std::string runtime_report_path_from_env() {
-  if (const char* path = std::getenv("WEHEY_RUNTIME_REPORT")) {
-    if (path[0] != 0 && std::string(path) != "0") return path;
-  }
-  return {};
-}
-
 bool write_runtime_report_from_env(const std::string& run_name) {
   if (!enabled()) return true;
-  const std::string path = runtime_report_path_from_env();
+  const std::string path = env_path("WEHEY_RUNTIME_REPORT");
   if (path.empty()) return true;
   if (!write_report_file(path, runtime_report_json(snapshot(), run_name))) {
     std::fprintf(stderr, "runtime report: FAILED to write %s\n", path.c_str());

@@ -80,9 +80,10 @@ inline bool enabled() {
 /// Turn the profiler on/off at runtime. No-op under -DWEHEY_OBS=OFF.
 void set_enabled(bool on);
 
-/// Enable the profiler iff WEHEY_RUNTIME_REPORT is set (to a non-empty,
-/// non-"0" value). Returns the resulting enabled() state. Idempotent — the
-/// counters are NOT reset, so late callers don't erase earlier samples.
+/// Enable the profiler iff WEHEY_RUNTIME_REPORT names a path (env_path:
+/// unset, empty and "0" are off). Returns the resulting enabled() state.
+/// Idempotent — the counters are NOT reset, so late callers don't erase
+/// earlier samples.
 bool enable_from_env();
 
 /// Zero every counter, histogram and watermark and restart the profiler's
@@ -241,9 +242,6 @@ RuntimeSnapshot snapshot();
 /// Serialize a snapshot as a wehey.runtime_report.v1 document.
 std::string runtime_report_json(const RuntimeSnapshot& snap,
                                 const std::string& run_name);
-
-/// The sidecar output path: WEHEY_RUNTIME_REPORT (empty / "0" = off).
-std::string runtime_report_path_from_env();
 
 /// Write the current snapshot to the WEHEY_RUNTIME_REPORT path, if set
 /// and the profiler is enabled. Returns false only on I/O error.

@@ -1,7 +1,6 @@
 #include "obs/sweep.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -12,24 +11,13 @@ namespace wehey::obs {
 
 namespace {
 
-bool env_flag(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != 0 && std::string(v) != "0";
-}
-
-std::string env_or_empty(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? v : "";
-}
-
-std::unique_ptr<Recorder> recorder_from_env(const std::string& trace_path) {
+/// The run-wide recorder: on when a trace or a report is written.
+std::unique_ptr<Recorder> recorder_from_env(const std::string& trace_path,
+                                            const std::string& report_path) {
   if constexpr (!kObsCompiled) return nullptr;
-  const bool trace_on = !trace_path.empty();
-  if (!trace_on && !env_flag("WEHEY_REPORT") &&
-      !env_flag("WEHEY_REPORT_DIR")) {
-    return nullptr;
-  }
-  return std::make_unique<Recorder>(/*metrics_on=*/true, trace_on);
+  if (trace_path.empty() && report_path.empty()) return nullptr;
+  return std::make_unique<Recorder>(/*metrics_on=*/true,
+                                    /*trace_on=*/!trace_path.empty());
 }
 
 /// Write one artifact; only a failure is reported here.
@@ -51,15 +39,15 @@ bool write_trace(const Timeline& timeline, const std::string& path) {
 
 ObservedSweep::ObservedSweep(std::string name)
     : name_(std::move(name)),
-      trace_path_(env_or_empty("WEHEY_TRACE")),
-      recorder_(recorder_from_env(trace_path_)),
+      trace_path_(env_path("WEHEY_TRACE")),
+      recorder_(recorder_from_env(trace_path_, report_path_from_env(name_))),
       bind_(recorder_.get()),
-      run_dir_(env_or_empty("WEHEY_REPORT_DIR")),
+      run_dir_(env_path("WEHEY_REPORT_DIR")),
       aggregator_(name_),
       meter_(name_) {
   report_.run = name_;
   runtime::enable_from_env();
-  const std::string journal = env_or_empty("WEHEY_CHECKPOINT");
+  const std::string journal = env_path("WEHEY_CHECKPOINT");
   std::string error;
   if (!journal.empty() && !checkpoint(journal, /*resume=*/true, &error)) {
     std::fprintf(stderr, "checkpoint: %s (not journaling)\n", error.c_str());
@@ -122,7 +110,8 @@ std::map<std::string, double> ObservedSweep::absorb(
   }
   if (!run_dir_.empty()) {
     if (json.empty()) json = run.to_json(metrics);
-    write_artifact("report", run_dir_ + "/" + run_id + ".report.json", json);
+    const std::string path = run_dir_ + "/" + run_id + ".report.json";
+    if (!write_artifact("report", path, json)) run_write_failed_ = true;
   }
   return run.values;
 }
@@ -130,7 +119,7 @@ std::map<std::string, double> ObservedSweep::absorb(
 bool ObservedSweep::finish() {
   if (finished_) return true;
   finished_ = true;
-  bool ok = true;
+  bool ok = !run_write_failed_;
   if (recorder_ != nullptr && !trace_path_.empty()) {
     if (write_trace(recorder_->timeline(), trace_path_)) {
       std::fprintf(stderr, "trace: %s (+ %s)\n", trace_path_.c_str(),

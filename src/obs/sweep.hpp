@@ -20,9 +20,11 @@
 //                        journal already at `path` makes this a resume,
 //   WEHEY_RUNTIME_REPORT / WEHEY_PROGRESS — the wall-clock sidecar and the
 //                        progress meter (runtime.hpp).
-// With none of them set this is a few getenv calls and nothing else.
-// finish(), or the destructor, writes the artifacts. Every status line
-// goes to stderr, so stdout carries only what the caller prints.
+// A path variable that is unset, empty or "0" is off (env_path). With all
+// of them off this is a few getenv calls and nothing else. finish(), or
+// the destructor, writes the artifacts; a binary returns finish()'s
+// result so that a failed write fails the process. Every status line goes
+// to stderr, so stdout carries only what the caller prints.
 //
 // Resume. A journaled run whose report RunReport::from_json reads back is
 // completed(): the caller does not execute it but still absorb()s it, in
@@ -94,7 +96,8 @@ class ObservedSweep {
                                        const MetricsRegistry* live_metrics);
 
   /// Write the trace, the reports and the runtime sidecar. Runs once; the
-  /// destructor calls it. Returns false if an artifact failed to write.
+  /// destructor calls it. Returns false if an artifact, or a per-run
+  /// report absorb() wrote, failed to write.
   bool finish();
 
  private:
@@ -118,6 +121,7 @@ class ObservedSweep {
   std::map<std::string, JournaledRun> journaled_;
   CheckpointWriter journal_;
   std::uint64_t next_index_ = 0;
+  bool run_write_failed_ = false;  ///< a per-run report failed to write
   bool finished_ = false;
 };
 

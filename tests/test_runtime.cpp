@@ -223,12 +223,16 @@ TEST_F(RuntimeTelemetry, SidecarFromEnvAgreesOnCountsAcrossWidths) {
 }
 
 TEST_F(RuntimeTelemetry, EnvPathOffValuesDisableTheSidecar) {
-  ::setenv("WEHEY_RUNTIME_REPORT", "0", 1);
-  EXPECT_TRUE(rt::runtime_report_path_from_env().empty());
-  ::setenv("WEHEY_RUNTIME_REPORT", "", 1);
-  EXPECT_TRUE(rt::runtime_report_path_from_env().empty());
-  ::unsetenv("WEHEY_RUNTIME_REPORT");
-  EXPECT_TRUE(rt::runtime_report_path_from_env().empty());
+  for (const char* off : {"0", "", static_cast<const char*>(nullptr)}) {
+    if (off != nullptr) {
+      ::setenv("WEHEY_RUNTIME_REPORT", off, 1);
+    } else {
+      ::unsetenv("WEHEY_RUNTIME_REPORT");
+    }
+    EXPECT_TRUE(obs::env_path("WEHEY_RUNTIME_REPORT").empty());
+    rt::set_enabled(false);
+    EXPECT_FALSE(rt::enable_from_env());
+  }
 }
 
 // --- byte identity of the deterministic reports ---------------------------

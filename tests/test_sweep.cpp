@@ -485,6 +485,10 @@ TEST(Compare, MissingKeysIgnoreAndFloors) {
   EXPECT_FALSE(compare_reports(parse("{\"tput\": 50.0}"),
                                parse("{\"tput\": 9.0}"), floors)
                    .ok);
+  // A sibling flag exempts nothing: the floor holds for every match.
+  const JsonValue flagged =
+      parse("{\"row\": {\"tput\": 9.0, \"oversubscribed\": true}}");
+  EXPECT_FALSE(compare_reports(flagged, flagged, floors).ok);
   // A floor that matches nothing must fail loudly, not silently pass.
   CompareOptions dangling;
   dangling.min_keys.emplace_back("no_such_key", 1.0);
@@ -501,33 +505,6 @@ TEST(Compare, PerKeyToleranceOverride) {
       parse("{\"noisy_metric\": 100.0, \"stable\": 100.0}"),
       parse("{\"noisy_metric\": 140.0, \"stable\": 100.5}"), opts);
   ASSERT_EQ(res.failures.size(), 0u) << res.failures[0];
-}
-
-TEST(Compare, FloorsSkipOversubscribedRows) {
-  // A grid row that ran more threads than the host has measures the host:
-  // its floor is skipped with a note, but the pattern still counts as
-  // matched. The same floor still fails an in-capacity row.
-  const JsonValue base = parse("{\"rows\": [{\"speedup\": 1.0}]}");
-  CompareOptions opts;
-  opts.ignore.push_back("rows");
-  opts.min_keys.emplace_back("rows\\[.*\\]\\.speedup", 0.55);
-  const auto skipped = compare_reports(
-      base,
-      parse("{\"rows\": [{\"speedup\": 1.0, \"oversubscribed\": false}, "
-            "{\"speedup\": 0.3, \"oversubscribed\": true}]}"),
-      opts);
-  EXPECT_TRUE(skipped.ok) << (skipped.failures.empty()
-                                  ? ""
-                                  : skipped.failures[0]);
-  ASSERT_EQ(skipped.notes.size(), 1u);
-  EXPECT_NE(skipped.notes[0].find("floor skipped at rows[1].speedup"),
-            std::string::npos)
-      << skipped.notes[0];
-  const auto failed = compare_reports(
-      base, parse("{\"rows\": [{\"speedup\": 0.3, \"oversubscribed\": "
-                  "false}]}"),
-      opts);
-  EXPECT_FALSE(failed.ok);
 }
 
 TEST(Compare, RequireKeyGuardsSectionExistence) {
@@ -1032,6 +1009,17 @@ TEST(ObservedSweep, ReportDirWritesEveryReport) {
   }
   EXPECT_EQ(files_in(single), std::set<std::string>{"own.json"});
   EXPECT_EQ(slurp(path), slurp(dir + "/every.report.json"));
+
+  // A per-run report that cannot be written fails finish() like any other
+  // artifact.
+  const std::string broken = fresh_dir("report_dir_broken");
+  {
+    ScopedEnv env({{"WEHEY_REPORT_DIR", broken.c_str()}});
+    ObservedSweep sweep("every");
+    const auto [r0, m0] = synthetic_run(0);
+    sweep.absorb("no_such_dir/" + r0.run, r0, &m0);
+    EXPECT_FALSE(sweep.finish());
+  }
 }
 
 // A sweep aggregates the runs it absorbed. With none, WEHEY_REPORT_DIR
@@ -1074,6 +1062,27 @@ TEST(ObservedSweep, ZeroRunSweepAggregatesItsOwnReport) {
     sweep.report().run.clear();
   }
   EXPECT_TRUE(files_in(quiet).empty());
+}
+
+// Each artifact variable set to "0" is off, as if unset: a sweep that
+// absorbs a run writes no file (not one named "0") and finishes clean.
+TEST(ObservedSweep, ZeroMeansOffForEveryArtifactVariable) {
+  const auto [r, m] = synthetic_run(0);
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  for (const char* name :
+       {"WEHEY_TRACE", "WEHEY_REPORT", "WEHEY_REPORT_DIR", "WEHEY_CHECKPOINT",
+        "WEHEY_RUNTIME_REPORT"}) {
+    const std::string dir = fresh_dir(std::string("zero_off_") + name);
+    std::filesystem::current_path(dir);
+    {
+      ScopedEnv env({{name, "0"}});
+      ObservedSweep sweep("zero");
+      sweep.absorb(r.run, r, &m);
+      EXPECT_TRUE(sweep.finish()) << name;
+    }
+    std::filesystem::current_path(cwd);
+    EXPECT_TRUE(files_in(dir).empty()) << name;
+  }
 }
 
 // A journal from an older build carries reports this build cannot absorb.
@@ -1192,6 +1201,14 @@ TEST(ReportMode, ParsesEnvironmentKnob) {
   ::unsetenv("WEHEY_REPORT");
   EXPECT_EQ(report_path_from_env("r"), "/tmp/r.report.json");
   ::unsetenv("WEHEY_REPORT_DIR");
+  EXPECT_EQ(report_path_from_env("r"), "");
+  EXPECT_EQ(sweep_path_from_env("r"), "");
+  // "0" is off, as if unset: WEHEY_REPORT=0 defers to the directory, and
+  // WEHEY_REPORT_DIR=0 names no file.
+  ::setenv("WEHEY_REPORT", "0", 1);
+  ::setenv("WEHEY_REPORT_DIR", "/tmp", 1);
+  EXPECT_EQ(report_path_from_env("r"), "/tmp/r.report.json");
+  ::setenv("WEHEY_REPORT_DIR", "0", 1);
   EXPECT_EQ(report_path_from_env("r"), "");
   EXPECT_EQ(sweep_path_from_env("r"), "");
 }
