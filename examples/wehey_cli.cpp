@@ -175,8 +175,8 @@ int cmd_wild(const Args& args, obs::ObservedSweep& observed) {
                 static_cast<unsigned long long>(plan->seed));
   }
   const auto t_diff = build_wild_t_diff(cfg, 12);
-  // The reported runner fills the report (stages, self-time profile,
-  // verdict, injection) and absorbs its metrics into the CLI recorder.
+  // The reported runner fills the report (stages, verdict, injection) and
+  // absorbs its metrics into the CLI recorder.
   const auto res = run_wild_test_reported(cfg, t_diff,
                                           /*sanity_check=*/args.has("sanity"),
                                           "wehey_cli_wild");

@@ -197,20 +197,10 @@ ReportedTest run_reported_test(const TestSpec& spec,
   // A budget-stopped test never ran localize(): its default trace is the
   // empty-but-valid decision block.
   r.decision = decision_section(run.localization.trace);
-  std::vector<obs::ProfileSpan> spans;
   for (std::size_t i = 0; i < run.phases.size(); ++i) {
-    const char* name =
-        spec.phase_names[static_cast<std::size_t>(kTestPhases[i])];
-    const Time duration = run.phases[i].sim_duration;
-    r.add_stage(name, 0, duration);
-    // Each phase on its own track (they all start at sim time 0) with the
-    // replay window as its child, so the phase's self time is the drain.
-    const auto track = static_cast<std::int64_t>(i);
-    spans.push_back({track, name, 0, duration});
-    spans.push_back({track, "replay_window", 0,
-                     std::min(spec.replay_duration, duration)});
+    r.add_stage(spec.phase_names[static_cast<std::size_t>(kTestPhases[i])],
+                0, run.phases[i].sim_duration);
   }
-  r.profile = obs::profile_from_spans(std::move(spans));
   for (const auto& [kind, count] : run.injection.by_kind()) {
     r.injection[kind] = count;
   }

@@ -112,7 +112,6 @@ struct TestSpec {
   const faults::FaultPlan* fault_plan;
   const std::vector<double>& t_diff;
   Time base_rtt;
-  Time replay_duration;
 };
 
 struct TestRun {
@@ -142,7 +141,7 @@ struct ReportedTest {
 
 /// run_test under a dedicated metrics recorder, with the report fields
 /// every test shares filled in: run, seed, fault plan, verdict and
-/// reason, decision, a stage and profile track per phase, injection. A
+/// reason, decision, a stage per phase, injection. A
 /// bound outer recorder absorbs the test under a `run_name` track. The
 /// runner adds cell, ground truth, audit and values.
 ReportedTest run_reported_test(const TestSpec& spec,

@@ -22,8 +22,7 @@ TestSpec full_experiment(const ScenarioConfig& cfg,
           .fault_plan = cfg.fault_plan,
           .t_diff = t_diff_history,
           .base_rtt = std::max(milliseconds(cfg.rtt1_ms),
-                               milliseconds(cfg.rtt2_ms)),
-          .replay_duration = cfg.replay_duration};
+                               milliseconds(cfg.rtt2_ms))};
 }
 
 }  // namespace

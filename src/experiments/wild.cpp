@@ -157,8 +157,7 @@ TestSpec wild_test(const WildConfig& cfg, const std::vector<double>& t_diff,
           .analysis_seed = cfg.seed * 2654435761ULL + 101,
           .fault_plan = cfg.fault_plan,
           .t_diff = t_diff,
-          .base_rtt = milliseconds(cfg.rtt_ms),
-          .replay_duration = cfg.replay_duration};
+          .base_rtt = milliseconds(cfg.rtt_ms)};
 }
 
 WildTestOutcome wild_outcome(TestRun&& run) {

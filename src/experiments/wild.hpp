@@ -108,8 +108,8 @@ WildTestOutcome run_wild_test(const WildConfig& cfg,
                               bool sanity_check = false);
 
 /// run_wild_test with the run packaged as a versioned RunReport (stages =
-/// the four wild phases, profile with replay-window self times, per-kind
-/// injection, scalar values) plus the phases' merged metrics registries.
+/// the four wild phases, per-kind injection, scalar values) plus the
+/// phases' merged metrics registries.
 struct WildTestResult {
   WildTestOutcome outcome;
   obs::RunReport report;

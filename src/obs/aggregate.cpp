@@ -80,15 +80,9 @@ void SweepAggregator::add_run(const RunReport& report,
     if (cell != nullptr) apply(cell->audit);
   }
   for (const auto& s : report.stages) {
-    // The identical expression RunReport::to_json serializes.
+    // The expression `inspect` prints for one run's stage.
     stages_[s.name].values.push_back(to_milliseconds(s.sim_end) -
                                      to_milliseconds(s.sim_start));
-  }
-  for (const auto& p : report.profile) {
-    ProfileAgg& agg = profile_[p.name];
-    agg.spans += p.count;
-    agg.sim_ms.values.push_back(p.sim_ms);
-    agg.self_sim_ms.values.push_back(p.self_sim_ms);
   }
   if (metrics == nullptr) return;
   for (const auto& [name, c] : metrics->counters()) {
@@ -192,19 +186,6 @@ std::string SweepAggregator::to_json() const {
   for (const auto& [name, s] : stages_) {
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(name) << "\": ";
     emit_summary(out, s.values);
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n";
-
-  out << "  \"profile\": {";
-  first = true;
-  for (const auto& [name, p] : profile_) {
-    out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-        << "\": {\"spans\": " << p.spans << ", \"sim_ms\": ";
-    emit_summary(out, p.sim_ms.values);
-    out << ", \"self_sim_ms\": ";
-    emit_summary(out, p.self_sim_ms.values);
-    out << "}";
     first = false;
   }
   out << (first ? "" : "\n  ") << "},\n";
@@ -322,49 +303,6 @@ std::string SweepAggregator::to_json() const {
     }
     out << (first ? "" : "\n    ") << "}\n  },\n";
   }
-
-  // Cross-cell distribution of per-cell means: how a value varies across
-  // the grid rather than across individual runs.
-  out << "  \"cell_percentiles\": {";
-  first = true;
-  {
-    std::map<std::string, std::vector<double>> by_value;
-    for (const auto& [cell, c] : cells_) {
-      for (const auto& [name, s] : c.values) {
-        if (s.values.empty()) continue;
-        std::vector<double> sorted = s.values;
-        std::sort(sorted.begin(), sorted.end());
-        by_value[name].push_back(sorted_sum(sorted) /
-                                 static_cast<double>(sorted.size()));
-      }
-    }
-    for (auto& [name, means] : by_value) {
-      std::sort(means.begin(), means.end());
-      out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-          << "\": {\"cells\": " << means.size()
-          << ", \"p50\": " << json_number(sorted_quantile(means, 0.50))
-          << ", \"p90\": " << json_number(sorted_quantile(means, 0.90))
-          << ", \"p99\": " << json_number(sorted_quantile(means, 0.99))
-          << "}";
-      first = false;
-    }
-  }
-  out << (first ? "" : "\n  ") << "},\n";
-
-  out << "  \"percentiles\": {";
-  first = true;
-  for (const auto& [name, h] : histograms_) {
-    if (h.count == 0) continue;
-    const auto pct = [&h](double q) {
-      return json_number(
-          histogram_quantile(h.lo, h.hi, h.count, h.min, h.max, h.bins, q));
-    };
-    out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-        << "\": {\"p50\": " << pct(0.50) << ", \"p90\": " << pct(0.90)
-        << ", \"p99\": " << pct(0.99) << "}";
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n";
 
   out << "  \"metrics\": {\n";
   out << "    \"counters\": {";

@@ -1,9 +1,9 @@
 // SweepAggregator: deterministic merge of per-run RunReports into one
-// "wehey.sweep_report.v1" JSON document — the sweep-scale counterpart of
+// "wehey.sweep_report.v2" JSON document — the sweep-scale counterpart of
 // MetricsRegistry::merge.
 //
 //   {
-//     "schema": "wehey.sweep_report.v1",
+//     "schema": "wehey.sweep_report.v2",
 //     "sweep": "<bench or pipeline name>",
 //     "runs": N,
 //     "fault_plans": {"(none)": N, "replay-abort": N, ...},
@@ -12,9 +12,7 @@
 //     "injection": {"<fault kind>": N, ..., "total": N},
 //     "values": {"<name>": {"count", "min", "max", "mean", "sum",
 //                            "p50", "p90", "p99"}, ...},
-//     "stages": {"<stage>": {<same summary over per-run sim_ms>}, ...},
-//     "profile": {"<stage>": {"spans": N, "sim_ms": {<summary>},
-//                              "self_sim_ms": {<summary>}}, ...},
+//     "stages": {"<stage>": {<same summary over per-run stage ms>}, ...},
 //     "cells": {"<cell>": {"runs": N, "verdicts": {...},
 //                           "values": {<name>: <summary>}}, ...},
 //     "quarantine": {"threshold": N, "cells": {"<cell>":
@@ -27,11 +25,14 @@
 //               "cells": {"<cell>": {<same counts + ratios>,
 //                          "knife_edge": bool}, ...}},
 //                                  // absent unless some run was audited
-//     "cell_percentiles": {"<value>": {"cells": N, "p50", "p90", "p99"}},
-//     "percentiles": {"<histogram>": {"p50", "p90", "p99"}, ...},
 //     "metrics": {"counters": {...}, "gauges": {name: {"min", "max"}},
 //                 "histograms": {<registry layout>}}
 //   }
+//
+// v2 drops v1's "profile" (the run reports' profiles, gone in run report
+// v6), "cell_percentiles" (quantiles of the per-cell value means) and
+// "percentiles" (`wehey_cli inspect` derives them from the merged
+// histogram bins).
 //
 // This sketch is the format's reference; tests/test_sweep.cpp pins the
 // key sets of the top level, a cell and the audit block.
@@ -101,12 +102,6 @@ class SweepAggregator {
     std::vector<double> values;
   };
 
-  struct ProfileAgg {
-    std::uint64_t spans = 0;
-    Samples sim_ms;
-    Samples self_sim_ms;
-  };
-
   struct GaugeAgg {
     bool seen = false;
     double min = 0.0;
@@ -160,7 +155,6 @@ class SweepAggregator {
   AuditTally audit_;
   std::map<std::string, Samples> values_;
   std::map<std::string, Samples> stages_;
-  std::map<std::string, ProfileAgg> profile_;
   std::map<std::string, CellAgg> cells_;
   std::map<std::string, std::uint64_t> counters_;
   std::map<std::string, GaugeAgg> gauges_;

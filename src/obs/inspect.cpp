@@ -111,10 +111,35 @@ struct Parser {
     return true;
   }
 
+  /// The JSON number grammar only: no NaN, Infinity, hex, leading '+',
+  /// bare '.' or leading zero. A literal that overflows to +-inf is
+  /// refused too, so no document hands its readers a non-finite number.
   bool parse_number(JsonValue& out) {
+    const char* q = p;
+    const auto digits = [&q, this] {
+      const char* from = q;
+      while (q < end && *q >= '0' && *q <= '9') ++q;
+      return q > from;
+    };
+    if (q < end && *q == '-') ++q;
+    if (q < end && *q == '0') {
+      ++q;
+    } else if (!digits()) {
+      return fail("bad number");
+    }
+    if (q < end && *q == '.') {
+      ++q;
+      if (!digits()) return fail("bad number");
+    }
+    if (q < end && (*q == 'e' || *q == 'E')) {
+      ++q;
+      if (q < end && (*q == '+' || *q == '-')) ++q;
+      if (!digits()) return fail("bad number");
+    }
     char* after = nullptr;
     const double v = std::strtod(p, &after);
-    if (after == p) return fail("bad number");
+    if (after != q) return fail("bad number");
+    if (!std::isfinite(v)) return fail("number out of range");
     out.type = JsonValue::Type::Number;
     out.number = v;
     p = after;
@@ -394,16 +419,6 @@ void render_report(const RunReport& r, const MetricsRegistry& metrics,
   // produced fluid counters have the section.
   print_counters(out, metrics, "fluid.", "fluid background");
 
-  if (!r.profile.empty()) {
-    print_rule(out, "stage profile (sim time, self = minus children)");
-    std::fprintf(out, "  %-24s %6s %12s %12s\n", "stage", "count",
-                 "sim ms", "self ms");
-  }
-  for (const ProfileEntry& e : r.profile) {
-    std::fprintf(out, "  %-24s %6.0f %12.3f %12.3f\n", e.name.c_str(),
-                 static_cast<double>(e.count), e.sim_ms, e.self_sim_ms);
-  }
-
   if (!r.injection.empty()) {
     print_rule(out, "fault injection");
     int total = 0;
@@ -416,6 +431,37 @@ void render_report(const RunReport& r, const MetricsRegistry& metrics,
 }
 
 // ----------------------------------------------------------- sweep render
+
+/// A serialized histogram object ({"lo", "hi", "count", "min", "max",
+/// "bins"}) of a sweep report or a runtime sidecar, read for its
+/// quantiles: histogram_quantile over the bins, the function a run
+/// report's restored histograms go through too.
+struct BinnedHistogram {
+  double lo = 0;
+  double hi = 1;
+  double min = 0;
+  double max = 0;
+  std::uint64_t count = 0;
+  std::vector<std::uint64_t> bins;
+
+  /// False unless the count and every bin are whole numbers in range
+  /// (JsonValue::integer), so no out-of-range double is ever cast.
+  bool read(const JsonValue& h) {
+    lo = h.at("lo").num_or(0);
+    hi = h.at("hi").num_or(1);
+    min = h.at("min").num_or(0);
+    max = h.at("max").num_or(0);
+    if (!h.at("count").integer(count)) return false;
+    for (const auto& v : h.at("bins").array) {
+      if (!v.integer(bins.emplace_back())) return false;
+    }
+    return true;
+  }
+
+  double quantile(double q) const {
+    return histogram_quantile(lo, hi, count, min, max, bins, q);
+  }
+};
 
 /// One row of a {"count","min","max","mean","sum","p50","p90","p99"}
 /// summary object (sweep-report "values"/"stages" sections).
@@ -450,7 +496,17 @@ void print_inline_tally(std::FILE* out, const JsonValue& tally) {
   }
 }
 
-void render_sweep(const JsonValue& doc, std::FILE* out) {
+/// The sweep's tallies, summaries, grid tables and the quantiles of its
+/// merged histograms. Every histogram is read before anything is printed:
+/// a malformed one fails the document with no partial output.
+bool render_sweep(const JsonValue& doc, std::FILE* out, std::string& error) {
+  std::vector<std::pair<std::string, BinnedHistogram>> histograms;
+  for (const auto& [name, h] : doc.at("metrics").at("histograms").object) {
+    if (!histograms.emplace_back(name, BinnedHistogram{}).second.read(h)) {
+      error = "malformed histogram '" + name + "'";
+      return false;
+    }
+  }
   std::fprintf(out, "sweep report  %s\n", doc.at("schema").str.c_str());
   std::fprintf(out, "  sweep      %s\n", doc.at("sweep").str.c_str());
   std::fprintf(out, "  runs       %.0f\n", doc.at("runs").num_or(0));
@@ -466,20 +522,6 @@ void render_sweep(const JsonValue& doc, std::FILE* out) {
     print_summary_header(out, "stage", 24);
     for (const auto& [name, s] : stages.object) {
       print_summary_row(out, name, s, 24);
-    }
-  }
-
-  const JsonValue& profile = doc.at("profile");
-  if (!profile.object.empty()) {
-    print_rule(out, "stage profile (self sim ms across runs)");
-    std::fprintf(out, "  %-24s %6s %11s %11s %11s %11s\n", "stage", "spans",
-                 "self mean", "self p50", "self p90", "self max");
-    for (const auto& [name, e] : profile.object) {
-      const JsonValue& self = e.at("self_sim_ms");
-      std::fprintf(out, "  %-24s %6.0f %11.4g %11.4g %11.4g %11.4g\n",
-                   name.c_str(), e.at("spans").num_or(0),
-                   self.at("mean").num_or(0), self.at("p50").num_or(0),
-                   self.at("p90").num_or(0), self.at("max").num_or(0));
     }
   }
 
@@ -567,16 +609,17 @@ void render_sweep(const JsonValue& doc, std::FILE* out) {
     }
   }
 
-  const JsonValue& percentiles = doc.at("percentiles");
-  if (!percentiles.object.empty()) {
-    print_rule(out, "histogram percentiles (merged bins)");
-    std::fprintf(out, "  %-28s %11s %11s %11s\n", "histogram", "p50", "p90",
-                 "p99");
-    for (const auto& [name, p] : percentiles.object) {
-      std::fprintf(out, "  %-28s %11.4g %11.4g %11.4g\n", name.c_str(),
-                   p.at("p50").num_or(0), p.at("p90").num_or(0),
-                   p.at("p99").num_or(0));
+  bool rule = false;
+  for (const auto& [name, h] : histograms) {
+    if (h.count == 0) continue;
+    if (!rule) {
+      print_rule(out, "histogram percentiles (merged bins)");
+      std::fprintf(out, "  %-28s %11s %11s %11s\n", "histogram", "p50",
+                   "p90", "p99");
+      rule = true;
     }
+    std::fprintf(out, "  %-28s %11.4g %11.4g %11.4g\n", name.c_str(),
+                 h.quantile(0.50), h.quantile(0.90), h.quantile(0.99));
   }
 
   // Fluid-background totals across the sweep (WEHEY_BG_MODE=fluid).
@@ -588,6 +631,7 @@ void render_sweep(const JsonValue& doc, std::FILE* out) {
     fluid = true;
     std::fprintf(out, "  %-28s %10.0f\n", name.c_str(), v.num_or(0));
   }
+  return true;
 }
 
 // ----------------------------------------------------------- trace render
@@ -708,35 +752,6 @@ bool render_checkpoint_journal(const std::string& path, std::FILE* out) {
 
 // --------------------------------------------------------- runtime render
 
-/// A serialized histogram object ({"lo", "hi", "count", "min", "max",
-/// "bins"}) of a runtime sidecar, read for its quantiles.
-struct SidecarHistogram {
-  double lo = 0;
-  double hi = 1;
-  double min = 0;
-  double max = 0;
-  std::uint64_t count = 0;
-  std::vector<std::uint64_t> bins;
-
-  /// False unless the count and every bin are whole numbers in range
-  /// (JsonValue::integer), so no out-of-range double is ever cast.
-  bool read(const JsonValue& h) {
-    lo = h.at("lo").num_or(0);
-    hi = h.at("hi").num_or(1);
-    min = h.at("min").num_or(0);
-    max = h.at("max").num_or(0);
-    if (!h.at("count").integer(count)) return false;
-    for (const auto& v : h.at("bins").array) {
-      if (!v.integer(bins.emplace_back())) return false;
-    }
-    return true;
-  }
-
-  double quantile(double q) const {
-    return histogram_quantile(lo, hi, count, min, max, bins, q);
-  }
-};
-
 /// Worker table, scheduler-efficiency metrics and latency percentiles of
 /// a runtime sidecar. Both latency histograms are read before anything is
 /// printed: a malformed one fails the document with no partial output.
@@ -744,8 +759,8 @@ bool render_runtime(const JsonValue& doc, std::FILE* out,
                     std::string& error) {
   const JsonValue* sched = doc.find("scheduler");
   const JsonValue* trials = doc.find("trials");
-  SidecarHistogram lat;
-  SidecarHistogram wall;
+  BinnedHistogram lat;
+  BinnedHistogram wall;
   if (sched != nullptr && !lat.read(sched->at("submit_to_start_us"))) {
     error = "malformed histogram 'scheduler.submit_to_start_us'";
     return false;
@@ -863,7 +878,10 @@ bool inspect_file(const std::string& path, std::FILE* out) {
     return true;
   }
   if (has_schema(doc, kSweepReportSchema)) {
-    render_sweep(doc, out);
+    if (!render_sweep(doc, out, error)) {
+      std::fprintf(stderr, "inspect: %s: %s\n", path.c_str(), error.c_str());
+      return false;
+    }
     return true;
   }
   if (doc.at("traceEvents").type == JsonValue::Type::Array) {

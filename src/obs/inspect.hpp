@@ -5,15 +5,15 @@
 // Chrome-trace timelines. Each reader accepts exactly the version this
 // build writes; anything else is rejected.
 //
-// Renders human-readable summaries: per-stage latency and self-time
-// profiles, the p50/p90/p99 of each histogram, per-flow RTT/loss tables,
+// Renders human-readable summaries: per-stage sim time, the p50/p90/p99
+// of each histogram (from its bins), per-flow RTT/loss tables,
 // queue-residency and drop-by-reason breakdowns, and link utilization.
 // Optional sections (fault-free runs, runs without a ground truth) may be
 // absent: the renderer skips what is missing instead of failing.
 //
 // The JSON model is deliberately tiny (no external dependency): objects
-// preserve key order, numbers are doubles — exactly what the writers in
-// this directory produce.
+// preserve key order, numbers are finite doubles — exactly what the
+// writers in this directory produce (they spell a non-finite value null).
 #pragma once
 
 #include <cmath>
@@ -66,7 +66,8 @@ struct JsonValue {
 
 /// Strict-enough recursive-descent parse of `text` (the subset the obs
 /// writers emit: null/bool/number/string/array/object, \uXXXX escapes
-/// passed through verbatim). Returns false and fills `error` on bad input.
+/// passed through verbatim; numbers follow the JSON grammar and must fit
+/// a double). Returns false and fills `error` on bad input.
 bool json_parse(const std::string& text, JsonValue& out,
                 std::string* error = nullptr);
 

@@ -1,6 +1,5 @@
 #include "obs/report.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -55,77 +54,6 @@ AuditSection classify_audit(const GroundTruthSection& truth,
     audit.mismatch_reason = "clear-miss";
   }
   return audit;
-}
-
-std::vector<ProfileEntry> profile_from_spans(std::vector<ProfileSpan> spans) {
-  // Deterministic total order: track, then start ascending, then end
-  // descending (parents before children), then name.
-  std::sort(spans.begin(), spans.end(),
-            [](const ProfileSpan& a, const ProfileSpan& b) {
-              if (a.track != b.track) return a.track < b.track;
-              if (a.start != b.start) return a.start < b.start;
-              if (a.end != b.end) return a.end > b.end;
-              return a.name < b.name;
-            });
-
-  // Sim time of each span's directly enclosed children.
-  std::vector<double> child_sim_ms(spans.size(), 0.0);
-
-  // Per-track containment stack: the top is the innermost span still
-  // enclosing the current one. Assumes well-nested spans per track
-  // (sequential stages or strictly contained sub-spans); partially
-  // overlapping spans are treated as siblings.
-  std::vector<std::size_t> stack;
-  std::int64_t track = 0;
-  bool track_open = false;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const ProfileSpan& s = spans[i];
-    if (!track_open || s.track != track) {
-      stack.clear();
-      track = s.track;
-      track_open = true;
-    }
-    while (!stack.empty()) {
-      const ProfileSpan& top = spans[stack.back()];
-      if (s.start >= top.start && s.end <= top.end) break;
-      stack.pop_back();
-    }
-    if (!stack.empty()) {
-      child_sim_ms[stack.back()] +=
-          to_milliseconds(s.end) - to_milliseconds(s.start);
-    }
-    stack.push_back(i);
-  }
-
-  std::map<std::string, ProfileEntry> by_name;
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const ProfileSpan& s = spans[i];
-    const double dur = to_milliseconds(s.end) - to_milliseconds(s.start);
-    ProfileEntry& e = by_name[s.name];
-    ++e.count;
-    e.sim_ms += dur;
-    e.self_sim_ms += std::max(0.0, dur - child_sim_ms[i]);
-  }
-
-  std::vector<ProfileEntry> out;
-  out.reserve(by_name.size());
-  for (auto& [name, e] : by_name) {
-    e.name = name;
-    out.push_back(std::move(e));
-  }
-  return out;
-}
-
-std::vector<ProfileSpan> profile_spans_from_timeline(const Timeline& tl) {
-  std::vector<ProfileSpan> spans;
-  for (const TimelineEvent& ev : tl.events()) {
-    if (ev.kind != TimelineEvent::Kind::Span) continue;
-    const std::int64_t track =
-        (static_cast<std::int64_t>(ev.pid) << 32) |
-        static_cast<std::int64_t>(static_cast<std::uint32_t>(ev.tid));
-    spans.push_back({track, ev.name, ev.at, ev.at + ev.duration});
-  }
-  return spans;
 }
 
 std::string RunReport::to_json(const MetricsRegistry* metrics) const {
@@ -213,26 +141,11 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
         << ", \"sim_start_us\": "
         << json_number(static_cast<double>(s.sim_start) / 1000.0)
         << ", \"sim_end_us\": "
-        << json_number(static_cast<double>(s.sim_end) / 1000.0)
-        << ", \"sim_ms\": " << json_number(to_milliseconds(s.sim_end) -
-                                           to_milliseconds(s.sim_start))
-        << "}";
+        << json_number(static_cast<double>(s.sim_end) / 1000.0) << "}";
   }
   out << (stages.empty() ? "" : "\n  ") << "],\n";
-  // v3: per-stage self time (span duration minus directly enclosed child
-  // spans), see profile_from_spans.
-  out << "  \"profile\": {";
-  bool first = true;
-  for (const auto& p : profile) {
-    out << (first ? "\n" : ",\n") << "    \"" << json_escape(p.name)
-        << "\": {\"count\": " << p.count
-        << ", \"sim_ms\": " << json_number(p.sim_ms)
-        << ", \"self_sim_ms\": " << json_number(p.self_sim_ms) << "}";
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n";
   out << "  \"values\": {";
-  first = true;
+  bool first = true;
   for (const auto& [name, v] : values) {
     out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
         << "\": " << json_number(v);
@@ -250,23 +163,6 @@ std::string RunReport::to_json(const MetricsRegistry* metrics) const {
   }
   if (!first) out << ",\n    \"total\": " << total << "\n  ";
   out << "},\n";
-  // Quantiles pre-derived from the histogram bins, kept for the format's
-  // external readers; this repo's readers (from_json, wehey_cli inspect)
-  // recompute them from the bins and skip this section.
-  out << "  \"percentiles\": {";
-  first = true;
-  if (metrics != nullptr) {
-    for (const auto& [name, h] : metrics->histograms()) {
-      if (h.count() == 0) continue;
-      out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-          << "\": {\"p50\": " << json_number(histogram_quantile(h, 0.50))
-          << ", \"p90\": " << json_number(histogram_quantile(h, 0.90))
-          << ", \"p99\": " << json_number(histogram_quantile(h, 0.99))
-          << "}";
-      first = false;
-    }
-  }
-  out << (first ? "" : "\n  ") << "},\n";
   out << "  \"metrics\": ";
   if (metrics != nullptr) {
     out << metrics->to_json(2);
@@ -379,18 +275,8 @@ bool RunReport::from_json(const JsonValue& doc, RunReport& report,
         !is_number(s.at("sim_start_us")) || !is_number(s.at("sim_end_us"))) {
       return reject(error, "malformed stages entry");
     }
-    // "sim_ms" is derived from the bounds, on output as on input.
     r.add_stage(s.at("name").str, from_us(s.at("sim_start_us")),
                 from_us(s.at("sim_end_us")));
-  }
-  for (const auto& [name, p] : doc.at("profile").object) {
-    if (!is_number(p.at("count")) || !is_number(p.at("sim_ms")) ||
-        !is_number(p.at("self_sim_ms"))) {
-      return reject(error, "malformed profile entry '" + name + "'");
-    }
-    r.profile.push_back(
-        {name, 0, p.at("sim_ms").number, p.at("self_sim_ms").number});
-    ints.read(p.at("count"), r.profile.back().count, "profile entry", name);
   }
   for (const auto& [name, v] : doc.at("values").object) {
     r.values[name] = v.num_or(0);

@@ -1,10 +1,10 @@
 // RunReport: the machine-readable result of one run — a session, a wild
 // test, or a whole bench binary. One shared schema
-// ("wehey.run_report.v5", JSON) replaces the ad-hoc JSON each bench used
+// ("wehey.run_report.v6", JSON) replaces the ad-hoc JSON each bench used
 // to emit:
 //
 //   {
-//     "schema": "wehey.run_report.v5",
+//     "schema": "wehey.run_report.v6",
 //     "run": "<binary or pipeline name>",
 //     "cell": "<grid-cell label, omitted when empty>",
 //     "seed": 2,
@@ -37,13 +37,10 @@
 //                                  "mechanism-mismatch" | "sub-margin-miss" |
 //                                  "clear-miss" | "no-margin" |
 //                                  "not-evaluated"},
-//     "stages": [{"name": ..., "sim_start_us": ..., "sim_end_us": ...,
-//                 "sim_ms": ...}, ...],
-//     "profile": {"<stage>": {"count": N, "sim_ms": X, "self_sim_ms": X},
-//                 ...},
+//     "stages": [{"name": ..., "sim_start_us": ..., "sim_end_us": ...},
+//                ...],
 //     "values": {"<scalar name>": <number>, ...},
 //     "injection": {"total": N, "<fault kind>": N, ...},
-//     "percentiles": {"<histogram>": {"p50": X, "p90": X, "p99": X}, ...},
 //     "metrics": {"counters": ..., "gauges": ..., "histograms": ...}
 //   }
 //
@@ -61,6 +58,10 @@
 // derived "audit" section (verdict vs truth -> TP/FP/FN/TN with a
 // machine-readable mismatch reason that cross-references the decision
 // margin). Both are emitted only by runners that know their ground truth.
+// v6 drops what readers recompute or what repeats other fields: v2's
+// "percentiles" (inspect derives them from the histogram bins), v3's
+// "profile" (the stages again, on the same sim clock) and each stage's
+// "sim_ms" (its bounds' difference).
 //
 // This sketch is the format's reference. RunReport::from_json, its exact
 // inverse, is the format's one reader: `wehey_cli inspect` and `merge` and
@@ -70,9 +71,7 @@
 //
 // Determinism contract: every field is a pure function of the run's
 // seeds, so the serialized report is byte-identical across WEHEY_THREADS.
-// Wall-clock data goes to the runtime sidecar (runtime.hpp) instead;
-// from_json ignores the optional stage and profile wall times that older
-// v5 reports may carry.
+// Wall-clock data goes to the runtime sidecar (runtime.hpp) instead.
 #pragma once
 
 #include <cstdint>
@@ -89,9 +88,9 @@ struct JsonValue;
 
 /// The report schema emitted by RunReport::to_json — the single source of
 /// truth for the version string, and the only version readers accept.
-inline constexpr char kRunReportSchema[] = "wehey.run_report.v5";
+inline constexpr char kRunReportSchema[] = "wehey.run_report.v6";
 /// Schema of the aggregated sweep report (src/obs/aggregate.hpp).
-inline constexpr char kSweepReportSchema[] = "wehey.sweep_report.v1";
+inline constexpr char kSweepReportSchema[] = "wehey.sweep_report.v2";
 /// Schema of one line of a sweep checkpoint journal
 /// (src/obs/checkpoint.hpp).
 inline constexpr char kSweepCheckpointSchema[] = "wehey.sweep_checkpoint.v1";
@@ -110,38 +109,6 @@ struct StageTiming {
   Time sim_start = 0;
   Time sim_end = 0;
 };
-
-/// One interval on a profiling track. Spans on the same track nest by
-/// interval containment (a span whose [start,end] lies inside another's
-/// is its child); spans on different tracks never nest. Tracks let
-/// parallel phases that all start at sim time 0 coexist without falsely
-/// appearing contained in one another.
-struct ProfileSpan {
-  std::int64_t track = 0;
-  std::string name;
-  Time start = 0;
-  Time end = 0;
-};
-
-/// Aggregated per-stage-name profile: total time and *self* time (total
-/// minus directly enclosed child spans), on the sim clock.
-struct ProfileEntry {
-  std::string name;
-  std::uint64_t count = 0;
-  double sim_ms = 0.0;
-  double self_sim_ms = 0.0;
-};
-
-/// Compute per-name self-time profiles from a set of spans. Deterministic:
-/// the result is sorted by name and independent of the input order.
-std::vector<ProfileEntry> profile_from_spans(std::vector<ProfileSpan> spans);
-
-class Timeline;
-
-/// Extract every complete span of a finalized timeline as a profiling
-/// interval; each (pid, tid) pair becomes its own track, so absorbed
-/// trials never falsely nest in one another.
-std::vector<ProfileSpan> profile_spans_from_timeline(const Timeline& tl);
 
 /// One row of the v4 "decision" section: a detector statistic, the
 /// threshold it was compared against, and the signed normalized margin
@@ -272,9 +239,6 @@ struct RunReport {
   /// v5: verdict vs ground truth (omitted while !present).
   AuditSection audit;
   std::vector<StageTiming> stages;
-  /// v3: per-stage self-time profile (see profile_from_spans). Always
-  /// emitted, possibly empty.
-  std::vector<ProfileEntry> profile;
   /// Scalar results (retry counters, success rates, ...). Sorted on
   /// output.
   std::map<std::string, double> values;
@@ -294,8 +258,8 @@ struct RunReport {
   /// from a parsed document, so that to_json(&metrics) reproduces the
   /// document's bytes (a report written without a registry reads back
   /// with an empty one). A missing section reads as empty. Returns false,
-  /// with `error` set, on a document of any other schema and on a stage,
-  /// profile or histogram entry to_json cannot have written.
+  /// with `error` set, on a document of any other schema and on a stage
+  /// or histogram entry to_json cannot have written.
   static bool from_json(const JsonValue& doc, RunReport& report,
                         MetricsRegistry& metrics,
                         std::string* error = nullptr);

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <utility>
-#include <vector>
 
 #include "obs/inspect.hpp"
 #include "obs/timeline.hpp"
@@ -26,13 +25,6 @@ bool write_artifact(const char* what, const std::string& path,
   if (write_report_file(path, json)) return true;
   std::fprintf(stderr, "%s: FAILED to write %s\n", what, path.c_str());
   return false;
-}
-
-/// The Chrome JSON first, so a trace that failed to write leaves no CSV.
-/// Two statements, so the JSON text is freed before the CSV is rendered.
-bool write_trace(const Timeline& timeline, const std::string& path) {
-  if (!write_report_file(path, timeline.chrome_json())) return false;
-  return write_report_file(trace_csv_path(path), timeline.csv());
 }
 
 }  // namespace
@@ -121,9 +113,8 @@ bool ObservedSweep::finish() {
   finished_ = true;
   bool ok = !run_write_failed_;
   if (recorder_ != nullptr && !trace_path_.empty()) {
-    if (write_trace(recorder_->timeline(), trace_path_)) {
-      std::fprintf(stderr, "trace: %s (+ %s)\n", trace_path_.c_str(),
-                   trace_csv_path(trace_path_).c_str());
+    if (write_report_file(trace_path_, recorder_->timeline().chrome_json())) {
+      std::fprintf(stderr, "trace: %s\n", trace_path_.c_str());
     } else {
       std::fprintf(stderr, "trace: FAILED to write %s\n", trace_path_.c_str());
       ok = false;
@@ -132,23 +123,6 @@ bool ObservedSweep::finish() {
   const MetricsRegistry* metrics =
       recorder_ != nullptr ? &recorder_->metrics() : nullptr;
   if (!report_.run.empty()) {
-    // Profile the own report if nothing filled it: from the finalized
-    // timeline when tracing (every (pid, tid) pair is its own track),
-    // else from the recorded stages, one track each.
-    if (report_.profile.empty()) {
-      if (recorder_ != nullptr && recorder_->trace_on()) {
-        report_.profile = profile_from_spans(
-            profile_spans_from_timeline(recorder_->timeline()));
-      } else if (!report_.stages.empty()) {
-        std::vector<ProfileSpan> spans;
-        for (std::size_t i = 0; i < report_.stages.size(); ++i) {
-          const auto& s = report_.stages[i];
-          spans.push_back(
-              {static_cast<std::int64_t>(i), s.name, s.sim_start, s.sim_end});
-        }
-        report_.profile = profile_from_spans(std::move(spans));
-      }
-    }
     const std::string path = report_path_from_env(report_.run);
     if (!path.empty()) {
       if (write_artifact("report", path, report_.to_json(metrics))) {
@@ -174,16 +148,6 @@ bool ObservedSweep::finish() {
   }
   meter_.finish();
   return runtime::write_runtime_report_from_env(name_) && ok;
-}
-
-std::string trace_csv_path(const std::string& trace_path) {
-  const std::string suffix = ".json";
-  if (trace_path.size() > suffix.size() &&
-      trace_path.compare(trace_path.size() - suffix.size(), suffix.size(),
-                         suffix) == 0) {
-    return trace_path.substr(0, trace_path.size() - suffix.size()) + ".csv";
-  }
-  return trace_path + ".csv";
 }
 
 }  // namespace wehey::obs

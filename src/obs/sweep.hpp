@@ -8,11 +8,11 @@
 // the calling thread for the object's lifetime whenever a trace or a
 // report is asked for:
 //   WEHEY_TRACE=path   — the timeline, written as Chrome-trace JSON at
-//                        `path` plus a CSV sibling (trace_csv_path),
+//                        `path`,
 //   WEHEY_REPORT_DIR=dir — every report the process has: its own
 //                        "<dir>/<name>.report.json", one
 //                        "<dir>/<run>.report.json" per absorbed run, and the
-//                        aggregated wehey.sweep_report.v1
+//                        aggregated wehey.sweep_report.v2
 //                        "<dir>/<name>.sweep.json" once a run was absorbed,
 //   WEHEY_REPORT=path  — the process's own RunReport only, at `path` (wins
 //                        over WEHEY_REPORT_DIR for that one file),
@@ -124,9 +124,5 @@ class ObservedSweep {
   bool run_write_failed_ = false;  ///< a per-run report failed to write
   bool finished_ = false;
 };
-
-/// The CSV sibling of a trace path ("x.json" -> "x.csv", else "x.csv"
-/// appended).
-std::string trace_csv_path(const std::string& trace_path);
 
 }  // namespace wehey::obs

@@ -109,24 +109,6 @@ std::string Timeline::chrome_json() const {
   return out;
 }
 
-std::string Timeline::csv() const {
-  std::string out = "kind,pid,tid,sim_us,dur_us,category,name,detail\n";
-  for (const TimelineEvent& ev : events_) {
-    const char* kind = ev.kind == TimelineEvent::Kind::Span      ? "span"
-                       : ev.kind == TimelineEvent::Kind::Counter ? "counter"
-                                                                 : "instant";
-    std::string detail = ev.args;
-    for (auto& ch : detail) {
-      if (ch == ',' || ch == '\n') ch = ';';
-    }
-    out += std::string(kind) + "," + std::to_string(ev.pid) + "," +
-           std::to_string(ev.tid) + "," + ts_us(ev.at) + "," +
-           (ev.kind == TimelineEvent::Kind::Span ? ts_us(ev.duration) : "0") +
-           "," + ev.category + "," + ev.name + "," + detail + "\n";
-  }
-  return out;
-}
-
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());

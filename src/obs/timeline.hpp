@@ -74,8 +74,6 @@ class Timeline {
 
   /// Chrome trace format: {"traceEvents": [...]} with stable field order.
   std::string chrome_json() const;
-  /// Flat CSV timeline: kind,pid,tid,sim_us,dur_us,category,name,detail.
-  std::string csv() const;
 
  private:
   std::vector<TimelineEvent> events_;

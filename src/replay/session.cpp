@@ -580,17 +580,6 @@ obs::RunReport make_run_report(const SessionConfig& cfg,
       /*mechanism_mismatch=*/false,
       result.outcome == SessionOutcome::BudgetExhausted, report.decision);
   report.stages = result.stages;
-  // v3 profile: the five stages tile the session's sim timeline on one
-  // track; replay-attempt windows nest inside their stage, so a stage's
-  // self time is what it spent outside actual replay traffic.
-  std::vector<obs::ProfileSpan> spans;
-  for (const auto& st : result.stages) {
-    spans.push_back({0, st.name, st.sim_start, st.sim_end});
-  }
-  for (const auto& st : result.replay_attempts) {
-    spans.push_back({0, st.name, st.sim_start, st.sim_end});
-  }
-  report.profile = obs::profile_from_spans(std::move(spans));
   report.values["replay_retries"] = result.replay_retries;
   report.values["control_retries"] = result.control_retries;
   report.values["pair_fallbacks"] = result.pair_fallbacks;

@@ -113,8 +113,7 @@ struct SessionResult {
   std::vector<obs::StageTiming> stages;
   /// One "replay_attempt" sub-span per scheduled replay window (retries
   /// included), nested inside the wehe_test / simultaneous_replays
-  /// stages. Feeds the RunReport v3 self-time profile and, when tracing,
-  /// the timeline.
+  /// stages. Feeds the timeline when tracing.
   std::vector<obs::StageTiming> replay_attempts;
 };
 

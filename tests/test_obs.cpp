@@ -183,18 +183,6 @@ TEST(Timeline, ChromeJsonHasTraceEventsAndPhases) {
   }
 }
 
-TEST(Timeline, CsvHasOneRowPerEvent) {
-  Timeline t;
-  t.span("replay", "session", 0, kSecond, 0, "\"attempt\": 1, \"ok\": true");
-  t.instant("fault", "faults", 1500, 2);
-  t.counter("depth", 2 * kMillisecond, 17.0);
-  EXPECT_EQ(t.csv(),
-            "kind,pid,tid,sim_us,dur_us,category,name,detail\n"
-            "span,0,0,0,1000000,session,replay,\"attempt\": 1; \"ok\": true\n"
-            "instant,0,2,1.5,0,faults,fault,\n"
-            "counter,0,0,2000,0,,depth,\"value\": 17\n");
-}
-
 TEST(Timeline, JsonEscape) {
   EXPECT_EQ(json_escape("a\"b\\c"), "a\\\"b\\\\c");
   EXPECT_EQ(json_escape("line\nbreak"), "line\\nbreak");
@@ -337,7 +325,7 @@ TEST(Report, SessionReportIsDeterministicAndComplete) {
   const auto jb = replay::make_run_report(cfg, b, "test_session")
                       .to_json(nullptr);
   EXPECT_EQ(ja, jb);
-  EXPECT_NE(ja.find("\"schema\": \"wehey.run_report.v5\""),
+  EXPECT_NE(ja.find("\"schema\": \"wehey.run_report.v6\""),
             std::string::npos);
   EXPECT_NE(ja.find("\"run\": \"test_session\""), std::string::npos);
   EXPECT_NE(ja.find("\"verdict\": \"localized within ISP\""),
@@ -376,8 +364,8 @@ TEST(Report, SessionReportIsDeterministicAndComplete) {
   ASSERT_EQ(keys_of(doc),
             (std::vector<std::string>{
                 "schema", "run", "seed", "fault_plan", "verdict", "reason",
-                "decision", "ground_truth", "audit", "stages", "profile",
-                "values", "injection", "percentiles", "metrics"}));
+                "decision", "ground_truth", "audit", "stages", "values",
+                "injection", "metrics"}));
   const JsonValue* decision = doc.find("decision");
   EXPECT_EQ(keys_of(*decision),
             (std::vector<std::string>{"evaluated", "margin", "detectors",
@@ -409,19 +397,7 @@ TEST(Report, SessionReportIsDeterministicAndComplete) {
   ASSERT_FALSE(doc.find("stages")->array.empty());
   for (const auto& st : doc.find("stages")->array) {
     EXPECT_EQ(keys_of(st), (std::vector<std::string>{
-                               "name", "sim_start_us", "sim_end_us",
-                               "sim_ms"}));
-  }
-  ASSERT_FALSE(doc.find("profile")->object.empty());
-  for (const auto& [name, p] : doc.find("profile")->object) {
-    EXPECT_EQ(keys_of(p), (std::vector<std::string>{"count", "sim_ms",
-                                                    "self_sim_ms"}))
-        << name;
-  }
-  ASSERT_FALSE(doc.find("percentiles")->object.empty());
-  for (const auto& [name, p] : doc.find("percentiles")->object) {
-    EXPECT_EQ(keys_of(p), (std::vector<std::string>{"p50", "p90", "p99"}))
-        << name;
+                               "name", "sim_start_us", "sim_end_us"}));
   }
   const JsonValue* metrics = doc.find("metrics");
   ASSERT_EQ(keys_of(*metrics), (std::vector<std::string>{
@@ -512,29 +488,32 @@ TEST(Report, ClassifyAuditCoversTheConfusionMatrix) {
             "sub-margin-miss");
 }
 
+// The percentiles come from the histogram bins: a report stores only the
+// bins (v2-v5 also stored the quantiles), and inspect derives p50/p90/p99
+// from them.
 TEST(Report, V2PercentilesDerivedFromHistograms) {
   MetricsRegistry m;
   Histogram& h = m.histogram("lat_ms", 0.0, 10.0, 10);
   for (int i = 0; i < 100; ++i) h.observe(i * 0.1);
-  m.histogram("never_observed", 0.0, 1.0, 4);  // empty -> no percentiles
+  m.histogram("never_observed", 0.0, 1.0, 4);  // empty -> no row
   RunReport rep;
   rep.run = "r";
   const std::string json = rep.to_json(&m);
-  EXPECT_NE(json.find("\"percentiles\""), std::string::npos);
-  const auto section = json.find("\"percentiles\"");
-  const auto entry = json.find("\"lat_ms\"", section);
-  EXPECT_NE(entry, std::string::npos);
-  EXPECT_NE(json.find("\"p50\"", entry), std::string::npos);
-  EXPECT_NE(json.find("\"p90\"", entry), std::string::npos);
-  EXPECT_NE(json.find("\"p99\"", entry), std::string::npos);
-  // Empty histograms are skipped in the percentile section (they still
-  // appear under "metrics").
-  const auto metrics_at = json.find("\"metrics\"");
-  EXPECT_GT(json.find("\"never_observed\""), metrics_at);
-  // Without metrics there is still a (possibly empty) section, so the
-  // schema's key set is stable.
-  EXPECT_NE(rep.to_json(nullptr).find("\"percentiles\""),
-            std::string::npos);
+  EXPECT_EQ(json.find("\"percentiles\""), std::string::npos);
+  const std::string dir = ::testing::TempDir();
+  ASSERT_TRUE(write_report_file(dir + "/percentiles.json", json));
+  std::FILE* sink = std::fopen((dir + "/percentiles.txt").c_str(), "w");
+  ASSERT_NE(sink, nullptr);
+  EXPECT_TRUE(inspect_file(dir + "/percentiles.json", sink));
+  std::fclose(sink);
+  std::string rendered;
+  ASSERT_TRUE(read_file(dir + "/percentiles.txt", rendered));
+  char row[160];
+  std::snprintf(row, sizeof(row), "  %-28s %10.0f %10.4g %10.4g %10.4g",
+                "lat_ms", 100.0, histogram_quantile(h, 0.50),
+                histogram_quantile(h, 0.90), histogram_quantile(h, 0.99));
+  EXPECT_NE(rendered.find(row), std::string::npos) << rendered;
+  EXPECT_EQ(rendered.find("never_observed"), std::string::npos);
 }
 
 // A file small enough to sit in the stdio buffer fails only at fclose
@@ -614,13 +593,12 @@ TEST(Obs, FullExperimentReportIsPopulatedAndDeterministic) {
     return res.report.to_json(&res.metrics);
   };
   const std::string first = run_json();
-  EXPECT_NE(first.find("\"schema\": \"wehey.run_report.v5\""),
+  EXPECT_NE(first.find("\"schema\": \"wehey.run_report.v6\""),
             std::string::npos);
   EXPECT_NE(first.find("\"run\": \"test_full\""), std::string::npos);
   EXPECT_NE(first.find("sim_original"), std::string::npos);
   EXPECT_NE(first.find("single_inverted"), std::string::npos);
   EXPECT_NE(first.find("queue.fifo.residency_ms"), std::string::npos);
-  EXPECT_NE(first.find("\"percentiles\""), std::string::npos);
   EXPECT_EQ(first, run_json());
 }
 

@@ -268,7 +268,7 @@ TEST(Checkpoint, RoundTripPreservesReportBytesExactly) {
   // Escaping stress: quotes, backslashes, newlines, tabs — everything a
   // serialized RunReport contains.
   const std::string report =
-      "{\n  \"schema\": \"wehey.run_report.v5\",\n  \"run\": \"a \\\"b\\\" "
+      "{\n  \"schema\": \"wehey.run_report.v6\",\n  \"run\": \"a \\\"b\\\" "
       "c\\\\d\",\n\t\"x\": 1.5\n}\n";
   {
     obs::CheckpointWriter writer;

@@ -1,10 +1,10 @@
 // Sweep-scale observability: the SweepAggregator merge algebra (order-
 // and thread-count-insensitive, read-back == in-process), the run-report
 // reader RunReport::from_json (the exact inverse of to_json) and the sweep
-// report's key sets, the v3 self-time profile, the files ObservedSweep
-// writes and resumes from, the baseline comparator behind `wehey_cli
-// compare`, and the readers' handling of the frozen current-version
-// fixtures under tests/data/ and of other versions.
+// report's key sets, the files ObservedSweep writes and resumes from, the
+// baseline comparator behind `wehey_cli compare`, and the readers'
+// handling of the frozen current-version fixtures under tests/data/ and
+// of other versions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,65 +34,6 @@
 
 namespace wehey::obs {
 namespace {
-
-// ------------------------------------------------------------ profile
-
-const ProfileEntry* entry(const std::vector<ProfileEntry>& profile,
-                          const std::string& name) {
-  for (const auto& e : profile) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-TEST(Profile, SelfTimeSubtractsDirectChildrenOnly) {
-  // parent [0,10s] > child [2,5s] > grandchild [3,4s], one track: the
-  // parent's self time excludes the child but not the grandchild (which
-  // the child already pays for).
-  std::vector<ProfileSpan> spans = {
-      {0, "parent", 0, 10 * kSecond},
-      {0, "child", 2 * kSecond, 5 * kSecond},
-      {0, "grandchild", 3 * kSecond, 4 * kSecond},
-  };
-  const auto profile = profile_from_spans(spans);
-  ASSERT_EQ(profile.size(), 3u);
-  const ProfileEntry* parent = entry(profile, "parent");
-  const ProfileEntry* child = entry(profile, "child");
-  const ProfileEntry* grandchild = entry(profile, "grandchild");
-  ASSERT_NE(parent, nullptr);
-  ASSERT_NE(child, nullptr);
-  ASSERT_NE(grandchild, nullptr);
-  EXPECT_DOUBLE_EQ(parent->sim_ms, 10000.0);
-  EXPECT_DOUBLE_EQ(parent->self_sim_ms, 7000.0);
-  EXPECT_DOUBLE_EQ(child->sim_ms, 3000.0);
-  EXPECT_DOUBLE_EQ(child->self_sim_ms, 2000.0);
-  EXPECT_DOUBLE_EQ(grandchild->self_sim_ms, 1000.0);
-
-  // Input order must not matter.
-  std::vector<ProfileSpan> reversed(spans.rbegin(), spans.rend());
-  const auto again = profile_from_spans(std::move(reversed));
-  ASSERT_EQ(again.size(), profile.size());
-  for (std::size_t i = 0; i < profile.size(); ++i) {
-    EXPECT_EQ(again[i].name, profile[i].name);
-    EXPECT_DOUBLE_EQ(again[i].self_sim_ms, profile[i].self_sim_ms);
-  }
-}
-
-TEST(Profile, TracksPreventFalseNestingOfParallelPhases) {
-  // Two phases both starting at sim time 0 — the short one would look
-  // contained in the long one if they shared a track.
-  const auto same_track = profile_from_spans({
-      {0, "long", 0, 10 * kSecond},
-      {0, "short", 0, 4 * kSecond},
-  });
-  EXPECT_DOUBLE_EQ(entry(same_track, "long")->self_sim_ms, 6000.0);
-  const auto two_tracks = profile_from_spans({
-      {0, "long", 0, 10 * kSecond},
-      {1, "short", 0, 4 * kSecond},
-  });
-  EXPECT_DOUBLE_EQ(entry(two_tracks, "long")->self_sim_ms, 10000.0);
-  EXPECT_DOUBLE_EQ(entry(two_tracks, "short")->self_sim_ms, 4000.0);
-}
 
 // ------------------------------------------------------- merge algebra
 
@@ -137,10 +78,6 @@ std::pair<RunReport, MetricsRegistry> synthetic_run(std::size_t i) {
   r.add_stage("wehe_test", 0, (1 + Time(i)) * kSecond);
   r.add_stage("analysis", (1 + Time(i)) * kSecond,
               (2 + Time(i)) * kSecond);
-  r.profile = profile_from_spans({
-      {0, "wehe_test", 0, (1 + Time(i)) * kSecond},
-      {0, "replay_window", 0, kSecond / 2},
-  });
 
   MetricsRegistry m;
   m.counter("sim.events").inc(1000 + i);
@@ -188,11 +125,11 @@ TEST(Sweep, AggregateIsAbsorbOrderInsensitive) {
   EXPECT_EQ(json, reverse.to_json());
   EXPECT_EQ(json, shuffled.to_json());
   EXPECT_EQ(forward.runs(), n);
-  EXPECT_NE(json.find("\"schema\": \"wehey.sweep_report.v1\""),
+  EXPECT_NE(json.find("\"schema\": \"wehey.sweep_report.v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"cells\""), std::string::npos);
   EXPECT_NE(json.find("\"cell0\""), std::string::npos);
-  EXPECT_NE(json.find("\"profile\""), std::string::npos);
+  EXPECT_NE(json.find("\"wehe_test\""), std::string::npos);
 }
 
 TEST(Sweep, OfflineJsonMergeMatchesInProcessMergeByteForByte) {
@@ -243,7 +180,7 @@ TEST(Sweep, AuditFoldsRunClassificationsIntoConfusionMatrices) {
   const std::size_t start = json.find("\"audit\"");
   ASSERT_NE(start, std::string::npos);
   const std::string block =
-      json.substr(start, json.find("\"cell_percentiles\"") - start);
+      json.substr(start, json.find("\"metrics\"") - start);
   // Grid: the six even runs land tp, the six odd runs miss (fn). The one
   // odd knife-edge run (i=3, |margin| 0.025 < 0.05) grades
   // sub-margin-miss; the other five misses are clear.
@@ -300,40 +237,38 @@ TEST(Sweep, RejectsNonReportDocuments) {
   const std::string wrong_schema =
       std::string("not a ") + kRunReportSchema + " document";
   EXPECT_EQ(read_error("[1, 2]"), "not a JSON object");
-  EXPECT_EQ(read_error("{\"schema\": \"wehey.sweep_report.v1\"}"),
+  EXPECT_EQ(read_error(std::string("{\"schema\": \"") + kSweepReportSchema +
+                       "\"}"),
             wrong_schema);
   // Only the run-report version this build writes is read.
-  EXPECT_EQ(read_error("{\"schema\": \"wehey.run_report.v4\", "
+  EXPECT_EQ(read_error("{\"schema\": \"wehey.run_report.v5\", "
                        "\"run\": \"old\", \"verdict\": \"done\", "
                        "\"stages\": [], \"values\": {}}"),
             wrong_schema);
-  const std::string v5 = std::string("{\"schema\": \"") + kRunReportSchema +
+  const std::string v6 = std::string("{\"schema\": \"") + kRunReportSchema +
                          "\", \"run\": \"bad\", ";
-  EXPECT_EQ(read_error(v5 + "\"stages\": [{\"sim_start_us\": 0, "
-                            "\"sim_end_us\": 1, \"sim_ms\": 0.001}]}"),
+  EXPECT_EQ(read_error(v6 + "\"stages\": [{\"sim_start_us\": 0, "
+                            "\"sim_end_us\": 1}]}"),
             "malformed stages entry");
-  EXPECT_EQ(read_error(v5 + "\"profile\": {\"p\": {\"sim_ms\": 1, "
-                            "\"self_sim_ms\": 1}}}"),
-            "malformed profile entry 'p'");
-  EXPECT_EQ(read_error(v5 + "\"metrics\": {\"histograms\": {\"h\": "
+  EXPECT_EQ(read_error(v6 + "\"metrics\": {\"histograms\": {\"h\": "
                             "{\"lo\": 0, \"hi\": 1, \"count\": 0}}}}"),
             "histogram 'h' has fewer than 3 bins");
-  EXPECT_EQ(read_error(v5 + "\"metrics\": {\"histograms\": {\"h\": "
+  EXPECT_EQ(read_error(v6 + "\"metrics\": {\"histograms\": {\"h\": "
                             "{\"lo\": 0, \"hi\": 1, \"count\": 0, "
                             "\"bins\": [0, 0]}}}}"),
             "histogram 'h' has fewer than 3 bins");
   // Integer fields must hold a whole number in range for their type.
-  EXPECT_EQ(read_error(v5 + "\"seed\": -1}"), "malformed seed");
-  EXPECT_EQ(read_error(v5 + "\"injection\": {\"drop\": 1e30}}"),
+  EXPECT_EQ(read_error(v6 + "\"seed\": -1}"), "malformed seed");
+  EXPECT_EQ(read_error(v6 + "\"injection\": {\"drop\": 1e30}}"),
             "malformed injection 'drop'");
-  EXPECT_EQ(read_error(v5 + "\"metrics\": {\"counters\": {\"c\": 1.5}}}"),
+  EXPECT_EQ(read_error(v6 + "\"metrics\": {\"counters\": {\"c\": 1.5}}}"),
             "malformed counter 'c'");
-  EXPECT_EQ(read_error(v5 + "\"metrics\": {\"histograms\": {\"h\": "
+  EXPECT_EQ(read_error(v6 + "\"metrics\": {\"histograms\": {\"h\": "
                             "{\"lo\": 0, \"hi\": 1, \"count\": 0, "
                             "\"bins\": [0, 2e19, 0]}}}}"),
             "malformed histogram 'h'");
   // Missing sections read as empty.
-  EXPECT_EQ(read_error(v5 + "\"verdict\": \"done\"}"), "accepted");
+  EXPECT_EQ(read_error(v6 + "\"verdict\": \"done\"}"), "accepted");
 }
 
 std::vector<std::string> keys_of(const JsonValue& object) {
@@ -355,9 +290,8 @@ TEST(Sweep, ReportKeySetsMatchTheFormat) {
   EXPECT_EQ(keys_of(doc),
             (std::vector<std::string>{
                 "schema", "sweep", "runs", "fault_plans", "verdicts",
-                "reasons", "injection", "values", "stages", "profile",
-                "cells", "quarantine", "knife_edge", "audit",
-                "cell_percentiles", "percentiles", "metrics"}));
+                "reasons", "injection", "values", "stages", "cells",
+                "quarantine", "knife_edge", "audit", "metrics"}));
   const JsonValue* cells = doc.find("cells");
   ASSERT_NE(cells, nullptr);
   ASSERT_EQ(cells->object.size(), 3u);
@@ -414,8 +348,6 @@ TEST(Sweep, WildSweepByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, pooled);
   EXPECT_NE(serial.find("\"runs\": 3"), std::string::npos);
   EXPECT_NE(serial.find("single_original"), std::string::npos);
-  // The per-phase self time excludes the nested replay window.
-  EXPECT_NE(serial.find("\"replay_window\""), std::string::npos);
 }
 
 // ------------------------------------------------------------ compare
@@ -538,7 +470,7 @@ TEST(Compare, RequireKeyGuardsSectionExistence) {
 TEST(Inspect, MalformedAndUnknownFilesFailWithoutPartialOutput) {
   const std::string dir = ::testing::TempDir();
   const std::string bad = dir + "/bad.json";
-  ASSERT_TRUE(write_report_file(bad, "{\"schema\": \"wehey.run_report.v5\","));
+  ASSERT_TRUE(write_report_file(bad, "{\"schema\": \"wehey.run_report.v6\","));
   std::FILE* sink = std::fopen((dir + "/sink.txt").c_str(), "w");
   ASSERT_NE(sink, nullptr);
   EXPECT_FALSE(inspect_file(bad, sink));
@@ -550,7 +482,7 @@ TEST(Inspect, MalformedAndUnknownFilesFailWithoutPartialOutput) {
   const std::string old = dir + "/old.json";
   ASSERT_TRUE(write_report_file(
       old,
-      "{\"schema\": \"wehey.run_report.v4\", \"run\": \"old\", "
+      "{\"schema\": \"wehey.run_report.v5\", \"run\": \"old\", "
       "\"seed\": 1, \"fault_plan\": \"\", \"verdict\": \"done\", "
       "\"reason\": \"\", \"stages\": [], \"values\": {}, "
       "\"injection\": {}, \"metrics\": {\"counters\": {}, \"gauges\": {}, "
@@ -560,9 +492,18 @@ TEST(Inspect, MalformedAndUnknownFilesFailWithoutPartialOutput) {
   const std::string malformed = dir + "/malformed.json";
   ASSERT_TRUE(write_report_file(
       malformed,
-      "{\"schema\": \"wehey.run_report.v5\", \"run\": \"bad\", "
-      "\"stages\": [{\"sim_ms\": 1}]}"));
+      "{\"schema\": \"wehey.run_report.v6\", \"run\": \"bad\", "
+      "\"stages\": [{\"sim_start_us\": 1}]}"));
   EXPECT_FALSE(inspect_file(malformed, sink));
+  // A current-version sweep whose merged histogram has a count no integer
+  // holds: its quantiles cannot be derived.
+  const std::string bad_sweep = dir + "/bad_sweep.json";
+  ASSERT_TRUE(write_report_file(
+      bad_sweep, std::string("{\"schema\": \"") + kSweepReportSchema +
+                     "\", \"sweep\": \"s\", \"metrics\": {\"histograms\": "
+                     "{\"h\": {\"lo\": 0, \"hi\": 1, \"count\": 2.5, "
+                     "\"bins\": [0, 2, 0]}}}}"));
+  EXPECT_FALSE(inspect_file(bad_sweep, sink));
   // Nothing was rendered for any of the failures.
   std::fclose(sink);
   std::string rendered;
@@ -605,6 +546,20 @@ TEST(Inspect, ParserRejectsPathologicalDocuments) {
         "tru", "nul", "{\"a\":}", "[1,]", "{\"a\": \"\\x\"}"}) {
     EXPECT_FALSE(json_parse(bad, doc, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
+  }
+  // Numbers follow the JSON grammar and fit a double: no spelling strtod
+  // alone accepts, and no literal that overflows to infinity. A NaN would
+  // pass every tolerance test and floor of `wehey_cli compare`.
+  for (const char* bad :
+       {"NaN", "-nan", "Infinity", "-Infinity", "0x1p-1", "+100", ".5",
+        "1e999", "-1e999", "01", "1.", "1e", "-", "[1, NaN]",
+        "{\"accuracy\": NaN}"}) {
+    EXPECT_FALSE(json_parse(bad, doc, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  for (const char* good : {"0", "-0", "1.5e-3", "2E+2", "-0.25", "1e-999"}) {
+    EXPECT_TRUE(json_parse(good, doc, &error)) << good << ": " << error;
+    EXPECT_TRUE(std::isfinite(doc.number)) << good;
   }
 
   // The same failures surface file-level: a pathological report file
@@ -674,13 +629,13 @@ TEST(Compare, FlattenKeysListsTheComparableKeySpace) {
 }
 
 TEST(Inspect, DegradesGracefullyOnMissingOptionalSections) {
-  // A sparse current-version report: no decision, ground truth, audit,
-  // percentiles, profile or cell, and a histogram without percentiles.
+  // A sparse current-version report: no decision, ground truth, audit or
+  // cell, and one histogram.
   const std::string dir = ::testing::TempDir();
   const std::string sparse = dir + "/sparse.json";
   ASSERT_TRUE(write_report_file(
       sparse,
-      "{\"schema\": \"wehey.run_report.v5\", \"run\": \"sparse\", "
+      "{\"schema\": \"wehey.run_report.v6\", \"run\": \"sparse\", "
       "\"seed\": 1, \"fault_plan\": \"\", \"verdict\": \"done\", "
       "\"reason\": \"\", \"stages\": [], \"values\": {}, "
       "\"injection\": {}, \"metrics\": {\"counters\": {}, \"gauges\": {}, "
@@ -692,7 +647,7 @@ TEST(Inspect, DegradesGracefullyOnMissingOptionalSections) {
   std::fclose(sink);
   std::string rendered;
   ASSERT_TRUE(read_file(dir + "/sparse.txt", rendered));
-  EXPECT_NE(rendered.find("wehey.run_report.v5"), std::string::npos);
+  EXPECT_NE(rendered.find("wehey.run_report.v6"), std::string::npos);
   EXPECT_NE(rendered.find("sparse"), std::string::npos);
   EXPECT_NE(rendered.find("lat_ms"), std::string::npos);
 }
@@ -715,7 +670,10 @@ TEST(Inspect, RendersSweepReports) {
   EXPECT_NE(rendered.find("sweep report"), std::string::npos);
   EXPECT_NE(rendered.find("render_me"), std::string::npos);
   EXPECT_NE(rendered.find("cell0"), std::string::npos);
-  EXPECT_NE(rendered.find("stage profile"), std::string::npos);
+  // The histogram quantiles come from the merged bins.
+  EXPECT_NE(rendered.find("histogram percentiles (merged bins)"),
+            std::string::npos);
+  EXPECT_NE(rendered.find("lat_ms"), std::string::npos);
   // The v5 confusion-matrix table renders alongside the older sections.
   EXPECT_NE(rendered.find("AUDIT"), std::string::npos);
   EXPECT_NE(rendered.find("(grid)"), std::string::npos);
@@ -729,8 +687,8 @@ TEST(Inspect, RendersSweepReports) {
 TEST(Inspect, FrozenFixtureReportsStillRender) {
   const std::string root = WEHEY_SOURCE_DIR;
   const char* fixtures[] = {
-      "/tests/data/run_report_v5.json",
-      "/tests/data/sweep_report_v1.json",
+      "/tests/data/run_report_v6.json",
+      "/tests/data/sweep_report_v2.json",
       "/tests/data/runtime_report_v1.json",
   };
   const std::string dir = ::testing::TempDir();
@@ -749,7 +707,7 @@ TEST(Inspect, FrozenFixtureReportsStillRender) {
 std::string frozen_run_report() {
   std::string text;
   EXPECT_TRUE(read_file(std::string(WEHEY_SOURCE_DIR) +
-                            "/tests/data/run_report_v5.json",
+                            "/tests/data/run_report_v6.json",
                         text));
   return text;
 }
@@ -764,16 +722,16 @@ TEST(Sweep, FrozenRunReportFixturesStillAbsorb) {
 }
 
 TEST(Sweep, FrozenV4AndV5FixturesAbsorbMarginsAndAudit) {
-  // The v5 fixture's margin and audit are absorbed; the same document
-  // tagged v4 is refused, so the audit block holds exactly the v5
+  // The current fixture's margin and audit are absorbed; the same
+  // document tagged v5 is refused, so the audit block holds exactly the
   // fixture's one true positive.
-  std::string v4 = frozen_run_report();
-  const std::size_t tag = v4.find(kRunReportSchema);
+  std::string v5 = frozen_run_report();
+  const std::size_t tag = v5.find(kRunReportSchema);
   ASSERT_NE(tag, std::string::npos);
-  v4.replace(tag, std::string(kRunReportSchema).size(),
-             "wehey.run_report.v4");
+  v5.replace(tag, std::string(kRunReportSchema).size(),
+             "wehey.run_report.v5");
   JsonValue doc;
-  ASSERT_TRUE(json_parse(v4, doc));
+  ASSERT_TRUE(json_parse(v5, doc));
   RunReport refused;
   MetricsRegistry refused_metrics;
   std::string error;
@@ -788,7 +746,7 @@ TEST(Sweep, FrozenV4AndV5FixturesAbsorbMarginsAndAudit) {
   const std::size_t start = json.find("\"audit\"");
   ASSERT_NE(start, std::string::npos);
   const std::string block =
-      json.substr(start, json.find("\"cell_percentiles\"") - start);
+      json.substr(start, json.find("\"metrics\"") - start);
   EXPECT_NE(block.find("\"tp\": 1"), std::string::npos) << block;
   EXPECT_NE(block.find("\"fn\": 0"), std::string::npos);
   EXPECT_NE(block.find("\"skipped\": 0"), std::string::npos);
@@ -838,10 +796,6 @@ std::pair<RunReport, MetricsRegistry> every_field_run(std::size_t i) {
   r.decision.degradations = {"scrub", "pair-fallback"};
   r.ground_truth.activation_bytes = 2000000 + static_cast<std::int64_t>(i);
   r.ground_truth.sanity_check = i % 3 == 0;
-  r.profile = profile_from_spans({
-      {0, "wehe_test", 0, (1 + Time(i)) * kSecond},
-      {0, "replay_window", 0, kSecond / 3},
-  });
   m.histogram("empty_ms", 0.0, 1.0, 4);
   return {std::move(r), std::move(m)};
 }
@@ -956,11 +910,6 @@ std::string slurp(const std::string& path) {
   std::string text;
   EXPECT_TRUE(read_file(path, text)) << path;
   return text;
-}
-
-TEST(ObservedSweep, TraceCsvPathSibling) {
-  EXPECT_EQ(trace_csv_path("out/trace.json"), "out/trace.csv");
-  EXPECT_EQ(trace_csv_path("trace.bin"), "trace.bin.csv");
 }
 
 // WEHEY_REPORT_DIR writes every report the process has; WEHEY_REPORT
@@ -1107,7 +1056,7 @@ TEST(ObservedSweep, StaleJournalEntryExecutesAgain) {
   const std::size_t second = text.find('\n') + 1;
   const std::size_t tag = text.find(current, second);
   ASSERT_NE(tag, std::string::npos);
-  text.replace(tag, current.size(), "\\\"wehey.run_report.v4");
+  text.replace(tag, current.size(), "\\\"wehey.run_report.v5");
   const std::string resumed = fresh_dir("stale_resumed");
   const std::string stale_journal = resumed + "/journal.jsonl";
   ASSERT_TRUE(write_report_file(stale_journal, text));
