@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -390,25 +391,22 @@ PathReport FigureOneNetwork::report(int id, Time start, Time duration) {
     rep.aborted = rt.aborted;
     rep.aborted_at = rt.aborted_at;
     // Merge the per-connection measurements into one path measurement
-    // (the server measures the whole replayed session).
+    // (the server measures the whole replayed session). Each connection's
+    // series is already in time order, so a merge keeps the whole sorted.
+    const auto merge = [](auto& into, const auto& from, auto less) {
+      const auto mid = into.insert(into.end(), from.begin(), from.end());
+      std::inplace_merge(into.begin(), mid, into.end(), less);
+    };
+    const auto earlier = [](const netsim::Delivery& a,
+                            const netsim::Delivery& b) { return a.at < b.at; };
     for (std::size_t c = 0; c < rt.senders.size(); ++c) {
       const auto& m = rt.senders[c]->measurement();
-      rep.meas.tx_times.insert(rep.meas.tx_times.end(), m.tx_times.begin(),
-                               m.tx_times.end());
-      rep.meas.loss_times.insert(rep.meas.loss_times.end(),
-                                 m.loss_times.begin(), m.loss_times.end());
+      merge(rep.meas.tx_times, m.tx_times, std::less<>{});
+      merge(rep.meas.loss_times, m.loss_times, std::less<>{});
       rep.meas.rtt_ms.insert(rep.meas.rtt_ms.end(), m.rtt_ms.begin(),
                              m.rtt_ms.end());
-      const auto& del = rt.receivers[c]->deliveries();
-      rep.meas.deliveries.insert(rep.meas.deliveries.end(), del.begin(),
-                                 del.end());
+      merge(rep.meas.deliveries, rt.receivers[c]->deliveries(), earlier);
     }
-    std::sort(rep.meas.tx_times.begin(), rep.meas.tx_times.end());
-    std::sort(rep.meas.loss_times.begin(), rep.meas.loss_times.end());
-    std::sort(rep.meas.deliveries.begin(), rep.meas.deliveries.end(),
-              [](const netsim::Delivery& a, const netsim::Delivery& b) {
-                return a.at < b.at;
-              });
   } else {
     auto& rt = *udp_replays_.at(static_cast<std::size_t>(-id - 1));
     rep.aborted = rt.aborted;

@@ -111,16 +111,14 @@ RateLimiterDisc::RateLimiterDisc(std::unique_ptr<FifoDisc> default_q,
     : default_(std::move(default_q)), throttled_(std::move(throttled_q)) {
   WEHEY_EXPECTS(default_ != nullptr);
   WEHEY_EXPECTS(throttled_ != nullptr);
+  default_->set_drop_listener(forward_drops());
+  throttled_->set_drop_listener(forward_drops());
 }
 
 bool RateLimiterDisc::enqueue(Packet pkt, Time now) {
-  const bool ok = pkt.dscp == kDscpDifferentiated
-                      ? throttled_->enqueue(std::move(pkt), now)
-                      : default_->enqueue(std::move(pkt), now);
-  // Child discs run their own drop accounting; mirror the aggregate count
-  // here so callers see one total. notify_drop would double-call listeners,
-  // so we only bump via child listeners if installed there.
-  return ok;
+  return pkt.dscp == kDscpDifferentiated
+             ? throttled_->enqueue(std::move(pkt), now)
+             : default_->enqueue(std::move(pkt), now);
 }
 
 std::optional<Packet> RateLimiterDisc::dequeue(Time now) {
@@ -256,6 +254,7 @@ PerFlowRateLimiterDisc::PerFlowRateLimiterDisc(
       limit_(limit_bytes) {
   WEHEY_EXPECTS(default_ != nullptr);
   WEHEY_EXPECTS(rate > 0 && burst_bytes > 0 && limit_bytes >= 0);
+  default_->set_drop_listener(forward_drops());
 }
 
 bool PerFlowRateLimiterDisc::enqueue(Packet pkt, Time now) {
@@ -268,7 +267,9 @@ bool PerFlowRateLimiterDisc::enqueue(Packet pkt, Time now) {
   }
   buckets_.emplace_back(key,
                         std::make_unique<TbfDisc>(rate_, burst_, limit_));
-  return buckets_.back().second->enqueue(std::move(pkt), now);
+  TbfDisc& tbf = *buckets_.back().second;
+  tbf.set_drop_listener(forward_drops());
+  return tbf.enqueue(std::move(pkt), now);
 }
 
 std::optional<Packet> PerFlowRateLimiterDisc::dequeue(Time now) {

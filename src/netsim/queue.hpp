@@ -53,6 +53,7 @@ class QueueDisc {
   void set_drop_listener(DropListener listener) {
     on_drop_ = std::move(listener);
   }
+  /// Every packet this disc dropped, those of its child discs included.
   std::uint64_t drop_count() const { return drops_; }
 
   // Hybrid fluid/packet coupling (netsim/fluid.hpp). A FluidSource calls
@@ -79,6 +80,11 @@ class QueueDisc {
   void notify_drop(const Packet& pkt, Time now) {
     ++drops_;
     if (on_drop_) on_drop_(pkt, now);
+  }
+  /// A listener for a child disc that counts and reports the child's
+  /// drops as this disc's own. The child must not outlive this disc.
+  DropListener forward_drops() {
+    return [this](const Packet& pkt, Time now) { notify_drop(pkt, now); };
   }
 
  private:
@@ -152,6 +158,9 @@ class RateLimiterDisc final : public QueueDisc {
   /// fixed-rate throttler modelling ISP5).
   RateLimiterDisc(std::unique_ptr<FifoDisc> default_q,
                   std::unique_ptr<QueueDisc> throttled_q);
+  // The classes report their drops to this object (forward_drops).
+  RateLimiterDisc(const RateLimiterDisc&) = delete;
+  RateLimiterDisc& operator=(const RateLimiterDisc&) = delete;
 
   bool enqueue(Packet pkt, Time now) override;
   std::optional<Packet> dequeue(Time now) override;
@@ -233,6 +242,9 @@ class PerFlowRateLimiterDisc final : public QueueDisc {
  public:
   PerFlowRateLimiterDisc(std::unique_ptr<FifoDisc> default_q, Rate rate,
                          std::int64_t burst_bytes, std::int64_t limit_bytes);
+  // The classes report their drops to this object (forward_drops).
+  PerFlowRateLimiterDisc(const PerFlowRateLimiterDisc&) = delete;
+  PerFlowRateLimiterDisc& operator=(const PerFlowRateLimiterDisc&) = delete;
 
   bool enqueue(Packet pkt, Time now) override;
   std::optional<Packet> dequeue(Time now) override;

@@ -71,13 +71,14 @@ void TcpSender::maybe_send() {
          static_cast<std::int64_t>(cwnd_) + cfg_.mss - 1) {
     SegmentMap::iterator hole = outstanding_.end();
     if (in_recovery_) {
-      for (auto it = outstanding_.lower_bound(una_);
+      for (auto it = outstanding_.lower_bound(std::max(una_, hole_cursor_));
            it != outstanding_.end() && it->first < recover_; ++it) {
         if (!it->second.sacked && !it->second.retx_in_recovery) {
           hole = it;
           break;
         }
       }
+      hole_cursor_ = hole != outstanding_.end() ? hole->first : recover_;
     }
     if (hole == outstanding_.end() && available_ == 0) return;
 
@@ -349,6 +350,7 @@ void TcpSender::cubic_on_ack(Time now) {
 
 void TcpSender::enter_loss_recovery(bool timeout) {
   last_loss_event_ = sim_.now();
+  hole_cursor_ = 0;  // a new episode: every branch moves recover_
   // CUBIC multiplicative decrease; remember W_max for the next epoch.
   w_max_ = cwnd_segments();
   epoch_start_ = -1;
@@ -564,11 +566,11 @@ void TcpReceiver::receive(Packet pkt) {
     // Drain any contiguous out-of-order data.
     auto it = out_of_order_.begin();
     while (it != out_of_order_.end() && it->first <= rcv_next_) {
-      rcv_next_ = std::max(rcv_next_, it->first + it->second);
+      rcv_next_ = std::max(rcv_next_, it->second);
       it = out_of_order_.erase(it);
     }
   } else if (pkt.seq > rcv_next_) {
-    out_of_order_.emplace(pkt.seq, pkt.payload);
+    add_out_of_order(pkt.seq, pkt.seq + pkt.payload);
   }
   // else: duplicate of already-delivered data; ACK re-states rcv_next_.
 
@@ -593,6 +595,27 @@ void TcpReceiver::receive(Packet pkt) {
   }
 }
 
+void TcpReceiver::add_out_of_order(std::uint64_t start, std::uint64_t end) {
+  auto next = out_of_order_.upper_bound(start);
+  if (next != out_of_order_.begin()) {
+    const auto prev = std::prev(next);
+    if (start < prev->second) return;  // inside a range: a duplicate
+    if (prev->second == start) {
+      prev->second = end;
+      if (next != out_of_order_.end() && next->first == end) {
+        prev->second = next->second;
+        out_of_order_.erase(next);
+      }
+      return;
+    }
+  }
+  if (next != out_of_order_.end() && next->first == end) {
+    end = next->second;
+    next = out_of_order_.erase(next);
+  }
+  out_of_order_.emplace_hint(next, start, end);
+}
+
 void TcpReceiver::send_ack(Time now) {
   unacked_segments_ = 0;
   delack_timer_.cancel();
@@ -609,27 +632,16 @@ void TcpReceiver::send_ack(Time now) {
 }
 
 void TcpReceiver::fill_sack_blocks(Packet& ack) {
-  // Merge the out-of-order buffer into contiguous ranges and report up to
-  // kMaxSackBlocks of them, highest (most recent) first — like the SACK
-  // option a real receiver builds. The blocks go to the log; the ACK
-  // carries their index range.
+  // Report up to kMaxSackBlocks out-of-order ranges, highest (most recent)
+  // first — like the SACK option a real receiver builds. The blocks go to
+  // the log; the ACK carries their index range.
   ack.sack_log = &sack_log_;
   ack.sack_first = sack_log_.next_index();
   int used = 0;
-  auto it = out_of_order_.rbegin();
-  while (it != out_of_order_.rend() && used < netsim::kMaxSackBlocks) {
-    std::uint64_t end = it->first + it->second;
-    std::uint64_t start = it->first;
-    // Extend the range downwards through contiguous entries.
-    auto next = std::next(it);
-    while (next != out_of_order_.rend() &&
-           next->first + next->second == start) {
-      start = next->first;
-      ++next;
-    }
-    sack_log_.append({start, end});
-    ++used;
-    it = next;
+  for (auto it = out_of_order_.rbegin();
+       it != out_of_order_.rend() && used < netsim::kMaxSackBlocks;
+       ++it, ++used) {
+    sack_log_.append({it->first, it->second});
   }
   ack.sack_count = static_cast<std::uint8_t>(used);
 }

@@ -176,6 +176,13 @@ class TcpSender final : public netsim::PacketSink {
   std::int64_t lost_bytes_ = 0;
   std::uint64_t highest_sacked_ = 0;   ///< highest SACKed byte + 1
   std::uint64_t loss_scan_floor_ = 0;  ///< below this all segs classified
+  // Hole repair resumes its search here: no segment in [una_, cursor) is
+  // a hole (neither SACKed nor repaired this episode). Exact because,
+  // within an episode, `sacked` and `retx_in_recovery` only go from false
+  // to true and recover_ stays put, so the first hole never moves down.
+  // enter_loss_recovery, the only code that clears `retx_in_recovery` or
+  // sets recover_, resets the cursor.
+  std::uint64_t hole_cursor_ = 0;
 
   // Congestion control.
   double cwnd_ = 0;
@@ -287,6 +294,9 @@ class TcpReceiver final : public netsim::PacketSink {
   netsim::FlowId flow_;
   netsim::PacketSink* ack_out_;
 
+  /// Record out-of-order data [start, end), merging it with the ranges
+  /// that end where it starts or start where it ends.
+  void add_out_of_order(std::uint64_t start, std::uint64_t end);
   void fill_sack_blocks(netsim::Packet& ack);
   void send_ack(Time now);
 
@@ -295,7 +305,11 @@ class TcpReceiver final : public netsim::PacketSink {
   std::function<void(std::int64_t)> on_deliver_;
   int unacked_segments_ = 0;       // delayed-ACK counter
   netsim::Timer delack_timer_{sim_, [this] { send_ack(sim_.now()); }};
-  std::map<std::uint64_t, std::uint32_t> out_of_order_;  // seq -> len
+  // Out-of-order data as maximal [start, end) ranges, keyed by start.
+  // Merging only at exact adjacency is exact because a segment's
+  // (seq, len) never changes across retransmissions: an arrival lies
+  // either inside one range (a duplicate) or apart from every range.
+  std::map<std::uint64_t, std::uint64_t> out_of_order_;
   std::vector<netsim::Delivery> deliveries_;
   std::vector<double> owd_ms_;
   std::int64_t received_bytes_ = 0;

@@ -565,6 +565,45 @@ TEST(RateLimiter, ClassifiesByDscp) {
   EXPECT_EQ(rl.throttled_drops(), 8u);
 }
 
+TEST(RateLimiter, ReportsTheDropsOfBothClasses) {
+  auto fifo = std::make_unique<FifoDisc>(3000);
+  auto tbf = std::make_unique<TbfDisc>(1e6, 3000, 3000);
+  RateLimiterDisc rl(std::move(fifo), std::move(tbf));
+  int heard_default = 0, heard_throttled = 0;
+  rl.set_drop_listener([&](const Packet& p, Time) {
+    ++(p.dscp == kDscpDifferentiated ? heard_throttled : heard_default);
+  });
+  // The FIFO holds two of four; the TBF polices eight of ten.
+  for (int i = 0; i < 4; ++i) rl.enqueue(make_packet(1500, kDscpDefault), 0);
+  for (int i = 0; i < 10; ++i) {
+    rl.enqueue(make_packet(1500, kDscpDifferentiated), 0);
+  }
+  EXPECT_EQ(rl.default_class().drop_count(), 2u);
+  EXPECT_EQ(rl.throttled_drops(), 8u);
+  EXPECT_EQ(rl.drop_count(), 10u);
+  EXPECT_EQ(heard_default, 2);
+  EXPECT_EQ(heard_throttled, 8);
+}
+
+TEST(PerFlowRateLimiter, ReportsTheDropsOfEveryBucket) {
+  PerFlowRateLimiterDisc rl(std::make_unique<FifoDisc>(3000), 1e6, 3000,
+                            3000);
+  std::vector<int> heard(3, 0);  // by flow; flow 0 is the default class
+  rl.set_drop_listener([&](const Packet& p, Time) {
+    ++heard[p.dscp == kDscpDifferentiated ? p.flow : 0];
+  });
+  for (int i = 0; i < 4; ++i) rl.enqueue(make_packet(1500, kDscpDefault), 0);
+  // Two flows, two buckets created on first sight: each polices 8 of 10.
+  for (int i = 0; i < 10; ++i) {
+    rl.enqueue(make_packet(1500, kDscpDifferentiated, 1), 0);
+    rl.enqueue(make_packet(1500, kDscpDifferentiated, 2), 0);
+  }
+  ASSERT_EQ(rl.flow_bucket_count(), 2u);
+  EXPECT_EQ(rl.throttled_drops(), 16u);
+  EXPECT_EQ(rl.drop_count(), 18u);
+  EXPECT_EQ(heard, (std::vector<int>{2, 8, 8}));
+}
+
 TEST(RateLimiter, RoundRobinAlternates) {
   auto fifo = std::make_unique<FifoDisc>(0);
   auto tbf = std::make_unique<TbfDisc>(1e9, 100000, 100000);

@@ -1,7 +1,13 @@
 // TCP sender/receiver: throughput, loss recovery, pacing, measurement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -339,6 +345,253 @@ TEST(SackLog, MoreHolesThanBlocksReportsTheHighestRanges) {
   }
   EXPECT_EQ(sender.live_after.back(), 0u);
 }
+
+TEST(SackLog, BlocksMatchReceivedSegmentsAfterEveryArrival) {
+  Simulator sim;
+  PacketIdSource ids;
+  AckCollector sender;
+  TcpReceiver rcv(sim, ids, TcpConfig{}, 1, &sender);
+
+  // A fixed partition of the byte stream into segments of uneven length,
+  // as a sender cuts it: retransmissions repeat a segment's (seq, len).
+  constexpr std::size_t kSegments = 150;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> segs;
+  std::uint64_t seq = 0;
+  for (std::size_t k = 0; k < kSegments; ++k) {
+    const auto len = static_cast<std::uint32_t>(600 + 97 * (k % 11));
+    segs.emplace_back(seq, len);
+    seq += len;
+  }
+
+  // Every third segment first, so the receiver holds ~50 holes, more than
+  // kMaxSackBlocks; then every segment one to three times, shuffled.
+  std::mt19937_64 rng(7);
+  std::vector<std::size_t> stream;
+  for (std::size_t k = 1; k < kSegments; k += 3) stream.push_back(k);
+  std::shuffle(stream.begin(), stream.end(), rng);
+  std::vector<std::size_t> rest;
+  for (std::size_t k = 0; k < kSegments; ++k) {
+    const auto copies = 1 + rng() % 3;
+    for (std::size_t c = 0; c < copies; ++c) rest.push_back(k);
+  }
+  std::shuffle(rest.begin(), rest.end(), rng);
+  stream.insert(stream.end(), rest.begin(), rest.end());
+
+  using R = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  std::vector<bool> received(kSegments, false);
+  std::size_t max_holes = 0;
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    const std::size_t k = stream[i];
+    auto pkt = data_segment(segs[k].first, segs[k].second);
+    pkt.retransmit = received[k];
+    received[k] = true;
+    rcv.receive(pkt);
+
+    // Brute-force reference: the in-order prefix, then maximal runs of
+    // received segments above it, highest first.
+    std::size_t next = 0;
+    while (next < kSegments && received[next]) ++next;
+    const std::uint64_t rcv_next =
+        next < kSegments ? segs[next].first : seq;
+    R expected;
+    std::size_t holes = 0;
+    for (std::size_t j = kSegments; j-- > next;) {
+      if (!received[j]) {
+        if (j + 1 < kSegments && received[j + 1]) ++holes;
+        continue;
+      }
+      if (j + 1 < kSegments && received[j + 1]) {
+        expected.back().first = segs[j].first;
+      } else {
+        expected.emplace_back(segs[j].first, segs[j].first + segs[j].second);
+      }
+    }
+    max_holes = std::max(max_holes, holes);
+    if (expected.size() > static_cast<std::size_t>(netsim::kMaxSackBlocks)) {
+      expected.resize(netsim::kMaxSackBlocks);
+    }
+
+    ASSERT_EQ(sender.acks.size(), i + 1);
+    ASSERT_EQ(rcv.received_in_order_bytes(),
+              static_cast<std::int64_t>(rcv_next))
+        << "arrival " << i;
+    ASSERT_EQ(ranges(sender.acks.back()), expected) << "arrival " << i;
+  }
+  EXPECT_GT(max_holes, static_cast<std::size_t>(netsim::kMaxSackBlocks));
+  EXPECT_EQ(rcv.received_in_order_bytes(), static_cast<std::int64_t>(seq));
+}
+
+// ------------------------------------------------------- loss recovery
+
+/// Sits between a sender and its path: logs every retransmission's
+/// sequence number under the number of timeouts the sender had taken when
+/// it went out, and drops the first `drops[seq]` transmissions of the
+/// segment at `seq`.
+struct SegmentDropper final : netsim::PacketSink {
+  const TcpSender* sender = nullptr;
+  netsim::PacketSink* next = nullptr;
+  std::map<std::uint64_t, int> drops;
+  std::map<std::uint64_t, std::vector<std::uint64_t>> retransmitted;
+  void receive(netsim::Packet pkt) override {
+    if (pkt.retransmit) retransmitted[sender->timeouts()].push_back(pkt.seq);
+    const auto it = drops.find(pkt.seq);
+    if (it != drops.end() && it->second > 0) {
+      --it->second;
+      return;
+    }
+    next->receive(std::move(pkt));
+  }
+};
+
+TEST(TcpRecovery, RepairsHolesInOrderOncePerEpisodeAndAgainAfterRto) {
+  TcpConfig cfg;
+  cfg.pacing = false;
+  Simulator sim;
+  PacketIdSource ids;
+  Demux demux;
+  Link link(sim, mbps(50), milliseconds(10), std::make_unique<FifoDisc>(0),
+            &demux);
+  Pipe ack_pipe(sim, milliseconds(10));
+  SegmentDropper dropper;
+  dropper.next = &link;
+  TcpSender sender(sim, ids, cfg, 1, 0, &dropper);
+  dropper.sender = &sender;
+  TcpReceiver receiver(sim, ids, cfg, 1, &ack_pipe);
+  ack_pipe.set_next(&sender);
+  demux.add_route(1, &receiver);
+
+  // Three holes in the first window. The repairs of a and b are lost as
+  // well, so a stalls the cumulative ACK until the RTO; c's repair lands.
+  const std::uint64_t mss = cfg.mss;
+  const std::uint64_t a = 2 * mss, b = 4 * mss, c = 6 * mss;
+  dropper.drops = {{a, 2}, {b, 2}, {c, 1}};
+  sender.supply(static_cast<std::int64_t>(30 * mss));
+  sim.run(seconds(10));
+
+  ASSERT_TRUE(sender.complete());
+  ASSERT_EQ(sender.timeouts(), 1u);
+  ASSERT_EQ(dropper.retransmitted.size(), 2u);
+  // Fast recovery repairs every unSACKed segment below the recovery point
+  // in ascending order, once each: the holes first, then the segments
+  // still in flight when recovery began.
+  const auto& fast = dropper.retransmitted[0];
+  ASSERT_GE(fast.size(), 3u);
+  EXPECT_EQ(fast[0], a);
+  EXPECT_EQ(fast[1], b);
+  EXPECT_EQ(fast[2], c);
+  EXPECT_TRUE(std::is_sorted(fast.begin(), fast.end()));
+  EXPECT_EQ(std::adjacent_find(fast.begin(), fast.end()), fast.end());
+  // The RTO starts a new episode: a goes out from the timer, and b,
+  // repaired before the timeout but never SACKed, is a hole again, found
+  // without waiting for a second timeout.
+  EXPECT_EQ(dropper.retransmitted[1], (std::vector<std::uint64_t>{a, b}));
+  EXPECT_EQ(receiver.received_in_order_bytes(),
+            static_cast<std::int64_t>(30 * mss));
+}
+
+/// FNV-1a over 64-bit words: a digest of everything a transfer measured.
+struct Digest {
+  std::uint64_t h = 14695981039346656037ULL;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffU;
+      h *= 1099511628211ULL;
+    }
+  }
+  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+/// A sender variant and the digest of its transfers. A change that moves
+/// a digest changed what TCP does, not just how fast it does it.
+struct PinnedTransfer {
+  std::string name;
+  CongestionControl cc;
+  bool pacing;
+  bool delayed_acks;
+  std::uint64_t digest;
+};
+
+void PrintTo(const PinnedTransfer& p, std::ostream* os) { *os << p.name; }
+
+class TcpPinnedTransfer : public ::testing::TestWithParam<PinnedTransfer> {};
+
+// Loss recovery is exact, not approximate: transfers through policers
+// that force SACK recovery and RTOs must measure the same transmissions,
+// loss events, RTT samples and deliveries, down to the nanosecond. The
+// tight policer times out in every variant; the deep one lets the window
+// grow, so one recovery episode spans many segments.
+TEST_P(TcpPinnedTransfer, MeasurementsMatchPinnedDigest) {
+  const auto& p = GetParam();
+  TcpConfig cfg;
+  cfg.cc = p.cc;
+  cfg.pacing = p.pacing;
+  cfg.delayed_acks = p.delayed_acks;
+  struct Policer {
+    Rate rate;
+    std::int64_t burst, limit, bytes;
+  };
+  Digest d;
+  std::uint64_t timeouts = 0;
+  for (const Policer& pol : {Policer{mbps(1), 6000, 4500, 1'500'000},
+                             Policer{mbps(4), 15000, 30000, 6'000'000}}) {
+    auto fifo = std::make_unique<FifoDisc>(0);
+    auto tbf = std::make_unique<TbfDisc>(pol.rate, pol.burst, pol.limit);
+    Harness h(mbps(50), milliseconds(15),
+              std::make_unique<RateLimiterDisc>(std::move(fifo),
+                                                std::move(tbf)),
+              cfg, netsim::kDscpDifferentiated);
+    h.sender->supply(pol.bytes);
+    h.sim.run(seconds(20));
+
+    const auto& m = h.sender->measurement();
+    for (Time t : m.tx_times) d.add(t);
+    for (Time t : m.loss_times) d.add(t);
+    for (double r : m.rtt_ms) d.add(r);
+    for (const auto& del : h.receiver->deliveries()) {
+      d.add(del.at);
+      d.add(static_cast<std::uint64_t>(del.bytes));
+    }
+    d.add(h.sender->retransmissions());
+    d.add(h.sender->timeouts());
+    EXPECT_GT(h.sender->retransmissions(), 0u);
+    timeouts += h.sender->timeouts();
+  }
+  EXPECT_GT(timeouts, 0u);
+  EXPECT_EQ(d.h, p.digest) << "actual digest 0x" << std::hex << d.h;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, TcpPinnedTransfer,
+    ::testing::Values(
+        PinnedTransfer{"CubicPaced", CongestionControl::Cubic, true, false,
+                       0xd9a6c1a97b1203feULL},
+        PinnedTransfer{"CubicUnpaced", CongestionControl::Cubic, false, false,
+                       0xd5ac27a042742351ULL},
+        PinnedTransfer{"CubicPacedDelayedAcks", CongestionControl::Cubic,
+                       true, true, 0x33a61d4b59ed5105ULL},
+        PinnedTransfer{"CubicUnpacedDelayedAcks", CongestionControl::Cubic,
+                       false, true, 0x71d5197547c52cc7ULL},
+        PinnedTransfer{"NewRenoPaced", CongestionControl::NewReno, true,
+                       false, 0xbbea305b70911a36ULL},
+        PinnedTransfer{"NewRenoUnpaced", CongestionControl::NewReno, false,
+                       false, 0x5d485caa40a07eceULL},
+        PinnedTransfer{"NewRenoPacedDelayedAcks", CongestionControl::NewReno,
+                       true, true, 0x968c6c7f9014c51bULL},
+        PinnedTransfer{"NewRenoUnpacedDelayedAcks",
+                       CongestionControl::NewReno, false, true,
+                       0xf9657d511b0f960dULL},
+        PinnedTransfer{"BbrPaced", CongestionControl::Bbr, true, false,
+                       0x71e0166b093ee0c6ULL},
+        PinnedTransfer{"BbrUnpaced", CongestionControl::Bbr, false, false,
+                       0x36ff6fd6972e3ae5ULL},
+        PinnedTransfer{"BbrPacedDelayedAcks", CongestionControl::Bbr, true,
+                       true, 0x30d59c7a54eee89cULL},
+        PinnedTransfer{"BbrUnpacedDelayedAcks", CongestionControl::Bbr,
+                       false, true, 0xbcd8480a3100e022ULL}),
+    [](const ::testing::TestParamInfo<PinnedTransfer>& info) {
+      return info.param.name;
+    });
 
 // Sweep: bulk transfers across bandwidths complete with sane utilization.
 class TcpBandwidthSweep : public ::testing::TestWithParam<double> {};

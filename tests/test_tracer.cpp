@@ -44,6 +44,29 @@ TEST(Tracer, RecordsTransmitsAndDrops) {
   EXPECT_EQ(tracer.drops_by_point().at("l_c"), 1u);
 }
 
+TEST(Tracer, RecordsDropsOnARateLimitedLink) {
+  Simulator sim;
+  NullSink sink;
+  auto limiter =
+      std::make_unique<RateLimiterDisc>(std::make_unique<FifoDisc>(0),
+                                        std::make_unique<TbfDisc>(1e6, 3000,
+                                                                  3000));
+  const RateLimiterDisc& rl = *limiter;
+  Link link(sim, mbps(8), 0, std::move(limiter), &sink);
+  PacketTracer tracer;
+  tracer.attach(link, "l_c");
+  // A burst far above the policer's bucket and queue: the drops happen
+  // inside the TBF class, and the tracer on the link sees each one.
+  for (int i = 0; i < 10; ++i) {
+    link.receive(pkt(7, 1500, kDscpDifferentiated));
+  }
+  sim.run();
+
+  ASSERT_GT(rl.throttled_drops(), 0u);
+  EXPECT_EQ(tracer.drops_by_point().at("l_c"), rl.throttled_drops());
+  EXPECT_EQ(link.disc().drop_count(), rl.throttled_drops());
+}
+
 TEST(Tracer, EventsAreTimeOrdered) {
   Simulator sim;
   NullSink sink;
