@@ -11,7 +11,6 @@
 
 #include "bench_util.hpp"
 #include "experiments/wild.hpp"
-#include "parallel/trials.hpp"
 #include "stats/descriptive.hpp"
 
 using namespace wehey;
@@ -37,8 +36,8 @@ int main() {
   obs::ObservedSweep obs_run("bench_fig5_replay_props");
   const auto scale = run_scale();
 
-  // (i) Our emulation grid (TCP trace, limiter on the common link),
-  // swept in parallel and folded back in config order.
+  // (i) Our emulation grid (TCP trace, limiter on the common link), one
+  // sweep cell; the boxes hold the runs WeHe confirmed.
   std::vector<ScenarioConfig> configs;
   std::uint64_t seed = 3;
   for (double factor : scale.input_rate_factors) {
@@ -52,11 +51,14 @@ int main() {
     }
   }
   std::vector<double> emu_retx, emu_delay;
-  for (const auto& out :
-       parallel::run_trials(configs, bench::run_detectors)) {
-    if (!out.wehe_detected) continue;
-    emu_retx.push_back(out.retx_rate);
-    emu_delay.push_back(out.queue_delay_ms);
+  for (const auto& r : bench::run_grid(
+           obs_run, std::vector<std::string>(configs.size(), "Netflix"),
+           [&](std::size_t i, const std::string& id) {
+             return run_simultaneous_test_reported(configs[i], id);
+           })) {
+    if (r.audit.classification == "skipped") continue;
+    emu_retx.push_back(r.values.at("retx_rate"));
+    emu_delay.push_back(r.values.at("queue_delay_ms"));
   }
 
   // (ii) "Past WeHe tests": single original replays against the wild ISP

@@ -8,72 +8,91 @@
 // Paper shape: WeHeY (loss-trend + modified traces) has FN = 0; classic
 // tomography adds ~66-82% FN for TCP; unmodified traces add 3-11% more;
 // tomography does better on UDP but stays non-zero.
+#include <algorithm>
+#include <cinttypes>
 #include <cstdio>
+#include <map>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "parallel/trials.hpp"
+#include "core/tomography.hpp"
 
 using namespace wehey;
 using namespace wehey::experiments;
 
-namespace {
-
-struct DesignStats {
-  bench::FnStats modified;
-  bench::FnStats unmodified;
-};
-
-DesignStats run_app_grid(const std::string& app) {
-  const auto scale = run_scale();
-  // Interleave the modified/unmodified variants of each grid point in one
-  // flat batch (even index = modified), sweep it in parallel, and fold the
-  // outcomes back in config order.
-  std::vector<ScenarioConfig> configs;
-  std::uint64_t seed = 42;
-  for (double factor : scale.input_rate_factors) {
-    for (double queue : scale.queue_burst_factors) {
-      for (std::size_t run = 0; run < scale.runs_per_config; ++run) {
-        auto cfg = default_scenario(app, seed++);
-        cfg.input_rate_factor = factor;
-        cfg.queue_burst_factor = queue;
-        cfg.modified_traces = true;
-        configs.push_back(cfg);
-        cfg.modified_traces = false;
-        configs.push_back(cfg);
-      }
-    }
-  }
-  const auto outcomes = parallel::run_trials(configs, bench::run_detectors);
-  DesignStats out;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    (i % 2 == 0 ? out.modified : out.unmodified).add(outcomes[i]);
-  }
-  return out;
-}
-
-}  // namespace
-
 int main() {
   bench::print_header("Figure 6", "FN of alternative designs");
   obs::ObservedSweep obs_run("bench_fig6_alt_designs");
+  const auto scale = run_scale();
+
+  // Every grid point of every app runs with modified and with unmodified
+  // traces; each (app, traces) pair is one sweep cell.
+  std::vector<ScenarioConfig> configs;
+  std::vector<std::string> cells;
+  for (const auto& app : evaluation_apps()) {
+    std::uint64_t seed = 42;
+    for (double factor : scale.input_rate_factors) {
+      for (double queue : scale.queue_burst_factors) {
+        for (std::size_t run = 0; run < scale.runs_per_config; ++run) {
+          auto cfg = default_scenario(app, seed++);
+          cfg.input_rate_factor = factor;
+          cfg.queue_burst_factor = queue;
+          for (const bool modified : {true, false}) {
+            cfg.modified_traces = modified;
+            configs.push_back(cfg);
+            cells.push_back(app + (modified ? "-modified" : "-unmodified"));
+          }
+        }
+      }
+    }
+  }
+  // Alg. 4, the classic-tomography baseline, runs on the measurements
+  // Alg. 1 saw; its misses count over the runs the audit evaluated.
+  std::map<std::string, std::uint64_t> tomo_fn;
+  for (const auto& r : bench::run_grid(
+           obs_run, cells, [&](std::size_t i, const std::string& id) {
+             auto res = run_simultaneous_test_reported(configs[i], id);
+             const Time rtt = milliseconds(
+                 std::max(configs[i].rtt1_ms, configs[i].rtt2_ms));
+             res.report.values["tomo_no_params"] =
+                 core::bin_loss_tomo_no_params(res.input.p1_original,
+                                               res.input.p2_original, rtt)
+                         .common_bottleneck
+                     ? 1.0
+                     : 0.0;
+             return res;
+           })) {
+    if (r.audit.classification != "skipped") {
+      tomo_fn[r.cell] += r.values.at("tomo_no_params") == 0.0;
+    }
+  }
+  const auto fn = [&](const std::string& cell, int width) {
+    const auto a = obs_run.cell_audit(cell);
+    return bench::percent(a.fn, a.tp + a.fn, width, 1);
+  };
+  const auto fn_tomo = [&](const std::string& cell, int width) {
+    const auto a = obs_run.cell_audit(cell);
+    return bench::percent(tomo_fn[cell], a.tp + a.fn, width, 1);
+  };
 
   std::printf("(a) TCP trace\n");
-  const auto tcp = run_app_grid("Netflix");
   std::printf("  %-34s | %s\n", "design", "FN rate");
   std::printf("  -----------------------------------+--------\n");
-  std::printf("  %-34s | %6.1f%%\n", "loss-trend corr, modified (WeHeY)",
-              tcp.modified.fn_rate());
-  std::printf("  %-34s | %6.1f%%\n", "BinLossTomoNoParams, modified",
-              tcp.modified.fn_rate_tomo());
-  std::printf("  %-34s | %6.1f%%\n", "loss-trend corr, unmodified",
-              tcp.unmodified.fn_rate());
-  std::printf("  %-34s | %6.1f%%\n", "BinLossTomoNoParams, unmodified",
-              tcp.unmodified.fn_rate_tomo());
-  std::printf("  (experiments: %d modified / %d unmodified; %d skipped "
-              "where WeHe found no differentiation)\n\n",
-              tcp.modified.experiments, tcp.unmodified.experiments,
-              tcp.modified.skipped + tcp.unmodified.skipped);
+  std::printf("  %-34s | %s\n", "loss-trend corr, modified (WeHeY)",
+              fn("Netflix-modified", 7).c_str());
+  std::printf("  %-34s | %s\n", "BinLossTomoNoParams, modified",
+              fn_tomo("Netflix-modified", 7).c_str());
+  std::printf("  %-34s | %s\n", "loss-trend corr, unmodified",
+              fn("Netflix-unmodified", 7).c_str());
+  std::printf("  %-34s | %s\n", "BinLossTomoNoParams, unmodified",
+              fn_tomo("Netflix-unmodified", 7).c_str());
+  const auto modified = obs_run.cell_audit("Netflix-modified");
+  const auto unmodified = obs_run.cell_audit("Netflix-unmodified");
+  std::printf("  (experiments: %" PRIu64 " modified / %" PRIu64
+              " unmodified; %" PRIu64
+              " skipped where WeHe found no differentiation)\n\n",
+              modified.tp + modified.fn, unmodified.tp + unmodified.fn,
+              modified.skipped + unmodified.skipped);
 
   std::printf("(b) UDP apps: BinLossTomoNoParams, unmodified vs Poisson "
               "(WeHeY's loss-trend FN shown for reference)\n");
@@ -82,10 +101,10 @@ int main() {
   std::printf("  ----------+----------------+----------------+-----------\n");
   for (const auto& app : evaluation_apps()) {
     if (app == "Netflix") continue;
-    const auto udp = run_app_grid(app);
-    std::printf("  %-9s | %13.1f%% | %13.1f%% | %9.1f%%\n", app.c_str(),
-                udp.unmodified.fn_rate_tomo(), udp.modified.fn_rate_tomo(),
-                udp.modified.fn_rate());
+    std::printf("  %-9s | %s | %s | %s\n", app.c_str(),
+                fn_tomo(app + "-unmodified", 14).c_str(),
+                fn_tomo(app + "-modified", 14).c_str(),
+                fn(app + "-modified", 10).c_str());
   }
   std::printf("\npaper: WeHeY FN = 0 across all 319 detected experiments; "
               "classic tomography +66-82%% (TCP), unmodified traces add "

@@ -5,11 +5,11 @@
 //
 // Paper shape: overall FN ~19%; false negatives concentrate where the
 // retransmission rate exceeds ~20%.
+#include <cinttypes>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "parallel/trials.hpp"
 
 using namespace wehey;
 using namespace wehey::experiments;
@@ -18,15 +18,6 @@ int main() {
   bench::print_header("Figure 7", "FN under severe throttling (TCP)");
   obs::ObservedSweep obs_run("bench_fig7_severe");
   const auto scale = run_scale();
-
-  struct Point {
-    double retx;
-    double qdelay;
-    bool detected;
-  };
-  std::vector<Point> points;
-  bench::FnStats overall;
-  int below20_fn = 0, below20_n = 0, above20_fn = 0, above20_n = 0;
 
   std::vector<ScenarioConfig> configs;
   std::uint64_t seed = 7;
@@ -40,37 +31,40 @@ int main() {
       }
     }
   }
-  // The sweep runs on the parallel engine; the scatter/stat aggregation
-  // below walks the outcomes in config order, so output is identical to
-  // the serial loop.
-  const auto outcomes = parallel::run_trials(configs, bench::run_detectors);
-  for (const auto& out : outcomes) {
-    overall.add(out);
-    if (!out.wehe_detected) continue;
-    points.push_back({out.retx_rate, out.queue_delay_ms, out.loss_trend});
-    if (out.retx_rate > 0.20) {
-      ++above20_n;
-      above20_fn += !out.loss_trend;
-    } else {
-      ++below20_n;
-      below20_fn += !out.loss_trend;
-    }
-  }
+  // One sweep cell: the figure is one scatter and one overall rate.
+  const auto reports = bench::run_grid(
+      obs_run, std::vector<std::string>(configs.size(), "Netflix"),
+      [&](std::size_t i, const std::string& id) {
+        return run_simultaneous_test_reported(configs[i], id);
+      });
 
   std::printf("scatter (retx rate, queueing delay ms, verdict):\n");
   auto csv = bench::open_csv("fig7_severe");
   if (csv) csv->header({"retx_rate", "queueing_delay_ms", "verdict"});
-  for (const auto& p : points) {
-    std::printf("  %.3f  %7.1f  %s\n", p.retx, p.qdelay,
-                p.detected ? "TP" : "FN");
+  int below20_fn = 0, below20_n = 0, above20_fn = 0, above20_n = 0;
+  for (const auto& r : reports) {
+    if (r.audit.classification == "skipped") continue;
+    const double retx = r.values.at("retx_rate");
+    const double qdelay = r.values.at("queue_delay_ms");
+    const bool detected = r.audit.classification == "tp";
+    std::printf("  %.3f  %7.1f  %s\n", retx, qdelay, detected ? "TP" : "FN");
     if (csv) {
-      csv->row({CsvWriter::num(p.retx), CsvWriter::num(p.qdelay),
-                p.detected ? "TP" : "FN"});
+      csv->row({CsvWriter::num(retx), CsvWriter::num(qdelay),
+                detected ? "TP" : "FN"});
+    }
+    if (retx > 0.20) {
+      ++above20_n;
+      above20_fn += !detected;
+    } else {
+      ++below20_n;
+      below20_fn += !detected;
     }
   }
-  std::printf("\noverall FN: %.1f%% over %d detected experiments "
-              "(%d skipped)\n",
-              overall.fn_rate(), overall.experiments, overall.skipped);
+  const auto a = obs_run.cell_audit("Netflix");
+  std::printf("\noverall FN: %s over %" PRIu64
+              " detected experiments (%" PRIu64 " skipped)\n",
+              bench::percent(a.fn, a.tp + a.fn, 0, 1).c_str(), a.tp + a.fn,
+              a.skipped);
   if (below20_n > 0) {
     std::printf("FN with retx <= 20%%: %.1f%% (%d exps)\n",
                 100.0 * below20_fn / below20_n, below20_n);

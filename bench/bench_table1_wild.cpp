@@ -8,7 +8,6 @@
 #include "bench_util.hpp"
 #include "stats/resample.hpp"
 #include "experiments/wild.hpp"
-#include "parallel/trials.hpp"
 #include "trace/apps.hpp"
 
 using namespace wehey;
@@ -40,55 +39,40 @@ int main() {
     base.isp = isp;
     base.seed = 1;
     if (plan.has_value()) base.fault_plan = &*plan;
-    const std::size_t total = tests_per_isp + sanity_per_isp;
-
-    // Checkpoint resume (WEHEY_CHECKPOINT): runs a killed sweep already
-    // completed do not execute, so only the remainder does.
-    std::vector<std::string> run_ids(total);
-    std::size_t live = 0;
-    for (std::size_t i = 0; i < total; ++i) {
-      char run_id[64];
-      std::snprintf(run_id, sizeof(run_id), "bench_table1_wild.%s.r%03zu",
-                    isp.name.c_str(), i);
-      run_ids[i] = run_id;
-      live += !obs_run.completed(run_ids[i]);
-    }
-    // T_diff feeds only the tests that actually execute.
-    const auto t_diff = live > 0
+    const std::vector<std::string> cells(tests_per_isp + sanity_per_isp,
+                                         isp.name);
+    // T_diff feeds only the tests that actually execute (WEHEY_CHECKPOINT
+    // resumes the rest).
+    const auto t_diff = bench::grid_has_live_runs(obs_run, cells)
                             ? build_wild_t_diff(base, scale.full ? 14 : 10)
                             : std::vector<double>{};
 
-    // Basic and sanity-check tests are independent full WeHeY runs; fan
-    // them out as one batch on the parallel engine (first tests_per_isp
-    // entries are basic tests, the rest sanity checks). Each test comes
-    // back as a reported run, absorbed into the sweep aggregate in index
-    // order below.
+    // Basic and sanity-check tests are independent full WeHeY runs, one
+    // batch per ISP: the first tests_per_isp runs are basic tests, the
+    // rest sanity checks.
     const auto& services = trace::tcp_app_names();
-    const auto wild_results =
-        parallel::parallel_map(total, [&](std::size_t i) {
-          if (obs_run.completed(run_ids[i])) return WildTestResult{};
+    const auto reports = bench::run_grid(
+        obs_run, cells, [&](std::size_t i, const std::string& run_id) {
           WildConfig cfg = base;
           if (i < tests_per_isp) {
             cfg.seed = 1000 + i * 17;
             cfg.app = services[i % services.size()];  // §5: five services
             return run_wild_test_reported(cfg, t_diff,
-                                          /*sanity_check=*/false, run_ids[i]);
+                                          /*sanity_check=*/false, run_id);
           }
           cfg.seed = 5000 + (i - tests_per_isp) * 13;
           return run_wild_test_reported(cfg, t_diff, /*sanity_check=*/true,
-                                        run_ids[i]);
+                                        run_id);
         });
     std::size_t localized = 0;
     std::size_t wrong_sanity = 0;
-    for (std::size_t i = 0; i < total; ++i) {
-      // Tallies come from the run's report values, live or journaled.
-      const auto& res = wild_results[i];
-      auto values = obs_run.absorb(run_ids[i], res.report, &res.metrics);
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+      const auto& values = reports[i].values;
       // Wrong sanity-check behaviour: detecting a (per-client) common
       // bottleneck while a third flow shares it.
-      const bool per_client = values["per_client"] != 0.0;
+      const bool per_client = values.at("per_client") != 0.0;
       if (i < tests_per_isp) {
-        localized += per_client && values["localized"] != 0.0;
+        localized += per_client && values.at("localized") != 0.0;
       } else {
         wrong_sanity += per_client;
       }

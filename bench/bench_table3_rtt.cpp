@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "parallel/trials.hpp"
 
 using namespace wehey;
 using namespace wehey::experiments;
@@ -19,10 +18,13 @@ int main() {
   const auto scale = run_scale();
   const std::vector<double> rtts{15, 25, 35, 60, 120};
 
-  // Flatten the (transport x RTT_2) table into one trial batch, run it
-  // through the parallel engine, and aggregate per cell in config order.
+  // One grid over (transport x RTT_2); each table cell is one sweep cell.
+  const auto cell = [&](std::size_t row, std::size_t r) {
+    return std::string(row == 0 ? "TCP" : "UDP") + "-rtt" +
+           std::to_string(static_cast<int>(rtts[r]));
+  };
   std::vector<ScenarioConfig> configs;
-  std::vector<std::size_t> cell_of;  // row * rtts.size() + column
+  std::vector<std::string> cells;
   for (const bool tcp : {true, false}) {
     const std::size_t row = tcp ? 0 : 1;
     for (std::size_t r = 0; r < rtts.size(); ++r) {
@@ -38,17 +40,15 @@ int main() {
             cfg.rtt2_ms = rtts[r];
             cfg.bg_diff_fraction = bg_fraction;
             configs.push_back(cfg);
-            cell_of.push_back(row * rtts.size() + r);
+            cells.push_back(cell(row, r));
           }
         }
       }
     }
   }
-  const auto outcomes = parallel::run_trials(configs, bench::run_detectors);
-  std::vector<bench::FnStats> cells(2 * rtts.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    cells[cell_of[i]].add(outcomes[i]);
-  }
+  bench::run_grid(obs_run, cells, [&](std::size_t i, const std::string& id) {
+    return run_simultaneous_test_reported(configs[i], id);
+  });
 
   std::printf("%-10s", "RTT_2(ms)");
   for (double r : rtts) std::printf(" | %7.0f", r);
@@ -56,7 +56,8 @@ int main() {
   for (std::size_t row = 0; row < 2; ++row) {
     std::printf("%-10s", row == 0 ? "TCP - FN" : "UDP - FN");
     for (std::size_t r = 0; r < rtts.size(); ++r) {
-      std::printf(" | %6.1f%%", cells[row * rtts.size() + r].fn_rate());
+      const auto a = obs_run.cell_audit(cell(row, r));
+      std::printf(" | %s", bench::percent(a.fn, a.tp + a.fn, 7, 1).c_str());
     }
     std::printf("\n");
   }

@@ -5,11 +5,11 @@
 // Paper shape: UDP FN stays near zero (0/0.38/2.38%); TCP FN grows with
 // the congestion level (19.3/28/34.88%) as l1/l2 become the dominant
 // bottlenecks and decorrelate the two paths' losses.
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "parallel/trials.hpp"
 
 using namespace wehey;
 using namespace wehey::experiments;
@@ -20,10 +20,14 @@ int main() {
   const auto scale = run_scale();
   const std::vector<double> utils{0.95, 1.05, 1.15};
 
-  // One flat trial batch over (transport x utilization), aggregated per
-  // table cell in config order after the parallel sweep.
+  // One grid over (transport x utilization); each table cell is one
+  // sweep cell.
+  const auto cell = [&](std::size_t row, std::size_t u) {
+    return std::string(row == 0 ? "UDP" : "TCP") + "-util" +
+           std::to_string(static_cast<int>(std::lround(utils[u] * 100)));
+  };
   std::vector<ScenarioConfig> configs;
-  std::vector<std::size_t> cell_of;
+  std::vector<std::string> cells;
   for (const bool udp : {true, false}) {
     const std::size_t row = udp ? 0 : 1;
     for (std::size_t u = 0; u < utils.size(); ++u) {
@@ -38,24 +42,23 @@ int main() {
             cfg.nc_utilization = utils[u];
             cfg.bg_diff_fraction = bg_fraction;
             configs.push_back(cfg);
-            cell_of.push_back(row * utils.size() + u);
+            cells.push_back(cell(row, u));
           }
         }
       }
     }
   }
-  const auto outcomes = parallel::run_trials(configs, bench::run_detectors);
-  std::vector<bench::FnStats> cells(2 * utils.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    cells[cell_of[i]].add(outcomes[i]);
-  }
+  bench::run_grid(obs_run, cells, [&](std::size_t i, const std::string& id) {
+    return run_simultaneous_test_reported(configs[i], id);
+  });
 
   std::printf("%-10s | %-11s | %-13s | %s\n", "", "0.95 (low)",
               "1.05 (medium)", "1.15 (high)");
   for (std::size_t row = 0; row < 2; ++row) {
     std::printf("%-10s", row == 0 ? "UDP - FN" : "TCP - FN");
     for (std::size_t u = 0; u < utils.size(); ++u) {
-      std::printf(" | %10.1f%%", cells[row * utils.size() + u].fn_rate());
+      const auto a = obs_run.cell_audit(cell(row, u));
+      std::printf(" | %s", bench::percent(a.fn, a.tp + a.fn, 11, 1).c_str());
     }
     std::printf("\n");
   }

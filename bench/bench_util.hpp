@@ -7,21 +7,31 @@
 // numbers go into the values of its own RunReport (obs::ObservedSweep;
 // WEHEY_REPORT / WEHEY_REPORT_DIR write it), and its main returns
 // `obs_run.finish() ? 0 : 1` so that a failed artifact write fails it.
+//
+// The paper-table benches (Tables 1 and 3-5, Figs 5-7) run their grids
+// through run_grid: one reported run per grid point, absorbed into the
+// sweep, one sweep cell per table cell. The §6 tables score each run with
+// the audit of experiments::run_simultaneous_test_reported and print
+// Alg. 1's FN rate fn/(tp+fn) and FP rate fp/(fp+tn) from the cell's
+// audit counts; runs WeHe did not confirm, or that ran out of budget, are
+// skipped, as §6.2 excludes them. With WEHEY_CHECKPOINT every grid bench
+// resumes a killed sweep into the same tables.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/csv.hpp"
-#include "core/loss_correlation.hpp"
-#include "core/tomography.hpp"
 #include "experiments/params.hpp"
 #include "experiments/scenario.hpp"
-#include "faults/injector.hpp"
 #include "faults/plan.hpp"
 #include "obs/sweep.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace wehey::bench {
 
@@ -36,82 +46,73 @@ inline void print_header(const std::string& id, const std::string& what) {
   std::printf("==============================================================\n");
 }
 
-/// Outcome of one FN/FP-style experiment (simultaneous phases only).
-struct DetectorOutcome {
-  bool wehe_detected = false;   ///< confirmation passed on both paths
-  bool loss_trend = false;      ///< Alg. 1 verdict
-  bool tomo_no_params = false;  ///< Alg. 4 verdict (baseline)
-  double retx_rate = 0.0;       ///< p1 original-replay loss rate
-  double queue_delay_ms = 0.0;  ///< p1 original-replay avg queueing delay
-  double tput1_mbps = 0.0;
-  /// Simulated durations of the two phases (replay + drain), for stage
-  /// timings in per-trial reports.
-  Time original_duration = 0;
-  Time inverted_duration = 0;
-  /// Summed injector tallies of the two simultaneous phases (all zero
-  /// without a fault plan).
-  faults::InjectionStats injection;
-};
-
-/// Run the simultaneous phases of `cfg` and evaluate both the final
-/// detector and the classic-tomography baseline on the same measurements.
-inline DetectorOutcome run_detectors(const experiments::ScenarioConfig& cfg) {
-  DetectorOutcome out;
-  const auto sim = experiments::run_simultaneous_experiment(cfg);
-  out.wehe_detected = sim.differentiation_confirmed;
-  out.retx_rate = sim.original.p1.retx_rate;
-  out.queue_delay_ms = sim.original.p1.avg_queuing_delay_ms;
-  out.tput1_mbps = sim.original.p1.avg_throughput_bps / 1e6;
-  const Time rtt = milliseconds(std::max(cfg.rtt1_ms, cfg.rtt2_ms));
-  out.loss_trend = core::loss_trend_correlation(sim.original.p1.meas,
-                                                sim.original.p2.meas, rtt)
-                       .common_bottleneck;
-  out.tomo_no_params =
-      core::bin_loss_tomo_no_params(sim.original.p1.meas,
-                                    sim.original.p2.meas, rtt)
-          .common_bottleneck;
-  out.original_duration = sim.original.sim_duration;
-  out.inverted_duration = sim.inverted.sim_duration;
-  out.injection = sim.original.injection;
-  out.injection += sim.inverted.injection;
-  return out;
+/// Run `i` of a grid in sweep cell `cell`: "<sweep>.<cell>.r<i>". Cell
+/// labels use only [A-Za-z0-9_-]: they appear in per-run file names and in
+/// `wehey_cli compare`'s dotted key paths.
+inline std::string grid_run_id(const obs::ObservedSweep& sweep,
+                               const std::string& cell, std::size_t i) {
+  char index[24];
+  std::snprintf(index, sizeof(index), ".r%03zu", i);
+  return sweep.name() + "." + cell + index;
 }
 
-struct FnStats {
-  int experiments = 0;       ///< experiments where WeHe detected
-  int skipped = 0;           ///< WeHe did not detect (excluded, as §6.2)
-  int fn_loss_trend = 0;
-  int fn_tomo = 0;
+/// Whether any run of the grid `cells` executes in this process: the
+/// rest were completed by the sweep a journal resumes.
+inline bool grid_has_live_runs(const obs::ObservedSweep& sweep,
+                               const std::vector<std::string>& cells) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!sweep.completed(grid_run_id(sweep, cells[i], i))) return true;
+  }
+  return false;
+}
 
-  void add(const DetectorOutcome& o) {
-    if (!o.wehe_detected) {
-      ++skipped;
-      return;
-    }
-    ++experiments;
-    fn_loss_trend += !o.loss_trend;
-    fn_tomo += !o.tomo_no_params;
+/// One grid: run i lands in sweep cell cells[i]. `run(i, run_id)` returns
+/// a reported result (`report` and `metrics`) and is called only for runs
+/// the sweep has not completed, on the parallel engine. Every run is then
+/// absorbed in index order, and the absorbed reports, live or journaled,
+/// come back in that order, so a resumed sweep prints the same tables.
+template <class Run>
+std::vector<obs::RunReport> run_grid(obs::ObservedSweep& sweep,
+                                     const std::vector<std::string>& cells,
+                                     Run&& run) {
+  struct Result {
+    obs::RunReport report;
+    obs::MetricsRegistry metrics;
+  };
+  std::vector<std::string> ids(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    ids[i] = grid_run_id(sweep, cells[i], i);
   }
-  double fn_rate() const {
-    return experiments > 0 ? 100.0 * fn_loss_trend / experiments : 0.0;
+  auto results = parallel::parallel_map(cells.size(), [&](std::size_t i) {
+    if (sweep.completed(ids[i])) return Result{};
+    auto res = run(i, ids[i]);
+    res.report.cell = cells[i];
+    return Result{std::move(res.report), std::move(res.metrics)};
+  });
+  std::vector<obs::RunReport> absorbed;
+  absorbed.reserve(cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    absorbed.push_back(
+        sweep.absorb(ids[i], results[i].report, &results[i].metrics));
   }
-  double fn_rate_tomo() const {
-    return experiments > 0 ? 100.0 * fn_tomo / experiments : 0.0;
-  }
-};
+  return absorbed;
+}
 
-struct FpStats {
-  int experiments = 0;
-  int fp_loss_trend = 0;
-
-  void add(bool loss_trend) {
-    ++experiments;
-    fp_loss_trend += loss_trend;
+/// `num` of `den` in percent, printed as "%<width-1>.<precision>f%%" would
+/// print it; "n/a" right-aligned to `width` when `den` is 0 (a cell with
+/// no evaluated run has no rate).
+inline std::string percent(std::uint64_t num, std::uint64_t den, int width,
+                           int precision) {
+  char buf[32];
+  if (den == 0) {
+    std::snprintf(buf, sizeof(buf), "%*s", width, "n/a");
+  } else {
+    std::snprintf(buf, sizeof(buf), "%*.*f%%", width > 0 ? width - 1 : 0,
+                  precision,
+                  100.0 * static_cast<double>(num) / static_cast<double>(den));
   }
-  double fp_rate() const {
-    return experiments > 0 ? 100.0 * fp_loss_trend / experiments : 0.0;
-  }
-};
+  return buf;
+}
 
 /// Open "<WEHEY_CSV_DIR>/<name>.csv" for plot-ready artifact output, or
 /// null when the environment variable is unset.

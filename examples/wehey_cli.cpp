@@ -8,10 +8,10 @@
 //   wehey_cli topology [--clients N] [--seed N]
 //   wehey_cli sweep    [--app NAME] [--runs N] [--fp]
 //                      [--checkpoint PATH [--resume]] [--out PATH]
-//                      (with --checkpoint/--out: full experiments ->
-//                      sweep_report.v1, one flushed journal line per
-//                      completed run; --resume skips journaled runs and
-//                      reproduces the uninterrupted bytes)
+//                      (§6.2 tests -> FN or FP tally from the audit;
+//                      --checkpoint journals one flushed line per run,
+//                      --resume skips journaled runs and reproduces the
+//                      uninterrupted bytes, --out writes the sweep report)
 //   wehey_cli trace    [--seed N] [--max-events N]   (ascii packet trace)
 //   wehey_cli full     [--app NAME] [--seed N] [--out PATH] [--faults NAME]
 //                      (full 4-phase experiment -> RunReport; JSON to
@@ -28,11 +28,12 @@
 // it honours the observability environment (WEHEY_TRACE=path,
 // WEHEY_RUNTIME_REPORT=path, WEHEY_PROGRESS=plain|tty). WEHEY_REPORT=path
 // names the report of wild, session and full; WEHEY_REPORT_DIR=dir also
-// takes the per-run reports of a checkpointed sweep. wild, session, sweep
-// and full inject a shipped chaos plan with --faults NAME (or
-// WEHEY_FAULT_PLAN=NAME; seed: --chaos-seed N or WEHEY_CHAOS_SEED); an
-// unknown name exits 2.
+// takes the per-run reports and the sweep report of a sweep. wild,
+// session, sweep and full inject a shipped chaos plan with --faults NAME
+// (or WEHEY_FAULT_PLAN=NAME; seed: --chaos-seed N or WEHEY_CHAOS_SEED);
+// an unknown name exits 2.
 // Status lines go to stderr; exit 1 when an artifact fails to write.
+#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -241,14 +242,15 @@ int cmd_topology(const Args& args) {
   return 0;
 }
 
-/// Checkpointed sweep: `runs` full 4-phase experiments into one
-/// sweep_report.v1 (--out, else stdout), one flushed journal line per
-/// completed run. With --resume, journaled runs are re-absorbed instead of
-/// re-run, so the sweep report is byte-identical to an uninterrupted
-/// run's.
-int run_checkpointed_sweep(const Args& args, obs::ObservedSweep& observed,
-                           const std::string& app, std::size_t runs,
-                           bool fp_mode) {
+/// `runs` §6.2 tests of one app through the sweep, printing Alg. 1's
+/// tally from the sweep's audit. --checkpoint journals every run (with
+/// --resume, journaled runs are absorbed instead of re-run, so the sweep
+/// report is byte-identical to an uninterrupted run's); --out writes the
+/// sweep report (no value = stdout).
+int cmd_sweep(const Args& args, obs::ObservedSweep& observed) {
+  const auto app = args.get("app", "Netflix");
+  const auto runs = static_cast<std::size_t>(args.num("runs", 6));
+  const bool fp_mode = args.has("fp");
   const auto plan = fault_plan_from(args);
   const std::string ckpt = args.get("checkpoint", "");
   std::string error;
@@ -257,10 +259,8 @@ int run_checkpointed_sweep(const Args& args, obs::ObservedSweep& observed,
     std::fprintf(stderr, "sweep: %s\n", error.c_str());
     return 1;
   }
-  observed.sweep_to(args.get("out", ""));
+  if (args.has("out")) observed.sweep_to(args.get("out", ""));
   observed.expect_runs(runs);
-  HistoryConfig hist;
-  hist.replays = 6;
   for (std::size_t i = 0; i < runs; ++i) {
     char run_id[64];
     std::snprintf(run_id, sizeof(run_id), "wehey_cli_sweep.%s.r%03zu",
@@ -270,8 +270,7 @@ int run_checkpointed_sweep(const Args& args, obs::ObservedSweep& observed,
       auto cfg = default_scenario(app, 7000 + i);
       if (fp_mode) cfg.placement = Placement::NonCommonLinks;
       if (plan.has_value()) cfg.fault_plan = &*plan;
-      res = run_full_experiment_reported(
-          cfg, build_t_diff_history(cfg, hist), run_id);
+      res = run_simultaneous_test_reported(cfg, run_id);
       res.report.cell = app;
       std::fprintf(stderr, "%s: %s%s%s\n", run_id,
                    res.report.verdict.c_str(),
@@ -280,33 +279,14 @@ int run_checkpointed_sweep(const Args& args, obs::ObservedSweep& observed,
     }
     observed.absorb(run_id, res.report, &res.metrics);
   }
-  return 0;
-}
-
-int cmd_sweep(const Args& args, obs::ObservedSweep& observed) {
-  const auto app = args.get("app", "Netflix");
-  const auto runs = static_cast<std::size_t>(args.num("runs", 6));
-  const bool fp_mode = args.has("fp");
-  if (args.has("checkpoint") || args.has("resume") || args.has("out")) {
-    return run_checkpointed_sweep(args, observed, app, runs, fp_mode);
-  }
-  int detected = 0, confirmed = 0;
-  for (std::size_t i = 0; i < runs; ++i) {
-    auto cfg = default_scenario(app, 7000 + i);
-    if (fp_mode) cfg.placement = Placement::NonCommonLinks;
-    const auto sim = run_simultaneous_experiment(cfg);
-    if (!sim.differentiation_confirmed && !fp_mode) continue;
-    ++confirmed;
-    detected += core::loss_trend_correlation(
-                    sim.original.p1.meas, sim.original.p2.meas,
-                    milliseconds(cfg.rtt1_ms))
-                    .common_bottleneck;
-  }
+  const auto a = observed.cell_audit(app);
   if (fp_mode) {
-    std::printf("%s: FP %d/%d\n", app.c_str(), detected, confirmed);
+    std::printf("%s: FP %" PRIu64 "/%" PRIu64 "\n", app.c_str(), a.fp,
+                a.fp + a.tn);
   } else {
-    std::printf("%s: detected %d/%d confirmed (FN %d)\n", app.c_str(),
-                detected, confirmed, confirmed - detected);
+    std::printf("%s: detected %" PRIu64 "/%" PRIu64 " confirmed (FN %" PRIu64
+                ")\n",
+                app.c_str(), a.tp, a.tp + a.fn, a.fn);
   }
   return 0;
 }

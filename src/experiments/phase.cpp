@@ -134,14 +134,24 @@ TestRun run_test_phases(const TestSpec& spec) {
   // Independent simulations, indexed by phase: the run is the same
   // whatever order they complete in.
   run.phases = parallel::parallel_map(
-      4, [&](std::size_t i) { return spec.run_phase(kTestPhases[i]); });
+      spec.phases.size(),
+      [&](std::size_t i) { return spec.run_phase(spec.phases[i]); });
   auto& in = run.input;
-  in.p1_original = run.phases[0].p1.meas;
-  in.p2_original = run.phases[0].p2.meas;
-  in.p1_inverted = run.phases[1].p1.meas;
-  in.p2_inverted = run.phases[1].p2.meas;
-  in.p0_original = run.phases[2].p1.meas;
-  in.p0_inverted = run.phases[3].p1.meas;
+  for (std::size_t i = 0; i < spec.phases.size(); ++i) {
+    const PhaseReport& rep = run.phases[i];
+    switch (spec.phases[i]) {
+      case Phase::SimOriginal:
+        in.p1_original = rep.p1.meas;
+        in.p2_original = rep.p2.meas;
+        break;
+      case Phase::SimInverted:
+        in.p1_inverted = rep.p1.meas;
+        in.p2_inverted = rep.p2.meas;
+        break;
+      case Phase::SingleOriginal: in.p0_original = rep.p1.meas; break;
+      case Phase::SingleInverted: in.p0_inverted = rep.p1.meas; break;
+    }
+  }
   in.t_diff_history = spec.t_diff;
   in.base_rtt = spec.base_rtt;
   for (const auto& rep : run.phases) {
@@ -198,7 +208,7 @@ ReportedTest run_reported_test(const TestSpec& spec,
   // empty-but-valid decision block.
   r.decision = decision_section(run.localization.trace);
   for (std::size_t i = 0; i < run.phases.size(); ++i) {
-    r.add_stage(spec.phase_names[static_cast<std::size_t>(kTestPhases[i])],
+    r.add_stage(spec.phase_names[static_cast<std::size_t>(spec.phases[i])],
                 0, run.phases[i].sim_duration);
   }
   for (const auto& [kind, count] : run.injection.by_kind()) {

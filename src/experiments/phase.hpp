@@ -2,7 +2,8 @@
 // wild runner (wild.cpp), the §6 runner (scenario.cpp) and, for its fault,
 // background and replay steps, the §3.4 session (replay/session.cpp).
 //
-// A test runs four phases, then localize(). Each phase is one fresh
+// A test runs its phases (all four, or the §6.2 test's two simultaneous
+// ones), then localize(). Each phase is one fresh
 // simulation, with its RNG draws in this order: the network (one split
 // for access jitter), background for path 1 and then path 2, then the
 // runner's replays. A runner supplies only what differs: network
@@ -14,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -36,6 +38,10 @@ inline constexpr Time kDrainGrace = seconds(3);
 inline constexpr Phase kTestPhases[] = {
     Phase::SimOriginal, Phase::SimInverted, Phase::SingleOriginal,
     Phase::SingleInverted};
+/// The §6.2 test's phases: WeHe's confirmation on both paths and Alg. 1
+/// need no p0 replay.
+inline constexpr Phase kSimultaneousPhases[] = {Phase::SimOriginal,
+                                                Phase::SimInverted};
 
 /// A runner's stage and span names, indexed by Phase.
 using PhaseNames = std::array<const char*, 4>;
@@ -112,13 +118,14 @@ struct TestSpec {
   const faults::FaultPlan* fault_plan;
   const std::vector<double>& t_diff;
   Time base_rtt;
+  std::span<const Phase> phases = kTestPhases;  ///< run and staged, in order
 };
 
 struct TestRun {
-  std::vector<PhaseReport> phases;  ///< kTestPhases order
+  std::vector<PhaseReport> phases;  ///< TestSpec::phases order
   core::LocalizationInput input;
   core::LocalizationResult localization;  ///< default if never localized
-  /// The first budget-exhausted phase in kTestPhases order.
+  /// The first budget-exhausted phase in TestSpec::phases order.
   bool budget_exhausted = false;
   std::string budget_reason;
   faults::InjectionStats injection;  ///< summed over the phases
@@ -126,8 +133,8 @@ struct TestRun {
   std::uint64_t limiter_drops = 0;
 };
 
-/// The four phases on the parallel engine (serial inside an outer sweep)
-/// and the localization input assembled from them; no verdict.
+/// The spec's phases on the parallel engine (serial inside an outer
+/// sweep) and the localization input assembled from them; no verdict.
 TestRun run_test_phases(const TestSpec& spec);
 
 /// run_test_phases, then localize() unless a phase ran out of budget.

@@ -13,8 +13,12 @@ namespace {
 constexpr PhaseNames kPhaseNames = {"sim_original", "sim_inverted",
                                     "single_original", "single_inverted"};
 
-TestSpec full_experiment(const ScenarioConfig& cfg,
-                         const std::vector<double>& t_diff_history) {
+/// The §6.2 test's T_diff: none, so §4.1's comparison cannot run.
+const std::vector<double> kNoTDiff;
+
+TestSpec scenario_test(const ScenarioConfig& cfg,
+                       const std::vector<double>& t_diff_history,
+                       std::span<const Phase> phases) {
   return {.run_phase = [&cfg](Phase phase) { return run_phase(cfg, phase); },
           .phase_names = kPhaseNames,
           .seed = cfg.seed,
@@ -22,7 +26,27 @@ TestSpec full_experiment(const ScenarioConfig& cfg,
           .fault_plan = cfg.fault_plan,
           .t_diff = t_diff_history,
           .base_rtt = std::max(milliseconds(cfg.rtt1_ms),
-                               milliseconds(cfg.rtt2_ms))};
+                               milliseconds(cfg.rtt2_ms)),
+          .phases = phases};
+}
+
+/// The reported test with the scenario's ground truth and the audit of
+/// its within-target-area verdict; a non-empty `skip_reason` keeps the run
+/// out of the confusion counts.
+FullExperimentResult audited(const ScenarioConfig& cfg, ReportedTest&& test,
+                             const std::string& skip_reason) {
+  FullExperimentResult out;
+  out.input = std::move(test.run.input);
+  out.localization = std::move(test.run.localization);
+  out.report = std::move(test.report);
+  out.metrics = std::move(test.metrics);
+  auto& r = out.report;
+  r.ground_truth = ground_truth_section(cfg, derive(cfg));
+  r.audit = obs::classify_audit(
+      r.ground_truth,
+      out.localization.verdict == core::Verdict::EvidenceWithinTargetArea,
+      /*mechanism_mismatch=*/false, skip_reason, r.decision);
+  return out;
 }
 
 }  // namespace
@@ -140,33 +164,36 @@ PhaseReport run_phase(const ScenarioConfig& cfg, Phase phase) {
 
 core::LocalizationInput run_full_experiment(
     const ScenarioConfig& cfg, const std::vector<double>& t_diff_history) {
-  return run_test_phases(full_experiment(cfg, t_diff_history)).input;
+  return run_test_phases(scenario_test(cfg, t_diff_history, kTestPhases))
+      .input;
 }
 
 FullExperimentResult run_full_experiment_reported(
     const ScenarioConfig& cfg, const std::vector<double>& t_diff_history,
     const std::string& run_name) {
-  auto test = run_reported_test(full_experiment(cfg, t_diff_history), run_name);
-  FullExperimentResult out;
-  out.input = std::move(test.run.input);
-  out.localization = std::move(test.run.localization);
-  out.report = std::move(test.report);
-  out.metrics = std::move(test.metrics);
-
-  auto& r = out.report;
+  auto test = run_reported_test(
+      scenario_test(cfg, t_diff_history, kTestPhases), run_name);
+  auto& v = test.report.values;
+  v["limiter_drops"] = static_cast<double>(test.run.limiter_drops);
+  v["phases_faulted"] = test.run.faulted_phases;
+  v["degraded"] = test.run.localization.degraded ? 1.0 : 0.0;
   const bool budget_exhausted = test.run.budget_exhausted;
-  // Ground truth from the limiter placement the scenario configured; the
-  // audit scores the within-target-area verdict against it.
-  r.ground_truth = ground_truth_section(cfg, derive(cfg));
-  r.audit = obs::classify_audit(
-      r.ground_truth,
-      !budget_exhausted &&
-          out.localization.verdict == core::Verdict::EvidenceWithinTargetArea,
-      /*mechanism_mismatch=*/false, budget_exhausted, r.decision);
-  r.values["limiter_drops"] = static_cast<double>(test.run.limiter_drops);
-  r.values["phases_faulted"] = test.run.faulted_phases;
-  r.values["degraded"] = out.localization.degraded ? 1.0 : 0.0;
-  return out;
+  return audited(cfg, std::move(test),
+                 budget_exhausted ? obs::kSkipBudgetExhausted : "");
+}
+
+FullExperimentResult run_simultaneous_test_reported(
+    const ScenarioConfig& cfg, const std::string& run_name) {
+  auto test = run_reported_test(
+      scenario_test(cfg, kNoTDiff, kSimultaneousPhases), run_name);
+  const PathReport& p1 = test.run.phases[0].p1;
+  test.report.values["retx_rate"] = p1.retx_rate;
+  test.report.values["queue_delay_ms"] = p1.avg_queuing_delay_ms;
+  const char* skip = test.run.budget_exhausted ? obs::kSkipBudgetExhausted
+                     : test.run.localization.confirmation_passed
+                         ? ""
+                         : obs::kSkipNotConfirmed;
+  return audited(cfg, std::move(test), skip);
 }
 
 SimultaneousResult run_simultaneous_experiment(const ScenarioConfig& cfg) {

@@ -141,13 +141,25 @@ struct FullExperimentResult {
 /// run under a dedicated metrics recorder (regardless of the environment),
 /// so the report's histograms are always populated; if a recorder is
 /// already bound, the run's metrics and timeline are also absorbed into it
-/// under a `run_name` track. Deterministic across WEHEY_THREADS.
+/// under a `run_name` track. Deterministic across WEHEY_THREADS. The audit
+/// skips only a budget-stopped run.
 FullExperimentResult run_full_experiment_reported(
     const ScenarioConfig& cfg, const std::vector<double>& t_diff_history,
     const std::string& run_name = "full_experiment");
 
-/// The two simultaneous phases only — enough for the FN/FP loss-trend
-/// experiments of §6.2/§6.3 (confirmation + Alg. 1).
+/// The §6.2 test that every §6 table scores (Tables 3-5, Figs 5-7): the
+/// two simultaneous phases, then localize() with no p0 replay and no
+/// T_diff, which leaves WeHe's confirmation on both paths followed by
+/// Alg. 1 at base RTT max(RTT_1, RTT_2). Reported like
+/// run_full_experiment_reported; the audit also skips a run whose
+/// confirmation failed ("not-confirmed"), as §6.2 excludes it. Values:
+/// p1's `retx_rate` and `queue_delay_ms` in the simultaneous original
+/// phase.
+FullExperimentResult run_simultaneous_test_reported(
+    const ScenarioConfig& cfg, const std::string& run_name);
+
+/// The two simultaneous phases only, unscored: their raw phase reports
+/// and WeHe's confirmation per path.
 struct SimultaneousResult {
   PhaseReport original;
   PhaseReport inverted;

@@ -207,10 +207,10 @@ WildTestResult run_wild_test_reported(const WildConfig& cfg,
       sanity_check ? per_client : (out.outcome.localized && per_client);
   const bool mechanism_mismatch =
       !sanity_check && out.outcome.localized && !per_client;
-  r.audit =
-      obs::classify_audit(r.ground_truth, observed_positive,
-                          mechanism_mismatch, out.outcome.budget_exhausted,
-                          r.decision);
+  r.audit = obs::classify_audit(
+      r.ground_truth, observed_positive, mechanism_mismatch,
+      out.outcome.budget_exhausted ? obs::kSkipBudgetExhausted : "",
+      r.decision);
   r.values["localized"] = out.outcome.localized ? 1.0 : 0.0;
   // The mechanism as a scalar, so offline consumers (checkpoint resume in
   // the Table-1 bench) can rebuild per-cell tallies from journaled

@@ -113,6 +113,11 @@ void SweepAggregator::add_run(const RunReport& report,
   }
 }
 
+AuditTally SweepAggregator::cell_audit(const std::string& cell) const {
+  const auto it = cells_.find(cell);
+  return it == cells_.end() ? AuditTally{} : it->second.audit;
+}
+
 namespace {
 
 /// {"count": N, "min":, "max":, "mean":, "sum":, "p50":, "p90":, "p99":}

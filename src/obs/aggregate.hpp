@@ -80,6 +80,19 @@ inline constexpr char kDecisionMarginValue[] = "decision_margin";
 /// the progress meter share it.
 inline constexpr double kKnifeEdgeMargin = 0.05;
 
+/// Confusion-matrix counts folded from per-run "audit" sections
+/// (RunReport v5). Purely integer tallies, so the fold is associative and
+/// the rendered ratios are a function of the absorbed run set.
+struct AuditTally {
+  std::uint64_t tp = 0;
+  std::uint64_t fp = 0;
+  std::uint64_t fn = 0;
+  std::uint64_t tn = 0;
+  std::uint64_t skipped = 0;
+  std::map<std::string, std::uint64_t> mismatch_reasons;
+  bool any() const { return tp + fp + fn + tn + skipped > 0; }
+};
+
 class SweepAggregator {
  public:
   explicit SweepAggregator(std::string sweep_name)
@@ -91,6 +104,9 @@ class SweepAggregator {
 
   std::size_t runs() const { return runs_; }
   const std::string& sweep_name() const { return sweep_; }
+  /// The audit counts of `cell`'s runs so far (all zero for a cell with no
+  /// audited run).
+  AuditTally cell_audit(const std::string& cell) const;
 
   /// Serialize the aggregate (see the schema sketch above).
   std::string to_json() const;
@@ -118,19 +134,6 @@ class SweepAggregator {
     double max = 0.0;
     std::vector<std::uint64_t> bins;
     Samples run_sums;  ///< one entry per contributing non-empty run
-  };
-
-  /// Confusion-matrix counts folded from per-run "audit" sections
-  /// (RunReport v5). Purely integer tallies, so the fold is associative
-  /// and the rendered ratios are a function of the absorbed run set.
-  struct AuditTally {
-    std::uint64_t tp = 0;
-    std::uint64_t fp = 0;
-    std::uint64_t fn = 0;
-    std::uint64_t tn = 0;
-    std::uint64_t skipped = 0;
-    std::map<std::string, std::uint64_t> mismatch_reasons;
-    bool any() const { return tp + fp + fn + tn + skipped > 0; }
   };
 
   struct CellAgg {

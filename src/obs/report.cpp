@@ -14,7 +14,7 @@ namespace wehey::obs {
 
 AuditSection classify_audit(const GroundTruthSection& truth,
                             bool observed_positive, bool mechanism_mismatch,
-                            bool budget_exhausted,
+                            const std::string& skip_reason,
                             const DecisionSection& decision) {
   AuditSection audit;
   if (!truth.present) return audit;
@@ -26,11 +26,11 @@ AuditSection classify_audit(const GroundTruthSection& truth,
   audit.expected_positive = truth.differentiated &&
                             truth.within_target_area && !truth.sanity_check;
   audit.observed_positive = observed_positive;
-  if (budget_exhausted) {
-    // No analyzable verdict: excluded from the confusion ratios, never
+  if (!skip_reason.empty()) {
+    // No verdict to score: excluded from the confusion ratios, never
     // counted for or against accuracy.
     audit.classification = "skipped";
-    audit.mismatch_reason = "budget-exhausted";
+    audit.mismatch_reason = skip_reason;
     return audit;
   }
   if (audit.expected_positive) {

@@ -34,6 +34,7 @@
 //               "observed_positive": true|false,
 //               "classification": "tp"|"fp"|"fn"|"tn"|"skipped",
 //               "mismatch_reason": "" | "budget-exhausted" |
+//                                  "not-confirmed" |
 //                                  "mechanism-mismatch" | "sub-margin-miss" |
 //                                  "clear-miss" | "no-margin" |
 //                                  "not-evaluated"},
@@ -199,28 +200,36 @@ struct AuditSection {
   bool expected_positive = false;
   /// What this run's verdict actually concluded.
   bool observed_positive = false;
-  /// "tp" | "fp" | "fn" | "tn" | "skipped" (budget-exhausted runs carry
-  /// no analyzable verdict and are excluded from accuracy ratios).
+  /// "tp" | "fp" | "fn" | "tn" | "skipped" (runs without a verdict the
+  /// audit may score; excluded from accuracy ratios).
   std::string classification;
   /// Machine-readable reason when observed != expected (empty on match):
-  /// "budget-exhausted", "mechanism-mismatch" (verdict localized but the
-  /// wrong throttling mechanism), "sub-margin-miss" (|decision margin| <
-  /// kKnifeEdgeMargin — a knife-edge miss, flagged not failed),
-  /// "clear-miss", "no-margin", "not-evaluated".
+  /// "mechanism-mismatch" (verdict localized but the wrong throttling
+  /// mechanism), "sub-margin-miss" (|decision margin| < kKnifeEdgeMargin
+  /// — a knife-edge miss, flagged not failed), "clear-miss", "no-margin",
+  /// "not-evaluated"; on a skipped run, its skip reason.
   std::string mismatch_reason;
 };
+
+// Skip reasons of classify_audit.
+/// The supervisor's per-trial budget stopped the run before its verdict.
+inline constexpr char kSkipBudgetExhausted[] = "budget-exhausted";
+/// WeHe did not confirm differentiation on both paths; §6.2 leaves such
+/// runs out of its FN and FP rates.
+inline constexpr char kSkipNotConfirmed[] = "not-confirmed";
 
 /// Classify a verdict against its ground truth. `observed_positive` is the
 /// runner's success predicate (e.g. localized AND per-client mechanism for
 /// the Table-1 wild tests); `mechanism_mismatch` marks a localized verdict
-/// that named the wrong mechanism; `budget_exhausted` runs classify as
-/// "skipped". The mismatch reason cross-references `decision`: a miss
-/// whose |margin| is under kKnifeEdgeMargin is "sub-margin-miss"
-/// (knife-edge, flagged not failed by the sweep gate). Pure function of
-/// its inputs — deterministic across WEHEY_THREADS.
+/// that named the wrong mechanism; a non-empty `skip_reason` (a kSkip*
+/// constant) classifies the run as "skipped" with that reason. The
+/// mismatch reason cross-references `decision`: a miss whose |margin| is
+/// under kKnifeEdgeMargin is "sub-margin-miss" (knife-edge, flagged not
+/// failed by the sweep gate). Pure function of its inputs — deterministic
+/// across WEHEY_THREADS.
 AuditSection classify_audit(const GroundTruthSection& truth,
                             bool observed_positive, bool mechanism_mismatch,
-                            bool budget_exhausted,
+                            const std::string& skip_reason,
                             const DecisionSection& decision);
 
 struct RunReport {

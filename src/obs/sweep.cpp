@@ -74,9 +74,9 @@ bool ObservedSweep::checkpoint(const std::string& path, bool resume,
   return true;
 }
 
-std::map<std::string, double> ObservedSweep::absorb(
-    const std::string& run_id, const RunReport& live,
-    const MetricsRegistry* live_metrics) {
+const RunReport& ObservedSweep::absorb(const std::string& run_id,
+                                      const RunReport& live,
+                                      const MetricsRegistry* live_metrics) {
   const std::uint64_t index = next_index_++;
   const auto journaled = journaled_.find(run_id);
   const bool resumed = journaled != journaled_.end();
@@ -105,7 +105,7 @@ std::map<std::string, double> ObservedSweep::absorb(
     const std::string path = run_dir_ + "/" + run_id + ".report.json";
     if (!write_artifact("report", path, json)) run_write_failed_ = true;
   }
-  return run.values;
+  return run;
 }
 
 bool ObservedSweep::finish() {

@@ -1,7 +1,7 @@
 // ObservedSweep: the one owner of a process's run artifacts. Every bench
 // binary and every wehey_cli command opens one first thing; grid sweeps
-// (the Table-1 and Table-5 benches, `wehey_cli sweep`) also feed each of
-// their runs through absorb().
+// (the paper-table benches, `wehey_cli sweep`) also feed each of their
+// runs through absorb().
 //
 // The constructor reads the obs environment, one variable per artifact,
 // and binds a run-wide Recorder (metrics, plus a timeline when tracing) to
@@ -32,9 +32,9 @@
 // exactly as a live one. A journaled report it cannot read (a journal
 // from an older build) is not a completed run; that run executes again. A
 // resumed sweep reproduces the uninterrupted sweep report, per-run
-// reports, progress tallies, and every tally the caller derives from
-// absorb()'s values. The process's own report metrics and the trace cover
-// only the runs executed in this process.
+// reports, progress tallies, cell_audit(), and every tally the caller
+// derives from the reports absorb() returns. The process's own report
+// metrics and the trace cover only the runs executed in this process.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +61,8 @@ class ObservedSweep {
   ~ObservedSweep() { finish(); }
   ObservedSweep(const ObservedSweep&) = delete;
   ObservedSweep& operator=(const ObservedSweep&) = delete;
+
+  const std::string& name() const { return name_; }
 
   /// The process's own RunReport. Clearing its `run` writes none (a CLI
   /// command that reports nothing).
@@ -90,10 +92,15 @@ class ObservedSweep {
   /// and `live_metrics` are its report and registry (ignored when the run
   /// is completed(): its journaled report stands in). Call in a
   /// deterministic order: the journal records it as the run index.
-  /// Returns the run's values.
-  std::map<std::string, double> absorb(const std::string& run_id,
-                                       const RunReport& live,
-                                       const MetricsRegistry* live_metrics);
+  /// Returns the absorbed report: `live` itself, or the journaled report,
+  /// which lives as long as the sweep.
+  const RunReport& absorb(const std::string& run_id, const RunReport& live,
+                          const MetricsRegistry* live_metrics);
+
+  /// The audit counts absorbed so far into sweep cell `cell`.
+  AuditTally cell_audit(const std::string& cell) const {
+    return aggregator_.cell_audit(cell);
+  }
 
   /// Write the trace, the reports and the runtime sidecar. Runs once; the
   /// destructor calls it. Returns false if an artifact, or a per-run

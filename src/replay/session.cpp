@@ -578,7 +578,10 @@ obs::RunReport make_run_report(const SessionConfig& cfg,
       report.ground_truth,
       result.outcome == SessionOutcome::LocalizedWithinIsp,
       /*mechanism_mismatch=*/false,
-      result.outcome == SessionOutcome::BudgetExhausted, report.decision);
+      result.outcome == SessionOutcome::BudgetExhausted
+          ? obs::kSkipBudgetExhausted
+          : "",
+      report.decision);
   report.stages = result.stages;
   report.values["replay_retries"] = result.replay_retries;
   report.values["control_retries"] = result.control_retries;

@@ -1,12 +1,17 @@
 // Experiment harness: scenario derivation, the Figure-1 network, phases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/loss_correlation.hpp"
 #include "experiments/history.hpp"
 #include "experiments/network.hpp"
 #include "experiments/params.hpp"
+#include "experiments/phase.hpp"
 #include "experiments/scenario.hpp"
 #include "experiments/wild.hpp"
 #include "obs/recorder.hpp"
+#include "parallel/thread_pool.hpp"
 #include "stats/descriptive.hpp"
 
 namespace wehey::experiments {
@@ -154,6 +159,93 @@ TEST(Phase, SinglePhaseHasNoSecondPath) {
   const auto rep = run_phase(cfg, Phase::SingleOriginal);
   EXPECT_FALSE(rep.p1.meas.deliveries.empty());
   EXPECT_TRUE(rep.p2.meas.deliveries.empty());
+}
+
+// A TestSpec stages exactly the phases it names, in its order, and the
+// localization input holds only their measurements.
+TEST(Phase, TwoPhaseTestStagesOnlyItsPhases) {
+  constexpr PhaseNames kNames = {"sim_original", "sim_inverted",
+                                 "single_original", "single_inverted"};
+  const std::vector<double> no_t_diff;
+  const TestSpec spec{.run_phase =
+                          [](Phase phase) {
+                            PhaseReport rep;
+                            rep.p1.meas.deliveries.push_back({seconds(1), 1});
+                            rep.sim_duration =
+                                seconds(1 + static_cast<int>(phase));
+                            return rep;
+                          },
+                      .phase_names = kNames,
+                      .seed = 1,
+                      .analysis_seed = 2,
+                      .fault_plan = nullptr,
+                      .t_diff = no_t_diff,
+                      .base_rtt = milliseconds(35),
+                      .phases = kSimultaneousPhases};
+  const auto test = run_reported_test(spec, "two_phase");
+  ASSERT_EQ(test.run.phases.size(), 2u);
+  ASSERT_EQ(test.report.stages.size(), 2u);
+  EXPECT_EQ(test.report.stages[0].name, "sim_original");
+  EXPECT_EQ(test.report.stages[0].sim_end, seconds(1));
+  EXPECT_EQ(test.report.stages[1].name, "sim_inverted");
+  EXPECT_EQ(test.report.stages[1].sim_end, seconds(2));
+  EXPECT_EQ(test.run.input.p1_original.deliveries.size(), 1u);
+  EXPECT_EQ(test.run.input.p1_inverted.deliveries.size(), 1u);
+  EXPECT_TRUE(test.run.input.p0_original.deliveries.empty());
+  EXPECT_TRUE(test.run.input.p0_inverted.deliveries.empty());
+}
+
+// The §6.2 test scores every §6 table. Its reference is the composition
+// the tables used before: the two simultaneous phases, WeHe's
+// confirmation on both paths (an unconfirmed run is skipped), then Alg. 1
+// at base RTT max(RTT_1, RTT_2). The runs come from the bench grids and
+// cover each class: Table 5's Netflix and WhatsApp seed 1 (unconfirmed)
+// and Zoom seed 2 (its FP hit), and Fig 7's seeds 7 (TP) and 8 (FN).
+TEST(Scenario, SimultaneousTestAuditMatchesConfirmedLossTrend) {
+  struct Case {
+    ScenarioConfig cfg;
+    const char* expected;
+  };
+  const auto table5 = [](const char* app, std::uint64_t seed) {
+    auto cfg = default_scenario(app, seed);
+    cfg.placement = Placement::NonCommonLinks;
+    cfg.input_rate_factor = 1.5;
+    cfg.queue_burst_factor = 0.25;
+    return cfg;
+  };
+  const auto fig7 = [](std::uint64_t seed) {
+    auto cfg = default_scenario("Netflix", seed);
+    cfg.bg_diff_fraction = 0.25;
+    cfg.input_rate_factor = 1.5;
+    return cfg;
+  };
+  const std::vector<Case> cases = {{table5("Netflix", 1), "skipped"},
+                                   {table5("WhatsApp", 1), "skipped"},
+                                   {table5("Zoom", 2), "fp"},
+                                   {fig7(7), "tp"},
+                                   {fig7(8), "fn"}};
+  const auto reference = [](const ScenarioConfig& cfg) -> std::string {
+    const auto sim = run_simultaneous_experiment(cfg);
+    if (!sim.differentiation_confirmed) return "skipped";
+    const bool detected =
+        core::loss_trend_correlation(
+            sim.original.p1.meas, sim.original.p2.meas,
+            milliseconds(std::max(cfg.rtt1_ms, cfg.rtt2_ms)))
+            .common_bottleneck;
+    if (cfg.placement == Placement::CommonLink) return detected ? "tp" : "fn";
+    return detected ? "fp" : "tn";
+  };
+  const auto classes = parallel::parallel_map(cases.size(), [&](std::size_t i) {
+    const auto res = run_simultaneous_test_reported(cases[i].cfg, "parity");
+    return std::pair(reference(cases[i].cfg), res.report.audit);
+  });
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [want, audit] = classes[i];
+    EXPECT_EQ(want, cases[i].expected) << i;
+    EXPECT_EQ(audit.classification, want) << i;
+    EXPECT_EQ(audit.mismatch_reason == "not-confirmed", want == "skipped")
+        << i;
+  }
 }
 
 TEST(History, TDiffHasSpreadAndSaneRange) {

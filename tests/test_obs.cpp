@@ -416,13 +416,13 @@ TEST(Report, SessionReportIsDeterministicAndComplete) {
   }
 }
 
-// v5 classification table: expected (from truth) x observed x budget,
-// with the mismatch reason graded against the decision margin.
+// v5 classification table: expected (from truth) x observed x skip
+// reason, with the mismatch reason graded against the decision margin.
 TEST(Report, ClassifyAuditCoversTheConfusionMatrix) {
   GroundTruthSection truth;  // not present -> audit absent
   DecisionSection decision;
   EXPECT_FALSE(
-      classify_audit(truth, true, false, false, decision).present);
+      classify_audit(truth, true, false, "", decision).present);
 
   truth.present = true;
   truth.differentiated = true;
@@ -431,34 +431,35 @@ TEST(Report, ClassifyAuditCoversTheConfusionMatrix) {
   decision.has_margin = true;
   decision.margin = 0.8;
 
-  const auto tp = classify_audit(truth, true, false, false, decision);
+  const auto tp = classify_audit(truth, true, false, "", decision);
   EXPECT_TRUE(tp.present);
   EXPECT_TRUE(tp.expected_positive);
   EXPECT_EQ(tp.classification, "tp");
   EXPECT_EQ(tp.mismatch_reason, "");
 
-  const auto fn = classify_audit(truth, false, false, false, decision);
+  const auto fn = classify_audit(truth, false, false, "", decision);
   EXPECT_EQ(fn.classification, "fn");
   EXPECT_EQ(fn.mismatch_reason, "clear-miss");
 
   // A localized-but-wrong-mechanism run is a miss with its own reason.
-  const auto mech = classify_audit(truth, false, true, false, decision);
+  const auto mech = classify_audit(truth, false, true, "", decision);
   EXPECT_EQ(mech.classification, "fn");
   EXPECT_EQ(mech.mismatch_reason, "mechanism-mismatch");
 
   // Budget-exhausted runs never reached a verdict: skipped, not wrong.
-  const auto skipped = classify_audit(truth, false, false, true, decision);
+  const auto skipped =
+      classify_audit(truth, false, false, kSkipBudgetExhausted, decision);
   EXPECT_EQ(skipped.classification, "skipped");
   EXPECT_EQ(skipped.mismatch_reason, "budget-exhausted");
 
   // Sanity-check runs expect a negative even though the network is
   // configured to differentiate.
   truth.sanity_check = true;
-  const auto fp = classify_audit(truth, true, false, false, decision);
+  const auto fp = classify_audit(truth, true, false, "", decision);
   EXPECT_FALSE(fp.expected_positive);
   EXPECT_EQ(fp.classification, "fp");
   EXPECT_EQ(fp.mismatch_reason, "clear-miss");
-  const auto tn = classify_audit(truth, false, false, false, decision);
+  const auto tn = classify_audit(truth, false, false, "", decision);
   EXPECT_EQ(tn.classification, "tn");
   EXPECT_EQ(tn.mismatch_reason, "");
   truth.sanity_check = false;
@@ -466,24 +467,38 @@ TEST(Report, ClassifyAuditCoversTheConfusionMatrix) {
   // Outside the target area (the NonCommonLinks scenario) a positive is
   // a false positive by construction.
   truth.within_target_area = false;
-  EXPECT_EQ(classify_audit(truth, true, false, false, decision)
+  EXPECT_EQ(classify_audit(truth, true, false, "", decision)
                 .classification,
             "fp");
+  truth.within_target_area = true;
+
+  // §6.2 leaves runs WeHe did not confirm out of its rates: skipped,
+  // whatever the verdict and whichever way the truth points.
+  for (const bool within : {true, false}) {
+    truth.within_target_area = within;
+    for (const bool observed : {true, false}) {
+      const auto unconfirmed =
+          classify_audit(truth, observed, false, kSkipNotConfirmed, decision);
+      EXPECT_EQ(unconfirmed.expected_positive, within);
+      EXPECT_EQ(unconfirmed.classification, "skipped");
+      EXPECT_EQ(unconfirmed.mismatch_reason, "not-confirmed");
+    }
+  }
   truth.within_target_area = true;
 
   // Miss grading: no decision at all, no margin, sub-margin (knife
   // edge), clear.
   DecisionSection none;
-  EXPECT_EQ(classify_audit(truth, false, false, false, none)
+  EXPECT_EQ(classify_audit(truth, false, false, "", none)
                 .mismatch_reason,
             "not-evaluated");
   none.evaluated = true;
-  EXPECT_EQ(classify_audit(truth, false, false, false, none)
+  EXPECT_EQ(classify_audit(truth, false, false, "", none)
                 .mismatch_reason,
             "no-margin");
   none.has_margin = true;
   none.margin = -0.01;  // |margin| under the default 0.05 threshold
-  EXPECT_EQ(classify_audit(truth, false, false, false, none)
+  EXPECT_EQ(classify_audit(truth, false, false, "", none)
                 .mismatch_reason,
             "sub-margin-miss");
 }

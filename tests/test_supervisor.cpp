@@ -162,6 +162,9 @@ TEST(Supervisor, TightEventBudgetEndsWildTestWithoutLocalization) {
   scenario.replay_duration = seconds(8);
   const auto full =
       experiments::run_full_experiment_reported(scenario, t_diff, "tight");
+  // So does the §6.2 test: a cut-short run is skipped, not scored.
+  const auto simultaneous =
+      experiments::run_simultaneous_test_reported(scenario, "tight");
   ::unsetenv("WEHEY_TRIAL_MAX_EVENTS");
 
   EXPECT_TRUE(res.outcome.budget_exhausted);
@@ -169,6 +172,7 @@ TEST(Supervisor, TightEventBudgetEndsWildTestWithoutLocalization) {
   EXPECT_FALSE(res.outcome.localized);  // analyses skipped, inputs stumps
   expect_budget_stopped_report(res.report);
   expect_budget_stopped_report(full.report);
+  expect_budget_stopped_report(simultaneous.report);
 }
 
 // --- Quarantine tallies --------------------------------------------------

@@ -74,7 +74,7 @@ std::pair<RunReport, MetricsRegistry> synthetic_run(std::size_t i) {
   r.ground_truth.rate_bps = 1e6 + static_cast<double>(i);
   r.audit = classify_audit(r.ground_truth, i % 2 == 0,
                            /*mechanism_mismatch=*/false,
-                           /*budget_exhausted=*/false, r.decision);
+                           /*skip_reason=*/"", r.decision);
   r.add_stage("wehe_test", 0, (1 + Time(i)) * kSecond);
   r.add_stage("analysis", (1 + Time(i)) * kSecond,
               (2 + Time(i)) * kSecond);
@@ -927,7 +927,7 @@ TEST(ObservedSweep, ReportDirWritesEveryReport) {
     ObservedSweep sweep("every");
     for (std::size_t i = 0; i < n; ++i) {
       const auto [r, m] = synthetic_run(i);
-      const auto values = sweep.absorb(r.run, r, &m);
+      const auto values = sweep.absorb(r.run, r, &m).values;
       EXPECT_EQ(values, r.values);
     }
     EXPECT_TRUE(sweep.finish());
@@ -1068,8 +1068,9 @@ TEST(ObservedSweep, StaleJournalEntryExecutesAgain) {
     for (std::size_t i = 0; i < n; ++i) {
       const auto [r, m] = synthetic_run(i);
       EXPECT_EQ(sweep.completed(r.run), i != 1) << r.run;
-      const auto values = sweep.absorb(
-          r.run, sweep.completed(r.run) ? RunReport{} : r, &m);
+      const auto values =
+          sweep.absorb(r.run, sweep.completed(r.run) ? RunReport{} : r, &m)
+              .values;
       EXPECT_EQ(values, r.values) << r.run;
     }
   }
