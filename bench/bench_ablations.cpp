@@ -3,15 +3,15 @@
 //   2. requiring (1-FP)|Sigma| interval sizes vs a single size,
 //   3. the 10-50 RTT interval band vs narrower/wider bands,
 //   4. MWU vs KS vs Welch t for the §4.1 throughput comparison.
+#include <algorithm>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "core/loss_correlation.hpp"
 #include "core/throughput_comparison.hpp"
-#include "experiments/history.hpp"
 #include "experiments/wild.hpp"
-#include "parallel/trials.hpp"
 #include "stats/hypothesis.hpp"
 
 using namespace wehey;
@@ -21,58 +21,9 @@ namespace {
 
 struct CorrVariant {
   const char* name;
+  const char* key;  ///< run value "loss_trend_<key>"
   core::LossCorrelationConfig cfg;
 };
-
-/// The measurement batches every correlation variant is scored against:
-/// `fn` are common-bottleneck experiments, `fp` separate-limiter ones.
-/// Simulated once on the parallel engine and shared across variants (the
-/// serial bench used to re-simulate them per variant).
-struct VariantInputs {
-  std::vector<SimultaneousResult> fn;
-  std::vector<SimultaneousResult> fp;
-};
-
-VariantInputs simulate_variant_inputs(int runs) {
-  std::vector<ScenarioConfig> configs;
-  for (int i = 0; i < runs; ++i) {
-    configs.push_back(default_scenario("Netflix", 300 + i));
-  }
-  for (int i = 0; i < runs; ++i) {
-    auto fp_cfg = default_scenario("Netflix", 400 + i);
-    fp_cfg.placement = Placement::NonCommonLinks;
-    configs.push_back(fp_cfg);
-  }
-  auto sims = parallel::run_trials(configs, run_simultaneous_experiment);
-  VariantInputs in;
-  in.fn.assign(std::make_move_iterator(sims.begin()),
-               std::make_move_iterator(sims.begin() + runs));
-  in.fp.assign(std::make_move_iterator(sims.begin() + runs),
-               std::make_move_iterator(sims.end()));
-  return in;
-}
-
-/// FN/FP of a loss-correlation variant over the shared batches.
-void eval_variant(const CorrVariant& v, const VariantInputs& in) {
-  int fn = 0, fn_n = 0, fp = 0, fp_n = 0;
-  for (const auto& sim : in.fn) {
-    if (!sim.differentiation_confirmed) continue;
-    ++fn_n;
-    fn += !core::loss_trend_correlation(sim.original.p1.meas,
-                                        sim.original.p2.meas,
-                                        milliseconds(35), v.cfg)
-               .common_bottleneck;
-  }
-  for (const auto& fp_sim : in.fp) {
-    ++fp_n;
-    fp += core::loss_trend_correlation(fp_sim.original.p1.meas,
-                                       fp_sim.original.p2.meas,
-                                       milliseconds(35), v.cfg)
-              .common_bottleneck;
-  }
-  std::printf("  %-34s | FN %2d/%2d | FP %2d/%2d\n", v.name, fn, fn_n, fp,
-              fp_n);
-}
 
 }  // namespace
 
@@ -85,42 +36,89 @@ int main() {
   std::printf("(1,2,3) loss-trend correlation variants "
               "(common-bottleneck FN / separate-limiters FP):\n");
   std::vector<CorrVariant> variants;
-  variants.push_back({"WeHeY (Spearman, 9 sizes, 10-50RTT)", {}});
+  variants.push_back({"WeHeY (Spearman, 9 sizes, 10-50RTT)", "wehey", {}});
   {
     core::LossCorrelationConfig c;
     c.method = core::CorrelationMethod::Pearson;
-    variants.push_back({"Pearson instead of Spearman", c});
+    variants.push_back({"Pearson instead of Spearman", "pearson", c});
   }
   {
     core::LossCorrelationConfig c;
     c.method = core::CorrelationMethod::Kendall;
-    variants.push_back({"Kendall tau instead of Spearman", c});
+    variants.push_back({"Kendall tau instead of Spearman", "kendall", c});
   }
   {
     core::LossCorrelationConfig c;
     c.method = core::CorrelationMethod::SpearmanPermutation;
-    variants.push_back({"Spearman, permutation p-values", c});
+    variants.push_back({"Spearman, permutation p-values", "permutation", c});
   }
   {
     core::LossCorrelationConfig c;
     c.interval_sizes = 2;  // (1-FP)*2 = 1.9 -> both must fire; close to
                            // single-size behaviour
-    variants.push_back({"2 interval sizes only", c});
+    variants.push_back({"2 interval sizes only", "two_sizes", c});
   }
   {
     core::LossCorrelationConfig c;
     c.min_interval_rtts = 1;
     c.max_interval_rtts = 5;
-    variants.push_back({"narrow band (1-5 RTT)", c});
+    variants.push_back({"narrow band (1-5 RTT)", "narrow_band", c});
   }
   {
     core::LossCorrelationConfig c;
     c.min_interval_rtts = 100;
     c.max_interval_rtts = 300;
-    variants.push_back({"coarse band (100-300 RTT)", c});
+    variants.push_back({"coarse band (100-300 RTT)", "coarse_band", c});
   }
-  const auto inputs = simulate_variant_inputs(runs);
-  for (const auto& v : variants) eval_variant(v, inputs);
+  // Two sweep cells of §6.2 tests: "common" (common-bottleneck
+  // experiments) and "separate" (separate identical limiters). Every
+  // variant runs on the simultaneous original replays of each test; its
+  // misses and false hits count over the runs the audit evaluated.
+  std::vector<ScenarioConfig> configs;
+  std::vector<std::string> cells;
+  for (int i = 0; i < runs; ++i) {
+    configs.push_back(default_scenario("Netflix", 300 + i));
+    cells.push_back("common");
+  }
+  for (int i = 0; i < runs; ++i) {
+    auto cfg = default_scenario("Netflix", 400 + i);
+    cfg.placement = Placement::NonCommonLinks;
+    configs.push_back(cfg);
+    cells.push_back("separate");
+  }
+  const auto reports = bench::run_grid(
+      obs_run, cells, [&](std::size_t i, const std::string& id) {
+        auto res = run_simultaneous_test_reported(configs[i], id);
+        const auto& original = res.phases[0];
+        const Time rtt = milliseconds(
+            std::max(configs[i].rtt1_ms, configs[i].rtt2_ms));
+        for (const auto& v : variants) {
+          res.report.values[std::string("loss_trend_") + v.key] =
+              core::loss_trend_correlation(original.p1.meas,
+                                           original.p2.meas, rtt, v.cfg)
+                      .common_bottleneck
+                  ? 1.0
+                  : 0.0;
+        }
+        return res;
+      });
+  for (const auto& v : variants) {
+    const std::string key = std::string("loss_trend_") + v.key;
+    int fn = 0, fn_n = 0, fp = 0, fp_n = 0;
+    for (const auto& r : reports) {
+      if (r.audit.classification == "skipped") continue;
+      const bool detected = r.values.at(key) != 0.0;
+      if (r.cell == "common") {
+        ++fn_n;
+        fn += !detected;
+      } else {
+        ++fp_n;
+        fp += detected;
+      }
+    }
+    std::printf("  %-34s | FN %2d/%2d | FP %2d/%2d\n", v.name, fn, fn_n, fp,
+                fp_n);
+  }
 
   std::printf("\n(4) throughput-comparison test statistic "
               "(per-client scenario should DETECT):\n");

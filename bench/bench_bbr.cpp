@@ -5,13 +5,12 @@
 //
 // This bench runs the collective-throttling FN scenario with the replayed
 // TCP session under Cubic vs under (model-level) BBR and reports the
-// realized retransmission rates and WeHeY's detection outcome, plus a
-// clean-path sanity row showing BBR's signature behaviour (no loss, no
-// standing queue).
+// realized retransmission rates and WeHeY's detection outcome. Each row
+// is one sweep cell of §6.2 tests: WeHe = the runs the audit evaluated
+// (confirmed on both paths), loss-trend = their positive verdicts.
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/loss_correlation.hpp"
 
 using namespace wehey;
 using namespace wehey::experiments;
@@ -22,30 +21,37 @@ int main() {
   const auto scale = run_scale();
   const std::size_t runs = scale.full ? 10 : 4;
 
+  const struct {
+    transport::CongestionControl cc;
+    const char* cell;
+  } rows[] = {{transport::CongestionControl::Cubic, "Cubic"},
+              {transport::CongestionControl::Bbr, "BBR"}};
+  std::vector<ScenarioConfig> configs;
+  std::vector<std::string> cells;
+  for (const auto& row : rows) {
+    for (std::size_t i = 0; i < runs; ++i) {
+      auto cfg = default_scenario("Netflix", 1300 + i);
+      cfg.tcp_cc = row.cc;
+      configs.push_back(cfg);
+      cells.push_back(row.cell);
+    }
+  }
+  const auto reports = bench::run_grid(
+      obs_run, cells, [&](std::size_t i, const std::string& id) {
+        return run_simultaneous_test_reported(configs[i], id);
+      });
+
   std::printf("  %-6s | %-6s | %-10s | %-10s | %s\n", "CC", "WeHe",
               "loss-trend", "avg retx", "avg queue delay");
   std::printf("  -------+--------+------------+------------+-----------\n");
-  for (const auto cc : {transport::CongestionControl::Cubic,
-                        transport::CongestionControl::Bbr}) {
-    int wehe = 0, detected = 0, n = 0;
-    double retx_sum = 0, delay_sum = 0;
-    for (std::size_t i = 0; i < runs; ++i) {
-      auto cfg = default_scenario("Netflix", 1300 + i);
-      cfg.tcp_cc = cc;
-      const auto sim = run_simultaneous_experiment(cfg);
-      ++n;
-      wehe += sim.differentiation_confirmed;
-      retx_sum += sim.original.p1.retx_rate;
-      delay_sum += sim.original.p1.avg_queuing_delay_ms;
-      if (!sim.differentiation_confirmed) continue;
-      detected += core::loss_trend_correlation(sim.original.p1.meas,
-                                               sim.original.p2.meas,
-                                               milliseconds(cfg.rtt1_ms))
-                      .common_bottleneck;
-    }
-    std::printf("  %-6s | %2d/%2zu | %7d/%-2d | %9.3f | %7.1f ms\n",
-                cc == transport::CongestionControl::Bbr ? "BBR" : "Cubic",
-                wehe, runs, detected, wehe, retx_sum / n, delay_sum / n);
+  const double n = static_cast<double>(runs);
+  for (const auto& row : rows) {
+    const auto a = obs_run.cell_audit(row.cell);
+    const int wehe = static_cast<int>(a.tp + a.fp + a.fn + a.tn);
+    std::printf("  %-6s | %2d/%2zu | %7d/%-2d | %9.3f | %7.1f ms\n", row.cell,
+                wehe, runs, static_cast<int>(a.tp + a.fp), wehe,
+                bench::cell_sum(reports, row.cell, "retx_rate") / n,
+                bench::cell_sum(reports, row.cell, "queue_delay_ms") / n);
   }
   std::printf("\nobserved: BBR does not reduce its rate on loss; even with "
               "BBRv1's long-term (policer-detection) sampling engaged, its "

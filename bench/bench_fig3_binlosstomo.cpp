@@ -23,9 +23,9 @@ int main() {
   auto cfg = default_scenario("Netflix", 77);
   cfg.replay_duration = seconds(30);
   cfg.input_rate_factor = 1.3;  // mild throttling: a few % average loss
-  const auto sim = run_simultaneous_experiment(cfg);
-  const auto& m1 = sim.original.p1.meas;
-  const auto& m2 = sim.original.p2.meas;
+  const auto test = run_simultaneous_test_reported(cfg, "fig3");
+  const auto& m1 = test.phases[0].p1.meas;
+  const auto& m2 = test.phases[0].p2.meas;
 
   std::printf("(a) per-path loss rate over time (sigma = 0.6 s)\n");
   core::SeriesOptions opt;

@@ -55,8 +55,8 @@ int main() {
              const Time rtt = milliseconds(
                  std::max(configs[i].rtt1_ms, configs[i].rtt2_ms));
              res.report.values["tomo_no_params"] =
-                 core::bin_loss_tomo_no_params(res.input.p1_original,
-                                               res.input.p2_original, rtt)
+                 core::bin_loss_tomo_no_params(res.phases[0].p1.meas,
+                                               res.phases[0].p2.meas, rtt)
                          .common_bottleneck
                      ? 1.0
                      : 0.0;

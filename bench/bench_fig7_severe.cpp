@@ -39,8 +39,6 @@ int main() {
       });
 
   std::printf("scatter (retx rate, queueing delay ms, verdict):\n");
-  auto csv = bench::open_csv("fig7_severe");
-  if (csv) csv->header({"retx_rate", "queueing_delay_ms", "verdict"});
   int below20_fn = 0, below20_n = 0, above20_fn = 0, above20_n = 0;
   for (const auto& r : reports) {
     if (r.audit.classification == "skipped") continue;
@@ -48,10 +46,6 @@ int main() {
     const double qdelay = r.values.at("queue_delay_ms");
     const bool detected = r.audit.classification == "tp";
     std::printf("  %.3f  %7.1f  %s\n", retx, qdelay, detected ? "TP" : "FN");
-    if (csv) {
-      csv->row({CsvWriter::num(retx), CsvWriter::num(qdelay),
-                detected ? "TP" : "FN"});
-    }
     if (retx > 0.20) {
       ++above20_n;
       above20_fn += !detected;

@@ -12,52 +12,17 @@
 //       statistical tool" §7 calls for) detects the shared bucket;
 //   (3) FP control: spoofed *per-path* keys through separate, identically
 //       configured buckets must not be declared coupled.
+// Each condition is one sweep cell of §6.2 tests: WeHe = the runs the
+// audit evaluated (confirmed on both paths), lossTr = their positive
+// verdicts, coupled = the coupled-bottleneck test on the simultaneous
+// original replays of every run.
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "core/coupling.hpp"
-#include "core/loss_correlation.hpp"
 
 using namespace wehey;
 using namespace wehey::experiments;
-
-namespace {
-
-struct Outcome {
-  int runs = 0;
-  int wehe = 0;
-  int loss_trend = 0;
-  int coupled = 0;
-};
-
-Outcome run_batch(bool spoof, bool per_flow, std::uint64_t seed_base,
-                  std::size_t runs) {
-  Outcome out;
-  for (std::size_t i = 0; i < runs; ++i) {
-    auto cfg = default_scenario("Netflix", seed_base + i);
-    cfg.placement =
-        per_flow ? Placement::PerFlowCommonLink : Placement::NonCommonLinks;
-    cfg.spoof_same_flow = spoof;
-    const auto sim = run_simultaneous_experiment(cfg);
-    ++out.runs;
-    out.wehe += sim.differentiation_confirmed;
-    const Time rtt = milliseconds(cfg.rtt1_ms);
-    out.loss_trend += core::loss_trend_correlation(sim.original.p1.meas,
-                                                   sim.original.p2.meas, rtt)
-                          .common_bottleneck;
-    const auto y1 = sim.original.p1.meas.throughput_samples(100);
-    const auto y2 = sim.original.p2.meas.throughput_samples(100);
-    out.coupled += core::coupled_bottleneck_test(y1, y2).coupled;
-  }
-  return out;
-}
-
-void print_row(const char* label, const Outcome& o) {
-  std::printf("  %-42s | %2d/%2d | %2d/%2d | %2d/%2d\n", label, o.wehe,
-              o.runs, o.loss_trend, o.runs, o.coupled, o.runs);
-}
-
-}  // namespace
 
 int main() {
   bench::print_header("§3.2/§7", "per-flow throttling and the countermeasure");
@@ -65,14 +30,55 @@ int main() {
   const auto scale = run_scale();
   const std::size_t runs = scale.full ? 10 : 4;
 
+  const struct {
+    const char* label;
+    const char* cell;
+    bool spoof;
+    bool per_flow;
+    std::uint64_t seed_base;
+  } rows[] = {
+      {"per-flow buckets, honest replays (§3.2)", "honest", false, true, 900},
+      {"per-flow buckets, same-flow spoof (§7)", "spoofed", true, true, 950},
+      {"separate identical buckets, spoofed keys", "separate", true, false,
+       990},
+  };
+  std::vector<ScenarioConfig> configs;
+  std::vector<std::string> cells;
+  for (const auto& row : rows) {
+    for (std::size_t i = 0; i < runs; ++i) {
+      auto cfg = default_scenario("Netflix", row.seed_base + i);
+      cfg.placement = row.per_flow ? Placement::PerFlowCommonLink
+                                   : Placement::NonCommonLinks;
+      cfg.spoof_same_flow = row.spoof;
+      configs.push_back(cfg);
+      cells.push_back(row.cell);
+    }
+  }
+  const auto reports = bench::run_grid(
+      obs_run, cells, [&](std::size_t i, const std::string& id) {
+        auto res = run_simultaneous_test_reported(configs[i], id);
+        const auto& original = res.phases[0];
+        res.report.values["coupled"] =
+            core::coupled_bottleneck_test(
+                original.p1.meas.throughput_samples(100),
+                original.p2.meas.throughput_samples(100))
+                    .coupled
+                ? 1.0
+                : 0.0;
+        return res;
+      });
+
   std::printf("  %-42s | WeHe  | lossTr | coupled\n", "condition");
   std::printf("  -------------------------------------------+-------+--------+--------\n");
-  print_row("per-flow buckets, honest replays (§3.2)",
-            run_batch(false, true, 900, runs));
-  print_row("per-flow buckets, same-flow spoof (§7)",
-            run_batch(true, true, 950, runs));
-  print_row("separate identical buckets, spoofed keys",
-            run_batch(true, false, 990, runs));
+  const int n = static_cast<int>(runs);
+  for (const auto& row : rows) {
+    const auto a = obs_run.cell_audit(row.cell);
+    std::printf("  %-42s | %2d/%2d | %2d/%2d | %2d/%2d\n", row.label,
+                static_cast<int>(a.tp + a.fp + a.fn + a.tn), n,
+                static_cast<int>(a.tp + a.fp), n,
+                static_cast<int>(bench::cell_sum(reports, row.cell, "coupled")),
+                n);
+  }
 
   std::printf("\nexpected shape: honest per-flow -> WeHe detects but no\n"
               "localization (the §3.2 limitation); spoofed per-flow -> the\n"

@@ -1,20 +1,17 @@
 // §7 (QUIC): "we believe it would perform similarly to whatever underlying
 // congestion control algorithm is selected by QUIC".
 //
-// Two comparisons on the collective-throttling scenario:
-//  (1) measurement fidelity — the sender-side loss estimate vs the
-//      rate-limiter's actual drops, for TCP (retransmission-based,
-//      over-counted and time-shifted) vs QUIC (packet-number based);
-//  (2) WeHeY's detection: WeHe confirmation + loss-trend correlation with
-//      the replayed session carried over each transport.
+// WeHeY's detection on the collective-throttling scenario with the
+// replayed session carried over QUIC: WeHe confirmation on both paths,
+// then loss-trend correlation. The measurement-fidelity comparison (the
+// sender-side loss estimate vs the rate-limiter's actual drops, for TCP
+// and QUIC) is asserted in tests/test_quic.cpp.
 #include <cstdio>
+#include <utility>
 
 #include "bench_util.hpp"
-#include "core/loss_correlation.hpp"
-#include "core/wehe.hpp"
-#include "experiments/network.hpp"
-#include "trace/apps.hpp"
-#include "trace/background.hpp"
+#include "core/localizer.hpp"
+#include "experiments/phase.hpp"
 
 using namespace wehey;
 using namespace wehey::experiments;
@@ -27,56 +24,47 @@ struct QuicRun {
   double loss1 = 0;
 };
 
-/// One simultaneous-replay experiment with both paths carried over QUIC.
+/// One simultaneous-replay experiment with both paths carried over QUIC,
+/// scored like the §6.2 test: localize() on the two phases, with no p0
+/// replay and no T_diff.
 QuicRun run_quic_experiment(std::uint64_t seed) {
   auto cfg = default_scenario("Netflix", seed);
   const auto derived = derive(cfg);
+  trace::BackgroundConfig bg = scenario_background(cfg);
+  bg.duration = cfg.replay_duration + kDrainGrace;
 
+  // The §6 phase recipe under the bench's own seeds, with QUIC replays.
   auto run_phase_quic = [&](bool original) {
     Rng rng(seed * 131071ULL + (original ? 1 : 2));
     netsim::Simulator sim;
     FigureOneNetwork net(sim, derived.net, rng);
-    trace::BackgroundConfig bg;
-    bg.target_rate = cfg.bg_rate_per_path;
-    bg.duration = cfg.replay_duration + seconds(3);
-    bg.flows_per_second =
-        std::max(1.5, cfg.bg_rate_per_path / mbps(1.0) * 1.2);
-    for (int path = 1; path <= 2; ++path) {
-      auto flows = trace::generate_background(bg, rng);
-      trace::mark_differentiated(flows, cfg.bg_diff_fraction, rng);
-      net.attach_background(path, flows);
-    }
-    Rng trace_rng(cfg.seed * 0x9e3779b9ULL + 17);
-    trace::AppTrace t = trace::make_tcp_app_trace(cfg.base_trace_duration,
-                                                  trace_rng);
+    attach_backgrounds(net, bg, cfg.bg_diff_fraction,
+                       trace::BackgroundMode::kPacket, rng);
+    trace::AppTrace t = scenario_trace(cfg);
     if (!original) t = trace::bit_invert(t);
     t = trace::extend(t, cfg.replay_duration);
     const int id1 = net.start_quic_replay(1, t, 0);
-    const int id2 = net.start_quic_replay(2, t, milliseconds(5));
+    const int id2 = net.start_quic_replay(2, t, kSecondReplayOffset);
     net.run(cfg.replay_duration);
-    struct Out {
-      PathReport p1, p2;
-    } out;
-    out.p1 = net.report(id1, 0, cfg.replay_duration);
-    out.p2 = net.report(id2, milliseconds(5), cfg.replay_duration);
-    return out;
+    return std::pair(net.report(id1, 0, cfg.replay_duration),
+                     net.report(id2, kSecondReplayOffset,
+                                cfg.replay_duration));
   };
 
-  const auto orig = run_phase_quic(true);
-  const auto inv = run_phase_quic(false);
-  QuicRun res;
-  res.loss1 = orig.p1.meas.loss_rate();
-  res.confirmed =
-      core::detect_differentiation(orig.p1.meas, inv.p1.meas)
-          .differentiation &&
-      core::detect_differentiation(orig.p2.meas, inv.p2.meas)
-          .differentiation;
-  if (res.confirmed) {
-    res.detected = core::loss_trend_correlation(orig.p1.meas, orig.p2.meas,
-                                                milliseconds(cfg.rtt1_ms))
-                       .common_bottleneck;
-  }
-  return res;
+  auto [p1_original, p2_original] = run_phase_quic(true);
+  auto [p1_inverted, p2_inverted] = run_phase_quic(false);
+  core::LocalizationInput in;
+  in.p1_original = std::move(p1_original.meas);
+  in.p2_original = std::move(p2_original.meas);
+  in.p1_inverted = std::move(p1_inverted.meas);
+  in.p2_inverted = std::move(p2_inverted.meas);
+  in.base_rtt = milliseconds(cfg.rtt1_ms);
+  Rng rng(seed);
+  const auto loc = core::localize(in, rng);
+  return {.confirmed = loc.confirmation_passed,
+          .detected =
+              loc.verdict == core::Verdict::EvidenceWithinTargetArea,
+          .loss1 = in.p1_original.loss_rate()};
 }
 
 }  // namespace

@@ -5,11 +5,13 @@
 // The token bucket's queue depth turns it from a policer into a shaper:
 // sweeping the queue from shallow (drops) to deep (delays) shows WeHe's
 // detection surviving throughout while loss-trend localization falls off
-// exactly when the losses disappear — the limitation, reproduced.
+// exactly when the losses disappear — the limitation, reproduced. Each
+// queue depth is one sweep cell of §6.2 tests: WeHe = the runs the audit
+// evaluated (confirmed on both paths), loss-trend = their positive
+// verdicts.
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/loss_correlation.hpp"
 
 using namespace wehey;
 using namespace wehey::experiments;
@@ -20,32 +22,44 @@ int main() {
   const auto scale = run_scale();
   const std::size_t runs = scale.full ? 8 : 3;
 
+  const struct {
+    double queue_factor;
+    const char* cell;
+  } rows[] = {{0.25, "queue0_25"},
+              {1.0, "queue1"},
+              {4.0, "queue4"},
+              {16.0, "queue16"},
+              {64.0, "queue64"}};
+  std::vector<ScenarioConfig> configs;
+  std::vector<std::string> cells;
+  for (const auto& row : rows) {
+    for (std::size_t i = 0; i < runs; ++i) {
+      auto cfg = default_scenario("Netflix", 1400 + i);
+      cfg.queue_burst_factor = row.queue_factor;
+      configs.push_back(cfg);
+      cells.push_back(row.cell);
+    }
+  }
+  const auto reports = bench::run_grid(
+      obs_run, cells, [&](std::size_t i, const std::string& id) {
+        return run_simultaneous_test_reported(configs[i], id);
+      });
+
   std::printf("  %-22s | %-6s | %-10s | %-9s | %s\n",
               "queue (x burst)", "WeHe", "loss-trend", "retx", "queue delay");
   std::printf("  -----------------------+--------+------------+-----------+----------\n");
-  for (double queue_factor : {0.25, 1.0, 4.0, 16.0, 64.0}) {
-    int wehe = 0, detected = 0;
-    double retx_sum = 0, delay_sum = 0;
-    for (std::size_t i = 0; i < runs; ++i) {
-      auto cfg = default_scenario("Netflix", 1400 + i);
-      cfg.queue_burst_factor = queue_factor;
-      const auto sim = run_simultaneous_experiment(cfg);
-      wehe += sim.differentiation_confirmed;
-      retx_sum += sim.original.p1.retx_rate;
-      delay_sum += sim.original.p1.avg_queuing_delay_ms;
-      if (!sim.differentiation_confirmed) continue;
-      detected += core::loss_trend_correlation(sim.original.p1.meas,
-                                               sim.original.p2.meas,
-                                               milliseconds(cfg.rtt1_ms))
-                      .common_bottleneck;
-    }
-    const char* kind = queue_factor <= 1.0   ? "policer"
-                       : queue_factor <= 4.0 ? "shallow shaper"
-                                             : "deep shaper";
+  const double n = static_cast<double>(runs);
+  for (const auto& row : rows) {
+    const auto a = obs_run.cell_audit(row.cell);
+    const int wehe = static_cast<int>(a.tp + a.fp + a.fn + a.tn);
+    const char* kind = row.queue_factor <= 1.0   ? "policer"
+                       : row.queue_factor <= 4.0 ? "shallow shaper"
+                                                 : "deep shaper";
     std::printf("  %6.2f (%-14s) | %2d/%2zu | %7d/%-2d | %8.3f%% | %6.1f ms\n",
-                queue_factor, kind, wehe, runs, detected, wehe,
-                100.0 * retx_sum / static_cast<double>(runs),
-                delay_sum / static_cast<double>(runs));
+                row.queue_factor, kind, wehe, runs,
+                static_cast<int>(a.tp + a.fp), wehe,
+                100.0 * bench::cell_sum(reports, row.cell, "retx_rate") / n,
+                bench::cell_sum(reports, row.cell, "queue_delay_ms") / n);
   }
   std::printf("\nexpected shape: WeHe detects at every depth (throughput is "
               "throttled regardless); loss-trend localization works for "

@@ -89,12 +89,6 @@ int main() {
                     static_cast<double>(tests_per_isp),
                 wrong_sanity, sanity_per_isp, 100.0 * ci.low,
                 100.0 * ci.high);
-    if (auto csv = bench::open_csv("table1_" + isp.name)) {
-      csv->header({"isp", "tests", "localized", "ci_low", "ci_high"});
-      csv->row({isp.name, std::to_string(tests_per_isp),
-                std::to_string(localized), CsvWriter::num(ci.low),
-                CsvWriter::num(ci.high)});
-    }
   }
   std::printf("\npaper: ISP1 89.8%%, ISP2 89.83%%, ISP3 94%%, ISP4 98.18%%, "
               "ISP5 16.28%%; sanity checks wrong once overall\n");

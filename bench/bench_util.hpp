@@ -8,25 +8,26 @@
 // WEHEY_REPORT / WEHEY_REPORT_DIR write it), and its main returns
 // `obs_run.finish() ? 0 : 1` so that a failed artifact write fails it.
 //
-// The paper-table benches (Tables 1 and 3-5, Figs 5-7) run their grids
-// through run_grid: one reported run per grid point, absorbed into the
-// sweep, one sweep cell per table cell. The §6 tables score each run with
-// the audit of experiments::run_simultaneous_test_reported and print
-// Alg. 1's FN rate fn/(tp+fn) and FP rate fp/(fp+tn) from the cell's
-// audit counts; runs WeHe did not confirm, or that ran out of budget, are
-// skipped, as §6.2 excludes them. With WEHEY_CHECKPOINT every grid bench
-// resumes a killed sweep into the same tables.
+// The grid benches (Tables 1 and 3-5, Figs 5-7, and the §3.2/§7 extension
+// and ablation benches bench_bbr, bench_shaper_limitation, bench_perflow
+// and bench_ablations) run their grids through run_grid: one reported run
+// per grid point, absorbed into the sweep, one sweep cell per table cell
+// or row. The §6 benches score each run with the audit of
+// experiments::run_simultaneous_test_reported and print their rates from
+// the cell's audit counts (FN = fn/(tp+fn), FP = fp/(fp+tn)); runs WeHe
+// did not confirm, or that ran out of budget, are skipped, as §6.2
+// excludes them. A bench's own detectors run in its run callback on the
+// test's phase reports and land in the run's values before the absorb.
+// With WEHEY_CHECKPOINT every grid bench resumes a killed sweep into the
+// same tables.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "experiments/params.hpp"
 #include "experiments/scenario.hpp"
 #include "faults/plan.hpp"
@@ -98,6 +99,16 @@ std::vector<obs::RunReport> run_grid(obs::ObservedSweep& sweep,
   return absorbed;
 }
 
+/// `key` summed over the reports of sweep cell `cell`, in index order.
+inline double cell_sum(const std::vector<obs::RunReport>& reports,
+                       const std::string& cell, const std::string& key) {
+  double sum = 0.0;
+  for (const auto& r : reports) {
+    if (r.cell == cell) sum += r.values.at(key);
+  }
+  return sum;
+}
+
 /// `num` of `den` in percent, printed as "%<width-1>.<precision>f%%" would
 /// print it; "n/a" right-aligned to `width` when `den` is 0 (a cell with
 /// no evaluated run has no rate).
@@ -112,17 +123,6 @@ inline std::string percent(std::uint64_t num, std::uint64_t den, int width,
                   100.0 * static_cast<double>(num) / static_cast<double>(den));
   }
   return buf;
-}
-
-/// Open "<WEHEY_CSV_DIR>/<name>.csv" for plot-ready artifact output, or
-/// null when the environment variable is unset.
-inline std::unique_ptr<CsvWriter> open_csv(const std::string& name) {
-  const char* dir = std::getenv("WEHEY_CSV_DIR");
-  if (dir == nullptr || dir[0] == 0) return nullptr;
-  auto writer =
-      std::make_unique<CsvWriter>(std::string(dir) + "/" + name + ".csv");
-  if (!writer->ok()) return nullptr;
-  return writer;
 }
 
 }  // namespace wehey::bench

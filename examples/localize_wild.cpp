@@ -88,8 +88,8 @@ int main(int argc, char** argv) {
 
   // --- Steps 2-4: simultaneous replays and localization. ---
   const auto t_diff = build_wild_t_diff(cfg, 12);
-  const auto outcome = run_wild_test(cfg, t_diff);
-  const auto& loc = outcome.localization;
+  const auto test = run_wild_test_reported(cfg, t_diff);
+  const auto& loc = test.localization;
   std::printf("confirmation on both paths: %s\n",
               loc.confirmation_passed ? "yes" : "no");
   std::printf("throughput comparison: p=%.3g -> %s\n",

@@ -31,11 +31,22 @@ int main(int argc, char** argv) {
               static_cast<long long>(derived.net.limiter.burst),
               static_cast<long long>(derived.net.limiter.limit));
 
-  // 1. Simultaneous replays (original, then bit-inverted).
+  // The full WeHeY test: the simultaneous replays (original, then
+  // bit-inverted), the p0 single replays, and the localization, with the
+  // historical T_diff data the throughput comparison needs.
+  experiments::HistoryConfig hist;
+  hist.replays = 8;  // keep the example quick
+  const auto t_diff = experiments::build_t_diff_history(cfg, hist);
+  const auto test =
+      experiments::run_full_experiment_reported(cfg, t_diff, "quickstart");
+  const auto& loc = test.localization;
+
+  // 1. Simultaneous replays, and WeHe's confirmation on each path.
   std::printf("\n-- simultaneous replays --\n");
-  const auto sim = experiments::run_simultaneous_experiment(cfg);
-  const auto& p1 = sim.original.p1;
-  const auto& p2 = sim.original.p2;
+  const auto& original = test.phases[0];  // Phase::SimOriginal
+  const auto& inverted = test.phases[1];  // Phase::SimInverted
+  const auto& p1 = original.p1;
+  const auto& p2 = original.p2;
   std::printf("p1: throughput %.2f Mbps, retx rate %.3f, queue delay %.1f ms\n",
               p1.avg_throughput_bps / 1e6, p1.retx_rate,
               p1.avg_queuing_delay_ms);
@@ -43,17 +54,16 @@ int main(int argc, char** argv) {
               p2.avg_throughput_bps / 1e6, p2.retx_rate,
               p2.avg_queuing_delay_ms);
   std::printf("p1 inverted: throughput %.2f Mbps (loss %.3f)\n",
-              sim.inverted.p1.avg_throughput_bps / 1e6,
-              sim.inverted.p1.retx_rate);
+              inverted.p1.avg_throughput_bps / 1e6, inverted.p1.retx_rate);
   std::printf("differentiation confirmed on both paths: %s "
               "(p1 KS p=%.3g, p2 KS p=%.3g)\n",
-              sim.differentiation_confirmed ? "yes" : "no",
-              sim.p1_confirmation.p_value, sim.p2_confirmation.p_value);
+              loc.confirmation_passed ? "yes" : "no",
+              loc.p1_confirmation.p_value, loc.p2_confirmation.p_value);
 
-  // 2. Loss-trend correlation (Algorithm 1).
+  // 2. Loss-trend correlation (Algorithm 1), per interval size.
   std::printf("\n-- loss-trend correlation --\n");
-  const auto corr = core::loss_trend_correlation(
-      sim.original.p1.meas, sim.original.p2.meas, milliseconds(cfg.rtt1_ms));
+  const auto corr = core::loss_trend_correlation(p1.meas, p2.meas,
+                                                 milliseconds(cfg.rtt1_ms));
   for (const auto& o : corr.per_size) {
     std::printf("  sigma=%6.2fs intervals=%3zu rho=%+.3f p=%.4f %s\n",
                 to_seconds(o.sigma), o.retained_intervals, o.rho, o.p_value,
@@ -63,15 +73,9 @@ int main(int argc, char** argv) {
               corr.common_bottleneck ? "DETECTED" : "not detected",
               corr.sizes_correlated, corr.sizes_tested);
 
-  // 3. The full pipeline, including the throughput comparison (needs the
-  //    p0 single replays and the historical T_diff data).
+  // 3. The full pipeline's verdict, including the throughput comparison
+  //    (the p0 single replays against the historical T_diff data).
   std::printf("\n-- full localization --\n");
-  experiments::HistoryConfig hist;
-  hist.replays = 8;  // keep the example quick
-  const auto t_diff = experiments::build_t_diff_history(cfg, hist);
-  const auto input = experiments::run_full_experiment(cfg, t_diff);
-  Rng rng(seed);
-  const auto loc = core::localize(input, rng);
   std::printf("verdict: %s\n",
               loc.verdict == core::Verdict::EvidenceWithinTargetArea
                   ? "evidence of differentiation WITHIN the client ISP"

@@ -29,14 +29,14 @@ int main(int argc, char** argv) {
   std::printf("scenario: collective throttling on the common link "
               "(app=%s, seed=%llu)\n\n",
               cfg.app.c_str(), static_cast<unsigned long long>(seed));
-  const auto sim = run_simultaneous_experiment(cfg);
-  if (!sim.differentiation_confirmed) {
+  const auto test = run_simultaneous_test_reported(cfg, "tomography_pitfalls");
+  if (!test.localization.confirmation_passed) {
     std::printf("WeHe did not detect differentiation on this seed; try "
                 "another.\n");
     return 0;
   }
-  const auto& m1 = sim.original.p1.meas;
-  const auto& m2 = sim.original.p2.meas;
+  const auto& m1 = test.phases[0].p1.meas;
+  const auto& m2 = test.phases[0].p2.meas;
   const Time rtt = milliseconds(cfg.rtt1_ms);
   std::printf("measured loss rates: p1 %.3f, p2 %.3f (ground truth: both "
               "paths share the rate-limiter)\n\n",

@@ -18,7 +18,7 @@
 //                      stdout when no --out/WEHEY_REPORT destination)
 //   wehey_cli inspect  FILE...   (render report/sweep/trace JSON as tables)
 //   wehey_cli merge    FILE... [--out PATH] [--name SWEEP]
-//                      (offline per-run reports -> one sweep_report.v1)
+//                      (offline per-run reports -> one sweep_report.v2)
 //   wehey_cli compare  BASELINE CANDIDATE [--tol X] [--tol-key RE=X]...
 //                      [--ignore RE]... [--min-key RE=X]...
 //                      [--require-key RE]...
@@ -134,24 +134,25 @@ int cmd_testbed(const Args& args) {
               cfg.app.c_str(),
               static_cast<unsigned long long>(cfg.seed),
               d.trace_rate / 1e6, d.limiter_rate / 1e6);
-  const auto sim = run_simultaneous_experiment(cfg);
+  const auto test = run_simultaneous_test_reported(cfg, "wehey_cli_testbed");
+  const auto& loc = test.localization;
+  const auto& original = test.phases[0];
   std::printf("WeHe confirmation: %s (p1 p=%.3g, p2 p=%.3g)\n",
-              sim.differentiation_confirmed ? "both paths" : "NOT confirmed",
-              sim.p1_confirmation.p_value, sim.p2_confirmation.p_value);
+              loc.confirmation_passed ? "both paths" : "NOT confirmed",
+              loc.p1_confirmation.p_value, loc.p2_confirmation.p_value);
   std::printf("p1: %.2f Mbps, loss %.3f | p2: %.2f Mbps, loss %.3f\n",
-              sim.original.p1.avg_throughput_bps / 1e6,
-              sim.original.p1.retx_rate,
-              sim.original.p2.avg_throughput_bps / 1e6,
-              sim.original.p2.retx_rate);
+              original.p1.avg_throughput_bps / 1e6, original.p1.retx_rate,
+              original.p2.avg_throughput_bps / 1e6, original.p2.retx_rate);
+  // Both detectors on the original replays, whatever the confirmation.
   const auto corr = core::loss_trend_correlation(
-      sim.original.p1.meas, sim.original.p2.meas,
+      original.p1.meas, original.p2.meas,
       milliseconds(std::max(cfg.rtt1_ms, cfg.rtt2_ms)));
   std::printf("loss-trend correlation: %zu/%zu sizes -> %s\n",
               corr.sizes_correlated, corr.sizes_tested,
               corr.common_bottleneck ? "COMMON BOTTLENECK" : "no evidence");
   const auto coupled = core::coupled_bottleneck_test(
-      sim.original.p1.meas.throughput_samples(100),
-      sim.original.p2.meas.throughput_samples(100));
+      original.p1.meas.throughput_samples(100),
+      original.p2.meas.throughput_samples(100));
   std::printf("coupled-bottleneck test: %s (ratio %.2f, corr %+.2f)\n",
               coupled.coupled ? "COUPLED" : "not coupled", coupled.ratio,
               coupled.correlation);
@@ -181,19 +182,20 @@ int cmd_wild(const Args& args, obs::ObservedSweep& observed) {
   const auto res = run_wild_test_reported(cfg, t_diff,
                                           /*sanity_check=*/args.has("sanity"),
                                           "wehey_cli_wild");
-  const auto& out = res.outcome;
   std::printf("%s %s: confirmed=%s localized=%s (throughput p=%.3g)\n",
               cfg.isp.name.c_str(), cfg.app.c_str(),
-              out.localization.confirmation_passed ? "yes" : "no",
-              out.localized ? "YES" : "no",
-              out.localization.throughput.p_value);
-  if (out.injection.total() > 0) {
+              res.localization.confirmation_passed ? "yes" : "no",
+              res.report.values.at("localized") != 0.0 ? "YES" : "no",
+              res.localization.throughput.p_value);
+  faults::InjectionStats injection;
+  for (const auto& phase : res.phases) injection += phase.injection;
+  if (injection.total() > 0) {
     std::printf("injected faults:");
-    for (const auto& [kind, count] : out.injection.by_kind()) {
+    for (const auto& [kind, count] : injection.by_kind()) {
       if (count > 0) std::printf(" %s=%d", kind, count);
     }
-    std::printf(" (%d phase%s hit)\n", out.faulted_phases,
-                out.faulted_phases == 1 ? "" : "s");
+    const int faulted = res.faulted_phases();
+    std::printf(" (%d phase%s hit)\n", faulted, faulted == 1 ? "" : "s");
   }
   observed.report() = res.report;
   return 0;
@@ -265,7 +267,7 @@ int cmd_sweep(const Args& args, obs::ObservedSweep& observed) {
     char run_id[64];
     std::snprintf(run_id, sizeof(run_id), "wehey_cli_sweep.%s.r%03zu",
                   app.c_str(), i);
-    FullExperimentResult res;
+    ReportedTest res;
     if (!observed.completed(run_id)) {
       auto cfg = default_scenario(app, 7000 + i);
       if (fp_mode) cfg.placement = Placement::NonCommonLinks;
@@ -370,7 +372,7 @@ bool load_run_report(const std::string& path, obs::RunReport& report,
 }
 
 /// Offline sweep aggregation: per-run report files in, one
-/// wehey.sweep_report.v1 out. Byte-identical to the in-process sweep the
+/// wehey.sweep_report.v2 out. Byte-identical to the in-process sweep the
 /// emitting binary writes under WEHEY_REPORT_DIR over the same runs — CI
 /// diffs the two.
 int cmd_merge(int argc, char** argv) {

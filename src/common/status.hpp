@@ -41,7 +41,6 @@ class Status {
   Status(StatusCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
 
-  static Status ok_status() { return {}; }
   static Status invalid_data(std::string msg) {
     return {StatusCode::InvalidData, std::move(msg)};
   }

@@ -1,6 +1,6 @@
 // Ground-truth ledger: maps a run's *configuration* — the side of the
 // experiment the simulator controls and the tool under test never sees —
-// onto the obs::GroundTruthSection that RunReport v5 serializes. Like
+// onto the obs::GroundTruthSection that RunReport v6 serializes. Like
 // decision.hpp, this bridge lives in the experiments layer because
 // wehey_obs cannot depend on the scenario/wild config types.
 //

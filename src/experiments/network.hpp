@@ -166,11 +166,8 @@ class FigureOneNetwork {
   /// Losses inside the TBF class of the rate-limiter(s).
   std::uint64_t limiter_drops() const;
 
-  /// Direct access to the links (tests, instrumentation).
+  /// Direct access to the common link (tests, instrumentation).
   netsim::Link& common_link() { return *common_; }
-  netsim::Link& noncommon_link(int path_index) {
-    return path_index == 1 ? *nc1_ : *nc2_;
-  }
 
   /// The end-of-replay traceroute of §3.4 step 3: an annotated record of
   /// the hops from server `path_index` to the client, as scamper would

@@ -1,5 +1,5 @@
-// The Table-2 parameter grid of the emulation/simulation evaluation, plus
-// runtime scaling knobs.
+// The Table-2 defaults of the emulation/simulation evaluation, plus the
+// runtime scale of the benches' grids.
 //
 // Benches honour two environment variables:
 //   WEHEY_FULL=1            — run the full paper-scale grid (slow);
@@ -13,16 +13,6 @@
 #include "experiments/scenario.hpp"
 
 namespace wehey::experiments {
-
-/// Table 2, "Policer Parameters".
-struct ParameterGrid {
-  std::vector<double> input_rate_factors{1.3, 1.5, 2.0, 2.5};
-  std::vector<double> queue_burst_factors{0.25, 0.5, 1.0};
-  std::vector<double> bg_diff_fractions{0.25, 0.5, 0.75};
-  /// Table 2, "Network Parameters".
-  std::vector<double> nc_utilizations{0.2, 0.95, 1.05, 1.15};
-  std::vector<double> rtt2_ms{10, 15, 25, 35, 60, 120};
-};
 
 /// Defaults (bold values in Table 2).
 inline constexpr double kDefaultInputRateFactor = 1.5;

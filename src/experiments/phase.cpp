@@ -129,16 +129,15 @@ PhaseReport run_test_phase(
   return rep;
 }
 
-TestRun run_test_phases(const TestSpec& spec) {
-  TestRun run;
-  // Independent simulations, indexed by phase: the run is the same
-  // whatever order they complete in.
-  run.phases = parallel::parallel_map(
-      spec.phases.size(),
-      [&](std::size_t i) { return spec.run_phase(spec.phases[i]); });
-  auto& in = run.input;
+namespace {
+
+/// The localization input: each phase's measurements in their slots,
+/// empty for a phase the spec does not run.
+core::LocalizationInput localization_input(
+    const TestSpec& spec, const std::vector<PhaseReport>& phases) {
+  core::LocalizationInput in;
   for (std::size_t i = 0; i < spec.phases.size(); ++i) {
-    const PhaseReport& rep = run.phases[i];
+    const PhaseReport& rep = phases[i];
     switch (spec.phases[i]) {
       case Phase::SimOriginal:
         in.p1_original = rep.p1.meas;
@@ -154,28 +153,10 @@ TestRun run_test_phases(const TestSpec& spec) {
   }
   in.t_diff_history = spec.t_diff;
   in.base_rtt = spec.base_rtt;
-  for (const auto& rep : run.phases) {
-    run.injection += rep.injection;
-    run.limiter_drops += rep.limiter_drops;
-    if (rep.faulted) ++run.faulted_phases;
-    if (rep.budget_exhausted && !run.budget_exhausted) {
-      run.budget_exhausted = true;
-      run.budget_reason = rep.budget_reason;
-    }
-  }
-  return run;
+  return in;
 }
 
-TestRun run_test(const TestSpec& spec) {
-  TestRun run = run_test_phases(spec);
-  // A budget-stopped phase left a stump, not a measurement: the analyses
-  // never see it, and the test's verdict is the budget outcome.
-  if (!run.budget_exhausted) {
-    Rng rng(spec.analysis_seed);
-    run.localization = core::localize(run.input, rng);
-  }
-  return run;
-}
+}  // namespace
 
 ReportedTest run_reported_test(const TestSpec& spec,
                                const std::string& run_name) {
@@ -185,33 +166,51 @@ ReportedTest run_reported_test(const TestSpec& spec,
   obs::Recorder* outer = obs::Recorder::current();
   obs::Recorder local(/*metrics_on=*/true,
                       outer != nullptr && outer->trace_on());
+  // The first budget-exhausted phase in TestSpec::phases order.
+  const PhaseReport* stopped = nullptr;
   {
     obs::ScopedRecorder bind(&local);
-    out.run = run_test(spec);
+    // Independent simulations, indexed by phase: the run is the same
+    // whatever order they complete in.
+    out.phases = parallel::parallel_map(
+        spec.phases.size(),
+        [&](std::size_t i) { return spec.run_phase(spec.phases[i]); });
+    const auto it = std::find_if(
+        out.phases.begin(), out.phases.end(),
+        [](const PhaseReport& rep) { return rep.budget_exhausted; });
+    if (it != out.phases.end()) stopped = &*it;
+    // A budget-stopped phase left a stump, not a measurement: the analyses
+    // never see it, and the test's verdict is the budget outcome.
+    if (stopped == nullptr) {
+      Rng rng(spec.analysis_seed);
+      out.localization =
+          core::localize(localization_input(spec, out.phases), rng);
+    }
   }
 
-  const TestRun& run = out.run;
   auto& r = out.report;
   r.run = run_name;
   r.seed = spec.seed;
   if (spec.fault_plan != nullptr) r.fault_plan = spec.fault_plan->name;
-  if (run.budget_exhausted) {
+  if (stopped != nullptr) {
     r.verdict = obs::kBudgetExhaustedVerdict;
-    r.reason = std::string("budget:") + run.budget_reason;
+    r.reason = std::string("budget:") + stopped->budget_reason;
   } else {
-    r.verdict = core::to_string(run.localization.verdict);
-    if (run.localization.verdict == core::Verdict::Inconclusive) {
-      r.reason = core::to_string(run.localization.inconclusive_reason);
+    r.verdict = core::to_string(out.localization.verdict);
+    if (out.localization.verdict == core::Verdict::Inconclusive) {
+      r.reason = core::to_string(out.localization.inconclusive_reason);
     }
   }
   // A budget-stopped test never ran localize(): its default trace is the
   // empty-but-valid decision block.
-  r.decision = decision_section(run.localization.trace);
-  for (std::size_t i = 0; i < run.phases.size(); ++i) {
+  r.decision = decision_section(out.localization.trace);
+  faults::InjectionStats injection;
+  for (std::size_t i = 0; i < out.phases.size(); ++i) {
     r.add_stage(spec.phase_names[static_cast<std::size_t>(spec.phases[i])],
-                0, run.phases[i].sim_duration);
+                0, out.phases[i].sim_duration);
+    injection += out.phases[i].injection;
   }
-  for (const auto& [kind, count] : run.injection.by_kind()) {
+  for (const auto& [kind, count] : injection.by_kind()) {
     r.injection[kind] = count;
   }
   out.metrics = local.metrics();

@@ -3,10 +3,11 @@
 // background and replay steps, the §3.4 session (replay/session.cpp).
 //
 // A test runs its phases (all four, or the §6.2 test's two simultaneous
-// ones), then localize(). Each phase is one fresh
-// simulation, with its RNG draws in this order: the network (one split
-// for access jitter), background for path 1 and then path 2, then the
-// runner's replays. A runner supplies only what differs: network
+// ones), then localize(): run_reported_test, which every runner's entry
+// point calls, returns it as one ReportedTest (scenario.hpp). Each phase
+// is one fresh simulation, with its RNG draws in this order: the network
+// (one split for access jitter), background for path 1 and then path 2,
+// then the runner's replays. A runner supplies only what differs: network
 // parameters, background rate, trace recipe, replay transports, phase
 // names and seeds.
 #pragma once
@@ -19,12 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "core/localizer.hpp"
 #include "experiments/network.hpp"
 #include "experiments/scenario.hpp"
 #include "faults/injector.hpp"
-#include "obs/metrics.hpp"
-#include "obs/report.hpp"
 
 namespace wehey::experiments {
 
@@ -121,36 +119,12 @@ struct TestSpec {
   std::span<const Phase> phases = kTestPhases;  ///< run and staged, in order
 };
 
-struct TestRun {
-  std::vector<PhaseReport> phases;  ///< TestSpec::phases order
-  core::LocalizationInput input;
-  core::LocalizationResult localization;  ///< default if never localized
-  /// The first budget-exhausted phase in TestSpec::phases order.
-  bool budget_exhausted = false;
-  std::string budget_reason;
-  faults::InjectionStats injection;  ///< summed over the phases
-  int faulted_phases = 0;
-  std::uint64_t limiter_drops = 0;
-};
-
 /// The spec's phases on the parallel engine (serial inside an outer
-/// sweep) and the localization input assembled from them; no verdict.
-TestRun run_test_phases(const TestSpec& spec);
-
-/// run_test_phases, then localize() unless a phase ran out of budget.
-TestRun run_test(const TestSpec& spec);
-
-struct ReportedTest {
-  TestRun run;
-  obs::RunReport report;
-  obs::MetricsRegistry metrics;  ///< the phases' merged registries
-};
-
-/// run_test under a dedicated metrics recorder, with the report fields
-/// every test shares filled in: run, seed, fault plan, verdict and
-/// reason, decision, a stage per phase, injection. A
-/// bound outer recorder absorbs the test under a `run_name` track. The
-/// runner adds cell, ground truth, audit and values.
+/// sweep) under a dedicated metrics recorder, then localize() unless a
+/// phase ran out of budget, with the report fields every test shares
+/// filled in: run, seed, fault plan, verdict and reason, decision, a stage
+/// per phase, injection. A bound outer recorder absorbs the test under a
+/// `run_name` track. The runner adds cell, ground truth, audit and values.
 ReportedTest run_reported_test(const TestSpec& spec,
                                const std::string& run_name);
 

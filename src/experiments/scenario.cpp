@@ -5,7 +5,6 @@
 #include "common/check.hpp"
 #include "experiments/ground_truth.hpp"
 #include "experiments/phase.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace wehey::experiments {
 namespace {
@@ -30,23 +29,17 @@ TestSpec scenario_test(const ScenarioConfig& cfg,
           .phases = phases};
 }
 
-/// The reported test with the scenario's ground truth and the audit of
-/// its within-target-area verdict; a non-empty `skip_reason` keeps the run
-/// out of the confusion counts.
-FullExperimentResult audited(const ScenarioConfig& cfg, ReportedTest&& test,
-                             const std::string& skip_reason) {
-  FullExperimentResult out;
-  out.input = std::move(test.run.input);
-  out.localization = std::move(test.run.localization);
-  out.report = std::move(test.report);
-  out.metrics = std::move(test.metrics);
-  auto& r = out.report;
+/// The scenario's ground truth and the audit of the test's
+/// within-target-area verdict; a non-empty `skip_reason` keeps the run out
+/// of the confusion counts.
+void audit(const ScenarioConfig& cfg, ReportedTest& test,
+           const std::string& skip_reason) {
+  auto& r = test.report;
   r.ground_truth = ground_truth_section(cfg, derive(cfg));
   r.audit = obs::classify_audit(
       r.ground_truth,
-      out.localization.verdict == core::Verdict::EvidenceWithinTargetArea,
+      test.localization.verdict == core::Verdict::EvidenceWithinTargetArea,
       /*mechanism_mismatch=*/false, skip_reason, r.decision);
-  return out;
 }
 
 }  // namespace
@@ -162,54 +155,45 @@ PhaseReport run_phase(const ScenarioConfig& cfg, Phase phase) {
   });
 }
 
-core::LocalizationInput run_full_experiment(
-    const ScenarioConfig& cfg, const std::vector<double>& t_diff_history) {
-  return run_test_phases(scenario_test(cfg, t_diff_history, kTestPhases))
-      .input;
+bool ReportedTest::budget_exhausted() const {
+  return std::any_of(phases.begin(), phases.end(),
+                     [](const PhaseReport& p) { return p.budget_exhausted; });
 }
 
-FullExperimentResult run_full_experiment_reported(
+int ReportedTest::faulted_phases() const {
+  return static_cast<int>(
+      std::count_if(phases.begin(), phases.end(),
+                    [](const PhaseReport& p) { return p.faulted; }));
+}
+
+ReportedTest run_full_experiment_reported(
     const ScenarioConfig& cfg, const std::vector<double>& t_diff_history,
     const std::string& run_name) {
   auto test = run_reported_test(
       scenario_test(cfg, t_diff_history, kTestPhases), run_name);
+  std::uint64_t limiter_drops = 0;
+  for (const auto& rep : test.phases) limiter_drops += rep.limiter_drops;
   auto& v = test.report.values;
-  v["limiter_drops"] = static_cast<double>(test.run.limiter_drops);
-  v["phases_faulted"] = test.run.faulted_phases;
-  v["degraded"] = test.run.localization.degraded ? 1.0 : 0.0;
-  const bool budget_exhausted = test.run.budget_exhausted;
-  return audited(cfg, std::move(test),
-                 budget_exhausted ? obs::kSkipBudgetExhausted : "");
+  v["limiter_drops"] = static_cast<double>(limiter_drops);
+  v["phases_faulted"] = test.faulted_phases();
+  v["degraded"] = test.localization.degraded ? 1.0 : 0.0;
+  audit(cfg, test, test.budget_exhausted() ? obs::kSkipBudgetExhausted : "");
+  return test;
 }
 
-FullExperimentResult run_simultaneous_test_reported(
-    const ScenarioConfig& cfg, const std::string& run_name) {
+ReportedTest run_simultaneous_test_reported(const ScenarioConfig& cfg,
+                                            const std::string& run_name) {
   auto test = run_reported_test(
       scenario_test(cfg, kNoTDiff, kSimultaneousPhases), run_name);
-  const PathReport& p1 = test.run.phases[0].p1;
+  const PathReport& p1 = test.phases[0].p1;
   test.report.values["retx_rate"] = p1.retx_rate;
   test.report.values["queue_delay_ms"] = p1.avg_queuing_delay_ms;
-  const char* skip = test.run.budget_exhausted ? obs::kSkipBudgetExhausted
-                     : test.run.localization.confirmation_passed
+  const char* skip = test.budget_exhausted() ? obs::kSkipBudgetExhausted
+                     : test.localization.confirmation_passed
                          ? ""
                          : obs::kSkipNotConfirmed;
-  return audited(cfg, std::move(test), skip);
-}
-
-SimultaneousResult run_simultaneous_experiment(const ScenarioConfig& cfg) {
-  SimultaneousResult res;
-  auto reports = parallel::parallel_map(2, [&](std::size_t i) {
-    return run_phase(cfg, i == 0 ? Phase::SimOriginal : Phase::SimInverted);
-  });
-  res.original = std::move(reports[0]);
-  res.inverted = std::move(reports[1]);
-  res.p1_confirmation = core::detect_differentiation(res.original.p1.meas,
-                                                     res.inverted.p1.meas);
-  res.p2_confirmation = core::detect_differentiation(res.original.p2.meas,
-                                                     res.inverted.p2.meas);
-  res.differentiation_confirmed = res.p1_confirmation.differentiation &&
-                                  res.p2_confirmation.differentiation;
-  return res;
+  audit(cfg, test, skip);
+  return test;
 }
 
 }  // namespace wehey::experiments

@@ -19,11 +19,13 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/localizer.hpp"
 #include "experiments/network.hpp"
 #include "faults/injector.hpp"
 #include "faults/plan.hpp"
+#include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "trace/trace.hpp"
 
@@ -120,30 +122,35 @@ ScenarioDerived derive(const ScenarioConfig& cfg);
 /// Run one phase of the scenario and return per-path reports.
 PhaseReport run_phase(const ScenarioConfig& cfg, Phase phase);
 
-/// A full WeHeY experiment: all four phases. `t_diff_history` is copied
-/// into the localization input (generate it with experiments::history).
-core::LocalizationInput run_full_experiment(
-    const ScenarioConfig& cfg, const std::vector<double>& t_diff_history);
-
-/// run_full_experiment, with the verdict drawn and the whole run packaged
-/// as a versioned RunReport (obs::kRunReportSchema).
-struct FullExperimentResult {
-  core::LocalizationInput input;
+/// One WeHeY test as every runner returns it.
+struct ReportedTest {
+  /// In run order: SimOriginal, SimInverted, then the single phases if
+  /// the test ran them.
+  std::vector<PhaseReport> phases;
+  /// Default when a phase ran out of budget: localize() never ran.
   core::LocalizationResult localization;
-  /// Verdict, per-phase stage timings, injection counts, scalar values.
+  /// Verdict, per-phase stages, injection counts, ground truth, audit and
+  /// the runner's scalar values.
   obs::RunReport report;
-  /// The four phases' merged registries (queue residency, per-flow RTT,
-  /// link utilization, ...) — pass to report.to_json(&metrics).
+  /// The phases' merged registries (queue residency, per-flow RTT, link
+  /// utilization, ...) — pass to report.to_json(&metrics).
   obs::MetricsRegistry metrics;
+
+  /// Whether the supervisor's per-trial budget stopped a phase.
+  bool budget_exhausted() const;
+  /// Phases where fault injection actually landed.
+  int faulted_phases() const;
 };
 
-/// A full WeHeY experiment emitting a RunReport directly. The four phases
-/// run under a dedicated metrics recorder (regardless of the environment),
-/// so the report's histograms are always populated; if a recorder is
-/// already bound, the run's metrics and timeline are also absorbed into it
-/// under a `run_name` track. Deterministic across WEHEY_THREADS. The audit
-/// skips only a budget-stopped run.
-FullExperimentResult run_full_experiment_reported(
+/// A full WeHeY experiment, all four phases, packaged as a versioned
+/// RunReport (obs::kRunReportSchema). `t_diff_history` feeds §4.1's
+/// comparison (generate it with experiments::history). The phases run
+/// under a dedicated metrics recorder (regardless of the environment), so
+/// the report's histograms are always populated; if a recorder is already
+/// bound, the run's metrics and timeline are also absorbed into it under a
+/// `run_name` track. Deterministic across WEHEY_THREADS. The audit skips
+/// only a budget-stopped run.
+ReportedTest run_full_experiment_reported(
     const ScenarioConfig& cfg, const std::vector<double>& t_diff_history,
     const std::string& run_name = "full_experiment");
 
@@ -155,19 +162,7 @@ FullExperimentResult run_full_experiment_reported(
 /// confirmation failed ("not-confirmed"), as §6.2 excludes it. Values:
 /// p1's `retx_rate` and `queue_delay_ms` in the simultaneous original
 /// phase.
-FullExperimentResult run_simultaneous_test_reported(
-    const ScenarioConfig& cfg, const std::string& run_name);
-
-/// The two simultaneous phases only, unscored: their raw phase reports
-/// and WeHe's confirmation per path.
-struct SimultaneousResult {
-  PhaseReport original;
-  PhaseReport inverted;
-  core::WeheResult p1_confirmation;
-  core::WeheResult p2_confirmation;
-  bool differentiation_confirmed = false;
-};
-
-SimultaneousResult run_simultaneous_experiment(const ScenarioConfig& cfg);
+ReportedTest run_simultaneous_test_reported(const ScenarioConfig& cfg,
+                                            const std::string& run_name);
 
 }  // namespace wehey::experiments

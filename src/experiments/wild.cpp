@@ -160,37 +160,14 @@ TestSpec wild_test(const WildConfig& cfg, const std::vector<double>& t_diff,
           .base_rtt = milliseconds(cfg.rtt_ms)};
 }
 
-WildTestOutcome wild_outcome(TestRun&& run) {
-  const bool localized =
-      !run.budget_exhausted &&
-      run.localization.verdict == core::Verdict::EvidenceWithinTargetArea;
-  return {.localization = std::move(run.localization),
-          .localized = localized,
-          .injection = run.injection,
-          .faulted_phases = run.faulted_phases,
-          .budget_exhausted = run.budget_exhausted,
-          .budget_reason = std::move(run.budget_reason)};
-}
-
 }  // namespace
 
-WildTestOutcome run_wild_test(const WildConfig& cfg,
-                              const std::vector<double>& t_diff,
-                              bool sanity_check) {
-  return wild_outcome(run_test(wild_test(cfg, t_diff, sanity_check)));
-}
-
-WildTestResult run_wild_test_reported(const WildConfig& cfg,
-                                      const std::vector<double>& t_diff,
-                                      bool sanity_check,
-                                      const std::string& run_name) {
-  auto test =
+ReportedTest run_wild_test_reported(const WildConfig& cfg,
+                                    const std::vector<double>& t_diff,
+                                    bool sanity_check,
+                                    const std::string& run_name) {
+  auto out =
       run_reported_test(wild_test(cfg, t_diff, sanity_check), run_name);
-  WildTestResult out;
-  out.outcome = wild_outcome(std::move(test.run));
-  out.report = std::move(test.report);
-  out.metrics = std::move(test.metrics);
-
   auto& r = out.report;
   r.cell = cfg.isp.name;
   // The ground truth is a pure function of the config (same trace-rate
@@ -201,23 +178,24 @@ WildTestResult run_wild_test_reported(const WildConfig& cfg,
   const Rate trace_rate =
       wild_replay_trace(cfg, /*inverted=*/false).average_rate();
   r.ground_truth = ground_truth_section(cfg, trace_rate, sanity_check);
-  const bool per_client = out.outcome.localization.mechanism ==
-                          core::Mechanism::PerClientThrottling;
+  // A budget-stopped test keeps the default localization: no evidence.
+  const bool localized =
+      out.localization.verdict == core::Verdict::EvidenceWithinTargetArea;
+  const bool per_client =
+      out.localization.mechanism == core::Mechanism::PerClientThrottling;
   const bool observed_positive =
-      sanity_check ? per_client : (out.outcome.localized && per_client);
-  const bool mechanism_mismatch =
-      !sanity_check && out.outcome.localized && !per_client;
+      sanity_check ? per_client : (localized && per_client);
+  const bool mechanism_mismatch = !sanity_check && localized && !per_client;
   r.audit = obs::classify_audit(
       r.ground_truth, observed_positive, mechanism_mismatch,
-      out.outcome.budget_exhausted ? obs::kSkipBudgetExhausted : "",
-      r.decision);
-  r.values["localized"] = out.outcome.localized ? 1.0 : 0.0;
+      out.budget_exhausted() ? obs::kSkipBudgetExhausted : "", r.decision);
+  r.values["localized"] = localized ? 1.0 : 0.0;
   // The mechanism as a scalar, so offline consumers (checkpoint resume in
   // the Table-1 bench) can rebuild per-cell tallies from journaled
   // reports without re-running the test.
   r.values["per_client"] = per_client ? 1.0 : 0.0;
-  r.values["throughput_p"] = out.outcome.localization.throughput.p_value;
-  r.values["faulted_phases"] = out.outcome.faulted_phases;
+  r.values["throughput_p"] = out.localization.throughput.p_value;
+  r.values["faulted_phases"] = out.faulted_phases();
   return out;
 }
 

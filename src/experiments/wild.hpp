@@ -86,47 +86,21 @@ PhaseReport run_wild_phase(const WildConfig& cfg, Phase phase,
 std::vector<double> build_wild_t_diff(const WildConfig& cfg,
                                       std::size_t replays = 14);
 
-struct WildTestOutcome {
-  core::LocalizationResult localization;
-  bool localized = false;  ///< evidence found within the ISP
-  /// Summed per-kind injection counts across the four wild phases (all
-  /// zero when the test ran fault-free).
-  faults::InjectionStats injection;
-  int faulted_phases = 0;  ///< phases where a fault actually landed
-  /// The supervisor's per-trial budget stopped at least one phase; the
-  /// localization analyses were skipped (their inputs are stumps).
-  bool budget_exhausted = false;
-  std::string budget_reason;  ///< "events" or "sim_time" when exhausted
-};
-
-/// A Table-1 test: a full WeHeY run. A "basic" test succeeds when it
-/// localizes. A "sanity check" test (`sanity_check`) adds a third server
-/// replaying a third original trace concurrently; correct behaviour is
-/// then to NOT detect a common bottleneck.
-WildTestOutcome run_wild_test(const WildConfig& cfg,
-                              const std::vector<double>& t_diff,
-                              bool sanity_check = false);
-
-/// run_wild_test with the run packaged as a versioned RunReport (stages =
-/// the four wild phases, per-kind injection, scalar values) plus the
-/// phases' merged metrics registries.
-struct WildTestResult {
-  WildTestOutcome outcome;
-  obs::RunReport report;
-  /// The four phases' merged registries — pass to
-  /// report.to_json(&metrics).
-  obs::MetricsRegistry metrics;
-};
-
-/// Like run_full_experiment_reported: the phases run under a dedicated
-/// metrics recorder (regardless of the environment) so the report's
-/// histograms are always populated; if a recorder is already bound, the
-/// run is also absorbed into it under a `run_name` track. Deterministic
-/// across WEHEY_THREADS.
-WildTestResult run_wild_test_reported(const WildConfig& cfg,
-                                      const std::vector<double>& t_diff,
-                                      bool sanity_check = false,
-                                      const std::string& run_name =
-                                          "wild_test");
+/// A Table-1 test: a full WeHeY run, packaged as a versioned RunReport
+/// (stages = the four wild phases, per-kind injection, ground truth,
+/// audit, scalar values) plus the phases' merged metrics registries. A
+/// "basic" test succeeds when it localizes. A "sanity check" test
+/// (`sanity_check`) adds a third server replaying a third original trace
+/// concurrently; correct behaviour is then to NOT detect a common
+/// bottleneck. Like run_full_experiment_reported: the phases run under a
+/// dedicated metrics recorder (regardless of the environment) so the
+/// report's histograms are always populated; if a recorder is already
+/// bound, the run is also absorbed into it under a `run_name` track.
+/// Deterministic across WEHEY_THREADS.
+ReportedTest run_wild_test_reported(const WildConfig& cfg,
+                                    const std::vector<double>& t_diff,
+                                    bool sanity_check = false,
+                                    const std::string& run_name =
+                                        "wild_test");
 
 }  // namespace wehey::experiments

@@ -120,10 +120,6 @@ void Demux::receive(Packet pkt) {
     it->second->receive(std::move(pkt));
     return;
   }
-  if (default_ != nullptr) {
-    default_->receive(std::move(pkt));
-    return;
-  }
   ++unrouted_;
   LOG_TRACE("demux: dropping packet for unknown flow " << pkt.flow);
 }

@@ -131,14 +131,12 @@ class Demux final : public PacketSink {
     WEHEY_EXPECTS(sink != nullptr);
     routes_[flow] = sink;
   }
-  void set_default(PacketSink* sink) { default_ = sink; }
   void receive(Packet pkt) override;
 
   std::uint64_t unrouted_packets() const { return unrouted_; }
 
  private:
   std::unordered_map<FlowId, PacketSink*> routes_;
-  PacketSink* default_ = nullptr;
   std::uint64_t unrouted_ = 0;
 };
 

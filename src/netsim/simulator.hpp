@@ -119,7 +119,6 @@ class Simulator {
   /// the event count is cumulative across run() calls, so events that
   /// already ran would count against it.
   void set_trial_budget(const TrialBudget& budget) { budget_ = budget; }
-  const TrialBudget& trial_budget() const { return budget_; }
 
   /// True once a budget ceiling cut a run() short of what its caller
   /// asked for. From then on run() is a no-op — the trial is over; the

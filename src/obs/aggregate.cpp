@@ -262,7 +262,7 @@ std::string SweepAggregator::to_json() const {
   out << (first ? "" : "\n    ") << "}\n  },\n";
 
   // Verdict audit: per-cell and grid-level confusion matrices folded
-  // from the per-run "audit" sections (RunReport v5). The block is
+  // from the per-run "audit" sections (RunReport v6). The block is
   // absent when no absorbed run carried an audit. Ratios are derived
   // from the integer tallies at render time; knife-edge cells (same
   // min-|margin| criterion as the knife_edge block above) are flagged,

@@ -81,7 +81,7 @@ inline constexpr char kDecisionMarginValue[] = "decision_margin";
 inline constexpr double kKnifeEdgeMargin = 0.05;
 
 /// Confusion-matrix counts folded from per-run "audit" sections
-/// (RunReport v5). Purely integer tallies, so the fold is associative and
+/// (RunReport v6). Purely integer tallies, so the fold is associative and
 /// the rendered ratios are a function of the absorbed run set.
 struct AuditTally {
   std::uint64_t tp = 0;
@@ -103,7 +103,6 @@ class SweepAggregator {
   void add_run(const RunReport& report, const MetricsRegistry* metrics);
 
   std::size_t runs() const { return runs_; }
-  const std::string& sweep_name() const { return sweep_; }
   /// The audit counts of `cell`'s runs so far (all zero for a cell with no
   /// audited run).
   AuditTally cell_audit(const std::string& cell) const;

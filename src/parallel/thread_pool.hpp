@@ -11,8 +11,8 @@
 //
 // Nested calls (a parallel_for issued from inside a worker) degrade to the
 // serial path rather than deadlocking, so library code can parallelize
-// internally (e.g. the four phases of run_full_experiment) and still be
-// called from a parallel grid sweep.
+// internally (e.g. the phases of one experiments::run_reported_test) and
+// still be called from a parallel grid sweep.
 #pragma once
 
 #include <condition_variable>

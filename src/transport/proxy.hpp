@@ -35,7 +35,6 @@ class SplitTcpProxy {
   netsim::PacketSink& downstream_ack_in() { return *downstream_tx_; }
 
   const TcpSender& downstream_sender() const { return *downstream_tx_; }
-  const TcpReceiver& upstream_receiver() const { return *upstream_rx_; }
   std::int64_t bytes_relayed() const { return relayed_; }
 
  private:

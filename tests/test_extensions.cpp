@@ -178,16 +178,17 @@ TEST(PerFlowScenario, HonestRepliesAreNotLocalized) {
   auto cfg = experiments::default_scenario("Netflix", 71);
   cfg.placement = experiments::Placement::PerFlowCommonLink;
   cfg.replay_duration = seconds(30);
-  const auto sim = experiments::run_simultaneous_experiment(cfg);
+  const auto test = experiments::run_simultaneous_test_reported(cfg, "honest");
   // Differentiation is real (per-flow buckets throttle the replays)...
-  EXPECT_TRUE(sim.differentiation_confirmed);
+  EXPECT_TRUE(test.localization.confirmation_passed);
   // ...but the buckets are independent: no common bottleneck.
+  const auto& original = test.phases[0];
   const auto corr = core::loss_trend_correlation(
-      sim.original.p1.meas, sim.original.p2.meas, milliseconds(35));
+      original.p1.meas, original.p2.meas, milliseconds(35));
   EXPECT_FALSE(corr.common_bottleneck);
   const auto coupled = core::coupled_bottleneck_test(
-      sim.original.p1.meas.throughput_samples(100),
-      sim.original.p2.meas.throughput_samples(100));
+      original.p1.meas.throughput_samples(100),
+      original.p2.meas.throughput_samples(100));
   EXPECT_FALSE(coupled.coupled);
 }
 
@@ -196,11 +197,13 @@ TEST(PerFlowScenario, SpoofedReplaysAreCoupled) {
   cfg.placement = experiments::Placement::PerFlowCommonLink;
   cfg.spoof_same_flow = true;
   cfg.replay_duration = seconds(30);
-  const auto sim = experiments::run_simultaneous_experiment(cfg);
-  EXPECT_TRUE(sim.differentiation_confirmed);
+  const auto test =
+      experiments::run_simultaneous_test_reported(cfg, "spoofed");
+  EXPECT_TRUE(test.localization.confirmation_passed);
+  const auto& original = test.phases[0];
   const auto coupled = core::coupled_bottleneck_test(
-      sim.original.p1.meas.throughput_samples(100),
-      sim.original.p2.meas.throughput_samples(100));
+      original.p1.meas.throughput_samples(100),
+      original.p2.meas.throughput_samples(100));
   EXPECT_TRUE(coupled.coupled);
 }
 

@@ -238,10 +238,10 @@ TEST(FluidWild, VerdictParityOnTable1MiniSweep) {
       const auto t_diff = experiments::build_wild_t_diff(cfg, 10);
       WildConfig test = cfg;
       test.seed = 1000 + i * 17;
-      const auto outcome = experiments::run_wild_test(test, t_diff);
+      const auto res = experiments::run_wild_test_reported(test, t_diff);
       (mode == trace::BackgroundMode::kPacket ? packet_verdicts
                                               : fluid_verdicts)
-          .push_back(core::to_string(outcome.localization.verdict));
+          .push_back(core::to_string(res.localization.verdict));
     }
   }
   EXPECT_EQ(packet_verdicts, fluid_verdicts);

@@ -15,10 +15,11 @@ namespace {
 TEST(Integration, CollectiveThrottlingDetectedByLossTrend) {
   auto cfg = default_scenario("Netflix", 101);
   cfg.replay_duration = seconds(30);
-  const auto sim = run_simultaneous_experiment(cfg);
-  ASSERT_TRUE(sim.differentiation_confirmed);
+  const auto test = run_simultaneous_test_reported(cfg, "collective");
+  ASSERT_TRUE(test.localization.confirmation_passed);
+  const auto& original = test.phases[0];
   const auto corr = core::loss_trend_correlation(
-      sim.original.p1.meas, sim.original.p2.meas, milliseconds(cfg.rtt1_ms));
+      original.p1.meas, original.p2.meas, milliseconds(cfg.rtt1_ms));
   EXPECT_TRUE(corr.common_bottleneck);
 }
 
@@ -28,19 +29,21 @@ TEST(Integration, IdenticalSeparateLimitersNotDetected) {
   auto cfg = default_scenario("Netflix", 103);
   cfg.placement = Placement::NonCommonLinks;
   cfg.replay_duration = seconds(30);
-  const auto sim = run_simultaneous_experiment(cfg);
+  const auto test = run_simultaneous_test_reported(cfg, "separate");
+  const auto& original = test.phases[0];
   const auto corr = core::loss_trend_correlation(
-      sim.original.p1.meas, sim.original.p2.meas, milliseconds(cfg.rtt1_ms));
+      original.p1.meas, original.p2.meas, milliseconds(cfg.rtt1_ms));
   EXPECT_FALSE(corr.common_bottleneck);
 }
 
 TEST(Integration, UdpCollectiveThrottlingDetected) {
   auto cfg = default_scenario("Zoom", 107);
   cfg.replay_duration = seconds(30);
-  const auto sim = run_simultaneous_experiment(cfg);
-  ASSERT_TRUE(sim.differentiation_confirmed);
+  const auto test = run_simultaneous_test_reported(cfg, "udp");
+  ASSERT_TRUE(test.localization.confirmation_passed);
+  const auto& original = test.phases[0];
   const auto corr = core::loss_trend_correlation(
-      sim.original.p1.meas, sim.original.p2.meas, milliseconds(cfg.rtt1_ms));
+      original.p1.meas, original.p2.meas, milliseconds(cfg.rtt1_ms));
   EXPECT_TRUE(corr.common_bottleneck);
 }
 
@@ -52,14 +55,15 @@ TEST(Integration, ClassicTomographyWeakerThanLossTrend) {
   for (std::uint64_t seed : {111, 112, 113}) {
     auto cfg = default_scenario("Netflix", seed);
     cfg.replay_duration = seconds(30);
-    const auto sim = run_simultaneous_experiment(cfg);
-    if (!sim.differentiation_confirmed) continue;
+    const auto test = run_simultaneous_test_reported(cfg, "tomography");
+    if (!test.localization.confirmation_passed) continue;
+    const auto& original = test.phases[0];
     const Time rtt = milliseconds(cfg.rtt1_ms);
-    corr_hits += core::loss_trend_correlation(sim.original.p1.meas,
-                                              sim.original.p2.meas, rtt)
+    corr_hits += core::loss_trend_correlation(original.p1.meas,
+                                              original.p2.meas, rtt)
                      .common_bottleneck;
-    tomo_hits += core::bin_loss_tomo_no_params(sim.original.p1.meas,
-                                               sim.original.p2.meas, rtt)
+    tomo_hits += core::bin_loss_tomo_no_params(original.p1.meas,
+                                               original.p2.meas, rtt)
                      .common_bottleneck;
   }
   EXPECT_GE(corr_hits, tomo_hits);
@@ -75,9 +79,10 @@ TEST(Integration, FullPipelinePerClientWild) {
     cfg.isp = default_isp_models()[1];
     cfg.seed = seed;
     const auto t_diff = build_wild_t_diff(cfg, 8);
-    const auto out = run_wild_test(cfg, t_diff);
-    localized += out.localized && out.localization.mechanism ==
-                                      core::Mechanism::PerClientThrottling;
+    const auto out = run_wild_test_reported(cfg, t_diff);
+    localized += out.report.values.at("localized") != 0.0 &&
+                 out.localization.mechanism ==
+                     core::Mechanism::PerClientThrottling;
   }
   EXPECT_GE(localized, 2);
 }
@@ -89,7 +94,7 @@ TEST(Integration, SanityCheckThirdReplayNotLocalizedAsPerClient) {
   cfg.isp = default_isp_models()[0];
   cfg.seed = 119;
   const auto t_diff = build_wild_t_diff(cfg, 8);
-  const auto out = run_wild_test(cfg, t_diff, /*sanity_check=*/true);
+  const auto out = run_wild_test_reported(cfg, t_diff, /*sanity_check=*/true);
   EXPECT_NE(out.localization.mechanism,
             core::Mechanism::PerClientThrottling);
 }
@@ -99,15 +104,22 @@ TEST(Integration, FullExperimentProducesCompleteInput) {
   cfg.replay_duration = seconds(15);
   const std::vector<double> t_diff{0.05, -0.08, 0.1, -0.03, 0.06,
                                    -0.09, 0.04, -0.02, 0.07, -0.05};
-  const auto input = run_full_experiment(cfg, t_diff);
-  EXPECT_FALSE(input.p0_original.deliveries.empty());
-  EXPECT_FALSE(input.p0_inverted.deliveries.empty());
-  EXPECT_FALSE(input.p1_original.deliveries.empty());
-  EXPECT_FALSE(input.p2_original.deliveries.empty());
-  EXPECT_FALSE(input.p1_inverted.deliveries.empty());
-  EXPECT_FALSE(input.p2_inverted.deliveries.empty());
-  EXPECT_EQ(input.t_diff_history.size(), t_diff.size());
-  EXPECT_EQ(input.base_rtt, milliseconds(35));
+  const auto test = run_full_experiment_reported(cfg, t_diff);
+  // The four phases in kTestPhases order, every measurement populated: the
+  // simultaneous ones on both paths, the single ones on p0 (their p1).
+  ASSERT_EQ(test.phases.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    SCOPED_TRACE("phase " + std::to_string(i));
+    EXPECT_FALSE(test.phases[i].p1.meas.deliveries.empty());
+    EXPECT_EQ(test.phases[i].p2.meas.deliveries.empty(), i >= 2);
+  }
+  // localize() ran on them with the T_diff history and the configured
+  // base RTT: the throughput comparison drew one O_diff per T_diff value,
+  // and Alg. 1 ran at max(RTT_1, RTT_2).
+  ASSERT_TRUE(test.localization.confirmation_passed);
+  EXPECT_EQ(test.localization.throughput.t_diff.size(), t_diff.size());
+  ASSERT_GT(test.localization.loss.sizes_tested, 0u);
+  EXPECT_EQ(test.localization.base_rtt_used, milliseconds(35));
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The parallel trial-execution engine: thread-pool mechanics, and the
-// determinism contract — run_trials must produce bit-identical results
-// regardless of thread count.
+// determinism contract — a grid of reported tests through parallel_map
+// must produce bit-identical results regardless of thread count.
 #include <atomic>
 #include <cstring>
 #include <numeric>
@@ -12,7 +12,6 @@
 #include "experiments/params.hpp"
 #include "experiments/scenario.hpp"
 #include "parallel/thread_pool.hpp"
-#include "parallel/trials.hpp"
 
 using namespace wehey;
 using namespace wehey::experiments;
@@ -137,19 +136,32 @@ std::vector<ScenarioConfig> small_grid() {
   return configs;
 }
 
-TEST(RunTrials, BitIdenticalAcrossThreadCounts) {
+/// The reported §6.2 test of every config, on `threads` workers.
+std::vector<ReportedTest> reported_grid(
+    const std::vector<ScenarioConfig>& configs, unsigned threads) {
+  return parallel::parallel_map(
+      configs.size(),
+      [&](std::size_t i) {
+        return run_simultaneous_test_reported(configs[i],
+                                              "grid.r" + std::to_string(i));
+      },
+      threads);
+}
+
+void expect_identical(const ReportedTest& a, const ReportedTest& b) {
+  ASSERT_EQ(a.phases.size(), b.phases.size());
+  for (std::size_t p = 0; p < a.phases.size(); ++p) {
+    SCOPED_TRACE("phase " + std::to_string(p));
+    expect_identical(a.phases[p], b.phases[p]);
+  }
+  EXPECT_EQ(a.report.to_json(&a.metrics), b.report.to_json(&b.metrics));
+}
+
+TEST(ParallelMap, ReportedTestsBitIdenticalAcrossThreadCounts) {
   const auto configs = small_grid();
-  const auto run = [&](unsigned threads) {
-    return parallel::run_trials(
-        configs,
-        [](const ScenarioConfig& cfg) {
-          return run_phase(cfg, Phase::SimOriginal);
-        },
-        threads);
-  };
-  const auto serial = run(1);
-  const auto threaded = run(8);
-  const auto threaded2 = run(2);
+  const auto serial = reported_grid(configs, 1);
+  const auto threaded = reported_grid(configs, 8);
+  const auto threaded2 = reported_grid(configs, 2);
   ASSERT_EQ(serial.size(), configs.size());
   ASSERT_EQ(threaded.size(), configs.size());
   ASSERT_EQ(threaded2.size(), configs.size());
@@ -160,24 +172,21 @@ TEST(RunTrials, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(RunTrials, FullExperimentDeterministicUnderNesting) {
-  // run_simultaneous_experiment parallelizes its own phases; nested under
-  // run_trials those inner calls take the serial path. Either way the
-  // verdict and the drop counters must match the fully serial run.
+TEST(ParallelMap, ReportedTestDeterministicUnderNesting) {
+  // The reported test parallelizes its own phases; nested under an outer
+  // parallel_map those inner calls take the serial path. Either way the
+  // phases and the report must match the fully serial run, and repeats of
+  // one config must match each other.
   auto cfg = default_scenario("Zoom", 42);
   cfg.replay_duration = seconds(5);
   const std::vector<ScenarioConfig> configs(3, cfg);
 
-  const auto serial =
-      parallel::run_trials(configs, run_simultaneous_experiment, 1);
-  const auto threaded =
-      parallel::run_trials(configs, run_simultaneous_experiment, 8);
+  const auto serial = reported_grid(configs, 1);
+  const auto threaded = reported_grid(configs, 8);
   for (std::size_t i = 0; i < configs.size(); ++i) {
     SCOPED_TRACE("trial " + std::to_string(i));
-    EXPECT_EQ(serial[i].differentiation_confirmed,
-              threaded[i].differentiation_confirmed);
-    expect_identical(serial[i].original, threaded[i].original);
-    expect_identical(serial[i].inverted, threaded[i].inverted);
+    expect_identical(serial[i], threaded[i]);
+    expect_identical(serial[0].phases[0], threaded[i].phases[0]);
   }
 }
 

@@ -167,9 +167,10 @@ TEST(Supervisor, TightEventBudgetEndsWildTestWithoutLocalization) {
       experiments::run_simultaneous_test_reported(scenario, "tight");
   ::unsetenv("WEHEY_TRIAL_MAX_EVENTS");
 
-  EXPECT_TRUE(res.outcome.budget_exhausted);
-  EXPECT_EQ(res.outcome.budget_reason, "events");
-  EXPECT_FALSE(res.outcome.localized);  // analyses skipped, inputs stumps
+  EXPECT_TRUE(res.budget_exhausted());
+  // Analyses skipped, inputs stumps.
+  EXPECT_FALSE(res.localization.trace.evaluated);
+  EXPECT_EQ(res.report.values.at("localized"), 0.0);
   expect_budget_stopped_report(res.report);
   expect_budget_stopped_report(full.report);
   expect_budget_stopped_report(simultaneous.report);
@@ -405,7 +406,7 @@ SweepFixture sweep_fixture() {
   return fx;
 }
 
-experiments::WildTestResult run_one(const SweepFixture& fx, std::size_t i) {
+experiments::ReportedTest run_one(const SweepFixture& fx, std::size_t i) {
   return experiments::run_wild_test_reported(fx.cfgs[i], fx.t_diffs[i],
                                              /*sanity_check=*/false,
                                              fx.run_ids[i]);
@@ -429,7 +430,7 @@ std::size_t observed_sweep(const SweepFixture& fx, const std::string& dir,
         fx.run_ids.size(),
         [&](std::size_t i) {
           return sweep.completed(fx.run_ids[i])
-                     ? experiments::WildTestResult{}
+                     ? experiments::ReportedTest{}
                      : run_one(fx, i);
         },
         threads);
