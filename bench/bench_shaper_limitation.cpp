@@ -3,12 +3,14 @@
 // loss."
 //
 // The token bucket's queue depth turns it from a policer into a shaper:
-// sweeping the queue from shallow (drops) to deep (delays) shows WeHe's
-// detection surviving throughout while loss-trend localization falls off
-// exactly when the losses disappear — the limitation, reproduced. Each
-// queue depth is one sweep cell of §6.2 tests: WeHe = the runs the audit
-// evaluated (confirmed on both paths), loss-trend = their positive
-// verdicts.
+// sweeping the queue from shallow to deep shows WeHe's detection surviving
+// throughout while loss-trend localization falls off. The deep shaper does
+// not remove the loss, it moves it: the limiter drops less, and the
+// non-common FIFOs, which the two paths do not share, take a growing share
+// of the drops. Each queue depth is one sweep cell of §6.2 tests:
+// WeHe = the runs the audit evaluated (confirmed on both paths),
+// loss-trend = their positive verdicts; the two drop columns are per-run
+// means over both phases.
 #include <cstdio>
 
 #include "bench_util.hpp"
@@ -42,12 +44,20 @@ int main() {
   }
   const auto reports = bench::run_grid(
       obs_run, cells, [&](std::size_t i, const std::string& id) {
-        return run_simultaneous_test_reported(configs[i], id);
+        auto res = run_simultaneous_test_reported(configs[i], id);
+        const auto& drops = res.metrics.counters();
+        res.report.values["limiter_drops"] =
+            static_cast<double>(drops.at("net.limiter_drops").value());
+        res.report.values["nc_fifo_drops"] =
+            static_cast<double>(drops.at("net.nc1.drops").value() +
+                                drops.at("net.nc2.drops").value());
+        return res;
       });
 
-  std::printf("  %-22s | %-6s | %-10s | %-9s | %s\n",
-              "queue (x burst)", "WeHe", "loss-trend", "retx", "queue delay");
-  std::printf("  -----------------------+--------+------------+-----------+----------\n");
+  std::printf("  %-22s | %-6s | %-10s | %-9s | %-11s | %-8s | %s\n",
+              "queue (x burst)", "WeHe", "loss-trend", "retx", "queue delay",
+              "limiter", "nc FIFOs");
+  std::printf("  -----------------------+--------+------------+-----------+-------------+----------+---------\n");
   const double n = static_cast<double>(runs);
   for (const auto& row : rows) {
     const auto a = obs_run.cell_audit(row.cell);
@@ -55,16 +65,21 @@ int main() {
     const char* kind = row.queue_factor <= 1.0   ? "policer"
                        : row.queue_factor <= 4.0 ? "shallow shaper"
                                                  : "deep shaper";
-    std::printf("  %6.2f (%-14s) | %2d/%2zu | %7d/%-2d | %8.3f%% | %6.1f ms\n",
-                row.queue_factor, kind, wehe, runs,
-                static_cast<int>(a.tp + a.fp), wehe,
-                100.0 * bench::cell_sum(reports, row.cell, "retx_rate") / n,
-                bench::cell_sum(reports, row.cell, "queue_delay_ms") / n);
+    std::printf(
+        "  %6.2f (%-14s) | %2d/%2zu | %7d/%-2d | %8.3f%% | %8.1f ms | %8.0f | "
+        "%8.0f\n",
+        row.queue_factor, kind, wehe, runs, static_cast<int>(a.tp + a.fp),
+        wehe, 100.0 * bench::cell_sum(reports, row.cell, "retx_rate") / n,
+        bench::cell_sum(reports, row.cell, "queue_delay_ms") / n,
+        bench::cell_sum(reports, row.cell, "limiter_drops") / n,
+        bench::cell_sum(reports, row.cell, "nc_fifo_drops") / n);
   }
   std::printf("\nexpected shape: WeHe detects at every depth (throughput is "
               "throttled regardless); loss-trend localization works for "
-              "policers and shallow shapers and fades as the deep shaper "
-              "replaces loss with delay — the §3.2 limitation.\n");
+              "policers and shallow shapers and fades as the queue deepens "
+              "— the §3.2 limitation. The deep shaper does not remove the "
+              "loss: the limiter drops less, and the loss moves to the "
+              "non-common FIFOs, which the two replays do not share.\n");
   obs_run.report().verdict = "completed";
   return obs_run.finish() ? 0 : 1;
 }

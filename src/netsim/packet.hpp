@@ -2,10 +2,9 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "common/time.hpp"
+#include "netsim/ring.hpp"
 
 namespace wehey::netsim {
 
@@ -75,53 +74,8 @@ class PacketIdSource {
   std::uint64_t next_ = 1;
 };
 
-/// FIFO of packets backed by a growable circular buffer with an internal
-/// free region: dequeued slots are reused by later enqueues, so a disc at
-/// steady state never allocates. This replaces std::deque<Packet> in the
-/// queueing disciplines, where deque chunk churn was a measurable share of
-/// the event-loop allocation traffic.
-///
-/// Only the operations the discs need: push_back / front / pop_front.
-class PacketRing {
- public:
-  PacketRing() = default;
-
-  bool empty() const { return size_ == 0; }
-  std::size_t size() const { return size_; }
-
-  void push_back(Packet pkt) {
-    if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) % buf_.size()] = std::move(pkt);
-    ++size_;
-  }
-
-  Packet& front() { return buf_[head_]; }
-  const Packet& front() const { return buf_[head_]; }
-
-  void pop_front() {
-    head_ = (head_ + 1) % buf_.size();
-    --size_;
-  }
-
-  void clear() {
-    head_ = 0;
-    size_ = 0;
-  }
-
- private:
-  void grow() {
-    const std::size_t cap = buf_.empty() ? 16 : buf_.size() * 2;
-    std::vector<Packet> next(cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      next[i] = std::move(buf_[(head_ + i) % buf_.size()]);
-    }
-    buf_ = std::move(next);
-    head_ = 0;
-  }
-
-  std::vector<Packet> buf_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
+/// The queueing disciplines' packet FIFO: dequeued slots are reused by
+/// later enqueues, so a disc at steady state never allocates.
+using PacketRing = Ring<Packet>;
 
 }  // namespace wehey::netsim

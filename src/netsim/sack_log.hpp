@@ -23,10 +23,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "common/check.hpp"
+#include "netsim/ring.hpp"
 
 namespace wehey::netsim {
 
@@ -44,30 +43,26 @@ struct SackBlock {
 // rotating-3-block implementation without simulating the rotation.
 inline constexpr int kMaxSackBlocks = 16;
 
-/// FIFO of SACK blocks addressed by a running 32-bit index, backed by a
-/// power-of-two ring that is reused once the log reaches its high-water
-/// mark. Indices wrap modulo 2^32; only the distance from the oldest live
-/// block matters, and at most a few round trips of ACKs are ever live.
+/// FIFO of SACK blocks addressed by a running 32-bit index, on a Ring that
+/// is reused once the log reaches its high-water mark. Indices wrap modulo
+/// 2^32; only the distance from the oldest live block matters, and at most
+/// a few round trips of ACKs are ever live.
 class SackLog {
  public:
   /// Index the next appended block receives.
   std::uint32_t next_index() const {
-    return base_ + static_cast<std::uint32_t>(size_);
+    return base_ + static_cast<std::uint32_t>(blocks_.size());
   }
 
-  void append(SackBlock block) {
-    if (size_ == buf_.size()) grow();
-    buf_[(head_ + size_) & (buf_.size() - 1)] = block;
-    ++size_;
-  }
+  void append(SackBlock block) { blocks_.push_back(block); }
 
   /// The block at `index`, which must not have been released yet.
   const SackBlock& at(std::uint32_t index) const {
     // Unsigned distance: an index below the base (an ACK arriving after a
     // later one was consumed) wraps to a huge offset and fails here.
     const std::uint32_t offset = index - base_;
-    WEHEY_EXPECTS(offset < size_);
-    return buf_[(head_ + offset) & (buf_.size() - 1)];
+    WEHEY_EXPECTS(offset < blocks_.size());
+    return blocks_[offset];
   }
 
   /// The sender side of one ACK: visit its `count` blocks starting at
@@ -82,31 +77,17 @@ class SackLog {
   /// Drop every block whose index is below `end`.
   void release_before(std::uint32_t end) {
     const std::uint32_t n = end - base_;
-    WEHEY_EXPECTS(n <= size_);
-    if (n == 0) return;
-    head_ = (head_ + n) & (buf_.size() - 1);
-    size_ -= n;
+    WEHEY_EXPECTS(n <= blocks_.size());
+    blocks_.pop_front(n);
     base_ = end;
   }
 
   /// Blocks appended and not yet released.
-  std::size_t live() const { return size_; }
+  std::size_t live() const { return blocks_.size(); }
 
  private:
-  void grow() {
-    const std::size_t cap = buf_.empty() ? 64 : buf_.size() * 2;
-    std::vector<SackBlock> next(cap);
-    for (std::size_t i = 0; i < size_; ++i) {
-      next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-    }
-    buf_ = std::move(next);
-    head_ = 0;
-  }
-
-  std::vector<SackBlock> buf_;
-  std::size_t head_ = 0;       ///< ring position of index base_
-  std::size_t size_ = 0;       ///< live blocks
-  std::uint32_t base_ = 0;     ///< index of the oldest live block
+  Ring<SackBlock> blocks_;
+  std::uint32_t base_ = 0;  ///< index of the oldest live block
 };
 
 }  // namespace wehey::netsim

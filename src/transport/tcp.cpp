@@ -69,48 +69,62 @@ void TcpSender::maybe_send() {
   // share the same congestion-window budget and the pacing gate.
   while (pipe() + static_cast<std::int64_t>(cfg_.mss) <=
          static_cast<std::int64_t>(cwnd_) + cfg_.mss - 1) {
-    SegmentMap::iterator hole = outstanding_.end();
+    Segment* hole = nullptr;
     if (in_recovery_) {
-      for (auto it = outstanding_.lower_bound(std::max(una_, hole_cursor_));
-           it != outstanding_.end() && it->first < recover_; ++it) {
-        if (!it->second.sacked && !it->second.retx_in_recovery) {
-          hole = it;
+      for (std::size_t i = first_segment_from(std::max(una_, hole_cursor_));
+           i < outstanding_.size() && outstanding_[i].seq < recover_; ++i) {
+        if (!outstanding_[i].sacked && !outstanding_[i].retx_in_recovery) {
+          hole = &outstanding_[i];
           break;
         }
       }
-      hole_cursor_ = hole != outstanding_.end() ? hole->first : recover_;
+      hole_cursor_ = hole != nullptr ? hole->seq : recover_;
     }
-    if (hole == outstanding_.end() && available_ == 0) return;
+    if (hole == nullptr && available_ == 0) return;
 
     if (cfg_.pacing && sim_.now() < pace_next_) {
       if (!pace_timer_.armed()) pace_timer_.arm(pace_next_);
       return;
     }
-    if (hole != outstanding_.end()) {
-      auto& seg = hole->second;
-      seg.retransmitted = true;
-      seg.retx_in_recovery = true;
-      if (seg.lost) {
+    if (hole != nullptr) {
+      hole->retransmitted = true;
+      hole->retx_in_recovery = true;
+      if (hole->lost) {
         // The retransmission puts the segment back in flight.
-        seg.lost = false;
-        lost_bytes_ -= seg.len;
+        hole->lost = false;
+        lost_bytes_ -= hole->len;
       }
-      transmit(hole->first, seg, /*is_retx=*/true);
+      transmit(*hole, /*is_retx=*/true);
       continue;
     }
     send_new_segment();
   }
 }
 
+std::size_t TcpSender::first_segment_from(std::uint64_t seq) const {
+  std::size_t lo = 0;
+  std::size_t hi = outstanding_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (outstanding_[mid].seq < seq) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 void TcpSender::send_new_segment() {
   const auto len = static_cast<std::uint32_t>(
       std::min<std::int64_t>(available_, cfg_.mss));
   Segment seg;
+  seg.seq = next_seq_;
   seg.len = len;
   seg.first_sent = sim_.now();
   seg.delivered_at_send = delivered_total_;
-  outstanding_.emplace(next_seq_, seg);
-  transmit(next_seq_, seg, /*is_retx=*/false);
+  outstanding_.push_back(seg);
+  transmit(seg, /*is_retx=*/false);
   next_seq_ += len;
   available_ -= len;
   // Arm (not restart) the retransmission timer: restarting on every send
@@ -118,8 +132,7 @@ void TcpSender::send_new_segment() {
   if (!rto_timer_.armed()) arm_rto();
 }
 
-void TcpSender::transmit(std::uint64_t seq, const Segment& seg,
-                         bool is_retx) {
+void TcpSender::transmit(const Segment& seg, bool is_retx) {
   Packet pkt;
   pkt.id = ids_.next();
   pkt.flow = flow_;
@@ -127,7 +140,7 @@ void TcpSender::transmit(std::uint64_t seq, const Segment& seg,
   pkt.kind = PacketKind::Data;
   pkt.size = seg.len + cfg_.header_bytes;
   pkt.dscp = dscp_;
-  pkt.seq = seq;
+  pkt.seq = seg.seq;
   pkt.payload = seg.len;
   pkt.retransmit = is_retx;
   pkt.sent_at = sim_.now();
@@ -152,40 +165,35 @@ void TcpSender::transmit(std::uint64_t seq, const Segment& seg,
 }
 
 void TcpSender::retransmit_front(bool timeout) {
-  const auto it = outstanding_.find(una_);
-  if (it == outstanding_.end()) return;
-  auto& seg = it->second;
+  if (outstanding_.empty()) return;
+  auto& seg = outstanding_.front();
+  WEHEY_ASSERT(seg.seq == una_);
   seg.retransmitted = true;  // Karn: no RTT sample from this segment
   seg.retx_in_recovery = true;
   if (seg.lost) {
     seg.lost = false;
     lost_bytes_ -= seg.len;
   }
-  transmit(una_, seg, /*is_retx=*/true);
+  transmit(seg, /*is_retx=*/true);
   if (timeout) arm_rto();
 }
 
 void TcpSender::apply_sack(const Packet& ack_pkt) {
-  const std::uint64_t prev_highest = highest_sacked_;
   if (ack_pkt.sack_log != nullptr) {
     ack_pkt.sack_log->consume(
         ack_pkt.sack_first, ack_pkt.sack_count,
         [this](const netsim::SackBlock& block) {
           if (block.empty()) return;
-          for (auto it = outstanding_.lower_bound(block.start);
-               it != outstanding_.end() &&
-               it->first + it->second.len <= block.end;
-               ++it) {
-            if (!it->second.sacked) {
-              it->second.sacked = true;
-              sacked_bytes_ += it->second.len;
-              if (it->second.lost) {
-                it->second.lost = false;
-                lost_bytes_ -= it->second.len;
-              }
-            }
-          }
           if (block.end > highest_sacked_) highest_sacked_ = block.end;
+          // Segments of an earlier block are sacked already; only the
+          // parts of this one no earlier block covered can hold new ones.
+          const std::uint64_t start = std::max(block.start, una_);
+          const std::uint64_t end = std::min(block.end, next_seq_);
+          if (start >= end) return;
+          sacked_ranges_.insert(start, end,
+                                [this](std::uint64_t from, std::uint64_t to) {
+                                  mark_sacked(from, to);
+                                });
         });
   }
 
@@ -196,13 +204,17 @@ void TcpSender::apply_sack(const Packet& ack_pkt) {
   if (highest_sacked_ > dup_thresh) {
     const std::uint64_t threshold = highest_sacked_ - dup_thresh;
     const std::uint64_t from = std::max(una_, loss_scan_floor_);
-    for (auto it = outstanding_.lower_bound(from);
-         it != outstanding_.end() && it->first + it->second.len <= threshold;
-         ++it) {
-      auto& seg = it->second;
-      if (!seg.sacked && !seg.lost && !seg.retransmitted) {
-        seg.lost = true;
-        lost_bytes_ += seg.len;
+    // A segment at or above `from` ends above it: none qualifies unless
+    // the threshold moved past `from`, which most ACKs do not make it do.
+    if (threshold > from) {
+      for (std::size_t i = first_segment_from(from);
+           i < outstanding_.size() && outstanding_[i].end() <= threshold;
+           ++i) {
+        auto& seg = outstanding_[i];
+        if (!seg.sacked && !seg.lost && !seg.retransmitted) {
+          seg.lost = true;
+          lost_bytes_ += seg.len;
+        }
       }
     }
     loss_scan_floor_ = std::max(loss_scan_floor_, threshold);
@@ -211,12 +223,19 @@ void TcpSender::apply_sack(const Packet& ack_pkt) {
   // only on cumulative-ACK progress (RFC 6298). If the una-hole repair
   // itself is lost, the timeout is the rescue path; postponing it on SACK
   // progress would starve a stuck recovery forever.
-  (void)prev_highest;
 }
 
-void TcpSender::sack_retransmit() {
-  // Hole repair shares the unified send loop (repairs take priority).
-  maybe_send();
+void TcpSender::mark_sacked(std::uint64_t from, std::uint64_t to) {
+  for (std::size_t i = first_segment_from(from);
+       i < outstanding_.size() && outstanding_[i].end() <= to; ++i) {
+    auto& seg = outstanding_[i];
+    seg.sacked = true;
+    sacked_bytes_ += seg.len;
+    if (seg.lost) {
+      seg.lost = false;
+      lost_bytes_ -= seg.len;
+    }
+  }
 }
 
 void TcpSender::receive(Packet pkt) {
@@ -231,9 +250,6 @@ void TcpSender::receive(Packet pkt) {
     ++dup_acks_;
     if (!in_recovery_ && dup_acks_ == 3) {
       enter_loss_recovery(/*timeout=*/false);
-      sack_retransmit();
-    } else if (in_recovery_) {
-      sack_retransmit();
     }
   }
   maybe_send();
@@ -251,19 +267,20 @@ void TcpSender::on_new_ack(std::uint64_t ack, Time now) {
   // same way).
   std::int64_t sample_delivered_at_send = -1;
   Time sample_sent_at = 0;
-  for (auto it = outstanding_.begin();
-       it != outstanding_.end() && it->first < ack;) {
-    if (!it->second.retransmitted && it->first + it->second.len == ack &&
-        it->second.first_sent > last_loss_event_) {
-      update_rtt(now - it->second.first_sent);
-      sample_delivered_at_send = it->second.delivered_at_send;
-      sample_sent_at = it->second.first_sent;
+  while (!outstanding_.empty() && outstanding_.front().seq < ack) {
+    const Segment& seg = outstanding_.front();
+    if (!seg.retransmitted && seg.end() == ack &&
+        seg.first_sent > last_loss_event_) {
+      update_rtt(now - seg.first_sent);
+      sample_delivered_at_send = seg.delivered_at_send;
+      sample_sent_at = seg.first_sent;
     }
-    if (it->second.sacked) sacked_bytes_ -= it->second.len;
-    if (it->second.lost) lost_bytes_ -= it->second.len;
-    it = outstanding_.erase(it);
+    if (seg.sacked) sacked_bytes_ -= seg.len;
+    if (seg.lost) lost_bytes_ -= seg.len;
+    outstanding_.pop_front();
   }
   una_ = ack;
+  sacked_ranges_.erase_below(una_);
   delivered_total_ += acked_bytes;
   if (cfg_.cc == CongestionControl::Bbr) {
     bbr_on_ack(acked_bytes, now, sample_delivered_at_send, sample_sent_at);
@@ -286,7 +303,7 @@ void TcpSender::on_new_ack(std::uint64_t ack, Time now) {
         cwnd_ += static_cast<double>(
             std::min<std::int64_t>(acked_bytes, cfg_.mss));
       }
-      sack_retransmit();
+      maybe_send();
     }
   } else {
     slow_start_or_avoid(acked_bytes, now);
@@ -296,6 +313,7 @@ void TcpSender::on_new_ack(std::uint64_t ack, Time now) {
     arm_rto();
   } else {
     cancel_rto();
+    outstanding_.release();  // idle: give the high-water buffer back
     if (complete() && !completed_notified_) {
       completed_notified_ = true;
       meas_.end = now;
@@ -354,6 +372,9 @@ void TcpSender::enter_loss_recovery(bool timeout) {
   // CUBIC multiplicative decrease; remember W_max for the next epoch.
   w_max_ = cwnd_segments();
   epoch_start_ = -1;
+  for (std::size_t i = 0; i < outstanding_.size(); ++i) {
+    outstanding_[i].retx_in_recovery = false;
+  }
   const double beta =
       cfg_.cc == CongestionControl::Cubic ? cfg_.cubic_beta : 0.5;
   if (cfg_.cc == CongestionControl::Bbr && !timeout) {
@@ -362,15 +383,14 @@ void TcpSender::enter_loss_recovery(bool timeout) {
     in_recovery_ = true;
     rto_recovery_ = false;
     recover_ = next_seq_;
-    for (auto& [seq, seg] : outstanding_) seg.retx_in_recovery = false;
     return;
   }
   ssthresh_ = std::max(cwnd_ * beta, 2.0 * mss_d());
-  for (auto& [seq, seg] : outstanding_) seg.retx_in_recovery = false;
   if (timeout) {
     // After an RTO every unSACKed outstanding segment is presumed lost:
     // rebuild the pipe and repair in slow start from one MSS.
-    for (auto& [seq, seg] : outstanding_) {
+    for (std::size_t i = 0; i < outstanding_.size(); ++i) {
+      auto& seg = outstanding_[i];
       if (!seg.sacked && !seg.lost) {
         seg.lost = true;
         lost_bytes_ += seg.len;
@@ -564,13 +584,13 @@ void TcpReceiver::receive(Packet pkt) {
   if (pkt.seq == rcv_next_) {
     rcv_next_ += pkt.payload;
     // Drain any contiguous out-of-order data.
-    auto it = out_of_order_.begin();
-    while (it != out_of_order_.end() && it->first <= rcv_next_) {
-      rcv_next_ = std::max(rcv_next_, it->second);
-      it = out_of_order_.erase(it);
+    while (!out_of_order_.empty() &&
+           out_of_order_.front().start <= rcv_next_) {
+      rcv_next_ = std::max(rcv_next_, out_of_order_.front().end);
+      out_of_order_.erase_below(rcv_next_);
     }
   } else if (pkt.seq > rcv_next_) {
-    add_out_of_order(pkt.seq, pkt.seq + pkt.payload);
+    out_of_order_.insert(pkt.seq, pkt.seq + pkt.payload);
   }
   // else: duplicate of already-delivered data; ACK re-states rcv_next_.
 
@@ -593,27 +613,6 @@ void TcpReceiver::receive(Packet pkt) {
   if (!delack_timer_.armed()) {
     delack_timer_.arm(now + cfg_.delayed_ack_timeout);
   }
-}
-
-void TcpReceiver::add_out_of_order(std::uint64_t start, std::uint64_t end) {
-  auto next = out_of_order_.upper_bound(start);
-  if (next != out_of_order_.begin()) {
-    const auto prev = std::prev(next);
-    if (start < prev->second) return;  // inside a range: a duplicate
-    if (prev->second == start) {
-      prev->second = end;
-      if (next != out_of_order_.end() && next->first == end) {
-        prev->second = next->second;
-        out_of_order_.erase(next);
-      }
-      return;
-    }
-  }
-  if (next != out_of_order_.end() && next->first == end) {
-    end = next->second;
-    next = out_of_order_.erase(next);
-  }
-  out_of_order_.emplace_hint(next, start, end);
 }
 
 void TcpReceiver::send_ack(Time now) {
@@ -641,7 +640,7 @@ void TcpReceiver::fill_sack_blocks(Packet& ack) {
   for (auto it = out_of_order_.rbegin();
        it != out_of_order_.rend() && used < netsim::kMaxSackBlocks;
        ++it, ++used) {
-    sack_log_.append({it->first, it->second});
+    sack_log_.append(*it);
   }
   ack.sack_count = static_cast<std::uint8_t>(used);
 }

@@ -18,22 +18,40 @@
 // blocks for out-of-order data; the sender runs RFC 6675-style pipe
 // accounting and hole repair, like the Linux stacks the paper's testbed
 // used.
+//
+// The sender's scoreboard keeps these invariants:
+//
+//  * Segment boundaries never move. Data is cut into segments once, when
+//    first sent, and a retransmission repeats a segment's (seq, len). So
+//    every cumulative ACK and every SACK block edge is a segment boundary.
+//  * The outstanding segments sit in one Ring in sequence order, back to
+//    back: the front starts at una_ and the back ends at next_seq_.
+//    Segments are appended at next_seq_ and erased only from the front, so
+//    finding the segment at a sequence number is a binary search.
+//  * `sacked` only goes from false to true. Hence the sender's RangeSet of
+//    SACKed bytes, each block clipped to [una_, next_seq_) when read and
+//    the set trimmed as una_ advances, is exactly the bytes of the segments
+//    marked sacked, and sacked_bytes_ is its size. A block is walked only
+//    where that set does not already cover it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <utility>
+#include <vector>
 
 #include "common/time.hpp"
 #include "common/units.hpp"
 #include "netsim/measure.hpp"
 #include "netsim/packet.hpp"
+#include "netsim/ring.hpp"
 #include "netsim/sack_log.hpp"
 #include "netsim/simulator.hpp"
 #include "netsim/timer.hpp"
 #include "obs/hotpath.hpp"
+#include "transport/range_set.hpp"
 
 namespace wehey::transport {
 
@@ -118,24 +136,29 @@ class TcpSender final : public netsim::PacketSink {
 
  private:
   struct Segment {
-    std::uint32_t len = 0;
+    std::uint64_t seq = 0;  ///< first byte
     Time first_sent = 0;
     std::int64_t delivered_at_send = 0;  ///< BBR delivery-rate sampling
+    std::uint32_t len = 0;
     bool retransmitted = false;
     bool sacked = false;            ///< covered by a received SACK block
     bool lost = false;              ///< deemed lost (RFC 6675 IsLost)
     bool retx_in_recovery = false;  ///< already repaired this recovery
+    std::uint64_t end() const { return seq + len; }
   };
-  using SegmentMap = std::map<std::uint64_t, Segment>;
 
+  /// Send while the pipe has room: SACK-based hole repairs first (RFC 6675
+  /// in spirit), then new data.
   void maybe_send();
   void send_new_segment();
-  void transmit(std::uint64_t seq, const Segment& seg, bool is_retx);
+  void transmit(const Segment& seg, bool is_retx);
   void retransmit_front(bool timeout);
   void apply_sack(const netsim::Packet& ack_pkt);
-  /// SACK-based hole repair: retransmit unsacked holes while the pipe has
-  /// room (RFC 6675 in spirit).
-  void sack_retransmit();
+  /// Mark the outstanding segments inside [from, to) sacked.
+  void mark_sacked(std::uint64_t from, std::uint64_t to);
+  /// Index in outstanding_ of the first segment starting at or above
+  /// `seq` (outstanding_.size() if none).
+  std::size_t first_segment_from(std::uint64_t seq) const;
   /// Outstanding bytes believed in flight: sent data minus SACKed minus
   /// deemed-lost (RFC 6675's pipe).
   std::int64_t pipe() const {
@@ -171,7 +194,9 @@ class TcpSender final : public netsim::PacketSink {
   // Sequence state (byte sequence numbers).
   std::uint64_t una_ = 0;       ///< lowest unacked byte
   std::uint64_t next_seq_ = 0;  ///< next new byte to send
-  SegmentMap outstanding_;
+  /// Segments [una_, next_seq_) in order; its buffer is freed when idle.
+  netsim::Ring<Segment> outstanding_;
+  RangeSet sacked_ranges_;  ///< SACKed bytes in [una_, next_seq_)
   std::int64_t sacked_bytes_ = 0;
   std::int64_t lost_bytes_ = 0;
   std::uint64_t highest_sacked_ = 0;   ///< highest SACKed byte + 1
@@ -294,9 +319,6 @@ class TcpReceiver final : public netsim::PacketSink {
   netsim::FlowId flow_;
   netsim::PacketSink* ack_out_;
 
-  /// Record out-of-order data [start, end), merging it with the ranges
-  /// that end where it starts or start where it ends.
-  void add_out_of_order(std::uint64_t start, std::uint64_t end);
   void fill_sack_blocks(netsim::Packet& ack);
   void send_ack(Time now);
 
@@ -305,11 +327,10 @@ class TcpReceiver final : public netsim::PacketSink {
   std::function<void(std::int64_t)> on_deliver_;
   int unacked_segments_ = 0;       // delayed-ACK counter
   netsim::Timer delack_timer_{sim_, [this] { send_ack(sim_.now()); }};
-  // Out-of-order data as maximal [start, end) ranges, keyed by start.
-  // Merging only at exact adjacency is exact because a segment's
-  // (seq, len) never changes across retransmissions: an arrival lies
-  // either inside one range (a duplicate) or apart from every range.
-  std::map<std::uint64_t, std::uint64_t> out_of_order_;
+  // Out-of-order data above rcv_next_. A segment's (seq, len) never
+  // changes across retransmissions, so an arrival lies either inside one
+  // range (a duplicate) or apart from every range.
+  RangeSet out_of_order_;
   std::vector<netsim::Delivery> deliveries_;
   std::vector<double> owd_ms_;
   std::int64_t received_bytes_ = 0;

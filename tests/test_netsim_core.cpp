@@ -15,6 +15,7 @@
 #include "netsim/link.hpp"
 #include "netsim/measure.hpp"
 #include "netsim/queue.hpp"
+#include "netsim/ring.hpp"
 #include "netsim/sack_log.hpp"
 #include "netsim/simulator.hpp"
 #include "netsim/timer.hpp"
@@ -460,6 +461,43 @@ TEST(PacketRing, FifoOrderAcrossGrowthAndWraparound) {
     ring.pop_front();
   }
   EXPECT_EQ(next_pop, next_push);
+}
+
+TEST(Ring, GrowsWhileWrappedAndReleasesItsBuffer) {
+  Ring<std::uint64_t> ring;
+  std::uint64_t next_push = 0, next_pop = 0;
+  ring.push_back(next_push++);
+  const std::size_t cap = ring.capacity();
+  ASSERT_GE(cap, 4u);
+  while (ring.size() < cap) ring.push_back(next_push++);
+  // Slide the window by half a buffer: the ring is full and wrapped, its
+  // front in the middle of the buffer.
+  for (std::size_t i = 0; i < cap / 2; ++i) {
+    ASSERT_EQ(ring.front(), next_pop++);
+    ring.pop_front();
+    ring.push_back(next_push++);
+  }
+  ASSERT_EQ(ring.capacity(), cap);
+  ASSERT_EQ(ring.size(), cap);
+
+  ring.push_back(next_push++);  // grows while wrapped
+  EXPECT_EQ(ring.capacity(), 2 * cap);
+  ASSERT_EQ(ring.size(), cap + 1);
+  for (std::size_t i = 0; i < ring.size(); ++i) {
+    EXPECT_EQ(ring[i], next_pop + i) << "element " << i;
+  }
+  ring.pop_front(3);
+  next_pop += 3;
+  while (!ring.empty()) {
+    ASSERT_EQ(ring.front(), next_pop++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(next_pop, next_push);
+
+  ring.release();
+  EXPECT_EQ(ring.capacity(), 0u);
+  ring.push_back(7);
+  EXPECT_EQ(ring.front(), 7u);
 }
 
 TEST(Fifo, DropsWhenFull) {

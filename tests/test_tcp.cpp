@@ -13,6 +13,7 @@
 
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
+#include "transport/range_set.hpp"
 #include "transport/tcp.hpp"
 
 namespace wehey::transport {
@@ -488,6 +489,210 @@ TEST(TcpRecovery, RepairsHolesInOrderOncePerEpisodeAndAgainAfterRto) {
   EXPECT_EQ(receiver.received_in_order_bytes(),
             static_cast<std::int64_t>(30 * mss));
 }
+
+// ------------------------------------------------------- SACK scoreboard
+
+using Ranges = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+Ranges contents(const RangeSet& set) {
+  Ranges out;
+  for (const auto& r : set) out.emplace_back(r.start, r.end);
+  return out;
+}
+
+/// Inserts [start, end) into a set holding `before` and returns the gaps
+/// it reported.
+Ranges gaps_of(RangeSet& set, const Ranges& before, std::uint64_t start,
+               std::uint64_t end) {
+  for (const auto& [s, e] : before) set.insert(s, e);
+  Ranges gaps;
+  set.insert(start, end, [&gaps](std::uint64_t from, std::uint64_t to) {
+    gaps.emplace_back(from, to);
+  });
+  return gaps;
+}
+
+TEST(RangeSet, GapWalkReportsOnlyTheUncoveredParts) {
+  const Ranges one{{100, 200}};
+  const Ranges two{{100, 200}, {300, 400}};
+  struct Case {
+    const char* what;
+    Ranges before;
+    std::uint64_t start, end;
+    Ranges gaps, after;
+  };
+  const Case cases[] = {
+      {"inside one range", one, 120, 150, {}, one},
+      {"equal to a range", one, 100, 200, {}, one},
+      {"extends a range below", one, 50, 150, {{50, 100}}, {{50, 200}}},
+      {"extends a range above", one, 150, 260, {{200, 260}}, {{100, 260}}},
+      {"adjacent above", one, 200, 260, {{200, 260}}, {{100, 260}}},
+      {"adjacent below", one, 40, 100, {{40, 100}}, {{40, 200}}},
+      {"bridges two ranges", two, 150, 350, {{200, 300}}, {{100, 400}}},
+      {"fills the hole exactly", two, 200, 300, {{200, 300}}, {{100, 400}}},
+      {"covers both with room to spare", two, 0, 500,
+       {{0, 100}, {200, 300}, {400, 500}}, {{0, 500}}},
+      {"apart, in the hole", two, 220, 280, {{220, 280}},
+       {{100, 200}, {220, 280}, {300, 400}}},
+      {"apart, above all", two, 500, 600, {{500, 600}},
+       {{100, 200}, {300, 400}, {500, 600}}},
+      {"into an empty set", {}, 10, 20, {{10, 20}}, {{10, 20}}},
+  };
+  for (const auto& c : cases) {
+    RangeSet set;
+    EXPECT_EQ(gaps_of(set, c.before, c.start, c.end), c.gaps) << c.what;
+    EXPECT_EQ(contents(set), c.after) << c.what;
+  }
+}
+
+TEST(RangeSet, EraseBelowDropsAndClipsTheLowRanges) {
+  RangeSet set;
+  for (const auto& [s, e] : Ranges{{100, 200}, {300, 400}, {500, 600}}) {
+    set.insert(s, e);
+  }
+  set.erase_below(50);
+  EXPECT_EQ(contents(set), (Ranges{{100, 200}, {300, 400}, {500, 600}}));
+  set.erase_below(200);
+  EXPECT_EQ(contents(set), (Ranges{{300, 400}, {500, 600}}));
+  set.erase_below(350);
+  EXPECT_EQ(contents(set), (Ranges{{350, 400}, {500, 600}}));
+  set.erase_below(700);
+  EXPECT_TRUE(set.empty());
+}
+
+/// Brute-force union of byte ranges: re-sorted and re-merged on every add.
+struct ByteUnion {
+  Ranges ranges;
+  void add(std::uint64_t start, std::uint64_t end) {
+    ranges.emplace_back(start, end);
+    std::sort(ranges.begin(), ranges.end());
+    Ranges merged;
+    for (const auto& r : ranges) {
+      if (!merged.empty() && r.first <= merged.back().second) {
+        merged.back().second = std::max(merged.back().second, r.second);
+      } else {
+        merged.push_back(r);
+      }
+    }
+    ranges = std::move(merged);
+  }
+  /// Bytes of the union inside [lo, hi).
+  std::int64_t bytes_within(std::uint64_t lo, std::uint64_t hi) const {
+    std::int64_t n = 0;
+    for (const auto& [s, e] : ranges) {
+      const std::uint64_t from = std::max(s, lo), to = std::min(e, hi);
+      if (from < to) n += static_cast<std::int64_t>(to - from);
+    }
+    return n;
+  }
+};
+
+/// Sits between the ACK path and the sender. Reads each ACK's SACK blocks
+/// (SackLog::at, which releases nothing) into a brute-force union, hands
+/// the ACK on, then checks the sender's SACKed bytes against that union
+/// clipped to the sender's window [una, next_seq).
+struct ScoreboardTap final : netsim::PacketSink {
+  TcpSender* sender = nullptr;
+  ByteUnion blocks;
+  std::size_t acks = 0;
+  std::size_t mismatches = 0;
+  int most_blocks = 0;
+  std::int64_t most_sacked = 0;
+  void receive(netsim::Packet pkt) override {
+    for (std::uint32_t i = 0; i < pkt.sack_count; ++i) {
+      const auto& b = pkt.sack_log->at(pkt.sack_first + i);
+      if (!b.empty()) blocks.add(b.start, b.end);
+    }
+    most_blocks = std::max<int>(most_blocks, pkt.sack_count);
+    sender->receive(std::move(pkt));
+    ++acks;
+    const std::int64_t expected =
+        blocks.bytes_within(sender->una(), sender->next_seq());
+    most_sacked = std::max(most_sacked, expected);
+    if (sender->sacked_bytes() != expected && mismatches++ == 0) {
+      ADD_FAILURE() << "ACK " << acks << ": sacked_bytes "
+                    << sender->sacked_bytes() << ", union " << expected;
+    }
+  }
+};
+
+struct CcCase {
+  const char* name;
+  CongestionControl cc;
+};
+
+void PrintTo(const CcCase& c, std::ostream* os) { *os << c.name; }
+
+class TcpScoreboard : public ::testing::TestWithParam<CcCase> {};
+
+TEST_P(TcpScoreboard, SackedBytesEqualTheUnionOfBlocksThroughDeepPolicer) {
+  // TcpPinnedTransfer's deep policer: the window grows, so one recovery
+  // episode spans many segments and holes.
+  TcpConfig cfg;
+  cfg.cc = GetParam().cc;
+  Harness h(mbps(50), milliseconds(15),
+            std::make_unique<RateLimiterDisc>(
+                std::make_unique<FifoDisc>(0),
+                std::make_unique<TbfDisc>(mbps(4), 15000, 30000)),
+            cfg, netsim::kDscpDifferentiated);
+  ScoreboardTap tap;
+  tap.sender = h.sender.get();
+  h.ack_pipe->set_next(&tap);
+  h.sender->supply(6'000'000);
+  h.sim.run(seconds(20));
+
+  EXPECT_GT(h.sender->retransmissions(), 0u);
+  EXPECT_GT(tap.most_sacked, 0);
+  EXPECT_GT(tap.acks, 1000u);
+  EXPECT_EQ(tap.mismatches, 0u);
+}
+
+TEST_P(TcpScoreboard, SackedBytesEqualTheUnionOfBlocksWithManyHoles) {
+  TcpConfig cfg;
+  cfg.cc = GetParam().cc;
+  cfg.pacing = false;
+  Simulator sim;
+  PacketIdSource ids;
+  Demux demux;
+  Link link(sim, mbps(50), milliseconds(10), std::make_unique<FifoDisc>(0),
+            &demux);
+  Pipe ack_pipe(sim, milliseconds(10));
+  SegmentDropper dropper;
+  dropper.next = &link;
+  TcpSender sender(sim, ids, cfg, 1, 0, &dropper);
+  dropper.sender = &sender;
+  TcpReceiver receiver(sim, ids, cfg, 1, &ack_pipe);
+  ScoreboardTap tap;
+  tap.sender = &sender;
+  ack_pipe.set_next(&tap);
+  demux.add_route(1, &receiver);
+
+  // Every other segment of one slow-start flight: 30 holes, more than
+  // kMaxSackBlocks. The first hole's repair is lost too, so the episode
+  // ends in a timeout with SACKed data still outstanding.
+  const std::uint64_t mss = cfg.mss;
+  for (std::uint64_t k = 80; k < 140; k += 2) dropper.drops[k * mss] = 1;
+  dropper.drops[80 * mss] = 2;
+  sender.supply(static_cast<std::int64_t>(400 * mss));
+  sim.run(seconds(20));
+
+  ASSERT_TRUE(sender.complete());
+  EXPECT_GE(sender.timeouts(), 1u);
+  EXPECT_EQ(tap.most_blocks, netsim::kMaxSackBlocks);
+  EXPECT_GT(tap.most_sacked, 0);
+  EXPECT_EQ(tap.mismatches, 0u);
+  EXPECT_EQ(receiver.received_in_order_bytes(),
+            static_cast<std::int64_t>(400 * mss));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cc, TcpScoreboard,
+    ::testing::Values(CcCase{"Cubic", CongestionControl::Cubic},
+                      CcCase{"NewReno", CongestionControl::NewReno},
+                      CcCase{"Bbr", CongestionControl::Bbr}),
+    [](const ::testing::TestParamInfo<CcCase>& info) {
+      return std::string(info.param.name);
+    });
 
 /// FNV-1a over 64-bit words: a digest of everything a transfer measured.
 struct Digest {
