@@ -20,7 +20,6 @@ faults::FaultInjector phase_injector(const faults::FaultPlan* plan,
 
 void arm_replay_cut(faults::FaultInjector& inj, FigureOneNetwork& net,
                     int path, Time replay_duration) {
-  if (!inj.enabled()) return;
   const auto fault = inj.on_replay_start(path);
   if (fault.storm) {
     ReplayStorm storm;
@@ -97,15 +96,13 @@ PhaseReport run_test_phase(
   }
   rep.limiter_drops = net.limiter_drops();
   rep.sim_duration = sim.now();
-  if (injector.enabled()) {
-    // The uploads of this phase's measurements to the gathering server
-    // pass through the injector (truncation, corruption, clock skew).
-    bool upload_faulted = injector.on_measurement_upload(1, rep.p1.meas);
-    if (simultaneous) {
-      upload_faulted |= injector.on_measurement_upload(2, rep.p2.meas);
-    }
-    rep.faulted = upload_faulted || rep.p1.aborted || rep.p2.aborted;
+  // The uploads of this phase's measurements to the gathering server
+  // pass through the injector (truncation, corruption, clock skew).
+  bool upload_faulted = injector.on_measurement_upload(1, rep.p1.meas);
+  if (simultaneous) {
+    upload_faulted |= injector.on_measurement_upload(2, rep.p2.meas);
   }
+  rep.faulted = upload_faulted || rep.p1.aborted || rep.p2.aborted;
   rep.injection = injector.stats();
   if (obs::Recorder* rec = obs::Recorder::current()) {
     net.snapshot_metrics();

@@ -26,7 +26,6 @@ bool FaultInjector::fire(std::size_t i, int path) {
 
 ReplayFault FaultInjector::on_replay_start(int path) {
   ReplayFault fault;
-  if (!enabled()) return fault;
   for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
     const auto& spec = plan_.faults[i];
     if (spec.kind == FaultKind::ReplayAbort) {
@@ -35,13 +34,13 @@ ReplayFault FaultInjector::on_replay_start(int path) {
       fault.abort = true;
       fault.at_fraction = spec.at_fraction;
       fault.after_bytes = spec.after_bytes;
-      ++stats_.replays_aborted;
+      ++stats_[spec.kind];
     } else if (spec.kind == FaultKind::EventStorm) {
       if (fault.storm || !fire(i, path)) continue;
       fault.storm = true;
       fault.storm_at_fraction = spec.at_fraction;
       fault.storm_interval = spec.storm_interval;
-      ++stats_.event_storms;
+      ++stats_[spec.kind];
     }
   }
   return fault;
@@ -49,26 +48,24 @@ ReplayFault FaultInjector::on_replay_start(int path) {
 
 ControlFault FaultInjector::on_control_exchange() {
   ControlFault fault;
-  if (!enabled()) return fault;
   for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
     const auto kind = plan_.faults[i].kind;
     if (kind == FaultKind::ControlDrop && !fault.dropped && fire(i, 0)) {
       fault.dropped = true;
-      ++stats_.controls_dropped;
+      ++stats_[kind];
     } else if (kind == FaultKind::ControlDelay && fire(i, 0)) {
       fault.extra_delay += plan_.faults[i].delay;
-      ++stats_.controls_delayed;
+      ++stats_[kind];
     }
   }
   return fault;
 }
 
 bool FaultInjector::on_topology_lookup() {
-  if (!enabled()) return false;
   for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
     if (plan_.faults[i].kind != FaultKind::TopologyUnavailable) continue;
     if (fire(i, 0)) {
-      ++stats_.topology_unavailable;
+      ++stats_[plan_.faults[i].kind];
       return true;
     }
   }
@@ -77,7 +74,6 @@ bool FaultInjector::on_topology_lookup() {
 
 bool FaultInjector::on_measurement_upload(int path,
                                           netsim::ReplayMeasurement& m) {
-  if (!enabled()) return false;
   bool touched = false;
   for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
     const auto& spec = plan_.faults[i];
@@ -85,21 +81,21 @@ bool FaultInjector::on_measurement_upload(int path,
       case FaultKind::MeasurementTruncate:
         if (fire(i, path)) {
           truncate_measurement(m, spec.keep_fraction);
-          ++stats_.measurements_truncated;
+          ++stats_[spec.kind];
           touched = true;
         }
         break;
       case FaultKind::MeasurementCorrupt:
         if (fire(i, path)) {
           corrupt_measurement(m, spec.corrupt_fraction, rng_);
-          ++stats_.measurements_corrupted;
+          ++stats_[spec.kind];
           touched = true;
         }
         break;
       case FaultKind::ClockSkew:
         if (fire(i, path)) {
           skew_measurement(m, spec.delay);
-          ++stats_.clocks_skewed;
+          ++stats_[spec.kind];
           touched = true;
         }
         break;
@@ -111,7 +107,7 @@ bool FaultInjector::on_measurement_upload(int path,
 
 bool FaultInjector::on_traceroute(int path,
                                   topology::TracerouteRecord& record) {
-  if (!enabled() || record.hops.empty()) return false;
+  if (record.hops.empty()) return false;
   bool touched = false;
   for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
     const auto& spec = plan_.faults[i];
@@ -128,7 +124,7 @@ bool FaultInjector::on_traceroute(int path,
       for (std::size_t h = n - dropped; h < n; ++h) {
         record.hops[h].responded = false;
       }
-      ++stats_.traceroutes_dropped;
+      ++stats_[spec.kind];
       touched = true;
     } else if (spec.kind == FaultKind::TracerouteGarble) {
       if (!fire(i, path)) continue;
@@ -140,7 +136,7 @@ bool FaultInjector::on_traceroute(int path,
       if (!hop.reported_ips.empty()) {
         hop.reported_ips.push_back(hop.reported_ips.front() + "/alias");
       }
-      ++stats_.traceroutes_garbled;
+      ++stats_[spec.kind];
       touched = true;
     }
   }

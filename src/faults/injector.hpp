@@ -1,8 +1,8 @@
 // The FaultInjector interprets a FaultPlan at the pipeline's decision
 // points: replay starts, control-plane exchanges, measurement uploads and
 // topology lookups. The session coordinator and the scenario/wild phase
-// runners consult it; with an empty plan every hook is an inlineable
-// no-op, so the robustness layer is zero-cost when off.
+// runners consult it unconditionally: with an empty plan every hook
+// returns "no fault" at once and draws nothing.
 //
 // Determinism: the injector owns its own Rng seeded from the plan, so
 // fault decisions never perturb the simulation's random streams — a
@@ -10,7 +10,10 @@
 // packet up to the first injected fault.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -43,54 +46,47 @@ struct ControlFault {
   Time extra_delay = 0;
 };
 
-/// What the injector did so far (for session results and the bench).
+/// What the injector did so far (for session results and the bench): one
+/// count per FaultKind.
 struct InjectionStats {
-  int replays_aborted = 0;
-  int controls_dropped = 0;
-  int controls_delayed = 0;
-  int measurements_truncated = 0;
-  int measurements_corrupted = 0;
-  int clocks_skewed = 0;
-  int topology_unavailable = 0;
-  int traceroutes_dropped = 0;
-  int traceroutes_garbled = 0;
-  int event_storms = 0;
+  /// Report names of the counts, in FaultKind order.
+  static constexpr const char* kNames[] = {
+      "replays_aborted",        "controls_dropped",     "controls_delayed",
+      "measurements_truncated", "measurements_corrupted",
+      "clocks_skewed",          "topology_unavailable", "traceroutes_dropped",
+      "traceroutes_garbled",    "event_storms"};
+  static_assert(std::size(kNames) == kFaultKindCount);
 
-  int total() const {
-    return replays_aborted + controls_dropped + controls_delayed +
-           measurements_truncated + measurements_corrupted + clocks_skewed +
-           topology_unavailable + traceroutes_dropped + traceroutes_garbled +
-           event_storms;
+  std::array<int, kFaultKindCount> counts{};
+
+  int& operator[](FaultKind kind) {
+    return counts[static_cast<std::size_t>(kind)];
+  }
+  int operator[](FaultKind kind) const {
+    return counts[static_cast<std::size_t>(kind)];
   }
 
-  /// Field-by-field accumulation (per-phase stats into a run total).
+  int total() const {
+    int sum = 0;
+    for (const int c : counts) sum += c;
+    return sum;
+  }
+
+  /// Kind-by-kind accumulation (per-phase stats into a run total).
   InjectionStats& operator+=(const InjectionStats& o) {
-    replays_aborted += o.replays_aborted;
-    controls_dropped += o.controls_dropped;
-    controls_delayed += o.controls_delayed;
-    measurements_truncated += o.measurements_truncated;
-    measurements_corrupted += o.measurements_corrupted;
-    clocks_skewed += o.clocks_skewed;
-    topology_unavailable += o.topology_unavailable;
-    traceroutes_dropped += o.traceroutes_dropped;
-    traceroutes_garbled += o.traceroutes_garbled;
-    event_storms += o.event_storms;
+    for (std::size_t k = 0; k < kFaultKindCount; ++k) counts[k] += o.counts[k];
     return *this;
   }
 
   /// Stable name -> count view for report writers (every kind listed,
-  /// zeros included, in declaration order).
+  /// zeros included, in FaultKind order).
   std::vector<std::pair<const char*, int>> by_kind() const {
-    return {{"replays_aborted", replays_aborted},
-            {"controls_dropped", controls_dropped},
-            {"controls_delayed", controls_delayed},
-            {"measurements_truncated", measurements_truncated},
-            {"measurements_corrupted", measurements_corrupted},
-            {"clocks_skewed", clocks_skewed},
-            {"topology_unavailable", topology_unavailable},
-            {"traceroutes_dropped", traceroutes_dropped},
-            {"traceroutes_garbled", traceroutes_garbled},
-            {"event_storms", event_storms}};
+    std::vector<std::pair<const char*, int>> out;
+    out.reserve(kFaultKindCount);
+    for (std::size_t k = 0; k < kFaultKindCount; ++k) {
+      out.emplace_back(kNames[k], counts[k]);
+    }
+    return out;
   }
 };
 

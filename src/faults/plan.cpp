@@ -8,22 +8,6 @@
 
 namespace wehey::faults {
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::ReplayAbort: return "replay-abort";
-    case FaultKind::ControlDrop: return "control-drop";
-    case FaultKind::ControlDelay: return "control-delay";
-    case FaultKind::MeasurementTruncate: return "measurement-truncate";
-    case FaultKind::MeasurementCorrupt: return "measurement-corrupt";
-    case FaultKind::ClockSkew: return "clock-skew";
-    case FaultKind::TopologyUnavailable: return "topology-unavailable";
-    case FaultKind::TracerouteDrop: return "traceroute-drop";
-    case FaultKind::TracerouteGarble: return "traceroute-garble";
-    case FaultKind::EventStorm: return "event-storm";
-  }
-  return "?";
-}
-
 std::vector<std::string> shipped_plan_names() {
   return {"replay-abort",    "replay-abort-hard", "control-flaky",
           "control-dead",    "truncated-upload",  "corrupt-samples",

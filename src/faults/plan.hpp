@@ -13,6 +13,7 @@
 // the disabled state and costs nothing on the hot path.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -34,8 +35,8 @@ enum class FaultKind {
   TracerouteGarble,     ///< a hop reports aliased (multiple) IPs
   EventStorm,           ///< a replay wedges into a retransmit livelock
 };
-
-const char* to_string(FaultKind kind);
+inline constexpr std::size_t kFaultKindCount =
+    static_cast<std::size_t>(FaultKind::EventStorm) + 1;
 
 /// One configured fault. Fields are interpreted per kind; unrelated
 /// fields are ignored.

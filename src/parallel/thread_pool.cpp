@@ -12,6 +12,13 @@ namespace {
 /// loop serially instead of re-entering the pool.
 thread_local bool t_in_parallel_region = false;
 
+/// Puts t_in_parallel_region back when a serial loop ends, fn's exception
+/// included.
+struct RegionRestore {
+  bool saved = t_in_parallel_region;
+  ~RegionRestore() { t_in_parallel_region = saved; }
+};
+
 unsigned resolve_configured_threads() {
   if (const char* env = std::getenv("WEHEY_THREADS")) {
     const long v = std::strtol(env, nullptr, 10);
@@ -136,6 +143,10 @@ void ThreadPool::parallel_for(std::size_t n,
   const unsigned width =
       max_threads == 0 ? size() : std::min(max_threads, size());
   if (width <= 1 || n == 1 || workers_.empty() || t_in_parallel_region) {
+    // A loop capped at one thread keeps its nested loops on this thread
+    // too; a lone iteration leaves them the pool.
+    const RegionRestore restore;
+    if (width <= 1) t_in_parallel_region = true;
     if (obs::runtime::enabled()) {
       obs::runtime::ScopedBusy busy;
       const std::uint64_t t0 = obs::runtime::now_ns();

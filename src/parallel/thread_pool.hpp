@@ -50,8 +50,9 @@ class ThreadPool {
 
   /// Run fn(i) for every i in [0, n), spread over the pool. Blocks until
   /// all iterations finish. `max_threads` caps the number of contexts used
-  /// for this call (0 = all). Exceptions from fn are rethrown (first one
-  /// wins) after the loop drains.
+  /// for this call (0 = all); at 1 the loop runs on the calling thread,
+  /// and so does every parallel_for nested in it. Exceptions from fn are
+  /// rethrown (first one wins) after the loop drains.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     unsigned max_threads = 0);
 
@@ -77,20 +78,15 @@ class ThreadPool {
 
 namespace detail {
 
-/// parallel_map's trial loop: pooled when `threads > 1 && n > 1`, serial
-/// bypass otherwise. With runtime telemetry enabled, wraps every trial in
-/// wall-time measurement (runtime::note_trial) and counts the serial
-/// bypass's iterations too, so trials.count and tasks stay exact across
-/// thread counts.
+/// parallel_map's trial loop on the global pool (whose serial branch
+/// also covers `threads <= 1`). With runtime telemetry enabled, wraps
+/// every trial in wall-time measurement (runtime::note_trial), so
+/// trials.count stays exact across thread counts.
 inline void map_loop(std::size_t n,
                      const std::function<void(std::size_t)>& body,
                      unsigned threads) {
   if (!obs::runtime::enabled()) {
-    if (threads <= 1 || n <= 1) {
-      for (std::size_t i = 0; i < n; ++i) body(i);
-    } else {
-      ThreadPool::global().parallel_for(n, body, threads);
-    }
+    ThreadPool::global().parallel_for(n, body, threads);
     return;
   }
   const std::function<void(std::size_t)> timed = [&](std::size_t i) {
@@ -99,21 +95,14 @@ inline void map_loop(std::size_t n,
     obs::runtime::note_trial(
         static_cast<double>(obs::runtime::now_ns() - t0) / 1e6);
   };
-  if (threads <= 1 || n <= 1) {
-    obs::runtime::ScopedBusy busy;
-    const std::uint64_t t0 = obs::runtime::now_ns();
-    for (std::size_t i = 0; i < n; ++i) timed(i);
-    obs::runtime::note_serial_tasks(n, obs::runtime::now_ns() - t0);
-  } else {
-    ThreadPool::global().parallel_for(n, timed, threads);
-  }
+  ThreadPool::global().parallel_for(n, timed, threads);
 }
 
 }  // namespace detail
 
 /// Run fn(i) for i in [0, n) on the global pool and collect the results in
 /// index order. `threads` == 0 uses the configured default; == 1 runs
-/// serially on the calling thread.
+/// serially on the calling thread, maps nested in fn included.
 ///
 /// When an obs::Recorder is bound to the calling thread, every trial gets
 /// its own child recorder bound around fn(i), and the children are folded

@@ -1,6 +1,7 @@
 #include "replay/session.hpp"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <string>
 
@@ -24,6 +25,19 @@ namespace {
 /// The session's client address (the traceroute destination of the
 /// Figure-1 network).
 const char* kClientIp = "100.0.1.77";
+
+/// One-way latency of a control-plane exchange (client <-> server).
+constexpr Time kControlLatency = milliseconds(40);
+/// Quiet gap between consecutive replays.
+constexpr Time kInterReplayGap = seconds(2);
+/// How long the client waits on a control-plane answer before declaring
+/// the exchange lost.
+constexpr Time kControlTimeout = milliseconds(250);
+/// First retry backoff; doubles per attempt.
+constexpr Time kRetryBackoff = milliseconds(200);
+/// Server pairs the simultaneous phases try in total before giving up
+/// (fresh pairs come from the topology database).
+constexpr int kMaxPairAttempts = 2;
 
 /// Runs `f` when the enclosing scope ends, on every return path.
 template <typename F>
@@ -77,8 +91,6 @@ SessionResult run_session(const SessionConfig& cfg,
                           topology::TopologyDatabase& db) {
   const auto& scenario = cfg.scenario;
   const Time duration = scenario.replay_duration;
-  const Time gap = cfg.inter_replay_gap;
-  const Time rpc = cfg.control_latency;
 
   SessionResult result;
   auto log = [&](Time at, std::string what) {
@@ -166,9 +178,10 @@ SessionResult run_session(const SessionConfig& cfg,
   // Background spans the whole session (all four replays plus gaps).
   // Retried replays stretch the timeline, so a faulted session needs a
   // proportionally longer background.
-  Time horizon = 4 * (duration + gap) + 12 * rpc + seconds(10);
+  Time horizon =
+      4 * (duration + kInterReplayGap) + 12 * kControlLatency + seconds(10);
   if (injector.enabled()) {
-    horizon *= cfg.max_replay_attempts * cfg.max_pair_attempts + 1;
+    horizon *= kMaxReplayAttempts * kMaxPairAttempts + 1;
   }
   trace::BackgroundConfig bg = experiments::scenario_background(scenario);
   bg.duration = horizon;
@@ -190,9 +203,8 @@ SessionResult run_session(const SessionConfig& cfg,
   // its timeout and re-sends, with doubling backoff) or delay. Advances
   // `now` accordingly; false = every attempt was dropped.
   auto control_exchange = [&](Time& now, const std::string& what) {
-    if (!injector.enabled()) return true;
-    Time backoff = cfg.retry_backoff;
-    for (int attempt = 1; attempt <= cfg.max_control_attempts; ++attempt) {
+    Time backoff = kRetryBackoff;
+    for (int attempt = 1; attempt <= kMaxControlAttempts; ++attempt) {
       const auto fault = injector.on_control_exchange();
       if (!fault.dropped) {
         if (fault.extra_delay > 0) {
@@ -201,8 +213,8 @@ SessionResult run_session(const SessionConfig& cfg,
         }
         return true;
       }
-      now += cfg.control_timeout;
-      if (attempt < cfg.max_control_attempts) {
+      now += kControlTimeout;
+      if (attempt < kMaxControlAttempts) {
         ++result.control_retries;
         log(now, what + ": timed out; re-sending");
         now += backoff;
@@ -214,79 +226,80 @@ SessionResult run_session(const SessionConfig& cfg,
     return false;
   };
 
-  // --- Phase 1: the standard WeHe test against s0 (= path 1). ---
-  experiments::PathReport p0_orig, p0_inv;
-  Time t_analysis = 0;
-  log(0, "client -> s0: run WeHe test");
-  if (!injector.enabled()) {
-    const Time t_orig = rpc;
-    const int id_p0_orig = start_replay(1, false, t_orig);
-    const Time t_inv = t_orig + duration + gap;
-    const int id_p0_inv = start_replay(1, true, t_inv);
-    result.replay_attempts.push_back(
-        {"replay_attempt", t_orig, t_orig + duration});
-    result.replay_attempts.push_back(
-        {"replay_attempt", t_inv, t_inv + duration});
-    t_analysis = t_inv + duration + rpc;
-    sim.run(t_analysis);
-    if (sim.budget_exhausted()) {
-      budget_bail("");
-      return result;
-    }
-    log(t_orig, "s0: original single replay");
-    log(t_inv, "s0: bit-inverted single replay");
-    p0_orig = net.report(id_p0_orig, t_orig, duration);
-    p0_inv = net.report(id_p0_inv, t_inv, duration);
-  } else {
-    Time t = rpc;
-    auto run_single = [&](bool inverted, const char* what)
-        -> std::optional<experiments::PathReport> {
-      Time backoff = cfg.retry_backoff;
-      for (int attempt = 1; attempt <= cfg.max_replay_attempts; ++attempt) {
-        experiments::arm_replay_cut(injector, net, 1, duration);
-        const int id = start_replay(1, inverted, t);
-        result.replay_attempts.push_back(
-            {"replay_attempt", t, t + duration});
-        sim.run(t + duration);
-        if (sim.budget_exhausted()) return std::nullopt;
-        auto rep = net.report(id, t, duration);
-        log(t, std::string("s0: ") + what + " single replay");
-        if (!rep.aborted) {
-          t += duration + gap;
-          return rep;
-        }
-        log(rep.aborted_at,
-            std::string("s0: ") + what + " replay aborted mid-stream");
-        if (attempt < cfg.max_replay_attempts) {
-          ++result.replay_retries;
-          log(rep.aborted_at, "s0: retrying after backoff");
-        }
-        t += duration + backoff;
-        backoff *= 2;
-      }
-      return std::nullopt;
+  // One replay step starting at `t`: s0 alone on path 1, or s1 and s2
+  // started back to back, each measured when the window ends. A replay
+  // aborted mid-stream retries the attempt after a doubling backoff. On
+  // success the measurements land in `out` (p1, p2) and `t` moves past
+  // the step and the inter-replay gap; false = every attempt aborted or
+  // the budget ran out.
+  using Measured = std::array<netsim::ReplayMeasurement, 2>;
+  Time t = kControlLatency;
+  auto replay_step = [&](bool simultaneous, bool inverted, Measured& out) {
+    const std::string what = inverted ? "bit-inverted" : "original";
+    const std::string servers = simultaneous ? "s1+s2: " : "s0: ";
+    const int paths = simultaneous ? 2 : 1;
+    auto start_at = [&](int path) {
+      return t + (path - 1) * kSecondReplayOffset;
     };
-    const auto orig = run_single(false, "original");
-    const auto inv =
-        orig.has_value() ? run_single(true, "bit-inverted") : std::nullopt;
-    if (!inv.has_value()) {
-      if (sim.budget_exhausted()) {
-        budget_bail("s0: ");
-        return result;
+    Time backoff = kRetryBackoff;
+    for (int attempt = 1; attempt <= kMaxReplayAttempts; ++attempt) {
+      std::array<int, 2> ids{};
+      for (int path = 1; path <= paths; ++path) {
+        experiments::arm_replay_cut(injector, net, path, duration);
+        ids[path - 1] = start_replay(path, inverted, start_at(path));
       }
-      log(sim.now(), "s0: replay retries exhausted; session ends");
-      finish(SessionOutcome::ReplayRetriesExhausted, sim.now());
-      return result;
+      const Time window_end = start_at(paths) + duration;
+      result.replay_attempts.push_back({"replay_attempt", t, window_end});
+      sim.run(window_end);
+      if (sim.budget_exhausted()) return false;
+      std::array<experiments::PathReport, 2> reps;
+      for (int path = 1; path <= paths; ++path) {
+        reps[path - 1] = net.report(ids[path - 1], start_at(path), duration);
+      }
+      log(t, servers + what +
+                 (simultaneous ? " simultaneous replay" : " single replay"));
+      const auto aborted =
+          std::find_if(reps.begin(), reps.begin() + paths,
+                       [](const auto& rep) { return rep.aborted; });
+      if (aborted == reps.begin() + paths) {
+        for (int i = 0; i < paths; ++i) out[i] = std::move(reps[i].meas);
+        t += duration + kInterReplayGap;
+        return true;
+      }
+      // s0 serves the single replay, s1 and s2 their own paths.
+      const auto server = simultaneous ? aborted - reps.begin() + 1 : 0;
+      log(aborted->aborted_at, "s" + std::to_string(server) + ": " + what +
+                                   " replay aborted mid-stream");
+      if (attempt < kMaxReplayAttempts) {
+        ++result.replay_retries;
+        log(simultaneous ? sim.now() : aborted->aborted_at,
+            servers + "retrying after backoff");
+      }
+      t += duration + backoff;
+      backoff *= 2;
     }
-    t_analysis = t - gap + rpc;
-    sim.run(t_analysis);
-    p0_orig = *orig;
-    p0_inv = *inv;
+    return false;
+  };
+
+  // --- Phase 1: the standard WeHe test against s0 (= path 1). ---
+  log(0, "client -> s0: run WeHe test");
+  Measured p0_orig, p0_inv;
+  const bool wehe_measured =
+      replay_step(false, false, p0_orig) && replay_step(false, true, p0_inv);
+  const Time t_analysis = t - kInterReplayGap + kControlLatency;
+  if (wehe_measured) sim.run(t_analysis);
+  if (sim.budget_exhausted()) {
+    budget_bail("s0: ");
+    return result;
+  }
+  if (!wehe_measured) {
+    log(sim.now(), "s0: replay retries exhausted; session ends");
+    finish(SessionOutcome::ReplayRetriesExhausted, sim.now());
+    return result;
   }
 
   wehe_done = t_analysis;
-  result.initial_wehe =
-      core::detect_differentiation(p0_orig.meas, p0_inv.meas);
+  result.initial_wehe = core::detect_differentiation(p0_orig[0], p0_inv[0]);
   if (!result.initial_wehe.differentiation) {
     log(t_analysis, "WeHe: no differentiation; session ends");
     finish(SessionOutcome::NoDifferentiationDetected, t_analysis);
@@ -303,17 +316,17 @@ SessionResult run_session(const SessionConfig& cfg,
   }
 
   // --- Topology query (one control round-trip to the DB). ---
-  Time t_lookup = t_analysis + 2 * rpc;
+  Time t_lookup = t_analysis + 2 * kControlLatency;
   if (!control_exchange(t_lookup, "topology DB query")) {
     finish(SessionOutcome::ControlPlaneUnreachable, t_lookup);
     return result;
   }
   std::optional<topology::ServerPair> pair;
   {
-    Time backoff = cfg.retry_backoff;
+    Time backoff = kRetryBackoff;
     for (int attempt = 1;; ++attempt) {
-      if (injector.enabled() && injector.on_topology_lookup()) {
-        if (attempt >= cfg.max_control_attempts) {
+      if (injector.on_topology_lookup()) {
+        if (attempt >= kMaxControlAttempts) {
           log(t_lookup,
               "topology DB: server pair still unavailable; giving up");
           finish(SessionOutcome::NoSuitableTopology, t_lookup);
@@ -348,136 +361,62 @@ SessionResult run_session(const SessionConfig& cfg,
   }
 
   // --- Phase 2: simultaneous replays, started back-to-back. ---
-  netsim::ReplayMeasurement m_p1o, m_p2o, m_p1i, m_p2i;
-  Time t_end = 0;
-  if (!injector.enabled()) {
-    const Time t_sim_orig = t_lookup + rpc;
-    const int id_p1_orig = start_replay(1, false, t_sim_orig);
-    const int id_p2_orig =
-        start_replay(2, false, t_sim_orig + kSecondReplayOffset);
-    const Time t_sim_inv = t_sim_orig + duration + gap;
-    const int id_p1_inv = start_replay(1, true, t_sim_inv);
-    const int id_p2_inv =
-        start_replay(2, true, t_sim_inv + kSecondReplayOffset);
-    result.replay_attempts.push_back(
-        {"replay_attempt", t_sim_orig,
-         t_sim_orig + kSecondReplayOffset + duration});
-    result.replay_attempts.push_back(
-        {"replay_attempt", t_sim_inv,
-         t_sim_inv + kSecondReplayOffset + duration});
-    t_end = t_sim_inv + duration + kDrainGrace;
-    sim.run(t_end);
-    if (sim.budget_exhausted()) {
-      budget_bail("");
-      return result;
+  t = t_lookup + kControlLatency;
+  Measured sim_orig, sim_inv;
+  bool measured = false;
+  for (int pair_attempt = 1; pair_attempt <= kMaxPairAttempts;
+       ++pair_attempt) {
+    measured = replay_step(true, false, sim_orig) &&
+               replay_step(true, true, sim_inv);
+    if (measured || sim.budget_exhausted() ||
+        pair_attempt == kMaxPairAttempts) {
+      break;
     }
-    log(t_sim_orig, "s1+s2: original simultaneous replay");
-    log(t_sim_inv, "s1+s2: bit-inverted simultaneous replay");
-    m_p1o = net.report(id_p1_orig, t_sim_orig, duration).meas;
-    m_p2o = net.report(id_p2_orig, t_sim_orig + kSecondReplayOffset, duration)
-                .meas;
-    m_p1i = net.report(id_p1_inv, t_sim_inv, duration).meas;
-    m_p2i = net.report(id_p2_inv, t_sim_inv + kSecondReplayOffset, duration)
-                .meas;
-  } else {
-    Time t = t_lookup + rpc;
-    // One simultaneous phase with bounded retry; on success the two
-    // measurements land in (out1, out2).
-    auto run_pair_phase = [&](bool inverted, const char* what,
-                              netsim::ReplayMeasurement& out1,
-                              netsim::ReplayMeasurement& out2) {
-      Time backoff = cfg.retry_backoff;
-      for (int attempt = 1; attempt <= cfg.max_replay_attempts; ++attempt) {
-        experiments::arm_replay_cut(injector, net, 1, duration);
-        const int id1 = start_replay(1, inverted, t);
-        experiments::arm_replay_cut(injector, net, 2, duration);
-        const int id2 = start_replay(2, inverted, t + kSecondReplayOffset);
-        result.replay_attempts.push_back(
-            {"replay_attempt", t, t + kSecondReplayOffset + duration});
-        sim.run(t + kSecondReplayOffset + duration);
-        if (sim.budget_exhausted()) return false;
-        const auto r1 = net.report(id1, t, duration);
-        const auto r2 = net.report(id2, t + kSecondReplayOffset, duration);
-        log(t, std::string("s1+s2: ") + what + " simultaneous replay");
-        if (!r1.aborted && !r2.aborted) {
-          out1 = r1.meas;
-          out2 = r2.meas;
-          t += duration + gap;
-          return true;
-        }
-        log(r1.aborted ? r1.aborted_at : r2.aborted_at,
-            std::string(r1.aborted ? "s1" : "s2") + ": " + what +
-                " replay aborted mid-stream");
-        if (attempt < cfg.max_replay_attempts) {
-          ++result.replay_retries;
-          log(sim.now(), "s1+s2: retrying after backoff");
-        }
-        t += duration + backoff;
-        backoff *= 2;
-      }
-      return false;
-    };
-    bool phases_done = false;
-    for (int pair_attempt = 1; pair_attempt <= cfg.max_pair_attempts;
-         ++pair_attempt) {
-      if (run_pair_phase(false, "original", m_p1o, m_p2o) &&
-          run_pair_phase(true, "bit-inverted", m_p1i, m_p2i)) {
-        phases_done = true;
-        break;
-      }
-      if (sim.budget_exhausted()) break;
-      if (pair_attempt >= cfg.max_pair_attempts) break;
-      // §3.4 fallback: ask the topology database for a different suitable
-      // pair and restart the simultaneous phases against it.
-      const auto candidates = db.lookup(kClientIp);
-      const auto alt = std::find_if(
-          candidates.begin(), candidates.end(),
-          [&](const topology::ServerPair& p) {
-            return p.server1 != pair->server1 || p.server2 != pair->server2;
-          });
-      if (alt == candidates.end()) {
-        log(sim.now(), "topology DB: no alternate server pair available");
-        break;
-      }
-      pair = *alt;
-      result.pair = *pair;
-      ++result.pair_fallbacks;
-      log(sim.now(), "falling back to fresh server pair " + pair->server1 +
-                         " + " + pair->server2);
+    // §3.4 fallback: ask the topology database for a different suitable
+    // pair and restart the simultaneous phases against it.
+    const auto candidates = db.lookup(kClientIp);
+    const auto alt = std::find_if(
+        candidates.begin(), candidates.end(),
+        [&](const topology::ServerPair& p) {
+          return p.server1 != pair->server1 || p.server2 != pair->server2;
+        });
+    if (alt == candidates.end()) {
+      log(sim.now(), "topology DB: no alternate server pair available");
+      break;
     }
-    if (!phases_done) {
-      if (sim.budget_exhausted()) {
-        budget_bail("");
-        return result;
-      }
-      log(sim.now(), "simultaneous replay retries exhausted; session ends");
-      finish(SessionOutcome::ReplayRetriesExhausted, sim.now());
-      return result;
-    }
-    t_end = sim.now() + kDrainGrace;
-    sim.run(t_end);
-    if (sim.budget_exhausted()) {
-      budget_bail("");
-      return result;
-    }
+    pair = *alt;
+    result.pair = *pair;
+    ++result.pair_fallbacks;
+    log(sim.now(), "falling back to fresh server pair " + pair->server1 +
+                       " + " + pair->server2);
+  }
+  // In-flight traffic drains from the end of the last window.
+  const Time t_end = sim.now() + kDrainGrace;
+  if (measured) sim.run(t_end);
+  if (sim.budget_exhausted()) {
+    budget_bail("");
+    return result;
+  }
+  if (!measured) {
+    log(sim.now(), "simultaneous replay retries exhausted; session ends");
+    finish(SessionOutcome::ReplayRetriesExhausted, sim.now());
+    return result;
   }
 
   // --- End-of-replay traceroutes, gathered at s1 (§3.4 steps 3-4). ---
   replays_done = t_end;
-  Time t_gather = t_end + 2 * rpc;
+  Time t_gather = t_end + 2 * kControlLatency;
   if (!control_exchange(t_gather, "measurement gathering")) {
     finish(SessionOutcome::ControlPlaneUnreachable, t_gather);
     return result;
   }
   auto tr1 = net.traceroute(1);
   auto tr2 = net.traceroute(2);
-  if (injector.enabled()) {
-    // The topology query itself can come back damaged: probes black-holed
-    // near the client or hops reporting aliased addresses.
-    bool damaged = injector.on_traceroute(1, tr1);
-    damaged |= injector.on_traceroute(2, tr2);
-    if (damaged) log(t_gather, "gathering-step traceroutes arrived damaged");
-  }
+  // The topology query itself can come back damaged: probes black-holed
+  // near the client or hops reporting aliased addresses.
+  bool tr_damaged = injector.on_traceroute(1, tr1);
+  tr_damaged |= injector.on_traceroute(2, tr2);
+  if (tr_damaged) log(t_gather, "gathering-step traceroutes arrived damaged");
   // Re-apply the §3.3 filter conditions before the pair check: a record
   // that fails them says nothing about the topology (the *query* failed),
   // so the pair is kept in the database and the session ends with its own
@@ -509,20 +448,20 @@ SessionResult run_session(const SessionConfig& cfg,
 
   // --- Analyses (§3.1 operations 3 and 4), run at the gathering server. ---
   core::LocalizationInput input;
-  input.p0_original = p0_orig.meas;
-  input.p0_inverted = p0_inv.meas;
-  input.p1_original = std::move(m_p1o);
-  input.p2_original = std::move(m_p2o);
-  input.p1_inverted = std::move(m_p1i);
-  input.p2_inverted = std::move(m_p2i);
-  if (injector.enabled()) {
-    // The servers upload their measurement series to the gathering server;
-    // a fault can truncate, corrupt or clock-skew an upload in flight.
-    bool damaged = injector.on_measurement_upload(1, input.p1_original);
-    damaged |= injector.on_measurement_upload(2, input.p2_original);
-    damaged |= injector.on_measurement_upload(1, input.p1_inverted);
-    damaged |= injector.on_measurement_upload(2, input.p2_inverted);
-    if (damaged) log(t_gather, "uploaded measurement series arrived damaged");
+  input.p0_original = std::move(p0_orig[0]);
+  input.p0_inverted = std::move(p0_inv[0]);
+  input.p1_original = std::move(sim_orig[0]);
+  input.p2_original = std::move(sim_orig[1]);
+  input.p1_inverted = std::move(sim_inv[0]);
+  input.p2_inverted = std::move(sim_inv[1]);
+  // The servers upload their measurement series to the gathering server;
+  // a fault can truncate, corrupt or clock-skew an upload in flight.
+  bool upload_damaged = injector.on_measurement_upload(1, input.p1_original);
+  upload_damaged |= injector.on_measurement_upload(2, input.p2_original);
+  upload_damaged |= injector.on_measurement_upload(1, input.p1_inverted);
+  upload_damaged |= injector.on_measurement_upload(2, input.p2_inverted);
+  if (upload_damaged) {
+    log(t_gather, "uploaded measurement series arrived damaged");
   }
   input.t_diff_history = cfg.t_diff_history;
   input.base_rtt = std::max(milliseconds(scenario.rtt1_ms),

@@ -18,6 +18,14 @@
 // as fixed-latency hops on the same simulated clock, and every step is
 // recorded in a timestamped session log.
 //
+// A session takes the same steps with or without a fault plan: each
+// replay step arms the fault hooks, starts s0 alone or s1 and s2 back to
+// back, is measured when its window ends, and is retried after a doubling
+// backoff when a replay aborted. A disabled injector answers "no fault"
+// at every hook. The attempt bounds are below; the control latency,
+// inter-replay gap, control timeout, first backoff and number of server
+// pairs are constants of session.cpp.
+//
 // Fault injector, replay cuts, background and replay recipe are the test
 // runners' own (experiments/phase.hpp).
 #pragma once
@@ -34,12 +42,13 @@
 
 namespace wehey::replay {
 
+/// Attempts per replay step before it counts as exhausted.
+inline constexpr int kMaxReplayAttempts = 3;
+/// Attempts per control-plane exchange (and topology lookup).
+inline constexpr int kMaxControlAttempts = 4;
+
 struct SessionConfig {
   experiments::ScenarioConfig scenario;
-  /// One-way latency of a control-plane exchange (client <-> server).
-  Time control_latency = milliseconds(40);
-  /// Quiet gap between consecutive replays.
-  Time inter_replay_gap = seconds(2);
   /// Historical T_diff values (from experiments::build_t_diff_history or
   /// the wild equivalent).
   std::vector<double> t_diff_history;
@@ -48,23 +57,10 @@ struct SessionConfig {
   /// Simulate inter-domain route churn between the WeHe test and the
   /// simultaneous replays (path 1 detours through path 2's transit).
   bool route_churn = false;
-
   /// Fault plan executed against this session. Empty (the default) means
-  /// every injection hook is skipped and the run is bit-identical to a
-  /// build without the faults subsystem.
+  /// every hook answers "no fault": the session takes the same steps and
+  /// nothing is retried.
   faults::FaultPlan fault_plan;
-  /// Bounded retry for aborted replay phases.
-  int max_replay_attempts = 3;
-  /// Bounded retry for dropped control-plane exchanges.
-  int max_control_attempts = 4;
-  /// How long the client waits on a control-plane answer before declaring
-  /// the exchange lost.
-  Time control_timeout = milliseconds(250);
-  /// First retry backoff; doubles per attempt.
-  Time retry_backoff = milliseconds(200);
-  /// When a simultaneous phase keeps aborting, how many server pairs to
-  /// try in total (fresh pairs come from the topology database).
-  int max_pair_attempts = 2;
 };
 
 enum class SessionOutcome {

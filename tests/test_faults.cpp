@@ -8,7 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -201,7 +203,7 @@ TEST(FaultInjector, CountBudgetLimitsFires) {
   EXPECT_TRUE(inj.on_topology_lookup());
   EXPECT_TRUE(inj.on_topology_lookup());
   for (int i = 0; i < 10; ++i) EXPECT_FALSE(inj.on_topology_lookup());
-  EXPECT_EQ(inj.stats().topology_unavailable, 2);
+  EXPECT_EQ(inj.stats()[faults::FaultKind::TopologyUnavailable], 2);
 }
 
 // --- Measurement mutations -----------------------------------------------
@@ -389,6 +391,75 @@ TEST_P(ChaosPlan, SessionSurvivesWithDefinedOutcomeUnderFluidBg) {
   }
 }
 
+/// A session's timeline as text: outcome, each event's time and text, the
+/// replay-attempt spans, the retry and fallback counters, finished_at, the
+/// injection counts and the decision margin.
+std::string timeline_text(const replay::SessionResult& r) {
+  std::string text = replay::to_string(r.outcome);
+  char line[128];
+  for (const auto& ev : r.events) {
+    std::snprintf(line, sizeof line, "\n%lld ",
+                  static_cast<long long>(ev.at));
+    text += line + ev.what;
+  }
+  for (const auto& span : r.replay_attempts) {
+    std::snprintf(line, sizeof line, "\nattempt %lld-%lld",
+                  static_cast<long long>(span.sim_start),
+                  static_cast<long long>(span.sim_end));
+    text += line;
+  }
+  std::snprintf(line, sizeof line,
+                "\nretries %d control %d fallbacks %d finished %lld",
+                r.replay_retries, r.control_retries, r.pair_fallbacks,
+                static_cast<long long>(r.finished_at));
+  text += line;
+  for (const auto& [kind, count] : r.injection.by_kind()) {
+    std::snprintf(line, sizeof line, "\n%s %d", kind, count);
+    text += line;
+  }
+  std::snprintf(line, sizeof line, "\nmargin %d %.12g",
+                r.localization.trace.has_verdict_margin ? 1 : 0,
+                r.localization.trace.verdict_margin);
+  return text + line;
+}
+
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : text) {
+    h = (h ^ c) * 1099511628211ULL;
+  }
+  return h;
+}
+
+// Every shipped plan's session timeline at chaos seed 7 on the packet
+// background, pinned by digest: the session's replay steps, retries and
+// measurement reads may not move under a refactor.
+TEST_P(ChaosPlan, SessionTimelineIsPinned) {
+  const std::map<std::string, std::uint64_t> expected = {
+      {"replay-abort", 0x40b23ecbeeb5a49bULL},
+      {"replay-abort-hard", 0xb7fdad84fa7522efULL},
+      {"control-flaky", 0x8b4074e9a7666c3dULL},
+      {"control-dead", 0x9852c2cf301f605fULL},
+      {"truncated-upload", 0xecdc277937a5b13aULL},
+      {"corrupt-samples", 0x3df3fdc468761740ULL},
+      {"clock-skew", 0x240c5fc9364db305ULL},
+      {"topology-flap", 0xe93aad9eb0bf5406ULL},
+      {"traceroute-damage", 0x1fc50853a3713fdfULL},
+      {"kitchen-sink", 0xca0c6017a7e70b3aULL},
+      {"event-storm", 0x3f130114d3d801f7ULL},
+  };
+  auto cfg = chaos_session_config();
+  cfg.scenario.bg_mode = trace::BackgroundMode::kPacket;
+  cfg.fault_plan = faults::shipped_plan(GetParam(), 7);
+  topology::TopologyDatabase db;
+  replay::seed_topology_database(cfg.scenario, db);
+  const std::string text = timeline_text(replay::run_session(cfg, db));
+  ASSERT_TRUE(expected.count(GetParam())) << "no digest for this plan";
+  const std::uint64_t digest = fnv1a(text);
+  EXPECT_EQ(digest, expected.at(GetParam()))
+      << std::hex << "digest 0x" << digest << "\n" << text;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllShippedPlans, ChaosPlan,
     ::testing::ValuesIn(faults::shipped_plan_names()),
@@ -405,7 +476,7 @@ TEST(SessionFaults, ControlDeadGivesUpWithDefinedOutcome) {
   replay::seed_topology_database(cfg.scenario, db);
   const auto result = replay::run_session(cfg, db);
   EXPECT_EQ(result.outcome, replay::SessionOutcome::ControlPlaneUnreachable);
-  EXPECT_EQ(result.control_retries, cfg.max_control_attempts - 1);
+  EXPECT_EQ(result.control_retries, replay::kMaxControlAttempts - 1);
 }
 
 TEST(SessionFaults, HardAbortExhaustsRetries) {
@@ -416,7 +487,7 @@ TEST(SessionFaults, HardAbortExhaustsRetries) {
   const auto result = replay::run_session(cfg, db);
   // Probability 1.0: every attempt of the very first replay dies.
   EXPECT_EQ(result.outcome, replay::SessionOutcome::ReplayRetriesExhausted);
-  EXPECT_EQ(result.replay_retries, cfg.max_replay_attempts - 1);
+  EXPECT_EQ(result.replay_retries, replay::kMaxReplayAttempts - 1);
 }
 
 TEST(SessionFaults, TracerouteDamageDiscardsWithoutInvalidatingPair) {
@@ -430,8 +501,8 @@ TEST(SessionFaults, TracerouteDamageDiscardsWithoutInvalidatingPair) {
   const auto result = replay::run_session(cfg, db);
 
   EXPECT_EQ(result.outcome, replay::SessionOutcome::TracerouteFailed);
-  EXPECT_GT(result.injection.traceroutes_dropped, 0);
-  EXPECT_GT(result.injection.traceroutes_garbled, 0);
+  EXPECT_GT(result.injection[faults::FaultKind::TracerouteDrop], 0);
+  EXPECT_GT(result.injection[faults::FaultKind::TracerouteGarble], 0);
   // The *query* failed, not the topology: the pair stays in the database
   // (unlike TopologyNoLongerSuitable, which invalidates it).
   EXPECT_EQ(db.lookup("100.0.1.77").size(), pairs_before);

@@ -641,7 +641,7 @@ TEST(Obs, PairFallbackFiresAndIsCounted) {
     result = replay::run_session(cfg, db);
   }
   EXPECT_GE(result.pair_fallbacks, 1);
-  EXPECT_EQ(result.injection.replays_aborted, 3);
+  EXPECT_EQ(result.injection[faults::FaultKind::ReplayAbort], 3);
   // The session survived on the standby pair.
   EXPECT_EQ(result.outcome, replay::SessionOutcome::LocalizedWithinIsp);
   EXPECT_EQ(result.pair.server2, "s3");

@@ -2,9 +2,11 @@
 // determinism contract — a grid of reported tests through parallel_map
 // must produce bit-identical results regardless of thread count.
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,6 +77,24 @@ TEST(ThreadPool, NestedParallelForFallsBackToSerial) {
         16, [&](std::size_t) { total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 8u * 16u);
+}
+
+TEST(ThreadPool, MapNestedInASerialMapStaysOnTheCallingThread) {
+  // parallel_map(n, f, 1) is a grid's serial baseline: a map nested in f
+  // (a test's phases) must not spread over the pool either.
+  const auto caller = std::this_thread::get_id();
+  std::atomic<int> off_thread{0};
+  parallel::parallel_map(
+      2,
+      [&](std::size_t) {
+        return parallel::parallel_map(32, [&](std::size_t) {
+          if (std::this_thread::get_id() != caller) off_thread.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          return 0;
+        });
+      },
+      /*threads=*/1);
+  EXPECT_EQ(off_thread.load(), 0);
 }
 
 TEST(ThreadPool, ParallelMapPreservesIndexOrder) {
