@@ -30,6 +30,7 @@ FluidSource::FluidSource(Simulator& sim, FluidSegments segments,
   hops_.reserve(path.size());
   for (Link* link : path) {
     WEHEY_EXPECTS(link != nullptr);
+    link->share_with_fluid();
     Hop hop;
     hop.link = link;
     hops_.push_back(hop);

@@ -58,8 +58,9 @@ struct FluidSegments {
 class FluidSource {
  public:
   /// `path` is the ordered chain of links the aggregate traverses; the
-  /// source couples to each link's disc and capacity. Links must outlive
-  /// the source.
+  /// source couples to each link's disc and capacity, and keeps each on
+  /// the two-event path (Link::share_with_fluid), so construct it before
+  /// any packet reaches them. Links must outlive the source.
   FluidSource(Simulator& sim, FluidSegments segments,
               std::vector<Link*> path);
 

@@ -14,14 +14,88 @@ Link::Link(Simulator& sim, Rate bandwidth, Time delay,
   WEHEY_EXPECTS(bandwidth_ > 0.0);
   WEHEY_EXPECTS(delay_ >= 0);
   WEHEY_EXPECTS(disc_ != nullptr);
+  timed_ = dynamic_cast<FifoDisc*>(disc_.get());
 }
 
 void Link::receive(Packet pkt) {
+  if (timed_ != nullptr) {
+    receive_timed(std::move(pkt));
+    return;
+  }
   disc_->enqueue(std::move(pkt), sim_.now());
   try_transmit();
 }
 
+void Link::set_bandwidth(Rate bandwidth) {
+  WEHEY_EXPECTS(bandwidth > 0.0);
+  bandwidth_ = bandwidth;
+  if (timed_ == nullptr) return;
+  // Transmissions that have begun keep their rate; the packets behind
+  // them move to the new one, still back to back. The front packet has
+  // always begun: it was accepted into an idle link or began when the
+  // packet before it ended, before that one arrived.
+  settle();
+  WEHEY_ASSERT(begun_ > 0 || sent_.empty());
+  for (std::size_t i = begun_; i < sent_.size(); ++i) {
+    Timed& t = sent_[i];
+    t.start = sent_[i - 1].end;
+    t.end = t.start + transmission_time(t.pkt.size, bandwidth_);
+    busy_until_ = t.end;
+  }
+}
+
+void Link::receive_timed(Packet pkt) {
+  settle();
+  const Time now = sim_.now();
+  if (!timed_->admit(pkt, now)) return;
+  Timed t;
+  t.start = std::max(now, busy_until_);
+  t.end = t.start + transmission_time(pkt.size, bandwidth_);
+  t.seq = sim_.reserve_seq(1);
+  t.pkt = std::move(pkt);
+  busy_until_ = t.end;
+  if (!arrival_pending_) {
+    arrival_pending_ = true;
+    sim_.schedule_keyed(t.end + delay_, t.seq, [this] { arrive(); });
+  }
+  sent_.push_back(std::move(t));
+}
+
+void Link::arrive() {
+  settle();
+  Packet pkt = std::move(sent_.front().pkt);
+  sent_.pop_front();
+  --begun_;
+  --ended_;
+  // The next hop may send into this link again before this returns.
+  if (next_ != nullptr) next_->receive(std::move(pkt));
+  if (sent_.empty()) {
+    arrival_pending_ = false;
+    return;
+  }
+  const Timed& front = sent_.front();
+  sim_.reschedule_current_keyed(front.end + delay_, front.seq);
+}
+
+void Link::settle() const {
+  if (sent_.empty()) return;
+  const Time now = sim_.now();
+  while (begun_ < sent_.size() && sent_[begun_].start <= now) {
+    const Timed& t = sent_[begun_++];
+    timed_->release(t.pkt, t.start);
+  }
+  // Each count is taken before the listener runs, which may read the link.
+  while (ended_ < begun_ && sent_[ended_].end <= now) {
+    const Timed& t = sent_[ended_++];
+    ++delivered_;
+    delivered_bytes_ += t.pkt.size;
+    account_transmit(t.end - t.start, t.end);
+    if (on_tx_) on_tx_(t.pkt, t.end);
+  }
+}
+
 void Link::inject_fluid_burst(double bytes) {
+  WEHEY_EXPECTS(timed_ == nullptr);
   if (bytes <= 0.0) return;
   fluid_burst_bytes_ += bytes;
   try_transmit();
@@ -71,7 +145,7 @@ void Link::try_transmit() {
   sim_.schedule(tx, std::move(transmit));
 }
 
-void Link::account_transmit(Time tx_time, Time now) {
+void Link::account_transmit(Time tx_time, Time now) const {
   busy_time_ += tx_time;
   if (obs::Recorder::current() == nullptr) return;
   // Close every fully elapsed window (idle windows sample 0); a

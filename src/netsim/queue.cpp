@@ -10,13 +10,7 @@ namespace wehey::netsim {
 // ---------------------------------------------------------------- FifoDisc
 
 bool FifoDisc::enqueue(Packet pkt, Time now) {
-  if (limit_ > 0 && bytes_ + pkt.size > limit_) {
-    drop_obs_.inc();
-    notify_drop(pkt, now);
-    return false;
-  }
-  bytes_ += pkt.size;
-  pkt.enqueued_at = now;
+  if (!admit(pkt, now)) return false;
   q_.push_back(std::move(pkt));
   return true;
 }
@@ -25,9 +19,26 @@ std::optional<Packet> FifoDisc::dequeue(Time now) {
   if (q_.empty()) return std::nullopt;
   Packet pkt = std::move(q_.front());
   q_.pop_front();
-  bytes_ -= pkt.size;
-  residency_obs_.observe(to_milliseconds(now - pkt.enqueued_at));
+  release(pkt, now);
   return pkt;
+}
+
+bool FifoDisc::admit(Packet& pkt, Time now) {
+  if (limit_ > 0 && bytes_ + pkt.size > limit_) {
+    drop_obs_.inc();
+    notify_drop(pkt, now);
+    return false;
+  }
+  bytes_ += pkt.size;
+  ++packets_;
+  pkt.enqueued_at = now;
+  return true;
+}
+
+void FifoDisc::release(const Packet& pkt, Time at) {
+  bytes_ -= pkt.size;
+  --packets_;
+  residency_obs_.observe(to_milliseconds(at - pkt.enqueued_at));
 }
 
 Time FifoDisc::next_ready(Time now) const {

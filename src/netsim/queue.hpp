@@ -101,11 +101,24 @@ class FifoDisc final : public QueueDisc {
   std::optional<Packet> dequeue(Time now) override;
   Time next_ready(Time now) const override;
   std::int64_t backlog_bytes() const override { return bytes_; }
-  std::size_t backlog_packets() const override { return q_.size(); }
+  std::size_t backlog_packets() const override { return packets_; }
+
+  // A Link that times its FIFO's packets itself (link.hpp) keeps them out
+  // of this disc and drives its accounting through these two calls;
+  // enqueue() and dequeue() are admit() and release() around the disc's
+  // own queue.
+
+  /// Drop-tail admission at `now`: stamps `pkt.enqueued_at` and counts it
+  /// into the backlog, or drops it (false).
+  bool admit(Packet& pkt, Time now);
+  /// An admitted packet leaves the backlog as its transmission begins
+  /// `at`.
+  void release(const Packet& pkt, Time at);
 
  private:
   std::int64_t limit_;
   std::int64_t bytes_ = 0;
+  std::size_t packets_ = 0;
   PacketRing q_;
   // Hot-path observability (no-ops unless a Recorder is bound).
   obs::HistogramHandle residency_obs_{"queue.fifo.residency_ms", 0.0, 500.0,

@@ -1,5 +1,6 @@
 // A growable FIFO over one contiguous buffer: the queueing discs' packet
-// queues, the receivers' SACK logs and the TCP sender's scoreboard.
+// queues, a FIFO link's accepted packets, the receivers' SACK logs and the
+// TCP sender's scoreboard.
 #pragma once
 
 #include <cstddef>

@@ -4,7 +4,8 @@
 // work with schedule()/schedule_at(); ties are broken by insertion order so
 // runs are fully deterministic. A precomputed schedule (schedule_series())
 // and a re-armable timeout (netsim::Timer, timer.hpp) keep one pending
-// event each, firing at the keys their per-item events would have had.
+// event each, firing at the keys their per-item events would have had; a
+// FIFO Link (link.hpp) keeps one for the packets it has accepted.
 // This plays the role ns-3's scheduler and the wall clock of the
 // wide-area testbed play in the paper.
 //
@@ -71,19 +72,47 @@ class Simulator {
     if (times.empty()) return;
     WEHEY_EXPECTS(times.front() >= now_);
     WEHEY_EXPECTS(std::is_sorted(times.begin(), times.end()));
-    const std::uint64_t first = queue_.reserve_seq(times.size());
+    const std::uint64_t first = reserve_seq(times.size());
     const Time at = times.front();
-    queue_.push_keyed(at, first,
-                      [this, first, next = std::size_t{0},
-                       times = std::move(times),
-                       action = std::forward<F>(action)]() mutable {
-                        action(next++);
-                        if (next < times.size()) {
-                          queue_.rearm_current_keyed(times[next],
-                                                     first + next);
-                        }
-                      });
+    schedule_keyed(at, first,
+                   [this, first, next = std::size_t{0},
+                    times = std::move(times),
+                    action = std::forward<F>(action)]() mutable {
+                     action(next++);
+                     if (next < times.size()) {
+                       reschedule_current_keyed(times[next], first + next);
+                     }
+                   });
   }
+
+  // Reserved keys (see event_heap.hpp): a component that keeps one
+  // pending event for a stream of items — schedule_series, netsim::Timer,
+  // a timed FIFO Link — takes each item's sequence number when the item
+  // comes into being and moves its event from key to key.
+
+  /// Use up `n` sequence numbers, exactly as `n` schedule_at() calls made
+  /// here would, and return the first.
+  std::uint64_t reserve_seq(std::uint64_t n) { return queue_.reserve_seq(n); }
+
+  /// Run `action` at the key (at, seq); `seq` came from reserve_seq() and
+  /// was not used before. From within a running event the key must lie
+  /// after that event's.
+  template <typename F>
+  void schedule_keyed(Time at, std::uint64_t seq, F&& action) {
+    WEHEY_EXPECTS(at >= now_);
+    queue_.push_keyed(at, seq, std::forward<F>(action));
+  }
+
+  /// From within a running event only: run it again at the key (at, seq)
+  /// instead of retiring it — reschedule_current() at a reserved key. The
+  /// key must lie after the running event's.
+  void reschedule_current_keyed(Time at, std::uint64_t seq) {
+    queue_.rearm_current_keyed(at, seq);
+  }
+
+  /// clear() calls so far: an event scheduled before the latest one is
+  /// gone.
+  std::uint64_t clears() const { return clears_; }
 
   /// From within a running event only: schedule the currently executing
   /// action to run again `delay` from now, reusing its storage and state —
@@ -140,8 +169,6 @@ class Simulator {
   std::uint64_t budget_events_dispatched() const { return dispatched_; }
 
  private:
-  friend class Timer;  // keeps its one event at reserved keys
-
   enum class Exhausted { kNone, kEvents, kSimTime };
 
   /// The dispatch loop with observability hooks (out of line so the
@@ -152,8 +179,7 @@ class Simulator {
 
   Time now_ = 0;
   EventHeap queue_;
-  std::uint64_t clears_ = 0;  ///< clear() calls: a Timer's event outlives
-                              ///< none of them
+  std::uint64_t clears_ = 0;  ///< clear() calls
   TrialBudget budget_;
   std::uint64_t dispatched_ = 0;  ///< cumulative dispatched events
   Exhausted exhausted_ = Exhausted::kNone;

@@ -46,16 +46,16 @@ class Timer {
     WEHEY_EXPECTS(at >= sim_.now());
     armed_ = true;
     deadline_ = at;
-    deadline_seq_ = sim_.queue_.reserve_seq(1);
+    deadline_seq_ = sim_.reserve_seq(1);
     // A pending event due no later than `at` moves itself there.
-    if (node_pending_ && node_clears_ == sim_.clears_ && node_at_ <= at) {
+    if (node_pending_ && node_clears_ == sim_.clears() && node_at_ <= at) {
       return;
     }
     node_pending_ = true;
     node_at_ = at;
     node_seq_ = deadline_seq_;
-    node_clears_ = sim_.clears_;
-    sim_.queue_.push_keyed(at, node_seq_, [this, seq = node_seq_]() mutable {
+    node_clears_ = sim_.clears();
+    sim_.schedule_keyed(at, node_seq_, [this, seq = node_seq_]() mutable {
       on_node(seq);
     });
   }
@@ -79,8 +79,8 @@ class Timer {
       return;
     }
     // The deadline lies later (pushed back, or re-armed by on_fire_):
-    // follow it. rearm_current_keyed checks it is not an earlier key.
-    sim_.queue_.rearm_current_keyed(deadline_, deadline_seq_);
+    // follow it. reschedule_current_keyed checks it is not an earlier key.
+    sim_.reschedule_current_keyed(deadline_, deadline_seq_);
     seq = node_seq_ = deadline_seq_;
     node_at_ = deadline_;
   }

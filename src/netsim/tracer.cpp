@@ -3,6 +3,7 @@
 namespace wehey::netsim {
 
 void PacketTracer::attach(Link& link, const std::string& point) {
+  links_.push_back(&link);
   link.set_tx_listener([this, point](const Packet& pkt, Time at) {
     record({at, TraceEventKind::Transmit, point, pkt.flow, pkt.size,
             pkt.dscp, pkt.seq});
@@ -23,7 +24,7 @@ void PacketTracer::record(TraceEvent ev) {
 
 std::vector<TraceEvent> PacketTracer::flow_events(FlowId flow) const {
   std::vector<TraceEvent> out;
-  for (const auto& ev : events_) {
+  for (const auto& ev : events()) {
     if (ev.flow == flow) out.push_back(ev);
   }
   return out;
@@ -32,14 +33,14 @@ std::vector<TraceEvent> PacketTracer::flow_events(FlowId flow) const {
 std::unordered_map<std::string, std::uint64_t>
 PacketTracer::drops_by_point() const {
   std::unordered_map<std::string, std::uint64_t> out;
-  for (const auto& ev : events_) {
+  for (const auto& ev : events()) {
     if (ev.kind == TraceEventKind::Drop) ++out[ev.point];
   }
   return out;
 }
 
 void PacketTracer::dump(std::FILE* out) const {
-  for (const auto& ev : events_) {
+  for (const auto& ev : events()) {
     std::fprintf(out, "%.9f %s %s flow=%u dscp=%u seq=%llu size=%u\n",
                  to_seconds(ev.at),
                  ev.kind == TraceEventKind::Drop ? "d" : "t",

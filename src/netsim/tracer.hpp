@@ -31,16 +31,26 @@ class PacketTracer {
  public:
   /// Observe a link's transmissions and its queue disc's drops under the
   /// name `point`. Replaces any previously installed listeners on them.
+  /// The link must outlive the tracer's last read.
   void attach(Link& link, const std::string& point);
 
-  const std::vector<TraceEvent>& events() const { return events_; }
-  std::size_t size() const { return events_.size(); }
-  void clear() { events_.clear(); }
+  const std::vector<TraceEvent>& events() const {
+    sync();
+    return events_;
+  }
+  std::size_t size() const { return events().size(); }
+  void clear() {
+    sync();
+    events_.clear();
+  }
 
   /// Cap memory for long simulations (0 = unbounded). Once full, new
   /// events are counted but not stored.
   void set_capacity(std::size_t capacity) { capacity_ = capacity; }
-  std::uint64_t suppressed() const { return suppressed_; }
+  std::uint64_t suppressed() const {
+    sync();
+    return suppressed_;
+  }
 
   /// Events for one flow only.
   std::vector<TraceEvent> flow_events(FlowId flow) const;
@@ -52,7 +62,13 @@ class PacketTracer {
 
  private:
   void record(TraceEvent ev);
+  /// A FIFO link reports a transmission when it settles (link.hpp): bring
+  /// every attached link up to now before reading.
+  void sync() const {
+    for (const Link* link : links_) link->settle();
+  }
 
+  std::vector<const Link*> links_;
   std::vector<TraceEvent> events_;
   std::size_t capacity_ = 0;
   std::uint64_t suppressed_ = 0;

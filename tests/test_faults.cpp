@@ -446,7 +446,7 @@ TEST_P(ChaosPlan, SessionTimelineIsPinned) {
       {"topology-flap", 0xe93aad9eb0bf5406ULL},
       {"traceroute-damage", 0x1fc50853a3713fdfULL},
       {"kitchen-sink", 0xca0c6017a7e70b3aULL},
-      {"event-storm", 0x3f130114d3d801f7ULL},
+      {"event-storm", 0xbd5e3b54fb3fa0a3ULL},
   };
   auto cfg = chaos_session_config();
   cfg.scenario.bg_mode = trace::BackgroundMode::kPacket;

@@ -7,6 +7,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,35 @@ TEST(FluidProfile, SplitsClassesByDifferentiationMark) {
   double diff_bits = 0.0;
   for (const Rate r : all_diff.diff) diff_bits += r;
   EXPECT_GT(diff_bits, 0.0);
+}
+
+// ------------------------------------------------------ shared links
+
+TEST(FluidLink, SharedFifoLinkKeepsTwoEventsPerPacket) {
+  // Fluid bursts go ahead of packets already queued, so a FIFO link a
+  // FluidSource shares keeps transmit-done events; an unshared one
+  // dispatches only each packet's arrival at the next hop.
+  const auto events = [](bool shared) {
+    netsim::Simulator sim;
+    netsim::NullSink sink;
+    netsim::Link link(sim, mbps(12), milliseconds(5),
+                      std::make_unique<netsim::FifoDisc>(0), &sink);
+    netsim::FluidSegments seg;
+    seg.dflt = {mbps(1)};
+    std::unique_ptr<netsim::FluidSource> fluid;
+    if (shared) {  // never started: no step events
+      fluid = std::make_unique<netsim::FluidSource>(
+          sim, seg, std::vector<netsim::Link*>{&link});
+    }
+    netsim::Packet pkt;
+    pkt.size = 1500;
+    for (int i = 0; i < 10; ++i) link.receive(pkt);
+    sim.run();
+    EXPECT_EQ(sink.packets(), 10u);
+    return sim.budget_events_dispatched();
+  };
+  EXPECT_EQ(events(false), 10u);
+  EXPECT_EQ(events(true), 20u);
 }
 
 // ------------------------------------------------------------ env knob

@@ -717,6 +717,147 @@ TEST(Link, BandwidthChangeAffectsLaterPackets) {
   EXPECT_EQ(rec.arrivals[1], milliseconds(3));
 }
 
+/// A next hop that logs when each packet arrives and which one it is.
+struct ArrivalLog final : PacketSink {
+  Simulator* sim = nullptr;
+  std::vector<Time> at;
+  std::vector<std::uint64_t> seq;
+  void receive(Packet p) override {
+    at.push_back(sim->now());
+    seq.push_back(p.seq);
+  }
+};
+
+TEST(Link, FifoHopDispatchesOneEventPerPacketAndTbfHopTwo) {
+  const auto events = [](std::unique_ptr<QueueDisc> disc) {
+    Simulator sim;
+    NullSink sink;
+    Link link(sim, mbps(12), milliseconds(5), std::move(disc), &sink);
+    for (int i = 0; i < 10; ++i) {
+      sim.schedule_at(i * kMillisecond / 2,
+                      [&] { link.receive(make_packet(1500)); });
+    }
+    sim.run();
+    EXPECT_EQ(sink.packets(), 10u);
+    return sim.budget_events_dispatched() - 10;  // less the senders'
+  };
+  EXPECT_EQ(events(std::make_unique<FifoDisc>(0)), 10u);
+  // Tokens for every packet: the TBF never sleeps, and each packet costs
+  // its transmit-done and its arrival events.
+  EXPECT_EQ(events(std::make_unique<TbfDisc>(1e9, 100000, 100000)), 20u);
+}
+
+TEST(Link, FifoArrivalsLeaveWhenThePreviousTransmissionEnds) {
+  Simulator sim;
+  ArrivalLog next;
+  next.sim = &sim;
+  constexpr Time kDelay = milliseconds(5);
+  Link link(sim, mbps(8), kDelay, std::make_unique<FifoDisc>(0), &next);
+  // 1000 B take 1 ms at 8 Mbps. Arrivals in a burst, into a busy link and
+  // after it went idle.
+  const std::vector<Time> arrivals = {0, 0, kMillisecond / 2, milliseconds(2),
+                                      milliseconds(7), milliseconds(7)};
+  const std::vector<std::uint32_t> sizes = {1000, 500, 1000, 2000, 250, 1000};
+  for (std::size_t k = 0; k < arrivals.size(); ++k) {
+    sim.schedule_at(arrivals[k], [&, k] {
+      Packet p = make_packet(sizes[k]);
+      p.seq = k;
+      link.receive(p);
+    });
+  }
+  sim.run();
+  ASSERT_EQ(next.at.size(), arrivals.size());
+  Time done = 0;  // d_{k-1}: the previous transmission's end
+  for (std::size_t k = 0; k < arrivals.size(); ++k) {
+    done = std::max(arrivals[k], done) + transmission_time(sizes[k], mbps(8));
+    EXPECT_EQ(next.seq[k], k);
+    EXPECT_EQ(next.at[k], done + kDelay) << "packet " << k;
+  }
+}
+
+TEST(Link, FifoDropTailCountsOnlyBytesNotYetTransmitting) {
+  Simulator sim;
+  ArrivalLog next;
+  next.sim = &sim;
+  // 1000 B take 1 ms; 3000 B may wait.
+  Link link(sim, mbps(8), milliseconds(5), std::make_unique<FifoDisc>(3000),
+            &next);
+  const auto send = [&](std::uint64_t id) {
+    Packet p = make_packet(1000);
+    p.seq = id;
+    link.receive(p);
+  };
+  // At 1 ms, the instant packet 1 begins, it no longer counts: packet 5
+  // fills the limit again and packet 6 is dropped.
+  sim.schedule_at(milliseconds(1), [&] {
+    send(5);
+    send(6);
+  });
+  sim.schedule_at(0, [&] {
+    for (std::uint64_t id = 0; id < 5; ++id) send(id);
+  });
+  sim.run();
+  // Packet 0 transmits at once, 1–3 fill the 3000 B exactly, 4 is dropped.
+  EXPECT_EQ(next.seq, (std::vector<std::uint64_t>{0, 1, 2, 3, 5}));
+  EXPECT_EQ(link.disc().drop_count(), 2u);
+  EXPECT_EQ(link.disc().backlog_bytes(), 0);
+  EXPECT_EQ(link.disc().backlog_packets(), 0u);
+}
+
+TEST(Link, FifoBandwidthChangeRetimesOnlyWaitingPackets) {
+  Simulator sim;
+  ArrivalLog next;
+  next.sim = &sim;
+  Link link(sim, mbps(12), milliseconds(5), std::make_unique<FifoDisc>(0),
+            &next);
+  // Three 1500 B packets: 1 ms each at 12 Mbps, 2 ms at 6 Mbps. Halfway
+  // through the first the rate halves: the first keeps its 1 ms, the
+  // two waiting behind it take 2 ms each.
+  for (int i = 0; i < 3; ++i) link.receive(make_packet(1500));
+  sim.schedule_at(kMillisecond / 2, [&] { link.set_bandwidth(mbps(6)); });
+  sim.run();
+  EXPECT_EQ(next.at, (std::vector<Time>{milliseconds(6), milliseconds(8),
+                                        milliseconds(10)}));
+  EXPECT_EQ(link.busy_time(), milliseconds(5));
+}
+
+TEST(Link, FifoCountersReadMidRunCountFinishedTransmissions) {
+  Simulator sim;
+  NullSink sink;
+  Link link(sim, mbps(8), milliseconds(10), std::make_unique<FifoDisc>(0),
+            &sink);
+  std::vector<Time> heard;
+  link.set_tx_listener([&](const Packet&, Time at) {
+    heard.push_back(at);
+    // A listener may read the link: the read settles it again, and no
+    // transmission is counted or heard twice.
+    (void)link.delivered_packets();
+  });
+  for (int i = 0; i < 5; ++i) link.receive(make_packet(1000));  // 1 ms each
+  // No packet reaches the next hop before 11 ms: the reads settle the link.
+  std::vector<std::uint64_t> delivered;
+  std::vector<Time> busy;
+  std::vector<std::size_t> listened;
+  for (const Time at : {kMillisecond / 2, milliseconds(2) + kMillisecond / 2,
+                        milliseconds(3)}) {
+    sim.schedule_at(at, [&] {
+      delivered.push_back(link.delivered_packets());
+      busy.push_back(link.busy_time());
+      listened.push_back(heard.size());
+    });
+  }
+  sim.run();
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{0, 2, 3}));
+  EXPECT_EQ(busy, (std::vector<Time>{0, milliseconds(2), milliseconds(3)}));
+  EXPECT_EQ(listened, (std::vector<std::size_t>{0, 2, 3}));
+  EXPECT_EQ(heard, (std::vector<Time>{milliseconds(1), milliseconds(2),
+                                      milliseconds(3), milliseconds(4),
+                                      milliseconds(5)}));
+  EXPECT_EQ(link.delivered_packets(), 5u);
+  EXPECT_EQ(link.delivered_bytes(), 5000);
+  EXPECT_EQ(sink.packets(), 5u);
+}
+
 TEST(Pipe, FixedDelay) {
   Simulator sim;
   struct Recorder final : PacketSink {

@@ -83,6 +83,21 @@ TEST(Tracer, EventsAreTimeOrdered) {
   }
 }
 
+TEST(Tracer, RecordsAFifoTransmissionBeforeItsPacketArrives) {
+  Simulator sim;
+  NullSink sink;
+  // 1000 B take 1 ms at 8 Mbps; the packet reaches the sink at 11 ms.
+  Link link(sim, mbps(8), milliseconds(10), std::make_unique<FifoDisc>(0),
+            &sink);
+  PacketTracer tracer;
+  tracer.attach(link, "x");
+  link.receive(pkt(1, 1000));
+  sim.run(milliseconds(5));
+  ASSERT_EQ(tracer.size(), 1u);
+  EXPECT_EQ(tracer.events()[0].at, milliseconds(1));
+  EXPECT_EQ(sink.packets(), 0u);
+}
+
 TEST(Tracer, FlowFilterAndCapacity) {
   Simulator sim;
   NullSink sink;
