@@ -41,7 +41,8 @@ RunResult run(bool with_proxy, Rate policer) {
                 policer,
                 static_cast<std::int64_t>(bytes_in(policer, milliseconds(40))),
                 static_cast<std::int64_t>(
-                    bytes_in(policer, milliseconds(20))))),
+                    bytes_in(policer, milliseconds(20))),
+                0)),
         to);
   };
 
@@ -50,7 +51,7 @@ RunResult run(bool with_proxy, Rate policer) {
     auto link = make_policed_link(&at_client);
     Pipe ack(sim, milliseconds(10));
     TcpSender origin(sim, ids, cfg, 1, kDscpDifferentiated, link.get());
-    TcpReceiver client(sim, ids, cfg, 1, &ack);
+    TcpReceiver client(sim, ids, 1, &ack);
     ack.set_next(&origin);
     at_client.add_route(1, &client);
     origin.supply(8'000'000);
@@ -70,7 +71,7 @@ RunResult run(bool with_proxy, Rate policer) {
   TcpSender origin(sim, ids, cfg, 1, kDscpDifferentiated, upstream.get());
   SplitTcpProxy proxy(sim, ids, cfg, 1, 2, kDscpDifferentiated, &ack_origin,
                       downstream.get());
-  TcpReceiver client(sim, ids, cfg, 2, &ack_proxy);
+  TcpReceiver client(sim, ids, 2, &ack_proxy);
   ack_origin.set_next(&origin);
   ack_proxy.set_next(&proxy.downstream_ack_in());
   at_proxy.add_route(1, &proxy.upstream_in());

@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
                                 static_cast<std::int64_t>(
                                     bytes_in(throttle, milliseconds(40))),
                                 static_cast<std::int64_t>(
-                                    bytes_in(throttle, milliseconds(20)))));
+                                    bytes_in(throttle, milliseconds(20))),
+                                0));
   Link last_mile(sim, mbps(40), milliseconds(5), std::move(limiter),
                  &client);
   Link backbone(sim, mbps(40), milliseconds(2),
@@ -54,8 +55,8 @@ int main(int argc, char** argv) {
   Pipe ack2(sim, milliseconds(17));
   TcpSender snd1(sim, ids, cfg, 1, kDscpDifferentiated, &access);
   TcpSender snd2(sim, ids, cfg, 2, kDscpDefault, &access);
-  TcpReceiver rcv1(sim, ids, cfg, 1, &ack1);
-  TcpReceiver rcv2(sim, ids, cfg, 2, &ack2);
+  TcpReceiver rcv1(sim, ids, 1, &ack1);
+  TcpReceiver rcv2(sim, ids, 2, &ack2);
   ack1.set_next(&snd1);
   ack2.set_next(&snd2);
   client.add_route(1, &rcv1);

@@ -10,6 +10,12 @@
 namespace wehey::core {
 namespace {
 
+/// The aggregate CoV must be below this fraction of the smaller
+/// individual CoV.
+constexpr double kRatioThreshold = 0.5;
+/// The CoV floor each individual series must reach.
+constexpr double kMinIndividualCov = 0.08;
+
 double coefficient_of_variation(std::span<const double> xs) {
   const double m = stats::mean(xs);
   if (m <= 0.0) return 0.0;
@@ -19,8 +25,7 @@ double coefficient_of_variation(std::span<const double> xs) {
 }  // namespace
 
 CouplingResult coupled_bottleneck_test(std::span<const double> y1,
-                                       std::span<const double> y2,
-                                       const CouplingConfig& cfg) {
+                                       std::span<const double> y2) {
   CouplingResult res;
   if (y1.size() != y2.size() || y1.size() < 8) return res;
 
@@ -38,11 +43,9 @@ CouplingResult coupled_bottleneck_test(std::span<const double> y1,
   res.correlation = corr.valid ? corr.coefficient : 0.0;
   res.valid = true;
 
-  const bool individually_variable =
-      min_individual >= cfg.min_individual_cov;
-  const bool aggregate_pinned = res.ratio < cfg.ratio_threshold;
-  const bool anti_correlated =
-      !cfg.require_negative_correlation || res.correlation < 0.0;
+  const bool individually_variable = min_individual >= kMinIndividualCov;
+  const bool aggregate_pinned = res.ratio < kRatioThreshold;
+  const bool anti_correlated = res.correlation < 0.0;
   res.coupled =
       individually_variable && aggregate_pinned && anti_correlated;
   return res;

@@ -17,28 +17,17 @@
 // large bottleneck with other traffic co-move positively. The test
 // therefore declares coupling when
 //
-//   CoV(y1 + y2)  <  ratio_threshold * min(CoV(y1), CoV(y2))
+//   CoV(y1 + y2)  <  0.5 * min(CoV(y1), CoV(y2))
 //
-// with both individual coefficients of variation above a noise floor —
-// optionally strengthened by a negative Pearson correlation between the
-// two series.
+// with both individual coefficients of variation above a noise floor of
+// 0.08 (below it the flows are individually pinned, as behind separate
+// policers, and the test is not applicable), corroborated by a negative
+// Pearson correlation between the two series.
 #pragma once
 
 #include <span>
 
 namespace wehey::core {
-
-struct CouplingConfig {
-  /// Aggregate CoV must be below this fraction of the smaller individual
-  /// CoV.
-  double ratio_threshold = 0.5;
-  /// Individual series must vary at least this much (CoV floor), else the
-  /// flows are individually pinned (separate policers) and the test is
-  /// not applicable.
-  double min_individual_cov = 0.08;
-  /// Require the two series to be negatively correlated as corroboration.
-  bool require_negative_correlation = true;
-};
 
 struct CouplingResult {
   bool coupled = false;
@@ -53,7 +42,6 @@ struct CouplingResult {
 /// `y1`, `y2`: per-interval throughput samples of the two simultaneous
 /// replays (same interval grid).
 CouplingResult coupled_bottleneck_test(std::span<const double> y1,
-                                       std::span<const double> y2,
-                                       const CouplingConfig& cfg = {});
+                                       std::span<const double> y2);
 
 }  // namespace wehey::core

@@ -13,6 +13,25 @@ namespace wehey::core {
 
 namespace {
 
+constexpr Time kFallbackRtt = milliseconds(35);  ///< when no RTT samples exist
+
+// Graceful-degradation limits. They only engage once a degradation is
+// *detected* (scrubbed samples, desynchronized windows, empty series), so
+// a clean run never enters any of these paths.
+
+/// Start-time disagreement between the simultaneous measurements beyond
+/// which they are trimmed to their overlapping window (a clean
+/// back-to-back start differs by ~5 ms; a skewed server clock by seconds).
+constexpr Time kDesyncTolerance = milliseconds(500);
+/// Overlap (as a fraction of the longer window) below which the loss pair
+/// is unusable.
+constexpr double kMinOverlapFraction = 0.2;
+/// When shrinking the Alg. 1 sweep, keep interval sizes that fit at least
+/// this many intervals into the measured window.
+constexpr int kMinIntervalsPerSize = 8;
+/// Minimum T_diff history for the §4.1 comparison to mean anything.
+constexpr std::size_t kMinTDiff = 8;
+
 /// A measurement that cannot support any analysis: no time window or no
 /// delivered data at all (e.g. a replay that died before its first byte).
 bool unusable(const netsim::ReplayMeasurement& m) {
@@ -308,12 +327,12 @@ LocalizationResult localize(const LocalizationInput& input, Rng& rng,
   netsim::ReplayMeasurement trim1, trim2;
   bool loss_testable = !any_empty;
   if (loss_testable &&
-      std::llabs(p1o->start - p2o->start) > cfg.desync_tolerance) {
+      std::llabs(p1o->start - p2o->start) > kDesyncTolerance) {
     res.degraded = true;
     const Time lo = std::max(p1o->start, p2o->start);
     const Time hi = std::min(p1o->end, p2o->end);
     const Time longest = std::max(p1o->duration(), p2o->duration());
-    if (hi - lo < static_cast<Time>(cfg.min_overlap_fraction *
+    if (hi - lo < static_cast<Time>(kMinOverlapFraction *
                                     static_cast<double>(longest))) {
       note(InconclusiveReason::NonOverlappingMeasurements);
       loss_testable = false;
@@ -364,7 +383,7 @@ LocalizationResult localize(const LocalizationInput& input, Rng& rng,
     return res;
   }
   if (res.degraded && !res.throughput.valid &&
-      input.t_diff_history.size() < cfg.min_t_diff) {
+      input.t_diff_history.size() < kMinTDiff) {
     // Only worth flagging on damaged inputs: with clean measurements a
     // short history leaves the loss detector fully able to decide.
     note(InconclusiveReason::ShortTDiffHistory);
@@ -374,7 +393,7 @@ LocalizationResult localize(const LocalizationInput& input, Rng& rng,
   // Operation 4b: loss-trend correlation — collective throttling check.
   res.base_rtt_used =
       input.base_rtt > 0 ? input.base_rtt
-                         : estimate_base_rtt(*loss1, *loss2, cfg.fallback_rtt);
+                         : estimate_base_rtt(*loss1, *loss2, kFallbackRtt);
   LossCorrelationConfig loss_cfg = cfg.loss;
   if (res.degraded && loss_testable) {
     // Shrink the Alg. 1 sweep so every interval size still fits a
@@ -384,7 +403,7 @@ LocalizationResult localize(const LocalizationInput& input, Rng& rng,
     const Time span = std::min(loss1->duration(), loss2->duration());
     const auto cap = static_cast<int>(
         span / (res.base_rtt_used *
-                static_cast<Time>(cfg.min_intervals_per_size)));
+                static_cast<Time>(kMinIntervalsPerSize)));
     if (cap < loss_cfg.max_interval_rtts) {
       loss_cfg.max_interval_rtts = cap;
       res.trace.degradations.emplace_back("shrunk_sweep");

@@ -63,28 +63,13 @@ struct LocalizationInput {
   Time base_rtt = 0;
 };
 
+/// The §4 detectors' thresholds. The base-RTT fallback and the
+/// graceful-degradation limits (which engage only on a detected
+/// degradation) are constants in localizer.cpp.
 struct LocalizerConfig {
   WeheConfig wehe;
   ThroughputComparisonConfig throughput;
   LossCorrelationConfig loss;
-  Time fallback_rtt = milliseconds(35);  ///< when no RTT samples exist
-
-  // Graceful-degradation knobs. They only engage once a degradation is
-  // *detected* (scrubbed samples, desynchronized windows, empty series),
-  // so a clean run never enters any of these paths.
-  /// Start-time disagreement between the simultaneous measurements beyond
-  /// which they are trimmed to their overlapping window (a clean
-  /// back-to-back start differs by ~5 ms; a skewed server clock by
-  /// seconds).
-  Time desync_tolerance = milliseconds(500);
-  /// Overlap (as a fraction of the longer window) below which the loss
-  /// pair is unusable.
-  double min_overlap_fraction = 0.2;
-  /// When shrinking the Alg. 1 sweep, keep interval sizes that fit at
-  /// least this many intervals into the measured window.
-  int min_intervals_per_size = 8;
-  /// Minimum T_diff history for the §4.1 comparison to mean anything.
-  std::size_t min_t_diff = 8;
 };
 
 /// One detector comparison recorded in a DecisionTrace: the statistic

@@ -29,13 +29,9 @@ ThroughputComparisonResult throughput_comparison(
 
   // O_diff: one Monte-Carlo draw per T_diff data point (§4.1: the two
   // distributions are built with the same size).
-  res.o_diff.reserve(t_diff.size());
-  for (std::size_t i = 0; i < t_diff.size(); ++i) {
-    const auto xh = stats::random_half(x, rng);
-    const auto yh = stats::random_half(y, rng);
-    res.o_diff.push_back(
-        std::fabs(stats::relative_mean_difference(xh, yh)));
-  }
+  res.o_diff =
+      stats::half_sample_mean_difference(x, y, t_diff.size(), rng);
+  for (double& v : res.o_diff) v = std::fabs(v);
 
   const auto test = stats::mann_whitney_u(res.o_diff, res.t_diff,
                                           stats::Alternative::Less);

@@ -9,6 +9,13 @@
 namespace wehey::core {
 namespace {
 
+/// Alg. 4's quantile grid from which candidate loss thresholds are drawn.
+constexpr int kThresholdCandidates = 9;
+/// Thresholds must keep every path's performance within [kYMin, kYMax]
+/// ("none of the paths is found lossy too often or too rarely").
+constexpr double kYMin = 0.1;
+constexpr double kYMax = 0.9;
+
 /// Solve System 1 from per-interval binary loss statuses (true = lossy).
 LinkPerformance solve_system(const std::vector<char>& lossy1,
                              const std::vector<char>& lossy2) {
@@ -67,37 +74,27 @@ LinkPerformance bin_loss_tomo_series(const std::vector<double>& loss1,
 
 LinkPerformance bin_loss_tomo(const netsim::ReplayMeasurement& m1,
                               const netsim::ReplayMeasurement& m2,
-                              Time sigma, double tau,
-                              const TomographyOptions& opt) {
-  SeriesOptions sopt;
-  sopt.min_packets_per_interval = opt.min_packets_per_interval;
-  const auto series = make_loss_rate_series(m1, m2, sigma, sopt);
+                              Time sigma, double tau) {
+  const auto series = make_loss_rate_series(m1, m2, sigma);
   return bin_loss_tomo_series(series.path1, series.path2, tau);
 }
 
 bool bin_loss_tomo_plus_plus(const netsim::ReplayMeasurement& m1,
                              const netsim::ReplayMeasurement& m2, Time sigma,
-                             double tau, const TomographyOptions& opt) {
-  const auto perf = bin_loss_tomo(m1, m2, sigma, tau, opt);
+                             double tau) {
+  const auto perf = bin_loss_tomo(m1, m2, sigma, tau);
   return perf.valid && perf.x_1 > perf.x_c && perf.x_2 > perf.x_c;
 }
 
 NoParamsResult bin_loss_tomo_no_params(const netsim::ReplayMeasurement& m1,
                                        const netsim::ReplayMeasurement& m2,
-                                       Time base_rtt,
-                                       const NoParamsConfig& cfg) {
+                                       Time base_rtt) {
   WEHEY_EXPECTS(base_rtt > 0);
   NoParamsResult res;
   double gap1_sum = 0.0, gap2_sum = 0.0;
 
-  const auto sigmas = interval_size_sweep(
-      base_rtt, cfg.interval_sizes, cfg.min_interval_rtts,
-      cfg.max_interval_rtts);
-  SeriesOptions sopt;
-  sopt.min_packets_per_interval = cfg.min_packets_per_interval;
-
-  for (Time sigma : sigmas) {
-    const auto series = make_loss_rate_series(m1, m2, sigma, sopt);
+  for (Time sigma : interval_size_sweep(base_rtt)) {
+    const auto series = make_loss_rate_series(m1, m2, sigma);
     if (series.path1.size() < 3) continue;
 
     // Candidate loss thresholds: quantiles of the pooled loss rates, then
@@ -105,9 +102,9 @@ NoParamsResult bin_loss_tomo_no_params(const netsim::ReplayMeasurement& m1,
     // (0.1 <= y_i <= 0.9, §4.3 "V1").
     std::vector<double> pooled = series.path1;
     pooled.insert(pooled.end(), series.path2.begin(), series.path2.end());
-    for (int k = 1; k <= cfg.threshold_candidates; ++k) {
+    for (int k = 1; k <= kThresholdCandidates; ++k) {
       const double q = static_cast<double>(k) /
-                       static_cast<double>(cfg.threshold_candidates + 1);
+                       static_cast<double>(kThresholdCandidates + 1);
       const double tau = stats::quantile(pooled, q);
 
       auto y_of = [&](const std::vector<double>& loss) {
@@ -119,8 +116,7 @@ NoParamsResult bin_loss_tomo_no_params(const netsim::ReplayMeasurement& m1,
       };
       const double y1 = y_of(series.path1);
       const double y2 = y_of(series.path2);
-      if (y1 < cfg.y_min || y1 > cfg.y_max || y2 < cfg.y_min ||
-          y2 > cfg.y_max) {
+      if (y1 < kYMin || y1 > kYMax || y2 < kYMin || y2 > kYMax) {
         continue;
       }
       const auto perf =
@@ -141,19 +137,13 @@ NoParamsResult bin_loss_tomo_no_params(const netsim::ReplayMeasurement& m1,
 
 LossTrendTomoResult loss_trend_tomography(
     const netsim::ReplayMeasurement& m1, const netsim::ReplayMeasurement& m2,
-    Time base_rtt, const NoParamsConfig& cfg) {
+    Time base_rtt) {
   WEHEY_EXPECTS(base_rtt > 0);
   LossTrendTomoResult res;
   double gap1_sum = 0.0, gap2_sum = 0.0;
 
-  const auto sigmas = interval_size_sweep(
-      base_rtt, cfg.interval_sizes, cfg.min_interval_rtts,
-      cfg.max_interval_rtts);
-  SeriesOptions sopt;
-  sopt.min_packets_per_interval = cfg.min_packets_per_interval;
-
-  for (Time sigma : sigmas) {
-    const auto series = make_loss_rate_series(m1, m2, sigma, sopt);
+  for (Time sigma : interval_size_sweep(base_rtt)) {
+    const auto series = make_loss_rate_series(m1, m2, sigma);
     const auto s1 = trend_status(series.path1);
     const auto s2 = trend_status(series.path2);
     if (s1.size() < 3) continue;

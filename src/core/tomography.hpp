@@ -20,6 +20,10 @@
 //    average performance gap to be positive for both non-common links.
 //  * LossTrendTomo (the "V2" design) — replaces the loss threshold with
 //    "loss rate increased relative to the previous interval".
+//
+// Every detector keeps only intervals in which each path sent at least 10
+// packets, and Alg. 4 and V2 sweep Alg. 1's nine interval sizes of 10 to
+// 50 RTTs.
 #pragma once
 
 #include <optional>
@@ -39,15 +43,10 @@ struct LinkPerformance {
   bool valid = false;
 };
 
-struct TomographyOptions {
-  std::uint64_t min_packets_per_interval = 10;
-};
-
 /// Algorithm 2. `sigma` is the interval size, `tau` the loss threshold.
 LinkPerformance bin_loss_tomo(const netsim::ReplayMeasurement& m1,
                               const netsim::ReplayMeasurement& m2,
-                              Time sigma, double tau,
-                              const TomographyOptions& opt = {});
+                              Time sigma, double tau);
 
 /// Algorithm 2 on precomputed loss-rate series (exposed for the Figure-3
 /// threshold sweep and for tests).
@@ -58,20 +57,7 @@ LinkPerformance bin_loss_tomo_series(const std::vector<double>& loss1,
 /// Algorithm 3: common bottleneck iff x_1 > x_c and x_2 > x_c.
 bool bin_loss_tomo_plus_plus(const netsim::ReplayMeasurement& m1,
                              const netsim::ReplayMeasurement& m2, Time sigma,
-                             double tau, const TomographyOptions& opt = {});
-
-struct NoParamsConfig {
-  int interval_sizes = 9;
-  int min_interval_rtts = 10;
-  int max_interval_rtts = 50;
-  /// Quantile grid from which candidate loss thresholds are drawn.
-  int threshold_candidates = 9;
-  /// Thresholds must keep every path's performance within this band
-  /// ("none of the paths is found lossy too often or too rarely").
-  double y_min = 0.1;
-  double y_max = 0.9;
-  std::uint64_t min_packets_per_interval = 10;
-};
+                             double tau);
 
 struct NoParamsResult {
   bool common_bottleneck = false;
@@ -83,8 +69,7 @@ struct NoParamsResult {
 /// Algorithm 4. `base_rtt` scales the interval-size sweep.
 NoParamsResult bin_loss_tomo_no_params(const netsim::ReplayMeasurement& m1,
                                        const netsim::ReplayMeasurement& m2,
-                                       Time base_rtt,
-                                       const NoParamsConfig& cfg = {});
+                                       Time base_rtt);
 
 /// The V2 intermediate design: binary tomography where "lossy" means the
 /// loss rate increased relative to the previous interval; common
@@ -98,6 +83,6 @@ struct LossTrendTomoResult {
 
 LossTrendTomoResult loss_trend_tomography(
     const netsim::ReplayMeasurement& m1, const netsim::ReplayMeasurement& m2,
-    Time base_rtt, const NoParamsConfig& cfg = {});
+    Time base_rtt);
 
 }  // namespace wehey::core

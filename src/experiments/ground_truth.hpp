@@ -62,7 +62,7 @@ inline obs::GroundTruthSection ground_truth_section(
 /// Ground truth of an in-the-wild test. All five ISP models throttle the
 /// client per-client on the common link (within the ISP); ISP5's delayed
 /// fixed-rate variant additionally carries the received-byte activation
-/// threshold that wild_network_params configures into its DelayedTbfDisc.
+/// threshold that wild_network_params configures into its TbfDisc.
 /// `trace_rate` must be the same value the network construction used
 /// (the non-inverted trace's average rate). The §5 sanity check does not
 /// change the configured network — it changes what a correct tool should
@@ -81,8 +81,8 @@ inline obs::GroundTruthSection ground_truth_section(const WildConfig& cfg,
   truth.within_target_area = true;
   truth.rate_bps = cfg.isp.throttle_factor * trace_rate;
   if (cfg.isp.delayed_fixed_rate) {
-    // Identical expression to wild_network_params' DelayedTbfDisc
-    // trigger, so the ledger records the byte threshold actually
+    // Identical expression to wild_network_params' TbfDisc activation
+    // threshold, so the ledger records the byte threshold actually
     // configured.
     truth.activation_bytes = static_cast<std::int64_t>(
         cfg.isp.trigger_seconds * trace_rate / 8.0);

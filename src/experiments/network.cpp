@@ -10,6 +10,8 @@
 #include "common/check.hpp"
 #include "obs/recorder.hpp"
 #include "stats/descriptive.hpp"
+#include "transport/quic.hpp"
+#include "transport/udp.hpp"
 
 namespace wehey::experiments {
 
@@ -22,6 +24,10 @@ using netsim::TbfDisc;
 
 namespace {
 
+constexpr Time kCommonDelay = milliseconds(2);  ///< l_c propagation share
+/// How often the access link redraws its capacity.
+constexpr Time kAccessUpdateInterval = seconds(2);
+
 std::unique_ptr<netsim::QueueDisc> make_disc(Placement placement,
                                              bool this_link_limited,
                                              const LimiterParams& lp,
@@ -33,7 +39,7 @@ std::unique_ptr<netsim::QueueDisc> make_disc(Placement placement,
     return std::make_unique<netsim::PerFlowRateLimiterDisc>(
         std::move(fifo), lp.rate, lp.burst, lp.limit);
   }
-  auto tbf = std::make_unique<TbfDisc>(lp.rate, lp.burst, lp.limit);
+  auto tbf = std::make_unique<TbfDisc>(lp.rate, lp.burst, lp.limit, 0);
   return std::make_unique<RateLimiterDisc>(std::move(fifo), std::move(tbf));
 }
 
@@ -105,8 +111,8 @@ struct FigureOneNetwork::BackgroundFlowRt {
 FigureOneNetwork::FigureOneNetwork(netsim::Simulator& sim,
                                    const NetworkParams& params, Rng& rng)
     : sim_(sim), params_(params) {
-  WEHEY_EXPECTS(params.rtt1 > 2 * params.common_delay);
-  WEHEY_EXPECTS(params.rtt2 > 2 * params.common_delay);
+  WEHEY_EXPECTS(params.rtt1 > 2 * kCommonDelay);
+  WEHEY_EXPECTS(params.rtt2 > 2 * kCommonDelay);
 
   client_ = std::make_unique<Demux>();
 
@@ -130,7 +136,7 @@ FigureOneNetwork::FigureOneNetwork(netsim::Simulator& sim,
     Rng access_rng = rng.split();
     const Rate nominal = params.access_rate;
     const double sigma = params.access_jitter_sigma;
-    const Time step = params.access_update_interval;
+    const Time step = kAccessUpdateInterval;
     auto* link = access_.get();
     // A self-rescheduling capacity update, owning its own RNG stream; the
     // scheduled closures hold shared ownership so the updater outlives
@@ -163,13 +169,13 @@ FigureOneNetwork::FigureOneNetwork(netsim::Simulator& sim,
                          ? params.common_disc_factory()
                          : make_disc(params.placement, limit_common,
                                      params.limiter, fifo_limit(params.bw_c));
-  common_ = std::make_unique<Link>(sim_, params.bw_c, params.common_delay,
+  common_ = std::make_unique<Link>(sim_, params.bw_c, kCommonDelay,
                                    std::move(common_disc), last_hop);
 
   // The forward one-way delay of path i is rtt_i / 2; l_c contributes
-  // common_delay of it, the non-common link the rest.
-  const Time d1 = params.rtt1 / 2 - params.common_delay;
-  const Time d2 = params.rtt2 / 2 - params.common_delay;
+  // kCommonDelay of it, the non-common link the rest.
+  const Time d1 = params.rtt1 / 2 - kCommonDelay;
+  const Time d2 = params.rtt2 / 2 - kCommonDelay;
   nc1_ = std::make_unique<Link>(sim_, params.bw_nc1, d1,
                                 make_disc(params.placement, limit_nc,
                                           params.limiter,
@@ -201,8 +207,7 @@ Time FigureOneNetwork::reverse_delay(int path_index) const {
 }
 
 void FigureOneNetwork::attach_background(
-    int path_index, const std::vector<trace::BackgroundFlow>& flows,
-    const transport::TcpConfig& tcp) {
+    int path_index, const std::vector<trace::BackgroundFlow>& flows) {
   netsim::PacketSink* entry = path_entry(path_index);
   // Each flow's bytes become available at its start: one series over the
   // flows (start-ordered, as generate_background emits them).
@@ -216,9 +221,9 @@ void FigureOneNetwork::attach_background(
                                   : netsim::kDscpDefault;
     rt->ack_pipe = std::make_unique<Pipe>(sim_, reverse_delay(path_index));
     rt->sender = std::make_unique<transport::TcpSender>(
-        sim_, ids_, tcp, flow, dscp, entry);
+        sim_, ids_, transport::TcpConfig{}, flow, dscp, entry);
     rt->receiver = std::make_unique<transport::TcpReceiver>(
-        sim_, ids_, tcp, flow, rt->ack_pipe.get());
+        sim_, ids_, flow, rt->ack_pipe.get());
     rt->ack_pipe->set_next(rt->sender.get());
     client_->add_route(flow, rt->receiver.get());
 
@@ -296,7 +301,7 @@ int FigureOneNetwork::start_tcp_replay(int path_index,
         sim_, ids_, tcp, flow, dscp, path_entry(path_index));
     if (policer_key != 0) sender->set_policer_key(policer_key);
     auto receiver = std::make_unique<transport::TcpReceiver>(
-        sim_, ids_, tcp, flow, pipe.get());
+        sim_, ids_, flow, pipe.get());
     pipe->set_next(sender.get());
     client_->add_route(flow, receiver.get());
     rt->ack_pipes.push_back(std::move(pipe));
@@ -353,7 +358,6 @@ int FigureOneNetwork::start_udp_replay(int path_index,
                                           : netsim::kDscpDefault;
   rt->receiver = std::make_unique<transport::UdpReplayReceiver>(sim_);
   client_->add_route(flow, rt->receiver.get());
-  transport::UdpConfig ucfg;
   // An armed ReplayCut truncates the schedule up front: a UDP replay is
   // open-loop, so the dead server simply never transmits the rest.
   const trace::AppTrace* schedule = &t;
@@ -370,7 +374,7 @@ int FigureOneNetwork::start_udp_replay(int path_index,
     schedule = &cut_trace;
   }
   rt->sender = std::make_unique<transport::UdpReplaySender>(
-      sim_, ids_, ucfg, flow, dscp, path_entry(path_index), *schedule, start,
+      sim_, ids_, flow, dscp, path_entry(path_index), *schedule, start,
       policer_key);
   udp_replays_.push_back(std::move(rt));
   return -static_cast<int>(udp_replays_.size());
@@ -429,8 +433,7 @@ PathReport FigureOneNetwork::report(int id, Time start, Time duration) {
 
 int FigureOneNetwork::start_quic_replay(int path_index,
                                         const trace::AppTrace& t,
-                                        Time start,
-                                        const transport::QuicConfig& quic) {
+                                        Time start) {
   auto rt = std::make_unique<QuicReplay>();
   rt->path = path_index;
   const netsim::FlowId flow = next_flow_++;
@@ -438,9 +441,9 @@ int FigureOneNetwork::start_quic_replay(int path_index,
                                           : netsim::kDscpDefault;
   rt->ack_pipe = std::make_unique<Pipe>(sim_, reverse_delay(path_index));
   rt->sender = std::make_unique<transport::QuicSender>(
-      sim_, ids_, quic, flow, dscp, path_entry(path_index));
+      sim_, ids_, flow, dscp, path_entry(path_index));
   rt->receiver = std::make_unique<transport::QuicReceiver>(
-      sim_, ids_, quic, flow, rt->ack_pipe.get());
+      sim_, ids_, flow, rt->ack_pipe.get());
   rt->ack_pipe->set_next(rt->sender.get());
   client_->add_route(flow, rt->receiver.get());
   std::vector<Time> times;

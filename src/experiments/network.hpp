@@ -32,8 +32,6 @@
 #include "trace/background.hpp"
 #include "trace/trace.hpp"
 #include "transport/tcp.hpp"
-#include "transport/quic.hpp"
-#include "transport/udp.hpp"
 
 namespace wehey::experiments {
 
@@ -61,7 +59,6 @@ struct NetworkParams {
   Rate bw_c = mbps(100);   ///< l_c bandwidth
   Time rtt1 = milliseconds(35);
   Time rtt2 = milliseconds(35);
-  Time common_delay = milliseconds(2);  ///< l_c propagation share
   Placement placement = Placement::None;
   LimiterParams limiter;              ///< used per placement
   std::int64_t fifo_limit_bytes = 0;  ///< 0: sized from BDP
@@ -74,7 +71,6 @@ struct NetworkParams {
   /// variation" T_diff captures on cellular networks (§5). 0 disables.
   Rate access_rate = 0;
   double access_jitter_sigma = 0.25;  ///< lognormal sigma of capacity
-  Time access_update_interval = seconds(2);
 };
 
 /// One path's replay measurement plus the per-replay statistics the
@@ -122,10 +118,10 @@ class FigureOneNetwork {
   FigureOneNetwork& operator=(const FigureOneNetwork&) = delete;
 
   /// Attach a CAIDA-like background workload whose flows enter through
-  /// path `path_index` (1 or 2). Differentiated flows carry dscp=1.
+  /// path `path_index` (1 or 2), carried by paced Cubic senders.
+  /// Differentiated flows carry dscp=1.
   void attach_background(int path_index,
-                         const std::vector<trace::BackgroundFlow>& flows,
-                         const transport::TcpConfig& tcp = {});
+                         const std::vector<trace::BackgroundFlow>& flows);
 
   /// Fluid-mode alternative to attach_background: carry the same workload
   /// as a piecewise-constant rate aggregate on the path's link chain
@@ -155,7 +151,7 @@ class FigureOneNetwork {
   /// Start a QUIC trace replay (§7): the trace is the byte-availability
   /// schedule, like the TCP replay, but carried over the QUIC transport.
   int start_quic_replay(int path_index, const trace::AppTrace& t,
-                        Time start, const transport::QuicConfig& quic = {});
+                        Time start);
 
   /// Run the simulation until `until` plus a drain grace period.
   void run(Time until, Time grace = seconds(3));

@@ -1,6 +1,5 @@
 #include "experiments/wild.hpp"
 
-#include "experiments/delayed_tbf.hpp"
 #include "experiments/ground_truth.hpp"
 #include "experiments/phase.hpp"
 
@@ -60,21 +59,16 @@ NetworkParams wild_network_params(const WildConfig& cfg, Rate trace_rate) {
   const std::int64_t fifo_limit = std::max<std::int64_t>(
       64 * 1024,
       static_cast<std::int64_t>(bytes_in(net.bw_c, milliseconds(50))));
-  const bool delayed = cfg.isp.delayed_fixed_rate;
-  const std::int64_t trigger = static_cast<std::int64_t>(
-      cfg.isp.trigger_seconds * trace_rate / 8.0);
-  net.common_disc_factory = [lp, fifo_limit, delayed, trigger]() {
-    auto fifo = std::make_unique<netsim::FifoDisc>(fifo_limit);
-    std::unique_ptr<netsim::QueueDisc> throttled;
-    if (delayed) {
-      throttled = std::make_unique<DelayedTbfDisc>(trigger, lp.rate,
-                                                   lp.burst, lp.limit);
-    } else {
-      throttled =
-          std::make_unique<netsim::TbfDisc>(lp.rate, lp.burst, lp.limit);
-    }
-    return std::make_unique<netsim::RateLimiterDisc>(std::move(fifo),
-                                                     std::move(throttled));
+  const std::int64_t trigger =
+      cfg.isp.delayed_fixed_rate
+          ? static_cast<std::int64_t>(cfg.isp.trigger_seconds * trace_rate /
+                                      8.0)
+          : 0;
+  net.common_disc_factory = [lp, fifo_limit, trigger]() {
+    return std::make_unique<netsim::RateLimiterDisc>(
+        std::make_unique<netsim::FifoDisc>(fifo_limit),
+        std::make_unique<netsim::TbfDisc>(lp.rate, lp.burst, lp.limit,
+                                          trigger));
   };
   return net;
 }

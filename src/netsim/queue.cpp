@@ -48,14 +48,17 @@ Time FifoDisc::next_ready(Time now) const {
 // ----------------------------------------------------------------- TbfDisc
 
 TbfDisc::TbfDisc(Rate rate, std::int64_t burst_bytes,
-                 std::int64_t limit_bytes)
+                 std::int64_t limit_bytes, std::int64_t activation_bytes)
     : rate_(rate),
       burst_(burst_bytes),
       limit_(limit_bytes),
+      activation_(activation_bytes),
+      active_(activation_bytes == 0),
       tokens_bytes_(static_cast<double>(burst_bytes)) {
   WEHEY_EXPECTS(rate > 0.0);
   WEHEY_EXPECTS(burst_bytes > 0);
   WEHEY_EXPECTS(limit_bytes >= 0);
+  WEHEY_EXPECTS(activation_bytes >= 0);
 }
 
 void TbfDisc::refill(Time now) {
@@ -71,9 +74,19 @@ double TbfDisc::tokens(Time now) const {
   return std::min(static_cast<double>(burst_), tokens_bytes_ + added);
 }
 
+void TbfDisc::count_offered(std::int64_t bytes, Time now) {
+  if (active_) return;
+  offered_ += bytes;
+  if (offered_ < activation_) return;
+  active_ = true;
+  tokens_bytes_ = static_cast<double>(burst_);
+  last_refill_ = now;
+}
+
 bool TbfDisc::enqueue(Packet pkt, Time now) {
   refill(now);
-  if (bytes_ + pkt.size > limit_ + 0) {
+  count_offered(pkt.size, now);
+  if (active_ && bytes_ + pkt.size > limit_) {
     // Queue full while waiting for tokens: the packet is policed away.
     drop_obs_.inc();
     notify_drop(pkt, now);
@@ -88,17 +101,19 @@ bool TbfDisc::enqueue(Packet pkt, Time now) {
 std::optional<Packet> TbfDisc::dequeue(Time now) {
   refill(now);
   if (q_.empty()) return std::nullopt;
-  if (static_cast<double>(q_.front().size) > tokens_bytes_) return std::nullopt;
+  const double size = static_cast<double>(q_.front().size);
+  if (active_ && size > tokens_bytes_) return std::nullopt;
   Packet pkt = std::move(q_.front());
   q_.pop_front();
   bytes_ -= pkt.size;
-  tokens_bytes_ -= static_cast<double>(pkt.size);
+  if (active_) tokens_bytes_ -= size;
   residency_obs_.observe(to_milliseconds(now - pkt.enqueued_at));
   return pkt;
 }
 
 Time TbfDisc::next_ready(Time now) const {
   if (q_.empty()) return kNever;
+  if (!active_) return now;
   const double available = tokens(now);
   const double needed = static_cast<double>(q_.front().size);
   if (needed <= available) return now;
@@ -110,6 +125,8 @@ double TbfDisc::fluid_offer(double bytes, std::uint8_t dscp, Time now) {
   (void)dscp;  // a bare TBF polices everything that reaches it
   if (bytes <= 0.0) return 0.0;
   refill(now);
+  count_offered(static_cast<std::int64_t>(bytes + 0.5), now);
+  if (!active_) return bytes;
   const double take = std::min(tokens_bytes_, bytes);
   tokens_bytes_ -= take;
   return take;
@@ -277,7 +294,7 @@ bool PerFlowRateLimiterDisc::enqueue(Packet pkt, Time now) {
     if (flow == key) return tbf->enqueue(std::move(pkt), now);
   }
   buckets_.emplace_back(key,
-                        std::make_unique<TbfDisc>(rate_, burst_, limit_));
+                        std::make_unique<TbfDisc>(rate_, burst_, limit_, 0));
   TbfDisc& tbf = *buckets_.back().second;
   tbf.set_drop_listener(forward_drops());
   return tbf.enqueue(std::move(pkt), now);

@@ -4,7 +4,8 @@
 //  * TbfDisc — token-bucket filter: `rate` replenishes the bucket, `burst`
 //    is the bucket size, `limit` is the backlog allowed while waiting for
 //    tokens. A small limit makes it a *policer* (drops), a large one a
-//    *shaper* (delays) — exactly the §2.1 taxonomy.
+//    *shaper* (delays) — exactly the §2.1 taxonomy. An activation
+//    threshold delays the filter until that many bytes have passed.
 //  * RateLimiterDisc — the full differentiation box of Appendix C.1: a
 //    DSCP classifier feeding a FIFO (dscp=0) and a TBF (dscp=1), drained
 //    round-robin by the owning link.
@@ -129,8 +130,14 @@ class FifoDisc final : public QueueDisc {
 class TbfDisc final : public QueueDisc {
  public:
   /// `rate` in bits/sec, `burst_bytes` = bucket size, `limit_bytes` = queue
-  /// capacity for packets awaiting tokens.
-  TbfDisc(Rate rate, std::int64_t burst_bytes, std::int64_t limit_bytes);
+  /// capacity for packets awaiting tokens. `activation_bytes` > 0 models
+  /// ISP5's throttler (§5, Figure 4: "fixed-rate throttling kicks in after
+  /// some criterion is met"): until that many bytes have been offered,
+  /// packets and fluid alike, the disc neither polices nor waits for
+  /// tokens; at activation the bucket is full and refills from that
+  /// instant. 0: active from the start.
+  TbfDisc(Rate rate, std::int64_t burst_bytes, std::int64_t limit_bytes,
+          std::int64_t activation_bytes);
 
   bool enqueue(Packet pkt, Time now) override;
   std::optional<Packet> dequeue(Time now) override;
@@ -141,18 +148,26 @@ class TbfDisc final : public QueueDisc {
   Rate rate() const { return rate_; }
   std::int64_t burst_bytes() const { return burst_; }
   double tokens(Time now) const;
+  /// Whether the activation threshold has been reached.
+  bool throttling_active() const { return active_; }
 
-  /// Fluid coupling: the aggregate drains real tokens — whatever the
-  /// bucket cannot cover is fluid loss (the policing the packet backend
-  /// applies per packet, applied in expectation).
+  /// Fluid coupling: the aggregate's bytes count toward activation and,
+  /// once active, drain real tokens — whatever the bucket cannot cover is
+  /// fluid loss (the policing the packet backend applies per packet,
+  /// applied in expectation).
   double fluid_offer(double bytes, std::uint8_t dscp, Time now) override;
 
  private:
   void refill(Time now);
+  /// Count `bytes` offered at `now` toward the activation threshold.
+  void count_offered(std::int64_t bytes, Time now);
 
   Rate rate_;
   std::int64_t burst_;
   std::int64_t limit_;
+  std::int64_t activation_;
+  bool active_;
+  std::int64_t offered_ = 0;
   double tokens_bytes_;
   Time last_refill_ = 0;
   std::int64_t bytes_ = 0;
@@ -167,8 +182,7 @@ class TbfDisc final : public QueueDisc {
 /// (differentiated class), drained round-robin.
 class RateLimiterDisc final : public QueueDisc {
  public:
-  /// `throttled_q` is normally a TbfDisc; any disc works (e.g. the delayed
-  /// fixed-rate throttler modelling ISP5).
+  /// `throttled_q` is normally a TbfDisc; any disc works.
   RateLimiterDisc(std::unique_ptr<FifoDisc> default_q,
                   std::unique_ptr<QueueDisc> throttled_q);
   // The classes report their drops to this object (forward_drops).
@@ -215,8 +229,6 @@ class RedDisc final : public QueueDisc {
   Time next_ready(Time now) const override;
   std::int64_t backlog_bytes() const override { return bytes_; }
   std::size_t backlog_packets() const override { return q_.size(); }
-
-  double average_backlog() const { return avg_; }
 
   /// Fluid coupling: the early-drop probability applies to the aggregate
   /// in expectation (deterministic fractional loss, no RNG draws), and

@@ -1,9 +1,9 @@
 // A one-shot timer that keeps at most one live event in the simulator's
 // heap, however often it is re-armed.
 //
-// The transports' timers (RTO, PTO, delayed ACK, pacing) use it. The
-// retransmission timers are re-armed far more often than they fire: every
-// ACK with data in flight pushes the RTO deadline back. Scheduling one
+// The transports' timers (RTO, PTO, pacing) use it. The retransmission
+// timers are re-armed far more often than they fire: every ACK with data
+// in flight pushes the RTO deadline back. Scheduling one
 // event per arm() and ignoring the stale ones when they fire would leave
 // one dead event per ACK in the heap.
 // Timer instead reserves, on each arm(), the sequence number that

@@ -44,9 +44,6 @@ struct Histogram {
   double bin_width() const {
     return counts.empty() ? 0.0 : (hi - lo) / static_cast<double>(counts.size());
   }
-  double bin_center(std::size_t i) const {
-    return lo + (static_cast<double>(i) + 0.5) * bin_width();
-  }
 };
 
 Histogram histogram(std::span<const double> xs, std::size_t bins);

@@ -21,25 +21,6 @@ std::vector<double> random_half(std::span<const double> xs, Rng& rng) {
   return pool;
 }
 
-std::vector<double> bootstrap(
-    std::span<const double> xs, std::size_t iterations,
-    const std::function<double(std::span<const double>)>& statistic,
-    Rng& rng) {
-  WEHEY_EXPECTS(!xs.empty());
-  std::vector<double> out;
-  out.reserve(iterations);
-  std::vector<double> resample(xs.size());
-  for (std::size_t it = 0; it < iterations; ++it) {
-    for (auto& v : resample) {
-      const auto i = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(xs.size()) - 1));
-      v = xs[i];
-    }
-    out.push_back(statistic(resample));
-  }
-  return out;
-}
-
 double relative_mean_difference(std::span<const double> a,
                                 std::span<const double> b) {
   const double ma = mean(a);
@@ -62,34 +43,6 @@ std::vector<double> half_sample_mean_difference(std::span<const double> xs,
     out.push_back(relative_mean_difference(xh, yh));
   }
   return out;
-}
-
-std::vector<double> jackknife(
-    std::span<const double> xs,
-    const std::function<double(std::span<const double>)>& statistic) {
-  WEHEY_EXPECTS(xs.size() >= 2);
-  std::vector<double> out;
-  out.reserve(xs.size());
-  std::vector<double> rest(xs.size() - 1);
-  for (std::size_t leave = 0; leave < xs.size(); ++leave) {
-    std::size_t w = 0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      if (i != leave) rest[w++] = xs[i];
-    }
-    out.push_back(statistic(rest));
-  }
-  return out;
-}
-
-double jackknife_stderr(
-    std::span<const double> xs,
-    const std::function<double(std::span<const double>)>& statistic) {
-  const auto reps = jackknife(xs, statistic);
-  const double n = static_cast<double>(reps.size());
-  const double m = mean(reps);
-  double ss = 0.0;
-  for (double r : reps) ss += (r - m) * (r - m);
-  return std::sqrt((n - 1.0) / n * ss);
 }
 
 Interval wilson_interval(std::size_t successes, std::size_t trials,

@@ -1,8 +1,8 @@
 // Resampling utilities: the Monte-Carlo half-sampling used to build O_diff
-// in the throughput-comparison algorithm (§4.1), plus a generic bootstrap.
+// in the throughput-comparison algorithm (§4.1), and the Wilson interval
+// Table 1's bench puts around its detection rates.
 #pragma once
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -13,13 +13,6 @@ namespace wehey::stats {
 /// A uniformly random subset of floor(xs.size()/2) elements of xs (sampling
 /// without replacement; partial Fisher-Yates).
 std::vector<double> random_half(std::span<const double> xs, Rng& rng);
-
-/// Bootstrap: `iterations` draws of a statistic over with-replacement
-/// resamples of xs.
-std::vector<double> bootstrap(
-    std::span<const double> xs, std::size_t iterations,
-    const std::function<double(std::span<const double>)>& statistic,
-    Rng& rng);
 
 /// The relative mean difference used throughout §4.1:
 /// (mean(a) - mean(b)) / max(mean(a), mean(b)); 0 when both means are 0.
@@ -32,18 +25,6 @@ std::vector<double> half_sample_mean_difference(std::span<const double> xs,
                                                 std::span<const double> ys,
                                                 std::size_t iterations,
                                                 Rng& rng);
-
-/// Jackknife (leave-one-out) replicates of a statistic — the classic
-/// bias/variance mitigation §3.4's footnote points to (as in NetPolice and
-/// WeHe's own analyses). Returns one value per left-out sample.
-std::vector<double> jackknife(
-    std::span<const double> xs,
-    const std::function<double(std::span<const double>)>& statistic);
-
-/// Jackknife standard-error estimate of the statistic.
-double jackknife_stderr(
-    std::span<const double> xs,
-    const std::function<double(std::span<const double>)>& statistic);
 
 /// Wilson score interval for a binomial proportion (successes/trials) at
 /// confidence z (1.96 = 95%). Well-behaved for the small trial counts the

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "common/check.hpp"
 #include "topology/construction.hpp"
 
 namespace wehey::topology {
@@ -12,6 +11,15 @@ namespace {
 constexpr Asn kIspAsnBase = 64500;
 constexpr Asn kServerAsnBase = 65000;
 constexpr Asn kTransitAsnBase = 65400;
+
+constexpr std::size_t kNumServers = 8;
+constexpr std::size_t kNumIsps = 10;
+constexpr std::size_t kNumTransitChains = 4;  ///< fewer chains => more sharing
+constexpr double kPIcmpBlocked = 0.28;  ///< ISP hides hops near client
+constexpr double kPHopAlias = 0.04;  ///< per-hop extra reported IP
+constexpr double kPSharedTransit = 0.42;  ///< server reuses another's chain
+constexpr std::size_t kMinServersPerClient = 1;
+constexpr std::size_t kMaxServersPerClient = 5;
 
 std::string client_ip(std::size_t isp, std::size_t client) {
   // One /24 per (ISP, per-ISP client index): unique up to ~25k clients.
@@ -31,25 +39,23 @@ Hop make_hop(std::string ip, Asn asn) {
 }  // namespace
 
 SyntheticDataset generate_mlab_dataset(const SyntheticConfig& cfg, Rng& rng) {
-  WEHEY_EXPECTS(cfg.num_servers >= 2);
-  WEHEY_EXPECTS(cfg.num_isps >= 1);
   SyntheticDataset ds;
 
   // Each server is assigned a transit chain; with probability
-  // p_shared_transit it reuses the previous server's chain, creating pairs
+  // kPSharedTransit it reuses the previous server's chain, creating pairs
   // whose paths meet outside any client ISP.
-  std::vector<std::size_t> server_chain(cfg.num_servers);
-  for (std::size_t s = 0; s < cfg.num_servers; ++s) {
-    if (s > 0 && rng.bernoulli(cfg.p_shared_transit)) {
+  std::vector<std::size_t> server_chain(kNumServers);
+  for (std::size_t s = 0; s < kNumServers; ++s) {
+    if (s > 0 && rng.bernoulli(kPSharedTransit)) {
       server_chain[s] = server_chain[s - 1];
     } else {
       server_chain[s] = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(cfg.num_transit_chains) - 1));
+          rng.uniform_int(0, static_cast<std::int64_t>(kNumTransitChains) - 1));
     }
   }
 
   for (std::size_t c = 0; c < cfg.num_clients; ++c) {
-    const std::size_t isp = c % cfg.num_isps;
+    const std::size_t isp = c % kNumIsps;
     const Asn isp_asn = kIspAsnBase + static_cast<Asn>(isp);
 
     ClientTruth truth;
@@ -62,16 +68,16 @@ SyntheticDataset generate_mlab_dataset(const SyntheticConfig& cfg, Rng& rng) {
     }
 
     const auto n_servers = static_cast<std::size_t>(rng.uniform_int(
-        static_cast<std::int64_t>(cfg.min_servers_per_client),
-        static_cast<std::int64_t>(cfg.max_servers_per_client)));
-    std::vector<std::size_t> servers(cfg.num_servers);
-    for (std::size_t s = 0; s < cfg.num_servers; ++s) servers[s] = s;
+        static_cast<std::int64_t>(kMinServersPerClient),
+        static_cast<std::int64_t>(kMaxServersPerClient)));
+    std::vector<std::size_t> servers(kNumServers);
+    for (std::size_t s = 0; s < kNumServers; ++s) servers[s] = s;
     std::shuffle(servers.begin(), servers.end(), rng);
     servers.resize(std::min(n_servers, servers.size()));
 
     // Whether this ISP blocks ICMP near this client (applies to all of the
     // client's traceroutes, as in reality it is an ISP-side policy).
-    const bool icmp_blocked = rng.bernoulli(cfg.p_icmp_blocked);
+    const bool icmp_blocked = rng.bernoulli(kPIcmpBlocked);
 
     struct Generated {
       std::size_t server;
@@ -117,7 +123,7 @@ SyntheticDataset generate_mlab_dataset(const SyntheticConfig& cfg, Rng& rng) {
       }
       // Independent per-hop aliasing.
       for (auto& hop : rec.hops) {
-        if (hop.asn != isp_asn && rng.bernoulli(cfg.p_hop_alias)) {
+        if (hop.asn != isp_asn && rng.bernoulli(kPHopAlias)) {
           hop.reported_ips.push_back(hop.reported_ips.front() + "9");
         }
       }

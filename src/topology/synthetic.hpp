@@ -17,17 +17,12 @@
 
 namespace wehey::topology {
 
+/// The dataset's size and how many clients M-Lab measured. The server,
+/// ISP and transit counts and the imperfection rates are constants in
+/// synthetic.cpp, calibrated to §3.3's coverage statistics.
 struct SyntheticConfig {
   std::size_t num_clients = 200;
-  std::size_t num_servers = 8;
-  std::size_t num_isps = 10;
-  std::size_t num_transit_chains = 4;  ///< fewer chains => more sharing
   double p_client_has_traceroutes = 0.75;  ///< else: no records at all
-  double p_icmp_blocked = 0.28;            ///< ISP hides hops near client
-  double p_hop_alias = 0.04;               ///< per-hop extra reported IP
-  double p_shared_transit = 0.42;          ///< server reuses another's chain
-  std::size_t min_servers_per_client = 1;
-  std::size_t max_servers_per_client = 5;
 };
 
 struct ClientTruth {

@@ -5,6 +5,11 @@
 // We generate a flow-level workload with Poisson flow arrivals and
 // heavy-tailed (log-normal body + Pareto tail) flow sizes, which matches
 // the well-known mix of short mice and long elephants in backbone traces.
+// Real backbone traffic is self-similar, with offered load trending up
+// and down over seconds — the very arrival-rate trend loss-trend
+// correlation keys on — so the arrival intensity is modulated by
+// piecewise-constant lognormal factors. The tail share and shape and the
+// modulation's sigma and period are constants in background.cpp.
 // Flows are handed to real TCP senders in the simulator, so their packet
 // dynamics (burstiness, loss response) come from congestion control, just
 // like the paper's application-layer replay.
@@ -31,16 +36,6 @@ struct BackgroundConfig {
   Rate target_rate = mbps(20);  ///< long-run average offered load
   Time duration = seconds(60);
   double flows_per_second = 40;   ///< Poisson arrival rate (before modulation)
-  double pareto_tail_prob = 0.1;  ///< fraction of flows drawn from the tail
-  double pareto_shape = 1.3;      ///< heavy tail (infinite variance) like
-                                  ///< measured internet flow sizes
-  /// Long-timescale intensity modulation: real backbone traffic is
-  /// self-similar, with offered load trending up and down over seconds —
-  /// the very arrival-rate trend loss-trend correlation keys on. The
-  /// arrival intensity is multiplied by a piecewise-constant lognormal
-  /// factor redrawn every `modulation_period` (0 sigma disables).
-  double modulation_sigma = 0.8;
-  Time modulation_period = seconds(2);
 };
 
 /// Generate a background workload. The size distribution is scaled so the

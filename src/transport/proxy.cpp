@@ -17,7 +17,7 @@ SplitTcpProxy::SplitTcpProxy(netsim::Simulator& sim,
   downstream_tx_ = std::make_unique<TcpSender>(sim, ids, cfg,
                                                downstream_flow, dscp,
                                                downstream);
-  upstream_rx_ = std::make_unique<TcpReceiver>(sim, ids, cfg, upstream_flow,
+  upstream_rx_ = std::make_unique<TcpReceiver>(sim, ids, upstream_flow,
                                                upstream_ack_out);
   // Every in-order byte read from the upstream connection is written to
   // the downstream one.

@@ -14,15 +14,31 @@ namespace wehey::transport {
 using netsim::Packet;
 using netsim::PacketKind;
 
+namespace {
+
+constexpr std::uint32_t kMaxPayload = 1350;  ///< QUIC's typical UDP budget
+constexpr double kMss = kMaxPayload;
+constexpr std::uint32_t kHeaderBytes = 42;  ///< IP+UDP+QUIC short header
+constexpr std::uint32_t kAckBytes = 60;  ///< ACK-frame packet wire size
+constexpr double kInitialCwndPackets = 10.0;
+constexpr Time kInitialRttGuess = milliseconds(50);
+constexpr Time kMinPto = milliseconds(200);  ///< probe timeout floor
+constexpr double kPacingGain = 1.25;
+constexpr int kPacketThreshold = 3;  ///< RFC 9002 kPacketThreshold
+constexpr double kTimeThreshold = 9.0 / 8.0;  ///< RFC 9002 kTimeThreshold
+constexpr std::int64_t kMaxCwndBytes = 8 * 1024 * 1024;
+
+}  // namespace
+
 // ---------------------------------------------------------------- sender
 
 QuicSender::QuicSender(netsim::Simulator& sim, netsim::PacketIdSource& ids,
-                       QuicConfig cfg, netsim::FlowId flow,
-                       std::uint8_t dscp, netsim::PacketSink* out)
-    : sim_(sim), ids_(ids), cfg_(cfg), flow_(flow), dscp_(dscp), out_(out) {
+                       netsim::FlowId flow, std::uint8_t dscp,
+                       netsim::PacketSink* out)
+    : sim_(sim), ids_(ids), flow_(flow), dscp_(dscp), out_(out) {
   WEHEY_EXPECTS(out_ != nullptr);
-  cwnd_ = cfg_.initial_cwnd_packets * mss_d();
-  ssthresh_ = static_cast<double>(cfg_.max_cwnd_bytes);
+  cwnd_ = kInitialCwndPackets * kMss;
+  ssthresh_ = static_cast<double>(kMaxCwndBytes);
   meas_.start = sim_.now();
 }
 
@@ -38,20 +54,19 @@ bool QuicSender::complete() const {
 }
 
 double QuicSender::pacing_rate() const {
-  const Time rtt = srtt_ > 0 ? srtt_ : cfg_.initial_rtt_guess;
-  return std::max(cwnd_ * 8.0 / to_seconds(rtt) * cfg_.pacing_gain,
-                  8.0 * mss_d());
+  const Time rtt = srtt_ > 0 ? srtt_ : kInitialRttGuess;
+  return std::max(cwnd_ * 8.0 / to_seconds(rtt) * kPacingGain, 8.0 * kMss);
 }
 
 void QuicSender::maybe_send() {
-  while (bytes_in_flight_ + static_cast<std::int64_t>(cfg_.max_payload) <=
-         static_cast<std::int64_t>(cwnd_) + cfg_.max_payload - 1) {
+  while (bytes_in_flight_ + static_cast<std::int64_t>(kMaxPayload) <=
+         static_cast<std::int64_t>(cwnd_) + kMaxPayload - 1) {
     const bool have_retx = !retransmit_queue_.empty();
     const std::int64_t fresh =
         supplied_ - static_cast<std::int64_t>(stream_next_);
     if (!have_retx && fresh <= 0) return;
 
-    if (cfg_.pacing && sim_.now() < pace_next_) {
+    if (sim_.now() < pace_next_) {
       if (!pace_timer_.armed()) pace_timer_.arm(pace_next_);
       return;
     }
@@ -61,7 +76,7 @@ void QuicSender::maybe_send() {
       send_packet(offset, len);
     } else {
       const auto len = static_cast<std::uint32_t>(
-          std::min<std::int64_t>(fresh, cfg_.max_payload));
+          std::min<std::int64_t>(fresh, kMaxPayload));
       send_packet(stream_next_, len);
       stream_next_ += len;
     }
@@ -71,14 +86,14 @@ void QuicSender::maybe_send() {
 void QuicSender::send_packet(std::uint64_t offset, std::uint32_t len) {
   const std::uint64_t pn = next_pn_++;
   unacked_.emplace(pn, Sent{offset, len, sim_.now()});
-  bytes_in_flight_ += len + cfg_.header_bytes;
+  bytes_in_flight_ += len + kHeaderBytes;
 
   Packet pkt;
   pkt.id = ids_.next();
   pkt.flow = flow_;
   pkt.policer_key = policer_key_;
   pkt.kind = PacketKind::Data;
-  pkt.size = len + cfg_.header_bytes;
+  pkt.size = len + kHeaderBytes;
   pkt.dscp = dscp_;
   pkt.seq = pn;
   pkt.ack = offset;
@@ -86,12 +101,10 @@ void QuicSender::send_packet(std::uint64_t offset, std::uint32_t len) {
   pkt.sent_at = sim_.now();
 
   meas_.tx_times.push_back(sim_.now());
-  if (cfg_.pacing) {
-    const Time gap = static_cast<Time>(static_cast<double>(pkt.size) * 8.0 /
-                                       pacing_rate() *
-                                       static_cast<double>(kSecond));
-    pace_next_ = std::max(pace_next_, sim_.now()) + std::max<Time>(gap, 1);
-  }
+  const Time gap = static_cast<Time>(static_cast<double>(pkt.size) * 8.0 /
+                                     pacing_rate() *
+                                     static_cast<double>(kSecond));
+  pace_next_ = std::max(pace_next_, sim_.now()) + std::max<Time>(gap, 1);
   out_->receive(std::move(pkt));
   if (!pto_timer_.armed()) arm_pto();
 }
@@ -110,7 +123,7 @@ void QuicSender::receive(Packet pkt) {
           for (auto it = unacked_.lower_bound(block.start);
                it != unacked_.end() && it->first < block.end;) {
             newly_acked_bytes += it->second.len;
-            bytes_in_flight_ -= it->second.len + cfg_.header_bytes;
+            bytes_in_flight_ -= it->second.len + kHeaderBytes;
             acked_stream_ += it->second.len;
             if (it->first >= largest_acked_pn_) {
               largest_acked_pn_ = it->first;
@@ -141,9 +154,9 @@ void QuicSender::receive(Packet pkt) {
     if (cwnd_ < ssthresh_) {
       cwnd_ += static_cast<double>(newly_acked_bytes);  // slow start
     } else {
-      cwnd_ += mss_d() * static_cast<double>(newly_acked_bytes) / cwnd_;
+      cwnd_ += kMss * static_cast<double>(newly_acked_bytes) / cwnd_;
     }
-    cwnd_ = std::min(cwnd_, static_cast<double>(cfg_.max_cwnd_bytes));
+    cwnd_ = std::min(cwnd_, static_cast<double>(kMaxCwndBytes));
     if (unacked_.empty() && retransmit_queue_.empty()) {
       pto_timer_.cancel();
     } else {
@@ -163,15 +176,15 @@ void QuicSender::receive(Packet pkt) {
 
 void QuicSender::detect_losses(Time now) {
   if (!any_acked_) return;
-  const Time rtt = srtt_ > 0 ? srtt_ : cfg_.initial_rtt_guess;
+  const Time rtt = srtt_ > 0 ? srtt_ : kInitialRttGuess;
   const Time time_limit =
-      static_cast<Time>(cfg_.time_threshold * static_cast<double>(rtt));
+      static_cast<Time>(kTimeThreshold * static_cast<double>(rtt));
   std::vector<std::uint64_t> lost;
   for (const auto& [pn, info] : unacked_) {
     if (pn >= largest_acked_pn_) break;  // map is ordered
     const bool by_packets =
         largest_acked_pn_ >= pn + static_cast<std::uint64_t>(
-                                      cfg_.packet_threshold);
+                                      kPacketThreshold);
     const bool by_time = now - info.sent_at >= time_limit;
     if (by_packets || by_time) lost.push_back(pn);
   }
@@ -184,7 +197,7 @@ void QuicSender::detect_losses(Time now) {
 
 void QuicSender::declare_lost(std::uint64_t pn, const Sent& info,
                               Time now) {
-  bytes_in_flight_ -= info.len + cfg_.header_bytes;
+  bytes_in_flight_ -= info.len + kHeaderBytes;
   retransmit_queue_.emplace_back(info.offset, info.len);
   // The loss event is registered when declared — close to the true drop
   // time (one packet-threshold's worth of arrivals later), with no
@@ -194,22 +207,21 @@ void QuicSender::declare_lost(std::uint64_t pn, const Sent& info,
   // One congestion response per recovery epoch (RFC 9002 §7.3).
   if (info.sent_at > recovery_start_) {
     recovery_start_ = now;
-    ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * mss_d());
+    ssthresh_ = std::max(cwnd_ / 2.0, 2.0 * kMss);
     cwnd_ = ssthresh_;
   }
   (void)pn;
 }
 
 void QuicSender::arm_pto() {
-  const Time rtt = srtt_ > 0 ? srtt_ : cfg_.initial_rtt_guess;
-  const Time pto = std::max(cfg_.min_pto, rtt + 4 * rttvar_)
+  const Time rtt = srtt_ > 0 ? srtt_ : kInitialRttGuess;
+  const Time pto = std::max(kMinPto, rtt + 4 * rttvar_)
                    << std::min(pto_backoff_, 6);
   pto_timer_.arm(sim_.now() + pto);
 }
 
 void QuicSender::on_pto() {
   if (unacked_.empty() && retransmit_queue_.empty()) return;
-  ++pto_count_;
   ++pto_backoff_;
   // Probe: re-send the oldest unacked data under a fresh packet number.
   if (!unacked_.empty()) {
@@ -224,9 +236,9 @@ void QuicSender::on_pto() {
 // -------------------------------------------------------------- receiver
 
 QuicReceiver::QuicReceiver(netsim::Simulator& sim,
-                           netsim::PacketIdSource& ids, QuicConfig cfg,
-                           netsim::FlowId flow, netsim::PacketSink* ack_out)
-    : sim_(sim), ids_(ids), cfg_(cfg), flow_(flow), ack_out_(ack_out) {
+                           netsim::PacketIdSource& ids, netsim::FlowId flow,
+                           netsim::PacketSink* ack_out)
+    : sim_(sim), ids_(ids), flow_(flow), ack_out_(ack_out) {
   WEHEY_EXPECTS(ack_out_ != nullptr);
 }
 
@@ -287,7 +299,7 @@ void QuicReceiver::send_ack(Time now) {
   ack.id = ids_.next();
   ack.flow = flow_;
   ack.kind = PacketKind::Ack;
-  ack.size = cfg_.ack_bytes;
+  ack.size = kAckBytes;
   ack.sent_at = now;
   // Highest ranges first, as QUIC ACK frames are encoded.
   ack.ack = ranges_.empty() ? 0 : ranges_.back().second;

@@ -12,8 +12,10 @@
 //    the time threshold (9/8 RTT), i.e. the sender's loss events are both
 //    accurate and registered close to the true drop time — between TCP's
 //    noisy retransmission-based estimate and UDP's client-side gaps;
-//  * congestion control is pluggable (NewReno-style here, with pacing),
-//    per QUIC's design.
+//  * congestion control is pluggable per QUIC's design; here it is
+//    NewReno-style with pacing, and the packet sizes, initial window,
+//    probe-timeout floor and RFC 9002 loss thresholds are constants in
+//    quic.cpp.
 #pragma once
 
 #include <cstdint>
@@ -31,25 +33,10 @@
 
 namespace wehey::transport {
 
-struct QuicConfig {
-  std::uint32_t max_payload = 1350;  ///< QUIC's typical UDP payload budget
-  std::uint32_t header_bytes = 42;   ///< IP+UDP+QUIC short header
-  std::uint32_t ack_bytes = 60;      ///< ACK-frame packet wire size
-  double initial_cwnd_packets = 10.0;
-  Time initial_rtt_guess = milliseconds(50);
-  Time min_pto = milliseconds(200);  ///< probe timeout floor
-  bool pacing = true;
-  double pacing_gain = 1.25;
-  int packet_threshold = 3;          ///< RFC 9002 kPacketThreshold
-  double time_threshold = 9.0 / 8.0; ///< RFC 9002 kTimeThreshold
-  std::int64_t max_cwnd_bytes = 8 * 1024 * 1024;
-};
-
 class QuicSender final : public netsim::PacketSink {
  public:
   QuicSender(netsim::Simulator& sim, netsim::PacketIdSource& ids,
-             QuicConfig cfg, netsim::FlowId flow, std::uint8_t dscp,
-             netsim::PacketSink* out);
+             netsim::FlowId flow, std::uint8_t dscp, netsim::PacketSink* out);
 
   void set_policer_key(netsim::FlowId key) { policer_key_ = key; }
   void supply(std::int64_t bytes);
@@ -62,10 +49,8 @@ class QuicSender final : public netsim::PacketSink {
   void receive(netsim::Packet pkt) override;
 
   const netsim::ReplayMeasurement& measurement() const { return meas_; }
-  double cwnd_bytes() const { return cwnd_; }
   Time srtt() const { return srtt_; }
   std::uint64_t packets_declared_lost() const { return lost_count_; }
-  std::uint64_t probe_timeouts() const { return pto_count_; }
 
  private:
   struct Sent {
@@ -81,11 +66,9 @@ class QuicSender final : public netsim::PacketSink {
   void on_pto();
   void arm_pto();
   double pacing_rate() const;
-  double mss_d() const { return static_cast<double>(cfg_.max_payload); }
 
   netsim::Simulator& sim_;
   netsim::PacketIdSource& ids_;
-  QuicConfig cfg_;
   netsim::FlowId flow_;
   netsim::FlowId policer_key_ = 0;
   std::uint8_t dscp_;
@@ -119,7 +102,6 @@ class QuicSender final : public netsim::PacketSink {
 
   netsim::ReplayMeasurement meas_;
   std::uint64_t lost_count_ = 0;
-  std::uint64_t pto_count_ = 0;
   std::function<void()> on_complete_;
   bool completed_notified_ = false;
 };
@@ -127,8 +109,7 @@ class QuicSender final : public netsim::PacketSink {
 class QuicReceiver final : public netsim::PacketSink {
  public:
   QuicReceiver(netsim::Simulator& sim, netsim::PacketIdSource& ids,
-               QuicConfig cfg, netsim::FlowId flow,
-               netsim::PacketSink* ack_out);
+               netsim::FlowId flow, netsim::PacketSink* ack_out);
 
   void receive(netsim::Packet pkt) override;
 
@@ -143,7 +124,6 @@ class QuicReceiver final : public netsim::PacketSink {
 
   netsim::Simulator& sim_;
   netsim::PacketIdSource& ids_;
-  QuicConfig cfg_;
   netsim::FlowId flow_;
   netsim::PacketSink* ack_out_;
 

@@ -12,6 +12,28 @@ namespace wehey::transport {
 using netsim::Packet;
 using netsim::PacketKind;
 
+namespace {
+
+constexpr double kMss = kTcpMss;
+constexpr std::uint32_t kHeaderBytes = 52;  ///< IP+TCP wire overhead
+constexpr std::uint32_t kAckBytes = 52;     ///< wire size of a pure ACK
+constexpr double kInitialCwndSegments = 10.0;
+constexpr Time kInitialRttGuess = milliseconds(50);  ///< before the 1st RTT
+constexpr Time kMinRto = milliseconds(200);
+constexpr Time kMaxRto = seconds(10);
+constexpr double kPacingGainSlowStart = 2.0;
+constexpr double kPacingGainAvoidance = 1.2;
+constexpr double kCubicC = 0.4;
+constexpr double kCubicBeta = 0.7;
+constexpr std::int64_t kMaxCwndBytes = 8 * 1024 * 1024;
+// BBR model parameters.
+constexpr double kBbrStartupGain = 2.885;
+constexpr double kBbrCwndGain = 2.0;
+constexpr Time kBbrBwWindow = milliseconds(350);  ///< ~10 default RTTs
+constexpr Time kBbrRtpropWindow = seconds(10);
+
+}  // namespace
+
 // ---------------------------------------------------------------- TcpSender
 
 TcpSender::TcpSender(netsim::Simulator& sim, netsim::PacketIdSource& ids,
@@ -19,8 +41,8 @@ TcpSender::TcpSender(netsim::Simulator& sim, netsim::PacketIdSource& ids,
                      netsim::PacketSink* out)
     : sim_(sim), ids_(ids), cfg_(cfg), flow_(flow), dscp_(dscp), out_(out) {
   WEHEY_EXPECTS(out_ != nullptr);
-  cwnd_ = cfg_.initial_cwnd_segments * mss_d();
-  ssthresh_ = static_cast<double>(cfg_.max_cwnd_bytes);
+  cwnd_ = kInitialCwndSegments * kMss;
+  ssthresh_ = static_cast<double>(kMaxCwndBytes);
   meas_.start = sim_.now();
 }
 
@@ -31,7 +53,7 @@ void TcpSender::supply(std::int64_t bytes) {
   // initial window instead of blasting a stale window's worth of packets.
   if (available_ == 0 && inflight() == 0 && last_send_ > 0 &&
       sim_.now() - last_send_ > rto_) {
-    cwnd_ = std::min(cwnd_, cfg_.initial_cwnd_segments * mss_d());
+    cwnd_ = std::min(cwnd_, kInitialCwndSegments * kMss);
     epoch_start_ = -1;
   }
   supplied_ += bytes;
@@ -48,27 +70,26 @@ double TcpSender::pacing_rate() const {
   if (cfg_.cc == CongestionControl::Bbr) {
     const double bw = lt_mode_ ? lt_bw_ : bbr_bw();
     if (bw > 0.0) {
-      return std::max(bbr_pacing_gain() * bw, 8.0 * mss_d());
+      return std::max(bbr_pacing_gain() * bw, 8.0 * kMss);
     }
     // No bandwidth estimate yet: pace the initial window over the RTT
     // guess at the startup gain.
-    const double rate = cwnd_ * 8.0 /
-                        to_seconds(cfg_.initial_rtt_guess) *
-                        cfg_.bbr_startup_gain;
-    return std::max(rate, 8.0 * mss_d());
+    const double rate =
+        cwnd_ * 8.0 / to_seconds(kInitialRttGuess) * kBbrStartupGain;
+    return std::max(rate, 8.0 * kMss);
   }
-  const Time rtt = srtt_ > 0 ? srtt_ : cfg_.initial_rtt_guess;
-  const double gain = cwnd_ < ssthresh_ ? cfg_.pacing_gain_slow_start
-                                        : cfg_.pacing_gain_avoidance;
+  const Time rtt = srtt_ > 0 ? srtt_ : kInitialRttGuess;
+  const double gain =
+      cwnd_ < ssthresh_ ? kPacingGainSlowStart : kPacingGainAvoidance;
   const double rate = cwnd_ * 8.0 / to_seconds(rtt) * gain;
-  return std::max(rate, 8.0 * mss_d());  // never slower than 1 seg/sec
+  return std::max(rate, 8.0 * kMss);  // never slower than 1 seg/sec
 }
 
 void TcpSender::maybe_send() {
   // Hole repairs take priority over new data (RFC 6675 spirit); both
   // share the same congestion-window budget and the pacing gate.
-  while (pipe() + static_cast<std::int64_t>(cfg_.mss) <=
-         static_cast<std::int64_t>(cwnd_) + cfg_.mss - 1) {
+  while (pipe() + static_cast<std::int64_t>(kTcpMss) <=
+         static_cast<std::int64_t>(cwnd_) + kTcpMss - 1) {
     Segment* hole = nullptr;
     if (in_recovery_) {
       for (std::size_t i = first_segment_from(std::max(una_, hole_cursor_));
@@ -117,7 +138,7 @@ std::size_t TcpSender::first_segment_from(std::uint64_t seq) const {
 
 void TcpSender::send_new_segment() {
   const auto len = static_cast<std::uint32_t>(
-      std::min<std::int64_t>(available_, cfg_.mss));
+      std::min<std::int64_t>(available_, kTcpMss));
   Segment seg;
   seg.seq = next_seq_;
   seg.len = len;
@@ -138,7 +159,7 @@ void TcpSender::transmit(const Segment& seg, bool is_retx) {
   pkt.flow = flow_;
   pkt.policer_key = policer_key_;
   pkt.kind = PacketKind::Data;
-  pkt.size = seg.len + cfg_.header_bytes;
+  pkt.size = seg.len + kHeaderBytes;
   pkt.dscp = dscp_;
   pkt.seq = seg.seq;
   pkt.payload = seg.len;
@@ -200,7 +221,7 @@ void TcpSender::apply_sack(const Packet& ack_pkt) {
   // RFC 6675 IsLost, simplified: an unsacked segment more than 3 MSS
   // below the highest SACKed byte is deemed lost and leaves the pipe.
   // Each segment is classified at most once (the floor is monotone).
-  const std::uint64_t dup_thresh = 3ULL * cfg_.mss;
+  const std::uint64_t dup_thresh = 3ULL * kTcpMss;
   if (highest_sacked_ > dup_thresh) {
     const std::uint64_t threshold = highest_sacked_ - dup_thresh;
     const std::uint64_t from = std::max(una_, loss_scan_floor_);
@@ -301,7 +322,7 @@ void TcpSender::on_new_ack(std::uint64_t ack, Time now) {
       // timeout the repair itself slow-starts (RFC 5681).
       if (rto_recovery_) {
         cwnd_ += static_cast<double>(
-            std::min<std::int64_t>(acked_bytes, cfg_.mss));
+            std::min<std::int64_t>(acked_bytes, kTcpMss));
       }
       maybe_send();
     }
@@ -327,32 +348,32 @@ void TcpSender::slow_start_or_avoid(std::int64_t acked_bytes, Time now) {
   if (cwnd_ < ssthresh_) {
     // Slow start: one MSS per MSS acked (byte counting, capped).
     cwnd_ += static_cast<double>(
-        std::min<std::int64_t>(acked_bytes, cfg_.mss));
+        std::min<std::int64_t>(acked_bytes, kTcpMss));
   } else if (cfg_.cc == CongestionControl::Cubic) {
     cubic_on_ack(now);
   } else {
     // NewReno congestion avoidance: ~one MSS per RTT.
-    cwnd_ += mss_d() * mss_d() / cwnd_;
+    cwnd_ += kMss * kMss / cwnd_;
   }
-  cwnd_ = std::min(cwnd_, static_cast<double>(cfg_.max_cwnd_bytes));
+  cwnd_ = std::min(cwnd_, static_cast<double>(kMaxCwndBytes));
 }
 
 void TcpSender::cubic_on_ack(Time now) {
-  const Time rtt = srtt_ > 0 ? srtt_ : cfg_.initial_rtt_guess;
+  const Time rtt = srtt_ > 0 ? srtt_ : kInitialRttGuess;
   if (epoch_start_ < 0) {
     epoch_start_ = now;
     const double w = cwnd_segments();
     if (w_max_ < w) w_max_ = w;
-    cubic_k_ = std::cbrt(w_max_ * (1.0 - cfg_.cubic_beta) / cfg_.cubic_c);
+    cubic_k_ = std::cbrt(w_max_ * (1.0 - kCubicBeta) / kCubicC);
     w_est_ = w;
   }
   const double t = to_seconds(now - epoch_start_ + rtt);
   const double dt = t - cubic_k_;
-  const double target = w_max_ + cfg_.cubic_c * dt * dt * dt;
+  const double target = w_max_ + kCubicC * dt * dt * dt;
 
   // TCP-friendly region (RFC 8312 §4.2).
-  w_est_ += 3.0 * (1.0 - cfg_.cubic_beta) / (1.0 + cfg_.cubic_beta) *
-            mss_d() / cwnd_ /* per-ACK AIMD-equivalent increment */;
+  w_est_ += 3.0 * (1.0 - kCubicBeta) / (1.0 + kCubicBeta) *
+            kMss / cwnd_ /* per-ACK AIMD-equivalent increment */;
   const double floor_w = std::max(w_est_, 2.0);
 
   const double w = cwnd_segments();
@@ -363,7 +384,7 @@ void TcpSender::cubic_on_ack(Time now) {
     next_w = w + 0.01 / w;  // minimal growth in the plateau region
   }
   next_w = std::max(next_w, floor_w);
-  cwnd_ = next_w * mss_d();
+  cwnd_ = next_w * kMss;
 }
 
 void TcpSender::enter_loss_recovery(bool timeout) {
@@ -376,7 +397,7 @@ void TcpSender::enter_loss_recovery(bool timeout) {
     outstanding_[i].retx_in_recovery = false;
   }
   const double beta =
-      cfg_.cc == CongestionControl::Cubic ? cfg_.cubic_beta : 0.5;
+      cfg_.cc == CongestionControl::Cubic ? kCubicBeta : 0.5;
   if (cfg_.cc == CongestionControl::Bbr && !timeout) {
     // BBR does not back off multiplicatively on loss; it keeps sending at
     // the model rate while SACK repair runs.
@@ -385,7 +406,7 @@ void TcpSender::enter_loss_recovery(bool timeout) {
     recover_ = next_seq_;
     return;
   }
-  ssthresh_ = std::max(cwnd_ * beta, 2.0 * mss_d());
+  ssthresh_ = std::max(cwnd_ * beta, 2.0 * kMss);
   if (timeout) {
     // After an RTO every unSACKed outstanding segment is presumed lost:
     // rebuild the pipe and repair in slow start from one MSS.
@@ -400,7 +421,7 @@ void TcpSender::enter_loss_recovery(bool timeout) {
     in_recovery_ = true;
     rto_recovery_ = true;
     recover_ = next_seq_;
-    cwnd_ = mss_d();
+    cwnd_ = kMss;
   } else {
     in_recovery_ = true;
     rto_recovery_ = false;
@@ -422,7 +443,7 @@ void TcpSender::update_rtt(Time sample) {
     srtt_ = (7 * srtt_ + sample) / 8;
   }
   srtt_obs_.observe(to_milliseconds(srtt_));
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, cfg_.min_rto, cfg_.max_rto);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, kMinRto, kMaxRto);
 }
 
 void TcpSender::on_rto() {
@@ -430,7 +451,7 @@ void TcpSender::on_rto() {
   ++timeout_count_;
   rto_obs_.inc();
   enter_loss_recovery(/*timeout=*/true);
-  rto_ = std::min(rto_ * 2, cfg_.max_rto);  // exponential backoff
+  rto_ = std::min(rto_ * 2, kMaxRto);  // exponential backoff
   retransmit_front(/*timeout=*/true);
   maybe_send();
 }
@@ -446,14 +467,14 @@ double TcpSender::bbr_bw() const {
 Time TcpSender::bbr_rtprop() const {
   Time best = netsim::kNever;
   for (const auto& [at, rtt] : rtprop_samples_) best = std::min(best, rtt);
-  return best == netsim::kNever ? cfg_.initial_rtt_guess : best;
+  return best == netsim::kNever ? kInitialRttGuess : best;
 }
 
 double TcpSender::bbr_pacing_gain() const {
   if (lt_mode_) return 1.0;  // pinned to the long-term (policed) rate
   switch (bbr_mode_) {
-    case BbrMode::Startup: return cfg_.bbr_startup_gain;
-    case BbrMode::Drain: return 1.0 / cfg_.bbr_startup_gain;
+    case BbrMode::Startup: return kBbrStartupGain;
+    case BbrMode::Drain: return 1.0 / kBbrStartupGain;
     case BbrMode::ProbeBw: {
       static constexpr double kCycle[] = {1.25, 0.75, 1, 1, 1, 1, 1, 1};
       return kCycle[bbr_cycle_index_ % 8];
@@ -473,7 +494,7 @@ void TcpSender::bbr_on_ack(std::int64_t acked_bytes, Time now,
                         8.0 / to_seconds(now - sent_at);
     bw_samples_.emplace_back(now, rate);
   }
-  const Time bw_horizon = now - cfg_.bbr_bw_window;
+  const Time bw_horizon = now - kBbrBwWindow;
   while (!bw_samples_.empty() && bw_samples_.front().first < bw_horizon) {
     bw_samples_.pop_front();
   }
@@ -481,7 +502,7 @@ void TcpSender::bbr_on_ack(std::int64_t acked_bytes, Time now,
     rtprop_samples_.emplace_back(now,
                                  milliseconds(meas_.rtt_ms.back()));
   }
-  const Time rt_horizon = now - cfg_.bbr_rtprop_window;
+  const Time rt_horizon = now - kBbrRtpropWindow;
   while (!rtprop_samples_.empty() &&
          rtprop_samples_.front().first < rt_horizon) {
     rtprop_samples_.pop_front();
@@ -559,16 +580,15 @@ void TcpSender::bbr_on_ack(std::int64_t acked_bytes, Time now,
 
   // cwnd: cap the pipe at cwnd_gain x BDP.
   const double bdp_bytes = bw / 8.0 * to_seconds(rtprop);
-  cwnd_ = std::clamp(cfg_.bbr_cwnd_gain * bdp_bytes, 4.0 * mss_d(),
-                     static_cast<double>(cfg_.max_cwnd_bytes));
+  cwnd_ = std::clamp(kBbrCwndGain * bdp_bytes, 4.0 * kMss,
+                     static_cast<double>(kMaxCwndBytes));
 }
 
 // -------------------------------------------------------------- TcpReceiver
 
 TcpReceiver::TcpReceiver(netsim::Simulator& sim, netsim::PacketIdSource& ids,
-                         TcpConfig cfg, netsim::FlowId flow,
-                         netsim::PacketSink* ack_out)
-    : sim_(sim), ids_(ids), cfg_(cfg), flow_(flow), ack_out_(ack_out) {
+                         netsim::FlowId flow, netsim::PacketSink* ack_out)
+    : sim_(sim), ids_(ids), flow_(flow), ack_out_(ack_out) {
   WEHEY_EXPECTS(ack_out_ != nullptr);
 }
 
@@ -579,7 +599,6 @@ void TcpReceiver::receive(Packet pkt) {
   received_bytes_ += pkt.payload;
   owd_ms_.push_back(to_milliseconds(now - pkt.sent_at));
 
-  const bool was_in_order = pkt.seq == rcv_next_;
   const std::uint64_t rcv_before = rcv_next_;
   if (pkt.seq == rcv_next_) {
     rcv_next_ += pkt.payload;
@@ -597,36 +616,18 @@ void TcpReceiver::receive(Packet pkt) {
   if (on_deliver_ && rcv_next_ > rcv_before) {
     on_deliver_(static_cast<std::int64_t>(rcv_next_ - rcv_before));
   }
-
-  const bool out_of_order = !out_of_order_.empty() || !was_in_order;
-  if (!cfg_.delayed_acks || out_of_order) {
-    // Immediate ACK: always for out-of-order data (dup-ACK/SACK latency
-    // drives loss recovery), and for every segment when delayed ACKs are
-    // off.
-    send_ack(now);
-    return;
-  }
-  if (++unacked_segments_ >= 2) {
-    send_ack(now);
-    return;
-  }
-  if (!delack_timer_.armed()) {
-    delack_timer_.arm(now + cfg_.delayed_ack_timeout);
-  }
+  send_ack(now);
 }
 
 void TcpReceiver::send_ack(Time now) {
-  unacked_segments_ = 0;
-  delack_timer_.cancel();
   Packet ack;
   ack.id = ids_.next();
   ack.flow = flow_;
   ack.kind = PacketKind::Ack;
-  ack.size = cfg_.ack_bytes;
+  ack.size = kAckBytes;
   ack.ack = rcv_next_;
   ack.sent_at = now;
   fill_sack_blocks(ack);
-  ++acks_sent_;
   ack_out_->receive(std::move(ack));
 }
 

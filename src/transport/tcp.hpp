@@ -14,10 +14,11 @@
 //    §4.2 (over-counting, and desynchronization relative to the true drop
 //    time).
 //
-// The receiver ACKs every data segment cumulatively and attaches SACK
-// blocks for out-of-order data; the sender runs RFC 6675-style pipe
-// accounting and hole repair, like the Linux stacks the paper's testbed
-// used.
+// The receiver ACKs every data segment cumulatively, as WeHe clients
+// effectively do on the paths that matter here (no delayed ACKs), and
+// attaches SACK blocks for out-of-order data; the sender runs RFC
+// 6675-style pipe accounting and hole repair, like the Linux stacks the
+// paper's testbed used.
 //
 // The sender's scoreboard keeps these invariants:
 //
@@ -62,35 +63,17 @@ namespace wehey::transport {
 /// correlations behave under BBR.
 enum class CongestionControl { Cubic, NewReno, Bbr };
 
+/// Segment payload bytes (MSS). The wire overheads, initial window, RTO
+/// bounds, pacing gains and CUBIC/BBR parameters are constants in tcp.cpp:
+/// the evaluation runs one transport, as the paper's Linux testbed did.
+inline constexpr std::uint32_t kTcpMss = 1448;
+
+/// The two sender settings the evaluation varies.
 struct TcpConfig {
-  std::uint32_t mss = 1448;         ///< payload bytes per segment
-  std::uint32_t header_bytes = 52;  ///< IP+TCP wire overhead per segment
-  std::uint32_t ack_bytes = 52;     ///< wire size of a pure ACK
-  double initial_cwnd_segments = 10.0;
-  Time initial_rtt_guess = milliseconds(50);  ///< pacing before first RTT
-  Time min_rto = milliseconds(200);
-  Time max_rto = seconds(10);
+  /// cwnd/srtt-rate spacing of segments; Fig 6's unmodified traces turn
+  /// it off.
   bool pacing = true;
-  double pacing_gain_slow_start = 2.0;
-  double pacing_gain_avoidance = 1.2;
   CongestionControl cc = CongestionControl::Cubic;
-  double cubic_c = 0.4;
-  double cubic_beta = 0.7;
-  std::int64_t max_cwnd_bytes = 8 * 1024 * 1024;
-
-  // Receiver: delayed ACKs (RFC 1122): ACK every 2nd in-order segment or
-  // after the delayed-ACK timer; out-of-order data is ACKed immediately
-  // (dup-ACK/SACK latency is unaffected). Off by default — WeHe clients
-  // effectively see per-packet ACKs on the paths that matter here, and
-  // the evaluation is calibrated that way.
-  bool delayed_acks = false;
-  Time delayed_ack_timeout = milliseconds(40);
-
-  // BBR model parameters.
-  double bbr_startup_gain = 2.885;
-  double bbr_cwnd_gain = 2.0;
-  Time bbr_bw_window = milliseconds(350);  ///< ~10 RTTs at the default RTT
-  Time bbr_rtprop_window = seconds(10);
 };
 
 class TcpSender final : public netsim::PacketSink {
@@ -120,18 +103,13 @@ class TcpSender final : public netsim::PacketSink {
   const netsim::ReplayMeasurement& measurement() const { return meas_; }
   netsim::ReplayMeasurement& measurement() { return meas_; }
 
-  double cwnd_bytes() const { return cwnd_; }
-  double ssthresh_bytes() const { return ssthresh_; }
   Time srtt() const { return srtt_; }
   std::uint64_t retransmissions() const { return retx_count_; }
   std::uint64_t timeouts() const { return timeout_count_; }
 
   // State inspection (tests, debugging).
-  bool in_recovery() const { return in_recovery_; }
   std::uint64_t una() const { return una_; }
   std::uint64_t next_seq() const { return next_seq_; }
-  int dup_ack_count() const { return dup_acks_; }
-  std::int64_t pipe_bytes() const { return pipe(); }
   std::int64_t sacked_bytes() const { return sacked_bytes_; }
 
  private:
@@ -173,8 +151,7 @@ class TcpSender final : public netsim::PacketSink {
   void cubic_on_ack(Time now);
   void enter_loss_recovery(bool timeout);
   double pacing_rate() const;  // bits/sec
-  double cwnd_segments() const { return cwnd_ / mss_d(); }
-  double mss_d() const { return static_cast<double>(cfg_.mss); }
+  double cwnd_segments() const { return cwnd_ / kTcpMss; }
   std::int64_t inflight() const {
     return static_cast<std::int64_t>(next_seq_ - una_);
   }
@@ -284,12 +261,9 @@ class TcpReceiver final : public netsim::PacketSink {
   /// `ack_out` is the first element of the reverse (ACK) path back to the
   /// sender.
   TcpReceiver(netsim::Simulator& sim, netsim::PacketIdSource& ids,
-              TcpConfig cfg, netsim::FlowId flow,
-              netsim::PacketSink* ack_out);
+              netsim::FlowId flow, netsim::PacketSink* ack_out);
 
   void receive(netsim::Packet pkt) override;
-
-  std::uint64_t acks_sent() const { return acks_sent_; }
 
   /// Invoked with the number of new bytes each time in-order data is
   /// delivered (the application-layer read stream). Used by split-TCP
@@ -304,7 +278,6 @@ class TcpReceiver final : public netsim::PacketSink {
   }
   /// One-way-delay samples observed at the client, in ms.
   const std::vector<double>& delay_samples_ms() const { return owd_ms_; }
-  std::uint64_t received_packets() const { return deliveries_.size(); }
   /// All payload bytes that arrived, duplicates included (wire view).
   std::int64_t received_bytes() const { return received_bytes_; }
   /// In-order bytes delivered to the application (the read stream).
@@ -315,7 +288,6 @@ class TcpReceiver final : public netsim::PacketSink {
  private:
   netsim::Simulator& sim_;
   netsim::PacketIdSource& ids_;
-  TcpConfig cfg_;
   netsim::FlowId flow_;
   netsim::PacketSink* ack_out_;
 
@@ -323,10 +295,7 @@ class TcpReceiver final : public netsim::PacketSink {
   void send_ack(Time now);
 
   std::uint64_t rcv_next_ = 0;
-  std::uint64_t acks_sent_ = 0;
   std::function<void(std::int64_t)> on_deliver_;
-  int unacked_segments_ = 0;       // delayed-ACK counter
-  netsim::Timer delack_timer_{sim_, [this] { send_ack(sim_.now()); }};
   // Out-of-order data above rcv_next_. A segment's (seq, len) never
   // changes across retransmissions, so an arrival lies either inside one
   // range (a duplicate) or apart from every range.

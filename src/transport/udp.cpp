@@ -7,8 +7,14 @@ namespace wehey::transport {
 using netsim::Packet;
 using netsim::PacketKind;
 
+namespace {
+
+constexpr std::uint32_t kHeaderBytes = 28;  ///< IP+UDP overhead per packet
+
+}  // namespace
+
 UdpReplaySender::UdpReplaySender(netsim::Simulator& sim,
-                                 netsim::PacketIdSource& ids, UdpConfig cfg,
+                                 netsim::PacketIdSource& ids,
                                  netsim::FlowId flow, std::uint8_t dscp,
                                  netsim::PacketSink* out,
                                  const trace::AppTrace& t, Time start,
@@ -17,7 +23,6 @@ UdpReplaySender::UdpReplaySender(netsim::Simulator& sim,
       out_(out),
       flow_(flow),
       policer_key_(policer_key),
-      header_bytes_(cfg.header_bytes),
       dscp_(dscp),
       start_(start),
       end_(start) {
@@ -41,7 +46,7 @@ void UdpReplaySender::send(std::size_t i) {
   pkt.flow = flow_;
   pkt.policer_key = policer_key_;
   pkt.kind = PacketKind::Data;
-  pkt.size = payloads_[i] + header_bytes_;
+  pkt.size = payloads_[i] + kHeaderBytes;
   pkt.dscp = dscp_;
   pkt.seq = i;
   pkt.payload = payloads_[i];

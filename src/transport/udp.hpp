@@ -19,10 +19,6 @@
 
 namespace wehey::transport {
 
-struct UdpConfig {
-  std::uint32_t header_bytes = 28;  ///< IP+UDP overhead per packet
-};
-
 class UdpReplaySender {
  public:
   /// Schedules every packet of `t` starting at `start`. The trace must
@@ -30,7 +26,7 @@ class UdpReplaySender {
   /// `policer_key` (0: the flow id) is the key a per-flow rate-limiter
   /// classifies on; the §7 countermeasure gives both replays one key.
   UdpReplaySender(netsim::Simulator& sim, netsim::PacketIdSource& ids,
-                  UdpConfig cfg, netsim::FlowId flow, std::uint8_t dscp,
+                  netsim::FlowId flow, std::uint8_t dscp,
                   netsim::PacketSink* out, const trace::AppTrace& t,
                   Time start, netsim::FlowId policer_key = 0);
 
@@ -51,7 +47,6 @@ class UdpReplaySender {
   netsim::PacketSink* out_;
   netsim::FlowId flow_;
   netsim::FlowId policer_key_;
-  std::uint32_t header_bytes_;
   std::uint8_t dscp_;
   std::uint64_t first_id_ = 0;
   std::vector<Time> tx_times_;

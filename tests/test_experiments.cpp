@@ -342,6 +342,37 @@ TEST(Wild, DelayedThrottlerEvadesThroughputComparisonMostly) {
   EXPECT_LE(per_client, 1);
 }
 
+TEST(Wild, DelayedThrottlerCountsEveryPolicedDrop) {
+  // ISP5's limiter polices through the same token-bucket disc as the
+  // other ISPs, so its drops reach the disc's policing counter.
+  WildConfig cfg;
+  cfg.isp = default_isp_models()[4];  // ISP5
+  const Rate trace_rate = mbps(4);
+  const NetworkParams net = wild_network_params(cfg, trace_rate);
+  obs::Recorder rec(/*metrics_on=*/true, /*trace_on=*/false);
+  std::uint64_t throttled = 0;
+  {
+    obs::ScopedRecorder bind(&rec);
+    const auto disc = net.common_disc_factory();
+    const auto& limiter = dynamic_cast<const netsim::RateLimiterDisc&>(*disc);
+    // 1500 B per ms (12 Mbps) of differentiated traffic for 20 s: the
+    // trigger passes after 8.3 s, then the 2.4 Mbps bucket polices.
+    for (int ms = 0; ms < 20'000; ++ms) {
+      const Time now = ms * kMillisecond;
+      netsim::Packet pkt;
+      pkt.size = 1500;
+      pkt.dscp = netsim::kDscpDifferentiated;
+      disc->enqueue(pkt, now);
+      while (disc->dequeue(now)) {
+      }
+    }
+    throttled = limiter.throttled_drops();
+  }
+  EXPECT_GT(throttled, 0u);
+  EXPECT_EQ(rec.metrics().counter("queue.tbf.drop.policed").value(),
+            throttled);
+}
+
 TEST(Wild, SanityPhaseKeepsTheEventHeapShallow) {
   // A Table-1 sanity phase: three 45-s replays plus packet background.
   // Each replay's supply schedule, the background flow starts and every

@@ -131,7 +131,7 @@ TEST(Bbr, NoLossNoQueueOnCleanPath) {
       std::make_unique<netsim::FifoDisc>(125000), demux.get());
   auto pipe = std::make_unique<netsim::Pipe>(sim, milliseconds(15));
   TcpSender snd(sim, ids, cfg, 1, 0, link.get());
-  TcpReceiver rcv(sim, ids, cfg, 1, pipe.get());
+  TcpReceiver rcv(sim, ids, 1, pipe.get());
   pipe->set_next(&snd);
   demux->add_route(1, &rcv);
   Time done = -1;
@@ -154,7 +154,7 @@ TEST(Bbr, ConvergesToPolicerRate) {
   cfg.cc = CongestionControl::Bbr;
   auto demux = std::make_unique<netsim::Demux>();
   auto fifo = std::make_unique<netsim::FifoDisc>(0);
-  auto tbf = std::make_unique<netsim::TbfDisc>(mbps(2), 15000, 15000);
+  auto tbf = std::make_unique<netsim::TbfDisc>(mbps(2), 15000, 15000, 0);
   auto link = std::make_unique<netsim::Link>(
       sim, mbps(50), milliseconds(15),
       std::make_unique<netsim::RateLimiterDisc>(std::move(fifo),
@@ -162,7 +162,7 @@ TEST(Bbr, ConvergesToPolicerRate) {
       demux.get());
   auto pipe = std::make_unique<netsim::Pipe>(sim, milliseconds(15));
   TcpSender snd(sim, ids, cfg, 1, netsim::kDscpDifferentiated, link.get());
-  TcpReceiver rcv(sim, ids, cfg, 1, pipe.get());
+  TcpReceiver rcv(sim, ids, 1, pipe.get());
   pipe->set_next(&snd);
   demux->add_route(1, &rcv);
   snd.supply(20'000'000);

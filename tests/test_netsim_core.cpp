@@ -532,7 +532,7 @@ TEST(Fifo, NextReady) {
 
 TEST(Tbf, PassesWithinBurst) {
   // 1 Mbps, 10 kB bucket: two 4 kB packets pass immediately.
-  TbfDisc q(1e6, 10000, 100000);
+  TbfDisc q(1e6, 10000, 100000, 0);
   q.enqueue(make_packet(4000), 0);
   q.enqueue(make_packet(4000), 0);
   EXPECT_TRUE(q.dequeue(0).has_value());
@@ -540,7 +540,7 @@ TEST(Tbf, PassesWithinBurst) {
 }
 
 TEST(Tbf, GatesWhenTokensExhausted) {
-  TbfDisc q(1e6, 10000, 100000);
+  TbfDisc q(1e6, 10000, 100000, 0);
   q.enqueue(make_packet(8000), 0);
   q.enqueue(make_packet(8000), 0);
   EXPECT_TRUE(q.dequeue(0).has_value());
@@ -553,12 +553,12 @@ TEST(Tbf, GatesWhenTokensExhausted) {
 }
 
 TEST(Tbf, TokensCappedAtBurst) {
-  TbfDisc q(1e6, 10000, 100000);
+  TbfDisc q(1e6, 10000, 100000, 0);
   EXPECT_DOUBLE_EQ(q.tokens(seconds(100)), 10000.0);
 }
 
 TEST(Tbf, PolicesWhenQueueFull) {
-  TbfDisc q(1e6, 1500, 3000);
+  TbfDisc q(1e6, 1500, 3000, 0);
   EXPECT_TRUE(q.enqueue(make_packet(1500), 0));
   EXPECT_TRUE(q.enqueue(make_packet(1500), 0));
   EXPECT_FALSE(q.enqueue(make_packet(1500), 0));
@@ -569,7 +569,7 @@ TEST(Tbf, LongRunRateMatchesConfig) {
   // Offer 2x the rate for 10 simulated seconds; delivered bytes must
   // approach rate * time (property of the token bucket).
   const Rate rate = 2e6;
-  TbfDisc q(rate, 25000, 50000);
+  TbfDisc q(rate, 25000, 50000, 0);
   Time now = 0;
   std::int64_t delivered = 0;
   const Time step = microseconds(500);  // 1000 B / 0.5 ms = 16 Mbps offered
@@ -582,9 +582,70 @@ TEST(Tbf, LongRunRateMatchesConfig) {
   EXPECT_NEAR(achieved / rate, 1.0, 0.05);
 }
 
+// A TbfDisc with an activation threshold: ISP5's delayed fixed-rate
+// throttler.
+
+Packet pkt(std::uint32_t size) {
+  return make_packet(size, kDscpDifferentiated);
+}
+
+TEST(DelayedTbf, PassThroughBeforeTrigger) {
+  // Trigger at 100 kB; a tiny 1 kbps post-trigger rate would block
+  // everything if it were active.
+  TbfDisc disc(kbps(1), 1500, 4500, 100'000);
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(disc.enqueue(pkt(1000), i));
+    ASSERT_TRUE(disc.dequeue(i).has_value());
+  }
+  EXPECT_FALSE(disc.throttling_active());
+  EXPECT_EQ(disc.drop_count(), 0u);
+}
+
+TEST(DelayedTbf, ActivatesAtTriggerBytes) {
+  TbfDisc disc(mbps(1), 3000, 3000, 10'000);
+  Time now = 0;
+  std::int64_t through = 0;
+  while (through < 9'000) {
+    disc.enqueue(pkt(1000), now);
+    auto out = disc.dequeue(now);
+    ASSERT_TRUE(out.has_value());
+    through += out->size;
+    now += kMillisecond;
+  }
+  EXPECT_FALSE(disc.throttling_active());
+  // The next enqueue crosses the 10 kB criterion.
+  disc.enqueue(pkt(1000), now);
+  EXPECT_TRUE(disc.throttling_active());
+}
+
+TEST(DelayedTbf, ThrottlesAtFixedRateAfterTrigger) {
+  // Immediate trigger: behaves like a plain TBF from the first packet.
+  TbfDisc disc(mbps(1), 2000, 2000, 0);
+  disc.enqueue(pkt(1000), 0);
+  disc.enqueue(pkt(1000), 0);
+  EXPECT_TRUE(disc.throttling_active());
+  EXPECT_TRUE(disc.dequeue(0).has_value());
+  EXPECT_TRUE(disc.dequeue(0).has_value());  // burst covers 2000 B
+  disc.enqueue(pkt(1000), 0);
+  EXPECT_FALSE(disc.dequeue(0).has_value());  // tokens exhausted
+  // 1000 B at 1 Mbps = 8 ms to refill.
+  const Time ready = disc.next_ready(0);
+  EXPECT_NEAR(to_seconds(ready), 0.008, 1e-5);
+  EXPECT_TRUE(disc.dequeue(ready).has_value());
+}
+
+TEST(DelayedTbf, PolicesQueueOverflowOnlyWhenActive) {
+  TbfDisc disc(kbps(100), 1500, 3000, 0);
+  // Burst 1500 admitted; backlog cap 3000: two more queue, then drops.
+  EXPECT_TRUE(disc.enqueue(pkt(1400), 0));
+  EXPECT_TRUE(disc.enqueue(pkt(1400), 0));
+  EXPECT_FALSE(disc.enqueue(pkt(1400), 0));
+  EXPECT_EQ(disc.drop_count(), 1u);
+}
+
 TEST(RateLimiter, ClassifiesByDscp) {
   auto fifo = std::make_unique<FifoDisc>(0);
-  auto tbf = std::make_unique<TbfDisc>(1e6, 3000, 3000);
+  auto tbf = std::make_unique<TbfDisc>(1e6, 3000, 3000, 0);
   RateLimiterDisc rl(std::move(fifo), std::move(tbf));
   // Default-class traffic is never token-gated.
   for (int i = 0; i < 10; ++i) {
@@ -605,7 +666,7 @@ TEST(RateLimiter, ClassifiesByDscp) {
 
 TEST(RateLimiter, ReportsTheDropsOfBothClasses) {
   auto fifo = std::make_unique<FifoDisc>(3000);
-  auto tbf = std::make_unique<TbfDisc>(1e6, 3000, 3000);
+  auto tbf = std::make_unique<TbfDisc>(1e6, 3000, 3000, 0);
   RateLimiterDisc rl(std::move(fifo), std::move(tbf));
   int heard_default = 0, heard_throttled = 0;
   rl.set_drop_listener([&](const Packet& p, Time) {
@@ -644,7 +705,7 @@ TEST(PerFlowRateLimiter, ReportsTheDropsOfEveryBucket) {
 
 TEST(RateLimiter, RoundRobinAlternates) {
   auto fifo = std::make_unique<FifoDisc>(0);
-  auto tbf = std::make_unique<TbfDisc>(1e9, 100000, 100000);
+  auto tbf = std::make_unique<TbfDisc>(1e9, 100000, 100000, 0);
   RateLimiterDisc rl(std::move(fifo), std::move(tbf));
   for (int i = 0; i < 3; ++i) {
     auto d = make_packet(100, kDscpDefault);
@@ -690,7 +751,7 @@ TEST(Link, TokenGatedWakeup) {
   NullSink sink;
   // TBF allows 1000 B immediately, then 1000 B per 8 ms (1 Mbps).
   Link link(sim, kGbps, 0,
-            std::make_unique<TbfDisc>(1e6, 1000, 100000), &sink);
+            std::make_unique<TbfDisc>(1e6, 1000, 100000, 0), &sink);
   for (int i = 0; i < 3; ++i) link.receive(make_packet(1000));
   sim.run();
   EXPECT_EQ(sink.packets(), 3u);
@@ -744,7 +805,7 @@ TEST(Link, FifoHopDispatchesOneEventPerPacketAndTbfHopTwo) {
   EXPECT_EQ(events(std::make_unique<FifoDisc>(0)), 10u);
   // Tokens for every packet: the TBF never sleeps, and each packet costs
   // its transmit-done and its arrival events.
-  EXPECT_EQ(events(std::make_unique<TbfDisc>(1e9, 100000, 100000)), 20u);
+  EXPECT_EQ(events(std::make_unique<TbfDisc>(1e9, 100000, 100000, 0)), 20u);
 }
 
 TEST(Link, FifoArrivalsLeaveWhenThePreviousTransmissionEnds) {

@@ -55,7 +55,6 @@ TEST(AccessLink, JitterVariesDeliveryRate) {
   auto params = basic_params();
   params.access_rate = mbps(1.2);
   params.access_jitter_sigma = 0.5;
-  params.access_update_interval = seconds(1);
   FigureOneNetwork net(sim, params, rng);
 
   trace::AppTrace t;

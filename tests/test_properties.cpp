@@ -48,7 +48,7 @@ class TbfConservation : public ::testing::TestWithParam<double> {};
 
 TEST_P(TbfConservation, AcceptedPlusDroppedEqualsOffered) {
   const Rate rate = mbps(GetParam());
-  netsim::TbfDisc tbf(rate, 20000, 10000);
+  netsim::TbfDisc tbf(rate, 20000, 10000, 0);
   Rng rng(42);
   std::uint64_t offered = 0, accepted = 0, drained = 0;
   Time now = 0;

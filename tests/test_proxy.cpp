@@ -46,7 +46,8 @@ struct ProxiedPath {
                 static_cast<std::int64_t>(
                     bytes_in(policer_rate, milliseconds(40))),
                 static_cast<std::int64_t>(
-                    bytes_in(policer_rate, milliseconds(20))))),
+                    bytes_in(policer_rate, milliseconds(20))),
+                0)),
         &at_client);
     upstream_link = std::make_unique<Link>(
         sim, mbps(50), milliseconds(10),
@@ -61,7 +62,7 @@ struct ProxiedPath {
         sim, ids, cfg, /*upstream_flow=*/1, /*downstream_flow=*/2,
         netsim::kDscpDifferentiated, ack_to_origin.get(),
         downstream_link.get());
-    client = std::make_unique<TcpReceiver>(sim, ids, cfg, /*flow=*/2,
+    client = std::make_unique<TcpReceiver>(sim, ids, /*flow=*/2,
                                            ack_to_proxy.get());
     ack_to_origin->set_next(origin.get());
     ack_to_proxy->set_next(&proxy->downstream_ack_in());

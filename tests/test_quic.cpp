@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "digest.hpp"
 #include "netsim/link.hpp"
 #include "netsim/queue.hpp"
 #include "netsim/simulator.hpp"
@@ -32,13 +33,11 @@ struct Harness {
   std::unique_ptr<QuicReceiver> receiver;
 
   Harness(Rate bw, Time one_way, std::unique_ptr<netsim::QueueDisc> disc,
-          QuicConfig cfg = {}, std::uint8_t dscp = 0) {
+          std::uint8_t dscp = 0) {
     link = std::make_unique<Link>(sim, bw, one_way, std::move(disc), &demux);
     ack_pipe = std::make_unique<Pipe>(sim, one_way);
-    sender = std::make_unique<QuicSender>(sim, ids, cfg, 1, dscp,
-                                          link.get());
-    receiver =
-        std::make_unique<QuicReceiver>(sim, ids, cfg, 1, ack_pipe.get());
+    sender = std::make_unique<QuicSender>(sim, ids, 1, dscp, link.get());
+    receiver = std::make_unique<QuicReceiver>(sim, ids, 1, ack_pipe.get());
     ack_pipe->set_next(sender.get());
     demux.add_route(1, receiver.get());
   }
@@ -61,7 +60,7 @@ TEST(SackLog, QuicAckRangesComeOutHighestFirstAsHalfOpen) {
   Simulator sim;
   PacketIdSource ids;
   AckCollector sender;
-  QuicReceiver rcv(sim, ids, QuicConfig{}, 1, &sender);
+  QuicReceiver rcv(sim, ids, 1, &sender);
   for (std::uint64_t pn : {0, 1, 2, 5, 6, 9}) {
     netsim::Packet p;
     p.flow = 1;
@@ -103,11 +102,11 @@ TEST(Quic, LossCountMatchesActualDrops) {
   // packets (up to spurious time-threshold declarations) — unlike TCP's
   // retransmission-based over-count.
   auto fifo = std::make_unique<FifoDisc>(0);
-  auto tbf = std::make_unique<TbfDisc>(mbps(2), 15000, 15000);
+  auto tbf = std::make_unique<TbfDisc>(mbps(2), 15000, 15000, 0);
   auto disc =
       std::make_unique<RateLimiterDisc>(std::move(fifo), std::move(tbf));
   auto* disc_raw = disc.get();
-  Harness h(mbps(50), milliseconds(15), std::move(disc), QuicConfig{},
+  Harness h(mbps(50), milliseconds(15), std::move(disc),
             netsim::kDscpDifferentiated);
   h.sender->supply(6'000'000);
   h.sim.run(seconds(40));
@@ -122,10 +121,10 @@ TEST(Quic, LossCountMatchesActualDrops) {
 
 TEST(Quic, RecoversNearPolicedRate) {
   auto fifo = std::make_unique<FifoDisc>(0);
-  auto tbf = std::make_unique<TbfDisc>(mbps(2), 15000, 15000);
+  auto tbf = std::make_unique<TbfDisc>(mbps(2), 15000, 15000, 0);
   Harness h(mbps(50), milliseconds(15),
             std::make_unique<RateLimiterDisc>(std::move(fifo), std::move(tbf)),
-            QuicConfig{}, netsim::kDscpDifferentiated);
+            netsim::kDscpDifferentiated);
   h.sender->supply(20'000'000);
   h.sim.run(seconds(30));
   const double rate = h.receiver->received_stream_bytes() * 8.0 /
@@ -150,6 +149,41 @@ TEST(Quic, RttEstimateTracksPath) {
   h.sender->supply(300'000);
   h.sim.run(seconds(5));
   EXPECT_NEAR(to_milliseconds(h.sender->srtt()), 40.0, 6.0);
+}
+
+// Loss detection and recovery are exact: transfers through a tight and a
+// deep policer must measure the same transmissions, loss declarations,
+// RTT samples and deliveries, down to the nanosecond.
+TEST(QuicPinnedTransfer, MeasurementsMatchPinnedDigest) {
+  struct Policer {
+    Rate rate;
+    std::int64_t burst, limit, bytes;
+  };
+  pinned::Digest d;
+  for (const Policer& pol : {Policer{mbps(1), 6000, 4500, 1'500'000},
+                             Policer{mbps(4), 15000, 30000, 6'000'000}}) {
+    auto fifo = std::make_unique<FifoDisc>(0);
+    auto tbf = std::make_unique<TbfDisc>(pol.rate, pol.burst, pol.limit, 0);
+    Harness h(mbps(50), milliseconds(15),
+              std::make_unique<RateLimiterDisc>(std::move(fifo),
+                                                std::move(tbf)),
+              netsim::kDscpDifferentiated);
+    h.sender->supply(pol.bytes);
+    h.sim.run(seconds(20));
+
+    const auto& m = h.sender->measurement();
+    for (Time t : m.tx_times) d.add(t);
+    for (Time t : m.loss_times) d.add(t);
+    for (double r : m.rtt_ms) d.add(r);
+    for (const auto& del : h.receiver->deliveries()) {
+      d.add(del.at);
+      d.add(static_cast<std::uint64_t>(del.bytes));
+    }
+    d.add(h.sender->packets_declared_lost());
+    EXPECT_GT(h.sender->packets_declared_lost(), 0u);
+  }
+  EXPECT_EQ(d.h, 0x70207a843f807d08ULL)
+      << "actual digest 0x" << std::hex << d.h;
 }
 
 }  // namespace

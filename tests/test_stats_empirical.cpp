@@ -119,21 +119,6 @@ TEST(Resample, HalfSampleDiffCentersOnTrueDiff) {
   EXPECT_NEAR(mean(diffs), 0.2, 0.02);
 }
 
-TEST(Resample, JackknifeOfMeanMatchesClosedForm) {
-  // Leave-one-out means of {1..5}: removing x_i gives (15 - x_i)/4.
-  const std::vector<double> xs{1, 2, 3, 4, 5};
-  const auto reps =
-      jackknife(xs, [](std::span<const double> s) { return mean(s); });
-  ASSERT_EQ(reps.size(), 5u);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_DOUBLE_EQ(reps[i], (15.0 - xs[i]) / 4.0);
-  }
-  // Jackknife SE of the mean equals the classic s/sqrt(n).
-  const double se =
-      jackknife_stderr(xs, [](std::span<const double> s) { return mean(s); });
-  EXPECT_NEAR(se, stddev(xs) / std::sqrt(5.0), 1e-12);
-}
-
 TEST(Resample, WilsonIntervalProperties) {
   const auto ci = wilson_interval(8, 10);
   EXPECT_GT(ci.low, 0.4);
@@ -156,18 +141,6 @@ TEST(Resample, WilsonNarrowsWithTrials) {
   const auto small = wilson_interval(5, 10);
   const auto big = wilson_interval(500, 1000);
   EXPECT_LT(big.high - big.low, small.high - small.low);
-}
-
-TEST(Resample, BootstrapOfMean) {
-  Rng rng(19);
-  std::vector<double> xs;
-  for (int i = 0; i < 100; ++i) xs.push_back(rng.normal(3.0, 1.0));
-  const auto boot = bootstrap(
-      xs, 300, [](std::span<const double> s) { return mean(s); }, rng);
-  EXPECT_EQ(boot.size(), 300u);
-  EXPECT_NEAR(mean(boot), mean(xs), 0.05);
-  // Bootstrap spread ~ sigma/sqrt(n) = 0.1.
-  EXPECT_NEAR(stddev(boot), 0.1, 0.05);
 }
 
 }  // namespace

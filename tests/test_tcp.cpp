@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "digest.hpp"
 #include "netsim/link.hpp"
 #include "netsim/simulator.hpp"
 #include "transport/range_set.hpp"
@@ -44,8 +44,7 @@ struct Harness {
                                   demux.get());
     ack_pipe = std::make_unique<Pipe>(sim, one_way);
     sender = std::make_unique<TcpSender>(sim, ids, cfg, 1, dscp, link.get());
-    receiver =
-        std::make_unique<TcpReceiver>(sim, ids, cfg, 1, ack_pipe.get());
+    receiver = std::make_unique<TcpReceiver>(sim, ids, 1, ack_pipe.get());
     ack_pipe->set_next(sender.get());
     demux->add_route(1, receiver.get());
   }
@@ -89,7 +88,7 @@ TEST(Tcp, RecoversThroughTokenBucketPolicer) {
   // 2 Mbps policer with a shallow queue: the flow must survive and land
   // near the policed rate.
   auto fifo = std::make_unique<FifoDisc>(0);
-  auto tbf = std::make_unique<TbfDisc>(mbps(2), 10000, 10000);
+  auto tbf = std::make_unique<TbfDisc>(mbps(2), 10000, 10000, 0);
   Harness h(mbps(50), milliseconds(15),
             std::make_unique<RateLimiterDisc>(std::move(fifo), std::move(tbf)),
             TcpConfig{}, netsim::kDscpDifferentiated);
@@ -105,7 +104,7 @@ TEST(Tcp, RecoversThroughTokenBucketPolicer) {
 
 TEST(Tcp, RetransmissionsRecordedAsLossEvents) {
   auto fifo = std::make_unique<FifoDisc>(0);
-  auto tbf = std::make_unique<TbfDisc>(mbps(2), 10000, 10000);
+  auto tbf = std::make_unique<TbfDisc>(mbps(2), 10000, 10000, 0);
   Harness h(mbps(50), milliseconds(15),
             std::make_unique<RateLimiterDisc>(std::move(fifo), std::move(tbf)),
             TcpConfig{}, netsim::kDscpDifferentiated);
@@ -204,7 +203,7 @@ TEST(Tcp, SurvivesSevereThrottling) {
   // Offered load far above a 500 kbps policer with a tiny queue: the flow
   // must make steady forward progress (no livelock), even if slowly.
   auto fifo = std::make_unique<FifoDisc>(0);
-  auto tbf = std::make_unique<TbfDisc>(kbps(500), 6000, 4500);
+  auto tbf = std::make_unique<TbfDisc>(kbps(500), 6000, 4500, 0);
   Harness h(mbps(50), milliseconds(15),
             std::make_unique<RateLimiterDisc>(std::move(fifo), std::move(tbf)),
             TcpConfig{}, netsim::kDscpDifferentiated);
@@ -213,50 +212,6 @@ TEST(Tcp, SurvivesSevereThrottling) {
   const double rate =
       h.receiver->received_bytes() * 8.0 / to_seconds(h.sim.now());
   EXPECT_GT(rate, kbps(200));
-}
-
-TEST(Tcp, DelayedAcksHalveAckTraffic) {
-  TcpConfig delayed;
-  delayed.delayed_acks = true;
-  Harness h(mbps(50), milliseconds(10),
-            std::make_unique<FifoDisc>(2'000'000), delayed);
-  h.sender->supply(1'000'000);
-  h.sim.run(seconds(10));
-  EXPECT_TRUE(h.sender->complete());
-  // ~2 data segments per ACK on an in-order path.
-  const double ratio = static_cast<double>(h.receiver->received_packets()) /
-                       static_cast<double>(h.receiver->acks_sent());
-  EXPECT_GT(ratio, 1.6);
-  EXPECT_LT(ratio, 2.4);
-}
-
-TEST(Tcp, DelayedAcksStillRecoverFromLoss) {
-  TcpConfig delayed;
-  delayed.delayed_acks = true;
-  auto fifo = std::make_unique<FifoDisc>(0);
-  auto tbf = std::make_unique<TbfDisc>(mbps(2), 15000, 15000);
-  Harness h(mbps(50), milliseconds(15),
-            std::make_unique<RateLimiterDisc>(std::move(fifo), std::move(tbf)),
-            delayed, netsim::kDscpDifferentiated);
-  h.sender->supply(15'000'000);
-  h.sim.run(seconds(30));
-  const double rate =
-      h.receiver->received_bytes() * 8.0 / to_seconds(h.sim.now());
-  // Out-of-order data is still ACKed immediately, so SACK recovery keeps
-  // the flow near the policed rate.
-  EXPECT_GT(rate, mbps(1.2));
-}
-
-TEST(Tcp, DelayedAckTimerFlushesTail) {
-  TcpConfig delayed;
-  delayed.delayed_acks = true;
-  Harness h(mbps(50), milliseconds(10),
-            std::make_unique<FifoDisc>(2'000'000), delayed);
-  // A single odd segment: only the delayed-ACK timer can acknowledge it.
-  h.sender->supply(1000);
-  h.sim.run(seconds(5));
-  EXPECT_TRUE(h.sender->complete());
-  EXPECT_EQ(h.receiver->acks_sent(), 1u);
 }
 
 // ------------------------------------------------------------ SACK log
@@ -302,7 +257,7 @@ TEST(SackLog, AckDroppedByFullFifoIsReleasedByTheNextConsumedAck) {
   // Room for one 52-byte ACK in the queue behind the one on the wire.
   Link ack_link(sim, mbps(1), milliseconds(1), std::make_unique<FifoDisc>(60),
                 &sender);
-  TcpReceiver rcv(sim, ids, TcpConfig{}, 1, &ack_link);
+  TcpReceiver rcv(sim, ids, 1, &ack_link);
   // Three out-of-order segments above a hole at [0, 1000): ACK 1 goes on
   // the wire, ACK 2 waits in the queue, ACK 3 overflows it.
   rcv.receive(data_segment(2000, 1000));
@@ -331,7 +286,7 @@ TEST(SackLog, MoreHolesThanBlocksReportsTheHighestRanges) {
   Simulator sim;
   PacketIdSource ids;
   AckCollector sender;
-  TcpReceiver rcv(sim, ids, TcpConfig{}, 1, &sender);
+  TcpReceiver rcv(sim, ids, 1, &sender);
   // 20 isolated out-of-order segments: more holes than SACK blocks.
   for (std::uint64_t k = 1; k <= 20; ++k) {
     rcv.receive(data_segment(2000 * k, 1000));
@@ -351,7 +306,7 @@ TEST(SackLog, BlocksMatchReceivedSegmentsAfterEveryArrival) {
   Simulator sim;
   PacketIdSource ids;
   AckCollector sender;
-  TcpReceiver rcv(sim, ids, TcpConfig{}, 1, &sender);
+  TcpReceiver rcv(sim, ids, 1, &sender);
 
   // A fixed partition of the byte stream into segments of uneven length,
   // as a sender cuts it: retransmissions repeat a segment's (seq, len).
@@ -457,13 +412,13 @@ TEST(TcpRecovery, RepairsHolesInOrderOncePerEpisodeAndAgainAfterRto) {
   dropper.next = &link;
   TcpSender sender(sim, ids, cfg, 1, 0, &dropper);
   dropper.sender = &sender;
-  TcpReceiver receiver(sim, ids, cfg, 1, &ack_pipe);
+  TcpReceiver receiver(sim, ids, 1, &ack_pipe);
   ack_pipe.set_next(&sender);
   demux.add_route(1, &receiver);
 
   // Three holes in the first window. The repairs of a and b are lost as
   // well, so a stalls the cumulative ACK until the RTO; c's repair lands.
-  const std::uint64_t mss = cfg.mss;
+  const std::uint64_t mss = kTcpMss;
   const std::uint64_t a = 2 * mss, b = 4 * mss, c = 6 * mss;
   dropper.drops = {{a, 2}, {b, 2}, {c, 1}};
   sender.supply(static_cast<std::int64_t>(30 * mss));
@@ -633,7 +588,7 @@ TEST_P(TcpScoreboard, SackedBytesEqualTheUnionOfBlocksThroughDeepPolicer) {
   Harness h(mbps(50), milliseconds(15),
             std::make_unique<RateLimiterDisc>(
                 std::make_unique<FifoDisc>(0),
-                std::make_unique<TbfDisc>(mbps(4), 15000, 30000)),
+                std::make_unique<TbfDisc>(mbps(4), 15000, 30000, 0)),
             cfg, netsim::kDscpDifferentiated);
   ScoreboardTap tap;
   tap.sender = h.sender.get();
@@ -661,7 +616,7 @@ TEST_P(TcpScoreboard, SackedBytesEqualTheUnionOfBlocksWithManyHoles) {
   dropper.next = &link;
   TcpSender sender(sim, ids, cfg, 1, 0, &dropper);
   dropper.sender = &sender;
-  TcpReceiver receiver(sim, ids, cfg, 1, &ack_pipe);
+  TcpReceiver receiver(sim, ids, 1, &ack_pipe);
   ScoreboardTap tap;
   tap.sender = &sender;
   ack_pipe.set_next(&tap);
@@ -670,7 +625,7 @@ TEST_P(TcpScoreboard, SackedBytesEqualTheUnionOfBlocksWithManyHoles) {
   // Every other segment of one slow-start flight: 30 holes, more than
   // kMaxSackBlocks. The first hole's repair is lost too, so the episode
   // ends in a timeout with SACKed data still outstanding.
-  const std::uint64_t mss = cfg.mss;
+  const std::uint64_t mss = kTcpMss;
   for (std::uint64_t k = 80; k < 140; k += 2) dropper.drops[k * mss] = 1;
   dropper.drops[80 * mss] = 2;
   sender.supply(static_cast<std::int64_t>(400 * mss));
@@ -694,26 +649,12 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-/// FNV-1a over 64-bit words: a digest of everything a transfer measured.
-struct Digest {
-  std::uint64_t h = 14695981039346656037ULL;
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xffU;
-      h *= 1099511628211ULL;
-    }
-  }
-  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-};
-
 /// A sender variant and the digest of its transfers. A change that moves
 /// a digest changed what TCP does, not just how fast it does it.
 struct PinnedTransfer {
   std::string name;
   CongestionControl cc;
   bool pacing;
-  bool delayed_acks;
   std::uint64_t digest;
 };
 
@@ -731,17 +672,16 @@ TEST_P(TcpPinnedTransfer, MeasurementsMatchPinnedDigest) {
   TcpConfig cfg;
   cfg.cc = p.cc;
   cfg.pacing = p.pacing;
-  cfg.delayed_acks = p.delayed_acks;
   struct Policer {
     Rate rate;
     std::int64_t burst, limit, bytes;
   };
-  Digest d;
+  pinned::Digest d;
   std::uint64_t timeouts = 0;
   for (const Policer& pol : {Policer{mbps(1), 6000, 4500, 1'500'000},
                              Policer{mbps(4), 15000, 30000, 6'000'000}}) {
     auto fifo = std::make_unique<FifoDisc>(0);
-    auto tbf = std::make_unique<TbfDisc>(pol.rate, pol.burst, pol.limit);
+    auto tbf = std::make_unique<TbfDisc>(pol.rate, pol.burst, pol.limit, 0);
     Harness h(mbps(50), milliseconds(15),
               std::make_unique<RateLimiterDisc>(std::move(fifo),
                                                 std::move(tbf)),
@@ -769,31 +709,18 @@ TEST_P(TcpPinnedTransfer, MeasurementsMatchPinnedDigest) {
 INSTANTIATE_TEST_SUITE_P(
     Variants, TcpPinnedTransfer,
     ::testing::Values(
-        PinnedTransfer{"CubicPaced", CongestionControl::Cubic, true, false,
+        PinnedTransfer{"CubicPaced", CongestionControl::Cubic, true,
                        0xd9a6c1a97b1203feULL},
-        PinnedTransfer{"CubicUnpaced", CongestionControl::Cubic, false, false,
+        PinnedTransfer{"CubicUnpaced", CongestionControl::Cubic, false,
                        0xd5ac27a042742351ULL},
-        PinnedTransfer{"CubicPacedDelayedAcks", CongestionControl::Cubic,
-                       true, true, 0x33a61d4b59ed5105ULL},
-        PinnedTransfer{"CubicUnpacedDelayedAcks", CongestionControl::Cubic,
-                       false, true, 0x71d5197547c52cc7ULL},
         PinnedTransfer{"NewRenoPaced", CongestionControl::NewReno, true,
-                       false, 0xbbea305b70911a36ULL},
+                       0xbbea305b70911a36ULL},
         PinnedTransfer{"NewRenoUnpaced", CongestionControl::NewReno, false,
-                       false, 0x5d485caa40a07eceULL},
-        PinnedTransfer{"NewRenoPacedDelayedAcks", CongestionControl::NewReno,
-                       true, true, 0x968c6c7f9014c51bULL},
-        PinnedTransfer{"NewRenoUnpacedDelayedAcks",
-                       CongestionControl::NewReno, false, true,
-                       0xf9657d511b0f960dULL},
-        PinnedTransfer{"BbrPaced", CongestionControl::Bbr, true, false,
+                       0x5d485caa40a07eceULL},
+        PinnedTransfer{"BbrPaced", CongestionControl::Bbr, true,
                        0x71e0166b093ee0c6ULL},
-        PinnedTransfer{"BbrUnpaced", CongestionControl::Bbr, false, false,
-                       0x36ff6fd6972e3ae5ULL},
-        PinnedTransfer{"BbrPacedDelayedAcks", CongestionControl::Bbr, true,
-                       true, 0x30d59c7a54eee89cULL},
-        PinnedTransfer{"BbrUnpacedDelayedAcks", CongestionControl::Bbr,
-                       false, true, 0xbcd8480a3100e022ULL}),
+        PinnedTransfer{"BbrUnpaced", CongestionControl::Bbr, false,
+                       0x36ff6fd6972e3ae5ULL}),
     [](const ::testing::TestParamInfo<PinnedTransfer>& info) {
       return info.param.name;
     });

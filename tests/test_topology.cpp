@@ -3,6 +3,7 @@
 #include <set>
 
 #include "common/rng.hpp"
+#include "digest.hpp"
 #include "topology/construction.hpp"
 #include "topology/database.hpp"
 #include "topology/synthetic.hpp"
@@ -234,6 +235,38 @@ TEST(Synthetic, CoverageStatisticsInRealisticRange) {
   EXPECT_LT(complete_rate, 0.7);
   EXPECT_GT(topo_rate, 0.5);
   EXPECT_LT(topo_rate, 0.95);
+}
+
+// The generator is exact: one seeded dataset must hold the same records,
+// hops, aliases and ground truth.
+TEST(Synthetic, DatasetMatchesPinnedDigest) {
+  Rng rng(37);
+  SyntheticConfig cfg;
+  const auto ds = generate_mlab_dataset(cfg, rng);
+  ASSERT_EQ(ds.truth.size(), cfg.num_clients);
+
+  pinned::Digest d;
+  for (const auto& rec : ds.records) {
+    d.add(rec.server);
+    d.add(rec.dst_ip);
+    d.add(static_cast<std::uint64_t>(rec.dst_asn));
+    d.add(static_cast<std::uint64_t>(rec.hops.size()));
+    for (const auto& hop : rec.hops) {
+      d.add(static_cast<std::uint64_t>(hop.asn));
+      d.add(static_cast<std::uint64_t>(hop.responded));
+      d.add(static_cast<std::uint64_t>(hop.reported_ips.size()));
+      for (const auto& ip : hop.reported_ips) d.add(ip);
+    }
+  }
+  for (const auto& t : ds.truth) {
+    d.add(t.ip);
+    d.add(static_cast<std::uint64_t>(t.isp_asn));
+    d.add(static_cast<std::uint64_t>(t.has_any_record));
+    d.add(static_cast<std::uint64_t>(t.has_complete_record));
+    d.add(static_cast<std::uint64_t>(t.has_suitable_topology));
+  }
+  EXPECT_EQ(d.h, 0x4024af93b4200f27ULL)
+      << "actual digest 0x" << std::hex << d.h;
 }
 
 }  // namespace

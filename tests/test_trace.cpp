@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/rng.hpp"
+#include "digest.hpp"
 #include "trace/apps.hpp"
 #include "trace/background.hpp"
 #include "trace/trace.hpp"
@@ -147,6 +148,35 @@ TEST(Background, MarkDifferentiatedFraction) {
   std::size_t marked = 0;
   for (const auto& f : flows) marked += f.differentiated;
   EXPECT_NEAR(static_cast<double>(marked) / flows.size(), 0.75, 0.05);
+}
+
+// The workload generator and its fluid carrier are exact: one seeded
+// workload must draw the same flows, marks and per-segment rates.
+TEST(Background, WorkloadMatchesPinnedDigest) {
+  Rng rng(31);
+  BackgroundConfig cfg;
+  cfg.target_rate = mbps(8);
+  cfg.duration = seconds(60);
+  cfg.flows_per_second = 10;
+  auto flows = generate_background(cfg, rng);
+  mark_differentiated(flows, 0.5, rng);
+  const FluidProfile profile = fluid_profile(flows, cfg);
+  ASSERT_GT(flows.size(), 300u);
+
+  pinned::Digest d;
+  for (const auto& f : flows) {
+    d.add(f.start);
+    d.add(f.bytes);
+    d.add(static_cast<std::uint64_t>(f.differentiated));
+  }
+  d.add(profile.step);
+  for (const auto* series : {&profile.dflt, &profile.diff,
+                             &profile.burst_dflt, &profile.burst_diff}) {
+    d.add(static_cast<std::uint64_t>(series->size()));
+    for (double v : *series) d.add(v);
+  }
+  EXPECT_EQ(d.h, 0xd08939d7023bdef6ULL)
+      << "actual digest 0x" << std::hex << d.h;
 }
 
 }  // namespace

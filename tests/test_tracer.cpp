@@ -50,7 +50,7 @@ TEST(Tracer, RecordsDropsOnARateLimitedLink) {
   auto limiter =
       std::make_unique<RateLimiterDisc>(std::make_unique<FifoDisc>(0),
                                         std::make_unique<TbfDisc>(1e6, 3000,
-                                                                  3000));
+                                                                  3000, 0));
   const RateLimiterDisc& rl = *limiter;
   Link link(sim, mbps(8), 0, std::move(limiter), &sink);
   PacketTracer tracer;

@@ -37,7 +37,7 @@ TEST(UdpReplay, DeliversAllOnCleanPath) {
   UdpReplayReceiver rx(sim);
   demux.add_route(1, &rx);
   const auto t = cbr_trace(100, 1000, milliseconds(10));
-  UdpReplaySender tx(sim, ids, UdpConfig{}, 1, 0, &link, t, 0);
+  UdpReplaySender tx(sim, ids, 1, 0, &link, t, 0);
   sim.run();
   rx.finalize(tx.packets_scheduled(), sim.now());
   EXPECT_EQ(rx.received_packets(), 100u);
@@ -55,7 +55,7 @@ TEST(UdpReplay, TimingFollowsTrace) {
   UdpReplayReceiver rx(sim);
   demux.add_route(1, &rx);
   const auto t = cbr_trace(10, 500, milliseconds(20));
-  UdpReplaySender tx(sim, ids, UdpConfig{}, 1, 0, &link, t, seconds(1));
+  UdpReplaySender tx(sim, ids, 1, 0, &link, t, seconds(1));
   sim.run();
   ASSERT_EQ(rx.deliveries().size(), 10u);
   // First packet: sent at 1 s, arrives after ~5 ms propagation.
@@ -69,7 +69,7 @@ TEST(UdpReplay, DetectsLossFromGaps) {
   Demux demux;
   // Policer that passes ~half the offered rate.
   auto fifo = std::make_unique<FifoDisc>(0);
-  auto tbf = std::make_unique<TbfDisc>(kbps(400), 2000, 2000);
+  auto tbf = std::make_unique<TbfDisc>(kbps(400), 2000, 2000, 0);
   Link link(sim, mbps(100), milliseconds(10),
             std::make_unique<RateLimiterDisc>(std::move(fifo), std::move(tbf)),
             &demux);
@@ -77,7 +77,7 @@ TEST(UdpReplay, DetectsLossFromGaps) {
   demux.add_route(1, &rx);
   // 100 kB/s = 800 kbps offered against 400 kbps policed.
   const auto t = cbr_trace(500, 1000, milliseconds(10));
-  UdpReplaySender tx(sim, ids, UdpConfig{}, 1,
+  UdpReplaySender tx(sim, ids, 1,
                      netsim::kDscpDifferentiated, &link, t, 0);
   sim.run();
   rx.finalize(tx.packets_scheduled(), sim.now());
@@ -105,7 +105,7 @@ TEST(UdpReplay, MeasurementAssembly) {
   UdpReplayReceiver rx(sim);
   demux.add_route(1, &rx);
   const auto t = cbr_trace(50, 1200, milliseconds(10));
-  UdpReplaySender tx(sim, ids, UdpConfig{}, 1, 0, &link, t, 0);
+  UdpReplaySender tx(sim, ids, 1, 0, &link, t, 0);
   sim.run();
   rx.finalize(tx.packets_scheduled(), sim.now());
   const auto m = udp_measurement(tx, rx);
@@ -130,7 +130,7 @@ TEST(UdpReplay, PoissonTraceStillDeliversEverything) {
   demux.add_route(1, &rx);
   auto t = cbr_trace(200, 800, milliseconds(5));
   t = trace::poissonize(t, rng);
-  UdpReplaySender tx(sim, ids, UdpConfig{}, 1, 0, &link, t, 0);
+  UdpReplaySender tx(sim, ids, 1, 0, &link, t, 0);
   sim.run();
   rx.finalize(tx.packets_scheduled(), sim.now());
   EXPECT_EQ(rx.received_packets(), 200u);
